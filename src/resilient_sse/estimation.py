@@ -1,10 +1,9 @@
 """State decoders, residual detector, and the Luenberger baseline.
 
-Two equivalent parameterizations of the same l1 regression are exposed:
-``decode`` works in the rotated coordinates given by the orthonormal range
-basis of the stacked observation matrix, while ``solve_weighted_l1`` works
-directly on H.  Both return the exact minimizer (certified LP solve), so
-they agree up to solver tolerance.
+Every decoder is one weighted l1 regression on the stacked observation
+matrix H, solved exactly by the certified LP solve of ``lp``: ``decode`` with
+unit weights, ``weighted_observer`` with weight 1 on the pruned safe rows and
+omega elsewhere, and ``solve_weighted_l1`` with any nonnegative weights.
 """
 
 from __future__ import annotations
@@ -65,19 +64,6 @@ def _weights_array(weights, rows: int) -> np.ndarray:
     return w
 
 
-def _finish(model, y_T, x_hat, objective, epsilon, x_true):
-    residual_l1 = float(np.abs(y_T - model.H @ x_hat).sum())
-    flag = None if epsilon is None else detect(model, y_T, x_hat, epsilon)
-    err = None if x_true is None else float(np.linalg.norm(x_hat - np.asarray(x_true, float)))
-    return EstimateResult(
-        x_hat=x_hat,
-        objective=objective,
-        residual_l1=residual_l1,
-        detector_flag=flag,
-        error_l2=err,
-    )
-
-
 def solve_weighted_l1(
     model: HorizonModel,
     y_T,
@@ -95,7 +81,15 @@ def solve_weighted_l1(
         raise DimensionMismatch(f"y_T has length {y_T.shape[0]}, expected {model.rows}")
     w = _weights_array(weights, model.rows)
     sol = weighted_l1_regression(model.H, y_T, w)
-    return _finish(model, y_T, sol.z, sol.objective, epsilon, x_true)
+    flag = None if epsilon is None else detect(model, y_T, sol.z, epsilon)
+    err = None if x_true is None else float(np.linalg.norm(sol.z - np.asarray(x_true, float)))
+    return EstimateResult(
+        x_hat=sol.z,
+        objective=sol.objective,
+        residual_l1=float(np.abs(sol.residual).sum()),
+        detector_flag=flag,
+        error_l2=err,
+    )
 
 
 def decode(
@@ -104,16 +98,8 @@ def decode(
     epsilon: float | None = None,
     x_true=None,
 ) -> EstimateResult:
-    """Plain l1 decoder in the rotated coordinates of the range basis.
-
-    Solves min_z ||y_T - U1 z||_1 and maps back through x = V Sigma1^-1 z.
-    """
-    y_T = np.asarray(y_T, dtype=float).reshape(-1)
-    if y_T.shape[0] != model.rows:
-        raise DimensionMismatch(f"y_T has length {y_T.shape[0]}, expected {model.rows}")
-    sol = weighted_l1_regression(model.U1, y_T, np.ones(model.rows))
-    x_hat = model.V @ np.linalg.solve(model.Sigma1, sol.z)
-    return _finish(model, y_T, x_hat, sol.objective, epsilon, x_true)
+    """Plain l1 decoder: the weighted solve with unit weights."""
+    return solve_weighted_l1(model, y_T, np.ones(model.rows), epsilon=epsilon, x_true=x_true)
 
 
 def detect(model: HorizonModel, y_T, x_hat, epsilon: float) -> bool:

@@ -1,26 +1,30 @@
 """Exact weighted least-absolute-deviations solver.
 
 Solves  minimize_z  sum_j w_j |y_j - (A z)_j|  for dense A with full column
-rank on the positive-weight rows.  The problem is reduced to the linear
-program
+rank on the positive-weight rows, by the l1 simplex method of Barrodale and
+Roberts ("An improved algorithm for discrete l1 linear approximation", SIAM
+J. Numer. Anal. 10(5), 1973): a descent from vertex to vertex of the
+piecewise-linear objective.
 
-    min  w^T t   s.t.  -t <= y - A z <= t
-
-and solved with a dense Mehrotra predictor-corrector interior-point method.
-Optimality is certified independently of the iteration: the dual of the
-regression problem is
+A vertex is a basis B of n positive-weight rows that the fit interpolates,
+z = A_B^-1 y_B.  The dual of the regression problem is
 
     max  y^T nu   s.t.  A^T nu = 0,  |nu_j| <= w_j,
 
-so any nu obtained by projecting the iterate's dual variables onto the
-null space of A^T (restricted to positive-weight rows) and rescaling into
-the weight box yields a true lower bound y^T nu on the optimum.  The solver
-stops only when objective - bound <= gap_rtol * (1 + |objective|).
+and complementary slackness completes the dual of a vertex uniquely:
+nu_N = w_N sign(r_N) off the basis and nu_B = -A_B^-T A_N^T nu_N on it.  The
+vertex is optimal iff |nu_B| <= w_B, and then y^T nu is a lower bound that
+certifies it.  Otherwise the basis row with the worst violation is released
+and the exact line search along that edge, a weighted median of the
+breakpoints where residuals change sign, picks the row that enters.
 
-A basis-polish step accelerates the endgame: an optimal basic solution
-interpolates at least n rows exactly, so the candidate obtained by solving
-the square system on the smallest-residual rows is tried at every iteration
-and kept whenever it lowers the certified objective.
+Exact data makes the optimum degenerate (more than n rows fit with zero
+residual), and plain pivoting cycles there.  The pivots therefore run on y
+plus a tiny deterministic perturbation; the final basis is evaluated on the
+original y, and its dual, which does not depend on y, certifies that point.
+The problem is positively homogeneous in (y, z), so the pivots run on y
+scaled to unit max-norm, and the gap is checked in those units as well as in
+the caller's.
 """
 
 from __future__ import annotations
@@ -32,7 +36,11 @@ import numpy as np
 from .errors import RankDeficient, SolverFailure
 
 _RANK_RTOL = 1e-10
-_STEP_SHRINK = 0.9995
+_GAP_RTOL = 1e-8
+_DUAL_RTOL = 1e-10     # box violation |nu_B| / w_B - 1 accepted as optimal
+_PERTURBATION = 1e-9   # size of the pivoting perturbation, relative to max |y|
+_PIVOTS_PER_ROW = 10
+_GOLDEN = 0.6180339887498949
 
 
 @dataclass
@@ -44,35 +52,11 @@ class LpSolution:
     objective: float
     dual_objective: float
     gap: float                 # certified duality gap (>= 0 up to roundoff)
-    iterations: int
-
-
-def _certify(y_act, w_act, Q, nu_act, rounds: int = 8):
-    """Project dual variables into the feasible dual set; return y^T nu.
-
-    A few alternating passes of (project onto A^T nu = 0, clip into the
-    weight box) before the final feasibility-preserving rescale tighten the
-    bound considerably near degenerate optima.
-    """
-    best = -np.inf
-    nu = nu_act
-    for _ in range(rounds):
-        nu = nu - Q @ (Q.T @ nu)
-        worst = (np.abs(nu) / w_act).max(initial=0.0)
-        scaled = nu / worst if worst > 1.0 else nu
-        best = max(best, float(y_act @ scaled))
-        if worst <= 1.0:
-            break
-        nu = np.clip(nu, -w_act, w_act)
-    return best
+    iterations: int            # simplex pivots
 
 
 def _greedy_basis(A_act, order, n):
-    """First n rows along `order` that are linearly independent, else None.
-
-    Rows are returned in the order added, so the last entry is the least
-    trustworthy member of the candidate basis.
-    """
+    """First n rows along `order` that are linearly independent, else None."""
     basis = []
     span = np.zeros((0, n))
     for j in order:
@@ -87,84 +71,14 @@ def _greedy_basis(A_act, order, n):
     return None
 
 
-def _face_descent(A_act, y_act, w_act, head):
-    """Exact minimizer along the face that keeps the `head` rows interpolated.
-
-    With n-1 independent rows pinned to zero residual, one free direction
-    remains; the objective is piecewise linear along it and the optimum sits
-    at a breakpoint, found by direct evaluation.  This performs the final
-    pivot the barrier iteration cannot resolve when the optimal face is
-    numerically flat.
-    """
-    B = A_act[head]
-    sv, Vt = np.linalg.svd(B, full_matrices=True)[1:]
-    if sv.size and sv[-1] <= 1e-10 * sv[0]:
-        return None
-    d = Vt[-1]
-    z0 = np.linalg.lstsq(B, y_act[head], rcond=None)[0]
-    g = A_act @ d
-    r0 = y_act - A_act @ z0
-    usable = np.abs(g) > 1e-12 * max(1.0, np.abs(g).max(initial=0.0))
-    if not np.any(usable):
-        return None
-    ts = r0[usable] / g[usable]
-    objs = np.abs(r0[None, :] - ts[:, None] * g[None, :]) @ w_act
-    return z0 + ts[int(np.argmin(objs))] * d
-
-
-def _vertex_dual_bound(A_act, y_act, w_act, Q, z, nu_start=None, rounds: int = 40):
-    """Complementary-slackness dual certificate for a candidate vertex z.
-
-    Rows with nonzero residual force nu_j = w_j * sign(residual_j); on the
-    zero-residual set any completion satisfying A^T nu = 0 inside the
-    weight box attains exactly the optimal dual value (their y-entries are
-    consistent, y_Z = A_Z z, so the dual objective does not depend on the
-    choice).  The completion is found by alternating projections between
-    the affine set and the box, warm-started from the solver's own dual
-    iterate when available; if z is not actually optimal no feasible
-    completion needs to exist and the rescaled result is merely a valid
-    weaker bound.
-    """
-    r = y_act - A_act @ z
-    tol = 1e-9 * max(1.0, float(np.abs(y_act).max(initial=0.0)))
-    zero = np.abs(r) <= tol
-    if zero.sum() < A_act.shape[1]:
-        return None
-    nz = ~zero
-    nu = np.zeros_like(r)
-    nu[nz] = w_act[nz] * np.sign(r[nz])
-    b = -A_act[nz].T @ nu[nz]
-    M = A_act[zero].T  # n x |Z|
-    M_pinv = np.linalg.pinv(M)
-    w_z = w_act[zero]
-
-    best = -np.inf
-    v = M_pinv @ b if nu_start is None else nu_start[zero]
-    for _ in range(rounds):
-        v = v - M_pinv @ (M @ v - b)  # back onto the affine set
-        nu[zero] = v
-        full = nu - Q @ (Q.T @ nu)    # kill roundoff in A^T nu = 0
-        worst = (np.abs(full) / w_act).max(initial=0.0)
-        scaled = full / worst if worst > 1.0 else full
-        best = max(best, float(y_act @ scaled))
-        if worst <= 1.0 + 1e-12:
-            break
-        v = np.clip(v, -w_z, w_z)
-    return best
-
-
-def weighted_l1_regression(
-    A,
-    y,
-    w,
-    gap_rtol: float = 1e-8,
-    max_iter: int = 100,
-) -> LpSolution:
+def weighted_l1_regression(A, y, w) -> LpSolution:
     """Minimize sum_j w_j |y_j - (A z)_j| with a certified duality gap.
 
-    Weights must be nonnegative; rows with w_j = 0 are ignored by the
-    objective and are legal only while the remaining rows keep full column
-    rank (checked, RankDeficient otherwise).
+    Entries must be finite and weights nonnegative (ValueError otherwise);
+    rows with w_j = 0 are ignored by the objective and are legal only while
+    the remaining rows keep full column rank (checked, RankDeficient
+    otherwise).  The returned gap is at most 1e-8 * (1 + |objective|), in
+    the caller's units and in those of y scaled to max |y| = 1 alike.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -172,123 +86,69 @@ def weighted_l1_regression(
     N, n = A.shape
     if y.shape[0] != N or w.shape[0] != N:
         raise ValueError(f"shape mismatch: A {A.shape}, y {y.shape}, w {w.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(y).all() and np.isfinite(w).all()):
+        raise ValueError("A, y and w must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
 
     active = w > 0
-    A_act, y_act, w_act = A[active], y[active], w[active]
-    if A_act.shape[0] < n:
-        raise RankDeficient(f"{A_act.shape[0]} positive-weight rows cannot determine {n} unknowns")
-    sv = np.linalg.svd(A_act, compute_uv=False)
-    if sv[-1] <= _RANK_RTOL * sv[0]:
+    A_act, w_act = A[active], w[active]
+    rows = A_act.shape[0]
+    if rows < n:
+        raise RankDeficient(f"{rows} positive-weight rows cannot determine {n} unknowns")
+    scale = float(np.abs(y[active]).max(initial=0.0)) or 1.0
+    y_act = y[active] / scale
+    y_piv = y_act + _PERTURBATION * ((np.arange(rows) * _GOLDEN) % 1.0 - 0.5)
+
+    # start from the rows the least-squares fit matches best
+    z_ls, _, _, sv = np.linalg.lstsq(A_act, y_piv, rcond=None)
+    basis = _greedy_basis(A_act, np.argsort(np.abs(y_piv - A_act @ z_ls), kind="stable"), n)
+    if basis is None or sv[-1] <= _RANK_RTOL * sv[0]:
         raise RankDeficient("positive-weight rows of A are numerically rank deficient")
-    Q = np.linalg.qr(A_act)[0]
 
-    def objective_at(z):
-        return float(w @ np.abs(y - A @ z))
+    for pivots in range(_PIVOTS_PER_ROW * rows + 1):
+        inv = np.linalg.inv(A_act[basis])
+        r = y_piv - A_act @ (inv @ y_piv[basis])
+        sign = np.where(r >= 0, 1.0, -1.0)
+        nu = w_act * sign
+        nu[basis] = 0.0
+        nu[basis] = -inv.T @ (A_act.T @ nu)
+        ratio = np.abs(nu[basis]) / w_act[basis]
+        k = int(np.argmax(ratio))
+        if ratio[k] <= 1.0 + _DUAL_RTOL:
+            break
+        # Release basis row k: along h the other basis rows stay interpolated
+        # and the objective falls at rate |nu_k| - w_k until the breakpoints
+        # passed (residuals changing sign) have raised the slope to zero.
+        h = A_act @ (-np.sign(nu[basis[k]]) * inv[:, k])
+        crossing = sign * h > 0
+        crossing[basis] = False
+        cand = np.flatnonzero(crossing)
+        cand = cand[np.argsort(r[cand] / h[cand], kind="stable")]
+        rise = np.cumsum(2.0 * w_act[cand] * np.abs(h[cand]))
+        stop = int(np.searchsorted(rise, np.abs(nu[basis[k]]) - w_act[basis[k]]))
+        if stop == cand.size:
+            raise SolverFailure("no breakpoint along a descent edge")
+        basis[k] = cand[stop]
+    else:
+        raise SolverFailure(f"no optimal basis after {pivots} pivots")
 
-    # LP data: x = (z, t), G x <= h
-    G = np.block([[A, -np.eye(N)], [-A, -np.eye(N)]])
-    h = np.concatenate([y, -y])
-    c = np.concatenate([np.zeros(n), w])
-    dim = n + N
-
-    z0 = np.linalg.lstsq(A_act, y_act, rcond=None)[0]
-    r0 = y - A @ z0
-    x = np.concatenate([z0, np.abs(r0) + 1.0])
-    s = h - G @ x
-    lam = np.maximum(np.concatenate([w, w]) / 2.0, 0.1)
-
-    best_z = z0.copy()
-    best_obj = objective_at(z0)
-    best_dual = -np.inf
-    scale = 1.0 + abs(best_obj)
-
-    for it in range(1, max_iter + 1):
-        # certified bound from the current dual iterate
-        nu = (lam[N:] - lam[:N])[active]
-        best_dual = max(best_dual, _certify(y_act, w_act, Q, nu))
-
-        z_cur = x[:n]
-        obj_cur = objective_at(z_cur)
-        if obj_cur < best_obj:
-            best_obj, best_z = obj_cur, z_cur.copy()
-        if it >= 3:
-            # candidate vertices from the residual ranking and, as a fallback
-            # on degenerate instances, from the dual indicator min(lam+, lam-)
-            orders = [np.argsort(np.abs(y_act - A_act @ z_cur), kind="stable")]
-            orders.append(np.argsort(-np.minimum(lam[:N], lam[N:])[active], kind="stable"))
-            candidates = []
-            for order in orders:
-                basis = _greedy_basis(A_act, order, n)
-                if basis is None:
-                    continue
-                candidates.append(np.linalg.solve(A_act[basis], y_act[basis]))
-                if n >= 2:
-                    zf = _face_descent(A_act, y_act, w_act, basis[:-1])
-                    if zf is not None:
-                        candidates.append(zf)
-            for zc in candidates:
-                obj_c = objective_at(zc)
-                if obj_c < best_obj:
-                    best_obj, best_z = obj_c, zc
-                bound = _vertex_dual_bound(A_act, y_act, w_act, Q, zc, nu_start=nu)
-                if bound is not None:
-                    best_dual = max(best_dual, bound)
-        scale = 1.0 + abs(best_obj)
-        if best_obj - best_dual <= gap_rtol * scale:
-            resid = y - A @ best_z
-            return LpSolution(
-                z=best_z,
-                residual=resid,
-                objective=best_obj,
-                dual_objective=best_dual,
-                gap=best_obj - best_dual,
-                iterations=it - 1,
-            )
-
-        # Mehrotra predictor-corrector step
-        r_p = G @ x + s - h
-        r_d = G.T @ lam + c
-        mu = float(s @ lam) / (2 * N)
-
-        d = lam / s
-        M = G.T @ (G * d[:, None])
-        M[np.diag_indices_from(M)] += 1e-13 * (1.0 + np.trace(M) / dim)
-        try:
-            Lf = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            M[np.diag_indices_from(M)] += 1e-8 * np.trace(M) / dim
-            Lf = np.linalg.cholesky(M)
-
-        def solve_newton(r_c):
-            rhs = -r_d - G.T @ ((-r_c + lam * r_p) / s)
-            dx = np.linalg.solve(Lf.T, np.linalg.solve(Lf, rhs))
-            ds = -r_p - G @ dx
-            dlam = (-r_c - lam * ds) / s
-            return dx, ds, dlam
-
-        def max_step(v, dv):
-            neg = dv < 0
-            if not np.any(neg):
-                return 1.0
-            return min(1.0, float(np.min(-v[neg] / dv[neg])))
-
-        dx_a, ds_a, dlam_a = solve_newton(lam * s)
-        ap = max_step(s, ds_a)
-        ad = max_step(lam, dlam_a)
-        mu_aff = float((s + ap * ds_a) @ (lam + ad * dlam_a)) / (2 * N)
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
-
-        r_c = lam * s + dlam_a * ds_a - sigma * mu
-        dx, ds, dlam = solve_newton(r_c)
-        ap = _STEP_SHRINK * max_step(s, ds)
-        ad = _STEP_SHRINK * max_step(lam, dlam)
-        x = x + ap * dx
-        s = s + ap * ds
-        lam = lam + ad * dlam
-
-    raise SolverFailure(
-        f"no certificate after {max_iter} iterations: gap {best_obj - best_dual:.3e} "
-        f"(tolerance {gap_rtol * scale:.3e})"
+    # Certify on the unperturbed data; the dual is feasible for any y.
+    nu /= max(1.0, float(ratio[k]))
+    z = scale * (inv @ y_act[basis])
+    residual = y - A @ z
+    objective = float(w @ np.abs(residual))
+    dual = scale * float(y_act @ nu)
+    gap = objective - dual
+    if not gap <= _GAP_RTOL * (min(1.0, scale) + abs(objective)):
+        raise SolverFailure(
+            f"basis not certified on the data: gap {gap:.3e}, objective {objective:.3e}"
+        )
+    return LpSolution(
+        z=z,
+        residual=residual,
+        objective=objective,
+        dual_objective=dual,
+        gap=gap,
+        iterations=pivots,
     )

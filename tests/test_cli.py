@@ -167,6 +167,18 @@ def test_config_file_merging(tmp_path, capsys):
     assert code == 1 and "no_such_option" in err
 
 
+def test_estimate_rejects_non_finite_window(tmp_path, system_file, capsys):
+    path, sys_ = system_file
+    y = build_horizon(sys_, 1).H @ np.array([0.5, 2.0])
+    y[2] = np.nan
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps(list(y)))  # json writes the bare token NaN
+    code, out, err = run_cli(["estimate", "--system", path, "--y", y_path], capsys)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # unobservable system: building the window model fails numerically
     path = tmp_path / "sys.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from resilient_sse import RankDeficient
+from resilient_sse import RankDeficient, build_horizon, gen_random_system, synthesize_fdia
 from resilient_sse.lp import weighted_l1_regression
 
 
@@ -62,21 +62,63 @@ def test_consistent_data_gives_zero_objective():
     assert np.linalg.norm(sol.z - x) <= 1e-9
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_matches_scipy_linprog(seed):
+def lp_instance(family, seed):
+    """One (A, y, w) of a named instance family."""
     rng = np.random.default_rng(seed)
-    N, n = 18, 5
-    A = rng.standard_normal((N, n))
-    y = A @ rng.standard_normal(n)
-    k = rng.integers(0, 7)
-    y[rng.choice(N, size=k, replace=False)] += 8 * rng.standard_normal(k)
-    w = rng.uniform(0.01, 1.0, N)
-    if seed % 4 == 0:
-        w[rng.choice(N, size=2, replace=False)] = 0.0
+    if family == "random":
+        N, n = 18, 5
+        A = rng.standard_normal((N, n))
+        y = A @ rng.standard_normal(n)
+        k = rng.integers(0, 7)
+        y[rng.choice(N, size=k, replace=False)] += 8 * rng.standard_normal(k)
+        w = rng.uniform(0.01, 1.0, N)
+        if seed % 4 == 0:
+            w[rng.choice(N, size=2, replace=False)] = 0.0
+        return A, y, w
+    if family in ("stealth20", "stealth240"):
+        # exact data plus a stealth attack: many rows fit with zero residual
+        m, n, T = (20, 10, 1) if family == "stealth20" else (60, 12, 4)
+        model = build_horizon(gen_random_system(m, n, rng), T)
+        y = model.H @ rng.standard_normal(n)
+        support = rng.choice(model.rows, size=model.rows * 3 // 10, replace=False)
+        y = y + synthesize_fdia(model, support, 0.01 * np.abs(y).sum()).e_T
+        w = np.where(rng.random(model.rows) < 0.5, 1.0, 0.01) if T == 1 else np.ones(model.rows)
+        return model.H, y, w
+    if family == "ties":
+        # duplicated integer rows tie residuals and breakpoints
+        B = rng.integers(-3, 4, (8, 4)).astype(float)
+        yb = rng.integers(-5, 6, 8).astype(float)
+        return np.vstack([B, B, B[:4]]), np.concatenate([yb, yb, yb[:4]]), np.ones(20)
+    A = rng.standard_normal((30, 6))
+    y = rng.standard_normal(30)
+    w = rng.uniform(0.1, 1.0, 30)
+    if family == "near_rank":
+        A[:, 5] = A[:, 4] + 1e-6 * rng.standard_normal(30)
+    elif family == "col_scale":
+        A *= np.logspace(-3, 3, 6)
+        y = A @ rng.standard_normal(6)
+        y[:8] += rng.standard_normal(8)
+    elif family == "zero_weights":
+        w[rng.choice(30, size=10, replace=False)] = 0.0
+    return A, y, w
+
+
+FAMILIES = ("stealth20", "stealth240", "ties", "near_rank", "col_scale", "zero_weights")
+
+
+@pytest.mark.parametrize(
+    "family, seed",
+    [pytest.param("random", seed, id=str(seed)) for seed in range(30)]
+    + [pytest.param(f, seed, id=f"{f}-{seed}") for f in FAMILIES for seed in range(8)],
+)
+def test_matches_scipy_linprog(family, seed):
+    A, y, w = lp_instance(family, seed)
     sol = weighted_l1_regression(A, y, w)
-    assert abs(sol.objective - scipy_oracle(A, y, w)) <= 1e-7 * (1 + abs(sol.objective))
+    best = scipy_oracle(A, y, w)
+    assert abs(sol.objective - best) <= 1e-7 * (1 + abs(sol.objective))
     assert sol.gap <= 1e-8 * (1 + abs(sol.objective)) + 1e-15
     assert sol.dual_objective <= sol.objective + 1e-12
+    assert sol.dual_objective <= best + 1e-9 * (1 + abs(best))
 
 
 def test_certificate_fields_are_consistent():
@@ -128,9 +170,40 @@ def test_zero_weight_rows_are_ignored():
     assert np.linalg.norm(sol.z - x) <= 1e-8
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-8, 1e8, 1e300])
+def test_scale_invariance(c):
+    # the problem is positively homogeneous in (y, z): scaling y scales the
+    # minimizer and the optimum, and the gap stays within the contract of
+    # the unscaled problem
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((24, 5))
+    y = A @ rng.standard_normal(5)
+    y[:6] += 4 * rng.standard_normal(6)
+    w = rng.uniform(0.1, 1.0, 24)
+    ref = weighted_l1_regression(A, y, w)
+    sol = weighted_l1_regression(A, c * y, w)
+    tol = 1e-8 * (1 + abs(ref.objective))
+    assert abs(sol.objective / c - ref.objective) <= tol
+    assert sol.gap / c <= tol
+    assert np.linalg.norm(sol.z / c - ref.z) <= 1e-8 * (1 + np.linalg.norm(ref.z))
+
+
 def test_shape_and_weight_validation():
     A = np.ones((4, 2))
     with pytest.raises(ValueError):
         weighted_l1_regression(A, np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         weighted_l1_regression(A, np.ones(4), -np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_rejected(bad):
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 2))
+    y = rng.standard_normal(6)
+    w = np.ones(6)
+    for args in ((A, np.where(np.arange(6) == 2, bad, y), w),
+                 (np.where(np.eye(6, 2) > 0, bad, A), y, w),
+                 (A, y, np.where(np.arange(6) == 5, bad, w))):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_l1_regression(*args)
