@@ -6,7 +6,8 @@ atomically (nothing is left behind on failure).  Every stochastic
 subcommand is fully determined by its --seed.
 
 A JSON config file may supply any long-option value (keys use underscores,
-e.g. {"true_rate": 0.9}); explicit command-line flags win over the file.
+e.g. {"true_rate": 0.9}); explicit command-line flags win over the file, and
+each file value is converted and checked as the flag's argument would be.
 """
 
 from __future__ import annotations
@@ -106,21 +107,39 @@ def _read_vector(path) -> np.ndarray:
     return read_matrix_csv(path).reshape(-1)
 
 
-def _merge_config(args, parser_defaults):
-    """Apply config-file values for options the command line left alone."""
+def _merge_config(args, argv, actions):
+    """Apply config-file values to the options absent from the command line."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
+    # a second parse in which nothing has a default yields only the given flags
+    parser, subparsers = build_parser()
+    for action in subparsers[args.command]._actions:
+        action.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions:
             raise ValueError(f"config key {key!r} is not an option of this subcommand")
-        if getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, value)
+        if attr not in given:
+            setattr(args, attr, _config_value(key, value, actions[attr]))
     return args
+
+
+def _config_value(key, value, action):
+    """Convert and check a config value as argparse would the flag's argument."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key!r}: expected a string or a number, got {value!r}")
+    try:
+        converted = (action.type or str)(str(value))
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return converted
 
 
 def _require(cond: bool, message: str) -> None:
@@ -180,6 +199,8 @@ def _cmd_estimate(args) -> str:
             "residual_l1": est.residual_l1,
             "detector_flag": est.detector_flag,
             "error_l2": est.error_l2,
+            "iterations": est.iterations,
+            "gap": est.gap,
         }
     )
 
@@ -398,9 +419,9 @@ def parse_and_dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    defaults = {a.dest: a.default for a in subparsers[args.command]._actions}
+    actions = {a.dest: a for a in subparsers[args.command]._actions if a.dest != "help"}
     try:
-        args = _merge_config(args, defaults)
+        args = _merge_config(args, argv, actions)
         text = args.handler(args)
         _write_output(text, getattr(args, "out", None))
         return 0

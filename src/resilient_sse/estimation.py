@@ -4,6 +4,9 @@ Every decoder is one weighted l1 regression on the stacked observation
 matrix H, solved exactly by the certified LP solve of ``lp``: ``decode`` with
 unit weights, ``weighted_observer`` with weight 1 on the pruned safe rows and
 omega elsewhere, and ``solve_weighted_l1`` with any nonnegative weights.
+Each takes an optional ``start`` basis (row indices of H), and each result
+carries the optimal ``basis`` to pass as the start of a related solve, such
+as the next window of a moving-window run.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ class EstimateResult:
     residual_l1: float
     detector_flag: bool | None = None
     error_l2: float | None = None
+    basis: np.ndarray | None = None   # optimal basis rows of H, a start for the next solve
+    iterations: int = 0               # simplex pivots
+    gap: float = 0.0                  # certified duality gap
 
 
 def _weights_array(weights, rows: int) -> np.ndarray:
@@ -70,17 +76,19 @@ def solve_weighted_l1(
     weights,
     epsilon: float | None = None,
     x_true=None,
+    start=None,
 ) -> EstimateResult:
     """Exact minimizer of the weighted l1 measurement residual.
 
     Weight entries of zero are allowed only while the remaining rows keep
-    full column rank (RankDeficient otherwise).
+    full column rank (RankDeficient otherwise).  ``start`` is an optional
+    warm-start basis, see ``lp.weighted_l1_regression``.
     """
     y_T = np.asarray(y_T, dtype=float).reshape(-1)
     if y_T.shape[0] != model.rows:
         raise DimensionMismatch(f"y_T has length {y_T.shape[0]}, expected {model.rows}")
     w = _weights_array(weights, model.rows)
-    sol = weighted_l1_regression(model.H, y_T, w)
+    sol = weighted_l1_regression(model.H, y_T, w, start=start)
     flag = None if epsilon is None else detect(model, y_T, sol.z, epsilon)
     err = None if x_true is None else float(np.linalg.norm(sol.z - np.asarray(x_true, float)))
     return EstimateResult(
@@ -89,6 +97,9 @@ def solve_weighted_l1(
         residual_l1=float(np.abs(sol.residual).sum()),
         detector_flag=flag,
         error_l2=err,
+        basis=sol.basis,
+        iterations=sol.iterations,
+        gap=sol.gap,
     )
 
 
@@ -97,9 +108,12 @@ def decode(
     y_T,
     epsilon: float | None = None,
     x_true=None,
+    start=None,
 ) -> EstimateResult:
     """Plain l1 decoder: the weighted solve with unit weights."""
-    return solve_weighted_l1(model, y_T, np.ones(model.rows), epsilon=epsilon, x_true=x_true)
+    return solve_weighted_l1(
+        model, y_T, np.ones(model.rows), epsilon=epsilon, x_true=x_true, start=start
+    )
 
 
 def detect(model: HorizonModel, y_T, x_hat, epsilon: float) -> bool:
@@ -118,10 +132,11 @@ def weighted_observer(
     omega: float,
     epsilon: float | None = None,
     x_true=None,
+    start=None,
 ) -> EstimateResult:
     """Weighted l1 observer: weight 1 on the pruned safe rows, omega elsewhere."""
     w = WeightVector.from_trusted(model.rows, pruned_safe_set, omega)
-    return solve_weighted_l1(model, y_T, w, epsilon=epsilon, x_true=x_true)
+    return solve_weighted_l1(model, y_T, w, epsilon=epsilon, x_true=x_true, start=start)
 
 
 # ---------------------------------------------------------------------------

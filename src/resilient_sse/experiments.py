@@ -356,7 +356,8 @@ def run_scenario(
 
     Window estimates target the window-start state; the Luenberger estimate
     is aligned to the same time index.  WL1P trusts the product-pruned rows
-    of a simulated localization prior.
+    of a simulated localization prior.  Every window is decoded with the same
+    H, so each l1 observer warm-starts from its previous window's basis.
     """
     for obs in observers:
         if obs not in ("LO", "L1O", "WL1P"):
@@ -389,16 +390,20 @@ def run_scenario(
         lo_est = luenberger_baseline(system, traj.attacked_measurements)
 
     errors = {obs: [] for obs in observers}
+    basis = {"L1O": None, "WL1P": None}
     for end in range(T - 1, scenario.steps):
         y_T, x_start, _ = stack_window(traj, end, T)
         target = traj.states[end - T + 1]
         if "LO" in observers:
             errors["LO"].append(lo_est[end - T + 1] - target)
         if "L1O" in observers:
-            errors["L1O"].append(decode(model, y_T).x_hat - target)
+            est = decode(model, y_T, start=basis["L1O"])
+            basis["L1O"] = est.basis
+            errors["L1O"].append(est.x_hat - target)
         if "WL1P" in observers:
             trusted = trusted_static if trusted_static is not None else draw_trusted()
-            est = weighted_observer(model, y_T, trusted, scenario.omega)
+            est = weighted_observer(model, y_T, trusted, scenario.omega, start=basis["WL1P"])
+            basis["WL1P"] = est.basis
             errors["WL1P"].append(est.x_hat - target)
 
     windows = scenario.steps - T + 1

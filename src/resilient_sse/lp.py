@@ -25,10 +25,18 @@ original y, and its dual, which does not depend on y, certifies that point.
 The problem is positively homogeneous in (y, z), so the pivots run on y
 scaled to unit max-norm, and the gap is checked in those units as well as in
 the caller's.
+
+Between pivots the tableau D = A A_B^-1 is updated instead of refactored:
+r = y - D y_B, nu_B = -D^T nu_N, the edge is a column of D, and row j
+replacing basis row k is the rank-one update D -= D[:, k] (D[j] - e_k) / D[j, k].
+When D reports optimality the basis is factored afresh and re-checked with
+the formulas above, so the certificate never rests on updated quantities.  A
+``start`` basis, such as the previous window's, replaces the cold start.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,25 +61,24 @@ class LpSolution:
     dual_objective: float
     gap: float                 # certified duality gap (>= 0 up to roundoff)
     iterations: int            # simplex pivots
+    basis: np.ndarray          # the n rows of A (original indices) interpolated by z
 
 
 def _greedy_basis(A_act, order, n):
     """First n rows along `order` that are linearly independent, else None."""
-    basis = []
-    span = np.zeros((0, n))
-    for j in order:
+    basis, span, k = np.empty(n, dtype=int), np.empty((n, A_act.shape[1])), 0
+    for j in order:  # span[:k] holds orthonormal rows spanning the k picks
         row = A_act[j]
-        resid = row - span.T @ (span @ row)
-        nrm = np.linalg.norm(resid)
-        if nrm > 1e-10 * max(1.0, np.linalg.norm(row)):
-            basis.append(j)
-            span = np.vstack([span, resid / nrm])
-            if len(basis) == n:
-                return np.asarray(basis)
+        resid = row - span[:k].T @ (span[:k] @ row)
+        nrm = math.sqrt(resid @ resid)
+        if nrm > 1e-10 * max(1.0, math.sqrt(row @ row)):
+            basis[k], span[k], k = j, resid / nrm, k + 1
+            if k == n:
+                return basis
     return None
 
 
-def weighted_l1_regression(A, y, w) -> LpSolution:
+def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     """Minimize sum_j w_j |y_j - (A z)_j| with a certified duality gap.
 
     Entries must be finite and weights nonnegative (ValueError otherwise);
@@ -79,6 +86,10 @@ def weighted_l1_regression(A, y, w) -> LpSolution:
     the remaining rows keep full column rank (checked, RankDeficient
     otherwise).  The returned gap is at most 1e-8 * (1 + |objective|), in
     the caller's units and in those of y scaled to max |y| = 1 alike.
+
+    ``start`` names n distinct rows of A to begin at, e.g. the ``basis`` of a
+    related solve (ValueError if malformed; ignored if it holds a zero-weight
+    row or is singular).  It changes neither the optimum nor the rank test.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -90,6 +101,12 @@ def weighted_l1_regression(A, y, w) -> LpSolution:
         raise ValueError("A, y and w must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
+    if start is not None:
+        start = np.asarray(start)
+        rows_start = start.tolist()
+        if (start.shape != (n,) or start.dtype.kind not in "iu" or len(set(rows_start)) != n
+                or min(rows_start) < 0 or max(rows_start) >= N):
+            raise ValueError(f"start must be {n} distinct row indices in [0, {N})")
 
     active = w > 0
     A_act, w_act = A[active], w[active]
@@ -100,27 +117,42 @@ def weighted_l1_regression(A, y, w) -> LpSolution:
     y_act = y[active] / scale
     y_piv = y_act + _PERTURBATION * ((np.arange(rows) * _GOLDEN) % 1.0 - 0.5)
 
-    # start from the rows the least-squares fit matches best
+    # start from the given rows if usable, else from those the least-squares
+    # fit matches best; the rank test is the same either way
     z_ls, _, _, sv = np.linalg.lstsq(A_act, y_piv, rcond=None)
-    basis = _greedy_basis(A_act, np.argsort(np.abs(y_piv - A_act @ z_ls), kind="stable"), n)
+    basis = None if start is None or not active[start].all() else (np.cumsum(active) - 1)[start]
+    if basis is not None:
+        sv_start = np.linalg.svd(A_act[basis], compute_uv=False)
+        basis = basis if sv_start[-1] > _RANK_RTOL * sv_start[0] else None
+    if basis is None:
+        basis = _greedy_basis(A_act, np.argsort(np.abs(y_piv - A_act @ z_ls), kind="stable"), n)
     if basis is None or sv[-1] <= _RANK_RTOL * sv[0]:
         raise RankDeficient("positive-weight rows of A are numerically rank deficient")
 
-    for pivots in range(_PIVOTS_PER_ROW * rows + 1):
-        inv = np.linalg.inv(A_act[basis])
-        r = y_piv - A_act @ (inv @ y_piv[basis])
+    # `inv` holds a fresh factorization of the basis, None while D is updated
+    pivots, inv = 0, np.linalg.inv(A_act[basis])
+    while True:
+        fresh = inv is not None
+        r = y_piv - (A_act @ (inv @ y_piv[basis]) if fresh else D @ y_piv[basis])
         sign = np.where(r >= 0, 1.0, -1.0)
         nu = w_act * sign
         nu[basis] = 0.0
-        nu[basis] = -inv.T @ (A_act.T @ nu)
+        nu[basis] = -inv.T @ (A_act.T @ nu) if fresh else -(D.T @ nu)
         ratio = np.abs(nu[basis]) / w_act[basis]
         k = int(np.argmax(ratio))
         if ratio[k] <= 1.0 + _DUAL_RTOL:
-            break
+            if fresh:
+                break
+            inv = np.linalg.inv(A_act[basis])
+            continue
+        if pivots == _PIVOTS_PER_ROW * rows:
+            raise SolverFailure(f"no optimal basis after {pivots} pivots")
+        if fresh:
+            D, inv = A_act @ inv, None
         # Release basis row k: along h the other basis rows stay interpolated
         # and the objective falls at rate |nu_k| - w_k until the breakpoints
         # passed (residuals changing sign) have raised the slope to zero.
-        h = A_act @ (-np.sign(nu[basis[k]]) * inv[:, k])
+        h = -np.sign(nu[basis[k]]) * D[:, k]
         crossing = sign * h > 0
         crossing[basis] = False
         cand = np.flatnonzero(crossing)
@@ -129,9 +161,10 @@ def weighted_l1_regression(A, y, w) -> LpSolution:
         stop = int(np.searchsorted(rise, np.abs(nu[basis[k]]) - w_act[basis[k]]))
         if stop == cand.size:
             raise SolverFailure("no breakpoint along a descent edge")
-        basis[k] = cand[stop]
-    else:
-        raise SolverFailure(f"no optimal basis after {pivots} pivots")
+        j = cand[stop]
+        D -= np.outer(D[:, k] / D[j, k], D[j] - (np.arange(n) == k))
+        basis[k] = j
+        pivots += 1
 
     # Certify on the unperturbed data; the dual is feasible for any y.
     nu /= max(1.0, float(ratio[k]))
@@ -151,4 +184,5 @@ def weighted_l1_regression(A, y, w) -> LpSolution:
         dual_objective=dual,
         gap=gap,
         iterations=pivots,
+        basis=np.flatnonzero(active)[basis],
     )

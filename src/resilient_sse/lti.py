@@ -267,7 +267,10 @@ def _check_rectangular(rows, name: str) -> np.ndarray:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{name}: rows have inconsistent lengths {sorted(widths)}")
-    return np.asarray(rows, dtype=float)
+    out = np.asarray(rows, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
+    return out
 
 
 def load_system_json(path):
@@ -285,6 +288,8 @@ def load_system_json(path):
     x0 = None
     if doc.get("x0") is not None:
         x0 = np.asarray(doc["x0"], dtype=float).reshape(-1)
+        if not np.isfinite(x0).all():
+            raise ValueError("x0 must be finite")
         if x0.shape[0] != sys.n:
             raise ValueError(f"x0 has length {x0.shape[0]}, expected {sys.n}")
     return sys, x0

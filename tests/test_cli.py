@@ -167,6 +167,70 @@ def test_config_file_merging(tmp_path, capsys):
     assert code == 1 and "no_such_option" in err
 
 
+def test_explicit_flag_beats_config_either_way(tmp_path, capsys):
+    base = ["sweep", "--m", 6, "--n", 2, "--grid", "0.3", "--trials", 3, "--seed", 1,
+            "--true-rate", 0.9]
+    outputs = {eta: run_cli(base + ["--eta", eta], capsys)[1] for eta in (0.5, 0.9)}
+    assert outputs[0.5] != outputs[0.9]
+    config = tmp_path / "cfg.json"
+    for flag, file_value in ((0.9, 0.5), (0.5, 0.9)):
+        config.write_text(json.dumps({"eta": file_value}))
+        # a flag wins even when it repeats the option's default (eta 0.9)
+        code, out, _ = run_cli(base + ["--eta", flag, "--config", config], capsys)
+        assert code == 0 and out == outputs[flag]
+        # with the flag absent the file's value applies
+        code, out, _ = run_cli(base + ["--config", config], capsys)
+        assert code == 0 and out == outputs[file_value]
+
+
+def test_config_values_are_typed(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"m": "6", "n": 2, "grid": 0.3, "trials": "3", "seed": 1}))
+    code, out, _ = run_cli(["sweep", "--config", config], capsys)
+    assert code == 0 and ",3," in out.splitlines()[1]
+    for key, bad in (("trials", "five"), ("trials", 2.5), ("trials", True),
+                     ("eta", [0.5]), ("format", "xml")):
+        config.write_text(json.dumps({key: bad}))
+        code, out, err = run_cli(["sweep", "--config", config], capsys)
+        assert code == 1 and out == ""
+        assert repr(key) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt, field", [("json", "A"), ("json", "C"), ("json", "x0"),
+                                        ("csv", "A"), ("csv", "C")])
+def test_non_finite_system_file_is_rejected(tmp_path, capsys, fmt, field):
+    doc = {"A": [[0.5, 0.0], [0.0, 0.4]], "C": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+           "x0": [1.0, -1.0]}
+    doc[field] = np.where(np.arange(np.size(doc[field])).reshape(np.shape(doc[field])) == 1,
+                          np.nan, doc[field]).tolist()
+    if fmt == "json":
+        (tmp_path / "sys.json").write_text(json.dumps(doc))  # json writes the bare token NaN
+        args = ["--system", tmp_path / "sys.json"]
+    else:
+        for key in ("A", "C"):
+            rows = "\n".join(",".join(repr(v) for v in row) for row in doc[key])
+            (tmp_path / f"{key}.csv").write_text(rows + "\n")
+        args = ["--system-a", tmp_path / "A.csv", "--system-c", tmp_path / "C.csv"]
+    code, out, err = run_cli(["scenario", "--steps", 5, "--T", 1] + args, capsys)
+    assert code == 1 and out == ""
+    assert f"{field}{'.csv' if fmt == 'csv' else ''} must be finite" in err
+
+
+def test_estimate_reports_solve_diagnostics(tmp_path, system_file, capsys):
+    path, sys_ = system_file
+    y = build_horizon(sys_, 1).H @ np.array([0.5, 2.0])
+    y[0] += 3.0
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps(list(y)))
+    code, out, _ = run_cli(["estimate", "--system", path, "--y", y_path], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"x_hat", "objective", "residual_l1", "detector_flag", "error_l2",
+                        "iterations", "gap"}
+    assert isinstance(doc["iterations"], int) and doc["iterations"] >= 0
+    assert -1e-12 <= doc["gap"] <= 1e-8 * (1 + doc["objective"]) + 1e-15
+
+
 def test_estimate_rejects_non_finite_window(tmp_path, system_file, capsys):
     path, sys_ = system_file
     y = build_horizon(sys_, 1).H @ np.array([0.5, 2.0])

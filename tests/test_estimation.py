@@ -49,6 +49,23 @@ def test_solve_weighted_l1_downweighted_majority():
     assert abs(est.x_hat[0] - 1.0) <= 1e-8
 
 
+def test_estimate_result_carries_solve_diagnostics_and_warm_start():
+    sys_ = make_system(4, m=8, n=3)
+    model = build_horizon(sys_, 2)
+    x = np.array([1.0, -2.0, 0.5])
+    y = model.H @ x
+    y[[1, 6]] += 4.0
+    est = weighted_observer(model, y, [0, 2, 3, 4, 5, 7, 8, 9], 0.1)
+    assert est.basis.shape == (3,) and est.iterations >= 0
+    assert -1e-12 <= est.gap <= 1e-8 * (1 + est.objective) + 1e-15
+    warm = weighted_observer(model, y + 1e-3, [0, 2, 3, 4, 5, 7, 8, 9], 0.1, start=est.basis)
+    cold = weighted_observer(model, y + 1e-3, [0, 2, 3, 4, 5, 7, 8, 9], 0.1)
+    assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + cold.objective)
+    assert decode(model, y, start=est.basis).basis.shape == (3,)
+    with pytest.raises(ValueError, match="start"):
+        decode(model, y, start=[0, 0, 1])
+
+
 def test_decode_tiny_majority_vote():
     model = tiny_model()
     est = decode(model, [1.0, 1.0, 5.0])

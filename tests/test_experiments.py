@@ -130,6 +130,33 @@ def test_scenario_three_observer_ordering():
         assert wl <= l1
 
 
+@pytest.mark.parametrize("prior_mode", ["static", "per_window"])
+def test_scenario_warm_start_matches_cold_solves(monkeypatch, prior_mode):
+    # each window starts from the previous window's basis; dropping the start
+    # may move the result by roundoff only
+    import resilient_sse.experiments as experiments
+
+    sys_, x0 = load_surrogate()
+    scenario = ScenarioConfig(steps=30, T=3, prior_mode=prior_mode)
+    starts = []
+
+    def spy(solve):
+        def wrapped(*args, start=None, **kw):
+            starts.append(start)
+            return solve(*args, **kw)
+        return wrapped
+
+    warm = run_scenario(sys_, x0, scenario=scenario)
+    monkeypatch.setattr(experiments, "decode", spy(experiments.decode))
+    monkeypatch.setattr(experiments, "weighted_observer", spy(experiments.weighted_observer))
+    cold = run_scenario(sys_, x0, scenario=scenario)
+    assert len(starts) == 2 * cold.windows
+    assert starts[:2] == [None, None] and all(s is not None for s in starts[2:])
+    for obs in ("L1O", "WL1P"):
+        assert np.allclose(warm.rms[obs], cold.rms[obs], rtol=1e-12, atol=1e-14)
+        assert np.allclose(warm.max_abs[obs], cold.max_abs[obs], rtol=1e-12, atol=1e-14)
+
+
 def test_scenario_validation():
     sys_, x0 = load_surrogate()
     with pytest.raises(ValueError):

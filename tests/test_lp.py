@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from resilient_sse import RankDeficient, build_horizon, gen_random_system, synthesize_fdia
@@ -207,3 +209,72 @@ def test_non_finite_input_is_rejected(bad):
                  (A, y, np.where(np.arange(6) == 5, bad, w))):
         with pytest.raises(ValueError, match="finite"):
             weighted_l1_regression(*args)
+
+
+def test_returned_basis_interpolates_and_restarts_without_pivots():
+    A, y, w = lp_instance("zero_weights", 3)
+    sol = weighted_l1_regression(A, y, w)
+    assert sol.basis.shape == (A.shape[1],) and np.all(w[sol.basis] > 0)
+    assert np.abs(sol.residual[sol.basis]).max() <= 1e-9 * (1 + np.abs(y).max())
+    again = weighted_l1_regression(A, y, w, start=sol.basis)
+    assert again.iterations == 0
+    assert np.array_equal(again.basis, sol.basis)
+    assert again.objective == sol.objective
+
+
+@pytest.mark.parametrize("start", [[0, 1], [0, 1, 2, 3, 4, 5], [0, 0, 1, 2, 3],
+                                   [0, 1, 2, 3, 30], [-1, 1, 2, 3, 4], [0.0, 1.0, 2.0, 3.0, 4.0]],
+                         ids=["short", "long", "duplicate", "past_end", "negative", "float"])
+def test_malformed_start_is_rejected(start):
+    A, y, w = lp_instance("random", 1)  # 18 x 5
+    with pytest.raises(ValueError, match="start"):
+        weighted_l1_regression(A, y, w, start=start)
+
+
+@st.composite
+def warm_start_cases(draw):
+    """A weighted instance with three starts: valid, zero-weight and singular.
+
+    Data are exact up to a sparse attack (a degenerate optimum), row 0 is
+    duplicated as the last row, and some weights may be zero.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    N = draw(st.integers(n + 3, 4 * n + 8))
+    if draw(st.booleans()):
+        A = rng.integers(-2, 3, (N, n)).astype(float)  # integer rows tie residuals
+    else:
+        A = rng.standard_normal((N, n))
+    y = A @ rng.standard_normal(n)
+    attacked = rng.choice(N, size=draw(st.integers(0, N // 3)), replace=False)
+    y[attacked] += 5.0 * rng.standard_normal(attacked.size)
+    w = rng.uniform(0.05, 1.0, N) if draw(st.booleans()) else np.ones(N)
+    zeros = rng.choice(np.arange(1, N - 1), size=draw(st.integers(0, N - n)), replace=False)
+    w[zeros] = 0.0
+    A[-1], y[-1], w[-1] = A[0], y[0], w[0]
+    others = rng.permutation(np.arange(1, N - 1))
+    positive = np.flatnonzero(w > 0)
+    starts = {"random": rng.choice(positive if positive.size >= n else N, size=n, replace=False)}
+    if zeros.size:
+        starts["zero_weight"] = np.concatenate([[zeros[0]], others[others != zeros[0]][: n - 1]])
+    starts["singular"] = np.concatenate([[0, N - 1], others[: n - 2]])
+    return A, y, w, starts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(warm_start_cases())
+def test_warm_and_cold_starts_certify_against_highs(case):
+    A, y, w, starts = case
+    try:
+        cold = weighted_l1_regression(A, y, w)
+    except RankDeficient:
+        for start in starts.values():
+            with pytest.raises(RankDeficient):
+                weighted_l1_regression(A, y, w, start=start)
+        return
+    best = scipy_oracle(A, y, w)
+    for sol in [cold] + [weighted_l1_regression(A, y, w, start=s) for s in starts.values()]:
+        assert abs(sol.objective - best) <= 1e-7 * (1 + abs(best))
+        assert sol.gap <= 1e-8 * (1 + abs(sol.objective))
+        assert sol.dual_objective <= sol.objective + 1e-12
+        assert len(set(sol.basis.tolist())) == A.shape[1] and np.all(w[sol.basis] > 0)
