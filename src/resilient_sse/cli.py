@@ -8,11 +8,16 @@ subcommand is fully determined by its --seed.
 A JSON config file may supply any long-option value (keys use underscores,
 e.g. {"true_rate": 0.9}); explicit command-line flags win over the file, and
 each file value is converted and checked as the flag's argument would be.
+
+The argument parser is built once per process and reused by every call of
+parse_and_dispatch; with --config, a second parser without defaults (also
+built once) tells which flags the command line gave.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -115,11 +120,7 @@ def _merge_config(args, argv, actions):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    # a second parse in which nothing has a default yields only the given flags
-    parser, subparsers = build_parser()
-    for action in subparsers[args.command]._actions:
-        action.default = argparse.SUPPRESS
-    given = vars(parser.parse_args(argv))
+    given = vars(_flags_parser().parse_args(argv))
     for key, value in doc.items():
         attr = key.replace("-", "_")
         if attr not in actions:
@@ -413,8 +414,24 @@ def build_parser():
     return parser, subparsers
 
 
-def parse_and_dispatch(argv=None) -> int:
+@functools.cache
+def _parsers():
+    """build_parser(), built once per process and never mutated."""
+    return build_parser()
+
+
+@functools.cache
+def _flags_parser():
+    """A parser in which no option has a default, so parsing yields only the given flags."""
     parser, subparsers = build_parser()
+    for sub in subparsers.values():
+        for action in sub._actions:
+            action.default = argparse.SUPPRESS
+    return parser
+
+
+def parse_and_dispatch(argv=None) -> int:
+    parser, subparsers = _parsers()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

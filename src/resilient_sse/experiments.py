@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -260,6 +259,8 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     """
     tasks = [(cfg, p_a, t) for p_a in cfg.attack_grid for t in range(cfg.trials)]
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costly to import; only pools need it
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_paired_trial, tasks, chunksize=16))
     else:

@@ -31,7 +31,10 @@ r = y - D y_B, nu_B = -D^T nu_N, the edge is a column of D, and row j
 replacing basis row k is the rank-one update D -= D[:, k] (D[j] - e_k) / D[j, k].
 When D reports optimality the basis is factored afresh and re-checked with
 the formulas above, so the certificate never rests on updated quantities.  A
-``start`` basis, such as the previous window's, replaces the cold start.
+``start`` basis, such as the previous window's, replaces the cold start; the
+cold start takes the rows the least-squares fit matches best, accepting the
+first n of them after one QR when they are independent.  When every weight
+is positive the rows are used in place, without copies or index maps.
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ class LpSolution:
 
 def _greedy_basis(A_act, order, n):
     """First n rows along `order` that are linearly independent, else None."""
+    first = A_act[order[:n]]
+    # one QR decides the common case: the first n rows are already independent
+    R = np.linalg.qr(first.T, mode="r")
+    if (np.abs(np.diagonal(R)) > 1e-10 * np.maximum(1.0, np.linalg.norm(first, axis=1))).all():
+        return order[:n].copy()
     basis, span, k = np.empty(n, dtype=int), np.empty((n, A_act.shape[1])), 0
     for j in order:  # span[:k] holds orthonormal rows spanning the k picks
         row = A_act[j]
@@ -109,18 +117,26 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
             raise ValueError(f"start must be {n} distinct row indices in [0, {N})")
 
     active = w > 0
-    A_act, w_act = A[active], w[active]
+    every_row = bool(active.all())  # then no row copies or index maps are needed
+    if every_row:
+        A_act, w_act, y_act = np.ascontiguousarray(A), w, y
+    else:
+        A_act, w_act, y_act = A[active], w[active], y[active]
     rows = A_act.shape[0]
     if rows < n:
         raise RankDeficient(f"{rows} positive-weight rows cannot determine {n} unknowns")
-    scale = float(np.abs(y[active]).max(initial=0.0)) or 1.0
-    y_act = y[active] / scale
+    scale = float(np.abs(y_act).max(initial=0.0)) or 1.0
+    y_act = y_act / scale
     y_piv = y_act + _PERTURBATION * ((np.arange(rows) * _GOLDEN) % 1.0 - 0.5)
 
     # start from the given rows if usable, else from those the least-squares
     # fit matches best; the rank test is the same either way
     z_ls, _, _, sv = np.linalg.lstsq(A_act, y_piv, rcond=None)
-    basis = None if start is None or not active[start].all() else (np.cumsum(active) - 1)[start]
+    basis = None
+    if start is not None and every_row:
+        basis = start.astype(np.intp)
+    elif start is not None and active[start].all():
+        basis = (np.cumsum(active) - 1)[start]
     if basis is not None:
         sv_start = np.linalg.svd(A_act[basis], compute_uv=False)
         basis = basis if sv_start[-1] > _RANK_RTOL * sv_start[0] else None
@@ -129,17 +145,19 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     if basis is None or sv[-1] <= _RANK_RTOL * sv[0]:
         raise RankDeficient("positive-weight rows of A are numerically rank deficient")
 
-    # `inv` holds a fresh factorization of the basis, None while D is updated
+    # `inv` holds a fresh factorization of the basis, None while D is updated;
+    # g = -nu_B, and w_B = w_act[basis]
+    w_B, neg_w, two_w, eye = w_act[basis], -w_act, 2.0 * w_act, np.eye(n)
     pivots, inv = 0, np.linalg.inv(A_act[basis])
     while True:
         fresh = inv is not None
         r = y_piv - (A_act @ (inv @ y_piv[basis]) if fresh else D @ y_piv[basis])
-        sign = np.where(r >= 0, 1.0, -1.0)
-        nu = w_act * sign
+        up = r >= 0
+        nu = np.where(up, w_act, neg_w)
         nu[basis] = 0.0
-        nu[basis] = -inv.T @ (A_act.T @ nu) if fresh else -(D.T @ nu)
-        ratio = np.abs(nu[basis]) / w_act[basis]
-        k = int(np.argmax(ratio))
+        g = inv.T @ (A_act.T @ nu) if fresh else D.T @ nu
+        ratio = np.abs(g) / w_B
+        k = int(ratio.argmax())
         if ratio[k] <= 1.0 + _DUAL_RTOL:
             if fresh:
                 break
@@ -152,21 +170,22 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         # Release basis row k: along h the other basis rows stay interpolated
         # and the objective falls at rate |nu_k| - w_k until the breakpoints
         # passed (residuals changing sign) have raised the slope to zero.
-        h = -np.sign(nu[basis[k]]) * D[:, k]
-        crossing = sign * h > 0
+        h = D[:, k] if g[k] > 0 else -D[:, k]
+        crossing = np.where(up, h > 0, h < 0)
         crossing[basis] = False
-        cand = np.flatnonzero(crossing)
-        cand = cand[np.argsort(r[cand] / h[cand], kind="stable")]
-        rise = np.cumsum(2.0 * w_act[cand] * np.abs(h[cand]))
-        stop = int(np.searchsorted(rise, np.abs(nu[basis[k]]) - w_act[basis[k]]))
+        cand = crossing.nonzero()[0]
+        cand = cand[(r[cand] / h[cand]).argsort(kind="stable")]
+        rise = (two_w[cand] * np.abs(h[cand])).cumsum()
+        stop = int(np.searchsorted(rise, abs(g[k]) - w_B[k]))
         if stop == cand.size:
             raise SolverFailure("no breakpoint along a descent edge")
         j = cand[stop]
-        D -= np.outer(D[:, k] / D[j, k], D[j] - (np.arange(n) == k))
-        basis[k] = j
+        D -= (D[:, k] / D[j, k])[:, None] * (D[j] - eye[k])
+        basis[k], w_B[k] = j, w_act[j]
         pivots += 1
 
     # Certify on the unperturbed data; the dual is feasible for any y.
+    nu[basis] = -g
     nu /= max(1.0, float(ratio[k]))
     z = scale * (inv @ y_act[basis])
     residual = y - A @ z
@@ -184,5 +203,5 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         dual_objective=dual,
         gap=gap,
         iterations=pivots,
-        basis=np.flatnonzero(active)[basis],
+        basis=basis if every_row else np.flatnonzero(active)[basis],
     )

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,22 +62,64 @@ class LtiSystem:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
 class HorizonModel:
     """Stacked T-step observation matrix together with its full SVD factors.
 
     H = U [Sigma1; 0] V^T with U = [U1 U2]; U1 spans the range of H and the
     columns of U2 span its orthogonal complement.
+
+    The factors and the extreme singular values are computed on first read,
+    all from one ``np.linalg.svd(H, full_matrices=True)``, so a caller that
+    only solves on H (every decoder) never pays for the full U.  Values passed
+    to the constructor are used as given.  The model is immutable and the
+    arrays it computes are read-only.
     """
 
-    T: int
-    H: np.ndarray
-    U1: np.ndarray
-    U2: np.ndarray
-    Sigma1: np.ndarray
-    V: np.ndarray
-    sigma_min: float
-    sigma_max: float
+    def __init__(self, T, H, U1=None, U2=None, Sigma1=None, V=None,
+                 sigma_min=None, sigma_max=None):
+        self.__dict__.update(T=T, H=H)
+        given = dict(U1=U1, U2=U2, Sigma1=Sigma1, V=V, sigma_min=sigma_min, sigma_max=sigma_max)
+        # a value in the instance dict shadows the cached property of its name
+        self.__dict__.update((k, v) for k, v in given.items() if v is not None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def _svd(self):
+        U, s, Vt = np.linalg.svd(self.H, full_matrices=True)
+        for arr in (U, s, Vt):
+            arr.flags.writeable = False
+        return U, s, Vt
+
+    @cached_property
+    def U1(self) -> np.ndarray:
+        return self._svd[0][:, :self.n]
+
+    @cached_property
+    def U2(self) -> np.ndarray:
+        return self._svd[0][:, self.n:]
+
+    @cached_property
+    def Sigma1(self) -> np.ndarray:
+        out = np.diag(self._svd[1][:self.n])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return self._svd[2].T
+
+    @cached_property
+    def sigma_min(self) -> float:
+        return float(self._svd[1][self.n - 1])
+
+    @cached_property
+    def sigma_max(self) -> float:
+        return float(self._svd[1][0])
 
     @property
     def n(self) -> int:
@@ -151,11 +194,12 @@ def build_horizon(
     rank_rtol: float = 1e-10,
     degenerate_rtol: float = 1e-12,
 ) -> HorizonModel:
-    """Build the stacked observation matrix for a T-step window and factor it.
+    """Build the stacked observation matrix for a T-step window.
 
     Raises NotObservable when (A, C) is not observable, and DegenerateSvd
     when H itself is numerically rank deficient (possible for short windows
-    even on observable systems).
+    even on observable systems).  The rank is checked on the singular values
+    alone; the model computes its SVD factors when they are first read.
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
@@ -170,24 +214,13 @@ def build_horizon(
         blocks.append(sys.C @ M)
     H = np.vstack(blocks[::-1])  # newest first: C A^(T-1) on top, C at the bottom
 
-    U, s, Vt = np.linalg.svd(H, full_matrices=True)
-    n = sys.n
-    if s.size < n or s[-1] < degenerate_rtol * s[0]:
+    s = np.linalg.svd(H, compute_uv=False)
+    if s.size < sys.n or s[-1] < degenerate_rtol * s[0]:
         raise DegenerateSvd(
             f"H is rank deficient for T={T}: singular values {np.array2string(s, precision=3)}"
         )
-    for arr in (H, U, s, Vt):
-        arr.flags.writeable = False
-    return HorizonModel(
-        T=T,
-        H=H,
-        U1=U[:, :n],
-        U2=U[:, n:],
-        Sigma1=np.diag(s[:n]),
-        V=Vt.T,
-        sigma_min=float(s[n - 1]),
-        sigma_max=float(s[0]),
-    )
+    H.flags.writeable = False
+    return HorizonModel(T=T, H=H)
 
 
 def simulate(

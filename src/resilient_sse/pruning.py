@@ -16,7 +16,7 @@ correctness holds with a required reliability:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class SupportPrior:
 
     q_hat: np.ndarray
     p: np.ndarray
-    true_rate: float | None = None  # mean confidence, filled at construction
+    true_rate: float = field(init=False)  # mean confidence of p
 
     def __post_init__(self):
         q_hat = np.asarray(self.q_hat, dtype=int)

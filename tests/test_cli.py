@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from resilient_sse import LtiSystem, build_horizon, gen_random_system
+from resilient_sse import LtiSystem, build_horizon, gen_random_system, cli
 from resilient_sse.cli import parse_and_dispatch
 
 
@@ -181,6 +181,34 @@ def test_explicit_flag_beats_config_either_way(tmp_path, capsys):
         # with the flag absent the file's value applies
         code, out, _ = run_cli(base + ["--config", config], capsys)
         assert code == 0 and out == outputs[file_value]
+
+
+def test_parser_is_built_once_and_reused(tmp_path, system_file, capsys, monkeypatch):
+    path, sys_ = system_file
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps(list(build_horizon(sys_, 1).H @ np.array([0.5, 2.0]) + 1.0)))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"trials": 2, "eta": 0.5, "format": "json"}))
+    sweep = ["sweep", "--m", 6, "--n", 2, "--grid", "0.3", "--seed", 1]
+    calls = {
+        "estimate": ["estimate", "--system", path, "--y", y_path],
+        "sweep_config": sweep + ["--config", config],
+        "sweep": sweep + ["--trials", 3],
+        "sweep_defaults": sweep,
+    }
+    built, build_parser = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    first = {}
+    for _ in range(2):
+        for name, argv in calls.items():
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            # every call prints what the first call of its kind printed, so a
+            # --config call leaves the defaults of the next call intact
+            assert out == first.setdefault(name, out)
+    assert '"trials":2' in first["sweep_config"] and '"eta":0.5' in first["sweep_config"]
+    assert ",100," in first["sweep_defaults"].splitlines()[1]
+    assert len(built) <= 2  # the parser and the flags-only parser of --config, once each
 
 
 def test_config_values_are_typed(tmp_path, capsys):

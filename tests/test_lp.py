@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from resilient_sse import RankDeficient, build_horizon, gen_random_system, synthesize_fdia
-from resilient_sse.lp import weighted_l1_regression
+from resilient_sse.lp import _greedy_basis, weighted_l1_regression
 
 
 def line_search_oracle(column, y, w):
@@ -278,3 +280,81 @@ def test_warm_and_cold_starts_certify_against_highs(case):
         assert sol.gap <= 1e-8 * (1 + abs(sol.objective))
         assert sol.dual_objective <= sol.objective + 1e-12
         assert len(set(sol.basis.tolist())) == A.shape[1] and np.all(w[sol.basis] > 0)
+
+
+def gram_schmidt_basis(A, order, n):
+    """Reference for _greedy_basis: the first n independent rows along `order`."""
+    basis, span = [], []
+    for j in order:
+        row = A[j]
+        resid = row - sum((q @ row) * q for q in span)
+        nrm = math.sqrt(resid @ resid)
+        if nrm > 1e-10 * max(1.0, math.sqrt(row @ row)):
+            basis.append(j)
+            span.append(resid / nrm)
+            if len(basis) == n:
+                return basis
+    return None
+
+
+@pytest.mark.parametrize("family", ("random",) + FAMILIES)
+def test_greedy_basis_matches_gram_schmidt(family):
+    for seed in range(8):
+        A, _, _ = lp_instance(family, seed)
+        order = np.random.default_rng(seed).permutation(A.shape[0])
+        got = _greedy_basis(A, order, A.shape[1])
+        assert got.tolist() == gram_schmidt_basis(A, order, A.shape[1])
+    A = np.vstack([A[:1], A])  # a duplicated leading row leaves the one-QR test
+    assert _greedy_basis(A, np.arange(A.shape[0]), A.shape[1]).tolist() == gram_schmidt_basis(
+        A, np.arange(A.shape[0]), A.shape[1])
+
+
+@st.composite
+def invariance_cases(draw, zero_weights):
+    """Exact data up to a sparse attack, a scale factor and a row permutation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    N = draw(st.integers(n + 3, 4 * n + 8))
+    if draw(st.booleans()):
+        A = rng.integers(-2, 3, (N, n)).astype(float)  # integer rows tie residuals
+    else:
+        A = rng.standard_normal((N, n))
+    y = A @ rng.standard_normal(n)
+    attacked = rng.choice(N, size=draw(st.integers(0, N // 3)), replace=False)
+    y[attacked] += 5.0 * rng.standard_normal(attacked.size)
+    w = rng.uniform(0.05, 1.0, N) if draw(st.booleans()) else np.ones(N)
+    if zero_weights:
+        w[rng.choice(N, size=draw(st.integers(1, N - n)), replace=False)] = 0.0
+    c = draw(st.sampled_from([-1e6, -3.0, -1.0, 1e-4, 0.5, 7.0, 1e3]))
+    return A, y, w, c, rng.permutation(N)
+
+
+def _invariance_property(case):
+    A, y, w, c, perm = case
+    try:
+        base = weighted_l1_regression(A, y, w)
+    except RankDeficient:
+        return
+    best = scipy_oracle(A, y, w)
+    # the reported gap is never below the true one
+    assert base.gap >= base.objective - best - 1e-9 * (1 + abs(best))
+    # the optimum scales with |c| and ignores the row order; each certified
+    # objective lies within its gap above the common optimum
+    scaled = weighted_l1_regression(A, c * y, w)
+    tol = max(scaled.gap, abs(c) * base.gap) + 1e-9 * (1 + abs(c) * base.objective)
+    assert abs(scaled.objective - abs(c) * base.objective) <= tol
+    permuted = weighted_l1_regression(A[perm], y[perm], w[perm])
+    tol = max(permuted.gap, base.gap) + 1e-9 * (1 + base.objective)
+    assert abs(permuted.objective - base.objective) <= tol
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(invariance_cases(zero_weights=False))
+def test_objective_invariances_against_highs_positive_weights(case):
+    _invariance_property(case)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(invariance_cases(zero_weights=True))
+def test_objective_invariances_against_highs_zero_weights(case):
+    _invariance_property(case)

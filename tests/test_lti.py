@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from resilient_sse import (
     DegenerateSvd,
     DimensionMismatch,
+    HorizonModel,
     LtiSystem,
     NotObservable,
     WindowOutOfRange,
@@ -59,6 +62,55 @@ def test_svd_factors_consistency():
         assert np.linalg.norm(recon - model.H) <= 1e-10 * np.linalg.norm(model.H)
         assert np.max(np.abs(model.U2.T @ model.H)) <= 1e-9
         assert np.all(np.diag(model.Sigma1) > 0)
+
+
+FACTORS = ("U1", "U2", "Sigma1", "V", "sigma_min", "sigma_max")
+
+
+def test_lazy_factors_equal_the_full_svd_in_any_read_order():
+    sys_ = make_system(3, m=7, n=3)
+    H = build_horizon(sys_, 2).H
+    U, s, Vt = np.linalg.svd(H, full_matrices=True)
+    expected = dict(U1=U[:, :3], U2=U[:, 3:], Sigma1=np.diag(s[:3]), V=Vt.T,
+                    sigma_min=s[2], sigma_max=s[0])
+    for order in itertools.permutations(FACTORS):
+        model = build_horizon(sys_, 2)
+        for name in order:
+            value = getattr(model, name)
+            assert np.array_equal(value, expected[name])  # bitwise, not approximately
+            assert getattr(model, name) is value
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable
+
+
+def test_build_horizon_defers_the_full_svd(monkeypatch):
+    svd, full = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            full.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    model = build_horizon(make_system(5, m=7, n=3), 3)
+    assert not full and not model.H.flags.writeable
+    for name in FACTORS:
+        getattr(model, name)
+    assert full == [(21, 3)]
+
+
+def test_horizon_model_is_frozen_and_honours_given_factors():
+    model = build_horizon(make_system(2, m=7, n=3), 1)
+    for name in ("T", "H") + FACTORS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(model, name)
+    given = dict(U1=np.eye(7, 3), U2=np.eye(7, 4, -3), Sigma1=np.eye(3), V=np.eye(3),
+                 sigma_min=1.0, sigma_max=2.0)
+    explicit = HorizonModel(T=1, H=model.H, **given)
+    for name, value in given.items():
+        assert getattr(explicit, name) is value
 
 
 def test_simulate_identity_and_growth():

@@ -56,6 +56,13 @@ def test_sample_prior_no_flips_and_determinism():
     assert a.true_rate == pytest.approx(0.7)
 
 
+def test_true_rate_is_derived_not_passed():
+    prior = SupportPrior(q_hat=np.array([1, 0, 1]), p=np.array([0.5, 0.7, 0.9]))
+    assert prior.true_rate == pytest.approx(0.7)
+    with pytest.raises(TypeError):
+        SupportPrior(q_hat=np.array([1, 0, 1]), p=np.array([0.5, 0.7, 0.9]), true_rate=0.9)
+
+
 def test_sample_prior_law_of_large_numbers():
     rows = 10_000
     q = indicator_from_support(range(0, rows, 2), rows)
