@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -103,10 +104,18 @@ def _load_system(args):
 
 
 def _read_vector(path) -> np.ndarray:
+    """A flat JSON list of finite numbers, or a numeric CSV read row by row."""
     if str(path).endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
-        return np.asarray(data, dtype=float).reshape(-1)
+        if not isinstance(data, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
+        ):
+            raise ValueError(f"{path}: expected a flat JSON list of numbers")
+        out = np.asarray(data, dtype=float)
+        if not np.isfinite(out).all():
+            raise ValueError(f"{path}: entries must be finite")
+        return out
     from .lti import read_matrix_csv
 
     return read_matrix_csv(path).reshape(-1)
@@ -154,7 +163,7 @@ def _require(cond: bool, message: str) -> None:
 
 def _cmd_attack(args) -> str:
     _require(args.T >= 1, "T must be >= 1")
-    _require(args.epsilon >= 0, "epsilon must be nonnegative")
+    _require(0 <= args.epsilon < math.inf, "epsilon must be finite and nonnegative")
     _require(args.cap_factor > 0, "cap-factor must be positive")
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)

@@ -31,10 +31,10 @@ class WeightVector:
         values = np.asarray(self.values, dtype=float)
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
-        levels = np.unique(values)
-        allowed = {1.0, float(self.omega)}
-        if not set(levels).issubset(allowed):
-            raise ValueError(f"weight entries must be 1 or omega={self.omega}, got levels {levels}")
+        if not ((values == 1.0) | (values == self.omega)).all():
+            raise ValueError(
+                f"weight entries must be 1 or omega={self.omega}, got levels {np.unique(values)}"
+            )
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -88,9 +88,13 @@ def solve_weighted_l1(
     if y_T.shape[0] != model.rows:
         raise DimensionMismatch(f"y_T has length {y_T.shape[0]}, expected {model.rows}")
     w = _weights_array(weights, model.rows)
+    if x_true is not None:
+        x_true = np.asarray(x_true, dtype=float)
+        if x_true.shape != (model.n,):
+            raise DimensionMismatch(f"x_true has shape {x_true.shape}, expected ({model.n},)")
     sol = weighted_l1_regression(model.H, y_T, w, start=start)
     flag = None if epsilon is None else detect(model, y_T, sol.z, epsilon)
-    err = None if x_true is None else float(np.linalg.norm(sol.z - np.asarray(x_true, float)))
+    err = None if x_true is None else float(np.linalg.norm(sol.z - x_true))
     return EstimateResult(
         x_hat=sol.z,
         objective=sol.objective,

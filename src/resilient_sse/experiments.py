@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -119,6 +120,8 @@ class SweepConfig:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
+        if not 0.0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be finite and nonnegative, got {self.jitter}")
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies {sorted(unknown)}; pick from {STRATEGIES}")
@@ -186,26 +189,36 @@ def trusted_rows(instance: TrialInstance, strategy: str, eta: float):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _grade(instance: TrialInstance, cfg: SweepConfig, strategy: str) -> TrialOutcome:
+def _grade(instance: TrialInstance, cfg: SweepConfig, strategy: str, start=None):
+    """Outcome of one strategy on the instance, and the basis its solve ended at."""
     trusted = trusted_rows(instance, strategy, cfg.eta)
     if trusted is None:
-        est = decode(instance.model, instance.y_T)
+        est = decode(instance.model, instance.y_T, start=start)
     else:
-        est = weighted_observer(instance.model, instance.y_T, trusted, cfg.omega)
+        est = weighted_observer(instance.model, instance.y_T, trusted, cfg.omega, start=start)
     err = float(np.linalg.norm(est.x_hat - instance.x_star))
     ok = err <= cfg.success_rtol * float(np.linalg.norm(instance.x_star))
-    return TrialOutcome(success=ok, error_l2=err)
+    return TrialOutcome(success=ok, error_l2=err), est.basis
 
 
 def run_trial(cfg: SweepConfig, p_a: float, strategy: str, trial_index: int) -> TrialOutcome:
-    """One end-to-end trial for one strategy."""
-    return _grade(draw_instance(cfg, p_a, trial_index), cfg, strategy)
+    """One end-to-end trial for one strategy, solved from a cold start."""
+    return _grade(draw_instance(cfg, p_a, trial_index), cfg, strategy)[0]
 
 
 def _paired_trial(args):
+    """Every strategy on one instance.  The first solves cold; the others
+    start from its basis, not from each other's: strategies reweight the
+    first problem, so its optimum is close to theirs (and is theirs when a
+    strategy trusts no row)."""
     cfg, p_a, trial_index = args
     instance = draw_instance(cfg, p_a, trial_index)
-    return {s: _grade(instance, cfg, s) for s in cfg.strategies}
+    outcomes, first_basis = {}, None
+    for s in cfg.strategies:
+        outcomes[s], basis = _grade(instance, cfg, s, start=first_basis)
+        if first_basis is None:
+            first_basis = basis
+    return outcomes
 
 
 @dataclass(frozen=True)

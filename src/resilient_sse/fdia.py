@@ -75,9 +75,20 @@ def fdia_feasibility(model: HorizonModel, support, epsilon: float = 1.0):
     epsilon and is None when the condition fails.
     """
     sup = _normalize_support(support, model.rows)
-    comp = np.setdiff1d(np.arange(model.rows), sup)
-    sbar_comp = float(np.linalg.norm(model.U1[comp, :], 2))
-    root = np.sqrt(comp.size)
+    return _feasibility(model, model.U1[_complement(sup, model.rows)], epsilon)
+
+
+def _complement(sup: np.ndarray, rows: int) -> np.ndarray:
+    """Boolean mask of the rows outside the support."""
+    comp = np.ones(rows, dtype=bool)
+    comp[sup] = False
+    return comp
+
+
+def _feasibility(model: HorizonModel, Uc: np.ndarray, epsilon: float):
+    """fdia_feasibility given the complement block Uc = U1[complement]."""
+    sbar_comp = float(np.linalg.norm(Uc, 2))
+    root = np.sqrt(Uc.shape[0])
     holds = sbar_comp < 1.0 / (2.0 * root)
     if not holds:
         return False, None
@@ -99,15 +110,14 @@ def synthesize_fdia(
     on it.  In the unbounded (rank-deficient complement) regime the seed is
     a null-space direction scaled to magnitude_cap_factor * epsilon.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     sup = _normalize_support(support, model.rows)
-    comp = np.setdiff1d(np.arange(model.rows), sup)
-    budget = epsilon / np.sqrt(comp.size)
+    Uc = model.U1[_complement(sup, model.rows)]
+    budget = epsilon / np.sqrt(Uc.shape[0])
 
-    Uc = model.U1[comp, :]
     _, s, Vt = np.linalg.svd(Uc, full_matrices=True)
-    sigma_min = float(s[-1]) if comp.size >= model.n else 0.0
+    sigma_min = float(s[-1]) if Uc.shape[0] >= model.n else 0.0
     v = _canonical_sign(Vt[-1, :])
     if sigma_min <= _NULLSPACE_TOL:
         z_e = v * (magnitude_cap_factor * epsilon)
@@ -118,7 +128,7 @@ def synthesize_fdia(
 
     e_T = np.zeros(model.rows)
     e_T[sup] = model.U1[sup, :] @ z_e
-    holds, alpha = fdia_feasibility(model, sup, epsilon)
+    holds, alpha = _feasibility(model, Uc, epsilon)
     return AttackPlan(
         support=sup,
         epsilon=float(epsilon),

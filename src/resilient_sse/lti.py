@@ -196,17 +196,15 @@ def build_horizon(
 ) -> HorizonModel:
     """Build the stacked observation matrix for a T-step window.
 
-    Raises NotObservable when (A, C) is not observable, and DegenerateSvd
-    when H itself is numerically rank deficient (possible for short windows
-    even on observable systems).  The rank is checked on the singular values
-    alone; the model computes its SVD factors when they are first read.
+    H must have full column rank: its singular values alone decide, and
+    the model computes its SVD factors when they are first read.  A
+    full-column-rank H implies an observable (A, C), so observability is
+    checked only when H fails: NotObservable when the pair is not
+    observable, else DegenerateSvd (possible for short windows even on
+    observable systems).
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
-    report = check_observability(sys, rank_rtol=rank_rtol)
-    if not report.observable:
-        raise NotObservable(f"observability rank {report.rank} < n = {sys.n}")
-
     blocks = [sys.C]
     M = np.eye(sys.n)
     for _ in range(T - 1):
@@ -215,7 +213,10 @@ def build_horizon(
     H = np.vstack(blocks[::-1])  # newest first: C A^(T-1) on top, C at the bottom
 
     s = np.linalg.svd(H, compute_uv=False)
-    if s.size < sys.n or s[-1] < degenerate_rtol * s[0]:
+    if s.size < sys.n or not s[-1] > degenerate_rtol * s[0]:
+        report = check_observability(sys, rank_rtol=rank_rtol)
+        if not report.observable:
+            raise NotObservable(f"observability rank {report.rank} < n = {sys.n}")
         raise DegenerateSvd(
             f"H is rank deficient for T={T}: singular values {np.array2string(s, precision=3)}"
         )

@@ -31,7 +31,7 @@ class SupportIndicator:
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=int)
-        if q.ndim != 1 or not np.isin(q, (0, 1)).all():
+        if q.ndim != 1 or not ((q == 0) | (q == 1)).all():
             raise ValueError("indicator entries must be 0 or 1")
         q = q.copy()
         q.flags.writeable = False
@@ -55,9 +55,9 @@ class SupportPrior:
         p = np.asarray(self.p, dtype=float)
         if q_hat.shape != p.shape or q_hat.ndim != 1:
             raise ValueError(f"q_hat {q_hat.shape} and p {p.shape} must be equal-length vectors")
-        if not np.isin(q_hat, (0, 1)).all():
+        if not ((q_hat == 0) | (q_hat == 1)).all():
             raise ValueError("estimated indicator entries must be 0 or 1")
-        if np.any(p <= 0) or np.any(p > 1):
+        if not ((p > 0) & (p <= 1)).all():
             raise ValueError("confidences must lie in (0, 1]")
         q_hat, p = q_hat.copy(), p.copy()
         q_hat.flags.writeable = False
@@ -105,7 +105,7 @@ def sample_prior(q: SupportIndicator, p, rng: np.random.Generator) -> SupportPri
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.shape[0] != q.size:
         raise ValueError(f"confidence vector has length {p.shape[0]}, expected {q.size}")
-    if np.any(p <= 0) or np.any(p > 1):
+    if not ((p > 0) & (p <= 1)).all():
         raise ValueError("confidences must lie in (0, 1]")
     correct = rng.random(q.size) < p
     q_hat = np.where(correct, q.q, 1 - q.q)
@@ -121,8 +121,8 @@ def gen_confidences(
     """Confidence vector true_rate +/- uniform jitter, clipped into (0, 1]."""
     if not 0.0 < true_rate <= 1.0:
         raise ValueError(f"true rate must lie in (0, 1], got {true_rate}")
-    if jitter < 0:
-        raise ValueError("jitter must be nonnegative")
+    if not 0 <= jitter < math.inf:
+        raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
     p = true_rate + rng.uniform(-jitter, jitter, size=rows)
     return np.clip(p, 1e-12, 1.0)
 
@@ -141,22 +141,22 @@ def ppv(q: SupportIndicator, q_hat) -> float:
 def poisson_binomial_pmf(p) -> PmfVector:
     """Exact distribution of a sum of independent non-identical Bernoullis.
 
-    Computed as the scaled convolution of the two-point factors
-    [(1-p_i)/p_i, 1]; the scale is the product of the p_i.
+    Computed as the convolution of the two-point factors [1 - p_i, p_i]:
+    every term is nonnegative, so nothing overflows or cancels, and entries
+    below the smallest double underflow to zero.  A confidence so small that
+    1 - p_i rounds to 1 is rejected, as the factor cannot represent it.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
-    if np.any(p <= 0) or np.any(p > 1):
+    if not ((p > 0) & (p <= 1)).all():
         raise ValueError("confidences must lie in (0, 1]")
-    beta = float(np.prod(p))
+    if (1.0 - p == 1.0).any():
+        raise ValueError("confidences of 2**-54 or less are lost in 1 - p")
     r = np.array([1.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for pi in p:
-            r = np.convolve(r, [(1.0 - pi) / pi, 1.0])
-        r = beta * r
+    for pi in p:
+        r = np.convolve(r, [1.0 - pi, pi])
     drift = abs(r.sum() - 1.0)
-    if not np.isfinite(drift) or drift > 1e-9:
+    if not drift <= 1e-9:
         raise NumericalInstability(f"pmf mass drifted by {drift:.3e}")
-    r = np.clip(r, 0.0, None)
     r = r / r.sum()
     r.flags.writeable = False
     return PmfVector(r=r)

@@ -302,3 +302,59 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("attack_fraction")
+
+
+def test_prune_rejects_nan_confidence(tmp_path, capsys):
+    payload = tmp_path / "prior.json"
+    payload.write_text(json.dumps({"p": [0.9, float("nan"), 0.8], "q_hat": [1, 1, 0]}))
+    code, out, err = run_cli(["prune", "--input", payload, "--eta", 0.5], capsys)
+    assert code == 1
+    assert out == ""
+    assert "(0, 1]" in err
+
+
+@pytest.mark.parametrize("payload", [{"y": [1.0, 2.0]}, [[1.0], [2.0]], [1.0, True], "1.0"],
+                         ids=["object", "nested", "bool", "string"])
+def test_estimate_rejects_a_window_that_is_not_a_flat_list(tmp_path, system_file, capsys, payload):
+    path, _ = system_file
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["estimate", "--system", path, "--y", y_path], capsys)
+    assert code == 1
+    assert out == ""
+    assert "flat JSON list" in err
+
+
+def test_estimate_rejects_x_true_of_the_wrong_length(tmp_path, system_file, capsys):
+    path, sys_ = system_file
+    x = np.array([0.5, 2.0])
+    y_path, x_path = tmp_path / "y.json", tmp_path / "x.json"
+    y_path.write_text(json.dumps(list(build_horizon(sys_, 1).H @ x)))
+    x_path.write_text(json.dumps([0.5]))
+    code, out, err = run_cli(
+        ["estimate", "--system", path, "--y", y_path, "--x-true", x_path], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "x_true" in err
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_attack_rejects_non_finite_epsilon(system_file, capsys, epsilon):
+    path, _ = system_file
+    code, out, err = run_cli(
+        ["attack", "--system", path, "--epsilon", epsilon, "--support", "0"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "epsilon" in err
+
+
+@pytest.mark.parametrize("jitter", ["nan", "inf"])
+def test_sweep_rejects_non_finite_jitter(capsys, jitter):
+    code, out, err = run_cli(
+        ["sweep", "--m", 6, "--n", 2, "--grid", "0.2", "--trials", 2, "--jitter", jitter], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "jitter" in err

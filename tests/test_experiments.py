@@ -176,3 +176,48 @@ def test_config_validation():
         SweepConfig(strategies=("none", "magic"))
     with pytest.raises(ValueError):
         SweepConfig(trials=0)
+
+
+ACCEPTANCE_03 = dict(m=20, n=10, T=1, attack_grid=(0.3, 0.4, 0.5, 0.6, 0.7),
+                     true_rate=0.6, eta=0.9, omega=0.01, master_seed=0)
+
+
+def test_paired_strategies_start_from_the_first_strategys_basis(monkeypatch):
+    import resilient_sse.experiments as experiments
+
+    cfg = SweepConfig(**{**ACCEPTANCE_03, "attack_grid": (0.3,), "trials": 1})
+    calls = []  # (start, returned basis) per solve, in strategy order
+
+    def spy(solve):
+        def wrapped(*args, start=None, **kw):
+            est = solve(*args, start=start, **kw)
+            calls.append((start, est.basis))
+            return est
+        return wrapped
+
+    monkeypatch.setattr(experiments, "decode", spy(experiments.decode))
+    monkeypatch.setattr(experiments, "weighted_observer", spy(experiments.weighted_observer))
+    experiments._paired_trial((cfg, 0.3, 0))
+    assert len(calls) == len(cfg.strategies)
+    (first_start, first_basis), rest = calls[0], calls[1:]
+    assert first_start is None
+    assert all(start is first_basis for start, _ in rest)
+
+
+def test_paired_sweep_matches_cold_trials():
+    # 100 paired trials: the warm-started strategies agree with cold solves;
+    # pruned_product trusts no row here, so it restarts at the optimum bitwise
+    import resilient_sse.experiments as experiments
+
+    cfg = SweepConfig(**ACCEPTANCE_03, trials=20)
+    for p_a in cfg.attack_grid:
+        for t in range(cfg.trials):
+            paired = experiments._paired_trial((cfg, p_a, t))
+            x_norm = float(np.linalg.norm(draw_instance(cfg, p_a, t).x_star))
+            for strategy in cfg.strategies:
+                cold = run_trial(cfg, p_a, strategy, t)
+                warm = paired[strategy]
+                assert warm.success == cold.success
+                assert abs(warm.error_l2 - cold.error_l2) <= 1e-12 * (1.0 + x_norm)
+                if strategy == "pruned_product":
+                    assert warm == cold

@@ -201,3 +201,10 @@ def test_random_support_contract():
     assert len(np.unique(a)) == a.size == 8
     with pytest.raises(ValueError):
         random_support(10, 1.0, rng)
+
+
+@pytest.mark.parametrize("epsilon", [np.inf, np.nan, -1.0])
+def test_synthesize_rejects_a_non_finite_or_negative_budget(epsilon):
+    model = build_horizon(make_system(1, m=8, n=3), 1)
+    with pytest.raises(ValueError, match="epsilon"):
+        synthesize_fdia(model, [0], epsilon)

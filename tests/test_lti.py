@@ -230,3 +230,34 @@ def test_csv_roundtrip_and_ragged(tmp_path):
     c_path.write_text("1,0\n0\n")
     with pytest.raises(ValueError, match="inconsistent"):
         load_system_csv(a_path, c_path)
+
+
+def test_build_horizon_checks_observability_only_when_H_fails(monkeypatch):
+    import resilient_sse.lti as lti
+
+    checked, real = [], lti.check_observability
+
+    def spy(sys_, **kw):
+        checked.append(1)
+        return real(sys_, **kw)
+
+    monkeypatch.setattr(lti, "check_observability", spy)
+    build_horizon(make_system(0, m=8, n=3), 2)
+    assert checked == []  # a full-column-rank H implies observability
+    with pytest.raises(DegenerateSvd):
+        build_horizon(LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], C=[[1.0, 0.0]]), 1)
+    assert checked == [1]
+
+
+def test_build_horizon_rejects_a_zero_output_matrix():
+    with pytest.raises(NotObservable):
+        build_horizon(LtiSystem(A=np.eye(2), C=np.zeros((3, 2))), 2)
+
+
+def test_build_horizon_accepts_a_full_rank_H_whose_observability_matrix_is_badly_scaled():
+    # O = [C; CA] has singular values ~1e11 and ~1.4, below the 1e-10 rank
+    # test, while H = C passes the 1e-12 test on H: the window is decodable
+    sys_ = LtiSystem(A=np.diag([1e11, 1.0]), C=np.eye(2))
+    assert not check_observability(sys_).observable
+    model = build_horizon(sys_, 1)
+    assert np.array_equal(model.H, np.eye(2))

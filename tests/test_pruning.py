@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -250,3 +251,30 @@ def test_diagnostics():
     e = math.e
     expect = 1.0 - e * (1.0 - (e - 1.0) * 9.0 / (e * 10.0)) ** 10
     assert ceiling == pytest.approx(expect)
+
+
+@pytest.mark.parametrize("rows,p", [(1200, 0.5), (600, 0.25), (200, 2.0**-7)])
+def test_pmf_of_long_vectors_matches_the_binomial(rows, p):
+    # the product of the confidences underflows at these sizes
+    q = Fraction(p)  # the exact value of the double p
+    exact = [float(math.comb(rows, k) * q**k * (1 - q) ** (rows - k)) for k in range(rows + 1)]
+    r = poisson_binomial_pmf([p] * rows).r
+    assert np.max(np.abs(r - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("check", ["SupportPrior", "sample_prior", "poisson_binomial_pmf"])
+def test_nan_confidences_are_rejected(check):
+    p = np.array([0.9, np.nan, 0.8])
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        if check == "SupportPrior":
+            SupportPrior(q_hat=[1, 1, 0], p=p)
+        elif check == "sample_prior":
+            sample_prior(indicator_from_support([2], 3), p, np.random.default_rng(0))
+        else:
+            poisson_binomial_pmf(p)
+
+
+@pytest.mark.parametrize("jitter", [np.nan, np.inf, -0.1])
+def test_gen_confidences_rejects_bad_jitter(jitter):
+    with pytest.raises(ValueError, match="jitter"):
+        gen_confidences(10, 0.6, jitter, np.random.default_rng(0))
