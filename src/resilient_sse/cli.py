@@ -164,7 +164,7 @@ def _require(cond: bool, message: str) -> None:
 def _cmd_attack(args) -> str:
     _require(args.T >= 1, "T must be >= 1")
     _require(0 <= args.epsilon < math.inf, "epsilon must be finite and nonnegative")
-    _require(args.cap_factor > 0, "cap-factor must be positive")
+    _require(0 < args.cap_factor < math.inf, "cap-factor must be finite and positive")
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
     if args.support is not None:

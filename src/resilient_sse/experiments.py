@@ -311,6 +311,10 @@ class ScenarioAttack:
     support: tuple | None = None  # default: the highest-gain sensors
     seed: int = 0
 
+    def __post_init__(self):
+        if not math.isfinite(self.magnitude):
+            raise ValueError(f"attack magnitude must be finite, got {self.magnitude}")
+
     def resolve_support(self, C: np.ndarray) -> np.ndarray:
         if self.support is not None:
             sup = np.unique(np.asarray(self.support, dtype=int))

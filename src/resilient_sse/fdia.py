@@ -112,11 +112,15 @@ def synthesize_fdia(
     """
     if not 0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    if not 0 < magnitude_cap_factor < np.inf:
+        raise ValueError(f"magnitude_cap_factor must be finite and positive, "
+                         f"got {magnitude_cap_factor}")
     sup = _normalize_support(support, model.rows)
     Uc = model.U1[_complement(sup, model.rows)]
     budget = epsilon / np.sqrt(Uc.shape[0])
 
-    _, s, Vt = np.linalg.svd(Uc, full_matrices=True)
+    # the full Vt is needed only when Vt[-1] must span a null direction
+    _, s, Vt = np.linalg.svd(Uc, full_matrices=Uc.shape[0] < model.n)
     sigma_min = float(s[-1]) if Uc.shape[0] >= model.n else 0.0
     v = _canonical_sign(Vt[-1, :])
     if sigma_min <= _NULLSPACE_TOL:

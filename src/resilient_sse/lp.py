@@ -16,7 +16,9 @@ nu_N = w_N sign(r_N) off the basis and nu_B = -A_B^-T A_N^T nu_N on it.  The
 vertex is optimal iff |nu_B| <= w_B, and then y^T nu is a lower bound that
 certifies it.  Otherwise the basis row with the worst violation is released
 and the exact line search along that edge, a weighted median of the
-breakpoints where residuals change sign, picks the row that enters.
+breakpoints where residuals change sign, picks the row that enters.  The
+rows whose residual changes sign along the edge h are those off the basis
+with nu_j h_j > 0, since nu_j = +-w_j carries the sign of r_j and nu_B = 0.
 
 Exact data makes the optimum degenerate (more than n rows fit with zero
 residual), and plain pivoting cycles there.  The pivots therefore run on y
@@ -35,10 +37,25 @@ the formulas above, so the certificate never rests on updated quantities.  A
 cold start takes the rows the least-squares fit matches best, accepting the
 first n of them after one QR when they are independent.  When every weight
 is positive the rows are used in place, without copies or index maps.
+
+A start is inverted first, and that inverse settles both rank tests when it
+can: A_B is a row subset of the positive-weight rows A_act, so
+
+    sigma_min(A_act) >= sigma_min(A_B) >= 1 / ||A_B^-1||_F,
+    sigma_max(A_B) <= sigma_max(A_act) <= ||A_act||_F,
+
+and 1 > 1e-10 ||A_act||_F ||A_B^-1||_F proves that both pass.  Only a start
+this does not prove (or that fails to invert) pays for the SVD of A_B and
+the least-squares rank test of A_act, and is replaced by the cold start if
+the SVD rejects it.  The inverse is the one the first certificate uses, so
+the shortcut changes no result.  Data with sum(w) max|y| beyond the largest
+float are rejected up front: that product bounds |y^T nu|, so below it the
+certificate cannot overflow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,7 +106,8 @@ def _greedy_basis(A_act, order, n):
 def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     """Minimize sum_j w_j |y_j - (A z)_j| with a certified duality gap.
 
-    Entries must be finite and weights nonnegative (ValueError otherwise);
+    Entries must be finite, weights nonnegative and sum(w) * max|y| a finite
+    float (ValueError otherwise);
     rows with w_j = 0 are ignored by the objective and are legal only while
     the remaining rows keep full column rank (checked, RankDeficient
     otherwise).  The returned gap is at most 1e-8 * (1 + |objective|), in
@@ -107,7 +125,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         raise ValueError(f"shape mismatch: A {A.shape}, y {y.shape}, w {w.shape}")
     if not (np.isfinite(A).all() and np.isfinite(y).all() and np.isfinite(w).all()):
         raise ValueError("A, y and w must be finite")
-    if np.any(w < 0):
+    w_min = float(w.min(initial=math.inf))
+    if w_min < 0:
         raise ValueError("weights must be nonnegative")
     if start is not None:
         start = np.asarray(start)
@@ -116,44 +135,57 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
                 or min(rows_start) < 0 or max(rows_start) >= N):
             raise ValueError(f"start must be {n} distinct row indices in [0, {N})")
 
-    active = w > 0
-    every_row = bool(active.all())  # then no row copies or index maps are needed
+    every_row = w_min > 0  # then no row copies or index maps are needed
     if every_row:
         A_act, w_act, y_act = np.ascontiguousarray(A), w, y
     else:
+        active = w > 0
         A_act, w_act, y_act = A[active], w[active], y[active]
     rows = A_act.shape[0]
     if rows < n:
         raise RankDeficient(f"{rows} positive-weight rows cannot determine {n} unknowns")
     scale = float(np.abs(y_act).max(initial=0.0)) or 1.0
+    if not math.isfinite(scale * float(w_act.sum())):
+        # the bound on |dual|; below it the certificate cannot overflow
+        raise ValueError("y and w are too large to certify: sum(w) * max|y| overflows")
     y_act = y_act / scale
-    y_piv = y_act + _PERTURBATION * ((np.arange(rows) * _GOLDEN) % 1.0 - 0.5)
+    y_piv = y_act + _perturbation(rows)
 
-    # start from the given rows if usable, else from those the least-squares
-    # fit matches best; the rank test is the same either way
-    z_ls, _, _, sv = np.linalg.lstsq(A_act, y_piv, rcond=None)
-    basis = None
+    # A start whose inverse proves both rank tests is used as is (see the
+    # module docstring); any other goes through the SVD and least-squares
+    # rank tests, and a rejected one is replaced by the rows the
+    # least-squares fit matches best.
+    basis = inv = None
     if start is not None and every_row:
         basis = start.astype(np.intp)
     elif start is not None and active[start].all():
         basis = (np.cumsum(active) - 1)[start]
     if basis is not None:
-        sv_start = np.linalg.svd(A_act[basis], compute_uv=False)
-        basis = basis if sv_start[-1] > _RANK_RTOL * sv_start[0] else None
-    if basis is None:
-        basis = _greedy_basis(A_act, np.argsort(np.abs(y_piv - A_act @ z_ls), kind="stable"), n)
-    if basis is None or sv[-1] <= _RANK_RTOL * sv[0]:
-        raise RankDeficient("positive-weight rows of A are numerically rank deficient")
+        try:
+            inv = np.linalg.inv(A_act[basis])
+        except np.linalg.LinAlgError:
+            basis = None
+    if inv is None or not 1.0 > _RANK_RTOL * np.linalg.norm(A_act) * np.linalg.norm(inv):
+        if basis is not None:
+            sv_start = np.linalg.svd(A_act[basis], compute_uv=False)
+            if not sv_start[-1] > _RANK_RTOL * sv_start[0]:
+                basis = inv = None
+        z_ls, _, _, sv = np.linalg.lstsq(A_act, y_piv, rcond=None)
+        if basis is None:
+            basis = _greedy_basis(A_act, np.argsort(np.abs(y_piv - A_act @ z_ls), kind="stable"), n)
+        if basis is None or sv[-1] <= _RANK_RTOL * sv[0]:
+            raise RankDeficient("positive-weight rows of A are numerically rank deficient")
+        if inv is None:
+            inv = np.linalg.inv(A_act[basis])
 
     # `inv` holds a fresh factorization of the basis, None while D is updated;
     # g = -nu_B, and w_B = w_act[basis]
-    w_B, neg_w, two_w, eye = w_act[basis], -w_act, 2.0 * w_act, np.eye(n)
-    pivots, inv = 0, np.linalg.inv(A_act[basis])
+    w_B, neg_w, eye = w_act[basis], -w_act, np.eye(n)
+    pivots = 0
     while True:
         fresh = inv is not None
         r = y_piv - (A_act @ (inv @ y_piv[basis]) if fresh else D @ y_piv[basis])
-        up = r >= 0
-        nu = np.where(up, w_act, neg_w)
+        nu = np.where(r >= 0, w_act, neg_w)
         nu[basis] = 0.0
         g = inv.T @ (A_act.T @ nu) if fresh else D.T @ nu
         ratio = np.abs(g) / w_B
@@ -170,17 +202,19 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         # Release basis row k: along h the other basis rows stay interpolated
         # and the objective falls at rate |nu_k| - w_k until the breakpoints
         # passed (residuals changing sign) have raised the slope to zero.
+        # Those are the rows with nu * h > 0 (module docstring); passing row i
+        # raises the slope by 2 w_i |h_i| = 2 nu_i h_i, so the rises are summed
+        # halved, against half the rate.
         h = D[:, k] if g[k] > 0 else -D[:, k]
-        crossing = np.where(up, h > 0, h < 0)
-        crossing[basis] = False
-        cand = crossing.nonzero()[0]
-        cand = cand[(r[cand] / h[cand]).argsort(kind="stable")]
-        rise = (two_w[cand] * np.abs(h[cand])).cumsum()
-        stop = int(np.searchsorted(rise, abs(g[k]) - w_B[k]))
+        nu_h = nu * h
+        cand = (nu_h > 0).nonzero()[0]
+        order = (r[cand] / h[cand]).argsort(kind="stable")
+        rise = nu_h[cand][order].cumsum()
+        stop = int(rise.searchsorted(0.5 * (abs(g[k]) - w_B[k])))
         if stop == cand.size:
             raise SolverFailure("no breakpoint along a descent edge")
-        j = cand[stop]
-        D -= (D[:, k] / D[j, k])[:, None] * (D[j] - eye[k])
+        j = cand[order[stop]]
+        D -= (h / h[j])[:, None] * (D[j] - eye[k])
         basis[k], w_B[k] = j, w_act[j]
         pivots += 1
 
@@ -205,3 +239,11 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         iterations=pivots,
         basis=basis if every_row else np.flatnonzero(active)[basis],
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _perturbation(rows):
+    """The deterministic pivoting perturbation of `rows` rows (read-only)."""
+    pattern = _PERTURBATION * ((np.arange(rows) * _GOLDEN) % 1.0 - 0.5)
+    pattern.flags.writeable = False
+    return pattern

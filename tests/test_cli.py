@@ -358,3 +358,39 @@ def test_sweep_rejects_non_finite_jitter(capsys, jitter):
     assert code == 1
     assert out == ""
     assert "jitter" in err
+
+
+@pytest.mark.parametrize("cap", ["inf", "nan", "0", "-1"])
+def test_attack_rejects_a_cap_factor_that_is_not_finite_and_positive(system_file, capsys, cap):
+    # support 0..4 leaves one row for two states: the attack is unbounded and
+    # would be scaled to cap_factor * epsilon
+    path, _ = system_file
+    code, out, err = run_cli(
+        ["attack", "--system", path, "--epsilon", 1.0, "--support", "0,1,2,3,4",
+         "--cap-factor", cap], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "cap-factor" in err
+
+
+def test_scenario_rejects_a_non_finite_attack_magnitude_up_front(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the scenario ran before its attack was validated")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    code, out, err = run_cli(["scenario", "--steps", 12, "--T", 2, "--attack-magnitude", "nan"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert "magnitude" in err
+
+
+def test_estimate_rejects_a_window_too_large_to_certify(tmp_path, system_file, capsys):
+    path, _ = system_file
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps([1e308, -1e308] * 3))
+    code, out, err = run_cli(["estimate", "--system", path, "--y", y_path], capsys)
+    assert code == 1
+    assert out == ""
+    assert "too large" in err

@@ -167,6 +167,12 @@ def test_scenario_validation():
         ScenarioConfig(prior_mode="sometimes")
 
 
+@pytest.mark.parametrize("magnitude", [np.nan, np.inf, -np.inf])
+def test_scenario_attack_rejects_a_non_finite_magnitude(magnitude):
+    with pytest.raises(ValueError, match="magnitude"):
+        ScenarioAttack(magnitude=magnitude)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(m=5, n=5)

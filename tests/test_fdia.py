@@ -208,3 +208,10 @@ def test_synthesize_rejects_a_non_finite_or_negative_budget(epsilon):
     model = build_horizon(make_system(1, m=8, n=3), 1)
     with pytest.raises(ValueError, match="epsilon"):
         synthesize_fdia(model, [0], epsilon)
+
+
+@pytest.mark.parametrize("cap", [np.inf, np.nan, 0.0, -1.0])
+def test_synthesize_rejects_a_cap_factor_that_is_not_finite_and_positive(cap):
+    model = build_horizon(make_system(1, m=8, n=3), 1)
+    with pytest.raises(ValueError, match="magnitude_cap_factor"):
+        synthesize_fdia(model, list(range(6)), 1.0, magnitude_cap_factor=cap)

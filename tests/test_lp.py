@@ -235,10 +235,12 @@ def test_malformed_start_is_rejected(start):
 
 @st.composite
 def warm_start_cases(draw):
-    """A weighted instance with three starts: valid, zero-weight and singular.
+    """A weighted instance with four starts: valid, zero-weight, singular and
+    near-singular.
 
     Data are exact up to a sparse attack (a degenerate optimum), row 0 is
-    duplicated as the last row, and some weights may be zero.
+    duplicated as the second-to-last row and nearly as the last, and some
+    weights may be zero.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 6))
@@ -260,6 +262,11 @@ def warm_start_cases(draw):
     if zeros.size:
         starts["zero_weight"] = np.concatenate([[zeros[0]], others[others != zeros[0]][: n - 1]])
     starts["singular"] = np.concatenate([[0, N - 1], others[: n - 2]])
+    # a near copy of row 0 as an extra last row: a start that only the exact
+    # rank tests reject
+    A = np.vstack([A, A[0] + 1e-13 * rng.standard_normal(n)])
+    y, w = np.append(y, y[0]), np.append(w, w[0])
+    starts["near_singular"] = np.concatenate([[0, N], others[: n - 2]])
     return A, y, w, starts
 
 
@@ -280,6 +287,53 @@ def test_warm_and_cold_starts_certify_against_highs(case):
         assert sol.gap <= 1e-8 * (1 + abs(sol.objective))
         assert sol.dual_objective <= sol.objective + 1e-12
         assert len(set(sol.basis.tolist())) == A.shape[1] and np.all(w[sol.basis] > 0)
+
+
+def count_rank_tests(monkeypatch):
+    """Record the calls of np.linalg.lstsq and np.linalg.svd by name."""
+    calls = []
+    for name in ("lstsq", "svd"):
+        def counting(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_certified_warm_start_skips_both_rank_tests(monkeypatch):
+    A, y, w = lp_instance("random", 1)  # well-conditioned 18 x 5
+    cold = weighted_l1_regression(A, y, w)
+    calls = count_rank_tests(monkeypatch)
+    warm = weighted_l1_regression(A, y, w, start=cold.basis)
+    assert calls == []
+    assert warm.iterations == 0
+    for field in ("z", "basis", "objective", "gap"):  # bitwise, not approximately
+        assert np.array_equal(getattr(warm, field), getattr(cold, field))
+    # a near-singular start is left to the exact tests, which reject it
+    A = np.vstack([A, A[0] + 1e-13 * np.random.default_rng(0).standard_normal(5)])
+    y, w = np.append(y, y[0]), np.append(w, w[0])
+    near = weighted_l1_regression(A, y, w, start=[0, 18, 1, 2, 3])
+    assert calls == ["svd", "lstsq"]
+    assert 0 not in near.basis or 18 not in near.basis
+
+
+def test_rank_deficient_a_rejects_every_warm_start():
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((20, 4))
+    A[:, 3] = A[:, 1]  # a duplicated column: no four rows are independent
+    y = A @ rng.standard_normal(4) + rng.standard_normal(20)
+    w = rng.uniform(0.1, 1.0, 20)
+    with pytest.raises(RankDeficient):
+        weighted_l1_regression(A, y, w)
+    for _ in range(20):
+        with pytest.raises(RankDeficient):
+            weighted_l1_regression(A, y, w, start=rng.choice(20, size=4, replace=False))
+
+
+def test_data_too_large_to_certify_is_rejected():
+    A, y, w = lp_instance("random", 2)
+    with pytest.raises(ValueError, match="too large"):
+        weighted_l1_regression(A, (1e308 / np.abs(y).max()) * y, w)
 
 
 def gram_schmidt_basis(A, order, n):
