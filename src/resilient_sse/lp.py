@@ -44,18 +44,16 @@ can: A_B is a row subset of the positive-weight rows A_act, so
     sigma_min(A_act) >= sigma_min(A_B) >= 1 / ||A_B^-1||_F,
     sigma_max(A_B) <= sigma_max(A_act) <= ||A_act||_F,
 
-and 1 > 1e-10 ||A_act||_F ||A_B^-1||_F proves that both pass.  Only a start
-this does not prove (or that fails to invert) pays for the SVD of A_B and
-the least-squares rank test of A_act, and is replaced by the cold start if
-the SVD rejects it.  The inverse is the one the first certificate uses, so
-the shortcut changes no result.  Data with sum(w) max|y| beyond the largest
-float are rejected up front: that product bounds |y^T nu|, so below it the
-certificate cannot overflow.
+and 1 > 1e-10 ||A_act||_F ||A_B^-1||_F proves that both pass.  The inverse
+is the one the first certificate uses, so the shortcut changes no result.  A
+start this does not prove (or that fails to invert) is replaced by the cold
+start, whose least-squares fit tests the rank of A_act.  Data with
+sum(w) max|y| beyond the largest float are rejected up front: that product
+bounds |y^T nu|, so below it the certificate cannot overflow.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -115,7 +113,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
 
     ``start`` names n distinct rows of A to begin at, e.g. the ``basis`` of a
     related solve (ValueError if malformed; ignored if it holds a zero-weight
-    row or is singular).  It changes neither the optimum nor the rank test.
+    row or is not proven nonsingular, see the module docstring).  It changes
+    neither the optimum nor the rank test.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -149,12 +148,11 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         # the bound on |dual|; below it the certificate cannot overflow
         raise ValueError("y and w are too large to certify: sum(w) * max|y| overflows")
     y_act = y_act / scale
-    y_piv = y_act + _perturbation(rows)
+    y_piv = y_act + _PERTURBATION * ((np.arange(rows) * _GOLDEN) % 1.0 - 0.5)
 
     # A start whose inverse proves both rank tests is used as is (see the
-    # module docstring); any other goes through the SVD and least-squares
-    # rank tests, and a rejected one is replaced by the rows the
-    # least-squares fit matches best.
+    # module docstring); otherwise the least-squares fit tests the rank and
+    # the rows it matches best form the start.
     basis = inv = None
     if start is not None and every_row:
         basis = start.astype(np.intp)
@@ -164,19 +162,13 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         try:
             inv = np.linalg.inv(A_act[basis])
         except np.linalg.LinAlgError:
-            basis = None
+            pass
     if inv is None or not 1.0 > _RANK_RTOL * np.linalg.norm(A_act) * np.linalg.norm(inv):
-        if basis is not None:
-            sv_start = np.linalg.svd(A_act[basis], compute_uv=False)
-            if not sv_start[-1] > _RANK_RTOL * sv_start[0]:
-                basis = inv = None
         z_ls, _, _, sv = np.linalg.lstsq(A_act, y_piv, rcond=None)
-        if basis is None:
-            basis = _greedy_basis(A_act, np.argsort(np.abs(y_piv - A_act @ z_ls), kind="stable"), n)
+        basis = _greedy_basis(A_act, np.argsort(np.abs(y_piv - A_act @ z_ls), kind="stable"), n)
         if basis is None or sv[-1] <= _RANK_RTOL * sv[0]:
             raise RankDeficient("positive-weight rows of A are numerically rank deficient")
-        if inv is None:
-            inv = np.linalg.inv(A_act[basis])
+        inv = np.linalg.inv(A_act[basis])
 
     # `inv` holds a fresh factorization of the basis, None while D is updated;
     # g = -nu_B, and w_B = w_act[basis]
@@ -239,11 +231,3 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         iterations=pivots,
         basis=basis if every_row else np.flatnonzero(active)[basis],
     )
-
-
-@functools.lru_cache(maxsize=64)
-def _perturbation(rows):
-    """The deterministic pivoting perturbation of `rows` rows (read-only)."""
-    pattern = _PERTURBATION * ((np.arange(rows) * _GOLDEN) % 1.0 - 0.5)
-    pattern.flags.writeable = False
-    return pattern
