@@ -15,7 +15,6 @@ from .errors import (
     EmptyEstimate,
     EmptySupport,
     EstimationError,
-    GenerationFailed,
     NotObservable,
     NumericalInstability,
     RankDeficient,

@@ -162,8 +162,6 @@ def _require(cond: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_attack(args) -> str:
-    _require(args.T >= 1, "T must be >= 1")
-    _require(0 <= args.epsilon < math.inf, "epsilon must be finite and nonnegative")
     _require(0 < args.cap_factor < math.inf, "cap-factor must be finite and positive")
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
@@ -171,7 +169,6 @@ def _cmd_attack(args) -> str:
         support = _parse_indices(args.support)
     else:
         _require(args.fraction is not None, "provide --support or --fraction")
-        _require(0 <= args.fraction < 1, "fraction must lie in [0, 1)")
         rng = np.random.default_rng(args.seed)
         support = random_support(model.rows, args.fraction, rng)
     plan = synthesize_fdia(model, support, args.epsilon, magnitude_cap_factor=args.cap_factor)
@@ -189,7 +186,6 @@ def _cmd_attack(args) -> str:
 
 
 def _cmd_estimate(args) -> str:
-    _require(args.T >= 1, "T must be >= 1")
     _require(0 <= args.omega <= 1, "omega must lie in [0, 1]")
     if args.epsilon is not None:
         _require(args.epsilon > 0, "epsilon must be positive")
@@ -217,7 +213,6 @@ def _cmd_estimate(args) -> str:
 
 def _cmd_prune(args) -> str:
     _require(0 < args.eta < 1, "eta must lie in (0,1)")
-    _require(args.strategy in ("product", "quantile"), "strategy must be product or quantile")
     with open(args.input) as fh:
         doc = json.load(fh)
     _require("p" in doc, "prune input needs a confidence vector 'p'")
@@ -259,9 +254,6 @@ def _cmd_prune(args) -> str:
 
 
 def _cmd_rip(args) -> str:
-    _require(args.T >= 1, "T must be >= 1")
-    _require(args.S >= 1, "S must be >= 1")
-    _require(args.budget >= 1, "budget must be >= 1")
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
     est = rip_constant(model, args.S, args.budget, rng=np.random.default_rng(args.seed))

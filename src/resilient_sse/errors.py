@@ -60,7 +60,3 @@ class ConditionViolated(EstimationError):
 
 class BudgetZero(ValueError):
     """Support-enumeration budget must be positive."""
-
-
-class GenerationFailed(EstimationError):
-    """Random system generation exhausted its resample budget."""

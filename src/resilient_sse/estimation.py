@@ -19,6 +19,9 @@ from .errors import DimensionMismatch, RiccatiDivergence
 from .lp import weighted_l1_regression
 from .lti import HorizonModel, LtiSystem
 
+_RICCATI_TOL = 1e-10
+_RICCATI_MAX_ITER = 10**5
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -147,46 +150,42 @@ def weighted_observer(
 # Luenberger baseline
 # ---------------------------------------------------------------------------
 
-def riccati_gain(
-    sys: LtiSystem,
-    tol: float = 1e-10,
-    max_iter: int = 10**5,
-) -> np.ndarray:
+def riccati_gain(sys: LtiSystem) -> np.ndarray:
     """Steady-state Kalman gain with unit process/measurement covariances.
 
     Fixed-point iteration of the Riccati recursion until successive gains
-    change by at most tol; the closed-loop matrix A - L C must end up
-    strictly stable.
+    change by at most 1e-10 (RiccatiDivergence after 10^5 iterations); the
+    closed-loop matrix A - L C must end up strictly stable.
     """
     n, m = sys.n, sys.m
     P = np.eye(n)
     L = np.zeros((n, m))
-    for _ in range(max_iter):
+    for _ in range(_RICCATI_MAX_ITER):
         S = sys.C @ P @ sys.C.T + np.eye(m)
         L_new = np.linalg.solve(S.T, sys.C @ P.T @ sys.A.T).T
         P = sys.A @ P @ sys.A.T - L_new @ S @ L_new.T + np.eye(n)
-        if np.max(np.abs(L_new - L)) <= tol:
+        if np.max(np.abs(L_new - L)) <= _RICCATI_TOL:
             L = L_new
             radius = np.max(np.abs(np.linalg.eigvals(sys.A - L @ sys.C)))
             if radius >= 1.0:
                 raise RiccatiDivergence(f"closed-loop spectral radius {radius:.6f} >= 1")
             return L
         L = L_new
-    raise RiccatiDivergence(f"gain did not settle within {max_iter} iterations")
+    raise RiccatiDivergence(f"gain did not settle within {_RICCATI_MAX_ITER} iterations")
 
 
-def luenberger_baseline(sys: LtiSystem, measurements, x0_hat=None) -> np.ndarray:
+def luenberger_baseline(sys: LtiSystem, measurements) -> np.ndarray:
     """Classic observer x_{i+1} = A x_i + L(y_i - C x_i) with the steady gain.
 
     Returns one estimate per measurement index, where estimate i uses
-    measurements up to i-1 (prediction form); the initial estimate defaults
-    to the zero state.
+    measurements up to i-1 (prediction form); the initial estimate is the
+    zero state.
     """
     Y = np.asarray(measurements, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != sys.m:
         raise DimensionMismatch(f"measurements have shape {Y.shape}, expected (*, {sys.m})")
     L = riccati_gain(sys)
-    x_hat = np.zeros(sys.n) if x0_hat is None else np.asarray(x0_hat, dtype=float).reshape(-1)
+    x_hat = np.zeros(sys.n)
     out = np.zeros((Y.shape[0], sys.n))
     for i in range(Y.shape[0]):
         out[i] = x_hat

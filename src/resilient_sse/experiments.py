@@ -18,14 +18,13 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import EmptyEstimate, GenerationFailed
+from .errors import EmptyEstimate, NumericalInstability
 from .estimation import decode, luenberger_baseline, weighted_observer
 from .fdia import random_support, synthesize_fdia
 from .lti import (
     HorizonModel,
     LtiSystem,
     build_horizon,
-    check_observability,
     simulate,
     stack_window,
 )
@@ -46,28 +45,21 @@ def gen_random_system(
     n: int,
     rng: np.random.Generator,
     spectral_radius_target: float = 0.95,
-    max_resamples: int = 100,
 ) -> LtiSystem:
     """Random Gaussian (A, C) with A rescaled to the target spectral radius.
 
-    Resamples until the pair is observable (practically immediate for
-    Gaussian matrices).
+    A and C are drawn once and not checked for observability: a Gaussian
+    pair is observable with probability one, and ``build_horizon``, which
+    every caller runs next, rejects an H without full column rank.
     """
     if m <= n:
         raise ValueError(f"need more sensors than states, got m={m}, n={n}")
-    if spectral_radius_target <= 0:
-        raise ValueError(f"spectral radius target must be positive, got {spectral_radius_target}")
-    for _ in range(max_resamples):
-        A = rng.standard_normal((n, n))
-        radius = np.max(np.abs(np.linalg.eigvals(A)))
-        if radius == 0:
-            continue
-        A = A * (spectral_radius_target / radius)
-        C = rng.standard_normal((m, n))
-        sys = LtiSystem(A=A, C=C)
-        if check_observability(sys).observable:
-            return sys
-    raise GenerationFailed(f"no observable system in {max_resamples} resamples")
+    if not 0 < spectral_radius_target < math.inf:
+        raise ValueError(f"spectral radius target must be finite and positive, "
+                         f"got {spectral_radius_target}")
+    A = rng.standard_normal((n, n))
+    A = A * (spectral_radius_target / np.max(np.abs(np.linalg.eigvals(A))))
+    return LtiSystem(A=A, C=rng.standard_normal((m, n)))
 
 
 def epsilon_from_policy(policy: str, y_star) -> float:
@@ -77,8 +69,8 @@ def epsilon_from_policy(policy: str, y_star) -> float:
         value = float(raw)
     except ValueError:
         raise ValueError(f"epsilon policy must look like 'rel:0.01' or 'abs:2.0', got {policy!r}")
-    if value < 0:
-        raise ValueError(f"epsilon policy value must be nonnegative, got {value}")
+    if not 0 <= value < math.inf:
+        raise ValueError(f"epsilon policy value must be finite and nonnegative, got {value}")
     if mode == "rel":
         return value * float(np.abs(np.asarray(y_star)).sum())
     if mode == "abs":
@@ -122,6 +114,9 @@ class SweepConfig:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
         if not 0.0 <= self.jitter < math.inf:
             raise ValueError(f"jitter must be finite and nonnegative, got {self.jitter}")
+        if not 0.0 < self.spectral_radius < math.inf:
+            raise ValueError(f"spectral radius must be finite and positive, got {self.spectral_radius}")
+        epsilon_from_policy(self.epsilon_policy, ())  # parses and checks the policy
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies {sorted(unknown)}; pick from {STRATEGIES}")
@@ -430,6 +425,9 @@ def run_scenario(
         E = np.asarray(errors[obs])
         rms[obs] = tuple(float(v) for v in np.sqrt((E**2).mean(axis=0)))
         max_abs[obs] = tuple(float(v) for v in np.abs(E).max(axis=0))
+        if not np.isfinite(rms[obs] + max_abs[obs]).all():
+            raise NumericalInstability(
+                f"{obs} error metrics overflow at attack magnitude {attack.magnitude}")
     return ScenarioMetrics(observers=tuple(observers), windows=windows, rms=rms, max_abs=max_abs)
 
 

@@ -75,7 +75,8 @@ def fdia_feasibility(model: HorizonModel, support, epsilon: float = 1.0):
     epsilon and is None when the condition fails.
     """
     sup = _normalize_support(support, model.rows)
-    return _feasibility(model, model.U1[_complement(sup, model.rows)], epsilon)
+    Uc = model.U1[_complement(sup, model.rows)]
+    return _feasibility(model, float(np.linalg.norm(Uc, 2)), Uc.shape[0], epsilon)
 
 
 def _complement(sup: np.ndarray, rows: int) -> np.ndarray:
@@ -85,10 +86,10 @@ def _complement(sup: np.ndarray, rows: int) -> np.ndarray:
     return comp
 
 
-def _feasibility(model: HorizonModel, Uc: np.ndarray, epsilon: float):
-    """fdia_feasibility given the complement block Uc = U1[complement]."""
-    sbar_comp = float(np.linalg.norm(Uc, 2))
-    root = np.sqrt(Uc.shape[0])
+def _feasibility(model: HorizonModel, sbar_comp: float, comp_rows: int, epsilon: float):
+    """fdia_feasibility given the spectral norm sbar_comp of the complement
+    block U1[complement], which has comp_rows rows."""
+    root = np.sqrt(comp_rows)
     holds = sbar_comp < 1.0 / (2.0 * root)
     if not holds:
         return False, None
@@ -132,7 +133,7 @@ def synthesize_fdia(
 
     e_T = np.zeros(model.rows)
     e_T[sup] = model.U1[sup, :] @ z_e
-    holds, alpha = _feasibility(model, Uc, epsilon)
+    holds, alpha = _feasibility(model, float(s[0]), Uc.shape[0], epsilon)
     return AttackPlan(
         support=sup,
         epsilon=float(epsilon),

@@ -24,6 +24,11 @@ Exact data makes the optimum degenerate (more than n rows fit with zero
 residual), and plain pivoting cycles there.  The pivots therefore run on y
 plus a tiny deterministic perturbation; the final basis is evaluated on the
 original y, and its dual, which does not depend on y, certifies that point.
+Should the pivots still cycle, after 10 pivots per row the solve switches
+to Bland's rule, which cannot cycle in exact arithmetic: the violating
+basis row of lowest index leaves, and the step stops at the first
+breakpoint (the lowest row on a tie).  After as many pivots again the solve
+raises SolverFailure.
 The problem is positively homogeneous in (y, z), so the pivots run on y
 scaled to unit max-norm, and the gap is checked in those units as well as in
 the caller's.
@@ -187,8 +192,12 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
                 break
             inv = np.linalg.inv(A_act[basis])
             continue
-        if pivots == _PIVOTS_PER_ROW * rows:
+        if pivots == 2 * _PIVOTS_PER_ROW * rows:
             raise SolverFailure(f"no optimal basis after {pivots} pivots")
+        bland = pivots >= _PIVOTS_PER_ROW * rows
+        if bland:  # Bland's rule: the violating basis row of lowest index leaves
+            violating = (ratio > 1.0 + _DUAL_RTOL).nonzero()[0]
+            k = int(violating[basis[violating].argmin()])
         if fresh:
             D, inv = A_act @ inv, None
         # Release basis row k: along h the other basis rows stay interpolated
@@ -202,7 +211,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         cand = (nu_h > 0).nonzero()[0]
         order = (r[cand] / h[cand]).argsort(kind="stable")
         rise = nu_h[cand][order].cumsum()
-        stop = int(rise.searchsorted(0.5 * (abs(g[k]) - w_B[k])))
+        # Bland's rule stops at the first breakpoint, the lowest row on a tie
+        stop = 0 if bland else int(rise.searchsorted(0.5 * (abs(g[k]) - w_B[k])))
         if stop == cand.size:
             raise SolverFailure("no breakpoint along a descent edge")
         j = cand[order[stop]]

@@ -21,6 +21,9 @@ import numpy as np
 
 from .errors import DegenerateSvd, DimensionMismatch, NotObservable, WindowOutOfRange
 
+_RANK_RTOL = 1e-10        # observability: singular values of O below this * sigma_max are zero
+_DEGENERATE_RTOL = 1e-12  # H: full column rank needs sigma_min > this * sigma_max
+
 
 def _as_matrix(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
@@ -168,10 +171,10 @@ def observability_matrix(sys: LtiSystem) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def check_observability(sys: LtiSystem, rank_rtol: float = 1e-10) -> ObservabilityReport:
+def check_observability(sys: LtiSystem) -> ObservabilityReport:
     """Rank of the observability matrix via singular values.
 
-    Singular values below rank_rtol * sigma_max are treated as zero.  The
+    Singular values below 1e-10 * sigma_max are treated as zero.  The
     report carries the verdict; no exception is raised here.
     """
     O = observability_matrix(sys)
@@ -179,7 +182,7 @@ def check_observability(sys: LtiSystem, rank_rtol: float = 1e-10) -> Observabili
     smax = float(s[0]) if s.size else 0.0
     if smax == 0.0:
         return ObservabilityReport(rank=0, n=sys.n, sigma_min_nonzero=0.0, sigma_max=0.0)
-    nonzero = s[s > rank_rtol * smax]
+    nonzero = s[s > _RANK_RTOL * smax]
     return ObservabilityReport(
         rank=int(nonzero.size),
         n=sys.n,
@@ -188,20 +191,15 @@ def check_observability(sys: LtiSystem, rank_rtol: float = 1e-10) -> Observabili
     )
 
 
-def build_horizon(
-    sys: LtiSystem,
-    T: int,
-    rank_rtol: float = 1e-10,
-    degenerate_rtol: float = 1e-12,
-) -> HorizonModel:
+def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     """Build the stacked observation matrix for a T-step window.
 
-    H must have full column rank: its singular values alone decide, and
-    the model computes its SVD factors when they are first read.  A
-    full-column-rank H implies an observable (A, C), so observability is
-    checked only when H fails: NotObservable when the pair is not
-    observable, else DegenerateSvd (possible for short windows even on
-    observable systems).
+    H must have full column rank, sigma_min > 1e-12 * sigma_max: its
+    singular values alone decide, and the model computes its SVD factors
+    when they are first read.  A full-column-rank H implies an observable
+    (A, C), so observability is checked only when H fails: NotObservable
+    when the pair is not observable, else DegenerateSvd (possible for short
+    windows even on observable systems).
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
@@ -213,8 +211,8 @@ def build_horizon(
     H = np.vstack(blocks[::-1])  # newest first: C A^(T-1) on top, C at the bottom
 
     s = np.linalg.svd(H, compute_uv=False)
-    if s.size < sys.n or not s[-1] > degenerate_rtol * s[0]:
-        report = check_observability(sys, rank_rtol=rank_rtol)
+    if s.size < sys.n or not s[-1] > _DEGENERATE_RTOL * s[0]:
+        report = check_observability(sys)
         if not report.observable:
             raise NotObservable(f"observability rank {report.rank} < n = {sys.n}")
         raise DegenerateSvd(
@@ -232,8 +230,8 @@ def simulate(
 ) -> Trajectory:
     """Run the exact dynamics for `steps` steps starting at x0.
 
-    attack_schedule may be None, an array of shape (steps, m), or a mapping
-    {step index: attack vector}; missing steps are attack-free.
+    attack_schedule is None (no attack) or an array of shape (steps, m)
+    added to the clean measurements.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n:
@@ -241,23 +239,10 @@ def simulate(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
 
-    attacks = np.zeros((steps, sys.m))
-    if attack_schedule is not None:
-        if isinstance(attack_schedule, dict):
-            for i, e in attack_schedule.items():
-                e = np.asarray(e, dtype=float).reshape(-1)
-                if e.shape[0] != sys.m:
-                    raise DimensionMismatch(f"attack at step {i} has length {e.shape[0]}, expected {sys.m}")
-                if not 0 <= i < steps:
-                    raise ValueError(f"attack step {i} outside [0, {steps})")
-                attacks[i] = e
-        else:
-            sched = np.asarray(attack_schedule, dtype=float)
-            if sched.shape != (steps, sys.m):
-                raise DimensionMismatch(
-                    f"attack schedule has shape {sched.shape}, expected {(steps, sys.m)}"
-                )
-            attacks = sched.copy()
+    attacks = np.zeros((steps, sys.m)) if attack_schedule is None else np.asarray(
+        attack_schedule, dtype=float)
+    if attacks.shape != (steps, sys.m):
+        raise DimensionMismatch(f"attack schedule has shape {attacks.shape}, expected {(steps, sys.m)}")
 
     states = np.zeros((steps, sys.n))
     clean = np.zeros((steps, sys.m))

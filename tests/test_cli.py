@@ -394,3 +394,35 @@ def test_estimate_rejects_a_window_too_large_to_certify(tmp_path, system_file, c
     assert code == 1
     assert out == ""
     assert "too large" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--epsilon-policy", "rel:nan"),
+                                        ("--epsilon-policy", "abs:inf"),
+                                        ("--spectral-radius", "nan"),
+                                        ("--spectral-radius", "inf")])
+def test_sweep_rejects_a_non_finite_policy_or_radius_up_front(capsys, monkeypatch, flag, value):
+    from resilient_sse import experiments
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn before the sweep was validated")
+
+    monkeypatch.setattr(experiments, "draw_instance", no_draw)
+    # grid 0.0 draws no attack, so epsilon is never used by a trial
+    code, out, err = run_cli(
+        ["sweep", "--m", 6, "--n", 2, "--grid", "0.0", "--trials", 2, flag, value], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert flag[2:].replace("-", " ") in err
+
+
+@pytest.mark.parametrize("magnitude,observers", [("1e308", "LO"), ("1e200", "LO"),
+                                                 ("1e200", "L1O")])
+def test_scenario_metrics_that_overflow_are_a_numerical_failure(capsys, magnitude, observers):
+    # the attacked measurements or the squared errors overflow; the metrics
+    # would print as NaN or Infinity, which is not JSON
+    code, out, err = run_cli(["scenario", "--steps", 8, "--attack-magnitude", magnitude,
+                              "--observers", observers], capsys)
+    assert code == 2
+    assert out == ""
+    assert "overflow" in err

@@ -227,3 +227,15 @@ def test_paired_sweep_matches_cold_trials():
                 assert abs(warm.error_l2 - cold.error_l2) <= 1e-12 * (1.0 + x_norm)
                 if strategy == "pruned_product":
                     assert warm == cold
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+def test_gen_random_system_rejects_a_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="finite and positive"):
+        gen_random_system(10, 4, np.random.default_rng(0), spectral_radius_target=radius)
+
+
+@pytest.mark.parametrize("policy", ["rel:nan", "abs:inf"])
+def test_epsilon_policy_rejects_non_finite_values(policy):
+    with pytest.raises(ValueError, match="finite"):
+        epsilon_from_policy(policy, [1.0])

@@ -412,3 +412,25 @@ def test_objective_invariances_against_highs_positive_weights(case):
 @given(invariance_cases(zero_weights=True))
 def test_objective_invariances_against_highs_zero_weights(case):
     _invariance_property(case)
+
+
+def test_a_cycling_window_certifies_under_blands_rule():
+    # Request 63 of the bench `estimate` workload at seed 125, rebuilt as
+    # bench/workloads.py::Estimate draws it: a 240x12 window, 20 % attacked,
+    # whose largest-violation pivots cycle among degenerate vertices until the
+    # budget of 10 pivots per row is spent; Bland's rule then finishes it.
+    from resilient_sse import random_support
+    from resilient_sse.experiments import epsilon_from_policy
+
+    rng = np.random.default_rng(125)
+    model = build_horizon(gen_random_system(60, 12, rng), 4)
+    for i in range(64):
+        y_star = model.H @ rng.standard_normal(12)
+        epsilon = epsilon_from_policy("rel:0.01", y_star)
+        support = random_support(model.rows, (0.2, 0.3, 0.4)[i % 3], rng)
+        y = y_star + synthesize_fdia(model, support, epsilon).e_T
+    sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
+    assert sol.iterations > 10 * model.rows  # the rule engages only at the budget
+    opt = scipy_oracle(model.H, y, np.ones(model.rows))
+    assert abs(sol.objective - opt) <= 1e-7 * (1.0 + abs(opt))
+    assert sol.gap <= 1e-8 * (1.0 + abs(sol.objective))
