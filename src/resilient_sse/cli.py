@@ -83,15 +83,21 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _parse_indices(text):
+def _parse_indices(text, flag):
     text = text.strip()
     if not text:
         return []
-    return [int(tok) for tok in text.split(",")]
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-def _parse_floats(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_floats(text, flag):
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def _load_system(args):
@@ -166,7 +172,7 @@ def _cmd_attack(args) -> str:
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
     if args.support is not None:
-        support = _parse_indices(args.support)
+        support = _parse_indices(args.support, "--support")
     else:
         _require(args.fraction is not None, "provide --support or --fraction")
         rng = np.random.default_rng(args.seed)
@@ -194,7 +200,12 @@ def _cmd_estimate(args) -> str:
     y_T = _read_vector(args.y)
     x_true = _read_vector(args.x_true) if args.x_true else None
     if args.safe is not None:
-        trusted = _parse_indices(args.safe)
+        trusted = _parse_indices(args.safe, "--safe")
+        # with omega 0 only the trusted rows carry weight: too few cannot
+        # determine the state, whatever the window holds
+        _require(args.omega > 0 or len(set(trusted)) >= model.n,
+                 f"--omega 0 needs at least {model.n} distinct --safe rows, "
+                 f"got {len(set(trusted))}")
         est = weighted_observer(model, y_T, trusted, args.omega, epsilon=args.epsilon, x_true=x_true)
     else:
         est = decode(model, y_T, epsilon=args.epsilon, x_true=x_true)
@@ -272,7 +283,7 @@ def _cmd_sweep(args) -> str:
         m=args.m,
         n=args.n,
         T=args.T,
-        attack_grid=tuple(_parse_floats(args.grid)),
+        attack_grid=tuple(_parse_floats(args.grid, "--grid")),
         trials=args.trials,
         true_rate=args.true_rate,
         jitter=args.jitter,
@@ -294,7 +305,9 @@ def _cmd_scenario(args) -> str:
         _require(x0 is not None, "scenario needs an x0 entry in the system file")
     else:
         sys_, x0 = load_surrogate()
-    support = tuple(_parse_indices(args.attack_support)) if args.attack_support else None
+    support = None
+    if args.attack_support:
+        support = tuple(_parse_indices(args.attack_support, "--attack-support"))
     attack = ScenarioAttack(
         fraction=args.attack_fraction,
         magnitude=args.attack_magnitude,

@@ -44,7 +44,9 @@ class WeightVector:
 
     @classmethod
     def from_trusted(cls, size: int, trusted, omega: float) -> "WeightVector":
-        trusted = np.asarray(list(trusted), dtype=int)
+        if not isinstance(trusted, np.ndarray):
+            trusted = list(trusted)
+        trusted = np.asarray(trusted, dtype=int)
         if trusted.size and (trusted.min() < 0 or trusted.max() >= size):
             raise ValueError(f"trusted indices must lie in [0, {size})")
         values = np.full(size, float(omega))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyEstimate, NumericalInstability
 from .estimation import decode, luenberger_baseline, weighted_observer
-from .fdia import random_support, synthesize_fdia
+from .fdia import random_support, sorted_unique, synthesize_fdia
 from .lti import (
     HorizonModel,
     LtiSystem,
@@ -312,7 +312,7 @@ class ScenarioAttack:
 
     def resolve_support(self, C: np.ndarray) -> np.ndarray:
         if self.support is not None:
-            sup = np.unique(np.asarray(self.support, dtype=int))
+            sup = sorted_unique(self.support)
             if sup.size and (sup.min() < 0 or sup.max() >= C.shape[0]):
                 raise ValueError(f"attack support must lie in [0, {C.shape[0]})")
             return sup
@@ -381,8 +381,11 @@ def run_scenario(
 
     rng_attack = np.random.default_rng(attack.seed)
     schedule = np.zeros((scenario.steps, m))
+    # a magnitude near the largest float overflows here and in the Luenberger
+    # recursion; the error metrics are checked for it below
     if sup.size:
-        schedule[:, sup] = attack.magnitude * rng_attack.standard_normal((scenario.steps, sup.size))
+        with np.errstate(over="ignore"):
+            schedule[:, sup] = attack.magnitude * rng_attack.standard_normal((scenario.steps, sup.size))
 
     traj = simulate(system, x0, scenario.steps, schedule)
     model = build_horizon(system, T)
@@ -400,7 +403,8 @@ def run_scenario(
 
     lo_est = None
     if "LO" in observers:
-        lo_est = luenberger_baseline(system, traj.attacked_measurements)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo_est = luenberger_baseline(system, traj.attacked_measurements)
 
     errors = {obs: [] for obs in observers}
     basis = {"L1O": None, "WL1P": None}
@@ -423,7 +427,8 @@ def run_scenario(
     rms, max_abs = {}, {}
     for obs in observers:
         E = np.asarray(errors[obs])
-        rms[obs] = tuple(float(v) for v in np.sqrt((E**2).mean(axis=0)))
+        with np.errstate(over="ignore"):
+            rms[obs] = tuple(float(v) for v in np.sqrt((E**2).mean(axis=0)))
         max_abs[obs] = tuple(float(v) for v in np.abs(E).max(axis=0))
         if not np.isfinite(rms[obs] + max_abs[obs]).all():
             raise NumericalInstability(

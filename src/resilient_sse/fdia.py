@@ -49,8 +49,16 @@ class SuccessVerdict:
     residual_l1: float
 
 
+def sorted_unique(indices) -> np.ndarray:
+    """np.unique of an integer index array, by sorting: np.unique imports numpy.ma."""
+    out = np.sort(np.asarray(indices, dtype=int), axis=None)
+    keep = np.ones(out.size, dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def _normalize_support(support, rows: int) -> np.ndarray:
-    sup = np.unique(np.asarray(list(support), dtype=int))
+    sup = sorted_unique(list(support))
     if sup.size == 0:
         raise EmptySupport("attack support is empty")
     if sup.size >= rows:

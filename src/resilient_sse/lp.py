@@ -33,10 +33,14 @@ The problem is positively homogeneous in (y, z), so the pivots run on y
 scaled to unit max-norm, and the gap is checked in those units as well as in
 the caller's.
 
-Between pivots the tableau D = A A_B^-1 is updated instead of refactored:
-r = y - D y_B, nu_B = -D^T nu_N, the edge is a column of D, and row j
-replacing basis row k is the rank-one update D -= D[:, k] (D[j] - e_k) / D[j, k].
-When D reports optimality the basis is factored afresh and re-checked with
+Between pivots a tableau is updated instead of refactored: one (n+1) x N
+array whose first n rows hold D^T, the transpose of D = A A_B^-1, and whose
+last row holds the residual r = y - D y_B.  Then nu_B = -D^T nu_N, the edge
+h is +-row k, and row j replacing basis row k is the rank-one update
+Tab -= (Tab[:, j] - e_k) h^T / h_j: on the D^T rows the update
+D -= D[:, k] (D[j] - e_k) / D[j, k] transposed, on the last row the step
+r - (r_j / h_j) h along the edge to the breakpoint of row j.  When the
+tableau reports optimality the basis is factored afresh and re-checked with
 the formulas above, so the certificate never rests on updated quantities.  A
 ``start`` basis, such as the previous window's, replaces the cold start; the
 cold start takes the rows the least-squares fit matches best, accepting the
@@ -59,6 +63,7 @@ bounds |y^T nu|, so below it the certificate cannot overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,7 +75,8 @@ _RANK_RTOL = 1e-10
 _GAP_RTOL = 1e-8
 _DUAL_RTOL = 1e-10     # box violation |nu_B| / w_B - 1 accepted as optimal
 _PERTURBATION = 1e-9   # size of the pivoting perturbation, relative to max |y|
-_PIVOTS_PER_ROW = 10
+_BLAND_AFTER = 10      # pivots per row before Bland's rule takes over
+_PIVOTS_PER_ROW = 20   # pivots per row before the solve gives up
 _GOLDEN = 0.6180339887498949
 
 
@@ -85,6 +91,14 @@ class LpSolution:
     gap: float                 # certified duality gap (>= 0 up to roundoff)
     iterations: int            # simplex pivots
     basis: np.ndarray          # the n rows of A (original indices) interpolated by z
+
+
+@functools.lru_cache(maxsize=8)
+def _perturbation(rows):
+    """The deterministic pivoting perturbation of `rows` rows, read-only."""
+    pattern = _PERTURBATION * ((np.arange(rows) * _GOLDEN) % 1.0 - 0.5)
+    pattern.flags.writeable = False
+    return pattern
 
 
 def _greedy_basis(A_act, order, n):
@@ -153,7 +167,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         # the bound on |dual|; below it the certificate cannot overflow
         raise ValueError("y and w are too large to certify: sum(w) * max|y| overflows")
     y_act = y_act / scale
-    y_piv = y_act + _PERTURBATION * ((np.arange(rows) * _GOLDEN) % 1.0 - 0.5)
+    y_piv = y_act + _perturbation(rows)
 
     # A start whose inverse proves both rank tests is used as is (see the
     # module docstring); otherwise the least-squares fit tests the rank and
@@ -175,16 +189,17 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
             raise RankDeficient("positive-weight rows of A are numerically rank deficient")
         inv = np.linalg.inv(A_act[basis])
 
-    # `inv` holds a fresh factorization of the basis, None while D is updated;
-    # g = -nu_B, and w_B = w_act[basis]
-    w_B, neg_w, eye = w_act[basis], -w_act, np.eye(n)
+    # `inv` holds a fresh factorization of the basis, None while the tableau
+    # Tab = [D^T; r] is updated; g = -nu_B, and w_B = w_act[basis]
+    w_B, neg_w = w_act[basis], -w_act
     pivots = 0
     while True:
         fresh = inv is not None
-        r = y_piv - (A_act @ (inv @ y_piv[basis]) if fresh else D @ y_piv[basis])
+        if fresh:
+            r = y_piv - A_act @ (inv @ y_piv[basis])
         nu = np.where(r >= 0, w_act, neg_w)
         nu[basis] = 0.0
-        g = inv.T @ (A_act.T @ nu) if fresh else D.T @ nu
+        g = inv.T @ (A_act.T @ nu) if fresh else Tab[:n] @ nu
         ratio = np.abs(g) / w_B
         k = int(ratio.argmax())
         if ratio[k] <= 1.0 + _DUAL_RTOL:
@@ -192,31 +207,37 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
                 break
             inv = np.linalg.inv(A_act[basis])
             continue
-        if pivots == 2 * _PIVOTS_PER_ROW * rows:
+        if pivots == _PIVOTS_PER_ROW * rows:
             raise SolverFailure(f"no optimal basis after {pivots} pivots")
-        bland = pivots >= _PIVOTS_PER_ROW * rows
+        bland = pivots >= _BLAND_AFTER * rows
         if bland:  # Bland's rule: the violating basis row of lowest index leaves
             violating = (ratio > 1.0 + _DUAL_RTOL).nonzero()[0]
             k = int(violating[basis[violating].argmin()])
         if fresh:
-            D, inv = A_act @ inv, None
+            Tab = np.empty((n + 1, rows))
+            Tab[:n] = (A_act @ inv).T
+            Tab[n] = r
+            r, inv = Tab[n], None
         # Release basis row k: along h the other basis rows stay interpolated
         # and the objective falls at rate |nu_k| - w_k until the breakpoints
         # passed (residuals changing sign) have raised the slope to zero.
         # Those are the rows with nu * h > 0 (module docstring); passing row i
         # raises the slope by 2 w_i |h_i| = 2 nu_i h_i, so the rises are summed
         # halved, against half the rate.
-        h = D[:, k] if g[k] > 0 else -D[:, k]
+        g_k = float(g[k])
+        h = Tab[k] if g_k > 0 else -Tab[k]
         nu_h = nu * h
         cand = (nu_h > 0).nonzero()[0]
-        order = (r[cand] / h[cand]).argsort(kind="stable")
-        rise = nu_h[cand][order].cumsum()
+        cand = cand[(r[cand] / h[cand]).argsort(kind="stable")]
+        rise = nu_h[cand].cumsum()
         # Bland's rule stops at the first breakpoint, the lowest row on a tie
-        stop = 0 if bland else int(rise.searchsorted(0.5 * (abs(g[k]) - w_B[k])))
+        stop = 0 if bland else int(rise.searchsorted(0.5 * (abs(g_k) - w_B[k])))
         if stop == cand.size:
             raise SolverFailure("no breakpoint along a descent edge")
-        j = cand[order[stop]]
-        D -= (h / h[j])[:, None] * (D[j] - eye[k])
+        j = cand[stop]
+        col = Tab[:, j].copy()
+        col[k] -= 1.0
+        Tab -= col[:, None] * (h / h[j])
         basis[k], w_B[k] = j, w_act[j]
         pivots += 1
 

@@ -181,7 +181,12 @@ def prune_offline(p, eta: float) -> np.ndarray:
 def prune_online(offline_set, prior: SupportPrior, eta: float) -> PrunedPrior:
     """Intersect the offline set with the rows the oracle marked safe."""
     offline_set = np.asarray(offline_set, dtype=int)
-    safe = np.intersect1d(offline_set, prior.estimated_safe)
+    rows = prior.q_hat.shape[0]
+    if offline_set.size and (offline_set.min() < 0 or offline_set.max() >= rows):
+        raise ValueError(f"offline rows must lie in [0, {rows})")
+    offline = np.zeros(rows, dtype=bool)
+    offline[offline_set] = True
+    safe = np.flatnonzero(offline & (prior.q_hat == 1))
     return PrunedPrior(offline_set=offline_set, safe_set=safe, eta=float(eta), strategy="product")
 
 

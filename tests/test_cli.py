@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,3 +428,67 @@ def test_scenario_metrics_that_overflow_are_a_numerical_failure(capsys, magnitud
     assert code == 2
     assert out == ""
     assert "overflow" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["attack", "--epsilon", "0.4", "--support", "0,,1"], "--support"),
+    (["estimate", "--safe", "1,x"], "--safe"),
+    (["scenario", "--steps", "8", "--attack-support", "0,,1"], "--attack-support"),
+    (["sweep", "--grid", "0.3,x"], "--grid"),
+], ids=["attack-support", "estimate-safe", "scenario-attack-support", "sweep-grid"])
+def test_a_malformed_list_names_its_flag(tmp_path, system_file, capsys, argv, flag):
+    path, sys_ = system_file
+    if argv[0] in ("attack", "estimate"):
+        argv = argv + ["--system", path]
+    if argv[0] == "estimate":
+        y_path = tmp_path / "y.json"
+        y_path.write_text(json.dumps(list(build_horizon(sys_, 1).H @ np.array([0.5, 2.0]))))
+        argv = argv + ["--y", y_path]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert f"error: {flag} must be comma-separated" in err
+
+
+def test_estimate_with_omega_0_needs_n_distinct_safe_rows(tmp_path, capsys):
+    # rows 0 and 1 of C coincide: two distinct rows, yet rank deficient
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"A": [[0.5, 0.0], [0.0, 0.4]],
+                                "C": [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}))
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps([1.0, 1.0, 2.0, 3.0]))
+    base = ["estimate", "--system", path, "--y", y_path, "--omega", "0", "--safe"]
+    for safe in ("", "2,2,2"):
+        code, out, err = run_cli(base + [safe], capsys)
+        assert code == 1 and out == ""
+        assert "--omega 0 needs at least 2 distinct --safe rows" in err
+    code, out, err = run_cli(base + ["0,1"], capsys)
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(base + ["1,2"], capsys)
+    assert code == 0 and np.allclose(json.loads(out)["x_hat"], [1.0, 2.0])
+
+
+def test_no_solve_path_imports_numpy_ma(tmp_path, system_file):
+    # np.unique and np.intersect1d import numpy.ma, about 14 ms a process
+    import resilient_sse
+
+    path, sys_ = system_file
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps(list(build_horizon(sys_, 1).H @ np.array([0.5, 2.0]))))
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"p": [0.9, 0.8, 0.95, 0.99], "q": [1, 0, 1, 1], "seed": 5}))
+    argvs = [
+        ["scenario", "--steps", "8"],
+        ["scenario", "--steps", "8", "--attack-support", "3,1,3", "--prior-mode", "per_window"],
+        ["sweep", "--m", "6", "--n", "2", "--grid", "0.3", "--trials", "2"],
+        ["attack", "--system", str(path), "--epsilon", "0.4", "--support", "2,0,2"],
+        ["prune", "--input", str(prior), "--eta", "0.75"],
+        ["estimate", "--system", str(path), "--y", str(y_path), "--safe", "1,2,3"],
+    ]
+    script = ("import sys\nfrom resilient_sse.cli import parse_and_dispatch\n"
+              f"codes = [parse_and_dispatch(argv) for argv in {argvs!r}]\n"
+              "print(codes, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(resilient_sse.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(argvs)} False"

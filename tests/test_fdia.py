@@ -215,3 +215,16 @@ def test_synthesize_rejects_a_cap_factor_that_is_not_finite_and_positive(cap):
     model = build_horizon(make_system(1, m=8, n=3), 1)
     with pytest.raises(ValueError, match="magnitude_cap_factor"):
         synthesize_fdia(model, list(range(6)), 1.0, magnitude_cap_factor=cap)
+
+
+@pytest.mark.parametrize("indices", [[], [4], [3, 1, 3, 0, 1], (7, 2, 2), {5, 1, 9}, [2.0, 1.0, 2.0],
+                                     np.array([[3, 1], [1, 0]]), np.arange(6)[::-1]],
+                         ids=["empty", "one", "duplicates", "tuple", "set", "floats", "2d", "reversed"])
+def test_sorted_unique_matches_np_unique(indices):
+    from resilient_sse.fdia import sorted_unique
+
+    as_list = list(indices) if isinstance(indices, set) else indices
+    expected = np.unique(np.asarray(as_list, dtype=int))
+    got = sorted_unique(as_list)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from resilient_sse import RankDeficient, build_horizon, gen_random_system, synthesize_fdia
+from resilient_sse import lp
 from resilient_sse.lp import _greedy_basis, weighted_l1_regression
 
 
@@ -414,11 +415,13 @@ def test_objective_invariances_against_highs_zero_weights(case):
     _invariance_property(case)
 
 
-def test_a_cycling_window_certifies_under_blands_rule():
+def test_a_formerly_cycling_window_certifies_before_blands_rule():
     # Request 63 of the bench `estimate` workload at seed 125, rebuilt as
-    # bench/workloads.py::Estimate draws it: a 240x12 window, 20 % attacked,
-    # whose largest-violation pivots cycle among degenerate vertices until the
-    # budget of 10 pivots per row is spent; Bland's rule then finishes it.
+    # bench/workloads.py::Estimate draws it: a 240x12 window, 20 % attacked.
+    # While the residual was recomputed at every pivot, its largest-violation
+    # pivots cycled among degenerate vertices until Bland's rule took over
+    # (2406 pivots); with the residual carried in the tableau it certifies
+    # well within the first budget.
     from resilient_sse import random_support
     from resilient_sse.experiments import epsilon_from_policy
 
@@ -430,7 +433,23 @@ def test_a_cycling_window_certifies_under_blands_rule():
         support = random_support(model.rows, (0.2, 0.3, 0.4)[i % 3], rng)
         y = y_star + synthesize_fdia(model, support, epsilon).e_T
     sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
-    assert sol.iterations > 10 * model.rows  # the rule engages only at the budget
+    assert sol.iterations < lp._BLAND_AFTER * model.rows
     opt = scipy_oracle(model.H, y, np.ones(model.rows))
     assert abs(sol.objective - opt) <= 1e-7 * (1.0 + abs(opt))
     assert sol.gap <= 1e-8 * (1.0 + abs(sol.objective))
+
+
+@pytest.mark.parametrize("family", ("random",) + FAMILIES)
+def test_blands_rule_alone_certifies_against_highs(monkeypatch, family):
+    # No known instance cycles long enough to reach Bland's rule, so the rule
+    # is driven from the first pivot, with the usual budget
+    monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
+    pivots = 0
+    for seed in range(8):
+        A, y, w = lp_instance(family, seed)
+        sol = weighted_l1_regression(A, y, w)
+        best = scipy_oracle(A, y, w)
+        assert abs(sol.objective - best) <= 1e-7 * (1 + abs(best))
+        assert sol.gap <= 1e-8 * (1 + abs(sol.objective)) + 1e-15
+        pivots += sol.iterations
+    assert pivots > 0

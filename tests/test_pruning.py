@@ -160,6 +160,11 @@ def test_prune_online_intersection():
     assert prune_online(np.array([], dtype=int), prior, 0.5).safe_set.size == 0
     empty_prior = SupportPrior(q_hat=np.zeros(3, dtype=int), p=np.full(3, 0.9))
     assert prune_online(np.array([0, 1, 2]), empty_prior, 0.5).safe_set.size == 0
+    # unsorted and repeated offline rows give the sorted intersection
+    assert np.array_equal(prune_online([2, 0, 2], prior, 0.5).safe_set, [0, 2])
+    for stale in ([0, 3], [-1, 2]):  # rows of another prior are rejected
+        with pytest.raises(ValueError, match="offline rows"):
+            prune_online(np.array(stale), prior, 0.5)
 
 
 def test_trust_count_and_quantile_examples():
