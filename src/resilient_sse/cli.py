@@ -314,7 +314,6 @@ def _cmd_scenario(args) -> str:
         support=support,
         seed=args.seed,
     )
-    _require(0 <= attack.fraction < 1, "attack-fraction must lie in [0, 1)")
     scenario = ScenarioConfig(
         steps=args.steps,
         T=args.T,
@@ -325,8 +324,6 @@ def _cmd_scenario(args) -> str:
         prior_mode=args.prior_mode,
         prior_seed=args.prior_seed,
     )
-    _require(0 < scenario.eta < 1, "eta must lie in (0,1)")
-    _require(0 <= scenario.omega <= 1, "omega must lie in [0, 1]")
     observers = tuple(args.observers.split(","))
     metrics = run_scenario(sys_, x0, attack=attack, scenario=scenario, observers=observers)
     return metrics.to_json()

@@ -97,14 +97,16 @@ def solve_weighted_l1(
         x_true = np.asarray(x_true, dtype=float)
         if x_true.shape != (model.n,):
             raise DimensionMismatch(f"x_true has shape {x_true.shape}, expected ({model.n},)")
+    if epsilon is not None and epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     sol = weighted_l1_regression(model.H, y_T, w, start=start)
-    flag = None if epsilon is None else detect(model, y_T, sol.z, epsilon)
+    residual_l1 = float(np.abs(sol.residual).sum())
     err = None if x_true is None else float(np.linalg.norm(sol.z - x_true))
     return EstimateResult(
         x_hat=sol.z,
         objective=sol.objective,
-        residual_l1=float(np.abs(sol.residual).sum()),
-        detector_flag=flag,
+        residual_l1=residual_l1,
+        detector_flag=None if epsilon is None else bool(residual_l1 > epsilon),
         error_l2=err,
         basis=sol.basis,
         iterations=sol.iterations,

@@ -307,6 +307,8 @@ class ScenarioAttack:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0.0 <= self.fraction < 1.0:
+            raise ValueError(f"attack fraction must lie in [0, 1), got {self.fraction}")
         if not math.isfinite(self.magnitude):
             raise ValueError(f"attack magnitude must be finite, got {self.magnitude}")
 
@@ -337,6 +339,10 @@ class ScenarioConfig:
             raise ValueError(f"prior_mode must be 'static' or 'per_window', got {self.prior_mode!r}")
         if self.steps < self.T:
             raise ValueError(f"need steps >= T, got steps={self.steps}, T={self.T}")
+        if not 0.0 < self.eta < 1.0:
+            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
+        if not 0.0 <= self.omega <= 1.0:
+            raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -381,13 +387,19 @@ def run_scenario(
 
     rng_attack = np.random.default_rng(attack.seed)
     schedule = np.zeros((scenario.steps, m))
-    # a magnitude near the largest float overflows here and in the Luenberger
-    # recursion; the error metrics are checked for it below
+    # a magnitude near the largest float overflows here; one that passes the
+    # check below may still overflow in the Luenberger recursion or in the
+    # squared errors, which are checked at the end
     if sup.size:
         with np.errstate(over="ignore"):
             schedule[:, sup] = attack.magnitude * rng_attack.standard_normal((scenario.steps, sup.size))
 
     traj = simulate(system, x0, scenario.steps, schedule)
+    # every observer fails alike on a window the l1 solves cannot certify:
+    # weights are at most 1, so rows * max|y| bounds their sum(w) * max|y|
+    if not math.isfinite(T * m * float(np.abs(traj.attacked_measurements).max())):
+        raise NumericalInstability(
+            f"attacked measurements overflow at attack magnitude {attack.magnitude}")
     model = build_horizon(system, T)
 
     stacked_support = np.concatenate([r * m + sup for r in range(T)]) if sup.size else np.array([], int)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,64 +65,31 @@ class LtiSystem:
         return self.C.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
 class HorizonModel:
-    """Stacked T-step observation matrix together with its full SVD factors.
+    """Stacked T-step observation matrix together with its SVD factors.
 
-    H = U [Sigma1; 0] V^T with U = [U1 U2]; U1 spans the range of H and the
-    columns of U2 span its orthogonal complement.
-
-    The factors and the extreme singular values are computed on first read,
-    all from one ``np.linalg.svd(H, full_matrices=True)``, so a caller that
-    only solves on H (every decoder) never pays for the full U.  Values passed
-    to the constructor are used as given.  The model is immutable and the
-    arrays it computes are read-only.
+    H = U1 Sigma1 V^T is the thin SVD: U1 spans the range of H.  The columns
+    of U2 span its orthogonal complement; U2 is the trailing block of the
+    full SVD's U, formed on first read (only the isometry analysis needs it).
+    ``build_horizon`` fills every other field from its one thin SVD; a model
+    built directly is given its factors.  The model is immutable, compares
+    by identity, and the arrays ``build_horizon`` makes are read-only.
     """
 
-    def __init__(self, T, H, U1=None, U2=None, Sigma1=None, V=None,
-                 sigma_min=None, sigma_max=None):
-        self.__dict__.update(T=T, H=H)
-        given = dict(U1=U1, U2=U2, Sigma1=Sigma1, V=V, sigma_min=sigma_min, sigma_max=sigma_max)
-        # a value in the instance dict shadows the cached property of its name
-        self.__dict__.update((k, v) for k, v in given.items() if v is not None)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @cached_property
-    def _svd(self):
-        U, s, Vt = np.linalg.svd(self.H, full_matrices=True)
-        for arr in (U, s, Vt):
-            arr.flags.writeable = False
-        return U, s, Vt
-
-    @cached_property
-    def U1(self) -> np.ndarray:
-        return self._svd[0][:, :self.n]
+    T: int
+    H: np.ndarray
+    U1: np.ndarray
+    Sigma1: np.ndarray
+    V: np.ndarray
+    sigma_min: float
+    sigma_max: float
 
     @cached_property
     def U2(self) -> np.ndarray:
-        return self._svd[0][:, self.n:]
-
-    @cached_property
-    def Sigma1(self) -> np.ndarray:
-        out = np.diag(self._svd[1][:self.n])
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        return self._svd[2].T
-
-    @cached_property
-    def sigma_min(self) -> float:
-        return float(self._svd[1][self.n - 1])
-
-    @cached_property
-    def sigma_max(self) -> float:
-        return float(self._svd[1][0])
+        U = np.linalg.svd(self.H, full_matrices=True)[0]
+        U.flags.writeable = False
+        return U[:, self.n:]
 
     @property
     def n(self) -> int:
@@ -194,12 +161,12 @@ def check_observability(sys: LtiSystem) -> ObservabilityReport:
 def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     """Build the stacked observation matrix for a T-step window.
 
-    H must have full column rank, sigma_min > 1e-12 * sigma_max: its
-    singular values alone decide, and the model computes its SVD factors
-    when they are first read.  A full-column-rank H implies an observable
-    (A, C), so observability is checked only when H fails: NotObservable
-    when the pair is not observable, else DegenerateSvd (possible for short
-    windows even on observable systems).
+    H must have full column rank, sigma_min > 1e-12 * sigma_max, on the
+    singular values of one thin SVD, whose factors then make the model.  A
+    full-column-rank H implies an observable (A, C), so observability is
+    checked only when H fails: NotObservable when the pair is not
+    observable, else DegenerateSvd (possible for short windows even on
+    observable systems).
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
@@ -210,7 +177,7 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
         blocks.append(sys.C @ M)
     H = np.vstack(blocks[::-1])  # newest first: C A^(T-1) on top, C at the bottom
 
-    s = np.linalg.svd(H, compute_uv=False)
+    U, s, Vt = np.linalg.svd(H, full_matrices=False)
     if s.size < sys.n or not s[-1] > _DEGENERATE_RTOL * s[0]:
         report = check_observability(sys)
         if not report.observable:
@@ -218,8 +185,11 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
         raise DegenerateSvd(
             f"H is rank deficient for T={T}: singular values {np.array2string(s, precision=3)}"
         )
-    H.flags.writeable = False
-    return HorizonModel(T=T, H=H)
+    Sigma1, V = np.diag(s), Vt.T
+    for arr in (H, U, Sigma1, V):
+        arr.flags.writeable = False
+    return HorizonModel(T=T, H=H, U1=U, Sigma1=Sigma1, V=V,
+                        sigma_min=float(s[-1]), sigma_max=float(s[0]))
 
 
 def simulate(

@@ -29,14 +29,12 @@ def oracle_delta(model, S):
     return best
 
 
-def square_orthonormal_model(rows, seed=0):
-    """Edge case with an empty range block: U2^T is square orthonormal."""
-    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((rows, rows)))[0]
+def square_orthonormal_model(rows):
+    """Edge case with an empty range block: U2 = I, square orthonormal."""
     return HorizonModel(
         T=1,
         H=np.zeros((rows, 0)),
         U1=np.zeros((rows, 0)),
-        U2=Q,
         Sigma1=np.zeros((0, 0)),
         V=np.zeros((0, 0)),
         sigma_min=0.0,

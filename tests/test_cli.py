@@ -419,12 +419,16 @@ def test_sweep_rejects_a_non_finite_policy_or_radius_up_front(capsys, monkeypatc
 
 
 @pytest.mark.parametrize("magnitude,observers", [("1e308", "LO"), ("1e200", "LO"),
-                                                 ("1e200", "L1O")])
+                                                 ("1e200", "L1O"), ("1e308", "L1O"),
+                                                 ("1e308", "WL1P"), ("1e308", None)])
 def test_scenario_metrics_that_overflow_are_a_numerical_failure(capsys, magnitude, observers):
     # the attacked measurements or the squared errors overflow; the metrics
-    # would print as NaN or Infinity, which is not JSON
-    code, out, err = run_cli(["scenario", "--steps", 8, "--attack-magnitude", magnitude,
-                              "--observers", observers], capsys)
+    # would print as NaN or Infinity, which is not JSON.  An overflowing
+    # window fails the same way whichever observers run (None: the default)
+    argv = ["scenario", "--steps", 8, "--attack-magnitude", magnitude]
+    if observers is not None:
+        argv += ["--observers", observers]
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert "overflow" in err
@@ -492,3 +496,42 @@ def test_no_solve_path_imports_numpy_ma(tmp_path, system_file):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{[0] * len(argvs)} False"
+
+
+@pytest.fixture
+def full_svd_shapes(monkeypatch):
+    """Shapes of the matrices whose full U an SVD call forms."""
+    svd, shapes = np.linalg.svd, []
+
+    def recording_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        if full_matrices and compute_uv:
+            shapes.append(np.shape(a))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return shapes
+
+
+def test_only_rip_forms_the_full_U_of_H(tmp_path, system_file, capsys, full_svd_shapes):
+    from resilient_sse import load_surrogate
+
+    path, sys_ = system_file
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps(list(build_horizon(sys_, 1).H @ np.array([0.5, 2.0]))))
+    surrogate, _ = load_surrogate()
+    runs = [  # each command line with the shape of its H
+        (["estimate", "--system", path, "--y", y_path, "--epsilon", 0.1], (6, 2)),
+        (["estimate", "--system", path, "--y", y_path, "--safe", "1,2,3"], (6, 2)),
+        (["attack", "--system", path, "--epsilon", 0.4, "--support", "2,0"], (6, 2)),
+        (["attack", "--system", path, "--epsilon", 0.4, "--fraction", 0.3], (6, 2)),
+        (["sweep", "--m", 6, "--n", 2, "--grid", "0.0,0.3", "--trials", 3], (6, 2)),
+        (["scenario", "--steps", 8], (3 * surrogate.m, surrogate.n)),
+    ]
+    for argv, H_shape in runs:
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert H_shape not in full_svd_shapes, argv
+    del full_svd_shapes[:]
+    code, _, err = run_cli(["rip", "--system", path, "--S", 2, "--budget", 100], capsys)
+    assert code == 0, err
+    assert full_svd_shapes == [(6, 2)]

@@ -146,6 +146,27 @@ def test_detect_strict_threshold():
         detect(model, y, x_hat, 0.0)
 
 
+def test_detector_flag_is_detect_on_the_solves_own_residual(monkeypatch):
+    import resilient_sse.estimation as estimation
+
+    sys_ = make_system(6, m=10, n=4)
+    model = build_horizon(sys_, 1)
+    y = model.H @ np.ones(4)
+    y[[1, 7]] += [3.0, -2.0]
+    plain = decode(model, y)
+    epsilons = (0.5 * plain.residual_l1, plain.residual_l1, 2.0 * plain.residual_l1)
+    flags = [detect(model, y, plain.x_hat, eps) for eps in epsilons]
+    assert flags == [True, False, False]
+
+    def no_detect(*args, **kwargs):
+        raise AssertionError("the residual was recomputed")
+
+    monkeypatch.setattr(estimation, "detect", no_detect)
+    assert [decode(model, y, epsilon=eps).detector_flag for eps in epsilons] == flags
+    with pytest.raises(ValueError, match="epsilon"):
+        decode(model, y, epsilon=0.0)
+
+
 def test_weighted_observer_degenerate_weights():
     sys_ = make_system(3, m=10, n=4)
     model = build_horizon(sys_, 1)

@@ -167,6 +167,19 @@ def test_scenario_validation():
         ScenarioConfig(prior_mode="sometimes")
 
 
+@pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5, np.nan])
+def test_scenario_attack_rejects_a_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match="attack fraction"):
+        ScenarioAttack(fraction=fraction)
+
+
+@pytest.mark.parametrize("field,value", [("eta", 0.0), ("eta", 1.0), ("eta", np.nan),
+                                         ("omega", -0.1), ("omega", 1.5), ("omega", np.nan)])
+def test_scenario_config_rejects_eta_or_omega_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{field: value})
+
+
 @pytest.mark.parametrize("magnitude", [np.nan, np.inf, -np.inf])
 def test_scenario_attack_rejects_a_non_finite_magnitude(magnitude):
     with pytest.raises(ValueError, match="magnitude"):

@@ -19,13 +19,9 @@ from conftest import make_system
 def model_from_U1(U1):
     """Wrap an orthonormal-column matrix as a horizon model with H = U1."""
     U1 = np.asarray(U1, dtype=float)
-    rows, n = U1.shape
-    full, _ = np.linalg.qr(U1, mode="complete")
-    # align the leading block with U1 (qr may flip signs)
-    U2 = full[:, n:]
-    s = np.ones(n)
+    n = U1.shape[1]
     return HorizonModel(
-        T=1, H=U1, U1=U1, U2=U2, Sigma1=np.diag(s), V=np.eye(n),
+        T=1, H=U1, U1=U1, Sigma1=np.eye(n), V=np.eye(n),
         sigma_min=1.0, sigma_max=1.0,
     )
 

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 
 import numpy as np
@@ -64,17 +63,18 @@ def test_svd_factors_consistency():
         assert np.all(np.diag(model.Sigma1) > 0)
 
 
-FACTORS = ("U1", "U2", "Sigma1", "V", "sigma_min", "sigma_max")
+FACTORS = ("U1", "Sigma1", "V", "sigma_min", "sigma_max")
 
 
-def test_lazy_factors_equal_the_full_svd_in_any_read_order():
+def test_factors_are_the_thin_svd_and_U2_the_full_svds_complement():
     sys_ = make_system(3, m=7, n=3)
     H = build_horizon(sys_, 2).H
-    U, s, Vt = np.linalg.svd(H, full_matrices=True)
-    expected = dict(U1=U[:, :3], U2=U[:, 3:], Sigma1=np.diag(s[:3]), V=Vt.T,
-                    sigma_min=s[2], sigma_max=s[0])
-    for order in itertools.permutations(FACTORS):
+    U, s, Vt = np.linalg.svd(H, full_matrices=False)
+    expected = dict(U1=U, Sigma1=np.diag(s), V=Vt.T, sigma_min=s[-1], sigma_max=s[0],
+                    U2=np.linalg.svd(H, full_matrices=True)[0][:, 3:])
+    for first in (True, False):  # U2 read before or after the other factors
         model = build_horizon(sys_, 2)
+        order = ("U2",) + FACTORS if first else FACTORS + ("U2",)
         for name in order:
             value = getattr(model, name)
             assert np.array_equal(value, expected[name])  # bitwise, not approximately
@@ -84,33 +84,38 @@ def test_lazy_factors_equal_the_full_svd_in_any_read_order():
 
 
 def test_build_horizon_defers_the_full_svd(monkeypatch):
-    svd, full = np.linalg.svd, []
+    svd, calls = np.linalg.svd, []
 
     def counting_svd(a, *args, **kwargs):
-        if kwargs.get("compute_uv", True):
-            full.append(a.shape)
+        calls.append((a.shape, kwargs))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     model = build_horizon(make_system(5, m=7, n=3), 3)
-    assert not full and not model.H.flags.writeable
+    assert calls == [((21, 3), {"full_matrices": False})]
+    assert not model.H.flags.writeable
     for name in FACTORS:
         getattr(model, name)
-    assert full == [(21, 3)]
+    assert len(calls) == 1
+    model.U2
+    model.U2
+    assert calls[1:] == [((21, 3), {"full_matrices": True})]
 
 
 def test_horizon_model_is_frozen_and_honours_given_factors():
     model = build_horizon(make_system(2, m=7, n=3), 1)
-    for name in ("T", "H") + FACTORS:
+    for name in ("T", "H", "U2") + FACTORS:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(model, name)
-    given = dict(U1=np.eye(7, 3), U2=np.eye(7, 4, -3), Sigma1=np.eye(3), V=np.eye(3),
-                 sigma_min=1.0, sigma_max=2.0)
+    given = dict(U1=np.eye(7, 3), Sigma1=np.eye(3), V=np.eye(3), sigma_min=1.0, sigma_max=2.0)
     explicit = HorizonModel(T=1, H=model.H, **given)
     for name, value in given.items():
         assert getattr(explicit, name) is value
+    # equality and hashing stay by identity, as for a plain object
+    assert explicit != HorizonModel(T=1, H=model.H, **given)
+    assert len({model, explicit, model}) == 2
 
 
 def test_simulate_identity_and_growth():
