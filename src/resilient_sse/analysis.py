@@ -1,11 +1,12 @@
 """Restricted-isometry diagnostics and the recovery-bound calculator.
 
 The coding matrix here is U2^T (the transposed null-space basis of the
-stacked observation matrix): it annihilates every consistent measurement,
-so its near-isometry on sparse vectors governs how well the weighted l1
-observer separates attacks from state motion.  Sparsity is bookkept by the
-stacked-window count K = |support| throughout (for a per-step budget k on
-m sensors over T steps the mapping is K = T * k).
+stacked observation matrix, never formed: U2 U2^T = I - U1 U1^T): it
+annihilates every consistent measurement, so its near-isometry on sparse
+vectors governs how well the weighted l1 observer separates attacks from
+state motion.  Sparsity is bookkept by the stacked-window count
+K = |support| throughout (for a per-step budget k on m sensors over T steps
+the mapping is K = T * k).
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ import numpy as np
 
 from .errors import BudgetZero, ConditionViolated
 from .lti import HorizonModel
+
+# rows of U1 gathered per batch of supports, so that a batch's memory does
+# not grow with the support budget
+_RIP_BATCH_ROWS = 2**13
 
 
 @dataclass(frozen=True)
@@ -74,8 +79,11 @@ def rip_constant(
 
     Every support is enumerated when their count fits within `budget`;
     otherwise `budget` supports are sampled uniformly and the result is a
-    lower bound (exact=False).  For each support the extreme eigenvalues of
-    the Gram matrix of the selected columns of U2^T are compared against 1.
+    lower bound (exact=False).  The Gram matrix of the selected columns of
+    U2^T is I - B B^T with B = U1[support], whose eigenvalues lie in [0, 1],
+    so its largest deviation from 1 is lambda_max(B B^T): delta_S is the
+    largest such value over the supports.  B B^T and B^T B share it, and the
+    smaller of the two is decomposed, one stacked eigvalsh per batch.
     """
     rows = model.rows
     if not 1 <= S <= rows:
@@ -90,17 +98,18 @@ def rip_constant(
         checked = total
     else:
         rng = np.random.default_rng(0) if rng is None else rng
-        supports = (
-            tuple(np.sort(rng.choice(rows, size=S, replace=False))) for _ in range(budget)
-        )
+        supports = (np.sort(rng.choice(rows, size=S, replace=False)) for _ in range(budget))
         checked = budget
 
+    flat = itertools.chain.from_iterable(supports)
+    batch = max(1, _RIP_BATCH_ROWS // S)
     delta = 0.0
-    for sup in supports:
-        block = model.U2[list(sup), :]
-        gram = block @ block.T
-        eig = np.linalg.eigvalsh(gram)
-        delta = max(delta, float(max(eig[-1] - 1.0, 1.0 - eig[0])))
+    for start in range(0, checked, batch):
+        k = min(batch, checked - start)
+        B = model.U1[np.fromiter(flat, dtype=np.intp, count=k * S).reshape(k, S)]
+        Bt = B.transpose(0, 2, 1)
+        gram = B @ Bt if S <= model.n else Bt @ B
+        delta = float(np.linalg.eigvalsh(gram).max(initial=delta))
     return RipEstimate(S=S, delta_S=delta, n_supports_checked=checked, exact=exact)
 
 

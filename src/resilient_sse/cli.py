@@ -39,7 +39,7 @@ from .experiments import (
     sweep,
 )
 from .fdia import random_support, synthesize_fdia
-from .lti import build_horizon, load_system_csv, load_system_json
+from .lti import build_horizon, load_system_csv, load_system_json, read_matrix_csv
 from .pruning import (
     SupportIndicator,
     SupportPrior,
@@ -102,8 +102,7 @@ def _parse_floats(text, flag):
 
 def _load_system(args):
     if getattr(args, "system", None):
-        sys_, x0 = load_system_json(args.system)
-        return sys_, x0
+        return load_system_json(args.system)
     if getattr(args, "system_a", None) and getattr(args, "system_c", None):
         return load_system_csv(args.system_a, args.system_c), None
     raise ValueError("provide --system (JSON) or both --system-a and --system-c (CSV)")
@@ -114,16 +113,12 @@ def _read_vector(path) -> np.ndarray:
     if str(path).endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
-        if not isinstance(data, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
-        ):
+        if not isinstance(data, list) or not {type(v) for v in data} <= {int, float}:
             raise ValueError(f"{path}: expected a flat JSON list of numbers")
         out = np.asarray(data, dtype=float)
         if not np.isfinite(out).all():
             raise ValueError(f"{path}: entries must be finite")
         return out
-    from .lti import read_matrix_csv
-
     return read_matrix_csv(path).reshape(-1)
 
 

@@ -421,8 +421,7 @@ def run_scenario(
     errors = {obs: [] for obs in observers}
     basis = {"L1O": None, "WL1P": None}
     for end in range(T - 1, scenario.steps):
-        y_T, x_start, _ = stack_window(traj, end, T)
-        target = traj.states[end - T + 1]
+        y_T, target, _ = stack_window(traj, end, T)
         if "LO" in observers:
             errors["LO"].append(lo_est[end - T + 1] - target)
         if "L1O" in observers:

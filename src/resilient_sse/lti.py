@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -69,12 +68,10 @@ class LtiSystem:
 class HorizonModel:
     """Stacked T-step observation matrix together with its SVD factors.
 
-    H = U1 Sigma1 V^T is the thin SVD: U1 spans the range of H.  The columns
-    of U2 span its orthogonal complement; U2 is the trailing block of the
-    full SVD's U, formed on first read (only the isometry analysis needs it).
-    ``build_horizon`` fills every other field from its one thin SVD; a model
-    built directly is given its factors.  The model is immutable, compares
-    by identity, and the arrays ``build_horizon`` makes are read-only.
+    H = U1 Sigma1 V^T is the thin SVD: U1 spans the range of H.
+    ``build_horizon`` fills every field from its one thin SVD; a model built
+    directly is given its factors.  The model is immutable, compares by
+    identity, and the arrays ``build_horizon`` makes are read-only.
     """
 
     T: int
@@ -84,12 +81,6 @@ class HorizonModel:
     V: np.ndarray
     sigma_min: float
     sigma_max: float
-
-    @cached_property
-    def U2(self) -> np.ndarray:
-        U = np.linalg.svd(self.H, full_matrices=True)[0]
-        U.flags.writeable = False
-        return U[:, self.n:]
 
     @property
     def n(self) -> int:

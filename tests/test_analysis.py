@@ -9,23 +9,30 @@ from resilient_sse import (
     BudgetZero,
     ConditionViolated,
     HorizonModel,
+    LtiSystem,
     bound_condition,
     build_horizon,
     recovery_bound,
     rip_constant,
 )
+from resilient_sse import analysis
 from conftest import make_system
 
 
-def oracle_delta(model, S):
-    """Independent route: U2 U2^T = I - U1 U1^T, so the extreme eigenvalues
-    of the selected Gram block are 1 - singular-values(U1 rows)^2."""
+def full_complement(model):
+    """U2 from a full SVD of H computed here, not from the model's factors."""
+    return np.linalg.svd(model.H, full_matrices=True)[0][:, model.n:]
+
+
+def oracle_delta(model, supports):
+    """Independent route: the Gram block of the selected columns of U2^T,
+    compared against 1 one support at a time."""
+    U2 = full_complement(model)
     best = 0.0
-    for sup in itertools.combinations(range(model.rows), S):
-        sv = np.linalg.svd(model.U1[list(sup), :], compute_uv=False)
-        lam_max = 1.0 - (sv[-1] ** 2 if len(sup) >= model.n else 0.0)
-        lam_min = 1.0 - sv[0] ** 2
-        best = max(best, lam_max - 1.0, 1.0 - lam_min)
+    for sup in supports:
+        block = U2[list(sup), :]
+        eig = np.linalg.eigvalsh(block @ block.T)
+        best = max(best, eig[-1] - 1.0, 1.0 - eig[0])
     return best
 
 
@@ -54,7 +61,8 @@ def test_rip_S1_is_column_norm_scan():
     sys_ = make_system(40, m=7, n=3)
     model = build_horizon(sys_, 1)
     est = rip_constant(model, 1, budget=100)
-    direct = max(abs(np.linalg.norm(model.U2[i, :]) ** 2 - 1.0) for i in range(7))
+    U2 = full_complement(model)
+    direct = max(abs(np.linalg.norm(U2[i, :]) ** 2 - 1.0) for i in range(7))
     assert est.delta_S == pytest.approx(direct, abs=1e-12)
 
 
@@ -63,7 +71,43 @@ def test_rip_exact_matches_oracle():
     model = build_horizon(sys_, 1)
     est = rip_constant(model, 2, budget=45)
     assert est.exact and est.n_supports_checked == 45
-    assert est.delta_S == pytest.approx(oracle_delta(model, 2), abs=1e-10)
+    supports = itertools.combinations(range(model.rows), 2)
+    assert est.delta_S == pytest.approx(oracle_delta(model, supports), abs=1e-10)
+
+
+def test_rip_square_H_has_delta_one():
+    # rows == n: H is invertible, U2 is empty and every Gram block of U2^T is 0
+    rng = np.random.default_rng(45)
+    model = build_horizon(LtiSystem(A=0.5 * np.eye(4), C=rng.standard_normal((4, 4))), 1)
+    assert model.rows == model.n
+    for S in (1, 2, 4):
+        est = rip_constant(model, S, budget=10)
+        assert est.exact
+        assert est.delta_S == pytest.approx(1.0, abs=1e-12)
+        supports = itertools.combinations(range(4), S)
+        assert oracle_delta(model, supports) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rip_exact_spans_several_batches():
+    model = build_horizon(make_system(46, m=40, n=5), 1)
+    assert math.comb(40, 3) > 2 * (analysis._RIP_BATCH_ROWS // 3)
+    est = rip_constant(model, 3, budget=10**4)
+    assert est.exact and est.n_supports_checked == 9880
+    supports = itertools.combinations(range(40), 3)
+    assert est.delta_S == pytest.approx(oracle_delta(model, supports), abs=1e-12)
+
+
+def test_rip_sampled_replays_its_support_stream():
+    model = build_horizon(make_system(47, m=30, n=4), 1)
+    S, budget = 4, 5000
+    assert math.comb(30, S) > budget > analysis._RIP_BATCH_ROWS // S
+    rng = np.random.default_rng(7)
+    est = rip_constant(model, S, budget=budget, rng=rng)
+    assert not est.exact and est.n_supports_checked == budget
+    replay = np.random.default_rng(7)
+    supports = [np.sort(replay.choice(30, S, replace=False)) for _ in range(budget)]
+    assert est.delta_S == pytest.approx(oracle_delta(model, supports), abs=1e-12)
+    assert rng.random() == replay.random()  # the call drew exactly budget supports
 
 
 def test_rip_monotone_in_S():

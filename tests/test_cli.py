@@ -315,8 +315,9 @@ def test_prune_rejects_nan_confidence(tmp_path, capsys):
     assert "(0, 1]" in err
 
 
-@pytest.mark.parametrize("payload", [{"y": [1.0, 2.0]}, [[1.0], [2.0]], [1.0, True], "1.0"],
-                         ids=["object", "nested", "bool", "string"])
+@pytest.mark.parametrize("payload",
+                         [{"y": [1.0, 2.0]}, [[1.0], [2.0]], [1.0, True], [1.0, None], "1.0"],
+                         ids=["object", "nested", "bool", "null", "string"])
 def test_estimate_rejects_a_window_that_is_not_a_flat_list(tmp_path, system_file, capsys, payload):
     path, _ = system_file
     y_path = tmp_path / "y.json"
@@ -512,7 +513,7 @@ def full_svd_shapes(monkeypatch):
     return shapes
 
 
-def test_only_rip_forms_the_full_U_of_H(tmp_path, system_file, capsys, full_svd_shapes):
+def test_no_subcommand_forms_the_full_U_of_H(tmp_path, system_file, capsys, full_svd_shapes):
     from resilient_sse import load_surrogate
 
     path, sys_ = system_file
@@ -526,12 +527,10 @@ def test_only_rip_forms_the_full_U_of_H(tmp_path, system_file, capsys, full_svd_
         (["attack", "--system", path, "--epsilon", 0.4, "--fraction", 0.3], (6, 2)),
         (["sweep", "--m", 6, "--n", 2, "--grid", "0.0,0.3", "--trials", 3], (6, 2)),
         (["scenario", "--steps", 8], (3 * surrogate.m, surrogate.n)),
+        (["rip", "--system", path, "--S", 2, "--budget", 100], (6, 2)),
+        (["rip", "--system", path, "--S", 3, "--budget", 5, "--seed", 1], (6, 2)),
     ]
     for argv, H_shape in runs:
         code, _, err = run_cli(argv, capsys)
         assert code == 0, err
         assert H_shape not in full_svd_shapes, argv
-    del full_svd_shapes[:]
-    code, _, err = run_cli(["rip", "--system", path, "--S", 2, "--budget", 100], capsys)
-    assert code == 0, err
-    assert full_svd_shapes == [(6, 2)]

@@ -55,11 +55,9 @@ def test_svd_factors_consistency():
         sys_ = make_system(seed, m=7, n=3)
         T = 1 + seed % 4
         model = build_horizon(sys_, T)
-        U = np.hstack([model.U1, model.U2])
-        assert np.max(np.abs(U.T @ U - np.eye(model.rows))) <= 1e-10
+        assert np.max(np.abs(model.U1.T @ model.U1 - np.eye(model.n))) <= 1e-10
         recon = model.U1 @ model.Sigma1 @ model.V.T
         assert np.linalg.norm(recon - model.H) <= 1e-10 * np.linalg.norm(model.H)
-        assert np.max(np.abs(model.U2.T @ model.H)) <= 1e-9
         assert np.all(np.diag(model.Sigma1) > 0)
 
 
@@ -67,23 +65,29 @@ FACTORS = ("U1", "Sigma1", "V", "sigma_min", "sigma_max")
 
 
 def test_factors_are_the_thin_svd_and_U2_the_full_svds_complement():
+    # The model carries no U2; the complement is taken here from a full SVD
+    # of H, and with U1 it must form an orthogonal basis, which is what lets
+    # the isometry analysis read U2[S] U2[S]^T as I - U1[S] U1[S]^T.
     sys_ = make_system(3, m=7, n=3)
     H = build_horizon(sys_, 2).H
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
-    expected = dict(U1=U, Sigma1=np.diag(s), V=Vt.T, sigma_min=s[-1], sigma_max=s[0],
-                    U2=np.linalg.svd(H, full_matrices=True)[0][:, 3:])
-    for first in (True, False):  # U2 read before or after the other factors
-        model = build_horizon(sys_, 2)
-        order = ("U2",) + FACTORS if first else FACTORS + ("U2",)
-        for name in order:
-            value = getattr(model, name)
-            assert np.array_equal(value, expected[name])  # bitwise, not approximately
-            assert getattr(model, name) is value
-            if isinstance(value, np.ndarray):
-                assert not value.flags.writeable
+    expected = dict(U1=U, Sigma1=np.diag(s), V=Vt.T, sigma_min=s[-1], sigma_max=s[0])
+    model = build_horizon(sys_, 2)
+    for name in FACTORS:
+        value = getattr(model, name)
+        assert np.array_equal(value, expected[name])  # bitwise, not approximately
+        assert getattr(model, name) is value
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable
+    assert not hasattr(model, "U2")
+    U2 = np.linalg.svd(H, full_matrices=True)[0][:, model.n:]
+    basis = np.hstack([model.U1, U2])
+    assert np.max(np.abs(basis.T @ basis - np.eye(model.rows))) <= 1e-10
+    assert np.max(np.abs(U2.T @ model.H)) <= 1e-9
 
 
 def test_build_horizon_defers_the_full_svd(monkeypatch):
+    # deferred for good: building makes one thin SVD, and no read makes another
     svd, calls = np.linalg.svd, []
 
     def counting_svd(a, *args, **kwargs):
@@ -94,17 +98,16 @@ def test_build_horizon_defers_the_full_svd(monkeypatch):
     model = build_horizon(make_system(5, m=7, n=3), 3)
     assert calls == [((21, 3), {"full_matrices": False})]
     assert not model.H.flags.writeable
-    for name in FACTORS:
-        getattr(model, name)
+    for name in [f.name for f in dataclasses.fields(model)] + ["n", "rows"]:
+        value = getattr(model, name)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable
     assert len(calls) == 1
-    model.U2
-    model.U2
-    assert calls[1:] == [((21, 3), {"full_matrices": True})]
 
 
 def test_horizon_model_is_frozen_and_honours_given_factors():
     model = build_horizon(make_system(2, m=7, n=3), 1)
-    for name in ("T", "H", "U2") + FACTORS:
+    for name in ("T", "H") + FACTORS:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
