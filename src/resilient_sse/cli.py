@@ -10,8 +10,10 @@ e.g. {"true_rate": 0.9}); explicit command-line flags win over the file, and
 each file value is converted and checked as the flag's argument would be.
 
 The argument parser is built once per process and reused by every call of
-parse_and_dispatch; with --config, a second parser without defaults (also
-built once) tells which flags the command line gave.
+parse_and_dispatch.  With --config, the subcommand's parser parses the
+command line again into a namespace that holds the file's values: argparse
+fills in a default only where the namespace lacks a value, and every flag
+given overwrites one.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .experiments import (
     sweep,
 )
 from .fdia import random_support, synthesize_fdia
-from .lti import build_horizon, load_system_csv, load_system_json, read_matrix_csv
+from .lti import build_horizon, load_system_csv, load_system_json, numeric_array, read_matrix_csv
 from .pruning import (
     SupportIndicator,
     SupportPrior,
@@ -112,32 +114,26 @@ def _read_vector(path) -> np.ndarray:
     """A flat JSON list of finite numbers, or a numeric CSV read row by row."""
     if str(path).endswith(".json"):
         with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, list) or not {type(v) for v in data} <= {int, float}:
-            raise ValueError(f"{path}: expected a flat JSON list of numbers")
-        out = np.asarray(data, dtype=float)
-        if not np.isfinite(out).all():
-            raise ValueError(f"{path}: entries must be finite")
-        return out
+            return numeric_array(json.load(fh), str(path), 1)
     return read_matrix_csv(path).reshape(-1)
 
 
-def _merge_config(args, argv, actions):
-    """Apply config-file values to the options absent from the command line."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config) as fh:
+def _merge_config(path, parser, argv):
+    """Parse argv with the subcommand's `parser`, config-file values in place of defaults."""
+    with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    given = vars(_flags_parser().parse_args(argv))
+    actions = {a.dest: a for a in parser._actions if a.dest != "help"}
+    values = argparse.Namespace()
     for key, value in doc.items():
         attr = key.replace("-", "_")
         if attr not in actions:
             raise ValueError(f"config key {key!r} is not an option of this subcommand")
-        if attr not in given:
-            setattr(args, attr, _config_value(key, value, actions[attr]))
-    return args
+        setattr(values, attr, _config_value(key, value, actions[attr]))
+    # not through the top-level parser, which parses into a fresh namespace
+    # and copies every default over the file's values
+    return parser.parse_args(argv, namespace=values)
 
 
 def _config_value(key, value, action):
@@ -188,8 +184,6 @@ def _cmd_attack(args) -> str:
 
 def _cmd_estimate(args) -> str:
     _require(0 <= args.omega <= 1, "omega must lie in [0, 1]")
-    if args.epsilon is not None:
-        _require(args.epsilon > 0, "epsilon must be positive")
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
     y_T = _read_vector(args.y)
@@ -221,19 +215,16 @@ def _cmd_prune(args) -> str:
     _require(0 < args.eta < 1, "eta must lie in (0,1)")
     with open(args.input) as fh:
         doc = json.load(fh)
+    _require(isinstance(doc, dict), "prune input must hold a JSON object")
     _require("p" in doc, "prune input needs a confidence vector 'p'")
-    p = np.asarray(doc["p"], dtype=float)
-    q = None
+    p = numeric_array(doc["p"], "confidences 'p' in (0, 1]", 1)
+    q = SupportIndicator(q=numeric_array(doc["q"], "q", 1)) if "q" in doc else None
     if "q_hat" in doc:
-        prior = SupportPrior(q_hat=np.asarray(doc["q_hat"], dtype=int), p=p)
-        if "q" in doc:
-            q = SupportIndicator(q=np.asarray(doc["q"], dtype=int))
-    elif "q" in doc:
-        _require("seed" in doc, "sampling an estimate from 'q' needs a 'seed'")
-        q = SupportIndicator(q=np.asarray(doc["q"], dtype=int))
-        prior = sample_prior(q, p, np.random.default_rng(int(doc["seed"])))
+        prior = SupportPrior(q_hat=numeric_array(doc["q_hat"], "q_hat", 1), p=p)
     else:
-        raise ValueError("prune input needs 'q_hat' or ('q', 'seed')")
+        _require(q is not None and type(doc.get("seed")) is int,
+                 "prune input needs 'q_hat', or 'q' and an integer 'seed'")
+        prior = sample_prior(q, p, np.random.default_rng(doc["seed"]))
 
     if args.strategy == "product":
         pruned = prune_product(prior, args.eta)
@@ -426,25 +417,16 @@ def _parsers():
     return build_parser()
 
 
-@functools.cache
-def _flags_parser():
-    """A parser in which no option has a default, so parsing yields only the given flags."""
-    parser, subparsers = build_parser()
-    for sub in subparsers.values():
-        for action in sub._actions:
-            action.default = argparse.SUPPRESS
-    return parser
-
-
 def parse_and_dispatch(argv=None) -> int:
     parser, subparsers = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    actions = {a.dest: a for a in subparsers[args.command]._actions if a.dest != "help"}
     try:
-        args = _merge_config(args, argv, actions)
+        if args.config:
+            args = _merge_config(args.config, subparsers[args.command], argv[1:])
         text = args.handler(args)
         _write_output(text, getattr(args, "out", None))
         return 0

@@ -97,7 +97,7 @@ def solve_weighted_l1(
         x_true = np.asarray(x_true, dtype=float)
         if x_true.shape != (model.n,):
             raise DimensionMismatch(f"x_true has shape {x_true.shape}, expected ({model.n},)")
-    if epsilon is not None and epsilon <= 0:
+    if epsilon is not None and not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     sol = weighted_l1_regression(model.H, y_T, w, start=start)
     residual_l1 = float(np.abs(sol.residual).sum())
@@ -129,7 +129,7 @@ def decode(
 
 def detect(model: HorizonModel, y_T, x_hat, epsilon: float) -> bool:
     """Residual detector: flags iff the l1 residual strictly exceeds epsilon."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     y_T = np.asarray(y_T, dtype=float).reshape(-1)
     x_hat = np.asarray(x_hat, dtype=float).reshape(-1)

@@ -25,6 +25,7 @@ from .lti import (
     HorizonModel,
     LtiSystem,
     build_horizon,
+    load_system_json,
     simulate,
     stack_window,
 )
@@ -454,7 +455,5 @@ def load_surrogate():
     default attack target, exercising the observer comparison out of the
     box.
     """
-    path = resources.files("resilient_sse").joinpath("data/surrogate.json")
-    doc = json.loads(path.read_text())
-    sys = LtiSystem(A=np.asarray(doc["A"], float), C=np.asarray(doc["C"], float))
-    return sys, np.asarray(doc["x0"], float)
+    with resources.as_file(resources.files("resilient_sse") / "data" / "surrogate.json") as path:
+        return load_system_json(path)

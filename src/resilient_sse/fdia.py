@@ -165,7 +165,7 @@ def is_successful(
     Success requires an estimation bias of at least alpha together with a
     silent detector at threshold epsilon.
     """
-    if epsilon <= 0 or alpha <= 0:
+    if not epsilon > 0 or not alpha > 0:
         raise ValueError("epsilon and alpha must be positive")
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     y_T = model.H @ x_star + plan.e_T

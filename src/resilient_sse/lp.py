@@ -30,8 +30,9 @@ basis row of lowest index leaves, and the step stops at the first
 breakpoint (the lowest row on a tie).  After as many pivots again the solve
 raises SolverFailure.
 The problem is positively homogeneous in (y, z), so the pivots run on y
-scaled to unit max-norm, and the gap is checked in those units as well as in
-the caller's.
+scaled to unit max-norm, and the gap is certified in those units, where it
+is at most 1e-8 (1 + |objective|): a zero optimum, whose gap is roundoff of
+order eps max|y|, certifies at any scale.
 
 Between pivots a tableau is updated instead of refactored: one (n+1) x N
 array whose first n rows hold D^T, the transpose of D = A A_B^-1, and whose
@@ -127,8 +128,9 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     float (ValueError otherwise);
     rows with w_j = 0 are ignored by the objective and are legal only while
     the remaining rows keep full column rank (checked, RankDeficient
-    otherwise).  The returned gap is at most 1e-8 * (1 + |objective|), in
-    the caller's units and in those of y scaled to max |y| = 1 alike.
+    otherwise).  The returned gap is at most 1e-8 * (max|y| + |objective|),
+    with max|y| over the positive-weight rows (1 when they are all zero):
+    1e-8 * (1 + |objective|) for y scaled to max |y| = 1.
 
     ``start`` names n distinct rows of A to begin at, e.g. the ``basis`` of a
     related solve (ValueError if malformed; ignored if it holds a zero-weight
@@ -249,7 +251,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     objective = float(w @ np.abs(residual))
     dual = scale * float(y_act @ nu)
     gap = objective - dual
-    if not gap <= _GAP_RTOL * (min(1.0, scale) + abs(objective)):
+    if not gap <= _GAP_RTOL * (scale + abs(objective)):
         raise SolverFailure(
             f"basis not certified on the data: gap {gap:.3e}, objective {objective:.3e}"
         )

@@ -241,38 +241,45 @@ def stack_window(traj: Trajectory, end_index: int, T: int):
 # System file ingestion
 # ---------------------------------------------------------------------------
 
-def _check_rectangular(rows, name: str) -> np.ndarray:
+def numeric_array(value, name: str, ndim: int) -> np.ndarray:
+    """Parsed JSON or CSV data as a checked float array (ValueError naming `name`).
+
+    ndim 1 takes a flat list, ndim 2 a non-empty list of equal-length rows.
+    Entries must be finite ints or floats: no bool, null, string or list.
+    """
+    rows = value if ndim == 2 else [value]
+    if not (isinstance(value, list) and all(isinstance(r, list) for r in rows)
+            and {type(v) for r in rows for v in r} <= {int, float}):
+        shape = "flat JSON list" if ndim == 1 else "list of rows"
+        raise ValueError(f"{name} must be a {shape} of numbers")
     if not rows:
         raise ValueError(f"{name}: empty matrix")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{name}: rows have inconsistent lengths {sorted(widths)}")
-    out = np.asarray(rows, dtype=float)
-    if not np.isfinite(out).all():
+    try:
+        out = np.asarray(value, dtype=float)
+        finite = np.isfinite(out).all()
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite")
     return out
 
 
 def load_system_json(path):
-    """Read {"A": [[...]], "C": [[...]], "x0": [...]} and return (system, x0)."""
+    """Read {"A": [[...]], "C": [[...]], "x0": [...]} and return (system, x0).
+
+    x0 is optional (None when absent); its length is checked where it is used.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    for key in ("A", "C"):
-        if key not in doc:
-            raise ValueError(f"system file missing key {key!r}")
-        if not isinstance(doc[key], list) or not all(isinstance(r, list) for r in doc[key]):
-            raise ValueError(f"system file key {key!r} must be a list of rows")
-    A = _check_rectangular(doc["A"], "A")
-    C = _check_rectangular(doc["C"], "C")
-    sys = LtiSystem(A=A, C=C)
-    x0 = None
-    if doc.get("x0") is not None:
-        x0 = np.asarray(doc["x0"], dtype=float).reshape(-1)
-        if not np.isfinite(x0).all():
-            raise ValueError("x0 must be finite")
-        if x0.shape[0] != sys.n:
-            raise ValueError(f"x0 has length {x0.shape[0]}, expected {sys.n}")
-    return sys, x0
+    if not isinstance(doc, dict):
+        raise ValueError("system file must hold a JSON object")
+    sys = LtiSystem(A=numeric_array(doc.get("A"), "A", 2),
+                    C=numeric_array(doc.get("C"), "C", 2))
+    x0 = doc.get("x0")
+    return sys, None if x0 is None else numeric_array(x0, "x0", 1)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -283,7 +290,7 @@ def read_matrix_csv(path) -> np.ndarray:
             if not rec or all(not c.strip() for c in rec):
                 continue
             rows.append([float(c) for c in rec])
-    return _check_rectangular(rows, str(path))
+    return numeric_array(rows, str(path), 2)
 
 
 def load_system_csv(a_path, c_path) -> LtiSystem:

@@ -30,10 +30,10 @@ class SupportIndicator:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=int)
+        q = np.asarray(self.q)
         if q.ndim != 1 or not ((q == 0) | (q == 1)).all():
             raise ValueError("indicator entries must be 0 or 1")
-        q = q.copy()
+        q = q.astype(int)  # a copy
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
 
@@ -51,7 +51,7 @@ class SupportPrior:
     true_rate: float = field(init=False)  # mean confidence of p
 
     def __post_init__(self):
-        q_hat = np.asarray(self.q_hat, dtype=int)
+        q_hat = np.asarray(self.q_hat)
         p = np.asarray(self.p, dtype=float)
         if q_hat.shape != p.shape or q_hat.ndim != 1:
             raise ValueError(f"q_hat {q_hat.shape} and p {p.shape} must be equal-length vectors")
@@ -59,7 +59,7 @@ class SupportPrior:
             raise ValueError("estimated indicator entries must be 0 or 1")
         if not ((p > 0) & (p <= 1)).all():
             raise ValueError("confidences must lie in (0, 1]")
-        q_hat, p = q_hat.copy(), p.copy()
+        q_hat, p = q_hat.astype(int), p.copy()
         q_hat.flags.writeable = False
         p.flags.writeable = False
         object.__setattr__(self, "q_hat", q_hat)
@@ -105,8 +105,6 @@ def sample_prior(q: SupportIndicator, p, rng: np.random.Generator) -> SupportPri
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.shape[0] != q.size:
         raise ValueError(f"confidence vector has length {p.shape[0]}, expected {q.size}")
-    if not ((p > 0) & (p <= 1)).all():
-        raise ValueError("confidences must lie in (0, 1]")
     correct = rng.random(q.size) < p
     q_hat = np.where(correct, q.q, 1 - q.q)
     return SupportPrior(q_hat=q_hat, p=p)

@@ -200,6 +200,9 @@ def test_parser_is_built_once_and_reused(tmp_path, system_file, capsys, monkeypa
     }
     built, build_parser = [], cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    for fn in vars(cli).values():  # every parser cached so far is built again
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
     first = {}
     for _ in range(2):
         for name, argv in calls.items():
@@ -210,7 +213,7 @@ def test_parser_is_built_once_and_reused(tmp_path, system_file, capsys, monkeypa
             assert out == first.setdefault(name, out)
     assert '"trials":2' in first["sweep_config"] and '"eta":0.5' in first["sweep_config"]
     assert ",100," in first["sweep_defaults"].splitlines()[1]
-    assert len(built) <= 2  # the parser and the flags-only parser of --config, once each
+    assert len(built) == 1  # --config included
 
 
 def test_config_values_are_typed(tmp_path, capsys):
@@ -326,6 +329,59 @@ def test_estimate_rejects_a_window_that_is_not_a_flat_list(tmp_path, system_file
     assert code == 1
     assert out == ""
     assert "flat JSON list" in err
+
+
+SQUARE = [[0.5, 0.0], [0.0, 0.4]]
+SENSORS = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"A": [[{}]], "C": SENSORS, "x0": [1.0, -1.0]}, "A must be a list of rows of numbers"),
+    ("A C", "must hold a JSON object"),
+    ({"A": SQUARE, "C": SENSORS, "x0": {"a": 1}}, "x0 must be a flat JSON list"),
+    ({"A": [[True, False], [False, True]], "C": SENSORS, "x0": [1.0, -1.0]},
+     "A must be a list of rows of numbers"),
+    ({"A": SQUARE, "C": [[1, "0.5"], [0, 1], [1, 1]], "x0": [1.0, -1.0]},
+     "C must be a list of rows of numbers"),
+    ({"A": [[10**400, 0], [0, 0.4]], "C": SENSORS, "x0": [1.0, -1.0]}, "A must be finite"),
+    ({"A": SQUARE, "C": SENSORS, "x0": [1.0, -1.0, 0.0]}, "x0 has length 3, expected 2"),
+], ids=["object-entry", "string", "object-x0", "bool-entry", "numeric-string", "int-beyond-float",
+        "x0-length"])
+def test_a_malformed_system_file_exits_1(tmp_path, capsys, doc, message):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["scenario", "--steps", 5, "--T", 1, "--system", path], capsys)
+    assert code == 1 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"p": {"a": 1}, "q_hat": [1]}, "'p' in (0, 1] must be a flat JSON list"),
+    (["p"], "must hold a JSON object"),
+    ({"p": [0.9, 0.8], "q": [1, 0], "seed": None}, "integer 'seed'"),
+    ({"p": [0.9, 0.8], "q": [1, 0], "seed": 1.7}, "integer 'seed'"),
+    ({"p": [0.9, 0.8], "q_hat": [0.5, 1]}, "0 or 1"),
+], ids=["object-p", "array", "null-seed", "float-seed", "half-label"])
+def test_a_malformed_prune_input_exits_1(tmp_path, capsys, doc, message):
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["prune", "--input", path, "--eta", 0.5], capsys)
+    assert code == 1 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_estimate_certifies_a_clean_window_in_large_units(tmp_path, capsys):
+    # y = H x has optimum 0; its gap is roundoff of order eps * max|y|
+    sys_ = gen_random_system(60, 12, np.random.default_rng(1))
+    x = 1e6 * np.random.default_rng(3).standard_normal(12)
+    paths = {k: tmp_path / f"{k}.json" for k in ("sys", "y", "x")}
+    paths["sys"].write_text(json.dumps({"A": sys_.A.tolist(), "C": sys_.C.tolist()}))
+    paths["y"].write_text(json.dumps((build_horizon(sys_, 4).H @ x).tolist()))
+    paths["x"].write_text(json.dumps(x.tolist()))
+    code, out, err = run_cli(["estimate", "--system", paths["sys"], "--T", 4, "--y", paths["y"],
+                              "--x-true", paths["x"]], capsys)
+    assert code == 0, err
+    assert json.loads(out)["error_l2"] <= 1e-8 * np.linalg.norm(x)
 
 
 def test_estimate_rejects_x_true_of_the_wrong_length(tmp_path, system_file, capsys):

@@ -23,6 +23,8 @@ from resilient_sse.cli import parse_and_dispatch
 FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e308", "-1e-300", "x", "", "0.5", "0.9", "0.01", "2"]
 SIZES = ["-1", "0", "1", "2", "x", "1.5"]
 ROWS = ["", "0", "0,2", "0,1,2,3,4", "0,0", "-1", "99", "x", "0,,1"]
+BAD_SYSTEMS = ["sys_object_entry", "sys_string", "sys_object_x0", "sys_bool_entry"]
+BAD_PRUNE_INPUTS = ["pnan", "empty", "p_object", "prune_array", "seed_null", "seed_float"]
 
 
 def command(name, base, hostile):
@@ -50,6 +52,15 @@ def files(tmp_path_factory):
             "yshort": [1.0], "prior": {"p": [0.9, 0.8, 0.99], "q_hat": [1, 0, 1]},
             "sampled": {"p": [0.9, 0.8, 0.99], "q": [1, 0, 1], "seed": 3},
             "pnan": {"p": [float("nan"), 0.8], "q_hat": [1, 1]}, "empty": {}}
+    good = docs["system"]
+    docs.update({
+        "sys_object_entry": {**good, "A": [[{}]]}, "sys_string": "A C",
+        "sys_object_x0": {**good, "x0": {"a": 1}},
+        "sys_bool_entry": {**good, "A": [[True, False], [False, True]]},
+        "p_object": {"p": {"a": 1}, "q_hat": [1]}, "prune_array": ["p"],
+        "seed_null": {**docs["sampled"], "seed": None},
+        "seed_float": {**docs["sampled"], "seed": 1.7},
+    })
     for T in (1, 2):
         docs[f"y{T}"] = (build_horizon(sys_, T).H @ x).tolist()
     out = {}
@@ -62,17 +73,20 @@ def files(tmp_path_factory):
 
 def command_lines(files):
     system = files["system"]
+    systems = [system] + [files[k] for k in BAD_SYSTEMS]
     windows = [files[k] for k in ("y1", "y2", "ynan", "ybig", "yshort")]
     attack = command("attack", dict(system=system, T=1, epsilon=0.5, support="0"), dict(
-        T=SIZES, epsilon=FLOATS, support=ROWS, fraction=FLOATS, seed=["0", "-1", "x"],
-        cap_factor=FLOATS))
+        system=systems, T=SIZES, epsilon=FLOATS, support=ROWS, fraction=FLOATS,
+        seed=["0", "-1", "x"], cap_factor=FLOATS))
     estimate = command("estimate", dict(system=system, T=1, y=files["y1"]), dict(
-        T=SIZES, y=windows, omega=FLOATS, safe=ROWS, epsilon=FLOATS, x_true=[files["x"]]))
+        system=systems, T=SIZES, y=windows, omega=FLOATS, safe=ROWS, epsilon=FLOATS,
+        x_true=[files["x"]]))
     prune = command("prune", dict(input=files["prior"], eta=0.9), dict(
-        input=[files[k] for k in ("sampled", "pnan", "empty")], eta=FLOATS,
+        input=[files[k] for k in ["sampled"] + BAD_PRUNE_INPUTS], eta=FLOATS,
         strategy=["product", "quantile", "bogus"]))
     rip = command("rip", dict(system=system, T=1, S=2), dict(
-        T=SIZES, S=SIZES + ["3", "99"], budget=SIZES + ["5", "100"], seed=["0", "-1"]))
+        system=systems, T=SIZES, S=SIZES + ["3", "99"], budget=SIZES + ["5", "100"],
+        seed=["0", "-1"]))
     sweep = command("sweep", dict(m=6, n=2, trials=2, grid="0.0,0.3"), dict(
         m=SIZES + ["3", "6"], n=SIZES, T=SIZES, trials=SIZES,
         grid=["0.0", "0.3", "0.2,0.5", "nan", "1", "-0.1", "", "x"],
@@ -82,7 +96,7 @@ def command_lines(files):
         seed=["0", "-1", "x"], spectral_radius=FLOATS, workers=["-1", "0", "1"],
         format=["csv", "json", "xml"]))
     scenario = command("scenario", dict(steps=8, T=2), dict(
-        system=[system], steps=SIZES + ["3", "8"], T=SIZES + ["3"],
+        system=systems, steps=SIZES + ["3", "8"], T=SIZES + ["3"],
         attack_fraction=FLOATS, attack_magnitude=FLOATS, attack_support=ROWS,
         seed=["0", "-1"], prior_seed=["1", "-1"], true_rate=FLOATS, jitter=FLOATS,
         eta=FLOATS, omega=FLOATS, prior_mode=["static", "per_window", "bogus"],

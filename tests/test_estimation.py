@@ -142,8 +142,9 @@ def test_detect_strict_threshold():
     assert detect(model, y, x_hat, 1.0) is True      # residual 4 > 1
     assert detect(model, y, x_hat, 4.0) is False     # boundary is not flagged
     assert detect(model, model.H @ np.array([2.0]), [2.0], 1e-12) is False
-    with pytest.raises(ValueError):
-        detect(model, y, x_hat, 0.0)
+    for epsilon in (0.0, np.nan):  # NaN fails every comparison, `epsilon <= 0` too
+        with pytest.raises(ValueError, match="epsilon"):
+            detect(model, y, x_hat, epsilon)
 
 
 def test_detector_flag_is_detect_on_the_solves_own_residual(monkeypatch):
@@ -163,8 +164,9 @@ def test_detector_flag_is_detect_on_the_solves_own_residual(monkeypatch):
 
     monkeypatch.setattr(estimation, "detect", no_detect)
     assert [decode(model, y, epsilon=eps).detector_flag for eps in epsilons] == flags
-    with pytest.raises(ValueError, match="epsilon"):
-        decode(model, y, epsilon=0.0)
+    for epsilon in (0.0, np.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            decode(model, y, epsilon=epsilon)
 
 
 def test_weighted_observer_degenerate_weights():

@@ -186,6 +186,15 @@ def test_alpha_above_observed_bias_fails():
     assert not verdict.bias_ok
 
 
+@pytest.mark.parametrize("epsilon, alpha", [(0.0, 1.0), (np.nan, 1.0), (1.0, 0.0), (1.0, np.nan)])
+def test_is_successful_rejects_a_threshold_or_bias_that_is_not_positive(epsilon, alpha):
+    sys_, support, x_star = weak_safe_row_system(3)
+    model = build_horizon(sys_, 1)
+    plan = synthesize_fdia(model, support, 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        is_successful(plan, model, x_star, epsilon, alpha)
+
+
 def test_random_support_contract():
     rng = np.random.default_rng(0)
     assert random_support(10, 0.0, rng).size == 0

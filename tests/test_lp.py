@@ -193,6 +193,18 @@ def test_scale_invariance(c):
     assert np.linalg.norm(sol.z / c - ref.z) <= 1e-8 * (1 + np.linalg.norm(ref.z))
 
 
+@pytest.mark.parametrize("c", [1e5, 1e6, 1e9])
+def test_a_clean_window_certifies_in_large_units(c):
+    # y = H x has optimum 0, where the objective and the dual are roundoff of
+    # order eps * max|y|: a gap bound that does not scale with y fails there
+    model = build_horizon(gen_random_system(60, 12, np.random.default_rng(1)), 4)
+    x = c * np.random.default_rng(2).standard_normal(12)
+    y = model.H @ x
+    sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
+    assert sol.gap <= 1e-8 * (np.abs(y).max() + abs(sol.objective))
+    assert np.linalg.norm(sol.z - x) <= 1e-8 * np.linalg.norm(x)
+
+
 def test_shape_and_weight_validation():
     A = np.ones((4, 2))
     with pytest.raises(ValueError):

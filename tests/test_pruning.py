@@ -46,6 +46,16 @@ def test_indicator_from_support():
         indicator_from_support([4], 4)
 
 
+def test_labels_that_are_not_0_or_1_are_rejected_before_the_int_cast():
+    with pytest.raises(ValueError, match="0 or 1"):
+        SupportIndicator(q=[0.5, 1])
+    with pytest.raises(ValueError, match="0 or 1"):
+        SupportPrior(q_hat=[0.7, 1], p=[0.9, 0.9])
+    prior = SupportPrior(q_hat=[1.0, 0.0], p=[0.9, 0.9])
+    assert prior.q_hat.dtype.kind == "i" and prior.q_hat.tolist() == [1, 0]
+    assert SupportIndicator(q=np.array([True, False])).q.tolist() == [1, 0]
+
+
 def test_sample_prior_no_flips_and_determinism():
     q = indicator_from_support([0, 2], 5)
     prior = sample_prior(q, np.ones(5), np.random.default_rng(0))
