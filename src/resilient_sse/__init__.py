@@ -25,7 +25,6 @@ from .errors import (
 )
 from .estimation import (
     EstimateResult,
-    WeightVector,
     best_k_sparse_error,
     decode,
     detect,

@@ -233,7 +233,7 @@ def _cmd_prune(args) -> str:
     precision, precision_pruned = None, None
     if q is not None:
         try:
-            precision = ppv(q, prior)
+            precision = ppv(q, prior.q_hat)
         except EmptyEstimate:
             precision = None
         if pruned.safe_set.size:

@@ -24,37 +24,6 @@ _RICCATI_MAX_ITER = 10**5
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Two-level weights: 1 on trusted rows, omega elsewhere."""
-
-    values: np.ndarray
-    omega: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
-        if not ((values == 1.0) | (values == self.omega)).all():
-            raise ValueError(
-                f"weight entries must be 1 or omega={self.omega}, got levels {np.unique(values)}"
-            )
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_trusted(cls, size: int, trusted, omega: float) -> "WeightVector":
-        if not isinstance(trusted, np.ndarray):
-            trusted = list(trusted)
-        trusted = np.asarray(trusted, dtype=int)
-        if trusted.size and (trusted.min() < 0 or trusted.max() >= size):
-            raise ValueError(f"trusted indices must lie in [0, {size})")
-        values = np.full(size, float(omega))
-        values[trusted] = 1.0
-        return cls(values=values, omega=float(omega))
-
-
-@dataclass(frozen=True)
 class EstimateResult:
     """Decoded state with the solve diagnostics used by the experiments."""
 
@@ -68,13 +37,6 @@ class EstimateResult:
     gap: float = 0.0                  # certified duality gap
 
 
-def _weights_array(weights, rows: int) -> np.ndarray:
-    w = weights.values if isinstance(weights, WeightVector) else np.asarray(weights, dtype=float)
-    if w.shape != (rows,):
-        raise DimensionMismatch(f"weights have shape {w.shape}, expected ({rows},)")
-    return w
-
-
 def solve_weighted_l1(
     model: HorizonModel,
     y_T,
@@ -85,6 +47,7 @@ def solve_weighted_l1(
 ) -> EstimateResult:
     """Exact minimizer of the weighted l1 measurement residual.
 
+    ``weights`` holds one entry per row of H (DimensionMismatch otherwise).
     Weight entries of zero are allowed only while the remaining rows keep
     full column rank (RankDeficient otherwise).  ``start`` is an optional
     warm-start basis, see ``lp.weighted_l1_regression``.
@@ -92,14 +55,13 @@ def solve_weighted_l1(
     y_T = np.asarray(y_T, dtype=float).reshape(-1)
     if y_T.shape[0] != model.rows:
         raise DimensionMismatch(f"y_T has length {y_T.shape[0]}, expected {model.rows}")
-    w = _weights_array(weights, model.rows)
     if x_true is not None:
         x_true = np.asarray(x_true, dtype=float)
         if x_true.shape != (model.n,):
             raise DimensionMismatch(f"x_true has shape {x_true.shape}, expected ({model.n},)")
     if epsilon is not None and not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    sol = weighted_l1_regression(model.H, y_T, w, start=start)
+    sol = weighted_l1_regression(model.H, y_T, weights, start=start)
     residual_l1 = float(np.abs(sol.residual).sum())
     err = None if x_true is None else float(np.linalg.norm(sol.z - x_true))
     return EstimateResult(
@@ -146,7 +108,15 @@ def weighted_observer(
     start=None,
 ) -> EstimateResult:
     """Weighted l1 observer: weight 1 on the pruned safe rows, omega elsewhere."""
-    w = WeightVector.from_trusted(model.rows, pruned_safe_set, omega)
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError(f"omega must lie in [0, 1], got {omega}")
+    if not isinstance(pruned_safe_set, np.ndarray):
+        pruned_safe_set = list(pruned_safe_set)
+    trusted = np.asarray(pruned_safe_set, dtype=int)
+    if trusted.size and (trusted.min() < 0 or trusted.max() >= model.rows):
+        raise ValueError(f"trusted indices must lie in [0, {model.rows})")
+    w = np.full(model.rows, float(omega))
+    w[trusted] = 1.0
     return solve_weighted_l1(model, y_T, w, epsilon=epsilon, x_true=x_true, start=start)
 
 

@@ -27,8 +27,9 @@ original y, and its dual, which does not depend on y, certifies that point.
 Should the pivots still cycle, after 10 pivots per row the solve switches
 to Bland's rule, which cannot cycle in exact arithmetic: the violating
 basis row of lowest index leaves, and the step stops at the first
-breakpoint (the lowest row on a tie).  After as many pivots again the solve
-raises SolverFailure.
+breakpoint (the lowest row on a tie).  Bland's rule has a budget of its own,
+20 pivots per row counted from the switch; after that the solve raises
+SolverFailure.
 The problem is positively homogeneous in (y, z), so the pivots run on y
 scaled to unit max-norm, and the gap is certified in those units, where it
 is at most 1e-8 (1 + |objective|): a zero optimum, whose gap is roundoff of
@@ -70,14 +71,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, SolverFailure
+from .errors import DimensionMismatch, RankDeficient, SolverFailure
 
 _RANK_RTOL = 1e-10
 _GAP_RTOL = 1e-8
 _DUAL_RTOL = 1e-10     # box violation |nu_B| / w_B - 1 accepted as optimal
 _PERTURBATION = 1e-9   # size of the pivoting perturbation, relative to max |y|
 _BLAND_AFTER = 10      # pivots per row before Bland's rule takes over
-_PIVOTS_PER_ROW = 20   # pivots per row before the solve gives up
+_PIVOTS_PER_ROW = 20   # pivots per row under Bland's rule before the solve gives up
 _GOLDEN = 0.6180339887498949
 
 
@@ -124,6 +125,7 @@ def _greedy_basis(A_act, order, n):
 def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     """Minimize sum_j w_j |y_j - (A z)_j| with a certified duality gap.
 
+    y and w hold one entry per row of A (DimensionMismatch otherwise).
     Entries must be finite, weights nonnegative and sum(w) * max|y| a finite
     float (ValueError otherwise);
     rows with w_j = 0 are ignored by the objective and are legal only while
@@ -142,7 +144,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     w = np.asarray(w, dtype=float).reshape(-1)
     N, n = A.shape
     if y.shape[0] != N or w.shape[0] != N:
-        raise ValueError(f"shape mismatch: A {A.shape}, y {y.shape}, w {w.shape}")
+        raise DimensionMismatch(f"shape mismatch: A {A.shape}, y {y.shape}, w {w.shape}")
     if not (np.isfinite(A).all() and np.isfinite(y).all() and np.isfinite(w).all()):
         raise ValueError("A, y and w must be finite")
     w_min = float(w.min(initial=math.inf))
@@ -194,7 +196,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     # `inv` holds a fresh factorization of the basis, None while the tableau
     # Tab = [D^T; r] is updated; g = -nu_B, and w_B = w_act[basis]
     w_B, neg_w = w_act[basis], -w_act
-    pivots = 0
+    pivots, switch = 0, _BLAND_AFTER * rows
     while True:
         fresh = inv is not None
         if fresh:
@@ -209,9 +211,9 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
                 break
             inv = np.linalg.inv(A_act[basis])
             continue
-        if pivots == _PIVOTS_PER_ROW * rows:
+        if pivots >= switch + _PIVOTS_PER_ROW * rows:
             raise SolverFailure(f"no optimal basis after {pivots} pivots")
-        bland = pivots >= _BLAND_AFTER * rows
+        bland = pivots >= switch
         if bland:  # Bland's rule: the violating basis row of lowest index leaves
             violating = (ratio > 1.0 + _DUAL_RTOL).nonzero()[0]
             k = int(violating[basis[violating].argmin()])

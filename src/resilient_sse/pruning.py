@@ -55,6 +55,8 @@ class SupportPrior:
         p = np.asarray(self.p, dtype=float)
         if q_hat.shape != p.shape or q_hat.ndim != 1:
             raise ValueError(f"q_hat {q_hat.shape} and p {p.shape} must be equal-length vectors")
+        if p.size == 0:
+            raise ValueError("a prior needs at least one row")
         if not ((q_hat == 0) | (q_hat == 1)).all():
             raise ValueError("estimated indicator entries must be 0 or 1")
         if not ((p > 0) & (p <= 1)).all():
@@ -127,7 +129,7 @@ def gen_confidences(
 
 def ppv(q: SupportIndicator, q_hat) -> float:
     """Precision of the estimated-safe set: fraction that is truly safe."""
-    q_hat = np.asarray(q_hat.q_hat if isinstance(q_hat, SupportPrior) else q_hat, dtype=int)
+    q_hat = np.asarray(q_hat, dtype=int)
     if q_hat.shape[0] != q.size:
         raise ValueError(f"estimate has length {q_hat.shape[0]}, expected {q.size}")
     flagged = int(q_hat.sum())
@@ -228,9 +230,8 @@ def ppv_guarantee_check(
     eta: float,
     trials: int,
     rng: np.random.Generator,
-    strategy: str = "product",
 ) -> float:
-    """Monte Carlo estimate of Pr{every pruned row is truly safe}.
+    """Monte Carlo estimate of Pr{every row kept by product pruning is truly safe}.
 
     q_source is a fixed SupportIndicator or a callable rng -> indicator.
     An empty pruned set counts as vacuously correct.
@@ -238,20 +239,11 @@ def ppv_guarantee_check(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     p = np.asarray(p, dtype=float).reshape(-1)
-    offline = prune_offline(p, eta) if strategy == "product" else None
+    offline = prune_offline(p, eta)
     hits = 0
     for _ in range(trials):
         q = q_source(rng) if callable(q_source) else q_source
-        prior = sample_prior(q, p, rng)
-        if strategy == "product":
-            pruned = prune_online(offline, prior, eta)
-        elif strategy == "quantile":
-            if prior.estimated_safe.size == 0:
-                hits += 1  # nothing trusted, vacuously correct
-                continue
-            pruned = prune_quantile(prior, eta)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+        pruned = prune_online(offline, sample_prior(q, p, rng), eta)
         hits += bool(np.all(q.q[pruned.safe_set] == 1))
     return hits / trials
 

@@ -105,6 +105,25 @@ def test_estimate_subcommand(tmp_path, system_file, capsys):
     assert doc["residual_l1"] <= 1e-9
 
 
+def test_estimate_reads_a_csv_window_as_a_row_or_a_column(tmp_path, system_file, capsys):
+    path, sys_ = system_file
+    model = build_horizon(sys_, 2)
+    y = model.H @ np.array([0.5, 2.0])
+    y[3] -= 7.0
+    y_json = tmp_path / "y.json"
+    y_json.write_text(json.dumps(list(y)))
+    outputs = []
+    for name, sep in (("row.csv", ","), ("column.csv", "\n")):
+        y_csv = tmp_path / name
+        y_csv.write_text(sep.join(repr(float(v)) for v in y) + "\n")
+        for window in (y_json, y_csv):
+            code, out, _ = run_cli(["estimate", "--system", path, "--T", 2, "--y", window,
+                                    "--safe", "0,1,2", "--epsilon", 0.5], capsys)
+            assert code == 0
+            outputs.append(out)
+    assert len(set(outputs)) == 1
+
+
 def test_attack_subcommand_schema(system_file, capsys):
     path, _ = system_file
     code, out, _ = run_cli(
@@ -149,6 +168,13 @@ def test_out_file_atomicity(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["pruned_set"] == [0]
+
+    # a result that cannot replace its target leaves no temporary file behind
+    (tmp_path / "a_directory").mkdir()
+    code, out, err = run_cli(
+        ["prune", "--input", payload, "--eta", "0.5", "--out", tmp_path / "a_directory"], capsys
+    )
+    assert code == 1 and out == "" and err.startswith("error: ")
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp_result_")]
 
 
@@ -167,6 +193,11 @@ def test_config_file_merging(tmp_path, capsys):
     config.write_text(json.dumps({"no_such_option": 1}))
     code, _, err = run_cli(["sweep", "--config", config], capsys)
     assert code == 1 and "no_such_option" in err
+
+    config.write_text(json.dumps([{"m": 6}]))
+    code, out, err = run_cli(["sweep", "--config", config], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: config file must hold a JSON object\n"
 
 
 def test_explicit_flag_beats_config_either_way(tmp_path, capsys):
@@ -368,6 +399,18 @@ def test_a_malformed_prune_input_exits_1(tmp_path, capsys, doc, message):
     code, out, err = run_cli(["prune", "--input", path, "--eta", 0.5], capsys)
     assert code == 1 and out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("strategy", ["product", "quantile"])
+@pytest.mark.parametrize("doc", [{"p": [], "q_hat": []}, {"p": [], "q": [], "seed": 1}],
+                         ids=["q_hat", "sampled"])
+def test_prune_rejects_an_empty_prior(tmp_path, capsys, doc, strategy):
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["prune", "--input", path, "--eta", 0.5, "--strategy", strategy],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == "error: a prior needs at least one row\n"
 
 
 def test_estimate_certifies_a_clean_window_in_large_units(tmp_path, capsys):

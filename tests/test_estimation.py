@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from resilient_sse import (
+    DimensionMismatch,
     LtiSystem,
-    WeightVector,
     best_k_sparse_error,
     build_horizon,
     decode,
@@ -25,14 +25,18 @@ def tiny_model():
     return build_horizon(sys_, 1)
 
 
-def test_weight_vector_levels_enforced():
-    WeightVector(values=[1.0, 0.2, 1.0], omega=0.2)
-    with pytest.raises(ValueError):
-        WeightVector(values=[1.0, 0.3], omega=0.2)
-    with pytest.raises(ValueError):
-        WeightVector(values=[1.0, 1.0], omega=1.5)
-    wv = WeightVector.from_trusted(4, [0, 2], 0.5)
-    assert np.allclose(wv.values, [1.0, 0.5, 1.0, 0.5])
+def test_weighted_observer_puts_1_on_trusted_rows_and_omega_elsewhere():
+    model = build_horizon(LtiSystem(A=[[1.0]], C=[[1.0], [1.0], [1.0], [1.0]]), 1)
+    y = [1.0, 5.0, 2.0, 6.0]
+    est = weighted_observer(model, y, [0, 2], 0.5)
+    ref = solve_weighted_l1(model, y, [1.0, 0.5, 1.0, 0.5])
+    assert est.x_hat.tolist() == ref.x_hat.tolist() == [2.0]
+    assert est.objective == ref.objective == 4.5
+    with pytest.raises(ValueError, match="omega must lie in"):
+        weighted_observer(model, y, [0, 2], 1.5)
+    for trusted in ([0, 4], [-1], range(5)):
+        with pytest.raises(ValueError, match=r"trusted indices must lie in \[0, 4\)"):
+            weighted_observer(model, y, trusted, 0.5)
 
 
 def test_solve_weighted_l1_median_case():
@@ -41,6 +45,14 @@ def test_solve_weighted_l1_median_case():
     assert abs(est.x_hat[0] - 1.0) <= 1e-8
     assert abs(est.objective - 4.0) <= 1e-8
     assert abs(est.residual_l1 - 4.0) <= 1e-8
+
+
+def test_solve_weighted_l1_takes_one_weight_per_row():
+    model = tiny_model()
+    with pytest.raises(DimensionMismatch, match="shape mismatch"):
+        solve_weighted_l1(model, [1.0, 1.0, 5.0], np.ones(2))
+    column = solve_weighted_l1(model, [1.0, 1.0, 5.0], np.ones((3, 1)))
+    assert column.x_hat.tolist() == [1.0] and column.objective == 4.0
 
 
 def test_solve_weighted_l1_downweighted_majority():

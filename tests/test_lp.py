@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from resilient_sse import RankDeficient, build_horizon, gen_random_system, synthesize_fdia
+from resilient_sse import (
+    DimensionMismatch, RankDeficient, build_horizon, gen_random_system, synthesize_fdia,
+)
 from resilient_sse import lp
 from resilient_sse.lp import _greedy_basis, weighted_l1_regression
 
@@ -207,7 +209,7 @@ def test_a_clean_window_certifies_in_large_units(c):
 
 def test_shape_and_weight_validation():
     A = np.ones((4, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         weighted_l1_regression(A, np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         weighted_l1_regression(A, np.ones(4), -np.ones(4))
@@ -427,23 +429,28 @@ def test_objective_invariances_against_highs_zero_weights(case):
     _invariance_property(case)
 
 
-def test_a_formerly_cycling_window_certifies_before_blands_rule():
-    # Request 63 of the bench `estimate` workload at seed 125, rebuilt as
-    # bench/workloads.py::Estimate draws it: a 240x12 window, 20 % attacked.
-    # While the residual was recomputed at every pivot, its largest-violation
-    # pivots cycled among degenerate vertices until Bland's rule took over
-    # (2406 pivots); with the residual carried in the tableau it certifies
-    # well within the first budget.
+def estimate_window(request):
+    """Window `request` of the bench `estimate` workload at seed 125, rebuilt
+    as bench/workloads.py::Estimate draws it: 240x12, 20-40 % attacked."""
     from resilient_sse import random_support
     from resilient_sse.experiments import epsilon_from_policy
 
     rng = np.random.default_rng(125)
     model = build_horizon(gen_random_system(60, 12, rng), 4)
-    for i in range(64):
+    for i in range(request + 1):
         y_star = model.H @ rng.standard_normal(12)
         epsilon = epsilon_from_policy("rel:0.01", y_star)
         support = random_support(model.rows, (0.2, 0.3, 0.4)[i % 3], rng)
         y = y_star + synthesize_fdia(model, support, epsilon).e_T
+    return model, y
+
+
+def test_a_formerly_cycling_window_certifies_before_blands_rule():
+    # Request 63 (20 % attacked).  While the residual was recomputed at every
+    # pivot, its largest-violation pivots cycled among degenerate vertices
+    # until Bland's rule took over (2406 pivots); with the residual carried in
+    # the tableau it certifies well within the first budget.
+    model, y = estimate_window(63)
     sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
     assert sol.iterations < lp._BLAND_AFTER * model.rows
     opt = scipy_oracle(model.H, y, np.ones(model.rows))
@@ -465,3 +472,18 @@ def test_blands_rule_alone_certifies_against_highs(monkeypatch, family):
         assert sol.gap <= 1e-8 * (1 + abs(sol.objective)) + 1e-15
         pivots += sol.iterations
     assert pivots > 0
+
+
+def test_blands_rule_has_its_own_budget_counted_from_the_switch(monkeypatch):
+    # Request 1 needs about 4150 pivots under Bland's rule alone, more than
+    # the 20 per row it is given.  Scaled down: the switch comes at pivot 30
+    # and Bland's rule certifies after 158 pivots, which a budget of 135
+    # counted from pivot 0 would cut short.
+    monkeypatch.setattr(lp, "_BLAND_AFTER", 0.125)
+    monkeypatch.setattr(lp, "_PIVOTS_PER_ROW", 0.5625)
+    model, y = estimate_window(1)
+    sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
+    assert lp._PIVOTS_PER_ROW * model.rows < sol.iterations
+    opt = scipy_oracle(model.H, y, np.ones(model.rows))
+    assert abs(sol.objective - opt) <= 1e-7 * (1.0 + abs(opt))
+    assert sol.gap <= 1e-8 * (1.0 + abs(sol.objective))

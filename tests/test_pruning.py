@@ -56,6 +56,13 @@ def test_labels_that_are_not_0_or_1_are_rejected_before_the_int_cast():
     assert SupportIndicator(q=np.array([True, False])).q.tolist() == [1, 0]
 
 
+def test_an_empty_prior_is_rejected():
+    with pytest.raises(ValueError, match="at least one row"):
+        SupportPrior(q_hat=[], p=[])
+    with pytest.raises(ValueError, match="at least one row"):
+        sample_prior(SupportIndicator(q=[]), [], np.random.default_rng(0))
+
+
 def test_sample_prior_no_flips_and_determinism():
     q = indicator_from_support([0, 2], 5)
     prior = sample_prior(q, np.ones(5), np.random.default_rng(0))
