@@ -5,9 +5,10 @@ solver failure.  Results are serialized to stdout or, with --out, written
 atomically (nothing is left behind on failure).  Every stochastic
 subcommand is fully determined by its --seed.
 
-A JSON config file may supply any long-option value (keys use underscores,
-e.g. {"true_rate": 0.9}); explicit command-line flags win over the file, and
-each file value is converted and checked as the flag's argument would be.
+A JSON config file may supply any long-option value, required ones included
+(keys use underscores, e.g. {"true_rate": 0.9}); explicit command-line flags
+win over the file, and each file value is converted and checked as the
+flag's argument would be.
 
 The argument parser is built once per process and reused by every call of
 parse_and_dispatch.  With --config, the subcommand's parser parses the
@@ -36,6 +37,7 @@ from .experiments import (
     ScenarioAttack,
     ScenarioConfig,
     SweepConfig,
+    canonical_json,
     load_surrogate,
     run_scenario,
     sweep,
@@ -81,25 +83,16 @@ def _write_output(text: str, out_path) -> None:
         raise
 
 
-def _json_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _parse_indices(text, flag):
-    text = text.strip()
-    if not text:
-        return []
+def _parse_list(text, flag, convert):
+    """The comma-separated value of `flag`, each token through `convert`; blank text is []."""
+    tokens = text.split(",") if text.strip() else []
     try:
-        return [int(tok) for tok in text.split(",")]
+        if all(tok.strip() for tok in tokens):
+            return [convert(tok) for tok in tokens]
     except ValueError:
-        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
-
-
-def _parse_floats(text, flag):
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+        pass
+    raise ValueError(f"{flag} must be comma-separated {convert.__name__} values without blanks, "
+                     f"got {text!r}")
 
 
 def _load_system(args):
@@ -163,13 +156,13 @@ def _cmd_attack(args) -> str:
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
     if args.support is not None:
-        support = _parse_indices(args.support, "--support")
+        support = _parse_list(args.support, "--support", int)
     else:
         _require(args.fraction is not None, "provide --support or --fraction")
         rng = np.random.default_rng(args.seed)
         support = random_support(model.rows, args.fraction, rng)
     plan = synthesize_fdia(model, support, args.epsilon, magnitude_cap_factor=args.cap_factor)
-    return _json_dumps(
+    return canonical_json(
         {
             "support": [int(i) for i in plan.support],
             "epsilon": plan.epsilon,
@@ -189,7 +182,7 @@ def _cmd_estimate(args) -> str:
     y_T = _read_vector(args.y)
     x_true = _read_vector(args.x_true) if args.x_true else None
     if args.safe is not None:
-        trusted = _parse_indices(args.safe, "--safe")
+        trusted = _parse_list(args.safe, "--safe", int)
         # with omega 0 only the trusted rows carry weight: too few cannot
         # determine the state, whatever the window holds
         _require(args.omega > 0 or len(set(trusted)) >= model.n,
@@ -198,7 +191,7 @@ def _cmd_estimate(args) -> str:
         est = weighted_observer(model, y_T, trusted, args.omega, epsilon=args.epsilon, x_true=x_true)
     else:
         est = decode(model, y_T, epsilon=args.epsilon, x_true=x_true)
-    return _json_dumps(
+    return canonical_json(
         {
             "x_hat": list(est.x_hat),
             "objective": est.objective,
@@ -238,7 +231,7 @@ def _cmd_prune(args) -> str:
             precision = None
         if pruned.safe_set.size:
             precision_pruned = float(np.mean(q.q[pruned.safe_set] == 1))
-    return _json_dumps(
+    return canonical_json(
         {
             "offline_set": [int(i) for i in pruned.offline_set],
             "pruned_set": [int(i) for i in pruned.safe_set],
@@ -254,7 +247,7 @@ def _cmd_rip(args) -> str:
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
     est = rip_constant(model, args.S, args.budget, rng=np.random.default_rng(args.seed))
-    return _json_dumps(
+    return canonical_json(
         {
             "S": est.S,
             "delta_S": est.delta_S,
@@ -269,14 +262,14 @@ def _cmd_sweep(args) -> str:
         m=args.m,
         n=args.n,
         T=args.T,
-        attack_grid=tuple(_parse_floats(args.grid, "--grid")),
+        attack_grid=tuple(_parse_list(args.grid, "--grid", float)),
         trials=args.trials,
         true_rate=args.true_rate,
         jitter=args.jitter,
         eta=args.eta,
         omega=args.omega,
         epsilon_policy=args.epsilon_policy,
-        strategies=tuple(args.strategies.split(",")),
+        strategies=tuple(_parse_list(args.strategies, "--strategies", str)),
         master_seed=args.seed,
         spectral_radius=args.spectral_radius,
         workers=args.workers,
@@ -293,7 +286,7 @@ def _cmd_scenario(args) -> str:
         sys_, x0 = load_surrogate()
     support = None
     if args.attack_support:
-        support = tuple(_parse_indices(args.attack_support, "--attack-support"))
+        support = tuple(_parse_list(args.attack_support, "--attack-support", int))
     attack = ScenarioAttack(
         fraction=args.attack_fraction,
         magnitude=args.attack_magnitude,
@@ -310,7 +303,7 @@ def _cmd_scenario(args) -> str:
         prior_mode=args.prior_mode,
         prior_seed=args.prior_seed,
     )
-    observers = tuple(args.observers.split(","))
+    observers = tuple(_parse_list(args.observers, "--observers", str))
     metrics = run_scenario(sys_, x0, attack=attack, scenario=scenario, observers=observers)
     return metrics.to_json()
 
@@ -335,38 +328,38 @@ def build_parser():
     p = subparsers["attack"] = sub.add_parser("attack", help="synthesize a stealth attack")
     _add_system_flags(p)
     p.add_argument("--T", type=int, default=1)
-    p.add_argument("--epsilon", type=float, required=True, help="stealth budget")
+    p.add_argument("--epsilon", type=float, help="stealth budget (required)")
     p.add_argument("--support", help="comma-separated 0-based attacked row indices")
     p.add_argument("--fraction", type=float, help="random support of this fraction")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-factor", type=float, default=1e3)
-    p.set_defaults(handler=_cmd_attack)
+    p.set_defaults(handler=_cmd_attack, required=("--epsilon",))
 
     p = subparsers["estimate"] = sub.add_parser("estimate", help="decode a stacked measurement window")
     _add_system_flags(p)
     p.add_argument("--T", type=int, default=1)
-    p.add_argument("--y", required=True, help="stacked window (JSON list or CSV)")
+    p.add_argument("--y", help="stacked window (JSON list or CSV; required)")
     p.add_argument("--omega", type=float, default=0.01)
     p.add_argument("--safe", help="trusted rows; omitted = plain l1 decoding")
     p.add_argument("--epsilon", type=float, help="detector threshold")
     p.add_argument("--x-true", help="ground-truth state for the error field")
-    p.set_defaults(handler=_cmd_estimate)
+    p.set_defaults(handler=_cmd_estimate, required=("--y",))
 
     p = subparsers["prune"] = sub.add_parser("prune", help="prune an uncertain safe-row prior")
-    p.add_argument("--input", required=True, help="JSON with p and q_hat, or p, q, seed")
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--input", help="JSON with p and q_hat, or p, q, seed (required)")
+    p.add_argument("--eta", type=float, help="pruning reliability level (required)")
     p.add_argument("--strategy", default="product", choices=("product", "quantile"))
     p.add_argument("--config", help="JSON file of option defaults; flags win")
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_prune)
+    p.set_defaults(handler=_cmd_prune, required=("--input", "--eta"))
 
     p = subparsers["rip"] = sub.add_parser("rip", help="isometry constant of the null-space basis")
     _add_system_flags(p)
     p.add_argument("--T", type=int, default=1)
-    p.add_argument("--S", type=int, required=True)
+    p.add_argument("--S", type=int, help="support size (required)")
     p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_rip)
+    p.set_defaults(handler=_cmd_rip, required=("--S",))
 
     p = subparsers["sweep"] = sub.add_parser("sweep", help="Monte Carlo attack-percentage sweep")
     p.add_argument("--m", type=int, default=20, help="sensor count")
@@ -427,6 +420,10 @@ def parse_and_dispatch(argv=None) -> int:
     try:
         if args.config:
             args = _merge_config(args.config, subparsers[args.command], argv[1:])
+        # checked here, not by argparse, so that --config can supply them
+        missing = [flag for flag in getattr(args, "required", ()) if getattr(args, flag[2:]) is None]
+        if missing:
+            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
         text = args.handler(args)
         _write_output(text, getattr(args, "out", None))
         return 0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, RiccatiDivergence
 from .lp import weighted_l1_regression
-from .lti import HorizonModel, LtiSystem
+from .lti import HorizonModel, LtiSystem, row_indices
 
 _RICCATI_TOL = 1e-10
 _RICCATI_MAX_ITER = 10**5
@@ -110,13 +110,8 @@ def weighted_observer(
     """Weighted l1 observer: weight 1 on the pruned safe rows, omega elsewhere."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
-    if not isinstance(pruned_safe_set, np.ndarray):
-        pruned_safe_set = list(pruned_safe_set)
-    trusted = np.asarray(pruned_safe_set, dtype=int)
-    if trusted.size and (trusted.min() < 0 or trusted.max() >= model.rows):
-        raise ValueError(f"trusted indices must lie in [0, {model.rows})")
     w = np.full(model.rows, float(omega))
-    w[trusted] = 1.0
+    w[row_indices(pruned_safe_set, model.rows, "trusted indices")] = 1.0
     return solve_weighted_l1(model, y_T, w, epsilon=epsilon, x_true=x_true, start=start)
 
 

@@ -13,19 +13,20 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from importlib import resources
 
 import numpy as np
 
 from .errors import EmptyEstimate, NumericalInstability
 from .estimation import decode, luenberger_baseline, weighted_observer
-from .fdia import random_support, sorted_unique, synthesize_fdia
+from .fdia import random_support, synthesize_fdia
 from .lti import (
     HorizonModel,
     LtiSystem,
     build_horizon,
     load_system_json,
+    row_indices,
     simulate,
     stack_window,
 )
@@ -39,6 +40,12 @@ from .pruning import (
 )
 
 STRATEGIES = ("none", "prior", "pruned_product", "pruned_quantile")
+SUCCESS_RTOL = 1e-3  # a trial succeeds when ||x_hat - x*|| <= SUCCESS_RTOL * ||x*||
+
+
+def canonical_json(doc) -> str:
+    """The one serialization of every JSON result: sorted keys, no spaces, a newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def gen_random_system(
@@ -96,7 +103,6 @@ class SweepConfig:
     strategies: tuple = STRATEGIES
     master_seed: int = 0
     spectral_radius: float = 0.95
-    success_rtol: float = 1e-3
     workers: int = 1
 
     def __post_init__(self):
@@ -106,6 +112,8 @@ class SweepConfig:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not self.attack_grid or not self.strategies:
+            raise ValueError("attack grid and strategies must each hold at least one entry")
         for p_a in self.attack_grid:
             if not 0.0 <= p_a < 1.0:
                 raise ValueError(f"attack fractions must lie in [0, 1), got {p_a}")
@@ -193,7 +201,7 @@ def _grade(instance: TrialInstance, cfg: SweepConfig, strategy: str, start=None)
     else:
         est = weighted_observer(instance.model, instance.y_T, trusted, cfg.omega, start=start)
     err = float(np.linalg.norm(est.x_hat - instance.x_star))
-    ok = err <= cfg.success_rtol * float(np.linalg.norm(instance.x_star))
+    ok = err <= SUCCESS_RTOL * float(np.linalg.norm(instance.x_star))
     return TrialOutcome(success=ok, error_l2=err), est.basis
 
 
@@ -242,22 +250,14 @@ class SweepResult:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["attack_fraction", "strategy", "trials", "successes",
-             "success_rate", "stderr", "mean_error"]
-        )
-        for r in self.rows:
-            writer.writerow(
-                [repr(r.attack_fraction), r.strategy, r.trials, r.successes,
-                 repr(r.success_rate), repr(r.stderr), repr(r.mean_error)]
-            )
+        writer.writerow(f.name for f in fields(SweepRow))
+        writer.writerows(astuple(r) for r in self.rows)  # floats print as repr
         return buf.getvalue()
 
     def to_json(self) -> str:
         cfg = asdict(self.config)
         cfg.pop("workers")  # execution detail, not part of the experiment identity
-        doc = {"config": cfg, "rows": [asdict(r) for r in self.rows]}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json({"config": cfg, "rows": [asdict(r) for r in self.rows]})
 
 
 def sweep(cfg: SweepConfig) -> SweepResult:
@@ -315,10 +315,7 @@ class ScenarioAttack:
 
     def resolve_support(self, C: np.ndarray) -> np.ndarray:
         if self.support is not None:
-            sup = sorted_unique(self.support)
-            if sup.size and (sup.min() < 0 or sup.max() >= C.shape[0]):
-                raise ValueError(f"attack support must lie in [0, {C.shape[0]})")
-            return sup
+            return row_indices(self.support, C.shape[0], "attack support")
         k = int(np.floor(self.fraction * C.shape[0]))
         norms = np.linalg.norm(C, axis=1)
         return np.sort(np.argsort(-norms, kind="stable")[:k])
@@ -356,13 +353,12 @@ class ScenarioMetrics:
     max_abs: dict
 
     def to_json(self) -> str:
-        doc = {
+        return canonical_json({
             "observers": list(self.observers),
             "windows": self.windows,
             "rms": {k: list(v) for k, v in self.rms.items()},
             "max_abs": {k: list(v) for k, v in self.max_abs.items()},
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        })
 
 
 def run_scenario(
@@ -379,6 +375,8 @@ def run_scenario(
     of a simulated localization prior.  Every window is decoded with the same
     H, so each l1 observer warm-starts from its previous window's basis.
     """
+    if not observers:
+        raise ValueError("observers must hold at least one of LO, L1O, WL1P")
     for obs in observers:
         if obs not in ("LO", "L1O", "WL1P"):
             raise ValueError(f"unknown observer {obs!r}")

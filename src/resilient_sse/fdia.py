@@ -9,7 +9,10 @@ leaks onto the untouched rows:
 whose closed-form optimum is the right singular direction of the
 complement block for its smallest singular value.  When the complement
 block loses column rank the program is unbounded; the attack then follows
-a null-space direction with a configurable magnitude cap.
+a null-space direction with a configurable magnitude cap.  The same SVD
+decides the guarantee (the block's spectral norm below 1 / (2 sqrt(#complement)))
+and its bias bound alpha; ``fdia_feasibility`` reports the two.  Supports are
+read by ``lti.row_indices``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import EmptySupport, SupportTooLarge
 from .estimation import decode, detect
-from .lti import HorizonModel
+from .lti import HorizonModel, row_indices
 
 _NULLSPACE_TOL = 1e-10
 
@@ -49,22 +52,12 @@ class SuccessVerdict:
     residual_l1: float
 
 
-def sorted_unique(indices) -> np.ndarray:
-    """np.unique of an integer index array, by sorting: np.unique imports numpy.ma."""
-    out = np.sort(np.asarray(indices, dtype=int), axis=None)
-    keep = np.ones(out.size, dtype=bool)
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
-
-
 def _normalize_support(support, rows: int) -> np.ndarray:
-    sup = sorted_unique(list(support))
+    sup = row_indices(support, rows, "support indices")
     if sup.size == 0:
         raise EmptySupport("attack support is empty")
     if sup.size >= rows:
         raise SupportTooLarge(f"support of size {sup.size} covers every one of {rows} rows")
-    if sup.min() < 0 or sup.max() >= rows:
-        raise ValueError(f"support indices must lie in [0, {rows})")
     return sup
 
 
@@ -79,32 +72,12 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
 def fdia_feasibility(model: HorizonModel, support, epsilon: float = 1.0):
     """Guarantee condition for the synthesized attack.
 
-    Returns (condition_holds, alpha_bound); the bound scales linearly with
-    epsilon and is None when the condition fails.
+    Returns (condition_holds, alpha_bound), the ``feasible`` and
+    ``alpha_guarantee`` of ``synthesize_fdia``; the bound scales linearly
+    with epsilon and is None when the condition fails.
     """
-    sup = _normalize_support(support, model.rows)
-    Uc = model.U1[_complement(sup, model.rows)]
-    return _feasibility(model, float(np.linalg.norm(Uc, 2)), Uc.shape[0], epsilon)
-
-
-def _complement(sup: np.ndarray, rows: int) -> np.ndarray:
-    """Boolean mask of the rows outside the support."""
-    comp = np.ones(rows, dtype=bool)
-    comp[sup] = False
-    return comp
-
-
-def _feasibility(model: HorizonModel, sbar_comp: float, comp_rows: int, epsilon: float):
-    """fdia_feasibility given the spectral norm sbar_comp of the complement
-    block U1[complement], which has comp_rows rows."""
-    root = np.sqrt(comp_rows)
-    holds = sbar_comp < 1.0 / (2.0 * root)
-    if not holds:
-        return False, None
-    alpha = epsilon / (2.0 * np.sqrt(model.rows) * model.sigma_max) * (
-        1.0 / (sbar_comp * root) - 2.0
-    )
-    return True, float(alpha)
+    plan = synthesize_fdia(model, support, epsilon)
+    return plan.feasible, plan.alpha_guarantee
 
 
 def synthesize_fdia(
@@ -125,8 +98,8 @@ def synthesize_fdia(
         raise ValueError(f"magnitude_cap_factor must be finite and positive, "
                          f"got {magnitude_cap_factor}")
     sup = _normalize_support(support, model.rows)
-    Uc = model.U1[_complement(sup, model.rows)]
-    budget = epsilon / np.sqrt(Uc.shape[0])
+    Uc = np.delete(model.U1, sup, axis=0)  # the complement block
+    root = np.sqrt(Uc.shape[0])
 
     # the full Vt is needed only when Vt[-1] must span a null direction
     _, s, Vt = np.linalg.svd(Uc, full_matrices=Uc.shape[0] < model.n)
@@ -136,12 +109,16 @@ def synthesize_fdia(
         z_e = v * (magnitude_cap_factor * epsilon)
         unbounded = True
     else:
-        z_e = (budget / sigma_min) * v
+        z_e = (epsilon / root / sigma_min) * v
         unbounded = False
 
     e_T = np.zeros(model.rows)
     e_T[sup] = model.U1[sup, :] @ z_e
-    holds, alpha = _feasibility(model, float(s[0]), Uc.shape[0], epsilon)
+    # s[0] is the complement block's spectral norm, which decides the guarantee
+    sbar = float(s[0])
+    holds = bool(sbar < 1.0 / (2.0 * root))
+    alpha = float(epsilon / (2.0 * np.sqrt(model.rows) * model.sigma_max)
+                  * (1.0 / (sbar * root) - 2.0)) if holds else None
     return AttackPlan(
         support=sup,
         epsilon=float(epsilon),
@@ -187,9 +164,7 @@ def random_support(rows: int, attack_fraction: float, rng: np.random.Generator) 
     """Uniform random support of size floor(attack_fraction * rows)."""
     if not 0.0 <= attack_fraction < 1.0:
         raise ValueError(f"attack fraction must lie in [0, 1), got {attack_fraction}")
-    k = int(np.floor(attack_fraction * rows))
-    if k >= rows:
-        raise ValueError("attack fraction leaves no safe row")
+    k = int(np.floor(attack_fraction * rows))  # < rows, as f * rows rounds below rows for f < 1
     if k == 0:
         return np.array([], dtype=int)
     return np.sort(rng.choice(rows, size=k, replace=False))

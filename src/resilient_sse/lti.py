@@ -8,6 +8,10 @@ matrix is
     H = [C A^(T-1); ...; C A; C]
 
 so that y_T = H x_{i-T+1} + e_T holds exactly for noiseless dynamics.
+
+Two checked readers live here: ``numeric_array`` for the numbers of a data
+file, and ``row_indices`` for every set of 0-based row indices the package
+takes (attack supports, trusted and offline rows).
 """
 
 from __future__ import annotations
@@ -119,27 +123,23 @@ class ObservabilityReport:
         return self.rank == self.n
 
 
-def observability_matrix(sys: LtiSystem) -> np.ndarray:
-    """Stack [C; CA; ...; C A^(n-1)]."""
-    blocks = []
-    M = np.eye(sys.n)
-    for _ in range(sys.n):
-        blocks.append(sys.C @ M)
+def _output_maps(sys: LtiSystem, k: int) -> list:
+    """The k output maps [C, CA, ..., C A^(k-1)]."""
+    blocks, M = [sys.C], np.eye(sys.n)
+    for _ in range(k - 1):
         M = M @ sys.A
-    return np.vstack(blocks)
+        blocks.append(sys.C @ M)
+    return blocks
 
 
 def check_observability(sys: LtiSystem) -> ObservabilityReport:
-    """Rank of the observability matrix via singular values.
+    """Rank of the observability matrix [C; CA; ...; C A^(n-1)] via singular values.
 
     Singular values below 1e-10 * sigma_max are treated as zero.  The
     report carries the verdict; no exception is raised here.
     """
-    O = observability_matrix(sys)
-    s = np.linalg.svd(O, compute_uv=False)
+    s = np.linalg.svd(np.vstack(_output_maps(sys, sys.n)), compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
-    if smax == 0.0:
-        return ObservabilityReport(rank=0, n=sys.n, sigma_min_nonzero=0.0, sigma_max=0.0)
     nonzero = s[s > _RANK_RTOL * smax]
     return ObservabilityReport(
         rank=int(nonzero.size),
@@ -161,12 +161,7 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
-    blocks = [sys.C]
-    M = np.eye(sys.n)
-    for _ in range(T - 1):
-        M = M @ sys.A
-        blocks.append(sys.C @ M)
-    H = np.vstack(blocks[::-1])  # newest first: C A^(T-1) on top, C at the bottom
+    H = np.vstack(_output_maps(sys, T)[::-1])  # newest first: C A^(T-1) on top, C at the bottom
 
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
     if s.size < sys.n or not s[-1] > _DEGENERATE_RTOL * s[0]:
@@ -238,7 +233,7 @@ def stack_window(traj: Trajectory, end_index: int, T: int):
 
 
 # ---------------------------------------------------------------------------
-# System file ingestion
+# Checked readers: numbers from files, row indices from callers
 # ---------------------------------------------------------------------------
 
 def numeric_array(value, name: str, ndim: int) -> np.ndarray:
@@ -265,6 +260,25 @@ def numeric_array(value, name: str, ndim: int) -> np.ndarray:
     if not finite:
         raise ValueError(f"{name} must be finite")
     return out
+
+
+def row_indices(values, rows: int, name: str) -> np.ndarray:
+    """0-based row indices as a sorted int array without repeats.
+
+    Any iterable of integers, of any shape, is accepted; floats only when
+    every entry is whole (2.0).  A fractional entry, a boolean mask or an
+    index outside [0, rows) raises ValueError naming `name`.
+    """
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if arr.dtype.kind not in "iu" and not (arr.dtype.kind == "f" and (arr == np.floor(arr)).all()):
+        raise ValueError(f"{name} must be integers, not fractions or a boolean mask")
+    arr = np.sort(arr, axis=None)
+    if arr.size and (arr[0] < 0 or arr[-1] >= rows):
+        raise ValueError(f"{name} must lie in [0, {rows})")
+    arr = arr.astype(int, copy=False)
+    keep = np.ones(arr.size, dtype=bool)
+    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+    return arr[keep]
 
 
 def load_system_json(path):

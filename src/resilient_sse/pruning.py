@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyEstimate, NumericalInstability
+from .lti import row_indices
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,7 @@ class PmfVector:
 def indicator_from_support(support, rows: int) -> SupportIndicator:
     """Indicator with zeros exactly on the attacked rows."""
     q = np.ones(rows, dtype=int)
-    sup = np.asarray(list(support), dtype=int)
-    if sup.size:
-        if sup.min() < 0 or sup.max() >= rows:
-            raise ValueError(f"support indices must lie in [0, {rows})")
-        q[sup] = 0
+    q[row_indices(support, rows, "support indices")] = 0
     return SupportIndicator(q=q)
 
 
@@ -180,10 +177,8 @@ def prune_offline(p, eta: float) -> np.ndarray:
 
 def prune_online(offline_set, prior: SupportPrior, eta: float) -> PrunedPrior:
     """Intersect the offline set with the rows the oracle marked safe."""
-    offline_set = np.asarray(offline_set, dtype=int)
     rows = prior.q_hat.shape[0]
-    if offline_set.size and (offline_set.min() < 0 or offline_set.max() >= rows):
-        raise ValueError(f"offline rows must lie in [0, {rows})")
+    offline_set = row_indices(offline_set, rows, "offline rows")
     offline = np.zeros(rows, dtype=bool)
     offline[offline_set] = True
     safe = np.flatnonzero(offline & (prior.q_hat == 1))

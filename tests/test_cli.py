@@ -319,10 +319,22 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert out == ""
 
 
+def test_an_uncertified_solve_exits_2(tmp_path, system_file, capsys, monkeypatch):
+    from resilient_sse import lp
+
+    path, sys_ = system_file
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps(list(build_horizon(sys_, 1).H @ np.array([0.5, 2.0]))))
+    monkeypatch.setattr(lp, "_GAP_RTOL", -1)  # no gap passes the certificate
+    code, out, err = run_cli(["estimate", "--system", path, "--y", y_path], capsys)
+    assert code == 2 and out == ""
+    assert "basis not certified" in err
+
+
 def test_csv_system_pair(tmp_path, capsys):
     a_path, c_path = tmp_path / "a.csv", tmp_path / "c.csv"
     a_path.write_text("0.5,0.0\n0.0,0.4\n")
-    c_path.write_text("1,0\n0,1\n1,1\n2,-1\n")
+    c_path.write_text("1,0\n\n0,1\n1,1\n , \n2,-1\n")  # blank lines are skipped
     code, out, _ = run_cli(
         ["rip", "--system-a", a_path, "--system-c", c_path, "--S", 1], capsys
     )
@@ -376,8 +388,9 @@ SENSORS = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
      "C must be a list of rows of numbers"),
     ({"A": [[10**400, 0], [0, 0.4]], "C": SENSORS, "x0": [1.0, -1.0]}, "A must be finite"),
     ({"A": SQUARE, "C": SENSORS, "x0": [1.0, -1.0, 0.0]}, "x0 has length 3, expected 2"),
+    ({"A": [], "C": SENSORS, "x0": [1.0, -1.0]}, "A: empty matrix"),
 ], ids=["object-entry", "string", "object-x0", "bool-entry", "numeric-string", "int-beyond-float",
-        "x0-length"])
+        "x0-length", "empty-A"])
 def test_a_malformed_system_file_exits_1(tmp_path, capsys, doc, message):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(doc))
@@ -392,7 +405,11 @@ def test_a_malformed_system_file_exits_1(tmp_path, capsys, doc, message):
     ({"p": [0.9, 0.8], "q": [1, 0], "seed": None}, "integer 'seed'"),
     ({"p": [0.9, 0.8], "q": [1, 0], "seed": 1.7}, "integer 'seed'"),
     ({"p": [0.9, 0.8], "q_hat": [0.5, 1]}, "0 or 1"),
-], ids=["object-p", "array", "null-seed", "float-seed", "half-label"])
+    ({"p": [0.9, 0.8, 0.7], "q_hat": [1, 0]}, "must be equal-length vectors"),
+    ({"p": [0.9, 0.8, 0.7], "q": [1, 0], "seed": 1}, "confidence vector has length 3, expected 2"),
+    ({"p": [0.9, 0.8], "q_hat": [1, 0], "q": [1, 0, 1]}, "estimate has length 2, expected 3"),
+], ids=["object-p", "array", "null-seed", "float-seed", "half-label", "q_hat-p-lengths",
+        "q-p-lengths", "q-q_hat-lengths"])
 def test_a_malformed_prune_input_exits_1(tmp_path, capsys, doc, message):
     path = tmp_path / "prior.json"
     path.write_text(json.dumps(doc))
@@ -501,7 +518,8 @@ def test_estimate_rejects_a_window_too_large_to_certify(tmp_path, system_file, c
 @pytest.mark.parametrize("flag,value", [("--epsilon-policy", "rel:nan"),
                                         ("--epsilon-policy", "abs:inf"),
                                         ("--spectral-radius", "nan"),
-                                        ("--spectral-radius", "inf")])
+                                        ("--spectral-radius", "inf"),
+                                        ("--workers", "0")])
 def test_sweep_rejects_a_non_finite_policy_or_radius_up_front(capsys, monkeypatch, flag, value):
     from resilient_sse import experiments
 
@@ -539,7 +557,13 @@ def test_scenario_metrics_that_overflow_are_a_numerical_failure(capsys, magnitud
     (["estimate", "--safe", "1,x"], "--safe"),
     (["scenario", "--steps", "8", "--attack-support", "0,,1"], "--attack-support"),
     (["sweep", "--grid", "0.3,x"], "--grid"),
-], ids=["attack-support", "estimate-safe", "scenario-attack-support", "sweep-grid"])
+    (["sweep", "--grid", "0.1,,0.3"], "--grid"),
+    (["estimate", "--safe", "1,,2"], "--safe"),
+    (["sweep", "--strategies", "none,,prior"], "--strategies"),
+    (["scenario", "--steps", "8", "--observers", "LO,"], "--observers"),
+], ids=["attack-support", "estimate-safe", "scenario-attack-support", "sweep-grid",
+        "sweep-grid-blank", "estimate-safe-blank", "sweep-strategies-blank",
+        "scenario-observers-blank"])
 def test_a_malformed_list_names_its_flag(tmp_path, system_file, capsys, argv, flag):
     path, sys_ = system_file
     if argv[0] in ("attack", "estimate"):
@@ -551,6 +575,59 @@ def test_a_malformed_list_names_its_flag(tmp_path, system_file, capsys, argv, fl
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
     assert f"error: {flag} must be comma-separated" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--grid", ""], "attack grid and strategies must each hold at least one entry"),
+    (["sweep", "--strategies", " "], "attack grid and strategies must each hold at least one"),
+    (["scenario", "--steps", "8", "--observers", ""], "observers must hold at least one"),
+], ids=["sweep-grid", "sweep-strategies", "scenario-observers"])
+def test_an_empty_list_that_needs_an_entry_exits_1(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.fixture
+def required_runs(tmp_path, system_file):
+    """(argv without its required option, {option: value}) per subcommand."""
+    path, sys_ = system_file
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps(list(build_horizon(sys_, 1).H @ np.array([0.5, 2.0]))))
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"p": [0.9, 0.8], "q_hat": [1, 0]}))
+    return {
+        "attack": (["attack", "--system", path, "--support", "0"], {"epsilon": 0.5}),
+        "estimate": (["estimate", "--system", path], {"y": str(y_path)}),
+        "prune": (["prune", "--input", prior], {"eta": 0.5}),
+        "rip": (["rip", "--system", path], {"S": 2}),
+    }
+
+
+@pytest.mark.parametrize("command", ["attack", "estimate", "prune", "rip"])
+def test_a_config_file_can_supply_a_required_option(tmp_path, capsys, required_runs, command):
+    argv, values = required_runs[command]
+    (flag, value), = values.items()
+    code, typed, err = run_cli(argv + [f"--{flag}", value], capsys)
+    assert code == 0, err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(values))
+    code, out, err = run_cli(argv + ["--config", config], capsys)
+    assert code == 0 and out == typed, err
+    config.write_text("{}")
+    for extra in ([], ["--config", config]):
+        code, out, err = run_cli(argv + extra, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: the following arguments are required: --{flag}\n"
+
+
+def test_prune_reports_a_null_ppv_when_no_row_is_estimated_safe(tmp_path, capsys):
+    payload = tmp_path / "prior.json"
+    payload.write_text(json.dumps({"p": [0.9, 0.8], "q_hat": [0, 0], "q": [1, 0]}))
+    code, out, _ = run_cli(["prune", "--input", payload, "--eta", 0.5], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ppv"] is None and doc["pruned_set"] == [] and '"ppv":null' in out
 
 
 def test_estimate_with_omega_0_needs_n_distinct_safe_rows(tmp_path, capsys):

@@ -163,6 +163,8 @@ def test_scenario_validation():
         run_scenario(sys_, x0, scenario=ScenarioConfig(steps=2, T=3))
     with pytest.raises(ValueError):
         run_scenario(sys_, x0, observers=("LO", "nope"))
+    with pytest.raises(ValueError, match="at least one"):
+        run_scenario(sys_, x0, observers=())
     with pytest.raises(ValueError):
         ScenarioConfig(prior_mode="sometimes")
 
@@ -195,6 +197,9 @@ def test_config_validation():
         SweepConfig(strategies=("none", "magic"))
     with pytest.raises(ValueError):
         SweepConfig(trials=0)
+    for empty in ("attack_grid", "strategies"):
+        with pytest.raises(ValueError, match="at least one entry"):
+            SweepConfig(**{empty: ()})
 
 
 ACCEPTANCE_03 = dict(m=20, n=10, T=1, attack_grid=(0.3, 0.4, 0.5, 0.6, 0.7),

@@ -160,7 +160,7 @@ def test_attack_guarantee_end_to_end():
             continue
         hits += 1
         plan = synthesize_fdia(model, support, eps)
-        assert plan.feasible and plan.alpha_guarantee == pytest.approx(alpha)
+        assert (plan.feasible, plan.alpha_guarantee) == (holds, alpha)  # one SVD decides both
         verdict = is_successful(plan, model, x_star, eps, alpha)
         assert verdict.success
         assert verdict.residual_l1 <= eps + 1e-6
@@ -206,6 +206,9 @@ def test_random_support_contract():
     assert len(np.unique(a)) == a.size == 8
     with pytest.raises(ValueError):
         random_support(10, 1.0, rng)
+    # the largest fraction below 1 still leaves one safe row
+    for rows in (1, 2, 7, 10, 999):
+        assert random_support(rows, np.nextafter(1.0, 0.0), rng).size == rows - 1
 
 
 @pytest.mark.parametrize("epsilon", [np.inf, np.nan, -1.0])
@@ -223,13 +226,16 @@ def test_synthesize_rejects_a_cap_factor_that_is_not_finite_and_positive(cap):
 
 
 @pytest.mark.parametrize("indices", [[], [4], [3, 1, 3, 0, 1], (7, 2, 2), {5, 1, 9}, [2.0, 1.0, 2.0],
-                                     np.array([[3, 1], [1, 0]]), np.arange(6)[::-1]],
-                         ids=["empty", "one", "duplicates", "tuple", "set", "floats", "2d", "reversed"])
+                                     np.array([[3, 1], [1, 0]]), np.arange(6)[::-1],
+                                     range(1, 9, 3), np.array([5, 1, 5], dtype=np.uint8)],
+                         ids=["empty", "one", "duplicates", "tuple", "set", "floats", "2d", "reversed",
+                              "range", "uint8"])
 def test_sorted_unique_matches_np_unique(indices):
-    from resilient_sse.fdia import sorted_unique
+    # lti.row_indices returns the sorted unique rows, integral floats included
+    from resilient_sse.lti import row_indices
 
     as_list = list(indices) if isinstance(indices, set) else indices
     expected = np.unique(np.asarray(as_list, dtype=int))
-    got = sorted_unique(as_list)
+    got = row_indices(indices, 10, "rows")
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert np.array_equal(got, expected)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from resilient_sse import (
-    DimensionMismatch, RankDeficient, build_horizon, gen_random_system, synthesize_fdia,
+    DimensionMismatch, RankDeficient, SolverFailure, build_horizon, gen_random_system,
+    synthesize_fdia,
 )
 from resilient_sse import lp
 from resilient_sse.lp import _greedy_basis, weighted_l1_regression
@@ -487,3 +488,16 @@ def test_blands_rule_has_its_own_budget_counted_from_the_switch(monkeypatch):
     opt = scipy_oracle(model.H, y, np.ones(model.rows))
     assert abs(sol.objective - opt) <= 1e-7 * (1.0 + abs(opt))
     assert sol.gap <= 1e-8 * (1.0 + abs(sol.objective))
+
+
+@pytest.mark.parametrize("constants, message", [
+    ({"_GAP_RTOL": -1}, "basis not certified"),
+    ({"_BLAND_AFTER": 0, "_PIVOTS_PER_ROW": 0}, "no optimal basis after 0 pivots"),
+], ids=["certificate-gate", "pivot-budget"])
+def test_a_solve_that_cannot_certify_raises_solver_failure(monkeypatch, constants, message):
+    model, y = estimate_window(0)
+    assert weighted_l1_regression(model.H, y, np.ones(model.rows)).iterations > 0
+    for name, value in constants.items():
+        monkeypatch.setattr(lp, name, value)
+    with pytest.raises(SolverFailure, match=message):
+        weighted_l1_regression(model.H, y, np.ones(model.rows))

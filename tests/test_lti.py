@@ -269,3 +269,42 @@ def test_build_horizon_accepts_a_full_rank_H_whose_observability_matrix_is_badly
     assert not check_observability(sys_).observable
     model = build_horizon(sys_, 1)
     assert np.array_equal(model.H, np.eye(2))
+
+
+def five_row_index_entry_points():
+    """Each public entry point that takes 0-based rows, with the name its
+    errors use: (name, call taking the rows)."""
+    from resilient_sse import (
+        ScenarioAttack, SupportPrior, indicator_from_support, prune_online, synthesize_fdia,
+        weighted_observer,
+    )
+
+    sys_ = make_system(0)
+    model = build_horizon(sys_, 1)
+    y = model.H @ np.ones(sys_.n)
+    prior = SupportPrior(q_hat=np.ones(model.rows), p=np.full(model.rows, 0.9))
+    return [
+        ("trusted indices", lambda rows: weighted_observer(model, y, rows, 0.5)),
+        ("support indices", lambda rows: indicator_from_support(rows, model.rows)),
+        ("offline rows", lambda rows: prune_online(rows, prior, 0.5)),
+        ("support indices", lambda rows: synthesize_fdia(model, rows, 1.0)),
+        ("attack support", lambda rows: ScenarioAttack(support=rows).resolve_support(sys_.C)),
+    ]
+
+
+@pytest.mark.parametrize("rows", [[0.9, 2.7], [True, False, True], np.array([True, False, True])],
+                         ids=["fractions", "bool-list", "bool-array"])
+def test_every_row_index_entry_point_rejects_fractions_and_masks(rows):
+    # fractions were truncated (0.9, 2.7 -> 0, 2) and masks read as rows 1 and 0
+    for name, call in five_row_index_entry_points():
+        with pytest.raises(ValueError, match=f"^{name} must be integers"):
+            call(rows)
+
+
+@pytest.mark.parametrize("rows", [[-1], [8], [2.0, 8.0], [np.inf], [np.nan]],
+                         ids=["negative", "past-end", "float-past-end", "inf", "nan"])
+def test_every_row_index_entry_point_range_checks(rows):
+    for name, call in five_row_index_entry_points():
+        with pytest.raises(ValueError, match=f"^{name} must (lie in \\[0, 8\\)|be integers)"):
+            call(rows)
+
