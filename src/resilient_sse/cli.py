@@ -5,6 +5,10 @@ solver failure.  Results are serialized to stdout or, with --out, written
 atomically (nothing is left behind on failure).  Every stochastic
 subcommand is fully determined by its --seed.
 
+sweep and scenario build their configs from the flags named like the
+config fields, each flag's default read from the dataclass; results print
+through canonical_json, which writes a dataclass field for field.
+
 A JSON config file may supply any long-option value, required ones included
 (keys use underscores, e.g. {"true_rate": 0.9}); explicit command-line flags
 win over the file, and each file value is converted and checked as the
@@ -26,6 +30,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,7 +38,7 @@ from .analysis import rip_constant
 from .errors import EmptyEstimate, EstimationError
 from .estimation import decode, weighted_observer
 from .experiments import (
-    STRATEGIES,
+    OBSERVERS,
     ScenarioAttack,
     ScenarioConfig,
     SweepConfig,
@@ -96,9 +101,9 @@ def _parse_list(text, flag, convert):
 
 
 def _load_system(args):
-    if getattr(args, "system", None):
+    if args.system:
         return load_system_json(args.system)
-    if getattr(args, "system_a", None) and getattr(args, "system_c", None):
+    if args.system_a and args.system_c:
         return load_system_csv(args.system_a, args.system_c), None
     raise ValueError("provide --system (JSON) or both --system-a and --system-c (CSV)")
 
@@ -147,6 +152,11 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _from_flags(cls, args, **given):
+    """A `cls` whose fields missing from `given` are the parsed flags of the same name."""
+    return cls(**given, **{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given})
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -161,18 +171,8 @@ def _cmd_attack(args) -> str:
         _require(args.fraction is not None, "provide --support or --fraction")
         rng = np.random.default_rng(args.seed)
         support = random_support(model.rows, args.fraction, rng)
-    plan = synthesize_fdia(model, support, args.epsilon, magnitude_cap_factor=args.cap_factor)
-    return canonical_json(
-        {
-            "support": [int(i) for i in plan.support],
-            "epsilon": plan.epsilon,
-            "z_e": list(plan.z_e),
-            "e_T": list(plan.e_T),
-            "alpha_guarantee": plan.alpha_guarantee,
-            "feasible": plan.feasible,
-            "unbounded": plan.unbounded,
-        }
-    )
+    return canonical_json(synthesize_fdia(model, support, args.epsilon,
+                                          magnitude_cap_factor=args.cap_factor))
 
 
 def _cmd_estimate(args) -> str:
@@ -191,17 +191,8 @@ def _cmd_estimate(args) -> str:
         est = weighted_observer(model, y_T, trusted, args.omega, epsilon=args.epsilon, x_true=x_true)
     else:
         est = decode(model, y_T, epsilon=args.epsilon, x_true=x_true)
-    return canonical_json(
-        {
-            "x_hat": list(est.x_hat),
-            "objective": est.objective,
-            "residual_l1": est.residual_l1,
-            "detector_flag": est.detector_flag,
-            "error_l2": est.error_l2,
-            "iterations": est.iterations,
-            "gap": est.gap,
-        }
-    )
+    # the basis is a warm start for a library caller's next solve, not a result
+    return canonical_json({k: v for k, v in vars(est).items() if k != "basis"})
 
 
 def _cmd_prune(args) -> str:
@@ -233,8 +224,8 @@ def _cmd_prune(args) -> str:
             precision_pruned = float(np.mean(q.q[pruned.safe_set] == 1))
     return canonical_json(
         {
-            "offline_set": [int(i) for i in pruned.offline_set],
-            "pruned_set": [int(i) for i in pruned.safe_set],
+            "offline_set": pruned.offline_set,
+            "pruned_set": pruned.safe_set,
             "l_eta": pruned.l_eta,
             "ppv": precision,
             "ppv_pruned": precision_pruned,
@@ -258,28 +249,14 @@ def _cmd_rip(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    cfg = SweepConfig(
-        m=args.m,
-        n=args.n,
-        T=args.T,
-        attack_grid=tuple(_parse_list(args.grid, "--grid", float)),
-        trials=args.trials,
-        true_rate=args.true_rate,
-        jitter=args.jitter,
-        eta=args.eta,
-        omega=args.omega,
-        epsilon_policy=args.epsilon_policy,
-        strategies=tuple(_parse_list(args.strategies, "--strategies", str)),
-        master_seed=args.seed,
-        spectral_radius=args.spectral_radius,
-        workers=args.workers,
-    )
-    result = sweep(cfg)
+    result = sweep(_from_flags(SweepConfig, args, master_seed=args.seed,
+                               attack_grid=_parse_list(args.grid, "--grid", float),
+                               strategies=_parse_list(args.strategies, "--strategies", str)))
     return result.to_json() if args.format == "json" else result.to_csv()
 
 
 def _cmd_scenario(args) -> str:
-    if args.system or (args.system_a and args.system_c):
+    if args.system or args.system_a or args.system_c:
         sys_, x0 = _load_system(args)
         _require(x0 is not None, "scenario needs an x0 entry in the system file")
     else:
@@ -287,25 +264,11 @@ def _cmd_scenario(args) -> str:
     support = None
     if args.attack_support:
         support = tuple(_parse_list(args.attack_support, "--attack-support", int))
-    attack = ScenarioAttack(
-        fraction=args.attack_fraction,
-        magnitude=args.attack_magnitude,
-        support=support,
-        seed=args.seed,
-    )
-    scenario = ScenarioConfig(
-        steps=args.steps,
-        T=args.T,
-        true_rate=args.true_rate,
-        jitter=args.jitter,
-        eta=args.eta,
-        omega=args.omega,
-        prior_mode=args.prior_mode,
-        prior_seed=args.prior_seed,
-    )
-    observers = tuple(_parse_list(args.observers, "--observers", str))
-    metrics = run_scenario(sys_, x0, attack=attack, scenario=scenario, observers=observers)
-    return metrics.to_json()
+    attack = ScenarioAttack(fraction=args.attack_fraction, magnitude=args.attack_magnitude,
+                            support=support, seed=args.seed)
+    observers = _parse_list(args.observers, "--observers", str)
+    return run_scenario(sys_, x0, attack=attack, scenario=_from_flags(ScenarioConfig, args),
+                        observers=observers).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +325,24 @@ def build_parser():
     p.set_defaults(handler=_cmd_rip, required=("--S",))
 
     p = subparsers["sweep"] = sub.add_parser("sweep", help="Monte Carlo attack-percentage sweep")
-    p.add_argument("--m", type=int, default=20, help="sensor count")
-    p.add_argument("--n", type=int, default=10, help="state dimension")
-    p.add_argument("--T", type=int, default=1, help="window length")
-    p.add_argument("--grid", default="0.0,0.2,0.4,0.6", help="attack fractions, comma-separated")
-    p.add_argument("--trials", type=int, default=100, help="paired trials per grid point")
-    p.add_argument("--true-rate", type=float, default=0.6, help="oracle confidence level")
-    p.add_argument("--jitter", type=float, default=0.1, help="confidence jitter half-width")
-    p.add_argument("--eta", type=float, default=0.9, help="pruning reliability level")
-    p.add_argument("--omega", type=float, default=0.01, help="weight on untrusted rows")
-    p.add_argument("--epsilon-policy", default="rel:0.01", help="'rel:<f>' of ||y*||_1 or 'abs:<f>'")
-    p.add_argument("--strategies", default=",".join(STRATEGIES),
-                   help=f"comma-separated subset of {','.join(STRATEGIES)}")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--spectral-radius", type=float, default=0.95)
-    p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    cfg = SweepConfig
+    p.add_argument("--m", type=int, default=cfg.m, help="sensor count")
+    p.add_argument("--n", type=int, default=cfg.n, help="state dimension")
+    p.add_argument("--T", type=int, default=cfg.T, help="window length")
+    p.add_argument("--grid", default=",".join(map(str, cfg.attack_grid)),
+                   help="attack fractions, comma-separated")
+    p.add_argument("--trials", type=int, default=cfg.trials, help="paired trials per grid point")
+    p.add_argument("--true-rate", type=float, default=cfg.true_rate, help="oracle confidence level")
+    p.add_argument("--jitter", type=float, default=cfg.jitter, help="confidence jitter half-width")
+    p.add_argument("--eta", type=float, default=cfg.eta, help="pruning reliability level")
+    p.add_argument("--omega", type=float, default=cfg.omega, help="weight on untrusted rows")
+    p.add_argument("--epsilon-policy", default=cfg.epsilon_policy,
+                   help="'rel:<f>' of ||y*||_1 or 'abs:<f>'")
+    p.add_argument("--strategies", default=",".join(cfg.strategies),
+                   help=f"comma-separated subset of {','.join(cfg.strategies)}")
+    p.add_argument("--seed", type=int, default=cfg.master_seed, help="master seed")
+    p.add_argument("--spectral-radius", type=float, default=cfg.spectral_radius)
+    p.add_argument("--workers", type=int, default=cfg.workers, help="parallel trial workers")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--config", help="JSON file of option defaults; flags win")
     p.add_argument("--out", help="write the result here instead of stdout")
@@ -384,21 +350,22 @@ def build_parser():
 
     p = subparsers["scenario"] = sub.add_parser("scenario", help="dynamic observer comparison")
     _add_system_flags(p)
-    p.add_argument("--steps", type=int, default=60, help="trajectory length")
-    p.add_argument("--T", type=int, default=3, help="moving-window length")
-    p.add_argument("--attack-fraction", type=float, default=0.3,
+    cfg, attack = ScenarioConfig, ScenarioAttack
+    p.add_argument("--steps", type=int, default=cfg.steps, help="trajectory length")
+    p.add_argument("--T", type=int, default=cfg.T, help="moving-window length")
+    p.add_argument("--attack-fraction", type=float, default=attack.fraction,
                    help="fraction of sensors under persistent attack")
-    p.add_argument("--attack-magnitude", type=float, default=3.0)
+    p.add_argument("--attack-magnitude", type=float, default=attack.magnitude)
     p.add_argument("--attack-support", help="explicit attacked sensors (else: highest-gain)")
-    p.add_argument("--seed", type=int, default=0, help="attack value seed")
-    p.add_argument("--prior-seed", type=int, default=1, help="localization prior seed")
-    p.add_argument("--true-rate", type=float, default=0.95, help="oracle confidence level")
-    p.add_argument("--jitter", type=float, default=0.04)
-    p.add_argument("--eta", type=float, default=0.7, help="pruning reliability level")
-    p.add_argument("--omega", type=float, default=0.01, help="weight on untrusted rows")
-    p.add_argument("--prior-mode", default="static", choices=("static", "per_window"),
+    p.add_argument("--seed", type=int, default=attack.seed, help="attack value seed")
+    p.add_argument("--prior-seed", type=int, default=cfg.prior_seed, help="localization prior seed")
+    p.add_argument("--true-rate", type=float, default=cfg.true_rate, help="oracle confidence level")
+    p.add_argument("--jitter", type=float, default=cfg.jitter)
+    p.add_argument("--eta", type=float, default=cfg.eta, help="pruning reliability level")
+    p.add_argument("--omega", type=float, default=cfg.omega, help="weight on untrusted rows")
+    p.add_argument("--prior-mode", default=cfg.prior_mode, choices=("static", "per_window"),
                    help="sample the prior once, or afresh per window")
-    p.add_argument("--observers", default="LO,L1O,WL1P")
+    p.add_argument("--observers", default=",".join(OBSERVERS))
     p.set_defaults(handler=_cmd_scenario)
 
     return parser, subparsers

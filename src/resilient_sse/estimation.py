@@ -47,14 +47,11 @@ def solve_weighted_l1(
 ) -> EstimateResult:
     """Exact minimizer of the weighted l1 measurement residual.
 
-    ``weights`` holds one entry per row of H (DimensionMismatch otherwise).
-    Weight entries of zero are allowed only while the remaining rows keep
-    full column rank (RankDeficient otherwise).  ``start`` is an optional
-    warm-start basis, see ``lp.weighted_l1_regression``.
+    ``y_T`` and ``weights`` hold one entry per row of H (DimensionMismatch
+    from the LP otherwise).  Weight entries of zero are allowed only while
+    the remaining rows keep full column rank (RankDeficient otherwise).
+    ``start`` is an optional warm-start basis, see ``lp.weighted_l1_regression``.
     """
-    y_T = np.asarray(y_T, dtype=float).reshape(-1)
-    if y_T.shape[0] != model.rows:
-        raise DimensionMismatch(f"y_T has length {y_T.shape[0]}, expected {model.rows}")
     if x_true is not None:
         x_true = np.asarray(x_true, dtype=float)
         if x_true.shape != (model.n,):

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass
 from importlib import resources
 
 import numpy as np
@@ -40,12 +40,28 @@ from .pruning import (
 )
 
 STRATEGIES = ("none", "prior", "pruned_product", "pruned_quantile")
+OBSERVERS = ("LO", "L1O", "WL1P")
 SUCCESS_RTOL = 1e-3  # a trial succeeds when ||x_hat - x*|| <= SUCCESS_RTOL * ||x*||
+
+
+def _json_value(obj):
+    """A dataclass as its fields, an array as nested lists; nothing else."""
+    if is_dataclass(obj):  # asdict raises TypeError on a dataclass type
+        return asdict(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(doc) -> str:
     """The one serialization of every JSON result: sorted keys, no spaces, a newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_value) + "\n"
+
+
+def _reject_repeats(values, what: str) -> None:
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{what} {v!r} is listed twice")
 
 
 def gen_random_system(
@@ -133,6 +149,8 @@ class SweepConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "attack_grid", tuple(float(v) for v in self.attack_grid))
         object.__setattr__(self, "strategies", tuple(self.strategies))
+        _reject_repeats(self.attack_grid, "attack fraction")
+        _reject_repeats(self.strategies, "strategy")
 
 
 @dataclass(frozen=True)
@@ -257,7 +275,7 @@ class SweepResult:
     def to_json(self) -> str:
         cfg = asdict(self.config)
         cfg.pop("workers")  # execution detail, not part of the experiment identity
-        return canonical_json({"config": cfg, "rows": [asdict(r) for r in self.rows]})
+        return canonical_json({"config": cfg, "rows": self.rows})
 
 
 def sweep(cfg: SweepConfig) -> SweepResult:
@@ -353,12 +371,7 @@ class ScenarioMetrics:
     max_abs: dict
 
     def to_json(self) -> str:
-        return canonical_json({
-            "observers": list(self.observers),
-            "windows": self.windows,
-            "rms": {k: list(v) for k, v in self.rms.items()},
-            "max_abs": {k: list(v) for k, v in self.max_abs.items()},
-        })
+        return canonical_json(self)
 
 
 def run_scenario(
@@ -366,7 +379,7 @@ def run_scenario(
     x0,
     attack: ScenarioAttack = ScenarioAttack(),
     scenario: ScenarioConfig = ScenarioConfig(),
-    observers: tuple = ("LO", "L1O", "WL1P"),
+    observers: tuple = OBSERVERS,
 ) -> ScenarioMetrics:
     """Simulate a persistently attacked run and compare observers.
 
@@ -376,10 +389,11 @@ def run_scenario(
     H, so each l1 observer warm-starts from its previous window's basis.
     """
     if not observers:
-        raise ValueError("observers must hold at least one of LO, L1O, WL1P")
+        raise ValueError(f"observers must hold at least one of {', '.join(OBSERVERS)}")
     for obs in observers:
-        if obs not in ("LO", "L1O", "WL1P"):
+        if obs not in OBSERVERS:
             raise ValueError(f"unknown observer {obs!r}")
+    _reject_repeats(observers, "observer")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     n, m, T = system.n, system.m, scenario.T
     sup = attack.resolve_support(system.C)

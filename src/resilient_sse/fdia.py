@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupport, SupportTooLarge
-from .estimation import decode, detect
+from .estimation import decode
 from .lti import HorizonModel, row_indices
 
 _NULLSPACE_TOL = 1e-10
@@ -146,11 +146,10 @@ def is_successful(
         raise ValueError("epsilon and alpha must be positive")
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     y_T = model.H @ x_star + plan.e_T
-    est = decode(model, y_T)
+    est = decode(model, y_T, epsilon=epsilon)
     bias = float(np.linalg.norm(x_star - est.x_hat))
-    flagged = detect(model, y_T, est.x_hat, epsilon)
     bias_ok = bias >= alpha
-    stealth_ok = not flagged
+    stealth_ok = not est.detector_flag
     return SuccessVerdict(
         bias_ok=bias_ok,
         stealth_ok=stealth_ok,

@@ -588,6 +588,74 @@ def test_an_empty_list_that_needs_an_entry_exits_1(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--grid", "0.3,0.30"], "attack fraction 0.3 is listed twice"),
+    (["sweep", "--strategies", "none,prior,none"], "strategy 'none' is listed twice"),
+    (["scenario", "--steps", "8", "--observers", "LO,WL1P,LO"], "observer 'LO' is listed twice"),
+], ids=["sweep-grid", "sweep-strategies", "scenario-observers"])
+def test_a_repeated_list_entry_exits_1_before_any_run(capsys, monkeypatch, argv, message):
+    from resilient_sse import experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a trial or a simulation ran before its lists were checked")
+
+    monkeypatch.setattr(experiments, "draw_instance", no_run)
+    monkeypatch.setattr(experiments, "simulate", no_run)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--system-a", "--system-c"])
+def test_scenario_rejects_half_a_csv_pair(tmp_path, capsys, flag):
+    half = tmp_path / "half.csv"
+    half.write_text("1,0\n0,1\n")
+    code, out, err = run_cli(["scenario", "--steps", 8, flag, half], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: provide --system (JSON) or both --system-a and --system-c (CSV)\n"
+
+
+SWEEP_ROW_KEYS = ("attack_fraction", "strategy", "trials", "successes", "success_rate", "stderr",
+                  "mean_error")
+
+
+def test_every_output_has_exactly_the_keys_readme_lists(tmp_path, system_file, capsys):
+    """The keys README "File formats" lists: a field added to a result dataclass fails here."""
+    path, sys_ = system_file
+    x = np.array([0.5, 2.0])
+    y_path, x_path, prior = tmp_path / "y.json", tmp_path / "x.json", tmp_path / "prior.json"
+    y_path.write_text(json.dumps(list(build_horizon(sys_, 1).H @ x)))
+    x_path.write_text(json.dumps(list(x)))
+    prior.write_text(json.dumps({"p": [0.9, 0.8, 0.95, 0.99], "q": [1, 0, 1, 1], "seed": 5}))
+    estimate = {"x_hat", "objective", "residual_l1", "detector_flag", "error_l2", "iterations",
+                "gap"}
+    prune = {"offline_set", "pruned_set", "l_eta", "ppv", "ppv_pruned", "strategy"}
+    sweep = ["sweep", "--m", 6, "--n", 2, "--grid", "0.3", "--trials", 2]
+    runs = [
+        (["attack", "--system", path, "--epsilon", 0.4, "--support", "0,2"],
+         {"support", "epsilon", "z_e", "e_T", "alpha_guarantee", "feasible", "unbounded"}),
+        (["estimate", "--system", path, "--y", y_path], estimate),
+        (["estimate", "--system", path, "--y", y_path, "--safe", "0,1,2", "--epsilon", 0.5,
+          "--x-true", x_path], estimate),
+        (["rip", "--system", path, "--S", 2], {"S", "delta_S", "exact", "supports_checked"}),
+        (["prune", "--input", prior, "--eta", 0.75], prune),
+        (["prune", "--input", prior, "--eta", 0.75, "--strategy", "quantile"], prune),
+        (["scenario", "--steps", 8], {"observers", "windows", "rms", "max_abs"}),
+        (sweep + ["--format", "json"], {"config", "rows"}),
+    ]
+    for argv, keys in runs:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert set(json.loads(out)) == keys, argv[0]
+    doc = json.loads(out)
+    assert set(doc["config"]) == {"m", "n", "T", "attack_grid", "trials", "true_rate", "jitter",
+                                  "eta", "omega", "epsilon_policy", "strategies", "master_seed",
+                                  "spectral_radius"}
+    assert doc["rows"] and all(set(row) == set(SWEEP_ROW_KEYS) for row in doc["rows"])
+    code, out, _ = run_cli(sweep, capsys)
+    assert code == 0 and out.splitlines()[0] == ",".join(SWEEP_ROW_KEYS)
+
+
 @pytest.fixture
 def required_runs(tmp_path, system_file):
     """(argv without its required option, {option: value}) per subcommand."""

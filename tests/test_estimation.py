@@ -55,6 +55,15 @@ def test_solve_weighted_l1_takes_one_weight_per_row():
     assert column.x_hat.tolist() == [1.0] and column.objective == 4.0
 
 
+def test_a_window_of_the_wrong_length_is_a_dimension_mismatch():
+    model = tiny_model()  # three rows
+    for window in ([1.0, 1.0], [1.0, 1.0, 5.0, 2.0]):
+        for solve in (lambda y: decode(model, y), lambda y: weighted_observer(model, y, [0], 0.5),
+                      lambda y: solve_weighted_l1(model, y, np.ones(3))):
+            with pytest.raises(DimensionMismatch, match="shape mismatch"):
+                solve(window)
+
+
 def test_solve_weighted_l1_downweighted_majority():
     model = tiny_model()
     est = solve_weighted_l1(model, [5.0, 5.0, 1.0], [0.1, 0.1, 1.0])

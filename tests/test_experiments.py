@@ -13,7 +13,7 @@ from resilient_sse import (
     run_trial,
     sweep,
 )
-from resilient_sse.experiments import epsilon_from_policy
+from resilient_sse.experiments import TrialOutcome, canonical_json, epsilon_from_policy
 
 
 def small_cfg(**kw):
@@ -165,6 +165,8 @@ def test_scenario_validation():
         run_scenario(sys_, x0, observers=("LO", "nope"))
     with pytest.raises(ValueError, match="at least one"):
         run_scenario(sys_, x0, observers=())
+    with pytest.raises(ValueError, match="observer 'LO' is listed twice"):
+        run_scenario(sys_, x0, observers=("LO", "WL1P", "LO"))
     with pytest.raises(ValueError):
         ScenarioConfig(prior_mode="sometimes")
 
@@ -200,6 +202,20 @@ def test_config_validation():
     for empty in ("attack_grid", "strategies"):
         with pytest.raises(ValueError, match="at least one entry"):
             SweepConfig(**{empty: ()})
+    with pytest.raises(ValueError, match="attack fraction 0.3 is listed twice"):
+        SweepConfig(attack_grid=(0.3, 0.1, 0.3))
+    with pytest.raises(ValueError, match="attack fraction 0.0 is listed twice"):
+        SweepConfig(attack_grid=(0, 0.0))
+    with pytest.raises(ValueError, match="strategy 'none' is listed twice"):
+        SweepConfig(strategies=("none", "prior", "none"))
+
+
+def test_canonical_json_writes_dataclasses_and_arrays_and_rejects_the_rest():
+    doc = {"outcome": TrialOutcome(success=True, error_l2=0.5), "rows": np.arange(3)}
+    assert canonical_json(doc) == '{"outcome":{"error_l2":0.5,"success":true},"rows":[0,1,2]}\n'
+    for value in (object(), {1, 2}, np.int64(3), TrialOutcome):
+        with pytest.raises(TypeError):
+            canonical_json({"value": value})
 
 
 ACCEPTANCE_03 = dict(m=20, n=10, T=1, attack_grid=(0.3, 0.4, 0.5, 0.6, 0.7),
