@@ -256,8 +256,8 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_scenario(args) -> str:
-    if args.system or args.system_a or args.system_c:
-        sys_, x0 = _load_system(args)
+    if args.system:
+        sys_, x0 = load_system_json(args.system)
         _require(x0 is not None, "scenario needs an x0 entry in the system file")
     else:
         sys_, x0 = load_surrogate()
@@ -279,8 +279,6 @@ def _add_system_flags(p):
     p.add_argument("--system", help="system JSON file with A, C and optional x0")
     p.add_argument("--system-a", help="CSV file holding A (with --system-c)")
     p.add_argument("--system-c", help="CSV file holding C (with --system-a)")
-    p.add_argument("--config", help="JSON file of option defaults; flags win")
-    p.add_argument("--out", help="write the result here instead of stdout")
 
 
 def build_parser():
@@ -312,8 +310,6 @@ def build_parser():
     p.add_argument("--input", help="JSON with p and q_hat, or p, q, seed (required)")
     p.add_argument("--eta", type=float, help="pruning reliability level (required)")
     p.add_argument("--strategy", default="product", choices=("product", "quantile"))
-    p.add_argument("--config", help="JSON file of option defaults; flags win")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_prune, required=("--input", "--eta"))
 
     p = subparsers["rip"] = sub.add_parser("rip", help="isometry constant of the null-space basis")
@@ -344,12 +340,10 @@ def build_parser():
     p.add_argument("--spectral-radius", type=float, default=cfg.spectral_radius)
     p.add_argument("--workers", type=int, default=cfg.workers, help="parallel trial workers")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--config", help="JSON file of option defaults; flags win")
-    p.add_argument("--out", help="write the result here instead of stdout")
     p.set_defaults(handler=_cmd_sweep)
 
     p = subparsers["scenario"] = sub.add_parser("scenario", help="dynamic observer comparison")
-    _add_system_flags(p)
+    p.add_argument("--system", help="system JSON file with A, C and x0 (else: the surrogate)")
     cfg, attack = ScenarioConfig, ScenarioAttack
     p.add_argument("--steps", type=int, default=cfg.steps, help="trajectory length")
     p.add_argument("--T", type=int, default=cfg.T, help="moving-window length")
@@ -368,6 +362,9 @@ def build_parser():
     p.add_argument("--observers", default=",".join(OBSERVERS))
     p.set_defaults(handler=_cmd_scenario)
 
+    for p in subparsers.values():
+        p.add_argument("--config", help="JSON file of option defaults; flags win")
+        p.add_argument("--out", help="write the result here instead of stdout")
     return parser, subparsers
 
 
@@ -392,7 +389,7 @@ def parse_and_dispatch(argv=None) -> int:
         if missing:
             raise ValueError(f"the following arguments are required: {', '.join(missing)}")
         text = args.handler(args)
-        _write_output(text, getattr(args, "out", None))
+        _write_output(text, args.out)
         return 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc), 1)

@@ -22,13 +22,15 @@ with nu_j h_j > 0, since nu_j = +-w_j carries the sign of r_j and nu_B = 0.
 
 Exact data makes the optimum degenerate (more than n rows fit with zero
 residual), and plain pivoting cycles there.  The pivots therefore run on y
-plus a tiny deterministic perturbation; the final basis is evaluated on the
-original y, and its dual, which does not depend on y, certifies that point.
-Should the pivots still cycle, after 10 pivots per row the solve switches
-to Bland's rule, which cannot cycle in exact arithmetic: the violating
-basis row of lowest index leaves, and the step stops at the first
-breakpoint (the lowest row on a tie).  Bland's rule has a budget of its own,
-20 pivots per row counted from the switch; after that the solve raises
+plus a tiny perturbation, one fixed draw of uniform noise; the final basis
+is evaluated on the original y, and its dual, which does not depend on y,
+certifies that point.  A golden-ratio pattern frac(j phi) - 1/2 failed on
+integer A: it lies in a two-dimensional rational family, so a small integer
+left-null vector of A can cancel it and leave the degeneracy in place.  The
+residual is computed afresh only at the start basis and then carried by the
+tableau, also across the refactor below: a perturbed residual that is zero
+up to roundoff would otherwise flip sign at each refactor and send the pivots
+around a cycle.  A solve that takes more than 10 pivots per row raises
 SolverFailure.
 The problem is positively homogeneous in (y, z), so the pivots run on y
 scaled to unit max-norm, and the gap is certified in those units, where it
@@ -42,8 +44,9 @@ h is +-row k, and row j replacing basis row k is the rank-one update
 Tab -= (Tab[:, j] - e_k) h^T / h_j: on the D^T rows the update
 D -= D[:, k] (D[j] - e_k) / D[j, k] transposed, on the last row the step
 r - (r_j / h_j) h along the edge to the breakpoint of row j.  When the
-tableau reports optimality the basis is factored afresh and re-checked with
-the formulas above, so the certificate never rests on updated quantities.  A
+tableau reports optimality the basis is factored afresh and nu_B re-checked
+with the formulas above, so the dual's feasibility never rests on updated
+quantities (the carried signs of nu_N only decide how tight it is).  A
 ``start`` basis, such as the previous window's, replaces the cold start; the
 cold start takes the rows the least-squares fit matches best, accepting the
 first n of them after one QR when they are independent.  When every weight
@@ -77,9 +80,7 @@ _RANK_RTOL = 1e-10
 _GAP_RTOL = 1e-8
 _DUAL_RTOL = 1e-10     # box violation |nu_B| / w_B - 1 accepted as optimal
 _PERTURBATION = 1e-9   # size of the pivoting perturbation, relative to max |y|
-_BLAND_AFTER = 10      # pivots per row before Bland's rule takes over
-_PIVOTS_PER_ROW = 20   # pivots per row under Bland's rule before the solve gives up
-_GOLDEN = 0.6180339887498949
+_PIVOTS_PER_ROW = 10   # pivots per row before the solve gives up
 
 
 @dataclass
@@ -97,8 +98,10 @@ class LpSolution:
 
 @functools.lru_cache(maxsize=8)
 def _perturbation(rows):
-    """The deterministic pivoting perturbation of `rows` rows, read-only."""
-    pattern = _PERTURBATION * ((np.arange(rows) * _GOLDEN) % 1.0 - 0.5)
+    """The pivoting perturbation of `rows` rows, read-only: one fixed draw,
+    uniform in +-_PERTURBATION / 2, with no rational structure for integer
+    rows of A to cancel."""
+    pattern = _PERTURBATION * (np.random.default_rng(0).random(rows) - 0.5)
     pattern.flags.writeable = False
     return pattern
 
@@ -196,11 +199,9 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     # `inv` holds a fresh factorization of the basis, None while the tableau
     # Tab = [D^T; r] is updated; g = -nu_B, and w_B = w_act[basis]
     w_B, neg_w = w_act[basis], -w_act
-    pivots, switch = 0, _BLAND_AFTER * rows
+    pivots, r = 0, y_piv - A_act @ (inv @ y_piv[basis])
     while True:
         fresh = inv is not None
-        if fresh:
-            r = y_piv - A_act @ (inv @ y_piv[basis])
         nu = np.where(r >= 0, w_act, neg_w)
         nu[basis] = 0.0
         g = inv.T @ (A_act.T @ nu) if fresh else Tab[:n] @ nu
@@ -211,12 +212,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
                 break
             inv = np.linalg.inv(A_act[basis])
             continue
-        if pivots >= switch + _PIVOTS_PER_ROW * rows:
+        if pivots >= _PIVOTS_PER_ROW * rows:
             raise SolverFailure(f"no optimal basis after {pivots} pivots")
-        bland = pivots >= switch
-        if bland:  # Bland's rule: the violating basis row of lowest index leaves
-            violating = (ratio > 1.0 + _DUAL_RTOL).nonzero()[0]
-            k = int(violating[basis[violating].argmin()])
         if fresh:
             Tab = np.empty((n + 1, rows))
             Tab[:n] = (A_act @ inv).T
@@ -234,8 +231,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         cand = (nu_h > 0).nonzero()[0]
         cand = cand[(r[cand] / h[cand]).argsort(kind="stable")]
         rise = nu_h[cand].cumsum()
-        # Bland's rule stops at the first breakpoint, the lowest row on a tie
-        stop = 0 if bland else int(rise.searchsorted(0.5 * (abs(g_k) - w_B[k])))
+        stop = int(rise.searchsorted(0.5 * (abs(g_k) - w_B[k])))
         if stop == cand.size:
             raise SolverFailure("no breakpoint along a descent edge")
         j = cand[stop]

@@ -275,7 +275,9 @@ def test_non_finite_system_file_is_rejected(tmp_path, capsys, fmt, field):
             rows = "\n".join(",".join(repr(v) for v in row) for row in doc[key])
             (tmp_path / f"{key}.csv").write_text(rows + "\n")
         args = ["--system-a", tmp_path / "A.csv", "--system-c", tmp_path / "C.csv"]
-    code, out, err = run_cli(["scenario", "--steps", 5, "--T", 1] + args, capsys)
+    # scenario takes no CSV pair, so the CSV files go through rip
+    command = ["scenario", "--steps", 5] if fmt == "json" else ["rip", "--S", 1]
+    code, out, err = run_cli(command + ["--T", 1] + args, capsys)
     assert code == 1 and out == ""
     assert f"{field}{'.csv' if fmt == 'csv' else ''} must be finite" in err
 
@@ -608,9 +610,21 @@ def test_a_repeated_list_entry_exits_1_before_any_run(capsys, monkeypatch, argv,
 
 @pytest.mark.parametrize("flag", ["--system-a", "--system-c"])
 def test_scenario_rejects_half_a_csv_pair(tmp_path, capsys, flag):
+    # a CSV pair has no place for x0, so scenario takes neither half
     half = tmp_path / "half.csv"
     half.write_text("1,0\n0,1\n")
     code, out, err = run_cli(["scenario", "--steps", 8, flag, half], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: unrecognized arguments: {flag}")
+
+
+@pytest.mark.parametrize("command", [["rip", "--S", "1"], ["estimate", "--y", "y.json"],
+                                     ["attack", "--epsilon", "0.5", "--fraction", "0.3"]])
+@pytest.mark.parametrize("flag", ["--system-a", "--system-c"])
+def test_half_a_csv_pair_exits_1(tmp_path, capsys, command, flag):
+    half = tmp_path / "half.csv"
+    half.write_text("1,0\n0,1\n")
+    code, out, err = run_cli(command + [flag, half], capsys)
     assert code == 1 and out == ""
     assert err == "error: provide --system (JSON) or both --system-a and --system-c (CSV)\n"
 

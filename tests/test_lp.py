@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -420,6 +420,22 @@ def _invariance_property(case):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(invariance_cases(zero_weights=False))
+# Both cycled until the pivot budget ran out: the first while the refactor
+# recomputed the residual, whose zero entries flipped sign on roundoff; the
+# second under a golden-ratio perturbation that integer A cancels.
+@example((np.array([[-2, 2, 1], [-2, -1, 0], [1, 2, -1], [-2, -2, -1], [2, 1, -2], [1, 1, -1],
+                    [-1, -2, 2]], dtype=float),
+          np.array([2.747587897436283, 0.8462490674299149, -0.37656270043192797,
+                    -0.18935613444783184, -2.0517258430567873, -0.8094295144962385,
+                    0.9793010882453642]),
+          np.array([0.4550957747510278, 0.6846276950821771, 0.09536668378871846,
+                    0.7522040625698262, 0.14473088910030435, 0.45698954301437356,
+                    0.38759832347659356]),
+          -1e6, np.array([5, 0, 1, 4, 2, 6, 3])))
+@example((np.array([[-2, 2], [0, -1], [-2, 0], [-1, -2], [1, 0], [0, -1]], dtype=float),
+          np.array([-2.572137629400152, 1.8469292143367826, 1.1217207992734128,
+                    4.2547188283102715, -0.5608603996367064, 1.8469292143367826]),
+          np.ones(6), 1.0, np.arange(6)))
 def test_objective_invariances_against_highs_positive_weights(case):
     _invariance_property(case)
 
@@ -446,45 +462,14 @@ def estimate_window(request):
     return model, y
 
 
-def test_a_formerly_cycling_window_certifies_before_blands_rule():
+def test_a_formerly_cycling_window_certifies_within_the_pivot_cap():
     # Request 63 (20 % attacked).  While the residual was recomputed at every
     # pivot, its largest-violation pivots cycled among degenerate vertices
-    # until Bland's rule took over (2406 pivots); with the residual carried in
-    # the tableau it certifies well within the first budget.
+    # for 2406 pivots; with the residual carried in the tableau it certifies
+    # in a few dozen.
     model, y = estimate_window(63)
     sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
-    assert sol.iterations < lp._BLAND_AFTER * model.rows
-    opt = scipy_oracle(model.H, y, np.ones(model.rows))
-    assert abs(sol.objective - opt) <= 1e-7 * (1.0 + abs(opt))
-    assert sol.gap <= 1e-8 * (1.0 + abs(sol.objective))
-
-
-@pytest.mark.parametrize("family", ("random",) + FAMILIES)
-def test_blands_rule_alone_certifies_against_highs(monkeypatch, family):
-    # No known instance cycles long enough to reach Bland's rule, so the rule
-    # is driven from the first pivot, with the usual budget
-    monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
-    pivots = 0
-    for seed in range(8):
-        A, y, w = lp_instance(family, seed)
-        sol = weighted_l1_regression(A, y, w)
-        best = scipy_oracle(A, y, w)
-        assert abs(sol.objective - best) <= 1e-7 * (1 + abs(best))
-        assert sol.gap <= 1e-8 * (1 + abs(sol.objective)) + 1e-15
-        pivots += sol.iterations
-    assert pivots > 0
-
-
-def test_blands_rule_has_its_own_budget_counted_from_the_switch(monkeypatch):
-    # Request 1 needs about 4150 pivots under Bland's rule alone, more than
-    # the 20 per row it is given.  Scaled down: the switch comes at pivot 30
-    # and Bland's rule certifies after 158 pivots, which a budget of 135
-    # counted from pivot 0 would cut short.
-    monkeypatch.setattr(lp, "_BLAND_AFTER", 0.125)
-    monkeypatch.setattr(lp, "_PIVOTS_PER_ROW", 0.5625)
-    model, y = estimate_window(1)
-    sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
-    assert lp._PIVOTS_PER_ROW * model.rows < sol.iterations
+    assert sol.iterations < lp._PIVOTS_PER_ROW * model.rows
     opt = scipy_oracle(model.H, y, np.ones(model.rows))
     assert abs(sol.objective - opt) <= 1e-7 * (1.0 + abs(opt))
     assert sol.gap <= 1e-8 * (1.0 + abs(sol.objective))
@@ -492,7 +477,7 @@ def test_blands_rule_has_its_own_budget_counted_from_the_switch(monkeypatch):
 
 @pytest.mark.parametrize("constants, message", [
     ({"_GAP_RTOL": -1}, "basis not certified"),
-    ({"_BLAND_AFTER": 0, "_PIVOTS_PER_ROW": 0}, "no optimal basis after 0 pivots"),
+    ({"_PIVOTS_PER_ROW": 0}, "no optimal basis after 0 pivots"),
 ], ids=["certificate-gate", "pivot-budget"])
 def test_a_solve_that_cannot_certify_raises_solver_failure(monkeypatch, constants, message):
     model, y = estimate_window(0)
