@@ -4,12 +4,17 @@ dynamic three-observer scenario.
 Determinism contract: every stochastic quantity derives from a seed plus
 the trial index through an explicit Generator, trials are aggregated in a
 fixed order, and the serializers format floats by shortest round-trip, so
-repeated runs (with any worker count) produce byte-identical outputs.
+repeated runs (with any worker count) produce byte-identical outputs.  A
+sweep's system, H, x* and epsilon depend on the trial index alone (common
+random numbers across attack fractions), so they are drawn once per trial
+index and shared by every attack fraction; the generator then continues from
+the same state, so a shared draw equals a fresh one bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -145,6 +150,9 @@ class SweepConfig:
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies {sorted(unknown)}; pick from {STRATEGIES}")
+        if self.omega == 0 and set(self.strategies) - {"none"}:
+            raise ValueError("omega must be positive for a weighted strategy: omega 0 leaves "
+                             "weight only on trusted rows, and a strategy may trust too few")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "attack_grid", tuple(float(v) for v in self.attack_grid))
@@ -172,14 +180,33 @@ class TrialOutcome:
     error_l2: float
 
 
-def draw_instance(cfg: SweepConfig, p_a: float, trial_index: int) -> TrialInstance:
-    """Deterministic paired draw: identical for every strategy."""
+@functools.lru_cache(maxsize=1)
+def _shared_draw(cfg: SweepConfig, trial_index: int):
+    """The draws of a trial index that no attack fraction changes: system,
+    model, read-only x* and y*, epsilon, and the generator state after them."""
     rng = np.random.default_rng([cfg.master_seed, trial_index])
     sys = gen_random_system(cfg.m, cfg.n, rng, cfg.spectral_radius)
     model = build_horizon(sys, cfg.T)
     x_star = rng.standard_normal(cfg.n)
     y_star = model.H @ x_star
+    x_star.flags.writeable = y_star.flags.writeable = False
     epsilon = epsilon_from_policy(cfg.epsilon_policy, y_star)
+    return sys, model, x_star, y_star, epsilon, rng.bit_generator.state
+
+
+def draw_instance(cfg: SweepConfig, p_a: float, trial_index: int) -> TrialInstance:
+    """Deterministic paired draw: identical for every strategy.
+
+    Seeded from (master_seed, trial_index) alone, so the system, H, x* and
+    epsilon are the same at every attack fraction of a trial index; they come
+    from a one-entry cache of the last (cfg, trial_index), which ``sweep``
+    hits by running the grid points of a trial index back to back.  The
+    support and the prior continue the generator from the cached state, so
+    the result equals a draw from scratch.
+    """
+    sys, model, x_star, y_star, epsilon, state = _shared_draw(cfg, trial_index)
+    rng = np.random.default_rng([cfg.master_seed, trial_index])
+    rng.bit_generator.state = state  # past the shared draws
     support = random_support(model.rows, p_a, rng)
     if support.size:
         plan = synthesize_fdia(model, support, epsilon)
@@ -211,9 +238,19 @@ def trusted_rows(instance: TrialInstance, strategy: str, eta: float):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _grade(instance: TrialInstance, cfg: SweepConfig, strategy: str, start=None):
-    """Outcome of one strategy on the instance, and the basis its solve ended at."""
-    trusted = trusted_rows(instance, strategy, cfg.eta)
+def _problem_key(trusted, rows: int, omega: float) -> frozenset:
+    """Equal for trusted sets whose weights are positive multiples of each
+    other, and so pose one problem; empty for uniform weights.  Needs
+    omega > 0, which SweepConfig requires of every weighted strategy."""
+    if trusted is None or omega == 1.0:
+        return frozenset()
+    key = frozenset(trusted.tolist())
+    return frozenset() if len(key) in (0, rows) else key
+
+
+def _grade(instance: TrialInstance, cfg: SweepConfig, trusted, start=None):
+    """Outcome of one trusted row set on the instance (None: the unweighted
+    decoder), and the basis its solve ended at."""
     if trusted is None:
         est = decode(instance.model, instance.y_T, start=start)
     else:
@@ -225,21 +262,31 @@ def _grade(instance: TrialInstance, cfg: SweepConfig, strategy: str, start=None)
 
 def run_trial(cfg: SweepConfig, p_a: float, strategy: str, trial_index: int) -> TrialOutcome:
     """One end-to-end trial for one strategy, solved from a cold start."""
-    return _grade(draw_instance(cfg, p_a, trial_index), cfg, strategy)[0]
+    instance = draw_instance(cfg, p_a, trial_index)
+    return _grade(instance, cfg, trusted_rows(instance, strategy, cfg.eta))[0]
 
 
 def _paired_trial(args):
-    """Every strategy on one instance.  The first solves cold; the others
-    start from its basis, not from each other's: strategies reweight the
-    first problem, so its optimum is close to theirs (and is theirs when a
-    strategy trusts no row)."""
+    """Every strategy on one instance, one solve per distinct problem.
+
+    Strategies whose row weights are positive multiples of each other have
+    the same minimizer, so they share the outcome of the first one's solve:
+    equal trusted sets, an empty or full set (the problem of ``none``), and
+    any set at omega 1.  The first solve is cold; every later one starts
+    from its basis, not from each other's: strategies reweight the first
+    problem, so its optimum is close to theirs.
+    """
     cfg, p_a, trial_index = args
     instance = draw_instance(cfg, p_a, trial_index)
-    outcomes, first_basis = {}, None
+    outcomes, solved, first_basis = {}, {}, None
     for s in cfg.strategies:
-        outcomes[s], basis = _grade(instance, cfg, s, start=first_basis)
-        if first_basis is None:
-            first_basis = basis
+        trusted = trusted_rows(instance, s, cfg.eta)
+        key = _problem_key(trusted, instance.model.rows, cfg.omega)
+        if key not in solved:
+            solved[key], basis = _grade(instance, cfg, trusted, start=first_basis)
+            if first_basis is None:
+                first_basis = basis
+        outcomes[s] = solved[key]
     return outcomes
 
 
@@ -282,9 +329,12 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     """Paired Monte Carlo sweep over the attack grid.
 
     Every strategy sees the same instance at a given (fraction, trial)
-    pair; the worker count changes only the wall time.
+    pair; the worker count changes only the wall time.  Tasks run
+    trial-major, so the grid points of a trial index share one draw of the
+    system (see ``draw_instance``).
     """
-    tasks = [(cfg, p_a, t) for p_a in cfg.attack_grid for t in range(cfg.trials)]
+    grid = len(cfg.attack_grid)
+    tasks = [(cfg, p_a, t) for t in range(cfg.trials) for p_a in cfg.attack_grid]
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly to import; only pools need it
 
@@ -295,7 +345,7 @@ def sweep(cfg: SweepConfig) -> SweepResult:
 
     rows = []
     for gi, p_a in enumerate(cfg.attack_grid):
-        chunk = outcomes[gi * cfg.trials:(gi + 1) * cfg.trials]
+        chunk = outcomes[gi::grid]
         for strategy in cfg.strategies:
             outs = [c[strategy] for c in chunk]
             successes = sum(o.success for o in outs)

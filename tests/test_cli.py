@@ -538,6 +538,19 @@ def test_sweep_rejects_a_non_finite_policy_or_radius_up_front(capsys, monkeypatc
     assert flag[2:].replace("-", " ") in err
 
 
+def test_sweep_rejects_omega_0_with_a_weighted_strategy_up_front(capsys, monkeypatch):
+    from resilient_sse import experiments
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn before the sweep was validated")
+
+    monkeypatch.setattr(experiments, "draw_instance", no_draw)
+    code, out, err = run_cli(["sweep", "--omega", "0", "--trials", 3, "--grid", "0.3",
+                              "--strategies", "none,pruned_product"], capsys)
+    assert code == 1 and out == ""
+    assert "omega must be positive" in err
+
+
 @pytest.mark.parametrize("magnitude,observers", [("1e308", "LO"), ("1e200", "LO"),
                                                  ("1e200", "L1O"), ("1e308", "L1O"),
                                                  ("1e308", "WL1P"), ("1e308", None)])

@@ -5,6 +5,7 @@ from resilient_sse import (
     ScenarioAttack,
     ScenarioConfig,
     SweepConfig,
+    build_horizon,
     check_observability,
     draw_instance,
     gen_random_system,
@@ -14,6 +15,8 @@ from resilient_sse import (
     sweep,
 )
 from resilient_sse.experiments import TrialOutcome, canonical_json, epsilon_from_policy
+from resilient_sse.fdia import random_support, synthesize_fdia
+from resilient_sse.pruning import gen_confidences, indicator_from_support, sample_prior
 
 
 def small_cfg(**kw):
@@ -223,9 +226,12 @@ ACCEPTANCE_03 = dict(m=20, n=10, T=1, attack_grid=(0.3, 0.4, 0.5, 0.6, 0.7),
 
 
 def test_paired_strategies_start_from_the_first_strategys_basis(monkeypatch):
+    # one solve per distinct problem: pruned_product trusts no row here, so
+    # its weights are omega times those of none, and it shares none's outcome
     import resilient_sse.experiments as experiments
 
     cfg = SweepConfig(**{**ACCEPTANCE_03, "attack_grid": (0.3,), "trials": 1})
+    assert len(cfg.strategies) == 4
     calls = []  # (start, returned basis) per solve, in strategy order
 
     def spy(solve):
@@ -237,11 +243,100 @@ def test_paired_strategies_start_from_the_first_strategys_basis(monkeypatch):
 
     monkeypatch.setattr(experiments, "decode", spy(experiments.decode))
     monkeypatch.setattr(experiments, "weighted_observer", spy(experiments.weighted_observer))
-    experiments._paired_trial((cfg, 0.3, 0))
-    assert len(calls) == len(cfg.strategies)
+    outcomes = experiments._paired_trial((cfg, 0.3, 0))
+    assert len(calls) == 3
     (first_start, first_basis), rest = calls[0], calls[1:]
     assert first_start is None
     assert all(start is first_basis for start, _ in rest)
+    assert outcomes["pruned_product"] is outcomes["none"]
+    assert len({id(o) for o in outcomes.values()}) == 3
+
+
+def test_paired_trial_at_omega_1_solves_once(monkeypatch):
+    # at omega 1 every trusted set weighs every row alike: one problem
+    import resilient_sse.experiments as experiments
+
+    cfg = SweepConfig(**{**ACCEPTANCE_03, "attack_grid": (0.3,), "trials": 1, "omega": 1.0})
+    solves = []
+
+    def spy(solve):
+        def wrapped(*args, **kw):
+            solves.append(solve)
+            return solve(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(experiments, "decode", spy(experiments.decode))
+    monkeypatch.setattr(experiments, "weighted_observer", spy(experiments.weighted_observer))
+    outcomes = experiments._paired_trial((cfg, 0.3, 0))
+    assert len(solves) == 1
+    assert all(o is outcomes["none"] for o in outcomes.values())
+
+
+def test_sweep_rejects_omega_0_with_a_weighted_strategy():
+    # a strategy may trust too few rows to fix x when the others weigh 0
+    with pytest.raises(ValueError, match="omega must be positive"):
+        small_cfg(omega=0.0)
+    with pytest.raises(ValueError, match="omega must be positive"):
+        small_cfg(omega=0.0, strategies=("none", "pruned_product"))
+    assert small_cfg(omega=0.0, strategies=("none",)).omega == 0.0
+
+
+def fresh_draw(cfg, p_a, t):
+    """draw_instance written out from scratch: one generator, every call in order."""
+    rng = np.random.default_rng([cfg.master_seed, t])
+    system = gen_random_system(cfg.m, cfg.n, rng, cfg.spectral_radius)
+    model = build_horizon(system, cfg.T)
+    x_star = rng.standard_normal(cfg.n)
+    y_star = model.H @ x_star
+    epsilon = epsilon_from_policy(cfg.epsilon_policy, y_star)
+    support = random_support(model.rows, p_a, rng)
+    y_T = y_star + synthesize_fdia(model, support, epsilon).e_T if support.size else y_star
+    p = gen_confidences(model.rows, cfg.true_rate, cfg.jitter, rng)
+    prior = sample_prior(indicator_from_support(support, model.rows), p, rng)
+    return system, model, x_star, epsilon, support, y_T, prior
+
+
+def test_shared_draw_equals_a_draw_from_scratch():
+    # configs and trial indices interleave, so a stale cached draw would show
+    cfgs = [small_cfg(attack_grid=(0.0, 0.25, 0.5)),
+            small_cfg(attack_grid=(0.0, 0.25, 0.5), T=3),
+            small_cfg(attack_grid=(0.0, 0.25, 0.5), master_seed=12)]
+    for t in (0, 1, 0, 2, 2, 1):
+        for cfg in cfgs:
+            for p_a in cfg.attack_grid:
+                inst = draw_instance(cfg, p_a, t)
+                system, model, x_star, epsilon, support, y_T, prior = fresh_draw(cfg, p_a, t)
+                assert np.array_equal(inst.system.A, system.A)
+                assert np.array_equal(inst.system.C, system.C)
+                assert inst.model.T == cfg.T and np.array_equal(inst.model.H, model.H)
+                assert np.array_equal(inst.x_star, x_star) and inst.epsilon == epsilon
+                assert np.array_equal(inst.support, support)
+                assert np.array_equal(inst.y_T, y_T)
+                assert np.array_equal(inst.prior.q_hat, prior.q_hat)
+                assert np.array_equal(inst.prior.p, prior.p)
+
+
+def test_sweep_builds_one_horizon_per_trial_index(monkeypatch):
+    import resilient_sse.experiments as experiments
+
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return build_horizon(*args)
+
+    monkeypatch.setattr(experiments, "build_horizon", spy)
+    cfg = small_cfg(attack_grid=(0.0, 0.25, 0.5), trials=4, master_seed=13)
+    sweep(cfg)
+    assert len(built) == cfg.trials
+
+
+def test_shared_draw_hands_out_a_read_only_x_star():
+    inst = draw_instance(small_cfg(), 0.0, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        inst.x_star[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        inst.y_T[0] = 1.0  # no attack: y_T is the shared y*
 
 
 def test_paired_sweep_matches_cold_trials():
