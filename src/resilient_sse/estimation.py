@@ -105,11 +105,17 @@ def weighted_observer(
     start=None,
 ) -> EstimateResult:
     """Weighted l1 observer: weight 1 on the pruned safe rows, omega elsewhere."""
+    w = observer_weights(model, pruned_safe_set, omega)
+    return solve_weighted_l1(model, y_T, w, epsilon=epsilon, x_true=x_true, start=start)
+
+
+def observer_weights(model: HorizonModel, pruned_safe_set, omega: float) -> np.ndarray:
+    """The row weights of ``weighted_observer``: 1 on the pruned safe rows, omega elsewhere."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
     w = np.full(model.rows, float(omega))
     w[row_indices(pruned_safe_set, model.rows, "trusted indices")] = 1.0
-    return solve_weighted_l1(model, y_T, w, epsilon=epsilon, x_true=x_true, start=start)
+    return w
 
 
 # ---------------------------------------------------------------------------

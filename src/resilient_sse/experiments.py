@@ -9,6 +9,12 @@ sweep's system, H, x* and epsilon depend on the trial index alone (common
 random numbers across attack fractions), so they are drawn once per trial
 index and shared by every attack fraction; the generator then continues from
 the same state, so a shared draw equals a fresh one bit for bit.
+
+A sweep runs in chunks of whole trial indices.  One stacked search
+(``lp.search_bases``) finds the optimal bases of all a chunk's problems, and
+each problem's single solve, started from its basis, certifies it and gives
+every reported number; so the outputs depend on neither the chunking nor the
+worker count.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ from importlib import resources
 import numpy as np
 
 from .errors import EmptyEstimate, NumericalInstability
-from .estimation import decode, luenberger_baseline, weighted_observer
+from .estimation import decode, luenberger_baseline, observer_weights, weighted_observer
 from .fdia import random_support, synthesize_fdia
+from .lp import search_bases
 from .lti import (
     HorizonModel,
     LtiSystem,
@@ -47,6 +54,7 @@ from .pruning import (
 STRATEGIES = ("none", "prior", "pruned_product", "pruned_quantile")
 OBSERVERS = ("LO", "L1O", "WL1P")
 SUCCESS_RTOL = 1e-3  # a trial succeeds when ||x_hat - x*|| <= SUCCESS_RTOL * ||x*||
+_CHUNK_TASKS = 256   # paired trials per stacked search, at most (whole trial indices)
 
 
 def _json_value(obj):
@@ -266,27 +274,63 @@ def run_trial(cfg: SweepConfig, p_a: float, strategy: str, trial_index: int) -> 
     return _grade(instance, cfg, trusted_rows(instance, strategy, cfg.eta))[0]
 
 
-def _paired_trial(args):
-    """Every strategy on one instance, one solve per distinct problem.
+def _weights(instance: TrialInstance, cfg: SweepConfig, trusted) -> np.ndarray:
+    """The row weights ``_grade`` solves with for a trusted row set."""
+    if trusted is None:
+        return np.ones(instance.model.rows)
+    return observer_weights(instance.model, trusted, cfg.omega)
+
+
+def _paired_chunk(args):
+    """Every strategy on the instances of a run of trial indices, one
+    certified solve per distinct problem; outcomes in task order.
 
     Strategies whose row weights are positive multiples of each other have
     the same minimizer, so they share the outcome of the first one's solve:
     equal trusted sets, an empty or full set (the problem of ``none``), and
-    any set at omega 1.  The first solve is cold; every later one starts
-    from its basis, not from each other's: strategies reweight the first
-    problem, so its optimum is close to theirs.
+    any set at omega 1.  Two stacked searches find the optimal bases: one
+    over every first strategy's problem from a cold start, then one over
+    every later problem from its first strategy's basis (strategies reweight
+    the first problem, so its optimum is close to theirs).  Each problem is
+    then solved on its own from its searched basis, which certifies it
+    without a pivot.  Where a search gives up, the solve starts where a lone
+    paired solve would: cold, or at the first strategy's basis.
     """
-    cfg, p_a, trial_index = args
-    instance = draw_instance(cfg, p_a, trial_index)
-    outcomes, solved, first_basis = {}, {}, None
-    for s in cfg.strategies:
-        trusted = trusted_rows(instance, s, cfg.eta)
-        key = _problem_key(trusted, instance.model.rows, cfg.omega)
-        if key not in solved:
-            solved[key], basis = _grade(instance, cfg, trusted, start=first_basis)
-            if first_basis is None:
-                first_basis = basis
-        outcomes[s] = solved[key]
+    cfg, trials = args
+    instances = [draw_instance(cfg, p_a, t) for t in trials for p_a in cfg.attack_grid]
+    keys, problems = [], []  # per instance: each strategy's key; its distinct (key, trusted)
+    for inst in instances:
+        distinct = {}
+        keys.append([])
+        for s in cfg.strategies:
+            trusted = trusted_rows(inst, s, cfg.eta)
+            keys[-1].append(_problem_key(trusted, inst.model.rows, cfg.omega))
+            distinct.setdefault(keys[-1][-1], trusted)
+        problems.append(list(distinct.items()))
+
+    def search(todo, starts=None):  # todo: (instance index, trusted rows) pairs
+        return search_bases(np.array([instances[i].model.H for i, _ in todo]),
+                            np.array([instances[i].y_T for i, _ in todo]),
+                            np.array([_weights(instances[i], cfg, tr) for i, tr in todo]), starts)
+
+    firsts = search([(i, probs[0][1]) for i, probs in enumerate(problems)])
+    later = [(i, key, trusted) for i, probs in enumerate(problems) if firsts[i] is not None
+             for key, trusted in probs[1:]]
+    found = {}
+    if later:
+        bases = search([(i, tr) for i, _, tr in later], np.array([firsts[i] for i, _, _ in later]))
+        found = {(i, key): basis for (i, key, _), basis in zip(later, bases)}
+
+    outcomes = []
+    for i, inst in enumerate(instances):
+        (key, trusted), *rest = problems[i]
+        solved = {}
+        solved[key], first_basis = _grade(inst, cfg, trusted, start=firsts[i])
+        for key, trusted in rest:
+            start = found.get((i, key))
+            solved[key], _ = _grade(inst, cfg, trusted,
+                                    start=first_basis if start is None else start)
+        outcomes.append({s: solved[k] for s, k in zip(cfg.strategies, keys[i])})
     return outcomes
 
 
@@ -331,17 +375,21 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     Every strategy sees the same instance at a given (fraction, trial)
     pair; the worker count changes only the wall time.  Tasks run
     trial-major, so the grid points of a trial index share one draw of the
-    system (see ``draw_instance``).
+    system (see ``draw_instance``), in chunks of whole trial indices, at
+    most ``_CHUNK_TASKS`` tasks and few enough trial indices that every
+    worker gets a chunk (see ``_paired_chunk``).
     """
     grid = len(cfg.attack_grid)
-    tasks = [(cfg, p_a, t) for t in range(cfg.trials) for p_a in cfg.attack_grid]
+    per_chunk = max(1, min(_CHUNK_TASKS // grid, -(-cfg.trials // cfg.workers)))
+    chunks = [(cfg, range(t, min(t + per_chunk, cfg.trials)))
+              for t in range(0, cfg.trials, per_chunk)]
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly to import; only pools need it
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_paired_trial, tasks, chunksize=16))
+            outcomes = [o for chunk in pool.map(_paired_chunk, chunks) for o in chunk]
     else:
-        outcomes = [_paired_trial(t) for t in tasks]
+        outcomes = [o for chunk in map(_paired_chunk, chunks) for o in chunk]
 
     rows = []
     for gi, p_a in enumerate(cfg.attack_grid):
@@ -444,6 +492,9 @@ def run_scenario(
         if obs not in OBSERVERS:
             raise ValueError(f"unknown observer {obs!r}")
     _reject_repeats(observers, "observer")
+    if scenario.omega == 0 and "WL1P" in observers:
+        raise ValueError("omega must be positive for WL1P: omega 0 leaves weight only on "
+                         "the pruned rows, and pruning may trust too few")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     n, m, T = system.n, system.m, scenario.T
     sup = attack.resolve_support(system.C)

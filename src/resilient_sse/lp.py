@@ -64,6 +64,15 @@ start this does not prove (or that fails to invert) is replaced by the cold
 start, whose least-squares fit tests the rank of A_act.  Data with
 sum(w) max|y| beyond the largest float are rejected up front: that product
 bounds |y^T nu|, so below it the certificate cannot overflow.
+
+``search_bases`` makes the pivots of many positive-weight problems of one
+shape at once, one round for all of them per pivot, with each problem's own
+start, tableau, refactor and checks, and returns the final bases.  Each
+problem goes through the single solve's operations in the same order, so a
+single solve started from a returned basis certifies it without a pivot
+(and would pivot on from it, still certified, if they ever parted).  On one
+problem the search is slower than the single solve, which stays the only
+path that certifies.
 """
 
 from __future__ import annotations
@@ -106,12 +115,18 @@ def _perturbation(rows):
     return pattern
 
 
+def _independent(first):
+    """Whether the rows of each n x n matrix in `first` are linearly
+    independent, decided by one QR."""
+    R = np.linalg.qr(np.swapaxes(first, -1, -2), mode="r")
+    return (np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+            > 1e-10 * np.maximum(1.0, np.linalg.norm(first, axis=-1))).all(axis=-1)
+
+
 def _greedy_basis(A_act, order, n):
     """First n rows along `order` that are linearly independent, else None."""
-    first = A_act[order[:n]]
     # one QR decides the common case: the first n rows are already independent
-    R = np.linalg.qr(first.T, mode="r")
-    if (np.abs(np.diagonal(R)) > 1e-10 * np.maximum(1.0, np.linalg.norm(first, axis=1))).all():
+    if _independent(A_act[order[:n]]):
         return order[:n].copy()
     basis, span, k = np.empty(n, dtype=int), np.empty((n, A_act.shape[1])), 0
     for j in order:  # span[:k] holds orthonormal rows spanning the k picks
@@ -123,6 +138,34 @@ def _greedy_basis(A_act, order, n):
             if k == n:
                 return basis
     return None
+
+
+def _frobenius(X):
+    """Frobenius norms of a stack of matrices, each by the one dot product
+    that np.linalg.norm takes."""
+    flat = X.reshape(X.shape[0], X.shape[1] * X.shape[2])
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+
+
+def _fit_order(A_act, y_piv):
+    """The rows of A_act by how well the least-squares fit matches them, best
+    first, and whether the fit finds A_act numerically rank deficient."""
+    z_ls, _, _, sv = np.linalg.lstsq(A_act, y_piv, rcond=None)
+    return np.argsort(np.abs(y_piv - A_act @ z_ls), kind="stable"), sv[-1] <= _RANK_RTOL * sv[0]
+
+
+def _inverses(M):
+    """Inverses of a stack of square matrices, NaN where one is singular."""
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        out = np.full_like(M, np.nan)
+        for i, m in enumerate(M):
+            try:
+                out[i] = np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
@@ -190,9 +233,9 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         except np.linalg.LinAlgError:
             pass
     if inv is None or not 1.0 > _RANK_RTOL * np.linalg.norm(A_act) * np.linalg.norm(inv):
-        z_ls, _, _, sv = np.linalg.lstsq(A_act, y_piv, rcond=None)
-        basis = _greedy_basis(A_act, np.argsort(np.abs(y_piv - A_act @ z_ls), kind="stable"), n)
-        if basis is None or sv[-1] <= _RANK_RTOL * sv[0]:
+        order, deficient = _fit_order(A_act, y_piv)
+        basis = _greedy_basis(A_act, order, n)
+        if basis is None or deficient:
             raise RankDeficient("positive-weight rows of A are numerically rank deficient")
         inv = np.linalg.inv(A_act[basis])
 
@@ -262,3 +305,129 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         iterations=pivots,
         basis=basis if every_row else np.flatnonzero(active)[basis],
     )
+
+
+def _starts(A, y_piv, norm_A, start):
+    """The single solve's start over a stack: the bases and their inverses,
+    and a mask of the problems whose start it would reject (RankDeficient)
+    or fail to invert.
+
+    A start whose inverse proves both rank tests is kept; the others start
+    cold, at the rows the least-squares fit matches best.
+    """
+    K, N, n = A.shape
+    rows = np.arange(K)
+    basis, cold = np.zeros((K, n), dtype=np.intp), rows
+    if start is None:
+        inv = np.empty((K, n, n))
+    else:
+        basis[:] = start
+        inv = _inverses(A[rows[:, None], basis])
+        cold = np.flatnonzero(~(_RANK_RTOL * norm_A * _frobenius(inv) < 1.0))
+    dead = np.zeros(K, bool)
+    if cold.size:
+        fits = [_fit_order(A[i], y_piv[i]) for i in cold]
+        first = np.array([order[:n] for order, _ in fits])
+        for i, (order, deficient), independent in zip(
+                cold, fits, _independent(A[cold[:, None], first])):
+            greedy = order[:n] if independent else _greedy_basis(A[i], order, n)
+            dead[i] = greedy is None or deficient
+            basis[i] = order[:n] if greedy is None else greedy
+        inv[cold] = _inverses(A[cold[:, None], basis[cold]])
+        dead |= np.isnan(inv).any(axis=(1, 2))
+    return basis, inv, dead
+
+
+def search_bases(A, y, w, start=None) -> list:
+    """Final bases of K stacked problems, found by pivoting them in lockstep.
+
+    A is (K, N, n), y and w are (K, N) and ``start`` is None or (K, n) row
+    indices.  Entry i is the ``basis`` that ``weighted_l1_regression(A[i],
+    y[i], w[i], start[i])`` ends at, found by the same pivots, or None where
+    that solve would not end at a basis by pivoting alone: a zero or
+    non-finite weight, non-finite data, a rank-deficient cold start, the
+    pivot cap, a descent edge without a breakpoint, or a final basis whose
+    inverse does not prove the rank tests.  Nothing is certified: the single
+    solve started from the basis certifies it without a pivot.
+    """
+    A, y, w = (np.asarray(v, dtype=float) for v in (A, y, w))
+    K, N, n = A.shape
+    found = [None] * K
+    scale = np.abs(y).max(axis=1, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = ((w > 0).all(axis=1) & np.isfinite(scale * w.sum(axis=1))
+              & np.isfinite(A).all(axis=(1, 2)))
+    ids = ok.nonzero()[0]  # problem index of each row of the stacks below
+    A, y_piv = A[ids], y[ids] / np.where(scale[ids] > 0, scale[ids], 1.0)[:, None] + _perturbation(N)
+    norm_A = _frobenius(A)
+    basis, inv, dead = _starts(A, y_piv, norm_A, None if start is None else np.asarray(start)[ids])
+
+    # Each live problem runs the single solve's loop on its own tableau
+    # Tab[i] = [D^T; r]; `live` holds its row of A.  The problems whose g came
+    # from a fresh inverse this round are `fresh` (all of them at the start):
+    # a tableau that reports optimality is refactored and re-checked in the
+    # same round, as the single solve does in its next one.
+    live = (~dead).nonzero()[0]
+    basis, inv, w, y_piv = basis[live], inv[live], w[ids[live]], y_piv[live]
+    rows = np.arange(live.size)
+    Tab = np.zeros((live.size, n + 1, N))
+    Tab[:, n] = y_piv - (A[live] @ (inv @ y_piv[rows[:, None], basis][..., None]))[..., 0]
+    w_B = w[rows[:, None], basis]
+    nu = np.where(Tab[:, n] >= 0, w, -w)
+    nu[rows[:, None], basis] = 0.0
+    g = (inv.transpose(0, 2, 1) @ (A[live].transpose(0, 2, 1) @ nu[..., None]))[..., 0]
+    fresh, pivots = rows, 0  # every live problem pivots once a round
+    while live.size:
+        ratio = np.abs(g) / w_B
+        k = ratio.argmax(axis=1)
+        optimal = ratio[rows, k] <= 1.0 + _DUAL_RTOL
+        if fresh is None:
+            fresh = optimal.nonzero()[0]
+            if fresh.size:
+                A_f = A[live[fresh]]
+                inv = np.linalg.inv(A_f[np.arange(fresh.size)[:, None], basis[fresh]])
+                g[fresh] = (inv.transpose(0, 2, 1)
+                            @ (A_f.transpose(0, 2, 1) @ nu[fresh, :, None]))[..., 0]
+                ratio = np.abs(g[fresh]) / w_B[fresh]
+                k[fresh] = ratio.argmax(axis=1)
+                optimal[fresh] = ratio[np.arange(fresh.size), k[fresh]] <= 1.0 + _DUAL_RTOL
+        if fresh.size:
+            done = optimal[fresh]
+            proven = _RANK_RTOL * norm_A[live[fresh]] * _frobenius(inv) < 1.0
+            for i in fresh[done & proven]:
+                found[ids[live[i]]] = basis[i].copy()
+            if not done.all():
+                Tab[fresh[~done], :n] = (A[live[fresh[~done]]] @ inv[~done]).transpose(0, 2, 1)
+        if pivots >= _PIVOTS_PER_ROW * N:
+            break
+        if optimal.any():
+            live, w, Tab, basis, w_B, nu, g, k = (
+                v[~optimal] for v in (live, w, Tab, basis, w_B, nu, g, k))
+            rows = np.arange(live.size)
+
+        # The pivot of the single solve on every row of the stack: the
+        # breakpoints along each edge h sorted by r / h, the non-candidates
+        # last, and the first whose summed rise reaches half the rate.
+        g_k = g[rows, k]
+        h = Tab[rows, k] * np.sign(g_k)[:, None]
+        nu_h = nu * h
+        cand = nu_h > 0
+        order = (np.where(cand, Tab[:, n], np.nan) / h).argsort(axis=1, kind="stable")
+        rise = np.where(cand, nu_h, 0.0)[rows[:, None], order].cumsum(axis=1)
+        stop = (rise < (0.5 * (np.abs(g_k) - w_B[rows, k]))[:, None]).sum(axis=1)
+        moved = stop < cand.sum(axis=1)
+        if not moved.all():
+            live, w, Tab, basis, w_B, k, h, order, stop = (
+                v[moved] for v in (live, w, Tab, basis, w_B, k, h, order, stop))
+            rows = np.arange(live.size)
+        j = order[rows, stop]
+        col = Tab[rows, :, j]
+        col[rows, k] -= 1.0
+        Tab -= col[:, :, None] * (h / h[rows, j][:, None])[:, None, :]
+        basis[rows, k], w_B[rows, k] = j, w[rows, j]
+        pivots += 1
+        nu = np.where(Tab[:, n] >= 0, w, -w)
+        nu[rows[:, None], basis] = 0.0
+        g = (Tab[:, :n] @ nu[..., None])[..., 0]
+        fresh = None
+    return found

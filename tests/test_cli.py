@@ -551,6 +551,16 @@ def test_sweep_rejects_omega_0_with_a_weighted_strategy_up_front(capsys, monkeyp
     assert "omega must be positive" in err
 
 
+def test_scenario_rejects_omega_0_with_wl1p_up_front(capsys):
+    # the static pruned set is empty here, so WL1P would have no weighted row
+    base = ["scenario", "--omega", "0", "--steps", 8, "--true-rate", 0.5, "--eta", 0.99]
+    code, out, err = run_cli(base, capsys)
+    assert code == 1 and out == ""
+    assert "omega must be positive for WL1P" in err
+    code, out, err = run_cli(base + ["--observers", "LO,L1O"], capsys)
+    assert code == 0 and json.loads(out)["observers"] == ["LO", "L1O"]
+
+
 @pytest.mark.parametrize("magnitude,observers", [("1e308", "LO"), ("1e200", "LO"),
                                                  ("1e200", "L1O"), ("1e308", "L1O"),
                                                  ("1e308", "WL1P"), ("1e308", None)])

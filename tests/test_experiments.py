@@ -12,6 +12,7 @@ from resilient_sse import (
     load_surrogate,
     run_scenario,
     run_trial,
+    simulate,
     sweep,
 )
 from resilient_sse.experiments import TrialOutcome, canonical_json, epsilon_from_policy
@@ -174,6 +175,33 @@ def test_scenario_validation():
         ScenarioConfig(prior_mode="sometimes")
 
 
+def test_scenario_rejects_omega_0_with_wl1p_before_simulating(monkeypatch):
+    # omega 0 leaves WL1P only the pruned rows, which may be too few to fix x
+    import resilient_sse.experiments as experiments
+
+    sys_, x0 = load_surrogate()
+    scenario = ScenarioConfig(steps=8, omega=0.0, true_rate=0.5, eta=0.99)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the run was simulated before the observers were validated")
+
+    monkeypatch.setattr(experiments, "simulate", no_simulation)
+    with pytest.raises(ValueError, match="omega must be positive for WL1P"):
+        run_scenario(sys_, x0, scenario=scenario)
+    monkeypatch.undo()
+    assert run_scenario(sys_, x0, scenario=scenario, observers=("LO", "L1O")).windows == 6
+
+
+def test_wl1p_recovers_the_state_exactly_on_the_surrogate():
+    # criterion 10 compares LO against WL1P errors of pure roundoff; this
+    # states the recovery itself, relative to the states the windows target
+    sys_, x0 = load_surrogate()
+    scenario = ScenarioConfig()
+    metrics = run_scenario(sys_, x0, scenario=scenario)
+    states = simulate(sys_, x0, scenario.steps).states[:metrics.windows]
+    assert max(metrics.max_abs["WL1P"]) <= 1e-9 * float(np.abs(states).max())
+
+
 @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5, np.nan])
 def test_scenario_attack_rejects_a_fraction_outside_0_1(fraction):
     with pytest.raises(ValueError, match="attack fraction"):
@@ -227,27 +255,37 @@ ACCEPTANCE_03 = dict(m=20, n=10, T=1, attack_grid=(0.3, 0.4, 0.5, 0.6, 0.7),
 
 def test_paired_strategies_start_from_the_first_strategys_basis(monkeypatch):
     # one solve per distinct problem: pruned_product trusts no row here, so
-    # its weights are omega times those of none, and it shares none's outcome
+    # its weights are omega times those of none, and it shares none's outcome.
+    # The second search starts from the first strategy's basis, and every
+    # solve certifies its searched basis without a pivot.
     import resilient_sse.experiments as experiments
 
     cfg = SweepConfig(**{**ACCEPTANCE_03, "attack_grid": (0.3,), "trials": 1})
     assert len(cfg.strategies) == 4
-    calls = []  # (start, returned basis) per solve, in strategy order
+    calls, searches = [], []  # (start, returned basis, pivots) per solve; start per search
 
     def spy(solve):
         def wrapped(*args, start=None, **kw):
             est = solve(*args, start=start, **kw)
-            calls.append((start, est.basis))
+            calls.append((start, est.basis, est.iterations))
             return est
         return wrapped
 
+    search = experiments.search_bases
+
+    def spy_search(A, y, w, start=None):
+        searches.append(start)
+        return search(A, y, w, start)
+
     monkeypatch.setattr(experiments, "decode", spy(experiments.decode))
     monkeypatch.setattr(experiments, "weighted_observer", spy(experiments.weighted_observer))
-    outcomes = experiments._paired_trial((cfg, 0.3, 0))
-    assert len(calls) == 3
-    (first_start, first_basis), rest = calls[0], calls[1:]
-    assert first_start is None
-    assert all(start is first_basis for start, _ in rest)
+    monkeypatch.setattr(experiments, "search_bases", spy_search)
+    outcomes = experiments._paired_chunk((cfg, range(1)))[0]
+    assert len(calls) == 3 and len(searches) == 2
+    assert searches[0] is None
+    assert np.array_equal(searches[1], [calls[0][1], calls[0][1]])
+    for start, basis, pivots in calls:
+        assert np.array_equal(start, basis) and pivots == 0
     assert outcomes["pruned_product"] is outcomes["none"]
     assert len({id(o) for o in outcomes.values()}) == 3
 
@@ -267,7 +305,7 @@ def test_paired_trial_at_omega_1_solves_once(monkeypatch):
 
     monkeypatch.setattr(experiments, "decode", spy(experiments.decode))
     monkeypatch.setattr(experiments, "weighted_observer", spy(experiments.weighted_observer))
-    outcomes = experiments._paired_trial((cfg, 0.3, 0))
+    outcomes = experiments._paired_chunk((cfg, range(1)))[0]
     assert len(solves) == 1
     assert all(o is outcomes["none"] for o in outcomes.values())
 
@@ -345,9 +383,10 @@ def test_paired_sweep_matches_cold_trials():
     import resilient_sse.experiments as experiments
 
     cfg = SweepConfig(**ACCEPTANCE_03, trials=20)
-    for p_a in cfg.attack_grid:
-        for t in range(cfg.trials):
-            paired = experiments._paired_trial((cfg, p_a, t))
+    chunk = experiments._paired_chunk((cfg, range(cfg.trials)))
+    for t in range(cfg.trials):
+        for gi, p_a in enumerate(cfg.attack_grid):
+            paired = chunk[t * len(cfg.attack_grid) + gi]
             x_norm = float(np.linalg.norm(draw_instance(cfg, p_a, t).x_star))
             for strategy in cfg.strategies:
                 cold = run_trial(cfg, p_a, strategy, t)
@@ -356,6 +395,71 @@ def test_paired_sweep_matches_cold_trials():
                 assert abs(warm.error_l2 - cold.error_l2) <= 1e-12 * (1.0 + x_norm)
                 if strategy == "pruned_product":
                     assert warm == cold
+
+
+def single_solve_outcomes(cfg, trials):
+    """The paired trials of `trials` as lone solves, task by task: the first
+    strategy cold, every later distinct problem from the first one's basis.
+    Returns the outcomes by strategy per task and each task's ||x*||."""
+    import resilient_sse.experiments as experiments
+
+    outcomes, x_norms = [], []
+    for t in trials:
+        for p_a in cfg.attack_grid:
+            instance = draw_instance(cfg, p_a, t)
+            solved, first_basis, outcomes_t = {}, None, {}
+            for s in cfg.strategies:
+                trusted = experiments.trusted_rows(instance, s, cfg.eta)
+                key = experiments._problem_key(trusted, instance.model.rows, cfg.omega)
+                if key not in solved:
+                    solved[key], basis = experiments._grade(instance, cfg, trusted, start=first_basis)
+                    first_basis = basis if first_basis is None else first_basis
+                outcomes_t[s] = solved[key]
+            outcomes.append(outcomes_t)
+            x_norms.append(float(np.linalg.norm(instance.x_star)))
+    return outcomes, x_norms
+
+
+def test_chunked_sweep_matches_single_solves():
+    # 60 trial indices x 5 grid points = 300 tasks: more than one chunk at
+    # either worker count
+    import resilient_sse.experiments as experiments
+
+    cfg = small_cfg(attack_grid=(0.0, 0.3, 0.5, 0.6, 0.7), trials=60, omega=0.05)
+    grid = len(cfg.attack_grid)
+    assert cfg.trials * grid > experiments._CHUNK_TASKS
+    reference, x_norms = single_solve_outcomes(cfg, range(cfg.trials))
+    chunked = experiments._paired_chunk((cfg, range(cfg.trials)))
+    assert len(chunked) == len(reference)
+    for got, want, x_norm in zip(chunked, reference, x_norms):
+        for s in cfg.strategies:
+            assert got[s].success == want[s].success
+            assert abs(got[s].error_l2 - want[s].error_l2) <= 1e-12 * (1.0 + x_norm)
+
+    for workers in (1, 2):
+        result = sweep(SweepConfig(**{**cfg.__dict__, "workers": workers}))
+        for gi, p_a in enumerate(cfg.attack_grid):
+            outs = reference[gi::grid]  # tasks run trial-major
+            for s in cfg.strategies:
+                row = result.row(p_a, s)
+                assert row.successes == sum(o[s].success for o in outs)
+                mean = np.mean([o[s].error_l2 for o in outs])
+                assert abs(row.mean_error - mean) <= 1e-12 * (1.0 + max(x_norms))
+
+
+@pytest.mark.parametrize("constants", [{"_GAP_RTOL": -1}, {"_PIVOTS_PER_ROW": 0}],
+                         ids=["certificate-gate", "pivot-budget"])
+def test_a_failing_solve_fails_the_sweep_as_it_fails_alone(monkeypatch, constants):
+    from resilient_sse import lp
+
+    cfg = small_cfg(trials=3)
+    for name, value in constants.items():
+        monkeypatch.setattr(lp, name, value)
+    with pytest.raises(Exception) as alone:
+        single_solve_outcomes(cfg, range(cfg.trials))
+    with pytest.raises(type(alone.value)) as swept:
+        sweep(cfg)
+    assert str(swept.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf")])

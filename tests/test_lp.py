@@ -486,3 +486,95 @@ def test_a_solve_that_cannot_certify_raises_solver_failure(monkeypatch, constant
         monkeypatch.setattr(lp, name, value)
     with pytest.raises(SolverFailure, match=message):
         weighted_l1_regression(model.H, y, np.ones(model.rows))
+
+
+def stacked_problems(m, n, T, K, seed):
+    """K sweep-like problems of one shape: a fresh model per problem and a
+    stealth attack on up to half the rows; unit and two-level weights."""
+    rng = np.random.default_rng(seed)
+    A, y, two_level = [], [], []
+    for _ in range(K):
+        model = build_horizon(gen_random_system(m, n, rng), T)
+        y_star = model.H @ rng.standard_normal(n)
+        support = rng.choice(model.rows, size=rng.integers(0, model.rows // 2), replace=False)
+        e = synthesize_fdia(model, support, 0.01 * np.abs(y_star).sum()).e_T if support.size else 0.0
+        A.append(model.H)
+        y.append(y_star + e)
+        two_level.append(np.where(rng.random(model.rows) < 0.4, 1.0, 0.01))
+    return np.array(A), np.array(y), {"unit": np.ones((K, A[0].shape[0])), "two-level": np.array(two_level)}
+
+
+@pytest.mark.parametrize("m, n, T, K", [(20, 10, 1, 30), (20, 10, 3, 16), (60, 12, 4, 6)],
+                         ids=["20x10", "60x10", "240x12"])
+@pytest.mark.parametrize("weights, reweighted", [("unit", "two-level"), ("two-level", "unit")])
+def test_search_finds_the_bases_of_the_single_solves(m, n, T, K, weights, reweighted):
+    # cold, then warm from the cold bases on the other weights, as the sweep
+    # searches its first and its later strategies
+    A, y, w = stacked_problems(m, n, T, K, seed=m + T)
+    cold = [weighted_l1_regression(A[i], y[i], w[weights][i]) for i in range(K)]
+    starts = np.array([sol.basis for sol in cold])
+    warm = [weighted_l1_regression(A[i], y[i], w[reweighted][i], start=starts[i]) for i in range(K)]
+    assert sum(sol.iterations for sol in cold + warm) > 2 * K
+    for found, solves, ws in ((lp.search_bases(A, y, w[weights]), cold, w[weights]),
+                              (lp.search_bases(A, y, w[reweighted], starts), warm, w[reweighted])):
+        for i, (basis, sol) in enumerate(zip(found, solves)):
+            assert np.array_equal(basis, sol.basis)  # the same rows in the same order
+            again = weighted_l1_regression(A[i], y[i], ws[i], start=basis)
+            assert again.iterations == 0
+            assert np.array_equal(again.z, sol.z)
+
+
+@pytest.mark.parametrize("family", ("random", "ties", "near_rank", "col_scale"))
+def test_search_follows_the_single_solve_on_every_family(family):
+    # a problem with a zero weight is left to the single solve
+    A, y, w = (np.array(v) for v in zip(*(lp_instance(family, seed) for seed in range(8))))
+    for i, basis in enumerate(lp.search_bases(A, y, w)):
+        if (w[i] == 0).any():
+            assert basis is None
+        else:
+            assert np.array_equal(basis, weighted_l1_regression(A[i], y[i], w[i]).basis)
+
+
+def test_search_follows_the_single_solve_on_exact_integer_data():
+    # integer rows and states fit many rows exactly, so ratios that meet the
+    # dual tolerance and breakpoint sums that meet the rate tie exactly
+    rng = np.random.default_rng(7)
+    A = rng.integers(-2, 3, (64, 14, 4)).astype(float)
+    y = (A @ rng.integers(-3, 4, (64, 4, 1)).astype(float))[..., 0]
+    attacked = rng.random(y.shape) < 0.2
+    y[attacked] += rng.integers(-5, 6, attacked.sum())
+    w = rng.integers(1, 4, (64, 14)).astype(float)
+    w[::2] = 1.0
+    for i, basis in enumerate(lp.search_bases(A, y, w)):
+        try:
+            assert np.array_equal(basis, weighted_l1_regression(A[i], y[i], w[i]).basis)
+        except RankDeficient:
+            assert basis is None
+
+
+def test_search_gives_up_where_the_single_solve_leaves_the_pivots(monkeypatch):
+    A, y, w = stacked_problems(20, 10, 1, 12, seed=5)
+    w = w["unit"]
+    bases = lp.search_bases(A, y, w)
+    # unusable problems give up and leave the others as they were
+    A_bad, y_bad, w_bad = A.copy(), y.copy(), w.copy()
+    A_bad[0, :, 3] = A_bad[0, :, 1]  # rank deficient: every start is singular
+    w_bad[1, 4] = 0.0
+    y_bad[2, 0] = np.nan
+    found = lp.search_bases(A_bad, y_bad, w_bad, start=np.array(bases))
+    assert found[:3] == [None] * 3
+    assert all(np.array_equal(f, b) for f, b in zip(found[3:], bases[3:]))
+    with pytest.raises(RankDeficient):
+        weighted_l1_regression(A_bad[0], y[0], w[0], start=bases[0])
+    # the pivot cap: the search gives up exactly where the single solve raises
+    monkeypatch.setattr(lp, "_PIVOTS_PER_ROW", 0)
+    gave_up = 0
+    for i, basis in enumerate(lp.search_bases(A, y, w)):
+        try:
+            sol = weighted_l1_regression(A[i], y[i], w[i])
+        except SolverFailure:
+            assert basis is None
+            gave_up += 1
+        else:
+            assert np.array_equal(basis, sol.basis)
+    assert gave_up > 0
