@@ -13,8 +13,9 @@ the same state, so a shared draw equals a fresh one bit for bit.
 A sweep runs in chunks of whole trial indices.  One stacked search
 (``lp.search_bases``) finds the optimal bases of all a chunk's problems, and
 each problem's single solve, started from its basis, certifies it and gives
-every reported number; so the outputs depend on neither the chunking nor the
-worker count.
+every reported number.  A certified result depends only on its optimal rows,
+not on the basis its solve started from, so the outputs equal those of cold
+solves and depend on neither the chunking nor the worker count.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .lti import (
 )
 from .pruning import (
     SupportPrior,
+    check_confidence_model,
     gen_confidences,
     indicator_from_support,
     prune_product,
@@ -150,8 +152,7 @@ class SweepConfig:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
-        if not 0.0 <= self.jitter < math.inf:
-            raise ValueError(f"jitter must be finite and nonnegative, got {self.jitter}")
+        check_confidence_model(self.true_rate, self.jitter)
         if not 0.0 < self.spectral_radius < math.inf:
             raise ValueError(f"spectral radius must be finite and positive, got {self.spectral_radius}")
         epsilon_from_policy(self.epsilon_policy, ())  # parses and checks the policy
@@ -256,22 +257,22 @@ def _problem_key(trusted, rows: int, omega: float) -> frozenset:
     return frozenset() if len(key) in (0, rows) else key
 
 
-def _grade(instance: TrialInstance, cfg: SweepConfig, trusted, start=None):
+def _grade(instance: TrialInstance, cfg: SweepConfig, trusted, start=None) -> TrialOutcome:
     """Outcome of one trusted row set on the instance (None: the unweighted
-    decoder), and the basis its solve ended at."""
+    decoder)."""
     if trusted is None:
         est = decode(instance.model, instance.y_T, start=start)
     else:
         est = weighted_observer(instance.model, instance.y_T, trusted, cfg.omega, start=start)
     err = float(np.linalg.norm(est.x_hat - instance.x_star))
     ok = err <= SUCCESS_RTOL * float(np.linalg.norm(instance.x_star))
-    return TrialOutcome(success=ok, error_l2=err), est.basis
+    return TrialOutcome(success=ok, error_l2=err)
 
 
 def run_trial(cfg: SweepConfig, p_a: float, strategy: str, trial_index: int) -> TrialOutcome:
     """One end-to-end trial for one strategy, solved from a cold start."""
     instance = draw_instance(cfg, p_a, trial_index)
-    return _grade(instance, cfg, trusted_rows(instance, strategy, cfg.eta))[0]
+    return _grade(instance, cfg, trusted_rows(instance, strategy, cfg.eta))
 
 
 def _weights(instance: TrialInstance, cfg: SweepConfig, trusted) -> np.ndarray:
@@ -288,13 +289,12 @@ def _paired_chunk(args):
     Strategies whose row weights are positive multiples of each other have
     the same minimizer, so they share the outcome of the first one's solve:
     equal trusted sets, an empty or full set (the problem of ``none``), and
-    any set at omega 1.  Two stacked searches find the optimal bases: one
-    over every first strategy's problem from a cold start, then one over
-    every later problem from its first strategy's basis (strategies reweight
-    the first problem, so its optimum is close to theirs).  Each problem is
-    then solved on its own from its searched basis, which certifies it
-    without a pivot.  Where a search gives up, the solve starts where a lone
-    paired solve would: cold, or at the first strategy's basis.
+    any set at omega 1.  One stacked search finds the optimal bases of every
+    distinct problem of the chunk, and each problem is then solved on its own
+    from its searched basis, which certifies it and gives every reported
+    number.  A result depends only on its optimal rows, so it equals the
+    cold solve of ``run_trial`` bit for bit; where the search gives up, the
+    solve is that cold solve.
     """
     cfg, trials = args
     instances = [draw_instance(cfg, p_a, t) for t in trials for p_a in cfg.attack_grid]
@@ -308,29 +308,14 @@ def _paired_chunk(args):
             distinct.setdefault(keys[-1][-1], trusted)
         problems.append(list(distinct.items()))
 
-    def search(todo, starts=None):  # todo: (instance index, trusted rows) pairs
-        return search_bases(np.array([instances[i].model.H for i, _ in todo]),
-                            np.array([instances[i].y_T for i, _ in todo]),
-                            np.array([_weights(instances[i], cfg, tr) for i, tr in todo]), starts)
-
-    firsts = search([(i, probs[0][1]) for i, probs in enumerate(problems)])
-    later = [(i, key, trusted) for i, probs in enumerate(problems) if firsts[i] is not None
-             for key, trusted in probs[1:]]
-    found = {}
-    if later:
-        bases = search([(i, tr) for i, _, tr in later], np.array([firsts[i] for i, _, _ in later]))
-        found = {(i, key): basis for (i, key, _), basis in zip(later, bases)}
-
+    todo = [(inst, trusted) for inst, probs in zip(instances, problems) for _, trusted in probs]
+    bases = iter(search_bases(np.array([inst.model.H for inst, _ in todo]),
+                              np.array([inst.y_T for inst, _ in todo]),
+                              np.array([_weights(inst, cfg, tr) for inst, tr in todo])))
     outcomes = []
-    for i, inst in enumerate(instances):
-        (key, trusted), *rest = problems[i]
-        solved = {}
-        solved[key], first_basis = _grade(inst, cfg, trusted, start=firsts[i])
-        for key, trusted in rest:
-            start = found.get((i, key))
-            solved[key], _ = _grade(inst, cfg, trusted,
-                                    start=first_basis if start is None else start)
-        outcomes.append({s: solved[k] for s, k in zip(cfg.strategies, keys[i])})
+    for inst, probs, inst_keys in zip(instances, problems, keys):
+        solved = {key: _grade(inst, cfg, trusted, start=next(bases)) for key, trusted in probs}
+        outcomes.append({s: solved[k] for s, k in zip(cfg.strategies, inst_keys)})
     return outcomes
 
 
@@ -457,6 +442,7 @@ class ScenarioConfig:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
+        check_confidence_model(self.true_rate, self.jitter)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,15 @@ cold start takes the rows the least-squares fit matches best, accepting the
 first n of them after one QR when they are independent.  When every weight
 is positive the rows are used in place, without copies or index maps.
 
+Every fresh factorization, of the start, the cold start or the basis at
+reported optimality, is of the basis rows in ascending order.  The vertex is
+fixed by its set of rows, but z = A_B^-1 y_B is rounded in the order of the
+rows, so sorting first makes z, the residual and the objective functions of
+the final row set, and the dual and the gap too (their signs of nu_N are
+carried, and could differ only on a perturbed residual within roundoff of
+zero).  So a warm and a cold solve that end at the same rows agree bit for
+bit, and the returned ``basis`` is ascending.
+
 A start is inverted first, and that inverse settles both rank tests when it
 can: A_B is a row subset of the positive-weight rows A_act, so
 
@@ -65,14 +74,16 @@ start, whose least-squares fit tests the rank of A_act.  Data with
 sum(w) max|y| beyond the largest float are rejected up front: that product
 bounds |y^T nu|, so below it the certificate cannot overflow.
 
-``search_bases`` makes the pivots of many positive-weight problems of one
-shape at once, one round for all of them per pivot, with each problem's own
-start, tableau, refactor and checks, and returns the final bases.  Each
-problem goes through the single solve's operations in the same order, so a
-single solve started from a returned basis certifies it without a pivot
-(and would pivot on from it, still certified, if they ever parted).  On one
-problem the search is slower than the single solve, which stays the only
-path that certifies.
+``search_bases`` finds the optimal rows of many positive-weight problems of
+one shape at once.  It starts each at the rows its least-squares fit matches
+best, all fits from one stacked QR, and pivots them in lockstep, one round
+per pivot, with the single solve's rule on each problem's own tableau, until
+each tableau reports optimality.  It certifies nothing.  Since a result
+depends only on its final rows, the single solve started from a found basis
+gives what a cold solve ending at the same rows gives, and it certifies the
+basis from its own factorization (pivoting on, still certified, if its check
+disagrees).  On one problem the search is slower than the single solve, which
+stays the only path that certifies.
 """
 
 from __future__ import annotations
@@ -102,7 +113,7 @@ class LpSolution:
     dual_objective: float
     gap: float                 # certified duality gap (>= 0 up to roundoff)
     iterations: int            # simplex pivots
-    basis: np.ndarray          # the n rows of A (original indices) interpolated by z
+    basis: np.ndarray          # the n rows of A (original indices, ascending) interpolated by z
 
 
 @functools.lru_cache(maxsize=8)
@@ -138,13 +149,6 @@ def _greedy_basis(A_act, order, n):
             if k == n:
                 return basis
     return None
-
-
-def _frobenius(X):
-    """Frobenius norms of a stack of matrices, each by the one dot product
-    that np.linalg.norm takes."""
-    flat = X.reshape(X.shape[0], X.shape[1] * X.shape[2])
-    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
 
 
 def _fit_order(A_act, y_piv):
@@ -221,12 +225,13 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
 
     # A start whose inverse proves both rank tests is used as is (see the
     # module docstring); otherwise the least-squares fit tests the rank and
-    # the rows it matches best form the start.
+    # the rows it matches best form the start.  Every basis is factored in
+    # ascending order, so the result depends only on the final rows.
     basis = inv = None
     if start is not None and every_row:
-        basis = start.astype(np.intp)
+        basis = np.sort(start).astype(np.intp)
     elif start is not None and active[start].all():
-        basis = (np.cumsum(active) - 1)[start]
+        basis = (np.cumsum(active) - 1)[np.sort(start)]
     if basis is not None:
         try:
             inv = np.linalg.inv(A_act[basis])
@@ -237,6 +242,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         basis = _greedy_basis(A_act, order, n)
         if basis is None or deficient:
             raise RankDeficient("positive-weight rows of A are numerically rank deficient")
+        basis.sort()
         inv = np.linalg.inv(A_act[basis])
 
     # `inv` holds a fresh factorization of the basis, None while the tableau
@@ -253,6 +259,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         if ratio[k] <= 1.0 + _DUAL_RTOL:
             if fresh:
                 break
+            basis.sort()
+            w_B = w_act[basis]
             inv = np.linalg.inv(A_act[basis])
             continue
         if pivots >= _PIVOTS_PER_ROW * rows:
@@ -307,48 +315,16 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     )
 
 
-def _starts(A, y_piv, norm_A, start):
-    """The single solve's start over a stack: the bases and their inverses,
-    and a mask of the problems whose start it would reject (RankDeficient)
-    or fail to invert.
+def search_bases(A, y, w) -> list:
+    """Optimal bases of K stacked problems, found by pivoting them in lockstep.
 
-    A start whose inverse proves both rank tests is kept; the others start
-    cold, at the rows the least-squares fit matches best.
-    """
-    K, N, n = A.shape
-    rows = np.arange(K)
-    basis, cold = np.zeros((K, n), dtype=np.intp), rows
-    if start is None:
-        inv = np.empty((K, n, n))
-    else:
-        basis[:] = start
-        inv = _inverses(A[rows[:, None], basis])
-        cold = np.flatnonzero(~(_RANK_RTOL * norm_A * _frobenius(inv) < 1.0))
-    dead = np.zeros(K, bool)
-    if cold.size:
-        fits = [_fit_order(A[i], y_piv[i]) for i in cold]
-        first = np.array([order[:n] for order, _ in fits])
-        for i, (order, deficient), independent in zip(
-                cold, fits, _independent(A[cold[:, None], first])):
-            greedy = order[:n] if independent else _greedy_basis(A[i], order, n)
-            dead[i] = greedy is None or deficient
-            basis[i] = order[:n] if greedy is None else greedy
-        inv[cold] = _inverses(A[cold[:, None], basis[cold]])
-        dead |= np.isnan(inv).any(axis=(1, 2))
-    return basis, inv, dead
-
-
-def search_bases(A, y, w, start=None) -> list:
-    """Final bases of K stacked problems, found by pivoting them in lockstep.
-
-    A is (K, N, n), y and w are (K, N) and ``start`` is None or (K, n) row
-    indices.  Entry i is the ``basis`` that ``weighted_l1_regression(A[i],
-    y[i], w[i], start[i])`` ends at, found by the same pivots, or None where
-    that solve would not end at a basis by pivoting alone: a zero or
-    non-finite weight, non-finite data, a rank-deficient cold start, the
-    pivot cap, a descent edge without a breakpoint, or a final basis whose
-    inverse does not prove the rank tests.  Nothing is certified: the single
-    solve started from the basis certifies it without a pivot.
+    A is (K, N, n), y and w are (K, N).  Each problem starts at the n rows
+    its least-squares fit matches best and pivots by the single solve's rule
+    until its tableau reports optimality (module docstring).  Entry i is that
+    basis, or None where the search gives up: a zero or non-finite weight,
+    non-finite data, dependent first rows, the pivot cap, or a descent edge
+    without a breakpoint.  Nothing is certified: the single solve started
+    from a basis certifies it.
     """
     A, y, w = (np.asarray(v, dtype=float) for v in (A, y, w))
     K, N, n = A.shape
@@ -357,57 +333,42 @@ def search_bases(A, y, w, start=None) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         ok = ((w > 0).all(axis=1) & np.isfinite(scale * w.sum(axis=1))
               & np.isfinite(A).all(axis=(1, 2)))
-    ids = ok.nonzero()[0]  # problem index of each row of the stacks below
-    A, y_piv = A[ids], y[ids] / np.where(scale[ids] > 0, scale[ids], 1.0)[:, None] + _perturbation(N)
-    norm_A = _frobenius(A)
-    basis, inv, dead = _starts(A, y_piv, norm_A, None if start is None else np.asarray(start)[ids])
+    live = ok.nonzero()[0]  # problem index of each row of the stacks below
+    A, w = A[live], w[live]
+    y_piv = y[live] / np.where(scale[live] > 0, scale[live], 1.0)[:, None] + _perturbation(N)
+    Q = np.linalg.qr(A)[0]
+    fit = y_piv - (Q @ (Q.transpose(0, 2, 1) @ y_piv[..., None]))[..., 0]
+    basis = np.abs(fit).argsort(axis=1, kind="stable")[:, :n]
+    A_B = np.take_along_axis(A, basis[..., None], axis=1)
+    inv = _inverses(A_B)
+    keep = _independent(A_B) & ~np.isnan(inv).any(axis=(1, 2))
+    live, A, w, y_piv, basis, inv = (v[keep] for v in (live, A, w, y_piv, basis, inv))
 
-    # Each live problem runs the single solve's loop on its own tableau
-    # Tab[i] = [D^T; r]; `live` holds its row of A.  The problems whose g came
-    # from a fresh inverse this round are `fresh` (all of them at the start):
-    # a tableau that reports optimality is refactored and re-checked in the
-    # same round, as the single solve does in its next one.
-    live = (~dead).nonzero()[0]
-    basis, inv, w, y_piv = basis[live], inv[live], w[ids[live]], y_piv[live]
+    # Tab[i] = [D^T; r] is problem i's tableau, updated as in the single solve
     rows = np.arange(live.size)
-    Tab = np.zeros((live.size, n + 1, N))
-    Tab[:, n] = y_piv - (A[live] @ (inv @ y_piv[rows[:, None], basis][..., None]))[..., 0]
+    Tab = np.empty((live.size, n + 1, N))
+    Tab[:, :n] = (A @ inv).transpose(0, 2, 1)
+    Tab[:, n] = y_piv - (y_piv[rows[:, None], basis][:, None, :] @ Tab[:, :n])[:, 0]
     w_B = w[rows[:, None], basis]
-    nu = np.where(Tab[:, n] >= 0, w, -w)
-    nu[rows[:, None], basis] = 0.0
-    g = (inv.transpose(0, 2, 1) @ (A[live].transpose(0, 2, 1) @ nu[..., None]))[..., 0]
-    fresh, pivots = rows, 0  # every live problem pivots once a round
-    while live.size:
+    pivots = 0
+    while True:
+        nu = np.where(Tab[:, n] >= 0, w, -w)
+        nu[rows[:, None], basis] = 0.0
+        g = (Tab[:, :n] @ nu[..., None])[..., 0]
         ratio = np.abs(g) / w_B
         k = ratio.argmax(axis=1)
         optimal = ratio[rows, k] <= 1.0 + _DUAL_RTOL
-        if fresh is None:
-            fresh = optimal.nonzero()[0]
-            if fresh.size:
-                A_f = A[live[fresh]]
-                inv = np.linalg.inv(A_f[np.arange(fresh.size)[:, None], basis[fresh]])
-                g[fresh] = (inv.transpose(0, 2, 1)
-                            @ (A_f.transpose(0, 2, 1) @ nu[fresh, :, None]))[..., 0]
-                ratio = np.abs(g[fresh]) / w_B[fresh]
-                k[fresh] = ratio.argmax(axis=1)
-                optimal[fresh] = ratio[np.arange(fresh.size), k[fresh]] <= 1.0 + _DUAL_RTOL
-        if fresh.size:
-            done = optimal[fresh]
-            proven = _RANK_RTOL * norm_A[live[fresh]] * _frobenius(inv) < 1.0
-            for i in fresh[done & proven]:
-                found[ids[live[i]]] = basis[i].copy()
-            if not done.all():
-                Tab[fresh[~done], :n] = (A[live[fresh[~done]]] @ inv[~done]).transpose(0, 2, 1)
-        if pivots >= _PIVOTS_PER_ROW * N:
-            break
-        if optimal.any():
-            live, w, Tab, basis, w_B, nu, g, k = (
-                v[~optimal] for v in (live, w, Tab, basis, w_B, nu, g, k))
-            rows = np.arange(live.size)
+        for i, b in zip(live[optimal], basis[optimal]):
+            found[i] = b
+        live, w, Tab, basis, w_B, nu, g, k = (
+            v[~optimal] for v in (live, w, Tab, basis, w_B, nu, g, k))
+        if not live.size or pivots >= _PIVOTS_PER_ROW * N:
+            return found
+        rows = np.arange(live.size)
 
-        # The pivot of the single solve on every row of the stack: the
-        # breakpoints along each edge h sorted by r / h, the non-candidates
-        # last, and the first whose summed rise reaches half the rate.
+        # The single solve's pivot on every problem: the breakpoints along
+        # each edge h sorted by r / h, the non-candidates last, and the first
+        # whose summed rise reaches half the rate.
         g_k = g[rows, k]
         h = Tab[rows, k] * np.sign(g_k)[:, None]
         nu_h = nu * h
@@ -426,8 +387,3 @@ def search_bases(A, y, w, start=None) -> list:
         Tab -= col[:, :, None] * (h / h[rows, j][:, None])[:, None, :]
         basis[rows, k], w_B[rows, k] = j, w[rows, j]
         pivots += 1
-        nu = np.where(Tab[:, n] >= 0, w, -w)
-        nu[rows[:, None], basis] = 0.0
-        g = (Tab[:, :n] @ nu[..., None])[..., 0]
-        fresh = None
-    return found

@@ -109,6 +109,14 @@ def sample_prior(q: SupportIndicator, p, rng: np.random.Generator) -> SupportPri
     return SupportPrior(q_hat=q_hat, p=p)
 
 
+def check_confidence_model(true_rate: float, jitter: float) -> None:
+    """ValueError unless ``gen_confidences`` accepts true_rate and jitter."""
+    if not 0.0 < true_rate <= 1.0:
+        raise ValueError(f"true rate must lie in (0, 1], got {true_rate}")
+    if not 0 <= jitter < math.inf:
+        raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
+
+
 def gen_confidences(
     rows: int,
     true_rate: float,
@@ -116,10 +124,7 @@ def gen_confidences(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Confidence vector true_rate +/- uniform jitter, clipped into (0, 1]."""
-    if not 0.0 < true_rate <= 1.0:
-        raise ValueError(f"true rate must lie in (0, 1], got {true_rate}")
-    if not 0 <= jitter < math.inf:
-        raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
+    check_confidence_model(true_rate, jitter)
     p = true_rate + rng.uniform(-jitter, jitter, size=rows)
     return np.clip(p, 1e-12, 1.0)
 

@@ -551,6 +551,25 @@ def test_sweep_rejects_omega_0_with_a_weighted_strategy_up_front(capsys, monkeyp
     assert "omega must be positive" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--true-rate", "0", "--trials", 2, "--grid", "0.3"], "true rate"),
+    (["sweep", "--jitter", "-1", "--trials", 2, "--grid", "0.3"], "jitter"),
+    (["scenario", "--steps", 8, "--true-rate", "1.5"], "true rate"),
+    (["scenario", "--steps", 8, "--jitter", "-1"], "jitter"),
+], ids=["sweep-true-rate", "sweep-jitter", "scenario-true-rate", "scenario-jitter"])
+def test_a_confidence_model_out_of_range_is_rejected_up_front(capsys, monkeypatch, argv, message):
+    from resilient_sse import experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before its confidence model was validated")
+
+    monkeypatch.setattr(experiments, "draw_instance", no_run)
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert message in err
+
+
 def test_scenario_rejects_omega_0_with_wl1p_up_front(capsys):
     # the static pruned set is empty here, so WL1P would have no weighted row
     base = ["scenario", "--omega", "0", "--steps", 8, "--true-rate", 0.5, "--eta", 0.99]

@@ -504,40 +504,53 @@ def stacked_problems(m, n, T, K, seed):
     return np.array(A), np.array(y), {"unit": np.ones((K, A[0].shape[0])), "two-level": np.array(two_level)}
 
 
+def assert_found_bases_certify_as_cold_solves(A, y, w, found):
+    """Each found basis holds the cold solve's rows, and the single solve
+    started from it certifies it without a pivot, with the cold solve's
+    numbers bit for bit.  Returns the cold solves' pivots."""
+    pivots = 0
+    for i, basis in enumerate(found):
+        cold = weighted_l1_regression(A[i], y[i], w[i])
+        warm = weighted_l1_regression(A[i], y[i], w[i], start=basis)
+        assert sorted(basis.tolist()) == cold.basis.tolist()
+        assert warm.iterations == 0
+        for field in ("z", "residual", "objective", "dual_objective", "gap", "basis"):
+            assert np.array_equal(getattr(warm, field), getattr(cold, field)), field
+        pivots += cold.iterations
+    return pivots
+
+
 @pytest.mark.parametrize("m, n, T, K", [(20, 10, 1, 30), (20, 10, 3, 16), (60, 12, 4, 6)],
                          ids=["20x10", "60x10", "240x12"])
 @pytest.mark.parametrize("weights, reweighted", [("unit", "two-level"), ("two-level", "unit")])
 def test_search_finds_the_bases_of_the_single_solves(m, n, T, K, weights, reweighted):
-    # cold, then warm from the cold bases on the other weights, as the sweep
-    # searches its first and its later strategies
+    # one search over both weightings of every problem, stacked either way
+    # round, as a sweep chunk stacks its strategies' problems
     A, y, w = stacked_problems(m, n, T, K, seed=m + T)
-    cold = [weighted_l1_regression(A[i], y[i], w[weights][i]) for i in range(K)]
-    starts = np.array([sol.basis for sol in cold])
-    warm = [weighted_l1_regression(A[i], y[i], w[reweighted][i], start=starts[i]) for i in range(K)]
-    assert sum(sol.iterations for sol in cold + warm) > 2 * K
-    for found, solves, ws in ((lp.search_bases(A, y, w[weights]), cold, w[weights]),
-                              (lp.search_bases(A, y, w[reweighted], starts), warm, w[reweighted])):
-        for i, (basis, sol) in enumerate(zip(found, solves)):
-            assert np.array_equal(basis, sol.basis)  # the same rows in the same order
-            again = weighted_l1_regression(A[i], y[i], ws[i], start=basis)
-            assert again.iterations == 0
-            assert np.array_equal(again.z, sol.z)
+    A, y, w = np.concatenate([A, A]), np.concatenate([y, y]), np.concatenate([w[weights], w[reweighted]])
+    found = lp.search_bases(A, y, w)
+    assert all(basis is not None for basis in found)
+    assert assert_found_bases_certify_as_cold_solves(A, y, w, found) > 2 * K
 
 
-@pytest.mark.parametrize("family", ("random", "ties", "near_rank", "col_scale"))
+@pytest.mark.parametrize("family", ("random", "stealth20", "stealth240", "ties", "near_rank",
+                                    "col_scale"))
 def test_search_follows_the_single_solve_on_every_family(family):
-    # a problem with a zero weight is left to the single solve
+    # a problem with a zero weight is left to the single solve, and so are the
+    # ties family's, whose duplicated rows fit alike: the first rows of the
+    # least-squares order are dependent
     A, y, w = (np.array(v) for v in zip(*(lp_instance(family, seed) for seed in range(8))))
-    for i, basis in enumerate(lp.search_bases(A, y, w)):
-        if (w[i] == 0).any():
-            assert basis is None
-        else:
-            assert np.array_equal(basis, weighted_l1_regression(A[i], y[i], w[i]).basis)
+    found = lp.search_bases(A, y, w)
+    usable = [i for i in range(len(found)) if family != "ties" and (w[i] > 0).all()]
+    assert [i for i, basis in enumerate(found) if basis is not None] == usable
+    assert_found_bases_certify_as_cold_solves(A[usable], y[usable], w[usable],
+                                              [found[i] for i in usable])
 
 
 def test_search_follows_the_single_solve_on_exact_integer_data():
-    # integer rows and states fit many rows exactly, so ratios that meet the
-    # dual tolerance and breakpoint sums that meet the rate tie exactly
+    # integer rows and states fit many rows exactly, so the optimum may have
+    # more than one basis, ratios may meet the dual tolerance and breakpoint
+    # sums the rate exactly; a found basis certifies at the optimum
     rng = np.random.default_rng(7)
     A = rng.integers(-2, 3, (64, 14, 4)).astype(float)
     y = (A @ rng.integers(-3, 4, (64, 4, 1)).astype(float))[..., 0]
@@ -545,36 +558,58 @@ def test_search_follows_the_single_solve_on_exact_integer_data():
     y[attacked] += rng.integers(-5, 6, attacked.sum())
     w = rng.integers(1, 4, (64, 14)).astype(float)
     w[::2] = 1.0
+    certified = 0
     for i, basis in enumerate(lp.search_bases(A, y, w)):
         try:
-            assert np.array_equal(basis, weighted_l1_regression(A[i], y[i], w[i]).basis)
+            cold = weighted_l1_regression(A[i], y[i], w[i])
         except RankDeficient:
             assert basis is None
+            continue
+        if basis is not None:
+            warm = weighted_l1_regression(A[i], y[i], w[i], start=basis)
+            assert warm.iterations == 0
+            gap = max(warm.gap, cold.gap, 0.0) + 1e-12 * (1.0 + abs(cold.objective))
+            assert abs(warm.objective - cold.objective) <= gap
+            certified += 1
+    assert certified >= 32
 
 
 def test_search_gives_up_where_the_single_solve_leaves_the_pivots(monkeypatch):
     A, y, w = stacked_problems(20, 10, 1, 12, seed=5)
     w = w["unit"]
     bases = lp.search_bases(A, y, w)
+    assert all(basis is not None for basis in bases)
     # unusable problems give up and leave the others as they were
     A_bad, y_bad, w_bad = A.copy(), y.copy(), w.copy()
-    A_bad[0, :, 3] = A_bad[0, :, 1]  # rank deficient: every start is singular
+    A_bad[0, :, 3] = A_bad[0, :, 1]  # rank deficient: no n rows are independent
     w_bad[1, 4] = 0.0
     y_bad[2, 0] = np.nan
-    found = lp.search_bases(A_bad, y_bad, w_bad, start=np.array(bases))
-    assert found[:3] == [None] * 3
-    assert all(np.array_equal(f, b) for f, b in zip(found[3:], bases[3:]))
-    with pytest.raises(RankDeficient):
-        weighted_l1_regression(A_bad[0], y[0], w[0], start=bases[0])
-    # the pivot cap: the search gives up exactly where the single solve raises
+    A_bad[3, 5, 0] = np.inf
+    found = lp.search_bases(A_bad, y_bad, w_bad)
+    assert found[:4] == [None] * 4
+    assert all(np.array_equal(f, b) for f, b in zip(found[4:], bases[4:]))
+    # the pivot cap: only the problems whose start is optimal are found
     monkeypatch.setattr(lp, "_PIVOTS_PER_ROW", 0)
-    gave_up = 0
-    for i, basis in enumerate(lp.search_bases(A, y, w)):
-        try:
-            sol = weighted_l1_regression(A[i], y[i], w[i])
-        except SolverFailure:
-            assert basis is None
-            gave_up += 1
-        else:
-            assert np.array_equal(basis, sol.basis)
-    assert gave_up > 0
+    capped = lp.search_bases(A, y, w)
+    assert capped.count(None) > 0
+    for i, basis in enumerate(capped):
+        if basis is not None:
+            assert np.array_equal(basis, bases[i])
+            assert weighted_l1_regression(A[i], y[i], w[i], start=basis).iterations == 0
+
+
+@pytest.mark.parametrize("family", ("random", "stealth20", "near_rank", "col_scale",
+                                    "zero_weights"))
+def test_a_result_depends_only_on_its_optimal_rows(family):
+    # the solve factors its basis in ascending order, so a start that lists
+    # the optimal rows in any order gives the cold solve's numbers bit for bit
+    for seed in range(4):
+        A, y, w = lp_instance(family, seed)
+        cold = weighted_l1_regression(A, y, w)
+        assert np.all(np.diff(cold.basis) > 0)
+        rng = np.random.default_rng(seed)
+        for start in [cold.basis[::-1]] + [rng.permutation(cold.basis) for _ in range(8)]:
+            warm = weighted_l1_regression(A, y, w, start=start)
+            assert warm.iterations == 0
+            for field in ("z", "residual", "objective", "dual_objective", "gap", "basis"):
+                assert np.array_equal(getattr(warm, field), getattr(cold, field)), field
