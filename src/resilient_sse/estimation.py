@@ -5,8 +5,7 @@ matrix H, solved exactly by the certified LP solve of ``lp``: ``decode`` with
 unit weights, ``weighted_observer`` with weight 1 on the pruned safe rows and
 omega elsewhere, and ``solve_weighted_l1`` with any nonnegative weights.
 Each takes an optional ``start`` basis (row indices of H), and each result
-carries the optimal ``basis`` to pass as the start of a related solve, such
-as the next window of a moving-window run.
+carries the optimal ``basis`` to pass as the start of a related solve.
 """
 
 from __future__ import annotations

@@ -10,12 +10,14 @@ random numbers across attack fractions), so they are drawn once per trial
 index and shared by every attack fraction; the generator then continues from
 the same state, so a shared draw equals a fresh one bit for bit.
 
-A sweep runs in chunks of whole trial indices.  One stacked search
-(``lp.search_bases``) finds the optimal bases of all a chunk's problems, and
-each problem's single solve, started from its basis, certifies it and gives
-every reported number.  A certified result depends only on its optimal rows,
-not on the basis its solve started from, so the outputs equal those of cold
-solves and depend on neither the chunking nor the worker count.
+A sweep runs in chunks of whole trial indices, and a scenario's observers
+are open-loop, so all its windows are known once the run is simulated.  One
+stacked search (``lp.search_bases``) finds the optimal bases of all a chunk's
+or a run's l1 problems, and each problem's single solve, started from its
+basis (cold where the search gives up), certifies it and gives every reported
+number.  A certified result depends only on its optimal rows, not on the
+basis its solve started from, so the outputs equal those of cold solves and
+depend on neither the chunking nor the worker count.
 """
 
 from __future__ import annotations
@@ -469,8 +471,8 @@ def run_scenario(
 
     Window estimates target the window-start state; the Luenberger estimate
     is aligned to the same time index.  WL1P trusts the product-pruned rows
-    of a simulated localization prior.  Every window is decoded with the same
-    H, so each l1 observer warm-starts from its previous window's basis.
+    of a simulated localization prior.  One stacked search covers the l1
+    problems of every window, window by window (module docstring).
     """
     if not observers:
         raise ValueError(f"observers must hold at least one of {', '.join(OBSERVERS)}")
@@ -501,40 +503,41 @@ def run_scenario(
         raise NumericalInstability(
             f"attacked measurements overflow at attack magnitude {attack.magnitude}")
     model = build_horizon(system, T)
+    windows = scenario.steps - T + 1
+    ys, targets, _ = zip(*(stack_window(traj, end, T) for end in range(T - 1, scenario.steps)))
 
-    stacked_support = np.concatenate([r * m + sup for r in range(T)]) if sup.size else np.array([], int)
-    q = indicator_from_support(stacked_support, model.rows)
-    rng_prior = np.random.default_rng(scenario.prior_seed)
-
-    def draw_trusted():
-        p = gen_confidences(model.rows, scenario.true_rate, scenario.jitter, rng_prior)
-        prior = sample_prior(q, p, rng_prior)
-        return prune_product(prior, scenario.eta).safe_set
-
-    trusted_static = draw_trusted() if scenario.prior_mode == "static" else None
-
-    lo_est = None
+    errors = {obs: [] for obs in observers}
     if "LO" in observers:
         with np.errstate(over="ignore", invalid="ignore"):
             lo_est = luenberger_baseline(system, traj.attacked_measurements)
+        errors["LO"] = [lo_est[i] - target for i, target in enumerate(targets)]
 
-    errors = {obs: [] for obs in observers}
-    basis = {"L1O": None, "WL1P": None}
-    for end in range(T - 1, scenario.steps):
-        y_T, target, _ = stack_window(traj, end, T)
-        if "LO" in observers:
-            errors["LO"].append(lo_est[end - T + 1] - target)
-        if "L1O" in observers:
-            est = decode(model, y_T, start=basis["L1O"])
-            basis["L1O"] = est.basis
-            errors["L1O"].append(est.x_hat - target)
-        if "WL1P" in observers:
-            trusted = trusted_static if trusted_static is not None else draw_trusted()
-            est = weighted_observer(model, y_T, trusted, scenario.omega, start=basis["WL1P"])
-            basis["WL1P"] = est.basis
-            errors["WL1P"].append(est.x_hat - target)
+    weights = {"L1O": [np.ones(model.rows)] * windows}
+    if "WL1P" in observers:
+        stacked_support = np.concatenate([r * m + sup for r in range(T)]) if sup.size else np.array([], int)
+        q = indicator_from_support(stacked_support, model.rows)
+        rng_prior = np.random.default_rng(scenario.prior_seed)
+        trusted, weights["WL1P"] = [], []
+        for i in range(windows):  # static: the first window's draw serves every window
+            if i == 0 or scenario.prior_mode == "per_window":
+                p = gen_confidences(model.rows, scenario.true_rate, scenario.jitter, rng_prior)
+                safe = prune_product(sample_prior(q, p, rng_prior), scenario.eta).safe_set
+                w = observer_weights(model, safe, scenario.omega)
+            trusted.append(safe)
+            weights["WL1P"].append(w)
 
-    windows = scenario.steps - T + 1
+    problems = [(i, obs) for i in range(windows) for obs in observers if obs != "LO"]
+    if problems:  # the search cannot take an empty stack
+        bases = search_bases(np.broadcast_to(model.H, (len(problems),) + model.H.shape),
+                             np.array([ys[i] for i, _ in problems]),
+                             np.array([weights[obs][i] for i, obs in problems]))
+        for (i, obs), start in zip(problems, bases):
+            if obs == "L1O":
+                est = decode(model, ys[i], start=start)
+            else:
+                est = weighted_observer(model, ys[i], trusted[i], scenario.omega, start=start)
+            errors[obs].append(est.x_hat - targets[i])
+
     rms, max_abs = {}, {}
     for obs in observers:
         E = np.asarray(errors[obs])

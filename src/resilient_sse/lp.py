@@ -24,14 +24,11 @@ Exact data makes the optimum degenerate (more than n rows fit with zero
 residual), and plain pivoting cycles there.  The pivots therefore run on y
 plus a tiny perturbation, one fixed draw of uniform noise; the final basis
 is evaluated on the original y, and its dual, which does not depend on y,
-certifies that point.  A golden-ratio pattern frac(j phi) - 1/2 failed on
-integer A: it lies in a two-dimensional rational family, so a small integer
-left-null vector of A can cancel it and leave the degeneracy in place.  The
-residual is computed afresh only at the start basis and then carried by the
-tableau, also across the refactor below: a perturbed residual that is zero
-up to roundoff would otherwise flip sign at each refactor and send the pivots
-around a cycle.  A solve that takes more than 10 pivots per row raises
-SolverFailure.
+certifies that point.  The residual is computed afresh only at the start
+basis and then carried by the tableau, also across the refactor below: a
+perturbed residual that is zero up to roundoff would otherwise flip sign at
+each refactor and send the pivots around a cycle.  A solve that takes more
+than 10 pivots per row raises SolverFailure.
 The problem is positively homogeneous in (y, z), so the pivots run on y
 scaled to unit max-norm, and the gap is certified in those units, where it
 is at most 1e-8 (1 + |objective|): a zero optimum, whose gap is roundoff of
@@ -47,10 +44,10 @@ r - (r_j / h_j) h along the edge to the breakpoint of row j.  When the
 tableau reports optimality the basis is factored afresh and nu_B re-checked
 with the formulas above, so the dual's feasibility never rests on updated
 quantities (the carried signs of nu_N only decide how tight it is).  A
-``start`` basis, such as the previous window's, replaces the cold start; the
-cold start takes the rows the least-squares fit matches best, accepting the
-first n of them after one QR when they are independent.  When every weight
-is positive the rows are used in place, without copies or index maps.
+``start`` basis replaces the cold start; the cold start takes the rows the
+least-squares fit matches best, accepting the first n of them after one QR
+when they are independent.  When every weight is positive the rows are used
+in place, without copies or index maps.
 
 Every fresh factorization, of the start, the cold start or the basis at
 reported optimality, is of the basis rows in ascending order.  The vertex is
@@ -82,8 +79,9 @@ each tableau reports optimality.  It certifies nothing.  Since a result
 depends only on its final rows, the single solve started from a found basis
 gives what a cold solve ending at the same rows gives, and it certifies the
 basis from its own factorization (pivoting on, still certified, if its check
-disagrees).  On one problem the search is slower than the single solve, which
-stays the only path that certifies.
+disagrees).  The sweep runs one search per chunk, the scenario one per run.
+On one problem the search is slower than the single solve, which stays the
+only path that certifies.
 """
 
 from __future__ import annotations

@@ -17,7 +17,12 @@ from resilient_sse import (
 )
 from resilient_sse.experiments import TrialOutcome, canonical_json, epsilon_from_policy
 from resilient_sse.fdia import random_support, synthesize_fdia
-from resilient_sse.pruning import gen_confidences, indicator_from_support, sample_prior
+from resilient_sse.pruning import (
+    gen_confidences,
+    indicator_from_support,
+    prune_product,
+    sample_prior,
+)
 
 
 def small_cfg(**kw):
@@ -134,29 +139,116 @@ def test_scenario_three_observer_ordering():
         assert wl <= l1
 
 
+def _spy_solves(monkeypatch, experiments):
+    """Record (solver, start, trusted set or None, pivots) of every certifying
+    solve of experiments, and the result of every search."""
+    calls, searches = [], []
+
+    def spy(solve):
+        def wrapped(model, y_T, *args, start=None, **kw):
+            est = solve(model, y_T, *args, start=start, **kw)
+            trusted = args[0] if solve.__name__ == "weighted_observer" else None
+            calls.append((solve.__name__, start, trusted, est.iterations))
+            return est
+        return wrapped
+
+    search = experiments.search_bases
+
+    def spy_search(A, y, w):
+        searches.append(search(A, y, w))
+        return searches[-1]
+
+    monkeypatch.setattr(experiments, "decode", spy(experiments.decode))
+    monkeypatch.setattr(experiments, "weighted_observer", spy(experiments.weighted_observer))
+    monkeypatch.setattr(experiments, "search_bases", spy_search)
+    return calls, searches
+
+
 @pytest.mark.parametrize("prior_mode", ["static", "per_window"])
-def test_scenario_warm_start_matches_cold_solves(monkeypatch, prior_mode):
-    # each window starts from the previous window's basis; a result depends
-    # only on its optimal rows, so dropping the start changes no bit
+def test_scenario_windows_start_at_their_searched_bases(monkeypatch, prior_mode):
+    # one search covers every l1 problem of the run, window-major (L1O then
+    # WL1P per window), and each solve certifies its searched basis without a
+    # pivot; a result depends only on its optimal rows, so cold solves of
+    # every window give the same bits
     import resilient_sse.experiments as experiments
 
     sys_, x0 = load_surrogate()
     scenario = ScenarioConfig(steps=30, T=3, prior_mode=prior_mode)
-    starts = []
+    calls, searches = _spy_solves(monkeypatch, experiments)
+    searched = run_scenario(sys_, x0, scenario=scenario)
+    assert len(searches) == 1 and len(searches[0]) == 2 * searched.windows == len(calls)
+    assert [name for name, *_ in calls] == ["decode", "weighted_observer"] * searched.windows
+    assert any(found is not None for found in searches[0])
+    for found, (_, start, _, pivots) in zip(searches[0], calls):
+        assert start is found and (found is None or pivots == 0)
 
-    def spy(solve):
-        def wrapped(*args, start=None, **kw):
-            starts.append(start)
-            return solve(*args, **kw)
-        return wrapped
+    monkeypatch.setattr(experiments, "search_bases", lambda A, y, w: [None] * len(A))
+    assert run_scenario(sys_, x0, scenario=scenario) == searched
 
-    warm = run_scenario(sys_, x0, scenario=scenario)
-    monkeypatch.setattr(experiments, "decode", spy(experiments.decode))
-    monkeypatch.setattr(experiments, "weighted_observer", spy(experiments.weighted_observer))
-    cold = run_scenario(sys_, x0, scenario=scenario)
-    assert len(starts) == 2 * cold.windows
-    assert starts[:2] == [None, None] and all(s is not None for s in starts[2:])
-    assert warm == cold
+
+@pytest.mark.parametrize("prior_mode", ["static", "per_window"])
+def test_scenario_prior_draws_follow_the_window_order(monkeypatch, prior_mode):
+    # WL1P's trusted sets come from default_rng(prior_seed): one draw for
+    # every window in static mode, one per window in window order otherwise
+    import resilient_sse.experiments as experiments
+
+    sys_, x0 = load_surrogate()
+    scenario = ScenarioConfig(steps=12, T=3, prior_mode=prior_mode)
+    model = build_horizon(sys_, scenario.T)
+    sup = ScenarioAttack().resolve_support(sys_.C)
+    q = indicator_from_support(np.concatenate([r * sys_.m + sup for r in range(scenario.T)]),
+                               model.rows)
+    rng = np.random.default_rng(scenario.prior_seed)
+
+    def draw():
+        p = gen_confidences(model.rows, scenario.true_rate, scenario.jitter, rng)
+        return prune_product(sample_prior(q, p, rng), scenario.eta).safe_set
+
+    windows = scenario.steps - scenario.T + 1
+    expected = [draw()] * windows if prior_mode == "static" else [draw() for _ in range(windows)]
+    calls, _ = _spy_solves(monkeypatch, experiments)
+    run_scenario(sys_, x0, scenario=scenario)
+    trusted = [tr for name, _, tr, _ in calls if name == "weighted_observer"]
+    assert len(trusted) == windows
+    assert all(np.array_equal(t, e) for t, e in zip(trusted, expected))
+
+
+def test_scenario_solves_cold_where_the_search_gives_up(monkeypatch):
+    import resilient_sse.experiments as experiments
+
+    sys_, x0 = load_surrogate()
+    scenario = ScenarioConfig(steps=20, T=3, prior_mode="per_window")
+    full = run_scenario(sys_, x0, scenario=scenario)
+    search = experiments.search_bases
+    monkeypatch.setattr(experiments, "search_bases",
+                        lambda A, y, w: [b if i % 2 else None for i, b in enumerate(search(A, y, w))])
+    assert run_scenario(sys_, x0, scenario=scenario) == full
+
+
+def test_scenario_with_only_lo_runs_no_search(monkeypatch):
+    import resilient_sse.experiments as experiments
+
+    sys_, x0 = load_surrogate()
+    scenario = ScenarioConfig(steps=20, T=3)
+    full = run_scenario(sys_, x0, scenario=scenario)
+
+    def no_search(*args):
+        raise AssertionError("a run without an l1 observer searched")
+
+    monkeypatch.setattr(experiments, "search_bases", no_search)
+    lo = run_scenario(sys_, x0, scenario=scenario, observers=("LO",))
+    assert lo.rms == {"LO": full.rms["LO"]} and lo.max_abs == {"LO": full.max_abs["LO"]}
+
+
+@pytest.mark.parametrize("observers", [("L1O",), ("WL1P",), ("WL1P", "L1O")])
+@pytest.mark.parametrize("prior_mode", ["static", "per_window"])
+def test_scenario_l1_observers_alone_match_a_full_run(observers, prior_mode):
+    sys_, x0 = load_surrogate()
+    scenario = ScenarioConfig(steps=20, T=3, prior_mode=prior_mode)
+    full = run_scenario(sys_, x0, scenario=scenario)
+    part = run_scenario(sys_, x0, scenario=scenario, observers=observers)
+    for obs in observers:
+        assert part.rms[obs] == full.rms[obs] and part.max_abs[obs] == full.max_abs[obs]
 
 
 def test_scenario_validation():
