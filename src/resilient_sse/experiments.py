@@ -27,6 +27,7 @@ import functools
 import io
 import json
 import math
+import os
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass
 from importlib import resources
 
@@ -367,13 +368,16 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     worker gets a chunk (see ``_paired_chunk``).
     """
     grid = len(cfg.attack_grid)
-    per_chunk = max(1, min(_CHUNK_TASKS // grid, -(-cfg.trials // cfg.workers)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.workers, cpus or 1)  # a forked pool starts all its workers at once
+    per_chunk = max(1, min(_CHUNK_TASKS // grid, -(-cfg.trials // workers)))
     chunks = [(cfg, range(t, min(t + per_chunk, cfg.trials)))
               for t in range(0, cfg.trials, per_chunk)]
-    if cfg.workers > 1:
+    workers = min(workers, len(chunks))  # and needs none beyond the chunks
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly to import; only pools need it
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = [o for chunk in pool.map(_paired_chunk, chunks) for o in chunk]
     else:
         outcomes = [o for chunk in map(_paired_chunk, chunks) for o in chunk]
@@ -438,6 +442,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.prior_mode not in ("static", "per_window"):
             raise ValueError(f"prior_mode must be 'static' or 'per_window', got {self.prior_mode!r}")
+        if self.T < 1:
+            raise ValueError(f"T must be >= 1, got {self.T}")
         if self.steps < self.T:
             raise ValueError(f"need steps >= T, got steps={self.steps}, T={self.T}")
         if not 0.0 < self.eta < 1.0:

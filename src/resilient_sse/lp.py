@@ -44,10 +44,10 @@ r - (r_j / h_j) h along the edge to the breakpoint of row j.  When the
 tableau reports optimality the basis is factored afresh and nu_B re-checked
 with the formulas above, so the dual's feasibility never rests on updated
 quantities (the carried signs of nu_N only decide how tight it is).  A
-``start`` basis replaces the cold start; the cold start takes the rows the
-least-squares fit matches best, accepting the first n of them after one QR
-when they are independent.  When every weight is positive the rows are used
-in place, without copies or index maps.
+``start`` basis replaces the cold start: the first n independent rows in the
+order of how well the least-squares fit from one thin QR matches them.  When
+every weight is positive the rows are used in place, without copies or index
+maps.
 
 Every fresh factorization, of the start, the cold start or the basis at
 reported optimality, is of the basis rows in ascending order.  The vertex is
@@ -58,24 +58,27 @@ carried, and could differ only on a perturbed residual within roundoff of
 zero).  So a warm and a cold solve that end at the same rows agree bit for
 bit, and the returned ``basis`` is ascending.
 
-A start is inverted first, and that inverse settles both rank tests when it
-can: A_B is a row subset of the positive-weight rows A_act, so
+Every start, the caller's or the cold one, is sorted and inverted, and the
+inverse proves the rank of A_act when it can: A_B is a row subset of the
+positive-weight rows A_act, so
 
     sigma_min(A_act) >= sigma_min(A_B) >= 1 / ||A_B^-1||_F,
     sigma_max(A_B) <= sigma_max(A_act) <= ||A_act||_F,
 
-and 1 > 1e-10 ||A_act||_F ||A_B^-1||_F proves that both pass.  The inverse
-is the one the first certificate uses, so the shortcut changes no result.  A
-start this does not prove (or that fails to invert) is replaced by the cold
-start, whose least-squares fit tests the rank of A_act.  Data with
-sum(w) max|y| beyond the largest float are rejected up front: that product
-bounds |y^T nu|, so below it the certificate cannot overflow.
+and 1 > 1e-10 ||A_act||_F ||A_B^-1||_F proves the rank test
+sigma_min(A_act) > 1e-10 sigma_max(A_act).  The inverse is the one the first
+certificate uses, so the proof changes no result.  A caller's start it does
+not prove (or that fails to invert) gives way to the cold start; only a cold
+start it does not prove leaves the test to the singular values of A_act.
+Data with sum(w) max|y| beyond the largest float are rejected up front: that
+product bounds |y^T nu|, so below it the certificate cannot overflow.
 
 ``search_bases`` finds the optimal rows of many positive-weight problems of
-one shape at once.  It starts each at the rows its least-squares fit matches
-best, all fits from one stacked QR, and pivots them in lockstep, one round
-per pivot, with the single solve's rule on each problem's own tableau, until
-each tableau reports optimality.  It certifies nothing.  Since a result
+one shape at once.  It starts each at the first n rows of the cold start's
+order, all fits from one stacked thin QR, drops the problems whose first rows
+one QR finds dependent, and pivots the others in lockstep, one round per
+pivot, with the single solve's rule on each problem's own tableau, until each
+tableau reports optimality.  It certifies nothing.  Since a result
 depends only on its final rows, the single solve started from a found basis
 gives what a cold solve ending at the same rows gives, and it certifies the
 basis from its own factorization (pivoting on, still certified, if its check
@@ -149,25 +152,23 @@ def _greedy_basis(A_act, order, n):
     return None
 
 
-def _fit_order(A_act, y_piv):
-    """The rows of A_act by how well the least-squares fit matches them, best
-    first, and whether the fit finds A_act numerically rank deficient."""
-    z_ls, _, _, sv = np.linalg.lstsq(A_act, y_piv, rcond=None)
-    return np.argsort(np.abs(y_piv - A_act @ z_ls), kind="stable"), sv[-1] <= _RANK_RTOL * sv[0]
+def _fit_order(A, y_piv):
+    """The rows of A (or of each matrix of a stack) by how well the
+    least-squares fit from one thin QR matches them, best first."""
+    Q = np.linalg.qr(A)[0]
+    fit = y_piv - (Q @ (np.swapaxes(Q, -1, -2) @ y_piv[..., None]))[..., 0]
+    return np.abs(fit).argsort(axis=-1, kind="stable")
 
 
-def _inverses(M):
-    """Inverses of a stack of square matrices, NaN where one is singular."""
+def _proven_inverse(A_act, basis):
+    """Sort `basis` in place and invert A_act[basis]: the inverse if it proves
+    that A_act has full column rank (module docstring), else None."""
+    basis.sort()
     try:
-        return np.linalg.inv(M)
+        inv = np.linalg.inv(A_act[basis])
     except np.linalg.LinAlgError:
-        out = np.full_like(M, np.nan)
-        for i, m in enumerate(M):
-            try:
-                out[i] = np.linalg.inv(m)
-            except np.linalg.LinAlgError:
-                pass
-        return out
+        return None
+    return inv if 1.0 > _RANK_RTOL * np.linalg.norm(A_act) * np.linalg.norm(inv) else None
 
 
 def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
@@ -184,8 +185,9 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
 
     ``start`` names n distinct rows of A to begin at, e.g. the ``basis`` of a
     related solve (ValueError if malformed; ignored if it holds a zero-weight
-    row or is not proven nonsingular, see the module docstring).  It changes
-    neither the optimum nor the rank test.
+    row or its inverse does not prove the rank of the positive-weight rows,
+    see the module docstring).  It changes neither the optimum nor the rank
+    decision.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -221,27 +223,20 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     y_act = y_act / scale
     y_piv = y_act + _perturbation(rows)
 
-    # A start whose inverse proves both rank tests is used as is (see the
-    # module docstring); otherwise the least-squares fit tests the rank and
-    # the rows it matches best form the start.  Every basis is factored in
-    # ascending order, so the result depends only on the final rows.
-    basis = inv = None
-    if start is not None and every_row:
-        basis = np.sort(start).astype(np.intp)
-    elif start is not None and active[start].all():
-        basis = (np.cumsum(active) - 1)[np.sort(start)]
-    if basis is not None:
-        try:
+    # The caller's start, else the cold start, once its inverse proves the rank
+    # of A_act; else the singular values test the rank (module docstring).
+    inv = None
+    if start is not None and (every_row or active[start].all()):
+        basis = start.astype(np.intp) if every_row else (np.cumsum(active) - 1)[start]
+        inv = _proven_inverse(A_act, basis)
+    if inv is None:
+        basis = _greedy_basis(A_act, _fit_order(A_act, y_piv), n)
+        inv = None if basis is None else _proven_inverse(A_act, basis)
+        if inv is None:
+            sv = np.linalg.svd(A_act, compute_uv=False)
+            if basis is None or sv[-1] <= _RANK_RTOL * sv[0]:
+                raise RankDeficient("positive-weight rows of A are numerically rank deficient")
             inv = np.linalg.inv(A_act[basis])
-        except np.linalg.LinAlgError:
-            pass
-    if inv is None or not 1.0 > _RANK_RTOL * np.linalg.norm(A_act) * np.linalg.norm(inv):
-        order, deficient = _fit_order(A_act, y_piv)
-        basis = _greedy_basis(A_act, order, n)
-        if basis is None or deficient:
-            raise RankDeficient("positive-weight rows of A are numerically rank deficient")
-        basis.sort()
-        inv = np.linalg.inv(A_act[basis])
 
     # `inv` holds a fresh factorization of the basis, None while the tableau
     # Tab = [D^T; r] is updated; g = -nu_B, and w_B = w_act[basis]
@@ -316,8 +311,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
 def search_bases(A, y, w) -> list:
     """Optimal bases of K stacked problems, found by pivoting them in lockstep.
 
-    A is (K, N, n), y and w are (K, N).  Each problem starts at the n rows
-    its least-squares fit matches best and pivots by the single solve's rule
+    A is (K, N, n), y and w are (K, N).  Each problem starts at the first n
+    rows of the single solve's cold-start order and pivots by its rule
     until its tableau reports optimality (module docstring).  Entry i is that
     basis, or None where the search gives up: a zero or non-finite weight,
     non-finite data, dependent first rows, the pivot cap, or a descent edge
@@ -334,13 +329,11 @@ def search_bases(A, y, w) -> list:
     live = ok.nonzero()[0]  # problem index of each row of the stacks below
     A, w = A[live], w[live]
     y_piv = y[live] / np.where(scale[live] > 0, scale[live], 1.0)[:, None] + _perturbation(N)
-    Q = np.linalg.qr(A)[0]
-    fit = y_piv - (Q @ (Q.transpose(0, 2, 1) @ y_piv[..., None]))[..., 0]
-    basis = np.abs(fit).argsort(axis=1, kind="stable")[:, :n]
+    basis = _fit_order(A, y_piv)[:, :n]
     A_B = np.take_along_axis(A, basis[..., None], axis=1)
-    inv = _inverses(A_B)
-    keep = _independent(A_B) & ~np.isnan(inv).any(axis=(1, 2))
-    live, A, w, y_piv, basis, inv = (v[keep] for v in (live, A, w, y_piv, basis, inv))
+    keep = _independent(A_B)  # the rest are far from singular: one inv serves them all
+    live, A, w, y_piv, basis = (v[keep] for v in (live, A, w, y_piv, basis))
+    inv = np.linalg.inv(A_B[keep])
 
     # Tab[i] = [D^T; r] is problem i's tableau, updated as in the single solve
     rows = np.arange(live.size)

@@ -580,6 +580,18 @@ def test_scenario_rejects_omega_0_with_wl1p_up_front(capsys):
     assert code == 0 and json.loads(out)["observers"] == ["LO", "L1O"]
 
 
+def test_scenario_rejects_T_0_before_simulating(capsys, monkeypatch):
+    from resilient_sse import experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run was simulated before T was checked")
+
+    monkeypatch.setattr(experiments, "simulate", no_run)
+    code, out, err = run_cli(["scenario", "--T", 0, "--steps", 8], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: T must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("magnitude,observers", [("1e308", "LO"), ("1e200", "LO"),
                                                  ("1e200", "L1O"), ("1e308", "L1O"),
                                                  ("1e308", "WL1P"), ("1e308", None)])

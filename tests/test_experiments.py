@@ -100,6 +100,39 @@ def test_sweep_worker_count_does_not_change_bytes():
     assert serial.to_json() == parallel.to_json()
 
 
+def test_sweep_pool_has_no_more_workers_than_cpus_or_chunks(monkeypatch):
+    # no process starts: the pool is an in-process fake, on two usable CPUs
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = small_cfg(trials=4)
+    serial = sweep(cfg).to_csv()
+    assert pools == []
+    assert sweep(SweepConfig(**{**cfg.__dict__, "workers": 10_000})).to_csv() == serial
+    assert pools == [2]
+    # one trial index is one chunk, which needs no pool
+    sweep(SweepConfig(**{**cfg.__dict__, "trials": 1, "workers": 10_000}))
+    assert pools == [2]
+
+
 def test_scenario_no_attack_everything_converges():
     sys_, x0 = load_surrogate()
     metrics = run_scenario(
@@ -263,6 +296,8 @@ def test_scenario_validation():
         run_scenario(sys_, x0, observers=("LO", "WL1P", "LO"))
     with pytest.raises(ValueError):
         ScenarioConfig(prior_mode="sometimes")
+    with pytest.raises(ValueError, match="T must be >= 1"):
+        ScenarioConfig(T=0)
 
 
 def test_scenario_rejects_omega_0_with_wl1p_before_simulating(monkeypatch):
@@ -290,6 +325,17 @@ def test_wl1p_recovers_the_state_exactly_on_the_surrogate():
     metrics = run_scenario(sys_, x0, scenario=scenario)
     states = simulate(sys_, x0, scenario.steps).states[:metrics.windows]
     assert max(metrics.max_abs["WL1P"]) <= 1e-9 * float(np.abs(states).max())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wl1p_recovers_the_state_where_l1o_does_not(seed):
+    # WL1P's margin over L1O is not roundoff: the default attack corrupts more
+    # rows than plain l1 corrects, and the trusted rows let WL1P recover x
+    sys_, x0 = load_surrogate()
+    metrics = run_scenario(sys_, x0, attack=ScenarioAttack(seed=seed),
+                           scenario=ScenarioConfig(steps=20), observers=("L1O", "WL1P"))
+    assert max(metrics.rms["WL1P"]) <= 1e-9
+    assert max(metrics.rms["L1O"]) >= 0.1
 
 
 @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5, np.nan])

@@ -317,20 +317,36 @@ def count_rank_tests(monkeypatch):
 
 
 def test_certified_warm_start_skips_both_rank_tests(monkeypatch):
+    # no solve fits by lstsq, and the singular values are computed only when
+    # a cold start's inverse does not prove the rank
     A, y, w = lp_instance("random", 1)  # well-conditioned 18 x 5
-    cold = weighted_l1_regression(A, y, w)
     calls = count_rank_tests(monkeypatch)
+    cold = weighted_l1_regression(A, y, w)
     warm = weighted_l1_regression(A, y, w, start=cold.basis)
+    assert lp.search_bases(A[None], y[None], w[None])[0] is not None
     assert calls == []
     assert warm.iterations == 0
     for field in ("z", "basis", "objective", "gap"):  # bitwise, not approximately
         assert np.array_equal(getattr(warm, field), getattr(cold, field))
-    # a start the bound does not prove is replaced by the cold start
+    # a start the bound does not prove is replaced by the cold start, proved
     A = np.vstack([A, A[0] + 1e-13 * np.random.default_rng(0).standard_normal(5)])
     y, w = np.append(y, y[0]), np.append(w, w[0])
     near = weighted_l1_regression(A, y, w, start=[0, 18, 1, 2, 3])
-    assert calls == ["lstsq"]
+    assert calls == []
     assert 0 not in near.basis or 18 not in near.basis
+    # two nearly equal columns: the cold start's proof fails, and the singular
+    # values pass A at 40 rows and reject it at 18
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((40, 5))
+    A[:, 4] = A[:, 3] + 1e-9 * rng.standard_normal(40)
+    sol = weighted_l1_regression(A, rng.standard_normal(40), np.ones(40))
+    assert calls == ["svd"]
+    assert sol.gap <= 1e-8 * (1 + abs(sol.objective))
+    A = rng.standard_normal((18, 5))
+    A[:, 4] = A[:, 3] + 3e-10 * rng.standard_normal(18)
+    with pytest.raises(RankDeficient):
+        weighted_l1_regression(A, A @ rng.standard_normal(5), np.ones(18))
+    assert calls == ["svd", "svd"]
 
 
 def test_rank_deficient_a_rejects_every_warm_start():
