@@ -10,14 +10,16 @@ random numbers across attack fractions), so they are drawn once per trial
 index and shared by every attack fraction; the generator then continues from
 the same state, so a shared draw equals a fresh one bit for bit.
 
-A sweep runs in chunks of whole trial indices, and a scenario's observers
-are open-loop, so all its windows are known once the run is simulated.  One
-stacked search (``lp.search_bases``) finds the optimal bases of all a chunk's
-or a run's l1 problems, and each problem's single solve, started from its
-basis (cold where the search gives up), certifies it and gives every reported
-number.  A certified result depends only on its optimal rows, not on the
-basis its solve started from, so the outputs equal those of cold solves and
-depend on neither the chunking nor the worker count.
+Both experiments hand their weighted-l1 problems to ``_certify_all``: a
+sweep the strategies of each instance of a chunk of trial indices, a scenario
+the l1 observers of each window (open-loop, so all known once the run is
+simulated).  Trusted sets of one window whose weights are positive multiples
+of each other are solved once.  One stacked search (``lp.search_bases``)
+finds the optimal bases of all distinct problems, and each problem's single
+solve, started from its basis (cold where the search gives up), certifies it
+and gives every reported number.  A certified result depends only on its
+optimal rows, so the outputs equal those of cold solves and depend on
+neither the chunking nor the worker count.
 """
 
 from __future__ import annotations
@@ -253,20 +255,51 @@ def trusted_rows(instance: TrialInstance, strategy: str, eta: float):
 def _problem_key(trusted, rows: int, omega: float) -> frozenset:
     """Equal for trusted sets whose weights are positive multiples of each
     other, and so pose one problem; empty for uniform weights.  Needs
-    omega > 0, which SweepConfig requires of every weighted strategy."""
+    omega > 0, which SweepConfig requires of every weighted strategy and
+    run_scenario of WL1P."""
     if trusted is None or omega == 1.0:
         return frozenset()
     key = frozenset(trusted.tolist())
     return frozenset() if len(key) in (0, rows) else key
 
 
-def _grade(instance: TrialInstance, cfg: SweepConfig, trusted, start=None) -> TrialOutcome:
-    """Outcome of one trusted row set on the instance (None: the unweighted
-    decoder)."""
+def _estimate(model: HorizonModel, y_T, trusted, omega: float, start=None):
+    """Certified estimate of one trusted row set (None: the unweighted decoder)."""
     if trusted is None:
-        est = decode(instance.model, instance.y_T, start=start)
-    else:
-        est = weighted_observer(instance.model, instance.y_T, trusted, cfg.omega, start=start)
+        return decode(model, y_T, start=start)
+    return weighted_observer(model, y_T, trusted, omega, start=start)
+
+
+def _certify_all(groups, omega: float) -> list:
+    """Certified estimates of every trusted set of every group, one list per
+    group; a group is (model, y_T, trusted sets).
+
+    The sets of a group with one ``_problem_key`` have one minimizer, so they
+    share the estimate of the first of them.  One stacked search finds the
+    optimal basis of every distinct problem, with one weights array per
+    distinct model and key, and each problem's single solve, started from its
+    basis (cold where the search gives up), certifies it.
+    """
+    todo, weights, index, built, picks = [], [], {}, {}, []  # picks: each set's problem
+    for g, (model, y_T, sets) in enumerate(groups):
+        picks.append([])
+        for trusted in sets:
+            key = _problem_key(trusted, model.rows, omega)
+            if (g, key) not in index:
+                index[g, key] = len(todo)
+                todo.append((model, y_T, trusted))
+                if (id(model), key) not in built:  # positive multiples share optimal rows
+                    built[id(model), key] = (np.ones(model.rows) if trusted is None
+                                             else observer_weights(model, trusted, omega))
+                weights.append(built[id(model), key])
+            picks[-1].append(index[g, key])
+    bases = search_bases(np.array([model.H for model, _, _ in todo]),
+                         np.array([y_T for _, y_T, _ in todo]), np.array(weights)) if todo else []
+    ests = [_estimate(*problem, omega, start=b) for problem, b in zip(todo, bases)]
+    return [[ests[i] for i in group] for group in picks]
+
+
+def _grade(instance: TrialInstance, est) -> TrialOutcome:
     err = float(np.linalg.norm(est.x_hat - instance.x_star))
     ok = err <= SUCCESS_RTOL * float(np.linalg.norm(instance.x_star))
     return TrialOutcome(success=ok, error_l2=err)
@@ -274,51 +307,26 @@ def _grade(instance: TrialInstance, cfg: SweepConfig, trusted, start=None) -> Tr
 
 def run_trial(cfg: SweepConfig, p_a: float, strategy: str, trial_index: int) -> TrialOutcome:
     """One end-to-end trial for one strategy, solved from a cold start."""
-    instance = draw_instance(cfg, p_a, trial_index)
-    return _grade(instance, cfg, trusted_rows(instance, strategy, cfg.eta))
-
-
-def _weights(instance: TrialInstance, cfg: SweepConfig, trusted) -> np.ndarray:
-    """The row weights ``_grade`` solves with for a trusted row set."""
-    if trusted is None:
-        return np.ones(instance.model.rows)
-    return observer_weights(instance.model, trusted, cfg.omega)
+    inst = draw_instance(cfg, p_a, trial_index)
+    return _grade(inst, _estimate(inst.model, inst.y_T, trusted_rows(inst, strategy, cfg.eta),
+                                  cfg.omega))
 
 
 def _paired_chunk(args):
-    """Every strategy on the instances of a run of trial indices, one
-    certified solve per distinct problem; outcomes in task order.
-
-    Strategies whose row weights are positive multiples of each other have
-    the same minimizer, so they share the outcome of the first one's solve:
-    equal trusted sets, an empty or full set (the problem of ``none``), and
-    any set at omega 1.  One stacked search finds the optimal bases of every
-    distinct problem of the chunk, and each problem is then solved on its own
-    from its searched basis, which certifies it and gives every reported
-    number.  A result depends only on its optimal rows, so it equals the
-    cold solve of ``run_trial`` bit for bit; where the search gives up, the
-    solve is that cold solve.
-    """
+    """Every strategy on the instances of a run of trial indices, outcomes in
+    task order.  Strategies that pose one problem (``_problem_key``: equal
+    trusted sets, an empty or full set, which poses the problem of ``none``,
+    and any set at omega 1) share one solve and its outcome, which equals the
+    cold solve of ``run_trial`` bit for bit."""
     cfg, trials = args
     instances = [draw_instance(cfg, p_a, t) for t in trials for p_a in cfg.attack_grid]
-    keys, problems = [], []  # per instance: each strategy's key; its distinct (key, trusted)
-    for inst in instances:
-        distinct = {}
-        keys.append([])
-        for s in cfg.strategies:
-            trusted = trusted_rows(inst, s, cfg.eta)
-            keys[-1].append(_problem_key(trusted, inst.model.rows, cfg.omega))
-            distinct.setdefault(keys[-1][-1], trusted)
-        problems.append(list(distinct.items()))
-
-    todo = [(inst, trusted) for inst, probs in zip(instances, problems) for _, trusted in probs]
-    bases = iter(search_bases(np.array([inst.model.H for inst, _ in todo]),
-                              np.array([inst.y_T for inst, _ in todo]),
-                              np.array([_weights(inst, cfg, tr) for inst, tr in todo])))
+    groups = [(inst.model, inst.y_T, [trusted_rows(inst, s, cfg.eta) for s in cfg.strategies])
+              for inst in instances]
     outcomes = []
-    for inst, probs, inst_keys in zip(instances, problems, keys):
-        solved = {key: _grade(inst, cfg, trusted, start=next(bases)) for key, trusted in probs}
-        outcomes.append({s: solved[k] for s, k in zip(cfg.strategies, inst_keys)})
+    for inst, ests in zip(instances, _certify_all(groups, cfg.omega)):
+        solves = {id(est): est for est in ests}  # strategies that share a solve share its outcome
+        graded = {k: _grade(inst, est) for k, est in solves.items()}
+        outcomes.append({s: graded[id(est)] for s, est in zip(cfg.strategies, ests)})
     return outcomes
 
 
@@ -477,8 +485,8 @@ def run_scenario(
 
     Window estimates target the window-start state; the Luenberger estimate
     is aligned to the same time index.  WL1P trusts the product-pruned rows
-    of a simulated localization prior.  One stacked search covers the l1
-    problems of every window, window by window (module docstring).
+    of a simulated localization prior, and shares L1O's solve where its
+    weights are uniform (module docstring).
     """
     if not observers:
         raise ValueError(f"observers must hold at least one of {', '.join(OBSERVERS)}")
@@ -490,7 +498,7 @@ def run_scenario(
         raise ValueError("omega must be positive for WL1P: omega 0 leaves weight only on "
                          "the pruned rows, and pruning may trust too few")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    n, m, T = system.n, system.m, scenario.T
+    m, T = system.m, scenario.T
     sup = attack.resolve_support(system.C)
 
     rng_attack = np.random.default_rng(attack.seed)
@@ -498,9 +506,8 @@ def run_scenario(
     # a magnitude near the largest float overflows here; one that passes the
     # check below may still overflow in the Luenberger recursion or in the
     # squared errors, which are checked at the end
-    if sup.size:
-        with np.errstate(over="ignore"):
-            schedule[:, sup] = attack.magnitude * rng_attack.standard_normal((scenario.steps, sup.size))
+    with np.errstate(over="ignore"):
+        schedule[:, sup] = attack.magnitude * rng_attack.standard_normal((scenario.steps, sup.size))
 
     traj = simulate(system, x0, scenario.steps, schedule)
     # every observer fails alike on a window the l1 solves cannot certify:
@@ -518,30 +525,20 @@ def run_scenario(
             lo_est = luenberger_baseline(system, traj.attacked_measurements)
         errors["LO"] = [lo_est[i] - target for i, target in enumerate(targets)]
 
-    weights = {"L1O": [np.ones(model.rows)] * windows}
+    l1 = [obs for obs in observers if obs != "LO"]
     if "WL1P" in observers:
-        stacked_support = np.concatenate([r * m + sup for r in range(T)]) if sup.size else np.array([], int)
-        q = indicator_from_support(stacked_support, model.rows)
+        q = indicator_from_support(np.concatenate([r * m + sup for r in range(T)]), model.rows)
         rng_prior = np.random.default_rng(scenario.prior_seed)
-        trusted, weights["WL1P"] = [], []
+        trusted = []
         for i in range(windows):  # static: the first window's draw serves every window
             if i == 0 or scenario.prior_mode == "per_window":
                 p = gen_confidences(model.rows, scenario.true_rate, scenario.jitter, rng_prior)
                 safe = prune_product(sample_prior(q, p, rng_prior), scenario.eta).safe_set
-                w = observer_weights(model, safe, scenario.omega)
             trusted.append(safe)
-            weights["WL1P"].append(w)
-
-    problems = [(i, obs) for i in range(windows) for obs in observers if obs != "LO"]
-    if problems:  # the search cannot take an empty stack
-        bases = search_bases(np.broadcast_to(model.H, (len(problems),) + model.H.shape),
-                             np.array([ys[i] for i, _ in problems]),
-                             np.array([weights[obs][i] for i, obs in problems]))
-        for (i, obs), start in zip(problems, bases):
-            if obs == "L1O":
-                est = decode(model, ys[i], start=start)
-            else:
-                est = weighted_observer(model, ys[i], trusted[i], scenario.omega, start=start)
+    groups = [(model, ys[i], [None if obs == "L1O" else trusted[i] for obs in l1])
+              for i in range(windows)]
+    for i, ests in enumerate(_certify_all(groups, scenario.omega)):
+        for obs, est in zip(l1, ests):
             errors[obs].append(est.x_hat - targets[i])
 
     rms, max_abs = {}, {}

@@ -273,6 +273,20 @@ def test_scenario_with_only_lo_runs_no_search(monkeypatch):
     assert lo.rms == {"LO": full.rms["LO"]} and lo.max_abs == {"LO": full.max_abs["LO"]}
 
 
+def test_scenario_wl1p_shares_l1os_solve_where_its_weights_are_uniform(monkeypatch):
+    # at omega 1 WL1P weighs every row alike, so in every window it poses
+    # L1O's problem: one search entry and one solve per window, shared
+    import resilient_sse.experiments as experiments
+
+    sys_, x0 = load_surrogate()
+    calls, searches = _spy_solves(monkeypatch, experiments)
+    metrics = run_scenario(sys_, x0, scenario=ScenarioConfig(steps=20, T=3, omega=1.0))
+    assert len(searches) == 1 and len(searches[0]) == metrics.windows
+    assert [name for name, *_ in calls] == ["decode"] * metrics.windows
+    assert metrics.rms["WL1P"] == metrics.rms["L1O"]
+    assert metrics.max_abs["WL1P"] == metrics.max_abs["L1O"]
+
+
 @pytest.mark.parametrize("observers", [("L1O",), ("WL1P",), ("WL1P", "L1O")])
 @pytest.mark.parametrize("prior_mode", ["static", "per_window"])
 def test_scenario_l1_observers_alone_match_a_full_run(observers, prior_mode):
@@ -457,6 +471,31 @@ def test_paired_trial_at_omega_1_solves_once(monkeypatch):
     outcomes = experiments._paired_chunk((cfg, range(1)))[0]
     assert len(solves) == 1
     assert all(o is outcomes["none"] for o in outcomes.values())
+
+
+def test_weights_are_built_once_per_distinct_problem(monkeypatch):
+    import resilient_sse.experiments as experiments
+
+    built = []
+    observer_weights = experiments.observer_weights
+
+    def spy(model, trusted, omega):
+        built.append(trusted)
+        return observer_weights(model, trusted, omega)
+
+    monkeypatch.setattr(experiments, "observer_weights", spy)
+    sys_, x0 = load_surrogate()
+    run_scenario(sys_, x0, scenario=ScenarioConfig(steps=20, T=3))
+    assert len(built) == 1  # static: one trusted set serves every window
+    built.clear()
+    per_window = run_scenario(sys_, x0, scenario=ScenarioConfig(steps=20, T=3,
+                                                                prior_mode="per_window"))
+    assert 1 <= len(built) <= per_window.windows
+
+    built.clear()  # a sweep chunk: each weighted problem is certified by one weighted_observer
+    calls, _ = _spy_solves(monkeypatch, experiments)
+    experiments._paired_chunk((SweepConfig(**ACCEPTANCE_03, trials=4), range(4)))
+    assert 1 <= len(built) <= sum(name == "weighted_observer" for name, *_ in calls)
 
 
 def test_sweep_rejects_omega_0_with_a_weighted_strategy():
