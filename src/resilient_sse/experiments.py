@@ -7,8 +7,9 @@ fixed order, and the serializers format floats by shortest round-trip, so
 repeated runs (with any worker count) produce byte-identical outputs.  A
 sweep's system, H, x* and epsilon depend on the trial index alone (common
 random numbers across attack fractions), so they are drawn once per trial
-index and shared by every attack fraction; the generator then continues from
-the same state, so a shared draw equals a fresh one bit for bit.
+index and shared by every attack fraction; each draw then restores the trial's
+saved generator state on its one generator, so a shared draw equals a fresh
+one bit for bit.
 
 Both experiments hand their weighted-l1 problems to ``_certify_all``: a
 sweep the strategies of each instance of a chunk of trial indices, a scenario
@@ -197,7 +198,8 @@ class TrialOutcome:
 @functools.lru_cache(maxsize=1)
 def _shared_draw(cfg: SweepConfig, trial_index: int):
     """The draws of a trial index that no attack fraction changes: system,
-    model, read-only x* and y*, epsilon, and the generator state after them."""
+    model, read-only x* and y*, epsilon, and the trial's one generator with
+    its saved state after them."""
     rng = np.random.default_rng([cfg.master_seed, trial_index])
     sys = gen_random_system(cfg.m, cfg.n, rng, cfg.spectral_radius)
     model = build_horizon(sys, cfg.T)
@@ -205,7 +207,7 @@ def _shared_draw(cfg: SweepConfig, trial_index: int):
     y_star = model.H @ x_star
     x_star.flags.writeable = y_star.flags.writeable = False
     epsilon = epsilon_from_policy(cfg.epsilon_policy, y_star)
-    return sys, model, x_star, y_star, epsilon, rng.bit_generator.state
+    return sys, model, x_star, y_star, epsilon, rng, rng.bit_generator.state
 
 
 def draw_instance(cfg: SweepConfig, p_a: float, trial_index: int) -> TrialInstance:
@@ -215,11 +217,11 @@ def draw_instance(cfg: SweepConfig, p_a: float, trial_index: int) -> TrialInstan
     epsilon are the same at every attack fraction of a trial index; they come
     from a one-entry cache of the last (cfg, trial_index), which ``sweep``
     hits by running the grid points of a trial index back to back.  The
-    support and the prior continue the generator from the cached state, so
-    the result equals a draw from scratch.
+    support and the prior restore the trial's saved generator state on its
+    one generator, so the result equals a draw from scratch in any order of
+    grid points.
     """
-    sys, model, x_star, y_star, epsilon, state = _shared_draw(cfg, trial_index)
-    rng = np.random.default_rng([cfg.master_seed, trial_index])
+    sys, model, x_star, y_star, epsilon, rng, state = _shared_draw(cfg, trial_index)
     rng.bit_generator.state = state  # past the shared draws
     support = random_support(model.rows, p_a, rng)
     if support.size:
@@ -299,17 +301,23 @@ def _certify_all(groups, omega: float) -> list:
     return [[ests[i] for i in group] for group in picks]
 
 
-def _grade(instance: TrialInstance, est) -> TrialOutcome:
-    err = float(np.linalg.norm(est.x_hat - instance.x_star))
-    ok = err <= SUCCESS_RTOL * float(np.linalg.norm(instance.x_star))
-    return TrialOutcome(success=ok, error_l2=err)
+def _grade(instance: TrialInstance, ests) -> list:
+    """The outcome of each estimate; an estimate listed twice shares one outcome."""
+    x_star, graded = instance.x_star, {}
+    bound = SUCCESS_RTOL * math.sqrt(x_star.dot(x_star))  # the 2-norm as np.linalg.norm takes it
+    for est in ests:
+        if id(est) not in graded:
+            d = est.x_hat - x_star
+            err = math.sqrt(d.dot(d))
+            graded[id(est)] = TrialOutcome(success=err <= bound, error_l2=err)
+    return [graded[id(est)] for est in ests]
 
 
 def run_trial(cfg: SweepConfig, p_a: float, strategy: str, trial_index: int) -> TrialOutcome:
     """One end-to-end trial for one strategy, solved from a cold start."""
     inst = draw_instance(cfg, p_a, trial_index)
-    return _grade(inst, _estimate(inst.model, inst.y_T, trusted_rows(inst, strategy, cfg.eta),
-                                  cfg.omega))
+    return _grade(inst, [_estimate(inst.model, inst.y_T, trusted_rows(inst, strategy, cfg.eta),
+                                   cfg.omega)])[0]
 
 
 def _paired_chunk(args):
@@ -322,12 +330,8 @@ def _paired_chunk(args):
     instances = [draw_instance(cfg, p_a, t) for t in trials for p_a in cfg.attack_grid]
     groups = [(inst.model, inst.y_T, [trusted_rows(inst, s, cfg.eta) for s in cfg.strategies])
               for inst in instances]
-    outcomes = []
-    for inst, ests in zip(instances, _certify_all(groups, cfg.omega)):
-        solves = {id(est): est for est in ests}  # strategies that share a solve share its outcome
-        graded = {k: _grade(inst, est) for k, est in solves.items()}
-        outcomes.append({s: graded[id(est)] for s, est in zip(cfg.strategies, ests)})
-    return outcomes
+    return [dict(zip(cfg.strategies, _grade(inst, ests)))
+            for inst, ests in zip(instances, _certify_all(groups, cfg.omega))]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ read by ``lti.row_indices``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,9 @@ def _normalize_support(support, rows: int) -> np.ndarray:
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
     """Fix the sign ambiguity of a singular vector deterministically."""
-    nz = np.flatnonzero(np.abs(v) > 1e-12)
-    if nz.size and v[nz[0]] < 0:
-        return -v
-    return v
+    big = np.abs(v) > 1e-12
+    first = big.argmax()
+    return -v if big[first] and v[first] < 0 else v
 
 
 def fdia_feasibility(model: HorizonModel, support, epsilon: float = 1.0):
@@ -98,8 +98,10 @@ def synthesize_fdia(
         raise ValueError(f"magnitude_cap_factor must be finite and positive, "
                          f"got {magnitude_cap_factor}")
     sup = _normalize_support(support, model.rows)
-    Uc = np.delete(model.U1, sup, axis=0)  # the complement block
-    root = np.sqrt(Uc.shape[0])
+    complement = np.ones(model.rows, dtype=bool)
+    complement[sup] = False
+    Uc = model.U1[complement]
+    root = math.sqrt(Uc.shape[0])
 
     # the full Vt is needed only when Vt[-1] must span a null direction
     _, s, Vt = np.linalg.svd(Uc, full_matrices=Uc.shape[0] < model.n)
@@ -117,7 +119,7 @@ def synthesize_fdia(
     # s[0] is the complement block's spectral norm, which decides the guarantee
     sbar = float(s[0])
     holds = bool(sbar < 1.0 / (2.0 * root))
-    alpha = float(epsilon / (2.0 * np.sqrt(model.rows) * model.sigma_max)
+    alpha = float(epsilon / (2.0 * math.sqrt(model.rows) * model.sigma_max)
                   * (1.0 / (sbar * root) - 2.0)) if holds else None
     return AttackPlan(
         support=sup,

@@ -349,13 +349,14 @@ def search_bases(A, y, w) -> list:
         ratio = np.abs(g) / w_B
         k = ratio.argmax(axis=1)
         optimal = ratio[rows, k] <= 1.0 + _DUAL_RTOL
-        for i, b in zip(live[optimal], basis[optimal]):
-            found[i] = b
-        live, w, Tab, basis, w_B, nu, g, k = (
-            v[~optimal] for v in (live, w, Tab, basis, w_B, nu, g, k))
+        if optimal.any():  # the stacks are copied only in rounds where a problem finishes
+            for i, b in zip(live[optimal], basis[optimal]):
+                found[i] = b
+            live, w, Tab, basis, w_B, nu, g, k = (
+                v[~optimal] for v in (live, w, Tab, basis, w_B, nu, g, k))
+            rows = np.arange(live.size)
         if not live.size or pivots >= _PIVOTS_PER_ROW * N:
             return found
-        rows = np.arange(live.size)
 
         # The single solve's pivot on every problem: the breakpoints along
         # each edge h sorted by r / h, the non-candidates last, and the first

@@ -267,8 +267,13 @@ def row_indices(values, rows: int, name: str) -> np.ndarray:
 
     Any iterable of integers, of any shape, is accepted; floats only when
     every entry is whole (2.0).  A fractional entry, a boolean mask or an
-    index outside [0, rows) raises ValueError naming `name`.
+    index outside [0, rows) raises ValueError naming `name`.  An intp vector
+    that is already strictly increasing and in range is copied after one pass.
     """
+    if (isinstance(values, np.ndarray) and values.dtype == np.intp and values.ndim == 1
+            and (not values.size or 0 <= values[0] and values[-1] < rows
+                 and not np.count_nonzero(values[1:] <= values[:-1]))):
+        return values.copy()
     arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
     if arr.dtype.kind not in "iu" and not (arr.dtype.kind == "f" and (arr == np.floor(arr)).all()):
         raise ValueError(f"{name} must be integers, not fractions or a boolean mask")

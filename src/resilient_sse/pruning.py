@@ -32,7 +32,7 @@ class SupportIndicator:
 
     def __post_init__(self):
         q = np.asarray(self.q)
-        if q.ndim != 1 or not ((q == 0) | (q == 1)).all():
+        if q.ndim != 1 or np.count_nonzero((q == 0) | (q == 1)) != q.size:
             raise ValueError("indicator entries must be 0 or 1")
         q = q.astype(int)  # a copy
         q.flags.writeable = False
@@ -58,16 +58,16 @@ class SupportPrior:
             raise ValueError(f"q_hat {q_hat.shape} and p {p.shape} must be equal-length vectors")
         if p.size == 0:
             raise ValueError("a prior needs at least one row")
-        if not ((q_hat == 0) | (q_hat == 1)).all():
+        if np.count_nonzero((q_hat == 0) | (q_hat == 1)) != q_hat.size:
             raise ValueError("estimated indicator entries must be 0 or 1")
-        if not ((p > 0) & (p <= 1)).all():
+        if np.count_nonzero((p > 0) & (p <= 1)) != p.size:
             raise ValueError("confidences must lie in (0, 1]")
         q_hat, p = q_hat.astype(int), p.copy()
         q_hat.flags.writeable = False
         p.flags.writeable = False
         object.__setattr__(self, "q_hat", q_hat)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "true_rate", float(p.mean()))
+        object.__setattr__(self, "true_rate", float(p.sum()) / p.size)  # p.mean(), bit for bit
 
     @property
     def estimated_safe(self) -> np.ndarray:
@@ -126,7 +126,7 @@ def gen_confidences(
     """Confidence vector true_rate +/- uniform jitter, clipped into (0, 1]."""
     check_confidence_model(true_rate, jitter)
     p = true_rate + rng.uniform(-jitter, jitter, size=rows)
-    return np.clip(p, 1e-12, 1.0)
+    return np.minimum(np.maximum(p, 1e-12), 1.0)  # np.clip, without its wrapper
 
 
 def ppv(q: SupportIndicator, q_hat) -> float:
@@ -184,9 +184,7 @@ def prune_online(offline_set, prior: SupportPrior, eta: float) -> PrunedPrior:
     """Intersect the offline set with the rows the oracle marked safe."""
     rows = prior.q_hat.shape[0]
     offline_set = row_indices(offline_set, rows, "offline rows")
-    offline = np.zeros(rows, dtype=bool)
-    offline[offline_set] = True
-    safe = np.flatnonzero(offline & (prior.q_hat == 1))
+    safe = offline_set[prior.q_hat[offline_set] == 1]
     return PrunedPrior(offline_set=offline_set, safe_set=safe, eta=float(eta), strategy="product")
 
 

@@ -522,6 +522,18 @@ def fresh_draw(cfg, p_a, t):
     return system, model, x_star, epsilon, support, y_T, prior
 
 
+def assert_is_fresh_draw(inst, cfg, p_a, t):
+    system, model, x_star, epsilon, support, y_T, prior = fresh_draw(cfg, p_a, t)
+    assert np.array_equal(inst.system.A, system.A)
+    assert np.array_equal(inst.system.C, system.C)
+    assert inst.model.T == cfg.T and np.array_equal(inst.model.H, model.H)
+    assert np.array_equal(inst.x_star, x_star) and inst.epsilon == epsilon
+    assert np.array_equal(inst.support, support)
+    assert np.array_equal(inst.y_T, y_T)
+    assert np.array_equal(inst.prior.q_hat, prior.q_hat)
+    assert np.array_equal(inst.prior.p, prior.p)
+
+
 def test_shared_draw_equals_a_draw_from_scratch():
     # configs and trial indices interleave, so a stale cached draw would show
     cfgs = [small_cfg(attack_grid=(0.0, 0.25, 0.5)),
@@ -530,16 +542,22 @@ def test_shared_draw_equals_a_draw_from_scratch():
     for t in (0, 1, 0, 2, 2, 1):
         for cfg in cfgs:
             for p_a in cfg.attack_grid:
-                inst = draw_instance(cfg, p_a, t)
-                system, model, x_star, epsilon, support, y_T, prior = fresh_draw(cfg, p_a, t)
-                assert np.array_equal(inst.system.A, system.A)
-                assert np.array_equal(inst.system.C, system.C)
-                assert inst.model.T == cfg.T and np.array_equal(inst.model.H, model.H)
-                assert np.array_equal(inst.x_star, x_star) and inst.epsilon == epsilon
-                assert np.array_equal(inst.support, support)
-                assert np.array_equal(inst.y_T, y_T)
-                assert np.array_equal(inst.prior.q_hat, prior.q_hat)
-                assert np.array_equal(inst.prior.p, prior.p)
+                assert_is_fresh_draw(draw_instance(cfg, p_a, t), cfg, p_a, t)
+
+
+def test_a_draw_never_advances_the_trials_cached_generator():
+    # the grid points of one trial out of order and repeated, from a warm and
+    # then a cleared cache: each draw restores the trial's saved state on the
+    # one cached generator before it draws the support and the prior
+    import resilient_sse.experiments as experiments
+
+    cfg = SweepConfig(**ACCEPTANCE_03, trials=1)
+    for cached in (True, False):
+        if not cached:
+            experiments._shared_draw.cache_clear()
+        for p_a in (0.7, 0.3, 0.7):
+            assert_is_fresh_draw(draw_instance(cfg, p_a, 0), cfg, p_a, 0)
+    assert experiments._shared_draw.cache_info().hits == 2  # one generator served all three
 
 
 def test_sweep_builds_one_horizon_per_trial_index(monkeypatch):

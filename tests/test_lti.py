@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resilient_sse import (
     DegenerateSvd,
@@ -18,6 +20,7 @@ from resilient_sse import (
     simulate,
     stack_window,
 )
+from resilient_sse.lti import row_indices
 from conftest import make_system
 
 
@@ -308,3 +311,68 @@ def test_every_row_index_entry_point_range_checks(rows):
         with pytest.raises(ValueError, match=f"^{name} must (lie in \\[0, 8\\)|be integers)"):
             call(rows)
 
+
+
+ROWS = 10
+
+
+@st.composite
+def row_index_inputs(draw):
+    """Row indices in one of the forms callers pass, clean or not."""
+    ints = draw(st.lists(st.integers(-2, ROWS + 1), max_size=12))
+    form = draw(st.sampled_from(["list", "intp", "clean intp", "read-only clean intp", "int32",
+                                 "clean int32", "whole floats", "fraction", "bool", "2-D"]))
+    if form == "list":
+        return ints
+    if form == "intp":  # unsorted, with repeats
+        return np.array(ints, dtype=np.intp)
+    if form.endswith("clean intp"):  # strictly increasing, perhaps out of range
+        arr = np.unique(np.array(ints, dtype=np.intp))
+        arr.flags.writeable = form == "clean intp"
+        return arr
+    if form.endswith("int32"):
+        arr = np.array(ints, dtype=np.int32)
+        return np.unique(arr) if form == "clean int32" else arr
+    if form == "whole floats":
+        return np.array(ints, dtype=float)
+    if form == "fraction":
+        return np.array(ints, dtype=float) + draw(st.sampled_from([0.5, 1e-9, 0.0]))
+    if form == "bool":
+        return np.array([v % 2 == 0 for v in ints], dtype=bool)
+    return np.array(ints[:len(ints) // 2 * 2], dtype=np.intp).reshape(-1, 2)
+
+
+def row_indices_reference(values, rows):
+    """np.unique of the accepted input as ints, or the message of its rejection."""
+    arr = np.asarray(values)
+    if arr.dtype == bool or (arr.dtype.kind == "f" and not (arr == np.floor(arr)).all()):
+        return "must be integers, not fractions or a boolean mask"
+    if arr.size and (arr.min() < 0 or arr.max() >= rows):
+        return f"must lie in [0, {rows})"
+    return np.unique(arr.astype(int))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(row_index_inputs())
+@example(np.array([0, 3, 9], dtype=np.intp))
+@example(np.array([], dtype=np.intp))
+@example(np.array([-1, 4], dtype=np.intp))
+@example(np.array([4, ROWS], dtype=np.intp))
+@example(np.array([3, 3], dtype=np.intp))
+@example([])
+def test_row_indices_matches_np_unique_of_the_accepted_input(values):
+    # a clean intp vector takes the one-pass check; every other input, and a
+    # clean one out of range, the full path, with the same errors
+    expected = row_indices_reference(values, ROWS)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            row_indices(values, ROWS, "rows")
+        assert str(err.value) == f"rows {expected}"
+        return
+    before = np.array(values, copy=True)
+    got = row_indices(values, ROWS, "rows")
+    assert got.dtype == np.dtype(int) and got.ndim == 1
+    assert np.array_equal(got, expected)
+    assert not np.shares_memory(got, np.asarray(values))
+    got[...] = -1  # a fresh array: writing into it leaves the input unchanged
+    assert np.array_equal(np.asarray(values), before)
