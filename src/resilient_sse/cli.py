@@ -5,20 +5,20 @@ solver failure.  Results are serialized to stdout or, with --out, written
 atomically (nothing is left behind on failure).  Every stochastic
 subcommand is fully determined by its --seed.
 
-sweep and scenario build their configs from the flags named like the
-config fields, each flag's default read from the dataclass; results print
-through canonical_json, which writes a dataclass field for field.
+argparse converts every input: a comma-separated list flag is one typed
+tuple, and sweep and scenario store each flag under the name of the config
+field it sets, with the dataclass's default, so their configs are built
+from the parsed flags as they stand; results print through canonical_json,
+which writes a dataclass field for field.
 
 A JSON config file may supply any long-option value, required ones included
-(keys use underscores, e.g. {"true_rate": 0.9}); explicit command-line flags
-win over the file, and each file value is converted and checked as the
-flag's argument would be.
+(keys use underscores, e.g. {"true_rate": 0.9}).  Its values become
+--flag=value arguments placed before the command line's own, so argparse
+converts and checks them as it does every flag, and an explicit flag wins
+because it is parsed last.
 
 The argument parser is built once per process and reused by every call of
-parse_and_dispatch.  With --config, the subcommand's parser parses the
-command line again into a namespace that holds the file's values: argparse
-fills in a default only where the namespace lacks a value, and every flag
-given overwrites one.
+parse_and_dispatch, next to a small parser that only finds --config.
 """
 
 from __future__ import annotations
@@ -88,16 +88,18 @@ def _write_output(text: str, out_path) -> None:
         raise
 
 
-def _parse_list(text, flag, convert):
-    """The comma-separated value of `flag`, each token through `convert`; blank text is []."""
-    tokens = text.split(",") if text.strip() else []
-    try:
-        if all(tok.strip() for tok in tokens):
-            return [convert(tok) for tok in tokens]
-    except ValueError:
-        pass
-    raise ValueError(f"{flag} must be comma-separated {convert.__name__} values without blanks, "
-                     f"got {text!r}")
+def _list_of(convert):
+    """An argparse type: comma-separated values, each through `convert`; blank text is ()."""
+    def parse(text):
+        tokens = text.split(",") if text.strip() else []
+        try:
+            if all(tok.strip() for tok in tokens):
+                return tuple(convert(tok) for tok in tokens)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated {convert.__name__} values without blanks, got {text!r}")
+    return parse
 
 
 def _load_system(args):
@@ -116,35 +118,20 @@ def _read_vector(path) -> np.ndarray:
     return read_matrix_csv(path).reshape(-1)
 
 
-def _merge_config(path, parser, argv):
-    """Parse argv with the subcommand's `parser`, config-file values in place of defaults."""
+def _config_flags(path, parser):
+    """The JSON object at `path` as --flag=value arguments of the subcommand's `parser`."""
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
-    actions = {a.dest: a for a in parser._actions if a.dest != "help"}
-    values = argparse.Namespace()
+    _require(isinstance(doc, dict), "config file must hold a JSON object")
+    flags = []
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if attr not in actions:
-            raise ValueError(f"config key {key!r} is not an option of this subcommand")
-        setattr(values, attr, _config_value(key, value, actions[attr]))
-    # not through the top-level parser, which parses into a fresh namespace
-    # and copies every default over the file's values
-    return parser.parse_args(argv, namespace=values)
-
-
-def _config_value(key, value, action):
-    """Convert and check a config value as argparse would the flag's argument."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"config key {key!r}: expected a string or a number, got {value!r}")
-    try:
-        converted = (action.type or str)(str(value))
-    except (TypeError, ValueError):
-        raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
-    if action.choices is not None and converted not in action.choices:
-        raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-    return converted
+        flag = "--" + key.replace("_", "-")
+        _require(flag in parser._option_string_actions,
+                 f"config key {key!r} is not an option of this subcommand")
+        _require(isinstance(value, (str, int, float)) and not isinstance(value, bool),
+                 f"config key {key!r}: expected a string or a number, got {value!r}")
+        flags.append(f"{flag}={value}")
+    return flags
 
 
 def _require(cond: bool, message: str) -> None:
@@ -152,9 +139,9 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _from_flags(cls, args, **given):
-    """A `cls` whose fields missing from `given` are the parsed flags of the same name."""
-    return cls(**given, **{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given})
+def _from_flags(cls, args):
+    """A `cls` whose every field is the parsed flag stored under its name."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +152,8 @@ def _cmd_attack(args) -> str:
     _require(0 < args.cap_factor < math.inf, "cap-factor must be finite and positive")
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
-    if args.support is not None:
-        support = _parse_list(args.support, "--support", int)
-    else:
+    support = args.support
+    if support is None:
         _require(args.fraction is not None, "provide --support or --fraction")
         rng = np.random.default_rng(args.seed)
         support = random_support(model.rows, args.fraction, rng)
@@ -181,8 +167,8 @@ def _cmd_estimate(args) -> str:
     model = build_horizon(sys_, args.T)
     y_T = _read_vector(args.y)
     x_true = _read_vector(args.x_true) if args.x_true else None
-    if args.safe is not None:
-        trusted = _parse_list(args.safe, "--safe", int)
+    trusted = args.safe
+    if trusted is not None:
         # with omega 0 only the trusted rows carry weight: too few cannot
         # determine the state, whatever the window holds
         _require(args.omega > 0 or len(set(trusted)) >= model.n,
@@ -249,9 +235,7 @@ def _cmd_rip(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    result = sweep(_from_flags(SweepConfig, args, master_seed=args.seed,
-                               attack_grid=_parse_list(args.grid, "--grid", float),
-                               strategies=_parse_list(args.strategies, "--strategies", str)))
+    result = sweep(_from_flags(SweepConfig, args))
     return result.to_json() if args.format == "json" else result.to_csv()
 
 
@@ -261,14 +245,9 @@ def _cmd_scenario(args) -> str:
         _require(x0 is not None, "scenario needs an x0 entry in the system file")
     else:
         sys_, x0 = load_surrogate()
-    support = None
-    if args.attack_support:
-        support = tuple(_parse_list(args.attack_support, "--attack-support", int))
-    attack = ScenarioAttack(fraction=args.attack_fraction, magnitude=args.attack_magnitude,
-                            support=support, seed=args.seed)
-    observers = _parse_list(args.observers, "--observers", str)
-    return run_scenario(sys_, x0, attack=attack, scenario=_from_flags(ScenarioConfig, args),
-                        observers=observers).to_json()
+    return run_scenario(sys_, x0, attack=_from_flags(ScenarioAttack, args),
+                        scenario=_from_flags(ScenarioConfig, args),
+                        observers=args.observers).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -289,43 +268,44 @@ def build_parser():
     p = subparsers["attack"] = sub.add_parser("attack", help="synthesize a stealth attack")
     _add_system_flags(p)
     p.add_argument("--T", type=int, default=1)
-    p.add_argument("--epsilon", type=float, help="stealth budget (required)")
-    p.add_argument("--support", help="comma-separated 0-based attacked row indices")
+    p.add_argument("--epsilon", type=float, required=True, help="stealth budget")
+    p.add_argument("--support", type=_list_of(int),
+                   help="comma-separated 0-based attacked row indices")
     p.add_argument("--fraction", type=float, help="random support of this fraction")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-factor", type=float, default=1e3)
-    p.set_defaults(handler=_cmd_attack, required=("--epsilon",))
+    p.set_defaults(handler=_cmd_attack)
 
     p = subparsers["estimate"] = sub.add_parser("estimate", help="decode a stacked measurement window")
     _add_system_flags(p)
     p.add_argument("--T", type=int, default=1)
-    p.add_argument("--y", help="stacked window (JSON list or CSV; required)")
+    p.add_argument("--y", required=True, help="stacked window (JSON list or CSV)")
     p.add_argument("--omega", type=float, default=0.01)
-    p.add_argument("--safe", help="trusted rows; omitted = plain l1 decoding")
+    p.add_argument("--safe", type=_list_of(int), help="trusted rows; omitted = plain l1 decoding")
     p.add_argument("--epsilon", type=float, help="detector threshold")
     p.add_argument("--x-true", help="ground-truth state for the error field")
-    p.set_defaults(handler=_cmd_estimate, required=("--y",))
+    p.set_defaults(handler=_cmd_estimate)
 
     p = subparsers["prune"] = sub.add_parser("prune", help="prune an uncertain safe-row prior")
-    p.add_argument("--input", help="JSON with p and q_hat, or p, q, seed (required)")
-    p.add_argument("--eta", type=float, help="pruning reliability level (required)")
+    p.add_argument("--input", required=True, help="JSON with p and q_hat, or p, q, seed")
+    p.add_argument("--eta", type=float, required=True, help="pruning reliability level")
     p.add_argument("--strategy", default="product", choices=("product", "quantile"))
-    p.set_defaults(handler=_cmd_prune, required=("--input", "--eta"))
+    p.set_defaults(handler=_cmd_prune)
 
     p = subparsers["rip"] = sub.add_parser("rip", help="isometry constant of the null-space basis")
     _add_system_flags(p)
     p.add_argument("--T", type=int, default=1)
-    p.add_argument("--S", type=int, help="support size (required)")
+    p.add_argument("--S", type=int, required=True, help="support size")
     p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_rip, required=("--S",))
+    p.set_defaults(handler=_cmd_rip)
 
     p = subparsers["sweep"] = sub.add_parser("sweep", help="Monte Carlo attack-percentage sweep")
     cfg = SweepConfig
     p.add_argument("--m", type=int, default=cfg.m, help="sensor count")
     p.add_argument("--n", type=int, default=cfg.n, help="state dimension")
     p.add_argument("--T", type=int, default=cfg.T, help="window length")
-    p.add_argument("--grid", default=",".join(map(str, cfg.attack_grid)),
+    p.add_argument("--grid", dest="attack_grid", type=_list_of(float), default=cfg.attack_grid,
                    help="attack fractions, comma-separated")
     p.add_argument("--trials", type=int, default=cfg.trials, help="paired trials per grid point")
     p.add_argument("--true-rate", type=float, default=cfg.true_rate, help="oracle confidence level")
@@ -334,9 +314,10 @@ def build_parser():
     p.add_argument("--omega", type=float, default=cfg.omega, help="weight on untrusted rows")
     p.add_argument("--epsilon-policy", default=cfg.epsilon_policy,
                    help="'rel:<f>' of ||y*||_1 or 'abs:<f>'")
-    p.add_argument("--strategies", default=",".join(cfg.strategies),
+    p.add_argument("--strategies", type=_list_of(str), default=cfg.strategies,
                    help=f"comma-separated subset of {','.join(cfg.strategies)}")
-    p.add_argument("--seed", type=int, default=cfg.master_seed, help="master seed")
+    p.add_argument("--seed", dest="master_seed", type=int, default=cfg.master_seed,
+                   help="master seed")
     p.add_argument("--spectral-radius", type=float, default=cfg.spectral_radius)
     p.add_argument("--workers", type=int, default=cfg.workers, help="parallel trial workers")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
@@ -347,10 +328,11 @@ def build_parser():
     cfg, attack = ScenarioConfig, ScenarioAttack
     p.add_argument("--steps", type=int, default=cfg.steps, help="trajectory length")
     p.add_argument("--T", type=int, default=cfg.T, help="moving-window length")
-    p.add_argument("--attack-fraction", type=float, default=attack.fraction,
+    p.add_argument("--attack-fraction", dest="fraction", type=float, default=attack.fraction,
                    help="fraction of sensors under persistent attack")
-    p.add_argument("--attack-magnitude", type=float, default=attack.magnitude)
-    p.add_argument("--attack-support", help="explicit attacked sensors (else: highest-gain)")
+    p.add_argument("--attack-magnitude", dest="magnitude", type=float, default=attack.magnitude)
+    p.add_argument("--attack-support", dest="support", type=_list_of(int),
+                   help="explicit attacked sensors (else: highest-gain)")
     p.add_argument("--seed", type=int, default=attack.seed, help="attack value seed")
     p.add_argument("--prior-seed", type=int, default=cfg.prior_seed, help="localization prior seed")
     p.add_argument("--true-rate", type=float, default=cfg.true_rate, help="oracle confidence level")
@@ -359,7 +341,7 @@ def build_parser():
     p.add_argument("--omega", type=float, default=cfg.omega, help="weight on untrusted rows")
     p.add_argument("--prior-mode", default=cfg.prior_mode, choices=("static", "per_window"),
                    help="sample the prior once, or afresh per window")
-    p.add_argument("--observers", default=",".join(OBSERVERS))
+    p.add_argument("--observers", type=_list_of(str), default=OBSERVERS)
     p.set_defaults(handler=_cmd_scenario)
 
     for p in subparsers.values():
@@ -370,27 +352,26 @@ def build_parser():
 
 @functools.cache
 def _parsers():
-    """build_parser(), built once per process and never mutated."""
-    return build_parser()
+    """build_parser() and a parser that finds --config, built once per process and never mutated."""
+    config = _Parser(add_help=False)
+    config.add_argument("--config")
+    return build_parser(), config
 
 
 def parse_and_dispatch(argv=None) -> int:
-    parser, subparsers = _parsers()
-    argv = sys.argv[1:] if argv is None else argv
+    (parser, subparsers), config = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        path = config.parse_known_args(argv)[0].config
+        if path and argv[0] in subparsers:
+            # the file's flags come first, so that the command line's win
+            argv = argv[:1] + _config_flags(path, subparsers[argv[0]]) + argv[1:]
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if args.config:
-            args = _merge_config(args.config, subparsers[args.command], argv[1:])
-        # checked here, not by argparse, so that --config can supply them
-        missing = [flag for flag in getattr(args, "required", ()) if getattr(args, flag[2:]) is None]
-        if missing:
-            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
         text = args.handler(args)
         _write_output(text, args.out)
         return 0
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc), 1)
     except EstimationError as exc:

@@ -60,9 +60,7 @@ class SupportPrior:
             raise ValueError("a prior needs at least one row")
         if np.count_nonzero((q_hat == 0) | (q_hat == 1)) != q_hat.size:
             raise ValueError("estimated indicator entries must be 0 or 1")
-        if np.count_nonzero((p > 0) & (p <= 1)) != p.size:
-            raise ValueError("confidences must lie in (0, 1]")
-        q_hat, p = q_hat.astype(int), p.copy()
+        q_hat, p = q_hat.astype(int), _confidences(p).copy()
         q_hat.flags.writeable = False
         p.flags.writeable = False
         object.__setattr__(self, "q_hat", q_hat)
@@ -90,6 +88,14 @@ class PmfVector:
     """Distribution of the number of correct labels; r[k] = Pr{count = k}."""
 
     r: np.ndarray
+
+
+def _confidences(p) -> np.ndarray:
+    """p as a flat float vector; ValueError unless every entry lies in (0, 1]."""
+    p = np.asarray(p, dtype=float).reshape(-1)
+    if np.count_nonzero((p > 0) & (p <= 1)) != p.size:
+        raise ValueError("confidences must lie in (0, 1]")
+    return p
 
 
 def indicator_from_support(support, rows: int) -> SupportIndicator:
@@ -148,9 +154,7 @@ def poisson_binomial_pmf(p) -> PmfVector:
     below the smallest double underflow to zero.  A confidence so small that
     1 - p_i rounds to 1 is rejected, as the factor cannot represent it.
     """
-    p = np.asarray(p, dtype=float).reshape(-1)
-    if not ((p > 0) & (p <= 1)).all():
-        raise ValueError("confidences must lie in (0, 1]")
+    p = _confidences(p)
     if (1.0 - p == 1.0).any():
         raise ValueError("confidences of 2**-54 or less are lost in 1 - p")
     r = np.array([1.0])
@@ -168,12 +172,12 @@ def prune_offline(p, eta: float) -> np.ndarray:
     """Largest index set whose confidence product reaches eta.
 
     Sorting by confidence (ties to the lowest index) and taking the longest
-    admissible prefix is optimal because every confidence is at most one.
-    The result may be empty.
+    admissible prefix is optimal because every confidence lies in (0, 1],
+    which is checked.  The result may be empty.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    p = np.asarray(p, dtype=float).reshape(-1)
+    p = _confidences(p)
     order = np.argsort(-p, kind="stable")
     running = np.cumprod(p[order])
     count = int(np.searchsorted(-running, -eta, side="right"))

@@ -157,6 +157,14 @@ def test_bound_condition_examples():
         )
         assert not bound_condition(failing)
 
+    # omega 0 and rho 1 leave no base: C is infinite, and only delta_a1k < 1 counts
+    assert analysis.weighting_constant(1, 0.0, 1.0) == math.inf
+    infinite_C = BoundInputs(
+        a=1, rho=1.0, omega=0.0, sparsity=1, delta_ak=0.9, delta_a1k=0.9,
+        sigma_min_H=1.0, sigma_k_e=0.0, e_pruned_l1=0.0,
+    )
+    assert bound_condition(infinite_C)
+
 
 def test_bound_inputs_validation():
     with pytest.raises(ValueError):
@@ -165,6 +173,13 @@ def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         BoundInputs(a=2, rho=2.0, omega=0.0, sparsity=1, delta_ak=1.0,
                     delta_a1k=0.0, sigma_min_H=1.0, sigma_k_e=0.0, e_pruned_l1=0.0)
+    valid = dict(a=2, rho=2.0, omega=0.0, sparsity=1, delta_ak=0.0, delta_a1k=0.0,
+                 sigma_min_H=1.0, sigma_k_e=0.0, e_pruned_l1=0.0)
+    for field, bad, message in (("omega", -0.1, "omega"), ("omega", 1.5, "omega"),
+                                ("sparsity", 0, "sparsity"), ("sigma_min_H", 0.0, "sigma_min_H"),
+                                ("sigma_min_H", -1.0, "sigma_min_H")):
+        with pytest.raises(ValueError, match=message):
+            BoundInputs(**{**valid, field: bad})
 
 
 def test_recovery_bound_closed_form():
@@ -194,6 +209,15 @@ def test_recovery_bound_condition_violated():
     )
     with pytest.raises(ConditionViolated):
         recovery_bound(bad)
+    # C = 1 meets the condition on its boundary, but the leading constant's
+    # denominator 1 - 1/C vanishes
+    boundary = BoundInputs(
+        a=1, rho=1.0, omega=1.0, sparsity=1, delta_ak=0.0, delta_a1k=0.0,
+        sigma_min_H=1.0, sigma_k_e=0.0, e_pruned_l1=0.0,
+    )
+    assert bound_condition(boundary)
+    with pytest.raises(ConditionViolated, match="denominator"):
+        recovery_bound(boundary)
 
 
 def test_recovery_bound_scales_with_error_terms():

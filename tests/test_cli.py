@@ -153,6 +153,19 @@ def test_scenario_subcommand_uses_bundled_system(capsys):
     assert set(doc["observers"]) == {"LO", "L1O", "WL1P"}
 
 
+def test_scenario_with_an_empty_attack_support_attacks_no_sensor(capsys):
+    from resilient_sse import ScenarioAttack, ScenarioConfig, load_surrogate, run_scenario
+
+    # an empty list flag is the empty list, not the highest-gain default
+    code, out, err = run_cli(["scenario", "--steps", 10, "--attack-support", ""], capsys)
+    assert code == 0, err
+    sys_, x0 = load_surrogate()
+    expected = run_scenario(sys_, x0, attack=ScenarioAttack(support=()),
+                            scenario=ScenarioConfig(steps=10))
+    assert out == expected.to_json()
+    assert max(json.loads(out)["max_abs"]["L1O"]) <= 1e-9
+
+
 def test_out_file_atomicity(tmp_path, capsys):
     target = tmp_path / "result.json"
     payload = tmp_path / "prior.json"
@@ -252,12 +265,38 @@ def test_config_values_are_typed(tmp_path, capsys):
     config.write_text(json.dumps({"m": "6", "n": 2, "grid": 0.3, "trials": "3", "seed": 1}))
     code, out, _ = run_cli(["sweep", "--config", config], capsys)
     assert code == 0 and ",3," in out.splitlines()[1]
-    for key, bad in (("trials", "five"), ("trials", 2.5), ("trials", True),
-                     ("eta", [0.5]), ("format", "xml")):
+    for key, bad, named in (("trials", "five", "argument --trials:"),
+                            ("trials", 2.5, "argument --trials:"),
+                            ("trials", True, "config key 'trials'"),
+                            ("eta", [0.5], "config key 'eta'"),
+                            ("format", "xml", "argument --format:")):
         config.write_text(json.dumps({key: bad}))
         code, out, err = run_cli(["sweep", "--config", config], capsys)
         assert code == 1 and out == ""
-        assert repr(key) in err and "Traceback" not in err
+        assert named in err and "Traceback" not in err
+
+    # list flags from a file are the same flags
+    sweep = ["sweep", "--m", 6, "--n", 2, "--trials", 2, "--seed", 3]
+    lists = {"grid": "0.0,0.3", "strategies": "none,prior"}
+    code, typed, _ = run_cli(sweep + [arg for k, v in lists.items() for arg in (f"--{k}", v)],
+                             capsys)
+    config.write_text(json.dumps(lists))
+    code_file, out, _ = run_cli(sweep + ["--config", config], capsys)
+    assert code == code_file == 0 and out == typed
+    # a negative number from a file reaches the library as the flag's does
+    config.write_text(json.dumps({"seed": -1}))
+    flagged = run_cli(["sweep", "--seed", "-1"], capsys)
+    assert run_cli(["sweep", "--config", config], capsys) == flagged
+    assert flagged[0] == 1 and "argument" not in flagged[2]
+    # a file cannot ask for help: exit 1 and no usage on stdout
+    config.write_text(json.dumps({"help": 1}))
+    code, out, err = run_cli(["sweep", "--config", config], capsys)
+    assert code == 1 and out == "" and "usage" not in err
+    # a --config given before other flags still loses to them
+    config.write_text(json.dumps({"trials": 2, "format": "json"}))
+    code, out, _ = run_cli(["sweep", "--config", config, "--m", 6, "--n", 2, "--grid", "0.3",
+                            "--trials", 3, "--format", "csv"], capsys)
+    assert code == 0 and ",3," in out.splitlines()[1]
 
 
 @pytest.mark.parametrize("fmt, field", [("json", "A"), ("json", "C"), ("json", "x0"),
@@ -630,7 +669,7 @@ def test_a_malformed_list_names_its_flag(tmp_path, system_file, capsys, argv, fl
         argv = argv + ["--y", y_path]
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
-    assert f"error: {flag} must be comma-separated" in err
+    assert f"error: argument {flag}: must be comma-separated" in err
 
 
 @pytest.mark.parametrize("argv, message", [

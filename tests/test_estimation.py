@@ -6,6 +6,7 @@ import pytest
 from resilient_sse import (
     DimensionMismatch,
     LtiSystem,
+    RiccatiDivergence,
     best_k_sparse_error,
     build_horizon,
     decode,
@@ -256,13 +257,21 @@ def scalar_dare_fixed_point(a):
     return p
 
 
-def test_riccati_gain_scalar_oracle():
+def test_riccati_gain_scalar_oracle(monkeypatch):
+    from resilient_sse import estimation
+
     a = 0.5
     sys_ = LtiSystem(A=[[a]], C=[[1.0]])
     L = riccati_gain(sys_)
     p = scalar_dare_fixed_point(a)
     assert abs(L[0, 0] - a * p / (1.0 + p)) <= 1e-8
     assert abs(a - L[0, 0]) < 1.0
+    # an unobserved unstable state: the gain settles at 0 and leaves radius 2
+    with pytest.raises(RiccatiDivergence, match="spectral radius"):
+        riccati_gain(LtiSystem(A=[[2.0]], C=[[0.0]]))
+    monkeypatch.setattr(estimation, "_RICCATI_MAX_ITER", 2)
+    with pytest.raises(RiccatiDivergence, match="did not settle within 2 iterations"):
+        riccati_gain(sys_)
 
 
 def test_luenberger_attack_free_error_decays():
@@ -273,6 +282,9 @@ def test_luenberger_attack_free_error_decays():
     assert err[-1] <= 1e-6 * max(1.0, err[0])
     # geometric envelope: later errors keep shrinking
     assert err[40] < err[10]
+    for bad in (traj.clean_measurements[:, :-1], traj.clean_measurements.reshape(-1)):
+        with pytest.raises(DimensionMismatch, match="measurements have shape"):
+            luenberger_baseline(sys_, bad)
 
 
 def test_luenberger_tracks_attack_without_resilience():

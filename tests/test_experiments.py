@@ -15,7 +15,7 @@ from resilient_sse import (
     simulate,
     sweep,
 )
-from resilient_sse.experiments import TrialOutcome, canonical_json, epsilon_from_policy
+from resilient_sse.experiments import TrialOutcome, canonical_json, epsilon_from_policy, trusted_rows
 from resilient_sse.fdia import random_support, synthesize_fdia
 from resilient_sse.pruning import (
     gen_confidences,
@@ -64,6 +64,8 @@ def test_draw_instance_is_strategy_independent_and_deterministic():
 
     other_trial = draw_instance(cfg, 0.25, 4)
     assert not np.array_equal(a.x_star, other_trial.x_star)
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        trusted_rows(a, "bogus", cfg.eta)
 
 
 def test_run_trial_no_attack_succeeds_for_all_strategies():
@@ -90,6 +92,8 @@ def test_sweep_row_bookkeeping_and_determinism():
     assert zero.success_rate == 1.0 and zero.successes == zero.trials
     for row in res1.rows:
         assert row.success_rate == row.successes / row.trials
+    with pytest.raises(KeyError):
+        res1.row(0.5, "none")  # not a grid point of this sweep
 
 
 def test_sweep_worker_count_does_not_change_bytes():

@@ -148,6 +148,8 @@ def test_simulate_shape_errors():
         simulate(sys_, np.ones(sys_.n + 1), 3)
     with pytest.raises(DimensionMismatch):
         simulate(sys_, np.ones(sys_.n), 3, np.zeros((3, sys_.m + 1)))
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        simulate(sys_, np.ones(sys_.n), 0)
 
 
 def test_stack_window_single_step_and_exactness():
@@ -213,6 +215,8 @@ def test_system_shape_validation():
         LtiSystem(A=np.ones((2, 3)), C=np.ones((4, 3)))
     with pytest.raises(DimensionMismatch):
         LtiSystem(A=np.eye(2), C=np.ones((4, 3)))
+    with pytest.raises(DimensionMismatch, match="2-D matrix"):
+        LtiSystem(A=np.ones(2), C=np.ones((4, 2)))
 
 
 def test_json_roundtrip(tmp_path):

@@ -152,6 +152,11 @@ def test_prune_offline_examples():
     assert prune_offline([0.5, 0.5], 0.9).size == 0
     with pytest.raises(ValueError):
         prune_offline([0.5], 1.0)
+    # the prefix rule is optimal only on (0, 1]: [0.8, -1.0, -1.2] would keep
+    # row 0 alone, though the product over all three rows is 0.96
+    for p in ([0.8, -1.0, -1.2], [0.9, 1.5, 0.9], [0.9, np.nan, 0.9]):
+        with pytest.raises(ValueError, match=r"confidences must lie in \(0, 1\]"):
+            prune_offline(p, 0.5)
 
 
 def test_prune_offline_is_optimal():
@@ -200,6 +205,9 @@ def test_trust_count_and_quantile_examples():
 
     with pytest.raises(EmptyEstimate):
         prune_quantile(SupportPrior(q_hat=np.zeros(2, dtype=int), p=np.full(2, 0.9)), 0.5)
+    for eta in (0.0, 1.0):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            trust_count(prior, eta)
 
 
 def test_quantile_ranking_uses_confidence():
@@ -218,6 +226,8 @@ def test_ppv_guarantee_trivial_cases():
     assert ppv_guarantee_check(q, np.ones(6), 0.8, 50, np.random.default_rng(0)) == 1.0
     single = ppv_guarantee_check(q, np.full(6, 0.7), 0.6, 1, np.random.default_rng(1))
     assert single in (0.0, 1.0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        ppv_guarantee_check(q, np.ones(6), 0.8, 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("eta", [0.5, 0.8, 0.95])
@@ -273,6 +283,8 @@ def test_diagnostics():
     e = math.e
     expect = 1.0 - e * (1.0 - (e - 1.0) * 9.0 / (e * 10.0)) ** 10
     assert ceiling == pytest.approx(expect)
+    with pytest.raises(ValueError, match="true_safe_count"):
+        reliability_ceiling([0.9] * 10, 0)
 
 
 @pytest.mark.parametrize("rows,p", [(1200, 0.5), (600, 0.25), (200, 2.0**-7)])
