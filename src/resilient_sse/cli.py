@@ -150,6 +150,7 @@ def _from_flags(cls, args):
 
 def _cmd_attack(args) -> str:
     _require(0 < args.cap_factor < math.inf, "cap-factor must be finite and positive")
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
     support = args.support
@@ -166,6 +167,8 @@ def _cmd_estimate(args) -> str:
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
     y_T = _read_vector(args.y)
+    _require(y_T.size == model.rows, f"--y holds {y_T.size} entries, but --T {args.T} "
+             f"asks for T*m = {model.rows} rows")
     x_true = _read_vector(args.x_true) if args.x_true else None
     trusted = args.safe
     if trusted is not None:
@@ -221,6 +224,7 @@ def _cmd_prune(args) -> str:
 
 
 def _cmd_rip(args) -> str:
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
     est = rip_constant(model, args.S, args.budget, rng=np.random.default_rng(args.seed))

@@ -149,6 +149,8 @@ class SweepConfig:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be >= 0, got {self.master_seed}")
         if not self.attack_grid or not self.strategies:
             raise ValueError("attack grid and strategies must each hold at least one entry")
         for p_a in self.attack_grid:
@@ -295,7 +297,8 @@ def _certify_all(groups, omega: float) -> list:
                                              else observer_weights(model, trusted, omega))
                 weights.append(built[id(model), key])
             picks[-1].append(index[g, key])
-    bases = search_bases(np.array([model.H for model, _, _ in todo]),
+    H = [model.H for model, _, _ in todo]  # one shared model is passed, and factored, once
+    bases = search_bases(H[0] if all(h is H[0] for h in H) else np.array(H),
                          np.array([y_T for _, y_T, _ in todo]), np.array(weights)) if todo else []
     ests = [_estimate(*problem, omega, start=b) for problem, b in zip(todo, bases)]
     return [[ests[i] for i in group] for group in picks]
@@ -431,6 +434,8 @@ class ScenarioAttack:
             raise ValueError(f"attack fraction must lie in [0, 1), got {self.fraction}")
         if not math.isfinite(self.magnitude):
             raise ValueError(f"attack magnitude must be finite, got {self.magnitude}")
+        if self.seed < 0:
+            raise ValueError(f"attack seed must be >= 0, got {self.seed}")
 
     def resolve_support(self, C: np.ndarray) -> np.ndarray:
         if self.support is not None:
@@ -456,6 +461,8 @@ class ScenarioConfig:
             raise ValueError(f"prior_mode must be 'static' or 'per_window', got {self.prior_mode!r}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
+        if self.prior_seed < 0:
+            raise ValueError(f"prior seed must be >= 0, got {self.prior_seed}")
         if self.steps < self.T:
             raise ValueError(f"need steps >= T, got steps={self.steps}, T={self.T}")
         if not 0.0 < self.eta < 1.0:

@@ -75,16 +75,16 @@ product bounds |y^T nu|, so below it the certificate cannot overflow.
 
 ``search_bases`` finds the optimal rows of many positive-weight problems of
 one shape at once.  It starts each at the first n rows of the cold start's
-order, all fits from one stacked thin QR, drops the problems whose first rows
+order, all fits from one stacked thin QR, or from one QR of the model when
+every problem shares it (as a scenario's do), drops the problems whose first rows
 one QR finds dependent, and pivots the others in lockstep, one round per
 pivot, with the single solve's rule on each problem's own tableau, until each
-tableau reports optimality.  It certifies nothing.  Since a result
-depends only on its final rows, the single solve started from a found basis
-gives what a cold solve ending at the same rows gives, and it certifies the
-basis from its own factorization (pivoting on, still certified, if its check
-disagrees).  The sweep runs one search per chunk, the scenario one per run.
-On one problem the search is slower than the single solve, which stays the
-only path that certifies.
+tableau reports optimality.  It certifies nothing.  Since a result depends
+only on its final rows, the single solve started from a found basis gives
+what a cold solve ending at the same rows gives, and it certifies the basis
+from its own factorization (pivoting on, still certified, if its check
+disagrees).  The sweep runs one search per chunk, the scenario one per run;
+on one problem the search is slower than the single solve, the only certifier.
 """
 
 from __future__ import annotations
@@ -160,15 +160,15 @@ def _fit_order(A, y_piv):
     return np.abs(fit).argsort(axis=-1, kind="stable")
 
 
-def _proven_inverse(A_act, basis):
-    """Sort `basis` in place and invert A_act[basis]: the inverse if it proves
-    that A_act has full column rank (module docstring), else None."""
+def _proven_inverse(A_act, basis, A2):
+    """Sort `basis` in place and invert A_act[basis]: the inverse if it proves that
+    A_act, of squared Frobenius norm A2, has full column rank (module docstring), else None."""
     basis.sort()
     try:
         inv = np.linalg.inv(A_act[basis])
     except np.linalg.LinAlgError:
         return None
-    return inv if 1.0 > _RANK_RTOL * np.linalg.norm(A_act) * np.linalg.norm(inv) else None
+    return inv if 1.0 > _RANK_RTOL * math.sqrt(A2) * math.sqrt(np.vdot(inv, inv)) else None
 
 
 def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
@@ -195,9 +195,13 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     N, n = A.shape
     if y.shape[0] != N or w.shape[0] != N:
         raise DimensionMismatch(f"shape mismatch: A {A.shape}, y {y.shape}, w {w.shape}")
-    if not (np.isfinite(A).all() and np.isfinite(y).all() and np.isfinite(w).all()):
-        raise ValueError("A, y and w must be finite")
+    # finite sums prove every entry finite; w is summed only if it holds no -inf (nor nan)
+    A2, y_max = float(np.vdot(A, A)), float(np.abs(y).max(initial=0.0))
     w_min = float(w.min(initial=math.inf))
+    w_sum = float(w.sum()) if w_min > -math.inf else 0.0
+    if not math.isfinite(A2 + y_max + w_min + w_sum) and not (
+            np.isfinite(A).all() and np.isfinite(y).all() and np.isfinite(w).all()):
+        raise ValueError("A, y and w must be finite")
     if w_min < 0:
         raise ValueError("weights must be nonnegative")
     if start is not None:
@@ -213,11 +217,12 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     else:
         active = w > 0
         A_act, w_act, y_act = A[active], w[active], y[active]
+        A2, y_max = float(np.vdot(A_act, A_act)), float(np.abs(y_act).max(initial=0.0))
     rows = A_act.shape[0]
     if rows < n:
         raise RankDeficient(f"{rows} positive-weight rows cannot determine {n} unknowns")
-    scale = float(np.abs(y_act).max(initial=0.0)) or 1.0
-    if not math.isfinite(scale * float(w_act.sum())):
+    scale = y_max or 1.0
+    if not math.isfinite(scale * w_sum):
         # the bound on |dual|; below it the certificate cannot overflow
         raise ValueError("y and w are too large to certify: sum(w) * max|y| overflows")
     y_act = y_act / scale
@@ -228,10 +233,10 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     inv = None
     if start is not None and (every_row or active[start].all()):
         basis = start.astype(np.intp) if every_row else (np.cumsum(active) - 1)[start]
-        inv = _proven_inverse(A_act, basis)
+        inv = _proven_inverse(A_act, basis, A2)
     if inv is None:
         basis = _greedy_basis(A_act, _fit_order(A_act, y_piv), n)
-        inv = None if basis is None else _proven_inverse(A_act, basis)
+        inv = None if basis is None else _proven_inverse(A_act, basis, A2)
         if inv is None:
             sv = np.linalg.svd(A_act, compute_uv=False)
             if basis is None or sv[-1] <= _RANK_RTOL * sv[0]:
@@ -309,53 +314,51 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
 
 
 def search_bases(A, y, w) -> list:
-    """Optimal bases of K stacked problems, found by pivoting them in lockstep.
+    """Optimal bases of K problems, found by pivoting them in lockstep.
 
-    A is (K, N, n), y and w are (K, N).  Each problem starts at the first n
-    rows of the single solve's cold-start order and pivots by its rule
-    until its tableau reports optimality (module docstring).  Entry i is that
-    basis, or None where the search gives up: a zero or non-finite weight,
-    non-finite data, dependent first rows, the pivot cap, or a descent edge
-    without a breakpoint.  Nothing is certified: the single solve started
-    from a basis certifies it.
+    y and w are (K, N); A is (K, N, n), or one (N, n) model shared by every
+    problem, then checked and factored once.  Each problem starts at the
+    first n rows of the single solve's cold-start order and pivots by its
+    rule until its tableau reports optimality (module docstring).  Entry i
+    is that basis, or None where the search gives up: a zero or non-finite
+    weight, non-finite data, dependent first rows, the pivot cap, or a
+    descent edge without a breakpoint.  The single solve certifies a basis.
     """
     A, y, w = (np.asarray(v, dtype=float) for v in (A, y, w))
-    K, N, n = A.shape
+    (K, N), n, shared = y.shape, A.shape[-1], A.ndim == 2
     found = [None] * K
     scale = np.abs(y).max(axis=1, initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         ok = ((w > 0).all(axis=1) & np.isfinite(scale * w.sum(axis=1))
-              & np.isfinite(A).all(axis=(1, 2)))
+              & np.isfinite(A).all(axis=(-2, -1)))
     live = ok.nonzero()[0]  # problem index of each row of the stacks below
-    A, w = A[live], w[live]
-    y_piv = y[live] / np.where(scale[live] > 0, scale[live], 1.0)[:, None] + _perturbation(N)
+    if live.size < K:  # the stacks are copied only where a problem is dropped
+        A, y, w, scale = A if shared else A[live], y[live], w[live], scale[live]
+    y_piv = y / np.where(scale > 0, scale, 1.0)[:, None] + _perturbation(N)
     basis = _fit_order(A, y_piv)[:, :n]
-    A_B = np.take_along_axis(A, basis[..., None], axis=1)
+    A_B = A[basis] if shared else np.take_along_axis(A, basis[..., None], axis=1)
     keep = _independent(A_B)  # the rest are far from singular: one inv serves them all
-    live, A, w, y_piv, basis = (v[keep] for v in (live, A, w, y_piv, basis))
-    inv = np.linalg.inv(A_B[keep])
+    A_B[~keep] = np.eye(n)  # a stand-in for each dependent start, dropped below
 
     # Tab[i] = [D^T; r] is problem i's tableau, updated as in the single solve
-    rows = np.arange(live.size)
     Tab = np.empty((live.size, n + 1, N))
-    Tab[:, :n] = (A @ inv).transpose(0, 2, 1)
+    Tab[:, :n] = (A @ np.linalg.inv(A_B)).transpose(0, 2, 1)
+    if not keep.all():
+        live, w, y_piv, basis, Tab = (v[keep] for v in (live, w, y_piv, basis, Tab))
+    rows, at = np.arange(live.size), N * np.arange(live.size)[:, None]  # at: rows of flat nu
     Tab[:, n] = y_piv - (y_piv[rows[:, None], basis][:, None, :] @ Tab[:, :n])[:, 0]
     w_B = w[rows[:, None], basis]
     pivots = 0
     while True:
         nu = np.where(Tab[:, n] >= 0, w, -w)
-        nu[rows[:, None], basis] = 0.0
+        nu.reshape(-1)[at + basis] = 0.0
         g = (Tab[:, :n] @ nu[..., None])[..., 0]
         ratio = np.abs(g) / w_B
         k = ratio.argmax(axis=1)
         optimal = ratio[rows, k] <= 1.0 + _DUAL_RTOL
-        if optimal.any():  # the stacks are copied only in rounds where a problem finishes
-            for i, b in zip(live[optimal], basis[optimal]):
-                found[i] = b
-            live, w, Tab, basis, w_B, nu, g, k = (
-                v[~optimal] for v in (live, w, Tab, basis, w_B, nu, g, k))
-            rows = np.arange(live.size)
-        if not live.size or pivots >= _PIVOTS_PER_ROW * N:
+        for i, b in zip(live[optimal], basis[optimal]):
+            found[i] = b
+        if optimal.all() or pivots >= _PIVOTS_PER_ROW * N:
             return found
 
         # The single solve's pivot on every problem: the breakpoints along
@@ -368,11 +371,11 @@ def search_bases(A, y, w) -> list:
         order = (np.where(cand, Tab[:, n], np.nan) / h).argsort(axis=1, kind="stable")
         rise = np.where(cand, nu_h, 0.0)[rows[:, None], order].cumsum(axis=1)
         stop = (rise < (0.5 * (np.abs(g_k) - w_B[rows, k]))[:, None]).sum(axis=1)
-        moved = stop < cand.sum(axis=1)
-        if not moved.all():
+        go = ~optimal & (stop < cand.sum(axis=1))  # the rest leave, in one copy of the stacks
+        if not go.all():
             live, w, Tab, basis, w_B, k, h, order, stop = (
-                v[moved] for v in (live, w, Tab, basis, w_B, k, h, order, stop))
-            rows = np.arange(live.size)
+                v[go] for v in (live, w, Tab, basis, w_B, k, h, order, stop))
+            rows, at = rows[:live.size], at[:live.size]
         j = order[rows, stop]
         col = Tab[rows, :, j]
         col[rows, k] -= 1.0

@@ -224,11 +224,8 @@ def stack_window(traj: Trajectory, end_index: int, T: int):
         raise WindowOutOfRange(
             f"window [{start}, {end_index}] does not fit a trajectory of {traj.steps} steps"
         )
-    order = range(end_index, start - 1, -1)
-    y_T = np.concatenate([traj.attacked_measurements[i] for i in order])
-    e_T = np.concatenate(
-        [traj.attacked_measurements[i] - traj.clean_measurements[i] for i in order]
-    )
+    y_T = traj.attacked_measurements[start:end_index + 1][::-1].flatten()
+    e_T = y_T - traj.clean_measurements[start:end_index + 1][::-1].reshape(-1)
     return y_T, traj.states[start].copy(), e_T
 
 

@@ -119,8 +119,8 @@ def check_confidence_model(true_rate: float, jitter: float) -> None:
     """ValueError unless ``gen_confidences`` accepts true_rate and jitter."""
     if not 0.0 < true_rate <= 1.0:
         raise ValueError(f"true rate must lie in (0, 1], got {true_rate}")
-    if not 0 <= jitter < math.inf:
-        raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
+    if not 0 <= jitter < 2.0**1023:  # the width 2 * jitter of the draw must be finite
+        raise ValueError(f"jitter must be nonnegative and below 2**1023, got {jitter}")
 
 
 def gen_confidences(
@@ -175,9 +175,13 @@ def prune_offline(p, eta: float) -> np.ndarray:
     admissible prefix is optimal because every confidence lies in (0, 1],
     which is checked.  The result may be empty.
     """
+    return _prefix_set(_confidences(p), eta)
+
+
+def _prefix_set(p, eta: float) -> np.ndarray:
+    """``prune_offline`` on confidences already checked to lie in (0, 1]."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    p = _confidences(p)
     order = np.argsort(-p, kind="stable")
     running = np.cumprod(p[order])
     count = int(np.searchsorted(-running, -eta, side="right"))
@@ -194,7 +198,7 @@ def prune_online(offline_set, prior: SupportPrior, eta: float) -> PrunedPrior:
 
 def prune_product(prior: SupportPrior, eta: float) -> PrunedPrior:
     """Offline + online product pruning in one call."""
-    return prune_online(prune_offline(prior.p, eta), prior, eta)
+    return prune_online(_prefix_set(prior.p, eta), prior, eta)  # SupportPrior checked p
 
 
 def trust_count(prior: SupportPrior, eta: float) -> int:

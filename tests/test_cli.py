@@ -485,6 +485,33 @@ def test_estimate_certifies_a_clean_window_in_large_units(tmp_path, capsys):
     assert json.loads(out)["error_l2"] <= 1e-8 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("command, named", [
+    (["sweep", "--seed", "-1", "--trials", 1, "--grid", "0.3"], "master seed"),
+    (["scenario", "--steps", 8, "--prior-seed", "-1"], "prior seed"),
+    (["scenario", "--steps", 8, "--seed", "-1"], "attack seed"),
+    (["rip", "--S", 1, "--seed", "-1"], "--seed"),
+    (["attack", "--epsilon", 0.5, "--fraction", 0.3, "--seed", "-1"], "--seed"),
+], ids=["sweep", "scenario-prior", "scenario-attack", "rip", "attack"])
+def test_a_negative_seed_names_its_flag(system_file, capsys, command, named):
+    # numpy's own "expected non-negative integer" names no flag
+    if command[0] in ("rip", "attack"):
+        command = command + ["--system", system_file[0]]
+    code, out, err = run_cli(command, capsys)
+    assert code == 1 and out == ""
+    assert f"{named} must be >= 0, got -1" in err and "non-negative" not in err
+
+
+def test_estimate_names_y_and_t_for_a_window_of_the_wrong_length(tmp_path, system_file, capsys):
+    # the system has 6 sensors: --T 2 asks for 12 rows
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps([0.0] * 6))
+    code, out, err = run_cli(["estimate", "--system", system_file[0], "--T", 2, "--y", y_path],
+                             capsys)
+    assert code == 1 and out == ""
+    assert "--y holds 6 entries, but --T 2 asks for T*m = 12 rows" in err
+    assert "shape mismatch" not in err
+
+
 def test_estimate_rejects_x_true_of_the_wrong_length(tmp_path, system_file, capsys):
     path, sys_ = system_file
     x = np.array([0.5, 2.0])
@@ -595,7 +622,10 @@ def test_sweep_rejects_omega_0_with_a_weighted_strategy_up_front(capsys, monkeyp
     (["sweep", "--jitter", "-1", "--trials", 2, "--grid", "0.3"], "jitter"),
     (["scenario", "--steps", 8, "--true-rate", "1.5"], "true rate"),
     (["scenario", "--steps", 8, "--jitter", "-1"], "jitter"),
-], ids=["sweep-true-rate", "sweep-jitter", "scenario-true-rate", "scenario-jitter"])
+    (["sweep", "--jitter", "1e308", "--trials", 1], "jitter"),
+    (["scenario", "--steps", 8, "--jitter", "1e308"], "jitter"),
+], ids=["sweep-true-rate", "sweep-jitter", "scenario-true-rate", "scenario-jitter",
+        "sweep-jitter-too-wide", "scenario-jitter-too-wide"])
 def test_a_confidence_model_out_of_range_is_rejected_up_front(capsys, monkeypatch, argv, message):
     from resilient_sse import experiments
 

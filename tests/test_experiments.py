@@ -219,7 +219,7 @@ def test_scenario_windows_start_at_their_searched_bases(monkeypatch, prior_mode)
     for found, (_, start, _, pivots) in zip(searches[0], calls):
         assert start is found and (found is None or pivots == 0)
 
-    monkeypatch.setattr(experiments, "search_bases", lambda A, y, w: [None] * len(A))
+    monkeypatch.setattr(experiments, "search_bases", lambda A, y, w: [None] * len(y))
     assert run_scenario(sys_, x0, scenario=scenario) == searched
 
 
@@ -373,6 +373,7 @@ def test_scenario_config_rejects_eta_or_omega_out_of_range(field, value):
 @pytest.mark.parametrize("field,value,message", [
     ("true_rate", 0.0, "true rate"), ("true_rate", 1.5, "true rate"),
     ("true_rate", np.nan, "true rate"), ("jitter", -1.0, "jitter"), ("jitter", np.inf, "jitter"),
+    ("jitter", 1e308, "jitter"),
 ])
 def test_configs_reject_a_confidence_model_gen_confidences_rejects(config, field, value, message):
     # the config fails with gen_confidences' message before anything is drawn

@@ -212,20 +212,29 @@ def test_shape_and_weight_validation():
     A = np.ones((4, 2))
     with pytest.raises(DimensionMismatch):
         weighted_l1_regression(A, np.ones(3), np.ones(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weights must be nonnegative$"):
         weighted_l1_regression(A, np.ones(4), -np.ones(4))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_is_rejected(bad):
+    # the solve reads finiteness off the sums it needs; a non-finite entry
+    # anywhere, also in a zero-weight row, beside a negative weight or as
+    # -inf beside inf in w, is still this one error
     rng = np.random.default_rng(4)
     A = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
     w = np.ones(6)
+    zero = np.arange(6) == 4
     for args in ((A, np.where(np.arange(6) == 2, bad, y), w),
                  (np.where(np.eye(6, 2) > 0, bad, A), y, w),
-                 (A, y, np.where(np.arange(6) == 5, bad, w))):
-        with pytest.raises(ValueError, match="finite"):
+                 (A, y, np.where(np.arange(6) == 5, bad, w)),
+                 (A, y, np.where(np.arange(6) == 5, -bad, w)),
+                 (A, np.where(zero, bad, y), np.where(zero, 0.0, w)),
+                 (np.where(zero[:, None], bad, A), y, np.where(zero, 0.0, w)),
+                 (A, y, np.array([-1.0, bad, 1, 1, 1, 1])),
+                 (A, y, np.array([-bad, bad, 1, 1, 1, 1]))):
+        with pytest.raises(ValueError, match=r"^A, y and w must be finite$"):
             weighted_l1_regression(*args)
 
 
@@ -364,8 +373,10 @@ def test_rank_deficient_a_rejects_every_warm_start():
 
 def test_data_too_large_to_certify_is_rejected():
     A, y, w = lp_instance("random", 2)
-    with pytest.raises(ValueError, match="too large"):
-        weighted_l1_regression(A, (1e308 / np.abs(y).max()) * y, w)
+    message = r"^y and w are too large to certify: sum\(w\) \* max\|y\| overflows$"
+    for weights in (w, np.where(np.arange(w.size) == 3, 0.0, w)):  # with a zero weight too
+        with pytest.raises(ValueError, match=message):
+            weighted_l1_regression(A, (1e308 / np.abs(y).max()) * y, weights)
 
 
 def gram_schmidt_basis(A, order, n):
@@ -612,6 +623,39 @@ def test_search_gives_up_where_the_single_solve_leaves_the_pivots(monkeypatch):
         if basis is not None:
             assert np.array_equal(basis, bases[i])
             assert weighted_l1_regression(A[i], y[i], w[i], start=basis).iterations == 0
+
+
+def test_search_on_one_shared_model_equals_the_search_on_its_copies():
+    # one (N, n) model that every problem shares is checked and factored
+    # once; what the search finds, and where it gives up, is what it finds on
+    # the (K, N, n) stack of that model's copies
+    rng = np.random.default_rng(3)
+    N, n, K = 14, 3, 8
+    A = rng.standard_normal((N, n))
+    A[:5] = A[0]  # five copies of one row fit alike: a dependent start
+    y = rng.standard_normal((K, n)) @ A.T
+    y[:, 5:] += 3 * rng.standard_normal((K, N - 5))
+    y[::2] = rng.standard_normal((K // 2, N))
+    w = rng.uniform(0.5, 1.0, (K, N))
+    y[1, 2], w[3, 7] = np.nan, 0.0  # a non-finite y and a zero weight
+    shared, copies = lp.search_bases(A, y, w), lp.search_bases(np.array([A] * K), y, w)
+    assert [i for i, b in enumerate(shared) if b is None] == [0, 1, 3, 5, 7]
+    assert all(c is None if s is None else np.array_equal(s, c) for s, c in zip(shared, copies))
+    for i in (0, 5, 7):  # dependent first rows, not a rank deficient problem
+        first = lp._fit_order(A, y[i] / np.abs(y[i]).max() + lp._perturbation(N))[:n]
+        assert not lp._independent(A[first])
+        assert weighted_l1_regression(A, y[i], w[i]).gap <= 1e-8 * (1 + np.abs(y[i]).max())
+    for i in (2, 4, 6):
+        assert weighted_l1_regression(A, y[i], w[i], start=shared[i]).iterations == 0
+    # the sweep-like stacks too: one model's problems, unit and two-level weights
+    A, y, w = stacked_problems(20, 10, 1, 6, seed=11)
+    y, w = np.concatenate([y, y]), np.concatenate([w["unit"], w["two-level"]])
+    shared, copies = lp.search_bases(A[0], y, w), lp.search_bases(np.array([A[0]] * 12), y, w)
+    assert all(s is not None and np.array_equal(s, c) for s, c in zip(shared, copies))
+    # a shared model that is not finite gives up on every problem
+    A_bad = A[0].copy()
+    A_bad[4, 2] = np.nan
+    assert lp.search_bases(A_bad, y, w) == [None] * 12
 
 
 @pytest.mark.parametrize("family", ("random", "stealth20", "near_rank", "col_scale",

@@ -186,6 +186,22 @@ def test_stack_window_hand_stack():
     assert np.allclose(x0, [1.0])
 
 
+def test_stack_window_equals_the_rows_stacked_one_by_one():
+    # the window is one reversed slice of the trajectory: the same values as
+    # concatenating its rows newest first, in fresh writable arrays
+    rng = np.random.default_rng(5)
+    sys_ = make_system(4)
+    traj = simulate(sys_, rng.standard_normal(sys_.n), 7, rng.standard_normal((7, sys_.m)))
+    for T in (1, 3, 7):
+        for end in range(T - 1, 7):
+            y_T, _, e_T = stack_window(traj, end, T)
+            steps = range(end, end - T, -1)
+            assert np.array_equal(y_T, np.concatenate([traj.attacked_measurements[i] for i in steps]))
+            assert np.array_equal(e_T, np.concatenate(
+                [traj.attacked_measurements[i] - traj.clean_measurements[i] for i in steps]))
+            assert y_T.flags.writeable and not np.shares_memory(y_T, traj.attacked_measurements)
+
+
 def test_stack_window_range_errors():
     sys_ = make_system(3)
     traj = simulate(sys_, np.ones(sys_.n), 4)

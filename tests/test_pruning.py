@@ -308,7 +308,33 @@ def test_nan_confidences_are_rejected(check):
             poisson_binomial_pmf(p)
 
 
-@pytest.mark.parametrize("jitter", [np.nan, np.inf, -0.1])
+# rng.uniform(-jitter, jitter) needs a finite width 2 * jitter: 2.0**1023 is
+# the float after the widest jitter it draws
+@pytest.mark.parametrize("jitter", [np.nan, np.inf, -0.1, 1e308, 2.0**1023])
 def test_gen_confidences_rejects_bad_jitter(jitter):
     with pytest.raises(ValueError, match="jitter"):
         gen_confidences(10, 0.6, jitter, np.random.default_rng(0))
+
+
+def test_gen_confidences_draws_the_widest_jitter():
+    p = gen_confidences(10, 0.6, np.finfo(float).max / 2, np.random.default_rng(0))
+    assert ((p > 0) & (p <= 1)).all()
+
+
+def test_prune_product_checks_the_confidences_of_its_prior_once(monkeypatch):
+    # SupportPrior checked p; prune_product does not check it again, while
+    # the public prune_offline still checks whatever it is given
+    import resilient_sse.pruning as pruning
+
+    prior = SupportPrior(q_hat=[1, 0, 1, 1], p=[0.9, 0.8, 0.95, 0.99])
+    expected = prune_product(prior, 0.8)
+    checked = []
+    confidences = pruning._confidences
+    monkeypatch.setattr(pruning, "_confidences", lambda p: checked.append(p) or confidences(p))
+    pruned = prune_product(prior, 0.8)
+    assert checked == []
+    assert np.array_equal(pruned.offline_set, expected.offline_set)
+    assert np.array_equal(pruned.safe_set, expected.safe_set)
+    assert np.array_equal(prune_offline(prior.p, 0.8), expected.offline_set) and len(checked) == 1
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        prune_offline([0.8, -1.0, -1.2], 0.5)
