@@ -103,7 +103,10 @@ def gen_random_system(
         raise ValueError(f"spectral radius target must be finite and positive, "
                          f"got {spectral_radius_target}")
     A = rng.standard_normal((n, n))
-    A = A * (spectral_radius_target / np.max(np.abs(np.linalg.eigvals(A))))
+    with np.errstate(over="ignore"):  # a target near the largest float: checked below
+        A = A * (spectral_radius_target / np.max(np.abs(np.linalg.eigvals(A))))
+    if not np.isfinite(A).all():
+        raise ValueError(f"spectral radius target {spectral_radius_target} overflows A")
     return LtiSystem(A=A, C=rng.standard_normal((m, n)))
 
 

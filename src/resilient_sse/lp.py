@@ -32,7 +32,10 @@ than 10 pivots per row raises SolverFailure.
 The problem is positively homogeneous in (y, z), so the pivots run on y
 scaled to unit max-norm, and the gap is certified in those units, where it
 is at most 1e-8 (1 + |objective|): a zero optimum, whose gap is roundoff of
-order eps max|y|, certifies at any scale.
+order eps max|y|, certifies at any scale.  It is homogeneous in A too, and
+every test of A is relative: rows are independent when each |R_ii| of one QR
+of them exceeds 1e-10 max|A| (no squares, so nothing overflows), so a solve
+of 2^k A takes the pivots of A's and returns its z / 2^k bit for bit.
 
 Between pivots a tableau is updated instead of refactored: one (n+1) x N
 array whose first n rows hold D^T, the transpose of D = A A_B^-1, and whose
@@ -52,11 +55,11 @@ maps.
 Every fresh factorization, of the start, the cold start or the basis at
 reported optimality, is of the basis rows in ascending order.  The vertex is
 fixed by its set of rows, but z = A_B^-1 y_B is rounded in the order of the
-rows, so sorting first makes z, the residual and the objective functions of
-the final row set, and the dual and the gap too (their signs of nu_N are
-carried, and could differ only on a perturbed residual within roundoff of
-zero).  So a warm and a cold solve that end at the same rows agree bit for
-bit, and the returned ``basis`` is ascending.
+rows, so sorting first makes z, the residual, the objective, the dual and
+the gap functions of the final row set (the carried signs of nu_N could
+differ only on a perturbed residual within roundoff of zero).  So a warm and
+a cold solve that end at the same rows agree bit for bit, and the returned
+``basis`` is ascending.
 
 Every start, the caller's or the cold one, is sorted and inverted, and the
 inverse proves the rank of A_act when it can: A_B is a row subset of the
@@ -69,22 +72,23 @@ and 1 > 1e-10 ||A_act||_F ||A_B^-1||_F proves the rank test
 sigma_min(A_act) > 1e-10 sigma_max(A_act).  The inverse is the one the first
 certificate uses, so the proof changes no result.  A caller's start it does
 not prove (or that fails to invert) gives way to the cold start; only a cold
-start it does not prove leaves the test to the singular values of A_act.
-Data with sum(w) max|y| beyond the largest float are rejected up front: that
-product bounds |y^T nu|, so below it the certificate cannot overflow.
+start it does not prove leaves the test to the singular values of A_act, as
+do entries above about 1e154 or below 1e-154, whose squares over- or
+underflow in the proof: correct, but slower.  Data with sum(w) max|y| beyond
+the largest float are rejected up front: that product bounds |y^T nu|, so
+below it the certificate cannot overflow.
 
 ``search_bases`` finds the optimal rows of many positive-weight problems of
 one shape at once.  It starts each at the first n rows of the cold start's
-order, all fits from one stacked thin QR, or from one QR of the model when
-every problem shares it (as a scenario's do), drops the problems whose first rows
-one QR finds dependent, and pivots the others in lockstep, one round per
-pivot, with the single solve's rule on each problem's own tableau, until each
-tableau reports optimality.  It certifies nothing.  Since a result depends
-only on its final rows, the single solve started from a found basis gives
-what a cold solve ending at the same rows gives, and it certifies the basis
-from its own factorization (pivoting on, still certified, if its check
-disagrees).  The sweep runs one search per chunk, the scenario one per run;
-on one problem the search is slower than the single solve, the only certifier.
+order, all fits from one stacked thin QR (one QR of the model when every
+problem shares it, as a scenario's do), drops the problems whose first rows
+are dependent, and pivots the others in lockstep with the single solve's
+rule on each problem's own tableau until each reports optimality.  It
+certifies nothing: a result depends only on its final rows, so the single
+solve from a found basis gives what a cold solve ending at the same rows
+gives, and certifies the basis from its own factorization (pivoting on if
+its check disagrees).  The sweep runs one search per chunk, the scenario one
+per run; on one problem the search is slower than the single solve.
 """
 
 from __future__ import annotations
@@ -127,28 +131,24 @@ def _perturbation(rows):
     return pattern
 
 
-def _independent(first):
-    """Whether the rows of each n x n matrix in `first` are linearly
-    independent, decided by one QR."""
+def _independent(first, big):
+    """Whether each k x n block of `first` has independent rows: every |R_ii|
+    of one QR exceeds _RANK_RTOL * big, the largest |entry| of the block's A."""
     R = np.linalg.qr(np.swapaxes(first, -1, -2), mode="r")
-    return (np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-            > 1e-10 * np.maximum(1.0, np.linalg.norm(first, axis=-1))).all(axis=-1)
+    return np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1) > _RANK_RTOL * big
 
 
 def _greedy_basis(A_act, order, n):
     """First n rows along `order` that are linearly independent, else None."""
-    # one QR decides the common case: the first n rows are already independent
-    if _independent(A_act[order[:n]]):
+    big = np.abs(A_act).max()
+    if _independent(A_act[order[:n]], big):  # one QR decides the common case
         return order[:n].copy()
-    basis, span, k = np.empty(n, dtype=int), np.empty((n, A_act.shape[1])), 0
-    for j in order:  # span[:k] holds orthonormal rows spanning the k picks
-        row = A_act[j]
-        resid = row - span[:k].T @ (span[:k] @ row)
-        nrm = math.sqrt(resid @ resid)
-        if nrm > 1e-10 * max(1.0, math.sqrt(row @ row)):
-            basis[k], span[k], k = j, resid / nrm, k + 1
-            if k == n:
-                return basis
+    basis = []
+    for j in order:  # else the basis grows one row at a time
+        if _independent(A_act[basis + [j]], big):
+            basis.append(j)
+            if len(basis) == n:
+                return np.array(basis)
     return None
 
 
@@ -176,12 +176,11 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
 
     y and w hold one entry per row of A (DimensionMismatch otherwise).
     Entries must be finite, weights nonnegative and sum(w) * max|y| a finite
-    float (ValueError otherwise);
-    rows with w_j = 0 are ignored by the objective and are legal only while
-    the remaining rows keep full column rank (checked, RankDeficient
-    otherwise).  The returned gap is at most 1e-8 * (max|y| + |objective|),
-    with max|y| over the positive-weight rows (1 when they are all zero):
-    1e-8 * (1 + |objective|) for y scaled to max |y| = 1.
+    float (ValueError otherwise); rows with w_j = 0 are ignored by the
+    objective and are legal only while the remaining rows keep full column
+    rank (checked, RankDeficient otherwise).  The returned gap is at most
+    1e-8 * (max|y| + |objective|), max|y| over the positive-weight rows (1
+    when they are all zero): 1e-8 * (1 + |objective|) for max|y| = 1.
 
     ``start`` names n distinct rows of A to begin at, e.g. the ``basis`` of a
     related solve (ValueError if malformed; ignored if it holds a zero-weight
@@ -337,7 +336,7 @@ def search_bases(A, y, w) -> list:
     y_piv = y / np.where(scale > 0, scale, 1.0)[:, None] + _perturbation(N)
     basis = _fit_order(A, y_piv)[:, :n]
     A_B = A[basis] if shared else np.take_along_axis(A, basis[..., None], axis=1)
-    keep = _independent(A_B)  # the rest are far from singular: one inv serves them all
+    keep = _independent(A_B, np.abs(A).max(axis=(-2, -1)))  # the rest: one inv serves all
     A_B[~keep] = np.eye(n)  # a stand-in for each dependent start, dropped below
 
     # Tab[i] = [D^T; r] is problem i's tableau, updated as in the single solve

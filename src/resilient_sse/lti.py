@@ -70,19 +70,18 @@ class LtiSystem:
 
 @dataclass(frozen=True, eq=False)
 class HorizonModel:
-    """Stacked T-step observation matrix together with its SVD factors.
+    """Stacked T-step observation matrix with what its callers read of its SVD.
 
-    H = U1 Sigma1 V^T is the thin SVD: U1 spans the range of H.
-    ``build_horizon`` fills every field from its one thin SVD; a model built
-    directly is given its factors.  The model is immutable, compares by
-    identity, and the arrays ``build_horizon`` makes are read-only.
+    U1 is the left factor of the thin SVD of H, spanning its range, and
+    sigma_min, sigma_max are its extreme singular values.  ``build_horizon``
+    fills them from its one thin SVD; a model built directly is given them.
+    The model is immutable, compares by identity, and the arrays
+    ``build_horizon`` makes are read-only.
     """
 
     T: int
     H: np.ndarray
     U1: np.ndarray
-    Sigma1: np.ndarray
-    V: np.ndarray
     sigma_min: float
     sigma_max: float
 
@@ -153,17 +152,17 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     """Build the stacked observation matrix for a T-step window.
 
     H must have full column rank, sigma_min > 1e-12 * sigma_max, on the
-    singular values of one thin SVD, whose factors then make the model.  A
-    full-column-rank H implies an observable (A, C), so observability is
-    checked only when H fails: NotObservable when the pair is not
-    observable, else DegenerateSvd (possible for short windows even on
-    observable systems).
+    singular values of one thin SVD, whose U1 and extreme singular values
+    then make the model.  A full-column-rank H implies an observable (A, C),
+    so observability is checked only when H fails: NotObservable when the
+    pair is not observable, else DegenerateSvd (possible for short windows
+    even on observable systems).
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
     H = np.vstack(_output_maps(sys, T)[::-1])  # newest first: C A^(T-1) on top, C at the bottom
 
-    U, s, Vt = np.linalg.svd(H, full_matrices=False)
+    U, s, _ = np.linalg.svd(H, full_matrices=False)
     if s.size < sys.n or not s[-1] > _DEGENERATE_RTOL * s[0]:
         report = check_observability(sys)
         if not report.observable:
@@ -171,11 +170,9 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
         raise DegenerateSvd(
             f"H is rank deficient for T={T}: singular values {np.array2string(s, precision=3)}"
         )
-    Sigma1, V = np.diag(s), Vt.T
-    for arr in (H, U, Sigma1, V):
+    for arr in (H, U):
         arr.flags.writeable = False
-    return HorizonModel(T=T, H=H, U1=U, Sigma1=Sigma1, V=V,
-                        sigma_min=float(s[-1]), sigma_max=float(s[0]))
+    return HorizonModel(T=T, H=H, U1=U, sigma_min=float(s[-1]), sigma_max=float(s[0]))
 
 
 def simulate(

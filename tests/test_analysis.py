@@ -42,8 +42,6 @@ def square_orthonormal_model(rows):
         T=1,
         H=np.zeros((rows, 0)),
         U1=np.zeros((rows, 0)),
-        Sigma1=np.zeros((0, 0)),
-        V=np.zeros((0, 0)),
         sigma_min=0.0,
         sigma_max=0.0,
     )

@@ -485,6 +485,26 @@ def test_estimate_certifies_a_clean_window_in_large_units(tmp_path, capsys):
     assert json.loads(out)["error_l2"] <= 1e-8 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("k", [-40, 530])
+@pytest.mark.parametrize("weights", [[], ["--safe", "1,2,3,4,5", "--omega", 0.05]],
+                         ids=["decode", "weighted"])
+def test_estimate_certifies_a_system_in_any_units(tmp_path, system_file, capsys, k, weights):
+    # C in units of 2^k changes only the units of x_hat, bit for bit
+    path, sys_ = system_file
+    y = build_horizon(sys_, 1).H @ np.array([0.5, -1.0])
+    y[0] += 3.0
+    paths = {name: tmp_path / f"{name}.json" for name in ("scaled", "y")}
+    paths["scaled"].write_text(json.dumps({"A": sys_.A.tolist(), "C": (2.0**k * sys_.C).tolist()}))
+    paths["y"].write_text(json.dumps(y.tolist()))
+    runs = [run_cli(["estimate", "--system", system, "--y", paths["y"], "--epsilon", 0.5] + weights,
+                    capsys) for system in (path, paths["scaled"])]
+    (code, out, _), (scaled_code, scaled_out, err) = runs
+    assert code == scaled_code == 0, err
+    doc, scaled = json.loads(out), json.loads(scaled_out)
+    assert (np.array(scaled.pop("x_hat")) * 2.0**k).tolist() == doc.pop("x_hat")
+    assert scaled == doc
+
+
 @pytest.mark.parametrize("command, named", [
     (["sweep", "--seed", "-1", "--trials", 1, "--grid", "0.3"], "master seed"),
     (["scenario", "--steps", 8, "--prior-seed", "-1"], "prior seed"),

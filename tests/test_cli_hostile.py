@@ -2,6 +2,8 @@
 
 Whatever the flags hold, the CLI exits 0, 1 or 2 without a traceback, and a
 result on stdout is strict JSON or a CSV whose numeric fields are finite.
+Each hostile value alone is a result or a validation error (exit 0 or 1),
+except one listed numerical failure.
 Sizes stay small, so no example builds a large H or runs a long sweep, and
 `--workers` never asks for a process pool.
 """
@@ -27,19 +29,21 @@ BAD_SYSTEMS = ["sys_object_entry", "sys_string", "sys_object_x0", "sys_bool_entr
 BAD_PRUNE_INPUTS = ["pnan", "empty", "p_object", "prune_array", "seed_null", "seed_float"]
 
 
+def command_line(name, base, overrides):
+    """`name` with the valid options `base`, some replaced by `overrides`
+    (None leaves the flag out).  Flags are written '--flag=value', so that
+    argparse takes '-inf' as a value."""
+    options = {**base, **dict(overrides)}
+    return [name] + [f"--{k.replace('_', '-')}={v}" for k, v in options.items() if v is not None]
+
+
 def command(name, base, hostile):
     """`name` with the valid options `base`, of which up to three are replaced
-    by a value drawn from `hostile` (None leaves the flag out).  Flags are
-    written '--flag=value', so that argparse takes '-inf' as a value."""
-    def argv(overrides):
-        options = {**base, **dict(overrides)}
-        return [name] + [f"--{k.replace('_', '-')}={v}" for k, v in options.items()
-                         if v is not None]
-
+    by a value drawn from `hostile` (None leaves the flag out)."""
     keys = st.lists(st.sampled_from(sorted(hostile)), min_size=1, max_size=3, unique=True)
     return keys.flatmap(lambda ks: st.tuples(*(
         st.sampled_from([None] + hostile[k]).map(lambda v, k=k: (k, v)) for k in ks
-    ))).map(argv)
+    ))).map(lambda overrides: command_line(name, base, overrides))
 
 
 @pytest.fixture(scope="module")
@@ -71,37 +75,44 @@ def files(tmp_path_factory):
     return out
 
 
-def command_lines(files):
+def tables(files):
+    """(subcommand, valid options, hostile values per flag) for all six."""
     system = files["system"]
     systems = [system] + [files[k] for k in BAD_SYSTEMS]
     windows = [files[k] for k in ("y1", "y2", "ynan", "ybig", "yshort")]
-    attack = command("attack", dict(system=system, T=1, epsilon=0.5, support="0"), dict(
-        system=systems, T=SIZES, epsilon=FLOATS, support=ROWS, fraction=FLOATS,
-        seed=["0", "-1", "x"], cap_factor=FLOATS))
-    estimate = command("estimate", dict(system=system, T=1, y=files["y1"]), dict(
-        system=systems, T=SIZES, y=windows, omega=FLOATS, safe=ROWS, epsilon=FLOATS,
-        x_true=[files["x"]]))
-    prune = command("prune", dict(input=files["prior"], eta=0.9), dict(
-        input=[files[k] for k in ["sampled"] + BAD_PRUNE_INPUTS], eta=FLOATS,
-        strategy=["product", "quantile", "bogus"]))
-    rip = command("rip", dict(system=system, T=1, S=2), dict(
-        system=systems, T=SIZES, S=SIZES + ["3", "99"], budget=SIZES + ["5", "100"],
-        seed=["0", "-1"]))
-    sweep = command("sweep", dict(m=6, n=2, trials=2, grid="0.0,0.3"), dict(
-        m=SIZES + ["3", "6"], n=SIZES, T=SIZES, trials=SIZES,
-        grid=["0.0", "0.3", "0.2,0.5", "nan", "1", "-0.1", "", "x"],
-        true_rate=FLOATS, jitter=FLOATS, eta=FLOATS, omega=FLOATS,
-        epsilon_policy=["rel:0.01", "abs:1", "rel:nan", "abs:inf", "rel:-1", "pct:1", "rel", ""],
-        strategies=["none", "prior,pruned_quantile", "pruned_product", "bogus", ""],
-        seed=["0", "-1", "x"], spectral_radius=FLOATS, workers=["-1", "0", "1"],
-        format=["csv", "json", "xml"]))
-    scenario = command("scenario", dict(steps=8, T=2), dict(
-        system=systems, steps=SIZES + ["3", "8"], T=SIZES + ["3"],
-        attack_fraction=FLOATS, attack_magnitude=FLOATS, attack_support=ROWS,
-        seed=["0", "-1"], prior_seed=["1", "-1"], true_rate=FLOATS, jitter=FLOATS,
-        eta=FLOATS, omega=FLOATS, prior_mode=["static", "per_window", "bogus"],
-        observers=["LO,L1O,WL1P", "LO", "L1O", "WL1P", "bogus", ""]))
-    return st.one_of(attack, estimate, prune, rip, sweep, scenario)
+    return [
+        ("attack", dict(system=system, T=1, epsilon=0.5, support="0"), dict(
+            system=systems, T=SIZES, epsilon=FLOATS, support=ROWS, fraction=FLOATS,
+            seed=["0", "-1", "x"], cap_factor=FLOATS)),
+        ("estimate", dict(system=system, T=1, y=files["y1"]), dict(
+            system=systems, T=SIZES, y=windows, omega=FLOATS, safe=ROWS, epsilon=FLOATS,
+            x_true=[files["x"]])),
+        ("prune", dict(input=files["prior"], eta=0.9), dict(
+            input=[files[k] for k in ["sampled"] + BAD_PRUNE_INPUTS], eta=FLOATS,
+            strategy=["product", "quantile", "bogus"])),
+        ("rip", dict(system=system, T=1, S=2), dict(
+            system=systems, T=SIZES, S=SIZES + ["3", "99"], budget=SIZES + ["5", "100"],
+            seed=["0", "-1"])),
+        ("sweep", dict(m=6, n=2, trials=2, grid="0.0,0.3"), dict(
+            m=SIZES + ["3", "6"], n=SIZES, T=SIZES, trials=SIZES,
+            grid=["0.0", "0.3", "0.2,0.5", "nan", "1", "-0.1", "", "x"],
+            true_rate=FLOATS, jitter=FLOATS, eta=FLOATS, omega=FLOATS,
+            epsilon_policy=["rel:0.01", "abs:1", "rel:nan", "abs:inf", "rel:-1", "pct:1", "rel",
+                            ""],
+            strategies=["none", "prior,pruned_quantile", "pruned_product", "bogus", ""],
+            seed=["0", "-1", "x"], spectral_radius=FLOATS, workers=["-1", "0", "1"],
+            format=["csv", "json", "xml"])),
+        ("scenario", dict(steps=8, T=2), dict(
+            system=systems, steps=SIZES + ["3", "8"], T=SIZES + ["3"],
+            attack_fraction=FLOATS, attack_magnitude=FLOATS, attack_support=ROWS,
+            seed=["0", "-1"], prior_seed=["1", "-1"], true_rate=FLOATS, jitter=FLOATS,
+            eta=FLOATS, omega=FLOATS, prior_mode=["static", "per_window", "bogus"],
+            observers=["LO,L1O,WL1P", "LO", "L1O", "WL1P", "bogus", ""])),
+    ]
+
+
+def command_lines(files):
+    return st.one_of(*(command(*table) for table in tables(files)))
 
 
 def _no_constant(name):
@@ -136,3 +147,28 @@ def test_hostile_command_lines_exit_cleanly(files, data):
         check_output(argv, out.getvalue())
     else:
         assert out.getvalue() == "", argv
+
+
+# The one value that alone fails numerically, not as a validation error: a
+# magnitude of 1e308 lets the attacked measurements overflow, which shows
+# only once the run is simulated.
+NUMERICAL_FAILURES = {("scenario", "attack_magnitude", "1e308")}
+
+
+def test_each_hostile_value_alone_exits_cleanly(files):
+    # every value of the tables above, one flag at a time: a result or a
+    # validation error, except the numerical failure listed above
+    for name, base, hostile in tables(files):
+        for flag, values in hostile.items():
+            for value in [None] + values:
+                line = command_line(name, base, [(flag, value)])
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = parse_and_dispatch(line)
+                expected = (2,) if (name, flag, value) in NUMERICAL_FAILURES else (0, 1)
+                assert code in expected, (line, code, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                if code == 0:
+                    check_output(line, out.getvalue())
+                else:
+                    assert out.getvalue() == "", line

@@ -651,6 +651,12 @@ def test_gen_random_system_rejects_a_non_finite_radius(radius):
         gen_random_system(10, 4, np.random.default_rng(0), spectral_radius_target=radius)
 
 
+def test_gen_random_system_rejects_a_radius_that_overflows_a():
+    # a finite target near the largest float scales A past it: rejected, no overflow warning
+    with pytest.raises(ValueError, match="overflows A"):
+        gen_random_system(6, 2, np.random.default_rng(0), spectral_radius_target=1e308)
+
+
 @pytest.mark.parametrize("policy", ["rel:nan", "abs:inf"])
 def test_epsilon_policy_rejects_non_finite_values(policy):
     with pytest.raises(ValueError, match="finite"):

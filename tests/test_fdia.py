@@ -19,11 +19,7 @@ from conftest import make_system
 def model_from_U1(U1):
     """Wrap an orthonormal-column matrix as a horizon model with H = U1."""
     U1 = np.asarray(U1, dtype=float)
-    n = U1.shape[1]
-    return HorizonModel(
-        T=1, H=U1, U1=U1, Sigma1=np.eye(n), V=np.eye(n),
-        sigma_min=1.0, sigma_max=1.0,
-    )
+    return HorizonModel(T=1, H=U1, U1=U1, sigma_min=1.0, sigma_max=1.0)
 
 
 def weak_safe_row_system(seed, n=None, c_size=None):

@@ -92,6 +92,12 @@ def lp_instance(family, seed):
         y = y + synthesize_fdia(model, support, 0.01 * np.abs(y).sum()).e_T
         w = np.where(rng.random(model.rows) < 0.5, 1.0, 0.01) if T == 1 else np.ones(model.rows)
         return model.H, y, w
+    if family == "integer":
+        # small integers: exact data with a few gross errors, integer weights
+        A = rng.integers(-4, 5, (16, 4)).astype(float)
+        y = A @ rng.integers(-3, 4, 4).astype(float)
+        y[:4] += rng.integers(-9, 10, 4)
+        return A, y, rng.integers(1, 4, 16).astype(float)
     if family == "ties":
         # duplicated integer rows tie residuals and breakpoints
         B = rng.integers(-3, 4, (8, 4)).astype(float)
@@ -206,6 +212,29 @@ def test_a_clean_window_certifies_in_large_units(c):
     sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
     assert sol.gap <= 1e-8 * (np.abs(y).max() + abs(sol.objective))
     assert np.linalg.norm(sol.z - x) <= 1e-8 * np.linalg.norm(x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-600, -40, 40, 530])
+@pytest.mark.parametrize("family", ["random", "integer", "ties"])
+def test_the_solve_is_homogeneous_in_a(family, k):
+    # every start screen compares against the largest |entry| of A and the
+    # rank decision against sigma_max(A), so A in units of 2^k takes the same
+    # pivots and returns z in units of 2^-k, bit for bit, with no warning:
+    # squared norms of such A underflow (k = -600) or overflow (k = 530)
+    A, y, w = lp_instance(family, 1)
+    ref, sol = weighted_l1_regression(A, y, w), weighted_l1_regression(2.0**k * A, y, w)
+    assert np.array_equal(sol.z * 2.0**k, ref.z)
+    for field in ("basis", "iterations", "objective", "dual_objective", "gap", "residual"):
+        assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
+    # the search finds the same bases, from one shared model or a stack of them
+    Y, W = np.stack([y, y]), np.stack([w, np.ones_like(w)])
+    for stack in (A, np.stack([A, A])):
+        found, expected = lp.search_bases(2.0**k * stack, Y, W), lp.search_bases(stack, Y, W)
+        assert len(found) == len(expected)
+        assert all(e is None if f is None else np.array_equal(f, e) for f, e in zip(found, expected))
+    if family != "ties":  # where the first rows are dependent, the search gives up
+        assert all(b is not None for b in expected)
 
 
 def test_shape_and_weight_validation():
@@ -380,13 +409,14 @@ def test_data_too_large_to_certify_is_rejected():
 
 
 def gram_schmidt_basis(A, order, n):
-    """Reference for _greedy_basis: the first n independent rows along `order`."""
-    basis, span = [], []
+    """Reference for _greedy_basis: the first n rows along `order` whose part
+    orthogonal to the rows before exceeds 1e-10 times the largest |entry| of A."""
+    basis, span, big = [], [], np.abs(A).max()
     for j in order:
         row = A[j]
         resid = row - sum((q @ row) * q for q in span)
         nrm = math.sqrt(resid @ resid)
-        if nrm > 1e-10 * max(1.0, math.sqrt(row @ row)):
+        if nrm > 1e-10 * big:
             basis.append(j)
             span.append(resid / nrm)
             if len(basis) == n:
@@ -643,7 +673,7 @@ def test_search_on_one_shared_model_equals_the_search_on_its_copies():
     assert all(c is None if s is None else np.array_equal(s, c) for s, c in zip(shared, copies))
     for i in (0, 5, 7):  # dependent first rows, not a rank deficient problem
         first = lp._fit_order(A, y[i] / np.abs(y[i]).max() + lp._perturbation(N))[:n]
-        assert not lp._independent(A[first])
+        assert not lp._independent(A[first], np.abs(A).max())
         assert weighted_l1_regression(A, y[i], w[i]).gap <= 1e-8 * (1 + np.abs(y[i]).max())
     for i in (2, 4, 6):
         assert weighted_l1_regression(A, y[i], w[i], start=shared[i]).iterations == 0

@@ -29,7 +29,8 @@ def test_build_horizon_T1_is_identity_stacking():
     sys_ = LtiSystem(A=np.eye(2), C=C)
     model = build_horizon(sys_, 1)
     assert np.allclose(model.H, C)
-    assert np.allclose(np.diag(model.Sigma1), np.linalg.svd(C, compute_uv=False))
+    s = np.linalg.svd(C, compute_uv=False)
+    assert np.allclose([model.sigma_max, model.sigma_min], [s[0], s[-1]])
 
 
 def test_build_horizon_hand_example_newest_first():
@@ -59,12 +60,15 @@ def test_svd_factors_consistency():
         T = 1 + seed % 4
         model = build_horizon(sys_, T)
         assert np.max(np.abs(model.U1.T @ model.U1 - np.eye(model.n))) <= 1e-10
-        recon = model.U1 @ model.Sigma1 @ model.V.T
-        assert np.linalg.norm(recon - model.H) <= 1e-10 * np.linalg.norm(model.H)
-        assert np.all(np.diag(model.Sigma1) > 0)
+        # U1 spans the range of H, and H's extreme singular values are U1^T H's
+        proj = model.U1.T @ model.H
+        assert np.linalg.norm(model.U1 @ proj - model.H) <= 1e-10 * np.linalg.norm(model.H)
+        s = np.linalg.svd(proj, compute_uv=False)
+        assert np.allclose([model.sigma_max, model.sigma_min], [s[0], s[-1]], rtol=1e-10)
+        assert 0 < model.sigma_min <= model.sigma_max
 
 
-FACTORS = ("U1", "Sigma1", "V", "sigma_min", "sigma_max")
+FACTORS = ("U1", "sigma_min", "sigma_max")
 
 
 def test_factors_are_the_thin_svd_and_U2_the_full_svds_complement():
@@ -73,8 +77,8 @@ def test_factors_are_the_thin_svd_and_U2_the_full_svds_complement():
     # the isometry analysis read U2[S] U2[S]^T as I - U1[S] U1[S]^T.
     sys_ = make_system(3, m=7, n=3)
     H = build_horizon(sys_, 2).H
-    U, s, Vt = np.linalg.svd(H, full_matrices=False)
-    expected = dict(U1=U, Sigma1=np.diag(s), V=Vt.T, sigma_min=s[-1], sigma_max=s[0])
+    U, s, _ = np.linalg.svd(H, full_matrices=False)
+    expected = dict(U1=U, sigma_min=s[-1], sigma_max=s[0])
     model = build_horizon(sys_, 2)
     for name in FACTORS:
         value = getattr(model, name)
@@ -82,7 +86,8 @@ def test_factors_are_the_thin_svd_and_U2_the_full_svds_complement():
         assert getattr(model, name) is value
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable
-    assert not hasattr(model, "U2")
+    for unread in ("U2", "Sigma1", "V"):  # no caller reads them, so the model keeps none
+        assert not hasattr(model, unread)
     U2 = np.linalg.svd(H, full_matrices=True)[0][:, model.n:]
     basis = np.hstack([model.U1, U2])
     assert np.max(np.abs(basis.T @ basis - np.eye(model.rows))) <= 1e-10
@@ -115,7 +120,7 @@ def test_horizon_model_is_frozen_and_honours_given_factors():
             setattr(model, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(model, name)
-    given = dict(U1=np.eye(7, 3), Sigma1=np.eye(3), V=np.eye(3), sigma_min=1.0, sigma_max=2.0)
+    given = dict(U1=np.eye(7, 3), sigma_min=1.0, sigma_max=2.0)
     explicit = HorizonModel(T=1, H=model.H, **given)
     for name, value in given.items():
         assert getattr(explicit, name) is value
