@@ -48,7 +48,8 @@ from .experiments import (
     sweep,
 )
 from .fdia import random_support, synthesize_fdia
-from .lti import build_horizon, load_system_csv, load_system_json, numeric_array, read_matrix_csv
+from .lti import (build_horizon, load_system_csv, load_system_json, numeric_array,
+                  read_matrix_csv, row_indices)
 from .pruning import (
     SupportIndicator,
     SupportPrior,
@@ -170,13 +171,12 @@ def _cmd_estimate(args) -> str:
     _require(y_T.size == model.rows, f"--y holds {y_T.size} entries, but --T {args.T} "
              f"asks for T*m = {model.rows} rows")
     x_true = _read_vector(args.x_true) if args.x_true else None
-    trusted = args.safe
-    if trusted is not None:
+    if args.safe is not None:
+        trusted = row_indices(args.safe, model.rows, "--safe rows")
         # with omega 0 only the trusted rows carry weight: too few cannot
         # determine the state, whatever the window holds
-        _require(args.omega > 0 or len(set(trusted)) >= model.n,
-                 f"--omega 0 needs at least {model.n} distinct --safe rows, "
-                 f"got {len(set(trusted))}")
+        _require(args.omega > 0 or trusted.size >= model.n,
+                 f"--omega 0 needs at least {model.n} distinct --safe rows, got {trusted.size}")
         est = weighted_observer(model, y_T, trusted, args.omega, epsilon=args.epsilon, x_true=x_true)
     else:
         est = decode(model, y_T, epsilon=args.epsilon, x_true=x_true)

@@ -158,7 +158,7 @@ class SweepConfig:
             raise ValueError("attack grid and strategies must each hold at least one entry")
         for p_a in self.attack_grid:
             if not 0.0 <= p_a < 1.0:
-                raise ValueError(f"attack fractions must lie in [0, 1), got {p_a}")
+                raise ValueError(f"attack grid fractions must lie in [0, 1), got {p_a}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if not 0.0 <= self.omega <= 1.0:
@@ -506,7 +506,7 @@ def run_scenario(
         raise ValueError(f"observers must hold at least one of {', '.join(OBSERVERS)}")
     for obs in observers:
         if obs not in OBSERVERS:
-            raise ValueError(f"unknown observer {obs!r}")
+            raise ValueError(f"observers must be among {', '.join(OBSERVERS)}, got {obs!r}")
     _reject_repeats(observers, "observer")
     if scenario.omega == 0 and "WL1P" in observers:
         raise ValueError("omega must be positive for WL1P: omega 0 leaves weight only on "

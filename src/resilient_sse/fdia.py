@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import EmptySupport, SupportTooLarge
 from .estimation import decode
+from .lp import _RANK_RTOL
 from .lti import HorizonModel, row_indices
-
-_NULLSPACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,9 @@ def synthesize_fdia(
     """Closed-form attack seed and vector for the given support.
 
     The attack vector vanishes off the support and equals U1[support] z_e
-    on it.  In the unbounded (rank-deficient complement) regime the seed is
-    a null-space direction scaled to magnitude_cap_factor * epsilon.
+    on it.  Where the complement block fails the l1 solve's rank rule,
+    sigma_min <= 1e-10 sigma_max(U1) = 1e-10, the attack is unbounded and
+    the seed is a null-space direction scaled to magnitude_cap_factor * epsilon.
     """
     if not 0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
@@ -107,7 +107,7 @@ def synthesize_fdia(
     _, s, Vt = np.linalg.svd(Uc, full_matrices=Uc.shape[0] < model.n)
     sigma_min = float(s[-1]) if Uc.shape[0] >= model.n else 0.0
     v = _canonical_sign(Vt[-1, :])
-    if sigma_min <= _NULLSPACE_TOL:
+    if sigma_min <= _RANK_RTOL:  # relative to sigma_max(U1) = 1
         z_e = v * (magnitude_cap_factor * epsilon)
         unbounded = True
     else:

@@ -62,21 +62,21 @@ a cold solve that end at the same rows agree bit for bit, and the returned
 ``basis`` is ascending.
 
 Every start, the caller's or the cold one, is sorted and inverted, and the
-inverse proves the rank of A_act when it can: A_B is a row subset of the
-positive-weight rows A_act, so
+inverse proves the rank of A_act when it can.  A_B is a row subset of the
+positive-weight rows A_act, an n x n block, so with big = max|A_act|
 
-    sigma_min(A_act) >= sigma_min(A_B) >= 1 / ||A_B^-1||_F,
-    sigma_max(A_B) <= sigma_max(A_act) <= ||A_act||_F,
+    sigma_min(A_act) >= 1 / ||A_B^-1||_F >= 1 / (n max|A_B^-1|),
+    sigma_max(A_act) <= ||A_act||_F <= sqrt(rows n) big,
 
-and 1 > 1e-10 ||A_act||_F ||A_B^-1||_F proves the rank test
-sigma_min(A_act) > 1e-10 sigma_max(A_act).  The inverse is the one the first
+and 1 > 1e-10 sqrt(rows n) n (big max|A_B^-1|) proves the rank test
+sigma_min(A_act) > 1e-10 sigma_max(A_act), which is ``lti.build_horizon``'s
+too.  No square is taken, and big max|A_B^-1| >= 1 / n (as A_B A_B^-1 = I)
+does not depend on the units of A.  The inverse is the one the first
 certificate uses, so the proof changes no result.  A caller's start it does
 not prove (or that fails to invert) gives way to the cold start; only a cold
-start it does not prove leaves the test to the singular values of A_act, as
-do entries above about 1e154 or below 1e-154, whose squares over- or
-underflow in the proof: correct, but slower.  Data with sum(w) max|y| beyond
-the largest float are rejected up front: that product bounds |y^T nu|, so
-below it the certificate cannot overflow.
+start it does not prove leaves the test to the singular values of A_act.
+Data with sum(w) max|y| beyond the largest float are rejected up front:
+that product bounds |y^T nu|, so below it the certificate cannot overflow.
 
 ``search_bases`` finds the optimal rows of many positive-weight problems of
 one shape at once.  It starts each at the first n rows of the cold start's
@@ -138,9 +138,8 @@ def _independent(first, big):
     return np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1) > _RANK_RTOL * big
 
 
-def _greedy_basis(A_act, order, n):
-    """First n rows along `order` that are linearly independent, else None."""
-    big = np.abs(A_act).max()
+def _greedy_basis(A_act, order, n, big):
+    """First n rows along `order` independent relative to `big` = max|A_act|, else None."""
     if _independent(A_act[order[:n]], big):  # one QR decides the common case
         return order[:n].copy()
     basis = []
@@ -160,15 +159,16 @@ def _fit_order(A, y_piv):
     return np.abs(fit).argsort(axis=-1, kind="stable")
 
 
-def _proven_inverse(A_act, basis, A2):
+def _proven_inverse(A_act, basis, big):
     """Sort `basis` in place and invert A_act[basis]: the inverse if it proves that
-    A_act, of squared Frobenius norm A2, has full column rank (module docstring), else None."""
+    A_act, whose largest |entry| is `big`, has full column rank (module docstring), else None."""
     basis.sort()
     try:
         inv = np.linalg.inv(A_act[basis])
     except np.linalg.LinAlgError:
         return None
-    return inv if 1.0 > _RANK_RTOL * math.sqrt(A2) * math.sqrt(np.vdot(inv, inv)) else None
+    bound = math.sqrt(A_act.size) * len(inv) * (big * float(np.abs(inv).max()))
+    return inv if 1.0 > _RANK_RTOL * bound else None  # bound >= ||A_act||_F ||inv||_F
 
 
 def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
@@ -194,11 +194,11 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     N, n = A.shape
     if y.shape[0] != N or w.shape[0] != N:
         raise DimensionMismatch(f"shape mismatch: A {A.shape}, y {y.shape}, w {w.shape}")
-    # finite sums prove every entry finite; w is summed only if it holds no -inf (nor nan)
-    A2, y_max = float(np.vdot(A, A)), float(np.abs(y).max(initial=0.0))
+    # finite maxima and sums prove every entry finite; w is summed only if free of -inf and nan
+    big, y_max = float(np.abs(A).max(initial=0.0)), float(np.abs(y).max(initial=0.0))
     w_min = float(w.min(initial=math.inf))
     w_sum = float(w.sum()) if w_min > -math.inf else 0.0
-    if not math.isfinite(A2 + y_max + w_min + w_sum) and not (
+    if not math.isfinite(big + y_max + w_min + w_sum) and not (
             np.isfinite(A).all() and np.isfinite(y).all() and np.isfinite(w).all()):
         raise ValueError("A, y and w must be finite")
     if w_min < 0:
@@ -216,7 +216,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     else:
         active = w > 0
         A_act, w_act, y_act = A[active], w[active], y[active]
-        A2, y_max = float(np.vdot(A_act, A_act)), float(np.abs(y_act).max(initial=0.0))
+        big, y_max = (float(np.abs(v).max(initial=0.0)) for v in (A_act, y_act))
     rows = A_act.shape[0]
     if rows < n:
         raise RankDeficient(f"{rows} positive-weight rows cannot determine {n} unknowns")
@@ -232,10 +232,10 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     inv = None
     if start is not None and (every_row or active[start].all()):
         basis = start.astype(np.intp) if every_row else (np.cumsum(active) - 1)[start]
-        inv = _proven_inverse(A_act, basis, A2)
+        inv = _proven_inverse(A_act, basis, big)
     if inv is None:
-        basis = _greedy_basis(A_act, _fit_order(A_act, y_piv), n)
-        inv = None if basis is None else _proven_inverse(A_act, basis, A2)
+        basis = _greedy_basis(A_act, _fit_order(A_act, y_piv), n, big)
+        inv = None if basis is None else _proven_inverse(A_act, basis, big)
         if inv is None:
             sv = np.linalg.svd(A_act, compute_uv=False)
             if basis is None or sv[-1] <= _RANK_RTOL * sv[0]:
@@ -327,16 +327,16 @@ def search_bases(A, y, w) -> list:
     (K, N), n, shared = y.shape, A.shape[-1], A.ndim == 2
     found = [None] * K
     scale = np.abs(y).max(axis=1, initial=0.0)
+    big = np.broadcast_to(np.abs(A).max(axis=(-2, -1)), K)  # max|A| of each problem, one pass
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = ((w > 0).all(axis=1) & np.isfinite(scale * w.sum(axis=1))
-              & np.isfinite(A).all(axis=(-2, -1)))
+        ok = (w > 0).all(axis=1) & np.isfinite(scale * w.sum(axis=1)) & np.isfinite(big)
     live = ok.nonzero()[0]  # problem index of each row of the stacks below
     if live.size < K:  # the stacks are copied only where a problem is dropped
-        A, y, w, scale = A if shared else A[live], y[live], w[live], scale[live]
+        A, y, w, scale, big = A if shared else A[live], y[live], w[live], scale[live], big[live]
     y_piv = y / np.where(scale > 0, scale, 1.0)[:, None] + _perturbation(N)
     basis = _fit_order(A, y_piv)[:, :n]
     A_B = A[basis] if shared else np.take_along_axis(A, basis[..., None], axis=1)
-    keep = _independent(A_B, np.abs(A).max(axis=(-2, -1)))  # the rest: one inv serves all
+    keep = _independent(A_B, big)  # the rest: one inv serves all
     A_B[~keep] = np.eye(n)  # a stand-in for each dependent start, dropped below
 
     # Tab[i] = [D^T; r] is problem i's tableau, updated as in the single solve

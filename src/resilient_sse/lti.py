@@ -23,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSvd, DimensionMismatch, NotObservable, WindowOutOfRange
-
-_RANK_RTOL = 1e-10        # observability: singular values of O below this * sigma_max are zero
-_DEGENERATE_RTOL = 1e-12  # H: full column rank needs sigma_min > this * sigma_max
+from .lp import _RANK_RTOL  # the rank rule of the l1 solve, for O and H alike
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -134,8 +132,8 @@ def _output_maps(sys: LtiSystem, k: int) -> list:
 def check_observability(sys: LtiSystem) -> ObservabilityReport:
     """Rank of the observability matrix [C; CA; ...; C A^(n-1)] via singular values.
 
-    Singular values below 1e-10 * sigma_max are treated as zero.  The
-    report carries the verdict; no exception is raised here.
+    Singular values at or below 1e-10 * sigma_max (the l1 solve's rank rule)
+    are zero.  The report carries the verdict; no exception is raised here.
     """
     s = np.linalg.svd(np.vstack(_output_maps(sys, sys.n)), compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
@@ -151,19 +149,20 @@ def check_observability(sys: LtiSystem) -> ObservabilityReport:
 def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     """Build the stacked observation matrix for a T-step window.
 
-    H must have full column rank, sigma_min > 1e-12 * sigma_max, on the
-    singular values of one thin SVD, whose U1 and extreme singular values
-    then make the model.  A full-column-rank H implies an observable (A, C),
-    so observability is checked only when H fails: NotObservable when the
-    pair is not observable, else DegenerateSvd (possible for short windows
-    even on observable systems).
+    H must have full column rank by the l1 solve's rank rule, sigma_min >
+    1e-10 * sigma_max, on the singular values of one thin SVD, whose U1 and
+    extreme singular values then make the model: every solve that weighs all
+    rows of H passes its rank test.  A full-column-rank H implies an
+    observable (A, C), so observability is checked only when H fails:
+    NotObservable when the pair is not observable, else DegenerateSvd
+    (possible for short windows even on observable systems).
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
     H = np.vstack(_output_maps(sys, T)[::-1])  # newest first: C A^(T-1) on top, C at the bottom
 
     U, s, _ = np.linalg.svd(H, full_matrices=False)
-    if s.size < sys.n or not s[-1] > _DEGENERATE_RTOL * s[0]:
+    if s.size < sys.n or not s[-1] > _RANK_RTOL * s[0]:
         report = check_observability(sys)
         if not report.observable:
             raise NotObservable(f"observability rank {report.rank} < n = {sys.n}")

@@ -2,8 +2,8 @@
 
 Whatever the flags hold, the CLI exits 0, 1 or 2 without a traceback, and a
 result on stdout is strict JSON or a CSV whose numeric fields are finite.
-Each hostile value alone is a result or a validation error (exit 0 or 1),
-except one listed numerical failure.
+Each hostile value alone is a result or a validation error (exit 0 or 1)
+whose message names the flag, except one listed numerical failure.
 Sizes stay small, so no example builds a large H or runs a long sweep, and
 `--workers` never asks for a process pool.
 """
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilient_sse import build_horizon, gen_random_system
-from resilient_sse.cli import parse_and_dispatch
+from resilient_sse.cli import build_parser, parse_and_dispatch
 
 FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e308", "-1e-300", "x", "", "0.5", "0.9", "0.01", "2"]
 SIZES = ["-1", "0", "1", "2", "x", "1.5"]
@@ -154,12 +154,25 @@ def test_hostile_command_lines_exit_cleanly(files, data):
 # only once the run is simulated.
 NUMERICAL_FAILURES = {("scenario", "attack_magnitude", "1e308")}
 
+# A data file's validation error may name the field it rejects, not the flag.
+FILE_FIELDS = {"system": ("A", "C", "x0"), "input": ("'p'", "q_hat", "'q'", "'seed'")}
+
+
+def names_of(subparser, flag):
+    """What an exit-1 message about `flag` may name: the flag, with or without
+    its dashes, its dest (as written or in words), or a field of its file."""
+    dest = subparser._option_string_actions["--" + flag.replace("_", "-")].dest
+    return {flag.replace("_", "-"), dest, dest.replace("_", " "), *FILE_FIELDS.get(flag, ())}
+
 
 def test_each_hostile_value_alone_exits_cleanly(files):
     # every value of the tables above, one flag at a time: a result or a
-    # validation error, except the numerical failure listed above
+    # validation error that names the flag, except the numerical failure
+    # listed above
+    subparsers = build_parser()[1]
     for name, base, hostile in tables(files):
         for flag, values in hostile.items():
+            names = names_of(subparsers[name], flag)
             for value in [None] + values:
                 line = command_line(name, base, [(flag, value)])
                 out, err = io.StringIO(), io.StringIO()
@@ -172,3 +185,5 @@ def test_each_hostile_value_alone_exits_cleanly(files):
                     check_output(line, out.getvalue())
                 else:
                     assert out.getvalue() == "", line
+                if code == 1:
+                    assert any(token in err.getvalue() for token in names), (line, err.getvalue())

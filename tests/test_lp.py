@@ -387,6 +387,26 @@ def test_certified_warm_start_skips_both_rank_tests(monkeypatch):
     assert calls == ["svd", "svd"]
 
 
+@pytest.mark.parametrize("k", [-600, 530])
+def test_the_rank_proof_takes_no_square_of_a(monkeypatch, k):
+    # the proof bounds ||A||_F by max|A| and ||A_B^-1||_F by max|A_B^-1| and
+    # multiplies those two first, so a bench window in units of 2^k, whose
+    # squared entries under- or overflow, is proved without its singular
+    # values, cold and warm, and returns z in units of 2^-k bit for bit
+    model, y = estimate_window(0)
+    w = np.ones(model.rows)
+    start = weighted_l1_regression(model.H, estimate_window(1)[1], w).basis  # the next request's
+    ref = weighted_l1_regression(model.H, y, w)
+    ref_warm = weighted_l1_regression(model.H, y, w, start=start)
+    calls = count_rank_tests(monkeypatch)
+    cold = weighted_l1_regression(2.0**k * model.H, y, w)
+    warm = weighted_l1_regression(2.0**k * model.H, y, w, start=start)
+    assert calls == []
+    for sol, base in ((cold, ref), (warm, ref_warm)):  # the warm start is taken, not replaced
+        assert sol.iterations == base.iterations
+        assert np.array_equal(sol.z * 2.0**k, ref.z)
+
+
 def test_rank_deficient_a_rejects_every_warm_start():
     rng = np.random.default_rng(8)
     A = rng.standard_normal((20, 4))
@@ -429,10 +449,11 @@ def test_greedy_basis_matches_gram_schmidt(family):
     for seed in range(8):
         A, _, _ = lp_instance(family, seed)
         order = np.random.default_rng(seed).permutation(A.shape[0])
-        got = _greedy_basis(A, order, A.shape[1])
+        got = _greedy_basis(A, order, A.shape[1], np.abs(A).max())
         assert got.tolist() == gram_schmidt_basis(A, order, A.shape[1])
     A = np.vstack([A[:1], A])  # a duplicated leading row leaves the one-QR test
-    assert _greedy_basis(A, np.arange(A.shape[0]), A.shape[1]).tolist() == gram_schmidt_basis(
+    assert _greedy_basis(A, np.arange(A.shape[0]), A.shape[1],
+                         np.abs(A).max()).tolist() == gram_schmidt_basis(
         A, np.arange(A.shape[0]), A.shape[1])
 
 

@@ -12,6 +12,7 @@ from resilient_sse import (
     HorizonModel,
     LtiSystem,
     NotObservable,
+    RankDeficient,
     WindowOutOfRange,
     build_horizon,
     check_observability,
@@ -19,6 +20,7 @@ from resilient_sse import (
     load_system_json,
     simulate,
     stack_window,
+    weighted_l1_regression,
 )
 from resilient_sse.lti import row_indices
 from conftest import make_system
@@ -297,6 +299,36 @@ def test_build_horizon_accepts_a_full_rank_H_whose_observability_matrix_is_badly
     assert not check_observability(sys_).observable
     model = build_horizon(sys_, 1)
     assert np.array_equal(model.H, np.eye(2))
+
+
+def system_of_ratio(ratio):
+    """An observable pair whose H = C (T = 1) is 4 x 2 with singular values 1
+    and `ratio`: C = U diag(1, ratio) V^T, and A a rotation."""
+    U = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))[0]
+    c, s = np.cos(0.3), np.sin(0.3)
+    C = U @ np.diag([1.0, ratio]) @ np.array([[c, s], [-s, c]])
+    return LtiSystem(A=np.array([[0.0, 1.0], [-1.0, 0.0]]), C=C)
+
+
+def test_build_horizon_rejects_exactly_what_a_unit_weight_solve_rejects():
+    # one rank rule, sigma_min > 1e-10 sigma_max, for the model and the l1
+    # solve: an H in (1e-12, 1e-10] is not a model whose first solve raises
+    sys_ = system_of_ratio(1e-11)
+    assert check_observability(sys_).observable
+    with pytest.raises(DegenerateSvd):
+        build_horizon(sys_, 1)
+    # the grid stays away from 1.3e-10, where exact data ends in SolverFailure
+    for ratio, accepted in ((3e-11, False), (3e-9, True)):
+        sys_ = system_of_ratio(ratio)
+        y = sys_.C @ np.array([1.0, -2.0])
+        if accepted:
+            assert np.array_equal(build_horizon(sys_, 1).H, sys_.C)
+            assert weighted_l1_regression(sys_.C, y, np.ones(4)).gap <= 1e-8 * (1 + np.abs(y).max())
+        else:
+            with pytest.raises(DegenerateSvd):
+                build_horizon(sys_, 1)
+            with pytest.raises(RankDeficient):
+                weighted_l1_regression(sys_.C, y, np.ones(4))
 
 
 def five_row_index_entry_points():
