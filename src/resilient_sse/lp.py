@@ -46,9 +46,7 @@ D -= D[:, k] (D[j] - e_k) / D[j, k] transposed, on the last row the step
 r - (r_j / h_j) h along the edge to the breakpoint of row j.  When the
 tableau reports optimality the basis is factored afresh and nu_B re-checked
 with the formulas above, so the dual's feasibility never rests on updated
-quantities (the carried signs of nu_N only decide how tight it is).  A
-``start`` basis replaces the cold start: the first n independent rows in the
-order of how well the least-squares fit from one thin QR matches them.  When
+quantities (the carried signs of nu_N only decide how tight it is).  When
 every weight is positive the rows are used in place, without copies or index
 maps.
 
@@ -61,9 +59,10 @@ differ only on a perturbed residual within roundoff of zero).  So a warm and
 a cold solve that end at the same rows agree bit for bit, and the returned
 ``basis`` is ascending.
 
-Every start, the caller's or the cold one, is sorted and inverted, and the
-inverse proves the rank of A_act when it can.  A_B is a row subset of the
-positive-weight rows A_act, an n x n block, so with big = max|A_act|
+Every start, the caller's ``start`` or the cold one (the first n independent
+rows in the order of how well the least-squares fit from one thin QR matches
+them), goes through one routine that sorts its rows and inverts them once.
+With A_B that n x n block of the positive-weight rows A_act, big = max|A_act|,
 
     sigma_min(A_act) >= 1 / ||A_B^-1||_F >= 1 / (n max|A_B^-1|),
     sigma_max(A_act) <= ||A_act||_F <= sqrt(rows n) big,
@@ -71,10 +70,11 @@ positive-weight rows A_act, an n x n block, so with big = max|A_act|
 and 1 > 1e-10 sqrt(rows n) n (big max|A_B^-1|) proves the rank test
 sigma_min(A_act) > 1e-10 sigma_max(A_act), which is ``lti.build_horizon``'s
 too.  No square is taken, and big max|A_B^-1| >= 1 / n (as A_B A_B^-1 = I)
-does not depend on the units of A.  The inverse is the one the first
-certificate uses, so the proof changes no result.  A caller's start it does
-not prove (or that fails to invert) gives way to the cold start; only a cold
-start it does not prove leaves the test to the singular values of A_act.
+does not depend on the units of A.  The first certificate uses that inverse,
+so the proof changes no result.  A caller's start it does not prove (or that
+fails to invert) gives way to the cold start.  A cold start without n
+independent rows raises RankDeficient at once; one its inverse does not
+prove keeps that inverse, and the singular values of A_act decide the rank.
 Data with sum(w) max|y| beyond the largest float are rejected up front:
 that product bounds |y^T nu|, so below it the certificate cannot overflow.
 
@@ -106,6 +106,7 @@ _GAP_RTOL = 1e-8
 _DUAL_RTOL = 1e-10     # box violation |nu_B| / w_B - 1 accepted as optimal
 _PERTURBATION = 1e-9   # size of the pivoting perturbation, relative to max |y|
 _PIVOTS_PER_ROW = 10   # pivots per row before the solve gives up
+_DEFICIENT = "positive-weight rows of A are numerically rank deficient"
 
 
 @dataclass
@@ -139,7 +140,7 @@ def _independent(first, big):
 
 
 def _greedy_basis(A_act, order, n, big):
-    """First n rows along `order` independent relative to `big` = max|A_act|, else None."""
+    """First n rows along `order` independent relative to `big` = max|A_act|, else RankDeficient."""
     if _independent(A_act[order[:n]], big):  # one QR decides the common case
         return order[:n].copy()
     basis = []
@@ -148,7 +149,7 @@ def _greedy_basis(A_act, order, n, big):
             basis.append(j)
             if len(basis) == n:
                 return np.array(basis)
-    return None
+    raise RankDeficient(_DEFICIENT)
 
 
 def _fit_order(A, y_piv):
@@ -159,16 +160,16 @@ def _fit_order(A, y_piv):
     return np.abs(fit).argsort(axis=-1, kind="stable")
 
 
-def _proven_inverse(A_act, basis, big):
-    """Sort `basis` in place and invert A_act[basis]: the inverse if it proves that
-    A_act, whose largest |entry| is `big`, has full column rank (module docstring), else None."""
+def _start_inverse(A_act, basis, big):
+    """Sort `basis` in place, invert A_act[basis] once and return the inverse (None if singular)
+    and whether it proves full column rank of A_act, with `big` = max|A_act| (module docstring)."""
     basis.sort()
     try:
         inv = np.linalg.inv(A_act[basis])
     except np.linalg.LinAlgError:
-        return None
+        return None, False
     bound = math.sqrt(A_act.size) * len(inv) * (big * float(np.abs(inv).max()))
-    return inv if 1.0 > _RANK_RTOL * bound else None  # bound >= ||A_act||_F ||inv||_F
+    return inv, 1.0 > _RANK_RTOL * bound  # bound >= ||A_act||_F ||inv||_F
 
 
 def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
@@ -227,20 +228,18 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     y_act = y_act / scale
     y_piv = y_act + _perturbation(rows)
 
-    # The caller's start, else the cold start, once its inverse proves the rank
-    # of A_act; else the singular values test the rank (module docstring).
-    inv = None
+    # The caller's start, else the cold one; its inverse or the singular values test the rank
+    proven = False
     if start is not None and (every_row or active[start].all()):
         basis = start.astype(np.intp) if every_row else (np.cumsum(active) - 1)[start]
-        inv = _proven_inverse(A_act, basis, big)
-    if inv is None:
+        inv, proven = _start_inverse(A_act, basis, big)
+    if not proven:
         basis = _greedy_basis(A_act, _fit_order(A_act, y_piv), n, big)
-        inv = None if basis is None else _proven_inverse(A_act, basis, big)
-        if inv is None:
+        inv, proven = _start_inverse(A_act, basis, big)
+        if not proven:
             sv = np.linalg.svd(A_act, compute_uv=False)
-            if basis is None or sv[-1] <= _RANK_RTOL * sv[0]:
-                raise RankDeficient("positive-weight rows of A are numerically rank deficient")
-            inv = np.linalg.inv(A_act[basis])
+            if inv is None or sv[-1] <= _RANK_RTOL * sv[0]:
+                raise RankDeficient(_DEFICIENT)
 
     # `inv` holds a fresh factorization of the basis, None while the tableau
     # Tab = [D^T; r] is updated; g = -nu_B, and w_B = w_act[basis]

@@ -343,10 +343,10 @@ def test_warm_and_cold_starts_certify_against_highs(case):
         assert len(set(sol.basis.tolist())) == A.shape[1] and np.all(w[sol.basis] > 0)
 
 
-def count_rank_tests(monkeypatch):
-    """Record the calls of np.linalg.lstsq and np.linalg.svd by name."""
+def count_rank_tests(monkeypatch, names=("lstsq", "svd")):
+    """Record the calls of the np.linalg functions `names` by name."""
     calls = []
-    for name in ("lstsq", "svd"):
+    for name in names:
         def counting(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
             calls.append(_name)
             return _f(*args, **kwargs)
@@ -373,12 +373,15 @@ def test_certified_warm_start_skips_both_rank_tests(monkeypatch):
     assert calls == []
     assert 0 not in near.basis or 18 not in near.basis
     # two nearly equal columns: the cold start's proof fails, and the singular
-    # values pass A at 40 rows and reject it at 18
+    # values pass A at 40 rows and reject it at 18; at 40 rows the pivots go on
+    # from the start's one inverse, and the other is the refactor at optimality
     rng = np.random.default_rng(0)
     A = rng.standard_normal((40, 5))
     A[:, 4] = A[:, 3] + 1e-9 * rng.standard_normal(40)
+    inverses = count_rank_tests(monkeypatch, ("inv",))
     sol = weighted_l1_regression(A, rng.standard_normal(40), np.ones(40))
     assert calls == ["svd"]
+    assert len(inverses) == 2 and sol.iterations > 0
     assert sol.gap <= 1e-8 * (1 + abs(sol.objective))
     A = rng.standard_normal((18, 5))
     A[:, 4] = A[:, 3] + 3e-10 * rng.standard_normal(18)
@@ -407,17 +410,21 @@ def test_the_rank_proof_takes_no_square_of_a(monkeypatch, k):
         assert np.array_equal(sol.z * 2.0**k, ref.z)
 
 
-def test_rank_deficient_a_rejects_every_warm_start():
+def test_rank_deficient_a_rejects_every_warm_start(monkeypatch):
     rng = np.random.default_rng(8)
     A = rng.standard_normal((20, 4))
     A[:, 3] = A[:, 1]  # a duplicated column: no four rows are independent
     y = A @ rng.standard_normal(4) + rng.standard_normal(20)
     w = rng.uniform(0.1, 1.0, 20)
+    calls = count_rank_tests(monkeypatch)
     with pytest.raises(RankDeficient):
         weighted_l1_regression(A, y, w)
     for _ in range(20):
         with pytest.raises(RankDeficient):
             weighted_l1_regression(A, y, w, start=rng.choice(20, size=4, replace=False))
+    # the cold start finds no four independent rows, which decides the rank:
+    # no singular values are computed
+    assert calls == []
 
 
 def test_data_too_large_to_certify_is_rejected():

@@ -294,7 +294,7 @@ def test_build_horizon_rejects_a_zero_output_matrix():
 
 def test_build_horizon_accepts_a_full_rank_H_whose_observability_matrix_is_badly_scaled():
     # O = [C; CA] has singular values ~1e11 and ~1.4, below the 1e-10 rank
-    # test, while H = C passes the 1e-12 test on H: the window is decodable
+    # test, while H = C passes the same 1e-10 test on H: the window is decodable
     sys_ = LtiSystem(A=np.diag([1e11, 1.0]), C=np.eye(2))
     assert not check_observability(sys_).observable
     model = build_horizon(sys_, 1)
