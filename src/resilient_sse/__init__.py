@@ -24,7 +24,6 @@ from .errors import (
     WindowOutOfRange,
 )
 from .estimation import (
-    EstimateResult,
     best_k_sparse_error,
     decode,
     detect,
@@ -62,7 +61,6 @@ from .lti import (
     stack_window,
 )
 from .pruning import (
-    PmfVector,
     PrunedPrior,
     SupportIndicator,
     SupportPrior,

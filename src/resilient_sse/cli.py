@@ -36,7 +36,7 @@ import numpy as np
 
 from .analysis import rip_constant
 from .errors import EmptyEstimate, EstimationError
-from .estimation import decode, weighted_observer
+from .estimation import decode, detect, weighted_observer
 from .experiments import (
     OBSERVERS,
     ScenarioAttack,
@@ -177,11 +177,21 @@ def _cmd_estimate(args) -> str:
         # determine the state, whatever the window holds
         _require(args.omega > 0 or trusted.size >= model.n,
                  f"--omega 0 needs at least {model.n} distinct --safe rows, got {trusted.size}")
-        est = weighted_observer(model, y_T, trusted, args.omega, epsilon=args.epsilon, x_true=x_true)
-    else:
-        est = decode(model, y_T, epsilon=args.epsilon, x_true=x_true)
+    if x_true is not None:
+        _require(x_true.shape == (model.n,), f"x_true has shape {x_true.shape}, expected ({model.n},)")
+    _require(args.epsilon is None or args.epsilon > 0, f"epsilon must be positive, got {args.epsilon}")
+    sol = (decode(model, y_T) if args.safe is None
+           else weighted_observer(model, y_T, trusted, args.omega))
     # the basis is a warm start for a library caller's next solve, not a result
-    return canonical_json({k: v for k, v in vars(est).items() if k != "basis"})
+    return canonical_json({
+        "x_hat": sol.z,
+        "objective": sol.objective,
+        "residual_l1": float(np.abs(sol.residual).sum()),
+        "detector_flag": None if args.epsilon is None else detect(model, y_T, sol.z, args.epsilon),
+        "error_l2": None if x_true is None else float(np.linalg.norm(sol.z - x_true)),
+        "iterations": sol.iterations,
+        "gap": sol.gap,
+    })
 
 
 def _cmd_prune(args) -> str:

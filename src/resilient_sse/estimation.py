@@ -4,46 +4,26 @@ Every decoder is one weighted l1 regression on the stacked observation
 matrix H, solved exactly by the certified LP solve of ``lp``: ``decode`` with
 unit weights, ``weighted_observer`` with weight 1 on the pruned safe rows and
 omega elsewhere, and ``solve_weighted_l1`` with any nonnegative weights.
-Each takes an optional ``start`` basis (row indices of H), and each result
-carries the optimal ``basis`` to pass as the start of a related solve.
+Each takes an optional ``start`` basis (row indices of H) and returns the
+solve's ``LpSolution`` as it stands: ``z`` is the state estimate, and
+``basis`` is the start to pass to a related solve.  The residual detector
+is ``detect``; a caller that thresholds a residual or measures an error
+against a known state does so itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, RiccatiDivergence
-from .lp import weighted_l1_regression
+from .lp import LpSolution, weighted_l1_regression
 from .lti import HorizonModel, LtiSystem, row_indices
 
 _RICCATI_TOL = 1e-10
 _RICCATI_MAX_ITER = 10**5
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    """Decoded state with the solve diagnostics used by the experiments."""
-
-    x_hat: np.ndarray
-    objective: float
-    residual_l1: float
-    detector_flag: bool | None = None
-    error_l2: float | None = None
-    basis: np.ndarray | None = None   # optimal basis rows of H, a start for the next solve
-    iterations: int = 0               # simplex pivots
-    gap: float = 0.0                  # certified duality gap
-
-
-def solve_weighted_l1(
-    model: HorizonModel,
-    y_T,
-    weights,
-    epsilon: float | None = None,
-    x_true=None,
-    start=None,
-) -> EstimateResult:
+def solve_weighted_l1(model: HorizonModel, y_T, weights, start=None) -> LpSolution:
     """Exact minimizer of the weighted l1 measurement residual.
 
     ``y_T`` and ``weights`` hold one entry per row of H (DimensionMismatch
@@ -51,38 +31,12 @@ def solve_weighted_l1(
     the remaining rows keep full column rank (RankDeficient otherwise).
     ``start`` is an optional warm-start basis, see ``lp.weighted_l1_regression``.
     """
-    if x_true is not None:
-        x_true = np.asarray(x_true, dtype=float)
-        if x_true.shape != (model.n,):
-            raise DimensionMismatch(f"x_true has shape {x_true.shape}, expected ({model.n},)")
-    if epsilon is not None and not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    sol = weighted_l1_regression(model.H, y_T, weights, start=start)
-    residual_l1 = float(np.abs(sol.residual).sum())
-    err = None if x_true is None else float(np.linalg.norm(sol.z - x_true))
-    return EstimateResult(
-        x_hat=sol.z,
-        objective=sol.objective,
-        residual_l1=residual_l1,
-        detector_flag=None if epsilon is None else bool(residual_l1 > epsilon),
-        error_l2=err,
-        basis=sol.basis,
-        iterations=sol.iterations,
-        gap=sol.gap,
-    )
+    return weighted_l1_regression(model.H, y_T, weights, start=start)
 
 
-def decode(
-    model: HorizonModel,
-    y_T,
-    epsilon: float | None = None,
-    x_true=None,
-    start=None,
-) -> EstimateResult:
+def decode(model: HorizonModel, y_T, start=None) -> LpSolution:
     """Plain l1 decoder: the weighted solve with unit weights."""
-    return solve_weighted_l1(
-        model, y_T, np.ones(model.rows), epsilon=epsilon, x_true=x_true, start=start
-    )
+    return solve_weighted_l1(model, y_T, np.ones(model.rows), start=start)
 
 
 def detect(model: HorizonModel, y_T, x_hat, epsilon: float) -> bool:
@@ -94,18 +48,11 @@ def detect(model: HorizonModel, y_T, x_hat, epsilon: float) -> bool:
     return bool(np.abs(y_T - model.H @ x_hat).sum() > epsilon)
 
 
-def weighted_observer(
-    model: HorizonModel,
-    y_T,
-    pruned_safe_set,
-    omega: float,
-    epsilon: float | None = None,
-    x_true=None,
-    start=None,
-) -> EstimateResult:
+def weighted_observer(model: HorizonModel, y_T, pruned_safe_set, omega: float,
+                      start=None) -> LpSolution:
     """Weighted l1 observer: weight 1 on the pruned safe rows, omega elsewhere."""
-    w = observer_weights(model, pruned_safe_set, omega)
-    return solve_weighted_l1(model, y_T, w, epsilon=epsilon, x_true=x_true, start=start)
+    return solve_weighted_l1(model, y_T, observer_weights(model, pruned_safe_set, omega),
+                             start=start)
 
 
 def observer_weights(model: HorizonModel, pruned_safe_set, omega: float) -> np.ndarray:
@@ -129,12 +76,13 @@ def riccati_gain(sys: LtiSystem) -> np.ndarray:
     closed-loop matrix A - L C must end up strictly stable.
     """
     n, m = sys.n, sys.m
-    P = np.eye(n)
+    I_n, I_m = np.eye(n), np.eye(m)
+    P = I_n
     L = np.zeros((n, m))
     for _ in range(_RICCATI_MAX_ITER):
-        S = sys.C @ P @ sys.C.T + np.eye(m)
+        S = sys.C @ P @ sys.C.T + I_m
         L_new = np.linalg.solve(S.T, sys.C @ P.T @ sys.A.T).T
-        P = sys.A @ P @ sys.A.T - L_new @ S @ L_new.T + np.eye(n)
+        P = sys.A @ P @ sys.A.T - L_new @ S @ L_new.T + I_n
         if np.max(np.abs(L_new - L)) <= _RICCATI_TOL:
             L = L_new
             radius = np.max(np.abs(np.linalg.eigvals(sys.A - L @ sys.C)))

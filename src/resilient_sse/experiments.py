@@ -313,7 +313,7 @@ def _grade(instance: TrialInstance, ests) -> list:
     bound = SUCCESS_RTOL * math.sqrt(x_star.dot(x_star))  # the 2-norm as np.linalg.norm takes it
     for est in ests:
         if id(est) not in graded:
-            d = est.x_hat - x_star
+            d = est.z - x_star
             err = math.sqrt(d.dot(d))
             graded[id(est)] = TrialOutcome(success=err <= bound, error_l2=err)
     return [graded[id(est)] for est in ests]
@@ -553,7 +553,7 @@ def run_scenario(
               for i in range(windows)]
     for i, ests in enumerate(_certify_all(groups, scenario.omega)):
         for obs, est in zip(l1, ests):
-            errors[obs].append(est.x_hat - targets[i])
+            errors[obs].append(est.z - targets[i])
 
     rms, max_abs = {}, {}
     for obs in observers:

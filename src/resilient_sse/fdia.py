@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupport, SupportTooLarge
-from .estimation import decode
+from .estimation import decode, detect
 from .lp import _RANK_RTOL
 from .lti import HorizonModel, row_indices
 
@@ -148,16 +148,16 @@ def is_successful(
         raise ValueError("epsilon and alpha must be positive")
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     y_T = model.H @ x_star + plan.e_T
-    est = decode(model, y_T, epsilon=epsilon)
-    bias = float(np.linalg.norm(x_star - est.x_hat))
+    sol = decode(model, y_T)
+    bias = float(np.linalg.norm(x_star - sol.z))
     bias_ok = bias >= alpha
-    stealth_ok = not est.detector_flag
+    stealth_ok = not detect(model, y_T, sol.z, epsilon)
     return SuccessVerdict(
         bias_ok=bias_ok,
         stealth_ok=stealth_ok,
         success=bias_ok and stealth_ok,
         bias=bias,
-        residual_l1=est.residual_l1,
+        residual_l1=float(np.abs(sol.residual).sum()),
     )
 
 

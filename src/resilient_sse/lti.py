@@ -71,8 +71,8 @@ class HorizonModel:
     """Stacked T-step observation matrix with what its callers read of its SVD.
 
     U1 is the left factor of the thin SVD of H, spanning its range, and
-    sigma_min, sigma_max are its extreme singular values.  ``build_horizon``
-    fills them from its one thin SVD; a model built directly is given them.
+    sigma_max is its largest singular value.  ``build_horizon`` fills them
+    from its one thin SVD; a model built directly is given them.
     The model is immutable, compares by identity, and the arrays
     ``build_horizon`` makes are read-only.
     """
@@ -80,7 +80,6 @@ class HorizonModel:
     T: int
     H: np.ndarray
     U1: np.ndarray
-    sigma_min: float
     sigma_max: float
 
     @property
@@ -151,11 +150,11 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
 
     H must have full column rank by the l1 solve's rank rule, sigma_min >
     1e-10 * sigma_max, on the singular values of one thin SVD, whose U1 and
-    extreme singular values then make the model: every solve that weighs all
-    rows of H passes its rank test.  A full-column-rank H implies an
-    observable (A, C), so observability is checked only when H fails:
-    NotObservable when the pair is not observable, else DegenerateSvd
-    (possible for short windows even on observable systems).
+    sigma_max then make the model: every solve that weighs all rows of H
+    passes its rank test.  A full-column-rank H implies an observable
+    (A, C), so observability is checked only when H fails: NotObservable
+    when the pair is not observable, else DegenerateSvd (possible for short
+    windows even on observable systems).
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
@@ -171,7 +170,7 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
         )
     for arr in (H, U):
         arr.flags.writeable = False
-    return HorizonModel(T=T, H=H, U1=U, sigma_min=float(s[-1]), sigma_max=float(s[0]))
+    return HorizonModel(T=T, H=H, U1=U, sigma_max=float(s[0]))
 
 
 def simulate(

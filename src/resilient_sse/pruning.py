@@ -83,13 +83,6 @@ class PrunedPrior:
     l_eta: int | None = None
 
 
-@dataclass(frozen=True)
-class PmfVector:
-    """Distribution of the number of correct labels; r[k] = Pr{count = k}."""
-
-    r: np.ndarray
-
-
 def _confidences(p) -> np.ndarray:
     """p as a flat float vector; ValueError unless every entry lies in (0, 1]."""
     p = np.asarray(p, dtype=float).reshape(-1)
@@ -146,8 +139,9 @@ def ppv(q: SupportIndicator, q_hat) -> float:
     return float((q.q * q_hat).sum() / flagged)
 
 
-def poisson_binomial_pmf(p) -> PmfVector:
-    """Exact distribution of a sum of independent non-identical Bernoullis.
+def poisson_binomial_pmf(p) -> np.ndarray:
+    """Exact distribution of a sum of independent non-identical Bernoullis,
+    read-only: entry k is Pr{sum = k}.
 
     Computed as the convolution of the two-point factors [1 - p_i, p_i]:
     every term is nonnegative, so nothing overflows or cancels, and entries
@@ -165,7 +159,7 @@ def poisson_binomial_pmf(p) -> PmfVector:
         raise NumericalInstability(f"pmf mass drifted by {drift:.3e}")
     r = r / r.sum()
     r.flags.writeable = False
-    return PmfVector(r=r)
+    return r
 
 
 def prune_offline(p, eta: float) -> np.ndarray:
@@ -209,7 +203,7 @@ def trust_count(prior: SupportPrior, eta: float) -> int:
     safe = prior.estimated_safe
     if safe.size == 0:
         raise EmptyEstimate("estimated-safe set is empty")
-    r = poisson_binomial_pmf(prior.p[safe]).r
+    r = poisson_binomial_pmf(prior.p[safe])
     tail = np.cumsum(r[::-1])[::-1]  # tail[k] = Pr{count >= k}
     ks = np.flatnonzero(tail >= eta)
     return int(ks.max()) if ks.size else 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resilient_sse import LtiSystem, build_horizon, gen_random_system, cli
+from resilient_sse import LtiSystem, build_horizon, cli, detect, estimation, gen_random_system
 from resilient_sse.cli import parse_and_dispatch
 
 
@@ -103,6 +103,41 @@ def test_estimate_subcommand(tmp_path, system_file, capsys):
     doc = json.loads(out)
     assert doc["detector_flag"] is False
     assert doc["residual_l1"] <= 1e-9
+
+
+def test_detector_flag_is_detect_on_the_solves_own_residual(tmp_path, system_file, capsys,
+                                                            monkeypatch):
+    path, sys_ = system_file
+    model = build_horizon(sys_, 1)
+    y = model.H @ np.array([0.5, 2.0])
+    y[[1, 4]] += [3.0, -2.0]
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps(list(y)))
+    args = ["estimate", "--system", path, "--y", y_path]
+    code, out, _ = run_cli(args, capsys)
+    plain = json.loads(out)
+    assert code == 0 and plain["detector_flag"] is None
+    r = plain["residual_l1"]
+    epsilons = (0.5 * r, np.nextafter(r, 0.0), r, np.nextafter(r, np.inf), 2.0 * r)
+    flags = []
+    for eps in map(float, epsilons):
+        code, out, _ = run_cli(args + ["--epsilon", eps], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        flags.append(doc.pop("detector_flag"))
+        assert flags[-1] is detect(model, y, doc["x_hat"], eps)
+        assert doc == {k: v for k, v in plain.items() if k != "detector_flag"}
+    assert flags == [True, True, False, False, False]  # strictly above epsilon flags
+
+    # a threshold that is not positive is rejected before any solve
+    calls = []
+    monkeypatch.setattr(estimation, "weighted_l1_regression", lambda *a, **k: calls.append(a))
+    for safe in ([], ["--safe", "0,1,2"]):
+        for eps in ("0", "-1"):
+            code, out, err = run_cli(args + safe + ["--epsilon", eps], capsys)
+            assert (code, out) == (1, "")
+            assert err == f"error: epsilon must be positive, got {float(eps)}\n"
+    assert calls == []
 
 
 def test_estimate_reads_a_csv_window_as_a_row_or_a_column(tmp_path, system_file, capsys):

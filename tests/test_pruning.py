@@ -114,9 +114,11 @@ def test_ppv_counts():
 
 
 def test_pmf_small_cases():
-    assert np.allclose(poisson_binomial_pmf([0.5, 0.5]).r, [0.25, 0.5, 0.25])
-    assert np.allclose(poisson_binomial_pmf([1.0, 1.0, 1.0]).r, [0, 0, 0, 1])
-    assert np.allclose(poisson_binomial_pmf([0.9, 0.8]).r, [0.02, 0.26, 0.72])
+    assert np.allclose(poisson_binomial_pmf([0.5, 0.5]), [0.25, 0.5, 0.25])
+    assert np.allclose(poisson_binomial_pmf([1.0, 1.0, 1.0]), [0, 0, 0, 1])
+    assert np.allclose(poisson_binomial_pmf([0.9, 0.8]), [0.02, 0.26, 0.72])
+    r = poisson_binomial_pmf([0.9, 0.8])
+    assert isinstance(r, np.ndarray) and not r.flags.writeable
 
 
 def test_pmf_matches_enumeration():
@@ -124,7 +126,7 @@ def test_pmf_matches_enumeration():
     for _ in range(10):
         N = int(rng.integers(1, 13))
         p = rng.uniform(0.05, 1.0, N)
-        r = poisson_binomial_pmf(p).r
+        r = poisson_binomial_pmf(p)
         assert np.max(np.abs(r - brute_force_pmf(p))) <= 1e-12
 
 
@@ -292,7 +294,7 @@ def test_pmf_of_long_vectors_matches_the_binomial(rows, p):
     # the product of the confidences underflows at these sizes
     q = Fraction(p)  # the exact value of the double p
     exact = [float(math.comb(rows, k) * q**k * (1 - q) ** (rows - k)) for k in range(rows + 1)]
-    r = poisson_binomial_pmf([p] * rows).r
+    r = poisson_binomial_pmf([p] * rows)
     assert np.max(np.abs(r - exact)) <= 1e-12
 
 
