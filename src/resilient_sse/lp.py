@@ -81,14 +81,23 @@ that product bounds |y^T nu|, so below it the certificate cannot overflow.
 ``search_bases`` finds the optimal rows of many positive-weight problems of
 one shape at once.  It starts each at the first n rows of the cold start's
 order, all fits from one stacked thin QR (one QR of the model when every
-problem shares it, as a scenario's do), drops the problems whose first rows
-are dependent, and pivots the others in lockstep with the single solve's
-rule on each problem's own tableau until each reports optimality.  It
-certifies nothing: a result depends only on its final rows, so the single
-solve from a found basis gives what a cold solve ending at the same rows
-gives, and certifies the basis from its own factorization (pivoting on if
-its check disagrees).  The sweep runs one search per chunk, the scenario one
-per run; on one problem the search is slower than the single solve.
+problem shares it, as a scenario's do).  Each start is proven by the
+inverse its tableau is built from, with the single solve's bound: 1 >
+1e-10 sqrt(N n) n (big max|A_B^-1|) gives sigma_min(A_B) > 1e-10 big, and
+every |R_ii| of a QR of A_B is at least sigma_min(A_B), so the QR row test
+runs only on the starts that bound leaves open (on every start when an
+exactly singular one makes the stacked inverse raise), and drops those whose
+first rows are dependent.  The others pivot in lockstep with the single
+solve's rule on each problem's own tableau, and a problem leaves the stacks
+as soon as it reports optimality.  Both pivot loops take nu_N as
+copysign(w, r), which is the sign rule above with r >= 0 counted positive:
+the carried residual is never -0.0, as y_piv - D y_B and each update
+r - t are -0.0 only if the left operand is.  The search certifies
+nothing: a result depends only on its final rows, so the single solve from
+a found basis gives what a cold solve ending at the same rows gives, and
+certifies the basis from its own factorization (pivoting on if its check
+disagrees).  The sweep runs one search per chunk, the scenario one per run;
+on one problem the search is slower than the single solve.
 """
 
 from __future__ import annotations
@@ -243,11 +252,11 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
 
     # `inv` holds a fresh factorization of the basis, None while the tableau
     # Tab = [D^T; r] is updated; g = -nu_B, and w_B = w_act[basis]
-    w_B, neg_w = w_act[basis], -w_act
+    w_B = w_act[basis]
     pivots, r = 0, y_piv - A_act @ (inv @ y_piv[basis])
     while True:
         fresh = inv is not None
-        nu = np.where(r >= 0, w_act, neg_w)
+        nu = np.copysign(w_act, r)
         nu[basis] = 0.0
         g = inv.T @ (A_act.T @ nu) if fresh else Tab[:n] @ nu
         ratio = np.abs(g) / w_B
@@ -335,42 +344,56 @@ def search_bases(A, y, w) -> list:
     y_piv = y / np.where(scale > 0, scale, 1.0)[:, None] + _perturbation(N)
     basis = _fit_order(A, y_piv)[:, :n]
     A_B = A[basis] if shared else np.take_along_axis(A, basis[..., None], axis=1)
-    keep = _independent(A_B, big)  # the rest: one inv serves all
-    A_B[~keep] = np.eye(n)  # a stand-in for each dependent start, dropped below
+    try:  # each start's inverse proves its rows independent, as in the single solve
+        inv = np.linalg.inv(A_B)
+    except np.linalg.LinAlgError:  # an exactly singular start leaves every start open
+        inv, keep = None, np.zeros(live.size, dtype=bool)
+    else:
+        with np.errstate(over="ignore"):
+            keep = 1.0 > _RANK_RTOL * (math.sqrt(N * n) * n * (big * np.abs(inv).max(axis=(1, 2))))
+    if not keep.all():  # the QR row test decides the open starts, and the dependent ones leave
+        open_ = ~keep
+        keep[open_] = _independent(A_B[open_], big[open_])
+        inv = np.linalg.inv(A_B[keep]) if inv is None else inv[keep]
+        live, w, y_piv, basis = (v[keep] for v in (live, w, y_piv, basis))
+        A = A if shared else A[keep]
 
     # Tab[i] = [D^T; r] is problem i's tableau, updated as in the single solve
     Tab = np.empty((live.size, n + 1, N))
-    Tab[:, :n] = (A @ np.linalg.inv(A_B)).transpose(0, 2, 1)
-    if not keep.all():
-        live, w, y_piv, basis, Tab = (v[keep] for v in (live, w, y_piv, basis, Tab))
+    Tab[:, :n] = (A @ inv).transpose(0, 2, 1)
     rows, at = np.arange(live.size), N * np.arange(live.size)[:, None]  # at: rows of flat nu
     Tab[:, n] = y_piv - (y_piv[rows[:, None], basis][:, None, :] @ Tab[:, :n])[:, 0]
     w_B = w[rows[:, None], basis]
     pivots = 0
     while True:
-        nu = np.where(Tab[:, n] >= 0, w, -w)
+        nu = np.copysign(w, Tab[:, n])
         nu.reshape(-1)[at + basis] = 0.0
         g = (Tab[:, :n] @ nu[..., None])[..., 0]
         ratio = np.abs(g) / w_B
         k = ratio.argmax(axis=1)
-        optimal = ratio[rows, k] <= 1.0 + _DUAL_RTOL
+        optimal, g_k = ratio[rows, k] <= 1.0 + _DUAL_RTOL, g[rows, k]
         for i, b in zip(live[optimal], basis[optimal]):
             found[i] = b
         if optimal.all() or pivots >= _PIVOTS_PER_ROW * N:
             return found
+        if optimal.any():  # the found problems leave, in one copy of the stacks
+            go = ~optimal
+            live, w, Tab, basis, w_B, nu, k, g_k = (
+                v[go] for v in (live, w, Tab, basis, w_B, nu, k, g_k))
+            rows, at = rows[:live.size], at[:live.size]
 
         # The single solve's pivot on every problem: the breakpoints along
         # each edge h sorted by r / h, the non-candidates last, and the first
         # whose summed rise reaches half the rate.
-        g_k = g[rows, k]
         h = Tab[rows, k] * np.sign(g_k)[:, None]
         nu_h = nu * h
         cand = nu_h > 0
         order = (np.where(cand, Tab[:, n], np.nan) / h).argsort(axis=1, kind="stable")
         rise = np.where(cand, nu_h, 0.0)[rows[:, None], order].cumsum(axis=1)
-        stop = (rise < (0.5 * (np.abs(g_k) - w_B[rows, k]))[:, None]).sum(axis=1)
-        go = ~optimal & (stop < cand.sum(axis=1))  # the rest leave, in one copy of the stacks
-        if not go.all():
+        half = 0.5 * (np.abs(g_k) - w_B[rows, k])
+        stop = (rise < half[:, None]).sum(axis=1)
+        go = rise[:, -1] >= half  # the non-candidates add 0.0: the last rise is the total
+        if not go.all():  # the problems without a breakpoint leave
             live, w, Tab, basis, w_B, k, h, order, stop = (
                 v[go] for v in (live, w, Tab, basis, w_B, k, h, order, stop))
             rows, at = rows[:live.size], at[:live.size]

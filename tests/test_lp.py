@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from resilient_sse import (
-    DimensionMismatch, RankDeficient, SolverFailure, build_horizon, gen_random_system,
-    synthesize_fdia,
+    DimensionMismatch, RankDeficient, SolverFailure, SweepConfig, build_horizon, draw_instance,
+    gen_random_system, synthesize_fdia,
 )
 from resilient_sse import lp
 from resilient_sse.lp import _greedy_basis, weighted_l1_regression
@@ -573,6 +574,19 @@ def test_a_solve_that_cannot_certify_raises_solver_failure(monkeypatch, constant
         weighted_l1_regression(model.H, y, np.ones(model.rows))
 
 
+def test_a_loop_that_stops_short_of_optimal_fails_the_certificate(monkeypatch):
+    # a dual tolerance of 1e-2 stops the pivots at a basis that is not
+    # optimal; its gap, 1.8e-4 at objective 0.35, lies inside a gap tolerance
+    # loosened a million-fold, so only the certificate's own tolerance catches it
+    cfg = SweepConfig(m=20, n=10, T=1, attack_grid=(0.3,), true_rate=0.6, eta=0.9, master_seed=3)
+    inst = draw_instance(cfg, 0.3, 1)
+    A, y, w = inst.model.H, inst.y_T, np.ones(inst.model.rows)
+    assert weighted_l1_regression(A, y, w).gap <= 1e-13
+    monkeypatch.setattr(lp, "_DUAL_RTOL", 1e-2)
+    with pytest.raises(SolverFailure, match="basis not certified on the data"):
+        weighted_l1_regression(A, y, w)
+
+
 def stacked_problems(m, n, T, K, seed):
     """K sweep-like problems of one shape: a fresh model per problem and a
     stealth attack on up to half the rows; unit and two-level weights."""
@@ -731,3 +745,64 @@ def test_a_result_depends_only_on_its_optimal_rows(family):
             assert warm.iterations == 0
             for field in ("z", "residual", "objective", "dual_objective", "gap", "basis"):
                 assert np.array_equal(getattr(warm, field), getattr(cold, field)), field
+
+
+def start_path_problem(seed, kind):
+    """A 14 x 3 problem with a gross error on 9 rows whose search start is
+    well posed ("plain"), has a condition number about 1e9 ("scaled": the
+    columns span 1e9), or takes rows of five copies of one row ("copies",
+    exact; "near", apart by 1e-13)."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((14, 3))
+    if kind == "scaled":
+        A *= np.array([10**-4.5, 1.0, 10**4.5])
+    elif kind in ("copies", "near"):
+        A[:5] = A[0]
+        if kind == "near":
+            A[1:5] += 1e-13 * rng.standard_normal((4, 3))
+    y = A @ rng.standard_normal(3)
+    y[5:] += 3 * rng.standard_normal(9)
+    return A, y
+
+
+def test_search_proves_each_start_by_its_inverse_or_by_its_rows():
+    # the inverse the search takes proves most starts; the QR row test
+    # decides those its bound leaves open (the ill-conditioned start, which
+    # it keeps, and the near copies, which it drops), and every start when
+    # one exactly singular start makes the stacked inverse raise
+    specs = [(0, "plain"), (0, "scaled"), (4, "near"), (2, "plain"), (0, "copies")]
+    A, y = (np.array(v) for v in zip(*(start_path_problem(*spec) for spec in specs)))
+    w = np.random.default_rng(9).uniform(0.5, 1.0, y.shape)
+    K, N, n = A.shape
+    first = np.array([A[i, lp._fit_order(A[i], y[i] / np.abs(y[i]).max() + lp._perturbation(N))[:n]]
+                      for i in range(K)])
+    big = np.abs(A).max(axis=(1, 2))
+    independent = lp._independent(first, big)
+    assert independent.tolist() == [True, True, False, True, False]
+    assert 1e8 < np.linalg.cond(first[1]) < 1e10
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(first)
+    bound = math.sqrt(N * n) * n * big[:4] * np.abs(np.linalg.inv(first[:4])).max(axis=(1, 2))
+    assert (1.0 > lp._RANK_RTOL * bound).tolist() == [True, False, False, True]
+    for stack in (slice(None), slice(4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            found = lp.search_bases(A[stack], y[stack], w[stack])
+        assert [basis is not None for basis in found] == independent[stack].tolist()
+        for i, basis in enumerate(found):
+            if basis is not None:
+                assert sorted(basis.tolist()) == weighted_l1_regression(A[i], y[i], w[i]).basis.tolist()
+
+
+def test_search_gives_up_where_its_tableau_is_not_finite():
+    # in finite numbers the candidates' total rise is at least |g_k|, more
+    # than half the rate, so only a tableau that is not finite leaves a
+    # descent edge without a breakpoint: entries near 4e-309 are independent
+    # relative to max|A|, but their inverses overflow, and g is nan
+    A = np.array([[[3e-309], [4e-309], [-5e-309]], [[1.0], [2.0], [3.0]]])
+    y = np.array([[1.0, 2.0, 7.0], [1.0, 2.0, 7.0]])
+    w = np.ones((2, 3))
+    with np.errstate(all="ignore"):
+        found = lp.search_bases(A, y, w)
+    assert found[0] is None
+    assert np.array_equal(found[1], lp.search_bases(A[1:], y[1:], w[1:])[0])
