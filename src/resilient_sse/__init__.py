@@ -46,7 +46,7 @@ from .experiments import (
     run_trial,
     sweep,
 )
-from .fdia import AttackPlan, SuccessVerdict, fdia_feasibility, is_successful, random_support, synthesize_fdia
+from .fdia import AttackPlan, SuccessVerdict, is_successful, random_support, synthesize_fdia
 from .lp import LpSolution, weighted_l1_regression
 from .lti import (
     HorizonModel,

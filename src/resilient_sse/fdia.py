@@ -11,8 +11,9 @@ complement block for its smallest singular value.  When the complement
 block loses column rank the program is unbounded; the attack then follows
 a null-space direction with a configurable magnitude cap.  The same SVD
 decides the guarantee (the block's spectral norm below 1 / (2 sqrt(#complement)))
-and its bias bound alpha; ``fdia_feasibility`` reports the two.  Supports are
-read by ``lti.row_indices``.
+and its bias bound alpha, the plan's ``feasible`` and ``alpha_guarantee``; the
+bound scales linearly with epsilon and is None when the guarantee fails.
+Supports are read by ``lti.row_indices``.
 """
 
 from __future__ import annotations
@@ -66,17 +67,6 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     big = np.abs(v) > 1e-12
     first = big.argmax()
     return -v if big[first] and v[first] < 0 else v
-
-
-def fdia_feasibility(model: HorizonModel, support, epsilon: float = 1.0):
-    """Guarantee condition for the synthesized attack.
-
-    Returns (condition_holds, alpha_bound), the ``feasible`` and
-    ``alpha_guarantee`` of ``synthesize_fdia``; the bound scales linearly
-    with epsilon and is None when the condition fails.
-    """
-    plan = synthesize_fdia(model, support, epsilon)
-    return plan.feasible, plan.alpha_guarantee
 
 
 def synthesize_fdia(

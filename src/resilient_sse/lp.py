@@ -34,8 +34,14 @@ scaled to unit max-norm, and the gap is certified in those units, where it
 is at most 1e-8 (1 + |objective|): a zero optimum, whose gap is roundoff of
 order eps max|y|, certifies at any scale.  It is homogeneous in A too, and
 every test of A is relative: rows are independent when each |R_ii| of one QR
-of them exceeds 1e-10 max|A| (no squares, so nothing overflows), so a solve
-of 2^k A takes the pivots of A's and returns its z / 2^k bit for bit.
+of them exceeds 1e-10 max|A| (no squares), so a solve of 2^k A takes the
+pivots of A's and returns its z / 2^k bit for bit.  An A with max|A| < 0.5
+is scaled up by the power of two that brings max|A| into [0.5, 1), and z
+with it, so entries near 1e-308 do not overflow the inverse (a z beyond the
+largest float is a ValueError).  w is divided by the power of two that
+brings sum(w) into [0.5, 1), and the dual multiplied back, so D^T nu stays
+within max|D| for weights of any size.  Both are exact unless a weight or
+the dual turns subnormal.
 
 Between pivots a tableau is updated instead of refactored: one (n+1) x N
 array whose first n rows hold D^T, the transpose of D = A A_B^-1, and whose
@@ -188,7 +194,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     Entries must be finite, weights nonnegative and sum(w) * max|y| a finite
     float (ValueError otherwise); rows with w_j = 0 are ignored by the
     objective and are legal only while the remaining rows keep full column
-    rank (checked, RankDeficient otherwise).  The returned gap is at most
+    rank (checked, RankDeficient otherwise), and a minimizer beyond the
+    largest float is a ValueError too.  The returned gap is at most
     1e-8 * (max|y| + |objective|), max|y| over the positive-weight rows (1
     when they are all zero): 1e-8 * (1 + |objective|) for max|y| = 1.
 
@@ -234,6 +241,10 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     if not math.isfinite(scale * w_sum):
         # the bound on |dual|; below it the certificate cannot overflow
         raise ValueError("y and w are too large to certify: sum(w) * max|y| overflows")
+    e_A, e_w = min(math.frexp(big)[1], 0), math.frexp(w_sum)[1]  # A is scaled up only
+    if e_A:
+        A_act, big = np.ldexp(A_act, -e_A), math.ldexp(big, -e_A)
+    w_act = np.ldexp(w_act, -e_w)
     y_act = y_act / scale
     y_piv = y_act + _perturbation(rows)
 
@@ -301,9 +312,14 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     nu[basis] = -g
     nu /= max(1.0, float(ratio[k]))
     z = scale * (inv @ y_act[basis])
+    if e_A:
+        if math.frexp(float(np.abs(z).max()))[1] - e_A > 1024:  # z 2^-e_A overflows
+            raise ValueError(f"y is too large for the scale of A (max|A| {math.ldexp(big, e_A):.3e}): "
+                             "the solution overflows")
+        z = np.ldexp(z, -e_A)
     residual = y - A @ z
     objective = float(w @ np.abs(residual))
-    dual = scale * float(y_act @ nu)
+    dual = math.ldexp(scale * float(y_act @ nu), e_w)
     gap = objective - dual
     if not gap <= _GAP_RTOL * (scale + abs(objective)):
         raise SolverFailure(

@@ -22,7 +22,6 @@ from resilient_sse import (
     bound_condition,
     build_horizon,
     decode,
-    fdia_feasibility,
     gen_confidences,
     gen_random_system,
     indicator_from_support,
@@ -133,11 +132,11 @@ def test_criterion_05_attack_guarantee():
         support = np.setdiff1d(np.arange(m), safe)
         x_star = rng.standard_normal(n)
         eps = 0.01 * float(np.abs(model.H @ x_star).sum())
-        holds, alpha = fdia_feasibility(model, support, eps)
-        if not holds:
+        plan = synthesize_fdia(model, support, eps)
+        if not plan.feasible:
             continue
         made += 1
-        plan = synthesize_fdia(model, support, eps)
+        alpha = plan.alpha_guarantee
         verdict = is_successful(plan, model, x_star, eps, alpha)
         assert verdict.stealth_ok, f"instance {made}: detector fired"
         assert verdict.bias_ok, f"instance {made}: bias {verdict.bias} < {alpha}"

@@ -540,6 +540,23 @@ def test_estimate_certifies_a_system_in_any_units(tmp_path, system_file, capsys,
     assert scaled == doc
 
 
+def test_estimate_in_subnormal_units(tmp_path, capsys):
+    # C near 4e-309, whose entries' inverses overflow: a window that fits
+    # certifies, and one whose solution is beyond the largest float exits 1
+    system = tmp_path / "sys.json"
+    system.write_text('{"A": [[0.5]], "C": [[3e-309], [4e-309], [-5e-309]]}')
+    runs = []
+    for window in ("[1e-10, 2e-10, 7e-10]", "[1, 2, 7]"):
+        y = tmp_path / "y.json"
+        y.write_text(window)
+        runs.append(run_cli(["estimate", "--system", system, "--T", 1, "--y", y], capsys))
+    (code, out, err), (big_code, big_out, big_err) = runs
+    assert code == 0, err
+    assert json.loads(out)["x_hat"][0] == pytest.approx(1e-10 / 3e-309, rel=1e-12)
+    assert (big_code, big_out) == (1, "")
+    assert "too large for the scale of A" in big_err
+
+
 @pytest.mark.parametrize("command, named", [
     (["sweep", "--seed", "-1", "--trials", 1, "--grid", "0.3"], "master seed"),
     (["scenario", "--steps", 8, "--prior-seed", "-1"], "prior seed"),

@@ -1,21 +1,28 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from resilient_sse import (
+    BoundInputs,
     ScenarioAttack,
     ScenarioConfig,
     SweepConfig,
+    best_k_sparse_error,
+    bound_condition,
     build_horizon,
     check_observability,
     draw_instance,
     gen_random_system,
     load_surrogate,
+    recovery_bound,
+    rip_constant,
     run_scenario,
     run_trial,
     simulate,
     sweep,
+    weighted_observer,
 )
 from resilient_sse.experiments import TrialOutcome, canonical_json, epsilon_from_policy, trusted_rows
 from resilient_sse.fdia import random_support, synthesize_fdia
@@ -86,6 +93,53 @@ def test_product_pruning_keeps_its_promise_on_the_harness_draws():
         assert trusted.size >= 1
         safe += not np.isin(trusted, inst.support).any()
     assert safe / draws >= eta - 3 * math.sqrt(eta * (1 - eta) / draws)
+
+
+@pytest.mark.parametrize("m, n", [(9, 2), (10, 1)])
+def test_product_pruning_keeps_the_recovery_bound_on_the_harness_draws(m, n):
+    # the weighted-l1 bound with partial support information (Friedlander,
+    # Mansour, Saab & Yilmaz, IEEE Trans. Inf. Theory 58(2), 2012) on every
+    # draw whose pruned set is fully safe and whose isometry condition holds
+    # with exact constants.  The drawn attack is K-sparse and spares the
+    # trusted rows, so there the bound is 0 and the pruned_product trial
+    # recovers x* exactly; with dense noise of 1e-3 max|e| added to every
+    # row, the K largest errors stay off the trusted rows (the bound's
+    # premise) and the bound is positive.  These are the largest sizes
+    # probed where at least 50 of 600 draws at T 1, p_a 0.4 bind (85, 58)
+    eta, p_a = 0.7, 0.4
+    cfg = SweepConfig(m=m, n=n, T=1, attack_grid=(p_a,), true_rate=0.95, jitter=0.04, eta=eta)
+    bind = 0
+    for trial in range(600):
+        inst = draw_instance(cfg, p_a, trial)
+        trusted = trusted_rows(inst, "pruned_product", eta)
+        if np.isin(trusted, inst.support).any():
+            continue
+        model, K = inst.model, inst.support.size
+        e = inst.y_T - model.H @ inst.x_star
+        y = inst.y_T + 1e-3 * np.abs(e).max() * np.random.default_rng(trial).standard_normal(model.rows)
+        e_noisy = y - model.H @ inst.x_star
+        rho = (model.rows - trusted.size) / K
+        for a in range(max(math.ceil(rho - 1), 1), model.rows // K):  # (a + 1) K <= rows
+            rips = [rip_constant(model, s * K, budget=math.comb(model.rows, s * K)) for s in (a, a + 1)]
+            assert all(rip.exact for rip in rips)
+            if max(rip.delta_S for rip in rips) >= 1.0:
+                continue
+            inputs = BoundInputs(a=a, rho=rho, omega=cfg.omega, sparsity=K,
+                                 delta_ak=rips[0].delta_S, delta_a1k=rips[1].delta_S,
+                                 sigma_min_H=float(np.linalg.svd(model.H, compute_uv=False)[-1]),
+                                 sigma_k_e=best_k_sparse_error(e, K),
+                                 e_pruned_l1=float(np.abs(e[trusted]).sum()))
+            if bound_condition(inputs):
+                bind += 1
+                err = run_trial(cfg, p_a, "pruned_product", trial).error_l2
+                assert err <= recovery_bound(inputs) + 1e-6, trial
+                assert not np.isin(np.argsort(-np.abs(e_noisy))[:K], trusted).any(), trial
+                noisy = replace(inputs, sigma_k_e=best_k_sparse_error(e_noisy, K),
+                                e_pruned_l1=float(np.abs(e_noisy[trusted]).sum()))
+                x_hat = weighted_observer(model, y, trusted, cfg.omega).z
+                assert 0 < np.linalg.norm(x_hat - inst.x_star) <= recovery_bound(noisy), trial
+                break
+    assert bind >= 50
 
 def test_run_trial_no_attack_succeeds_for_all_strategies():
     cfg = small_cfg()
@@ -240,6 +294,22 @@ def test_scenario_windows_start_at_their_searched_bases(monkeypatch, prior_mode)
 
     monkeypatch.setattr(experiments, "search_bases", lambda A, y, w: [None] * len(y))
     assert run_scenario(sys_, x0, scenario=scenario) == searched
+
+
+def test_an_empty_or_full_trusted_set_shares_the_decoders_solve(monkeypatch):
+    # weights omega on every row, or 1 on every row, are positive multiples
+    # of the decoder's unit weights: one problem, one search entry, one solve
+    import resilient_sse.experiments as experiments
+
+    model = build_horizon(gen_random_system(8, 2, np.random.default_rng(3)), 1)
+    y = model.H @ np.array([1.0, -2.0])
+    y[0] += 5.0
+    calls, searches = _spy_solves(monkeypatch, experiments)
+    sets = [None, np.arange(model.rows), np.array([], dtype=int), np.array([0, 1, 2])]
+    (ests,) = experiments._certify_all([(model, y, sets)], 0.3)
+    assert ests[0] is ests[1] is ests[2] and ests[3] is not ests[0]
+    assert [name for name, *_ in calls] == ["decode", "weighted_observer"]
+    assert len(searches) == 1 and len(searches[0]) == 2
 
 
 @pytest.mark.parametrize("prior_mode", ["static", "per_window"])

@@ -8,7 +8,6 @@ from resilient_sse import (
     SupportTooLarge,
     build_horizon,
     decode,
-    fdia_feasibility,
     is_successful,
     random_support,
     synthesize_fdia,
@@ -117,19 +116,19 @@ def test_feasibility_single_weak_remaining_row():
     # support covers everything but one near-zero-gain sensor
     sys_, support, _ = weak_safe_row_system(8, c_size=1)
     model = build_horizon(sys_, 1)
-    holds, alpha = fdia_feasibility(model, support, epsilon=1.0)
-    assert holds and alpha > 0
+    plan = synthesize_fdia(model, support, epsilon=1.0)
+    assert plan.feasible and plan.alpha_guarantee > 0
 
 
 def test_feasibility_examples():
     sys_, support, _ = weak_safe_row_system(0)
     model = build_horizon(sys_, 1)
-    holds, alpha = fdia_feasibility(model, support, epsilon=1.0)
-    assert holds and alpha > 0
+    plan = synthesize_fdia(model, support, epsilon=1.0)
+    assert plan.feasible and plan.alpha_guarantee > 0
 
     # linearity of the bound in epsilon
-    _, alpha10 = fdia_feasibility(model, support, epsilon=10.0)
-    assert alpha10 == pytest.approx(10 * alpha)
+    plan10 = synthesize_fdia(model, support, epsilon=10.0)
+    assert plan10.alpha_guarantee == pytest.approx(10 * plan.alpha_guarantee)
 
     # a complement block of spectral norm ~0.9 over 4 rows fails 0.9 < 1/4
     rng = np.random.default_rng(1)
@@ -138,10 +137,10 @@ def test_feasibility_examples():
     support2 = [0, 1, 2]
     comp = np.setdiff1d(np.arange(7), support2)
     sbar = np.linalg.norm(model2.U1[comp, :], 2)
-    holds2, alpha2 = fdia_feasibility(model2, support2)
-    assert holds2 == (sbar < 1.0 / (2.0 * np.sqrt(4)))
-    if not holds2:
-        assert alpha2 is None
+    plan2 = synthesize_fdia(model2, support2, epsilon=1.0)
+    assert plan2.feasible == (sbar < 1.0 / (2.0 * np.sqrt(4)))
+    if not plan2.feasible:
+        assert plan2.alpha_guarantee is None
 
 
 def test_attack_guarantee_end_to_end():
@@ -151,13 +150,11 @@ def test_attack_guarantee_end_to_end():
         model = build_horizon(sys_, 1)
         y_star = model.H @ x_star
         eps = 0.01 * float(np.abs(y_star).sum())
-        holds, alpha = fdia_feasibility(model, support, eps)
-        if not holds:
+        plan = synthesize_fdia(model, support, eps)
+        if not plan.feasible:
             continue
         hits += 1
-        plan = synthesize_fdia(model, support, eps)
-        assert (plan.feasible, plan.alpha_guarantee) == (holds, alpha)  # one SVD decides both
-        verdict = is_successful(plan, model, x_star, eps, alpha)
+        verdict = is_successful(plan, model, x_star, eps, plan.alpha_guarantee)
         assert verdict.success
         assert verdict.residual_l1 <= eps + 1e-6
     assert hits >= 20  # the construction makes the condition typical

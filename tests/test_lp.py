@@ -436,6 +436,45 @@ def test_data_too_large_to_certify_is_rejected():
             weighted_l1_regression(A, (1e308 / np.abs(y).max()) * y, weights)
 
 
+SUBNORMAL_A = np.array([[3e-309], [4e-309], [-5e-309]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_in_subnormal_units_certifies():
+    # 1 / a overflows for a near 4e-309, but the pivots run on A times 2^1024,
+    # and the solve of 2^1030 A is the same solve, its z in units of 2^-1030
+    y, w = np.array([1e-10, 2e-10, 7e-10]), np.ones(3)
+    sol = weighted_l1_regression(SUBNORMAL_A, y, w)
+    assert sol.z[0] == pytest.approx(1e-10 / 3e-309, rel=1e-12)
+    assert sol.gap <= 1e-8 * (np.abs(y).max() + abs(sol.objective))
+    assert np.array_equal(np.ldexp(weighted_l1_regression(np.ldexp(SUBNORMAL_A, 1030), y, w).z, 1030),
+                          sol.z)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_solution_beyond_the_largest_float_is_rejected():
+    # the optimum 1 / 3e-309 exceeds the largest float: a validation error
+    # naming the scale, not a failed certificate
+    with pytest.raises(ValueError, match=r"^y is too large for the scale of A \(max\|A\| 5\.000e-309\)"):
+        weighted_l1_regression(SUBNORMAL_A, [1.0, 2.0, 7.0], np.ones(3))
+
+
+@pytest.mark.filterwarnings("error")
+def test_weights_near_the_largest_float_pivot_as_unit_weights():
+    # sum(w) max|y| = 14 * 2^1020 passes the screen, but D^T nu would
+    # overflow: the pivots run on w / 2^1024, as unit weights on w / 2^4
+    w = np.full(14, 2.0**1020)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        A, y = rng.standard_normal((14, 3)), rng.standard_normal(14)
+        y /= np.abs(y).max()
+        ref, sol = weighted_l1_regression(A, y, np.ones(14)), weighted_l1_regression(A, y, w)
+        for field in ("z", "residual", "basis", "iterations"):
+            assert np.array_equal(getattr(sol, field), getattr(ref, field)), (seed, field)
+        assert (sol.objective, sol.dual_objective) == (math.ldexp(ref.objective, 1020),
+                                                        math.ldexp(ref.dual_objective, 1020))
+
+
 def gram_schmidt_basis(A, order, n):
     """Reference for _greedy_basis: the first n rows along `order` whose part
     orthogonal to the rows before exceeds 1e-10 times the largest |entry| of A."""

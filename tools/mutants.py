@@ -23,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LP, EXPERIMENTS = "src/resilient_sse/lp.py", "src/resilient_sse/experiments.py"
+ESTIMATION = "src/resilient_sse/estimation.py"
 PRUNED = "return prune_product(instance.prior, eta).safe_set"
 
 # (file, old text, new text, what the mutant breaks)
@@ -40,10 +41,20 @@ MUTANTS = [
     (LP, "            basis.sort()\n            w_B = w_act[basis]\n",
      "            w_B = w_act[basis]\n",
      "the basis at reported optimality is factored in pivot order"),
-    (LP, "dual = scale * float(y_act @ nu)", "dual = scale * float(y_piv @ nu)",
+    (LP, "scale * float(y_act @ nu)", "scale * float(y_piv @ nu)",
      "the dual objective is taken on the perturbed y"),
     (LP, "_RANK_RTOL = 1e-10", "_RANK_RTOL = 1e-6",
      "the rank tolerance loosened ten-thousand-fold"),
+    (EXPERIMENTS, "if (g, key) not in index:", "if True:",
+     "each trusted set of a group is solved on its own, not shared by its problem"),
+    (EXPERIMENTS, "return frozenset() if len(key) in (0, rows) else key", "return key",
+     "a trusted set of every row is a problem apart from the unweighted decoder's"),
+    (ESTIMATION, "w[row_indices(pruned_safe_set, model.rows, \"trusted indices\")] = 1.0",
+     "w[row_indices(pruned_safe_set, model.rows, \"trusted indices\")] = float(omega)",
+     "the weighted observer weighs trusted rows like the others"),
+    (ESTIMATION, "return bool(np.abs(y_T - model.H @ x_hat).sum() > epsilon)",
+     "return bool(np.abs(y_T - model.H @ x_hat).sum() >= epsilon)",
+     "the detector flags a residual equal to epsilon"),
 ]
 # Left out: dropping the certificate's ``nu /= max(1.0, float(ratio[k]))``.
 # The pivot loop stops only at ratio[k] <= 1 + _DUAL_RTOL, so the rescale
