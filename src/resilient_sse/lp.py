@@ -67,7 +67,7 @@ a cold solve that end at the same rows agree bit for bit, and the returned
 
 Every start, the caller's ``start`` or the cold one (the first n independent
 rows in the order of how well the least-squares fit from one thin QR matches
-them), goes through one routine that sorts its rows and inverts them once.
+them), is sorted and judged once, by the inverse the pivots start from.
 With A_B that n x n block of the positive-weight rows A_act, big = max|A_act|,
 
     sigma_min(A_act) >= 1 / ||A_B^-1||_F >= 1 / (n max|A_B^-1|),
@@ -76,29 +76,27 @@ With A_B that n x n block of the positive-weight rows A_act, big = max|A_act|,
 and 1 > 1e-10 sqrt(rows n) n (big max|A_B^-1|) proves the rank test
 sigma_min(A_act) > 1e-10 sigma_max(A_act), which is ``lti.build_horizon``'s
 too.  No square is taken, and big max|A_B^-1| >= 1 / n (as A_B A_B^-1 = I)
-does not depend on the units of A.  The first certificate uses that inverse,
-so the proof changes no result.  A caller's start it does not prove (or that
-fails to invert) gives way to the cold start.  A cold start without n
-independent rows raises RankDeficient at once; one its inverse does not
-prove keeps that inverse, and the singular values of A_act decide the rank.
+does not depend on the units of A.  A start is usable only where that
+inverse is finite (a singular block's is nan) and passes the bound, and the
+first certificate uses it, so the proof changes no result.  A caller's
+start that is not usable gives way to the cold start.  A cold start without
+n independent rows raises RankDeficient at once; for one that is not usable
+the singular values of A_act decide the rank, and where the rank passes but
+the inverse is not finite, SolverFailure names the start.
 Data with sum(w) max|y| beyond the largest float are rejected up front:
 that product bounds |y^T nu|, so below it the certificate cannot overflow.
 
 ``search_bases`` finds the optimal rows of many positive-weight problems of
 one shape at once.  It starts each at the first n rows of the cold start's
 order, all fits from one stacked thin QR (one QR of the model when every
-problem shares it, as a scenario's do).  Each start is proven by the
-inverse its tableau is built from, with the single solve's bound: 1 >
-1e-10 sqrt(N n) n (big max|A_B^-1|) gives sigma_min(A_B) > 1e-10 big, and
-every |R_ii| of a QR of A_B is at least sigma_min(A_B), so the QR row test
-runs only on the starts that bound leaves open (on every start when an
-exactly singular one makes the stacked inverse raise), and drops those whose
-first rows are dependent.  The others pivot in lockstep with the single
-solve's rule on each problem's own tableau, and a problem leaves the stacks
-as soon as it reports optimality.  Both pivot loops take nu_N as
-copysign(w, r), which is the sign rule above with r >= 0 counted positive:
-the carried residual is never -0.0, as y_piv - D y_B and each update
-r - t are -0.0 only if the left operand is.  The search certifies
+problem shares it, as a scenario's do), and judges all starts by the single
+solve's rule from one stacked inverse; a problem whose start is not usable
+leaves, for the single solve's cold start.  The others pivot in lockstep
+with the single solve's rule on each problem's own tableau, and a problem
+leaves the stacks as soon as it reports optimality.  Both pivot loops take
+nu_N as copysign(w, r), which is the sign rule above with r >= 0 counted
+positive: the carried residual is never -0.0, as y_piv - D y_B and each
+update r - t are -0.0 only if the left operand is.  The search certifies
 nothing: a result depends only on its final rows, so the single solve from
 a found basis gives what a cold solve ending at the same rows gives, and
 certifies the basis from its own factorization (pivoting on if its check
@@ -108,6 +106,7 @@ on one problem the search is slower than the single solve.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -148,10 +147,9 @@ def _perturbation(rows):
 
 
 def _independent(first, big):
-    """Whether each k x n block of `first` has independent rows: every |R_ii|
-    of one QR exceeds _RANK_RTOL * big, the largest |entry| of the block's A."""
-    R = np.linalg.qr(np.swapaxes(first, -1, -2), mode="r")
-    return np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1) > _RANK_RTOL * big
+    """Whether the rows of `first` are independent: every |R_ii| of one QR of
+    them exceeds _RANK_RTOL * big, the largest |entry| of their A."""
+    return np.abs(np.diag(np.linalg.qr(first.T, mode="r"))).min() > _RANK_RTOL * big
 
 
 def _greedy_basis(A_act, order, n, big):
@@ -175,16 +173,24 @@ def _fit_order(A, y_piv):
     return np.abs(fit).argsort(axis=-1, kind="stable")
 
 
-def _start_inverse(A_act, basis, big):
-    """Sort `basis` in place, invert A_act[basis] once and return the inverse (None if singular)
-    and whether it proves full column rank of A_act, with `big` = max|A_act| (module docstring)."""
-    basis.sort()
+def _start_inverse(A, basis, big):
+    """Invert the start `basis` of A, or each of a stack ((K, N, n) A or (K, n) `basis`), and
+    judge it: usable only where that inverse is finite and proves full column rank of A, with
+    `big` = max|A| (module docstring).  A stack whose inverse raises is inverted block by block,
+    an exactly singular block to nan."""
+    A_B = A[basis] if A.ndim == 2 else np.take_along_axis(A, basis[..., None], axis=-2)
     try:
-        inv = np.linalg.inv(A_act[basis])
+        inv = np.linalg.inv(A_B)
     except np.linalg.LinAlgError:
-        return None, False
-    bound = math.sqrt(A_act.size) * len(inv) * (big * float(np.abs(inv).max()))
-    return inv, 1.0 > _RANK_RTOL * bound  # bound >= ||A_act||_F ||inv||_F
+        inv = np.full(A_B.shape, np.nan)
+        for i in np.ndindex(A_B.shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[i] = np.linalg.inv(A_B[i])
+    if inv.ndim == 2:  # Python floats: a bound that is nan or inf (inv not finite) fails, silently
+        return inv, 1.0 > _RANK_RTOL * (math.sqrt(A.size) * len(inv) * (big * float(np.abs(inv).max())))
+    N, n = A.shape[-2:]
+    with np.errstate(over="ignore"):
+        return inv, 1.0 > _RANK_RTOL * (math.sqrt(N * n) * n * (big * np.abs(inv).max(axis=(1, 2))))
 
 
 def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
@@ -249,17 +255,20 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     y_piv = y_act + _perturbation(rows)
 
     # The caller's start, else the cold one; its inverse or the singular values test the rank
-    proven = False
+    usable = False
     if start is not None and (every_row or active[start].all()):
         basis = start.astype(np.intp) if every_row else (np.cumsum(active) - 1)[start]
-        inv, proven = _start_inverse(A_act, basis, big)
-    if not proven:
-        basis = _greedy_basis(A_act, _fit_order(A_act, y_piv), n, big)
-        inv, proven = _start_inverse(A_act, basis, big)
-        if not proven:
+        basis.sort()
+        inv, usable = _start_inverse(A_act, basis, big)
+    if not usable:
+        basis = np.sort(_greedy_basis(A_act, _fit_order(A_act, y_piv), n, big))
+        inv, usable = _start_inverse(A_act, basis, big)
+        if not usable:
             sv = np.linalg.svd(A_act, compute_uv=False)
-            if inv is None or sv[-1] <= _RANK_RTOL * sv[0]:
+            if sv[-1] <= _RANK_RTOL * sv[0]:
                 raise RankDeficient(_DEFICIENT)
+            if not np.isfinite(inv).all():
+                raise SolverFailure(f"the cold start's {n} rows of a full-rank A have no finite inverse")
 
     # `inv` holds a fresh factorization of the basis, None while the tableau
     # Tab = [D^T; r] is updated; g = -nu_B, and w_B = w_act[basis]
@@ -344,8 +353,8 @@ def search_bases(A, y, w) -> list:
     first n rows of the single solve's cold-start order and pivots by its
     rule until its tableau reports optimality (module docstring).  Entry i
     is that basis, or None where the search gives up: a zero or non-finite
-    weight, non-finite data, dependent first rows, the pivot cap, or a
-    descent edge without a breakpoint.  The single solve certifies a basis.
+    weight, non-finite data, a start that is not usable, the pivot cap, or
+    a descent edge without a breakpoint.  The single solve certifies a basis.
     """
     A, y, w = (np.asarray(v, dtype=float) for v in (A, y, w))
     (K, N), n, shared = y.shape, A.shape[-1], A.ndim == 2
@@ -359,19 +368,9 @@ def search_bases(A, y, w) -> list:
         A, y, w, scale, big = A if shared else A[live], y[live], w[live], scale[live], big[live]
     y_piv = y / np.where(scale > 0, scale, 1.0)[:, None] + _perturbation(N)
     basis = _fit_order(A, y_piv)[:, :n]
-    A_B = A[basis] if shared else np.take_along_axis(A, basis[..., None], axis=1)
-    try:  # each start's inverse proves its rows independent, as in the single solve
-        inv = np.linalg.inv(A_B)
-    except np.linalg.LinAlgError:  # an exactly singular start leaves every start open
-        inv, keep = None, np.zeros(live.size, dtype=bool)
-    else:
-        with np.errstate(over="ignore"):
-            keep = 1.0 > _RANK_RTOL * (math.sqrt(N * n) * n * (big * np.abs(inv).max(axis=(1, 2))))
-    if not keep.all():  # the QR row test decides the open starts, and the dependent ones leave
-        open_ = ~keep
-        keep[open_] = _independent(A_B[open_], big[open_])
-        inv = np.linalg.inv(A_B[keep]) if inv is None else inv[keep]
-        live, w, y_piv, basis = (v[keep] for v in (live, w, y_piv, basis))
+    inv, keep = _start_inverse(A, basis, big)
+    if not keep.all():  # a start its inverse does not prove leaves, for the single solve's cold start
+        live, w, y_piv, basis, inv = (v[keep] for v in (live, w, y_piv, basis, inv))
         A = A if shared else A[keep]
 
     # Tab[i] = [D^T; r] is problem i's tableau, updated as in the single solve

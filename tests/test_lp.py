@@ -428,6 +428,30 @@ def test_rank_deficient_a_rejects_every_warm_start(monkeypatch):
     assert calls == []
 
 
+def kahan_problem(n):
+    """A = [L; I / 2], L unit lower-triangular with -1e3 below the diagonal,
+    so sigma_min(A) = 0.5, and y = [k; -2 L^T k] with k = 1..n, so A^T y = 0:
+    the least-squares fit is zero and puts L's rows first in the fit order,
+    and L's inverse has entries up to about 1e3^(n - 1)."""
+    L = np.eye(n) + np.tril(np.full((n, n), -1e3), -1)
+    k = np.arange(1.0, n + 1)
+    return np.vstack([L, 0.5 * np.eye(n)]), np.concatenate([k, -2 * L.T @ k])
+
+
+@pytest.mark.parametrize("n", [104, 120])
+def test_a_cold_start_that_does_not_invert_is_a_solver_failure(n):
+    # the cold start keeps L's independent rows, whose inverse is not finite
+    # (n 104) or whose LU meets an exactly zero pivot (n 120); A has full rank,
+    # so the solve names the start, and neither rejects the rank nor pivots on nan
+    A, y = kahan_problem(n)
+    assert np.linalg.svd(A, compute_uv=False)[-1] > 0.49
+    message = f"^the cold start's {n} rows of a full-rank A have no finite inverse$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverFailure, match=message):
+            weighted_l1_regression(A, y, np.ones(2 * n))
+
+
 def test_data_too_large_to_certify_is_rejected():
     A, y, w = lp_instance("random", 2)
     message = r"^y and w are too large to certify: sum\(w\) \* max\|y\| overflows$"
@@ -804,43 +828,73 @@ def start_path_problem(seed, kind):
     return A, y
 
 
-def test_search_proves_each_start_by_its_inverse_or_by_its_rows():
-    # the inverse the search takes proves most starts; the QR row test
-    # decides those its bound leaves open (the ill-conditioned start, which
-    # it keeps, and the near copies, which it drops), and every start when
-    # one exactly singular start makes the stacked inverse raise
+def test_search_proves_each_start_by_its_inverse():
+    # a start stays only where the inverse the search takes is finite and
+    # proves its rows independent; the others leave for the single solve:
+    # the ill-conditioned start, whose rows are independent, the near copies,
+    # and the exact copies, whose singular block makes the stacked inverse
+    # raise, so each block is inverted alone and that one is nan
     specs = [(0, "plain"), (0, "scaled"), (4, "near"), (2, "plain"), (0, "copies")]
     A, y = (np.array(v) for v in zip(*(start_path_problem(*spec) for spec in specs)))
     w = np.random.default_rng(9).uniform(0.5, 1.0, y.shape)
     K, N, n = A.shape
-    first = np.array([A[i, lp._fit_order(A[i], y[i] / np.abs(y[i]).max() + lp._perturbation(N))[:n]]
-                      for i in range(K)])
+    starts = np.array([lp._fit_order(A[i], y[i] / np.abs(y[i]).max() + lp._perturbation(N))[:n]
+                       for i in range(K)])
+    first = np.take_along_axis(A, starts[..., None], axis=1)
     big = np.abs(A).max(axis=(1, 2))
-    independent = lp._independent(first, big)
-    assert independent.tolist() == [True, True, False, True, False]
+    assert [lp._independent(f, b) for f, b in zip(first, big)] == [True, True, False, True, False]
     assert 1e8 < np.linalg.cond(first[1]) < 1e10
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(first)
-    bound = math.sqrt(N * n) * n * big[:4] * np.abs(np.linalg.inv(first[:4])).max(axis=(1, 2))
-    assert (1.0 > lp._RANK_RTOL * bound).tolist() == [True, False, False, True]
+    inv, usable = lp._start_inverse(A, starts, big)
+    assert usable.tolist() == [True, False, False, True, False]
+    assert all(np.array_equal(inv[i], np.linalg.inv(first[i])) for i in range(4))
+    assert np.isnan(inv[4]).all()
     for stack in (slice(None), slice(4)):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             found = lp.search_bases(A[stack], y[stack], w[stack])
-        assert [basis is not None for basis in found] == independent[stack].tolist()
+        assert [basis is not None for basis in found] == usable[stack].tolist()
         for i, basis in enumerate(found):
             if basis is not None:
                 assert sorted(basis.tolist()) == weighted_l1_regression(A[i], y[i], w[i]).basis.tolist()
+    # the ill-conditioned problem the search leaves is certified by its cold solve
+    cold = weighted_l1_regression(A[1], y[1], w[1])
+    assert cold.gap <= 1e-8 * (np.abs(y[1]).max() + abs(cold.objective))
 
 
-def test_search_gives_up_where_its_tableau_is_not_finite():
+def test_search_leaves_a_start_that_does_not_invert():
+    # the start of the n = 120 Kahan-type problem has independent rows whose
+    # LU meets an exactly zero pivot: the stacked inverse raises, that block
+    # alone inverts to nan, and the problem leaves; the other problem's start
+    # is proven by its own block's inverse and the search finds its basis
+    A, y = kahan_problem(120)
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((240, 120))
+    y_G = G @ rng.standard_normal(120)
+    y_G[rng.choice(240, size=40, replace=False)] += 5 * rng.standard_normal(40)
+    w = np.ones((2, 240))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        found = lp.search_bases(np.array([A, G]), np.array([y, y_G]), w)
+    assert found[0] is None
+    assert sorted(found[1].tolist()) == weighted_l1_regression(G, y_G, w[1]).basis.tolist()
+
+
+def test_search_gives_up_where_its_tableau_is_not_finite(monkeypatch):
     # in finite numbers the candidates' total rise is at least |g_k|, more
     # than half the rate, so only a tableau that is not finite leaves a
-    # descent edge without a breakpoint: entries near 4e-309 are independent
-    # relative to max|A|, but their inverses overflow, and g is nan
+    # descent edge without a breakpoint.  Entries near 4e-309 are independent
+    # relative to max|A|, but their inverses overflow: such a start leaves
+    # before its tableau is built, unless a negative rank tolerance lets every
+    # inverse that is not nan through; then g is nan, and the problem leaves
     A = np.array([[[3e-309], [4e-309], [-5e-309]], [[1.0], [2.0], [3.0]]])
     y = np.array([[1.0, 2.0, 7.0], [1.0, 2.0, 7.0]])
     w = np.ones((2, 3))
+    assert not lp._start_inverse(A[0], np.array([0]), 5e-309)[1]
+    found = lp.search_bases(A, y, w)
+    assert found[0] is None
+    monkeypatch.setattr(lp, "_RANK_RTOL", -1.0)
     with np.errstate(all="ignore"):
         found = lp.search_bases(A, y, w)
     assert found[0] is None

@@ -45,6 +45,10 @@ MUTANTS = [
      "the dual objective is taken on the perturbed y"),
     (LP, "_RANK_RTOL = 1e-10", "_RANK_RTOL = 1e-6",
      "the rank tolerance loosened ten-thousand-fold"),
+    (LP, "if not keep.all():", "if False:",
+     "the search keeps every start, whatever its inverse's bound"),
+    (LP, "if not np.isfinite(inv).all():", "if False:",
+     "the single solve pivots on a cold start whose inverse is not finite"),
     (EXPERIMENTS, "if (g, key) not in index:", "if True:",
      "each trusted set of a group is solved on its own, not shared by its problem"),
     (EXPERIMENTS, "return frozenset() if len(key) in (0, rows) else key", "return key",
