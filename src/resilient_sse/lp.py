@@ -54,7 +54,12 @@ tableau reports optimality the basis is factored afresh and nu_B re-checked
 with the formulas above, so the dual's feasibility never rests on updated
 quantities (the carried signs of nu_N only decide how tight it is).  When
 every weight is positive the rows are used in place, without copies or index
-maps.
+maps.  A finite tableau always has a row to enter: with h = -sign(nu_k)
+Tab[k], |nu_k| = sum_j nu_j h_j, so the rises nu_j h_j > 0 sum to P >=
+|nu_k|, and the line search stops where they reach (|nu_k| - w_k) / 2, short
+of P by at least P / 2 + w_k / 2, which rounding of order N eps times these
+sums cannot close.  Where the tableau is not finite that is nan: the single
+solve raises SolverFailure, and the search pivots on to its cap.
 
 Every fresh factorization, of the start, the cold start or the basis at
 reported optimality, is of the basis rows in ascending order.  The vertex is
@@ -309,7 +314,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         rise = nu_h[cand].cumsum()
         stop = int(rise.searchsorted(0.5 * (abs(g_k) - w_B[k])))
         if stop == cand.size:
-            raise SolverFailure("no breakpoint along a descent edge")
+            raise SolverFailure(f"the tableau is not finite after {pivots} pivots")
         j = cand[stop]
         col = Tab[:, j].copy()
         col[k] -= 1.0
@@ -353,8 +358,8 @@ def search_bases(A, y, w) -> list:
     first n rows of the single solve's cold-start order and pivots by its
     rule until its tableau reports optimality (module docstring).  Entry i
     is that basis, or None where the search gives up: a zero or non-finite
-    weight, non-finite data, a start that is not usable, the pivot cap, or
-    a descent edge without a breakpoint.  The single solve certifies a basis.
+    weight, non-finite data, a start that is not usable, or the pivot cap
+    (where a non-finite tableau ends).  The single solve certifies a basis.
     """
     A, y, w = (np.asarray(v, dtype=float) for v in (A, y, w))
     (K, N), n, shared = y.shape, A.shape[-1], A.ndim == 2
@@ -376,13 +381,13 @@ def search_bases(A, y, w) -> list:
     # Tab[i] = [D^T; r] is problem i's tableau, updated as in the single solve
     Tab = np.empty((live.size, n + 1, N))
     Tab[:, :n] = (A @ inv).transpose(0, 2, 1)
-    rows, at = np.arange(live.size), N * np.arange(live.size)[:, None]  # at: rows of flat nu
+    rows = np.arange(live.size)
     Tab[:, n] = y_piv - (y_piv[rows[:, None], basis][:, None, :] @ Tab[:, :n])[:, 0]
     w_B = w[rows[:, None], basis]
     pivots = 0
     while True:
         nu = np.copysign(w, Tab[:, n])
-        nu.reshape(-1)[at + basis] = 0.0
+        nu[rows[:, None], basis] = 0.0
         g = (Tab[:, :n] @ nu[..., None])[..., 0]
         ratio = np.abs(g) / w_B
         k = ratio.argmax(axis=1)
@@ -392,10 +397,10 @@ def search_bases(A, y, w) -> list:
         if optimal.all() or pivots >= _PIVOTS_PER_ROW * N:
             return found
         if optimal.any():  # the found problems leave, in one copy of the stacks
-            go = ~optimal
+            stay = ~optimal
             live, w, Tab, basis, w_B, nu, k, g_k = (
-                v[go] for v in (live, w, Tab, basis, w_B, nu, k, g_k))
-            rows, at = rows[:live.size], at[:live.size]
+                v[stay] for v in (live, w, Tab, basis, w_B, nu, k, g_k))
+            rows = rows[:live.size]
 
         # The single solve's pivot on every problem: the breakpoints along
         # each edge h sorted by r / h, the non-candidates last, and the first
@@ -406,13 +411,7 @@ def search_bases(A, y, w) -> list:
         order = (np.where(cand, Tab[:, n], np.nan) / h).argsort(axis=1, kind="stable")
         rise = np.where(cand, nu_h, 0.0)[rows[:, None], order].cumsum(axis=1)
         half = 0.5 * (np.abs(g_k) - w_B[rows, k])
-        stop = (rise < half[:, None]).sum(axis=1)
-        go = rise[:, -1] >= half  # the non-candidates add 0.0: the last rise is the total
-        if not go.all():  # the problems without a breakpoint leave
-            live, w, Tab, basis, w_B, k, h, order, stop = (
-                v[go] for v in (live, w, Tab, basis, w_B, k, h, order, stop))
-            rows, at = rows[:live.size], at[:live.size]
-        j = order[rows, stop]
+        j = order[rows, (rise < half[:, None]).sum(axis=1)]
         col = Tab[rows, :, j]
         col[rows, k] -= 1.0
         Tab -= col[:, :, None] * (h / h[rows, j][:, None])[:, None, :]

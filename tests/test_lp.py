@@ -452,6 +452,19 @@ def test_a_cold_start_that_does_not_invert_is_a_solver_failure(n):
             weighted_l1_regression(A, y, np.ones(2 * n))
 
 
+def test_a_tableau_that_is_not_finite_is_a_solver_failure(monkeypatch):
+    # a finite tableau always has a breakpoint along a descent edge (module
+    # docstring); a nan inverse that passes as usable makes the tableau nan,
+    # and the solve names it instead of indexing past its candidates
+    rng = np.random.default_rng(0)
+    A, y = rng.standard_normal((18, 5)), rng.standard_normal(18)
+    monkeypatch.setattr(lp, "_start_inverse", lambda A, basis, big: (np.full((5, 5), np.nan), True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverFailure, match="^the tableau is not finite after 0 pivots$"):
+            weighted_l1_regression(A, y, np.ones(18))
+
+
 def test_data_too_large_to_certify_is_rejected():
     A, y, w = lp_instance("random", 2)
     message = r"^y and w are too large to certify: sum\(w\) \* max\|y\| overflows$"
@@ -883,11 +896,12 @@ def test_search_leaves_a_start_that_does_not_invert():
 
 def test_search_gives_up_where_its_tableau_is_not_finite(monkeypatch):
     # in finite numbers the candidates' total rise is at least |g_k|, more
-    # than half the rate, so only a tableau that is not finite leaves a
-    # descent edge without a breakpoint.  Entries near 4e-309 are independent
-    # relative to max|A|, but their inverses overflow: such a start leaves
-    # before its tableau is built, unless a negative rank tolerance lets every
-    # inverse that is not nan through; then g is nan, and the problem leaves
+    # than half the rate, so every descent edge has a breakpoint (module
+    # docstring).  Entries near 4e-309 are independent relative to max|A|,
+    # but their inverses overflow: such a start leaves before its tableau is
+    # built, unless a negative rank tolerance lets every inverse that is not
+    # nan through; then g is nan, never tests optimal, and the problem gives
+    # up at the pivot cap
     A = np.array([[[3e-309], [4e-309], [-5e-309]], [[1.0], [2.0], [3.0]]])
     y = np.array([[1.0, 2.0, 7.0], [1.0, 2.0, 7.0]])
     w = np.ones((2, 3))

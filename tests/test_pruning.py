@@ -136,6 +136,14 @@ def test_pmf_rejects_tiny_confidences():
         poisson_binomial_pmf([1e-300] * 20)
 
 
+def test_pmf_mass_drift_is_a_numerical_instability(monkeypatch):
+    # a convolution that loses 1e-8 of the mass per factor drifts past 1e-9
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda a, v: convolve(a, v) * (1.0 - 1e-8))
+    with pytest.raises(NumericalInstability, match="^pmf mass drifted by "):
+        poisson_binomial_pmf([0.9] * 20)
+
+
 def brute_force_offline(p, eta):
     best = 0
     for size in range(len(p), -1, -1):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LP, EXPERIMENTS = "src/resilient_sse/lp.py", "src/resilient_sse/experiments.py"
-ESTIMATION = "src/resilient_sse/estimation.py"
+ESTIMATION, PRUNING = "src/resilient_sse/estimation.py", "src/resilient_sse/pruning.py"
 PRUNED = "return prune_product(instance.prior, eta).safe_set"
 
 # (file, old text, new text, what the mutant breaks)
@@ -49,6 +49,8 @@ MUTANTS = [
      "the search keeps every start, whatever its inverse's bound"),
     (LP, "if not np.isfinite(inv).all():", "if False:",
      "the single solve pivots on a cold start whose inverse is not finite"),
+    (LP, "if stop == cand.size:", "if False:",
+     "the single solve indexes past its candidates on a tableau that is not finite"),
     (EXPERIMENTS, "if (g, key) not in index:", "if True:",
      "each trusted set of a group is solved on its own, not shared by its problem"),
     (EXPERIMENTS, "return frozenset() if len(key) in (0, rows) else key", "return key",
@@ -59,6 +61,8 @@ MUTANTS = [
     (ESTIMATION, "return bool(np.abs(y_T - model.H @ x_hat).sum() > epsilon)",
      "return bool(np.abs(y_T - model.H @ x_hat).sum() >= epsilon)",
      "the detector flags a residual equal to epsilon"),
+    (PRUNING, "if not drift <= 1e-9:", "if False:",
+     "the Poisson-binomial pmf's drifted mass goes unchecked"),
 ]
 # Left out: dropping the certificate's ``nu /= max(1.0, float(ratio[k]))``.
 # The pivot loop stops only at ratio[k] <= 1 + _DUAL_RTOL, so the rescale
