@@ -148,8 +148,6 @@ class SweepConfig:
     def __post_init__(self):
         if self.m <= self.n:
             raise ValueError(f"need m > n, got m={self.m}, n={self.n}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:

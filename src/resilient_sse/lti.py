@@ -154,11 +154,14 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     passes its rank test.  A full-column-rank H implies an observable
     (A, C), so observability is checked only when H fails: NotObservable
     when the pair is not observable, else DegenerateSvd (possible for short
-    windows even on observable systems).
+    windows even on observable systems).  T < 1, or an H that overflows, is a ValueError.
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
-    H = np.vstack(_output_maps(sys, T)[::-1])  # newest first: C A^(T-1) on top, C at the bottom
+    with np.errstate(over="ignore", invalid="ignore"):  # powers past the largest float: checked below
+        H = np.vstack(_output_maps(sys, T)[::-1])  # newest first: C A^(T-1) on top, C at the bottom
+    if not np.isfinite(H).all():
+        raise ValueError(f"H is not finite for T={T}: the window's powers of A overflow")
 
     U, s, _ = np.linalg.svd(H, full_matrices=False)
     if s.size < sys.n or not s[-1] > _RANK_RTOL * s[0]:

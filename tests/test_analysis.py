@@ -206,6 +206,15 @@ def test_recovery_bound_condition_violated():
     )
     with pytest.raises(ConditionViolated):
         recovery_bound(bad)
+    # C = 2: 0.5 + 2 * 0.5 > 2 - 1 fails the condition, while the leading
+    # constant's denominator sqrt(0.5) - sqrt(1.5) / 2 = 0.095 is positive
+    failing = BoundInputs(
+        a=2, rho=1.0, omega=1.0, sparsity=1, delta_ak=0.5, delta_a1k=0.5,
+        sigma_min_H=1.0, sigma_k_e=1.0, e_pruned_l1=1.0,
+    )
+    assert not bound_condition(failing)
+    with pytest.raises(ConditionViolated, match="isometry condition fails"):
+        recovery_bound(failing)
     # C = 1 meets the condition on its boundary, but the leading constant's
     # denominator 1 - 1/C vanishes
     boundary = BoundInputs(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -465,8 +466,9 @@ SENSORS = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     ({"A": [[10**400, 0], [0, 0.4]], "C": SENSORS, "x0": [1.0, -1.0]}, "A must be finite"),
     ({"A": SQUARE, "C": SENSORS, "x0": [1.0, -1.0, 0.0]}, "x0 has length 3, expected 2"),
     ({"A": [], "C": SENSORS, "x0": [1.0, -1.0]}, "A: empty matrix"),
+    ({"A": SQUARE, "C": SENSORS}, "scenario needs an x0 entry in the system file"),
 ], ids=["object-entry", "string", "object-x0", "bool-entry", "numeric-string", "int-beyond-float",
-        "x0-length", "empty-A"])
+        "x0-length", "empty-A", "no-x0"])
 def test_a_malformed_system_file_exits_1(tmp_path, capsys, doc, message):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(doc))
@@ -923,6 +925,56 @@ def test_estimate_with_omega_0_needs_n_distinct_safe_rows(tmp_path, capsys):
     assert code == 2 and out == ""
     code, out, _ = run_cli(base + ["1,2"], capsys)
     assert code == 0 and np.allclose(json.loads(out)["x_hat"], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("omega", ["2", "-0.5", "nan"])
+def test_estimate_checks_omega_without_safe_rows(tmp_path, system_file, capsys, omega):
+    # without --safe no row is weighted, yet an omega outside [0, 1] is no setting
+    path, sys_ = system_file
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps(list(build_horizon(sys_, 1).H @ np.array([0.5, 2.0]))))
+    code, out, err = run_cli(["estimate", "--system", path, "--y", y_path, "--omega", omega], capsys)
+    assert code == 1 and out == ""
+    assert "omega must lie in [0, 1]" in err
+
+
+@pytest.mark.parametrize("command", [["estimate", "--y", "y.json"],
+                                     ["attack", "--epsilon", 0.5, "--support", "0"],
+                                     ["rip", "--S", 2]], ids=["estimate", "attack", "rip"])
+def test_a_window_shorter_than_one_step_exits_1(tmp_path, system_file, capsys, command):
+    # the T 0 window would otherwise be read as the T 1 one, whose 6 rows --y holds
+    path, sys_ = system_file
+    (tmp_path / "y.json").write_text(json.dumps(list(sys_.C @ np.array([0.5, 2.0]))))
+    argv = [tmp_path / arg if arg == "y.json" else arg for arg in command]
+    code, out, err = run_cli(argv + ["--system", path, "--T", 0], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: window length T must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rejects_T_0_at_its_first_draw(capsys, monkeypatch, workers):
+    # build_horizon checks T for every draw, before any l1 problem is posed
+    from resilient_sse import experiments
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an l1 problem was solved before T was checked")
+
+    monkeypatch.setattr(experiments, "_certify_all", no_solve)
+    code, out, err = run_cli(["sweep", "--m", 6, "--n", 2, "--T", 0, "--trials", 2,
+                              "--grid", "0.3", "--workers", workers], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: window length T must be >= 1, got 0\n"
+
+
+def test_sweep_rejects_a_window_that_overflows(capsys):
+    # A^39 at spectral radius 1e10 passes the largest float: exit 1 naming T,
+    # where numpy's overflow warnings and a failed SVD came before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["sweep", "--trials", 2, "--grid", "0.3", "--T", 40,
+                                  "--spectral-radius", "1e10"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: H is not finite for T=40: the window's powers of A overflow\n"
 
 
 def test_no_solve_path_imports_numpy_ma(tmp_path, system_file):

@@ -521,6 +521,11 @@ def test_config_validation():
         SweepConfig(attack_grid=(0, 0.0))
     with pytest.raises(ValueError, match="strategy 'none' is listed twice"):
         SweepConfig(strategies=("none", "prior", "none"))
+    # the plain decoder neither prunes nor weighs, so no later call would check these
+    for field, values in (("eta", (0.0, 1.0, 1.5, math.nan)), ("omega", (-0.1, 2.0, math.nan))):
+        for value in values:
+            with pytest.raises(ValueError, match=f"{field} must lie in"):
+                SweepConfig(strategies=("none",), **{field: value})
 
 
 def test_canonical_json_writes_dataclasses_and_arrays_and_rejects_the_rest():

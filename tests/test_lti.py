@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ def test_build_horizon_short_window_degenerate():
     sys_ = LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], C=[[1.0, 0.0]])
     with pytest.raises(DegenerateSvd):
         build_horizon(sys_, 1)
+
+
+def test_build_horizon_rejects_a_window_that_overflows():
+    # A^2 overflows to inf, and C's zeros times inf make nan: both are
+    # ignored while H is built, and H is rejected, naming T, before its SVD
+    sys_ = LtiSystem(A=1e200 * np.eye(2), C=np.eye(3, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build_horizon(sys_, 2).sigma_max == pytest.approx(1e200)
+        with pytest.raises(ValueError, match="H is not finite for T=3"):
+            build_horizon(sys_, 3)
 
 
 def test_svd_factors_consistency():
@@ -237,6 +249,9 @@ def test_check_observability_reports():
 def test_system_shape_validation():
     with pytest.raises(DimensionMismatch):
         LtiSystem(A=np.ones((2, 3)), C=np.ones((4, 3)))
+    # a tall A whose row count matches C's columns passes every other check
+    with pytest.raises(DimensionMismatch, match="A must be square"):
+        LtiSystem(A=np.ones((3, 2)), C=np.ones((4, 3)))
     with pytest.raises(DimensionMismatch):
         LtiSystem(A=np.eye(2), C=np.ones((4, 3)))
     with pytest.raises(DimensionMismatch, match="2-D matrix"):
