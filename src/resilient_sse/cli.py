@@ -111,12 +111,15 @@ def _load_system(args):
     raise ValueError("provide --system (JSON) or both --system-a and --system-c (CSV)")
 
 
-def _read_vector(path) -> np.ndarray:
-    """A flat JSON list of finite numbers, or a numeric CSV read row by row."""
-    if str(path).endswith(".json"):
-        with open(path) as fh:
-            return numeric_array(json.load(fh), str(path), 1)
-    return read_matrix_csv(path).reshape(-1)
+def _read_vector(path, flag: str) -> np.ndarray:
+    """A flat JSON list of finite numbers, or a numeric CSV read row by row; errors name `flag`."""
+    try:
+        if str(path).endswith(".json"):
+            with open(path) as fh:
+                return numeric_array(json.load(fh), str(path), 1)
+        return read_matrix_csv(path).reshape(-1)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _config_flags(path, parser):
@@ -167,10 +170,10 @@ def _cmd_estimate(args) -> str:
     _require(0 <= args.omega <= 1, "omega must lie in [0, 1]")
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
-    y_T = _read_vector(args.y)
+    y_T = _read_vector(args.y, "--y")
     _require(y_T.size == model.rows, f"--y holds {y_T.size} entries, but --T {args.T} "
              f"asks for T*m = {model.rows} rows")
-    x_true = _read_vector(args.x_true) if args.x_true else None
+    x_true = _read_vector(args.x_true, "--x-true") if args.x_true else None
     if args.safe is not None:
         trusted = row_indices(args.safe, model.rows, "--safe rows")
         # with omega 0 only the trusted rows carry weight: too few cannot

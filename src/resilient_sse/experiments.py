@@ -97,8 +97,8 @@ def gen_random_system(
     pair is observable with probability one, and ``build_horizon``, which
     every caller runs next, rejects an H without full column rank.
     """
-    if m <= n:
-        raise ValueError(f"need more sensors than states, got m={m}, n={n}")
+    if not 1 <= n < m:
+        raise ValueError(f"need more sensors than states, and n >= 1, got m={m}, n={n}")
     if not 0 < spectral_radius_target < math.inf:
         raise ValueError(f"spectral radius target must be finite and positive, "
                          f"got {spectral_radius_target}")
@@ -146,8 +146,8 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.m <= self.n:
-            raise ValueError(f"need m > n, got m={self.m}, n={self.n}")
+        if not 1 <= self.n < self.m:
+            raise ValueError(f"need m > n >= 1, got m={self.m}, n={self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
@@ -306,15 +306,14 @@ def _certify_all(groups, omega: float) -> list:
 
 
 def _grade(instance: TrialInstance, ests) -> list:
-    """The outcome of each estimate; an estimate listed twice shares one outcome."""
-    x_star, graded = instance.x_star, {}
+    """The outcome of each estimate."""
+    x_star, outcomes = instance.x_star, []
     bound = SUCCESS_RTOL * math.sqrt(x_star.dot(x_star))  # the 2-norm as np.linalg.norm takes it
     for est in ests:
-        if id(est) not in graded:
-            d = est.z - x_star
-            err = math.sqrt(d.dot(d))
-            graded[id(est)] = TrialOutcome(success=err <= bound, error_l2=err)
-    return [graded[id(est)] for est in ests]
+        d = est.z - x_star
+        err = math.sqrt(d.dot(d))
+        outcomes.append(TrialOutcome(success=err <= bound, error_l2=err))
+    return outcomes
 
 
 def run_trial(cfg: SweepConfig, p_a: float, strategy: str, trial_index: int) -> TrialOutcome:
@@ -328,8 +327,8 @@ def _paired_chunk(args):
     """Every strategy on the instances of a run of trial indices, outcomes in
     task order.  Strategies that pose one problem (``_problem_key``: equal
     trusted sets, an empty or full set, which poses the problem of ``none``,
-    and any set at omega 1) share one solve and its outcome, which equals the
-    cold solve of ``run_trial`` bit for bit."""
+    and any set at omega 1) share one solve, whose outcome equals the cold
+    solve of ``run_trial`` bit for bit."""
     cfg, trials = args
     instances = [draw_instance(cfg, p_a, t) for t in trials for p_a in cfg.attack_grid]
     groups = [(inst.model, inst.y_T, [trusted_rows(inst, s, cfg.eta) for s in cfg.strategies])
@@ -515,15 +514,16 @@ def run_scenario(
 
     rng_attack = np.random.default_rng(attack.seed)
     schedule = np.zeros((scenario.steps, m))
-    # a magnitude near the largest float overflows here; one that passes the
-    # check below may still overflow in the Luenberger recursion or in the
-    # squared errors, which are checked at the end
-    with np.errstate(over="ignore"):
+    # an unstable plant or a magnitude near the largest float overflows here,
+    # as the checks below find; a run that passes them may still overflow in
+    # the Luenberger recursion or in the squared errors, checked at the end
+    with np.errstate(over="ignore", invalid="ignore"):
         schedule[:, sup] = attack.magnitude * rng_attack.standard_normal((scenario.steps, sup.size))
-
-    traj = simulate(system, x0, scenario.steps, schedule)
+        traj = simulate(system, x0, scenario.steps, schedule)
     # every observer fails alike on a window the l1 solves cannot certify:
     # weights are at most 1, so rows * max|y| bounds their sum(w) * max|y|
+    if not math.isfinite(T * m * float(np.abs(traj.clean_measurements).max())):
+        raise ValueError(f"the plant's trajectory overflows within --steps {scenario.steps}")
     if not math.isfinite(T * m * float(np.abs(traj.attacked_measurements).max())):
         raise NumericalInstability(
             f"attacked measurements overflow at attack magnitude {attack.magnitude}")

@@ -369,14 +369,12 @@ def search_bases(A, y, w) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         ok = (w > 0).all(axis=1) & np.isfinite(scale * w.sum(axis=1)) & np.isfinite(big)
     live = ok.nonzero()[0]  # problem index of each row of the stacks below
-    if live.size < K:  # the stacks are copied only where a problem is dropped
-        A, y, w, scale, big = A if shared else A[live], y[live], w[live], scale[live], big[live]
+    A, y, w, scale, big = A if shared else A[live], y[live], w[live], scale[live], big[live]
     y_piv = y / np.where(scale > 0, scale, 1.0)[:, None] + _perturbation(N)
     basis = _fit_order(A, y_piv)[:, :n]
     inv, keep = _start_inverse(A, basis, big)
-    if not keep.all():  # a start its inverse does not prove leaves, for the single solve's cold start
-        live, w, y_piv, basis, inv = (v[keep] for v in (live, w, y_piv, basis, inv))
-        A = A if shared else A[keep]
+    live, w, y_piv, basis, inv = (v[keep] for v in (live, w, y_piv, basis, inv))
+    A = A if shared else A[keep]
 
     # Tab[i] = [D^T; r] is problem i's tableau, updated as in the single solve
     Tab = np.empty((live.size, n + 1, N))

@@ -120,11 +120,12 @@ class ObservabilityReport:
 
 
 def _output_maps(sys: LtiSystem, k: int) -> list:
-    """The k output maps [C, CA, ..., C A^(k-1)]."""
+    """The k output maps [C, CA, ..., C A^(k-1)], overflowing silently: callers check them."""
     blocks, M = [sys.C], np.eye(sys.n)
-    for _ in range(k - 1):
-        M = M @ sys.A
-        blocks.append(sys.C @ M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k - 1):
+            M = M @ sys.A
+            blocks.append(sys.C @ M)
     return blocks
 
 
@@ -132,9 +133,12 @@ def check_observability(sys: LtiSystem) -> ObservabilityReport:
     """Rank of the observability matrix [C; CA; ...; C A^(n-1)] via singular values.
 
     Singular values at or below 1e-10 * sigma_max (the l1 solve's rank rule)
-    are zero.  The report carries the verdict; no exception is raised here.
+    are zero.  The report carries the verdict; powers of A that overflow are a ValueError.
     """
-    s = np.linalg.svd(np.vstack(_output_maps(sys, sys.n)), compute_uv=False)
+    obs = np.vstack(_output_maps(sys, sys.n))
+    if not np.isfinite(obs).all():
+        raise ValueError("the observability matrix is not finite: A's powers overflow")
+    s = np.linalg.svd(obs, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
     nonzero = s[s > _RANK_RTOL * smax]
     return ObservabilityReport(
@@ -154,12 +158,11 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     passes its rank test.  A full-column-rank H implies an observable
     (A, C), so observability is checked only when H fails: NotObservable
     when the pair is not observable, else DegenerateSvd (possible for short
-    windows even on observable systems).  T < 1, or an H that overflows, is a ValueError.
+    windows even on observable systems).  T < 1, or powers of A that overflow, is a ValueError.
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
-    with np.errstate(over="ignore", invalid="ignore"):  # powers past the largest float: checked below
-        H = np.vstack(_output_maps(sys, T)[::-1])  # newest first: C A^(T-1) on top, C at the bottom
+    H = np.vstack(_output_maps(sys, T)[::-1])  # newest first: C A^(T-1) on top, C at the bottom
     if not np.isfinite(H).all():
         raise ValueError(f"H is not finite for T={T}: the window's powers of A overflow")
 

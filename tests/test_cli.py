@@ -751,6 +751,27 @@ def test_scenario_metrics_that_overflow_are_a_numerical_failure(capsys, magnitud
     assert "overflow" in err
 
 
+@pytest.mark.parametrize("plant, magnitude, code, message", [
+    ("unstable", "0.001", 1, "the plant's trajectory overflows within --steps 20"),
+    ("surrogate", "1e308", 2, "attacked measurements overflow at attack magnitude 1e+308"),
+])
+def test_scenario_tells_a_plant_that_overflows_from_an_attack_that_does(tmp_path, capsys, plant,
+                                                                       magnitude, code, message):
+    # A's 1e30 mode passes the largest float within 20 steps whatever the attack:
+    # a validation error naming the plant; a stable plant under a magnitude that
+    # overflows stays a numerical failure.  Neither prints a numpy warning
+    argv = ["scenario", "--steps", 20, "--T", 2, "--attack-magnitude", magnitude]
+    if plant == "unstable":
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"A": [[1e30, 0], [0, 0.5]], "C": [[1, 0], [0, 1], [1, 1]],
+                                    "x0": [1, 1]}))
+        argv += ["--system", path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(argv, capsys)
+    assert (got, out, err) == (code, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["attack", "--epsilon", "0.4", "--support", "0,,1"], "--support"),
     (["estimate", "--safe", "1,x"], "--safe"),

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,13 @@ def names_of(subparser, flag):
     return {flag.replace("_", "-"), dest, dest.replace("_", " "), *FILE_FIELDS.get(flag, ())}
 
 
+def names_any(message, names):
+    """Whether `message` holds one of `names` as a whole token, dashes and all:
+    'n' is not found in 'dimensions', nor 'seed' in '--prior-seed'."""
+    return any(re.search(rf"(?<![\w-])(?:--)?{re.escape(name)}(?![\w-])", message)
+               for name in names)
+
+
 def test_each_hostile_value_alone_exits_cleanly(files):
     # every value of the tables above, one flag at a time: a result or a
     # validation error that names the flag, except the numerical failure
@@ -186,4 +194,4 @@ def test_each_hostile_value_alone_exits_cleanly(files):
                 else:
                     assert out.getvalue() == "", line
                 if code == 1:
-                    assert any(token in err.getvalue() for token in names), (line, err.getvalue())
+                    assert names_any(err.getvalue(), names), (line, err.getvalue())

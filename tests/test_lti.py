@@ -68,6 +68,19 @@ def test_build_horizon_rejects_a_window_that_overflows():
             build_horizon(sys_, 3)
 
 
+def test_check_observability_rejects_powers_that_overflow():
+    # H = C at T 1 is rank deficient, so build_horizon asks for the observability
+    # matrix, whose A^2 overflows to inf and 0 * inf to nan: rejected before its
+    # SVD, where numpy's warnings and "SVD did not converge" came before
+    sys_ = LtiSystem(A=1e200 * np.eye(3), C=[[1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (check_observability, lambda s: build_horizon(s, 1)):
+            with pytest.raises(ValueError, match="^the observability matrix is not finite: "
+                                                 "A's powers overflow$"):
+                check(sys_)
+
+
 def test_svd_factors_consistency():
     for seed in range(12):
         sys_ = make_system(seed, m=7, n=3)

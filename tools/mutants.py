@@ -68,7 +68,8 @@ MUTANTS = [
     (LP, "_RANK_RTOL = 1e-10", "_RANK_RTOL = 1e-6",
      "tests/test_lp.py::test_matches_scipy_linprog[near_rank-0]",
      "the rank tolerance loosened ten-thousand-fold"),
-    (LP, "if not keep.all():", "if False:",
+    (LP, "inv, keep = _start_inverse(A, basis, big)",
+     "inv, keep = _start_inverse(A, basis, big)[0], slice(None)",
      "tests/test_lp.py::test_search_gives_up_where_the_single_solve_leaves_the_pivots",
      "the search keeps every start, whatever its inverse's bound"),
     (LP, "if not np.isfinite(inv).all():", "if False:",
@@ -103,10 +104,17 @@ MUTANTS = [
     (LTI, "if not np.isfinite(H).all():", "if False:",
      "tests/test_lti.py::test_build_horizon_rejects_a_window_that_overflows",
      "a window that overflows reaches the SVD, which names no T"),
-    (LTI, 'with np.errstate(over="ignore", invalid="ignore"):  # powers',
-     "with np.errstate():  # powers",
+    (LTI, 'with np.errstate(over="ignore", invalid="ignore"):\n        for _ in range(k - 1):',
+     "with np.errstate():\n        for _ in range(k - 1):",
      "tests/test_lti.py::test_build_horizon_rejects_a_window_that_overflows",
      "a window that overflows warns before it is rejected"),
+    (LTI, "if not np.isfinite(obs).all():", "if False:",
+     "tests/test_lti.py::test_check_observability_rejects_powers_that_overflow",
+     "an observability matrix that overflows reaches the SVD, which warns and fails"),
+    (EXPERIMENTS, "if not math.isfinite(T * m * float(np.abs(traj.clean_measurements).max())):",
+     "if False:",
+     "tests/test_cli.py::test_scenario_tells_a_plant_that_overflows_from_an_attack_that_does",
+     "a plant whose own trajectory overflows is blamed on the attack (exit 2)"),
     (CLI, "_require(0 <= args.omega <= 1,", "_require(True,",
      "tests/test_cli.py::test_estimate_checks_omega_without_safe_rows",
      "estimate takes an omega outside [0, 1] when no row is trusted"),
