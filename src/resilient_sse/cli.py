@@ -5,8 +5,9 @@ solver failure.  Results are serialized to stdout or, with --out, written
 atomically (nothing is left behind on failure).  Every stochastic
 subcommand is fully determined by its --seed.
 
-argparse converts every input: a comma-separated list flag is one typed
-tuple, and sweep and scenario store each flag under the name of the config
+argparse converts every input: a file flag holds its file's checked
+contents, and an error names the flag and the path; a list flag is one
+typed tuple; sweep and scenario store each flag under the name of the config
 field it sets, with the dataclass's default, so their configs are built
 from the parsed flags as they stand; results print through canonical_json,
 which writes a dataclass field for field.
@@ -48,8 +49,8 @@ from .experiments import (
     sweep,
 )
 from .fdia import random_support, synthesize_fdia
-from .lti import (build_horizon, load_system_csv, load_system_json, numeric_array,
-                  read_matrix_csv, row_indices)
+from .lti import (LtiSystem, build_horizon, load_system_json, numeric_array, read_matrix_csv,
+                  row_indices)
 from .pruning import (
     SupportIndicator,
     SupportPrior,
@@ -77,16 +78,18 @@ def _write_output(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_result_")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)),
+                                   prefix=".tmp_result_")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # its own text names the temporary file
+        raise ValueError(f"argument --out: {out_path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _list_of(convert):
@@ -103,29 +106,39 @@ def _list_of(convert):
     return parse
 
 
+def _file(read):
+    """An argparse type: what `read` makes of the file at a path; an error names the path."""
+    def convert(path):
+        try:
+            return read(path)
+        except (OSError, ValueError) as exc:
+            why = str(getattr(exc, "strerror", None) or exc)  # an OSError's text repeats the path
+            raise argparse.ArgumentTypeError(why if why.startswith(path) else f"{path}: {why}")
+    return convert
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read_vector(path) -> np.ndarray:
+    """A flat JSON list of finite numbers, or a numeric CSV read row by row."""
+    if path.endswith(".json"):
+        return numeric_array(_read_json(path), path, 1)
+    return read_matrix_csv(path).reshape(-1)
+
+
 def _load_system(args):
     if args.system:
-        return load_system_json(args.system)
-    if args.system_a and args.system_c:
-        return load_system_csv(args.system_a, args.system_c), None
+        return args.system
+    if args.system_a is not None and args.system_c is not None:
+        return LtiSystem(A=args.system_a, C=args.system_c), None
     raise ValueError("provide --system (JSON) or both --system-a and --system-c (CSV)")
 
 
-def _read_vector(path, flag: str) -> np.ndarray:
-    """A flat JSON list of finite numbers, or a numeric CSV read row by row; errors name `flag`."""
-    try:
-        if str(path).endswith(".json"):
-            with open(path) as fh:
-                return numeric_array(json.load(fh), str(path), 1)
-        return read_matrix_csv(path).reshape(-1)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
-
-
-def _config_flags(path, parser):
-    """The JSON object at `path` as --flag=value arguments of the subcommand's `parser`."""
-    with open(path) as fh:
-        doc = json.load(fh)
+def _config_flags(doc, parser):
+    """The config file's contents `doc` as --flag=value arguments of the subcommand's `parser`."""
     _require(isinstance(doc, dict), "config file must hold a JSON object")
     flags = []
     for key, value in doc.items():
@@ -170,10 +183,9 @@ def _cmd_estimate(args) -> str:
     _require(0 <= args.omega <= 1, "omega must lie in [0, 1]")
     sys_, _ = _load_system(args)
     model = build_horizon(sys_, args.T)
-    y_T = _read_vector(args.y, "--y")
+    y_T, x_true = args.y, args.x_true
     _require(y_T.size == model.rows, f"--y holds {y_T.size} entries, but --T {args.T} "
              f"asks for T*m = {model.rows} rows")
-    x_true = _read_vector(args.x_true, "--x-true") if args.x_true else None
     if args.safe is not None:
         trusted = row_indices(args.safe, model.rows, "--safe rows")
         # with omega 0 only the trusted rows carry weight: too few cannot
@@ -199,8 +211,7 @@ def _cmd_estimate(args) -> str:
 
 def _cmd_prune(args) -> str:
     _require(0 < args.eta < 1, "eta must lie in (0,1)")
-    with open(args.input) as fh:
-        doc = json.load(fh)
+    doc = args.input
     _require(isinstance(doc, dict), "prune input must hold a JSON object")
     _require("p" in doc, "prune input needs a confidence vector 'p'")
     p = numeric_array(doc["p"], "confidences 'p' in (0, 1]", 1)
@@ -258,7 +269,7 @@ def _cmd_sweep(args) -> str:
 
 def _cmd_scenario(args) -> str:
     if args.system:
-        sys_, x0 = load_system_json(args.system)
+        sys_, x0 = args.system
         _require(x0 is not None, "scenario needs an x0 entry in the system file")
     else:
         sys_, x0 = load_surrogate()
@@ -272,9 +283,10 @@ def _cmd_scenario(args) -> str:
 # ---------------------------------------------------------------------------
 
 def _add_system_flags(p):
-    p.add_argument("--system", help="system JSON file with A, C and optional x0")
-    p.add_argument("--system-a", help="CSV file holding A (with --system-c)")
-    p.add_argument("--system-c", help="CSV file holding C (with --system-a)")
+    p.add_argument("--system", type=_file(load_system_json),
+                   help="system JSON file with A, C and optional x0")
+    p.add_argument("--system-a", type=_file(read_matrix_csv), help="CSV file of A, with --system-c")
+    p.add_argument("--system-c", type=_file(read_matrix_csv), help="CSV file of C, with --system-a")
 
 
 def build_parser():
@@ -296,15 +308,17 @@ def build_parser():
     p = subparsers["estimate"] = sub.add_parser("estimate", help="decode a stacked measurement window")
     _add_system_flags(p)
     p.add_argument("--T", type=int, default=1)
-    p.add_argument("--y", required=True, help="stacked window (JSON list or CSV)")
+    p.add_argument("--y", type=_file(_read_vector), required=True,
+                   help="stacked window (JSON list or CSV)")
     p.add_argument("--omega", type=float, default=0.01)
     p.add_argument("--safe", type=_list_of(int), help="trusted rows; omitted = plain l1 decoding")
     p.add_argument("--epsilon", type=float, help="detector threshold")
-    p.add_argument("--x-true", help="ground-truth state for the error field")
+    p.add_argument("--x-true", type=_file(_read_vector), help="ground-truth state for the error field")
     p.set_defaults(handler=_cmd_estimate)
 
     p = subparsers["prune"] = sub.add_parser("prune", help="prune an uncertain safe-row prior")
-    p.add_argument("--input", required=True, help="JSON with p and q_hat, or p, q, seed")
+    p.add_argument("--input", type=_file(_read_json), required=True,
+                   help="JSON with p and q_hat, or p, q, seed")
     p.add_argument("--eta", type=float, required=True, help="pruning reliability level")
     p.add_argument("--strategy", default="product", choices=("product", "quantile"))
     p.set_defaults(handler=_cmd_prune)
@@ -341,7 +355,8 @@ def build_parser():
     p.set_defaults(handler=_cmd_sweep)
 
     p = subparsers["scenario"] = sub.add_parser("scenario", help="dynamic observer comparison")
-    p.add_argument("--system", help="system JSON file with A, C and x0 (else: the surrogate)")
+    p.add_argument("--system", type=_file(load_system_json),
+                   help="system JSON file with A, C and x0 (else: the surrogate)")
     cfg, attack = ScenarioConfig, ScenarioAttack
     p.add_argument("--steps", type=int, default=cfg.steps, help="trajectory length")
     p.add_argument("--T", type=int, default=cfg.T, help="moving-window length")
@@ -371,7 +386,7 @@ def build_parser():
 def _parsers():
     """build_parser() and a parser that finds --config, built once per process and never mutated."""
     config = _Parser(add_help=False)
-    config.add_argument("--config")
+    config.add_argument("--config", type=_file(_read_json), default=argparse.SUPPRESS)
     return build_parser(), config
 
 
@@ -379,17 +394,17 @@ def parse_and_dispatch(argv=None) -> int:
     (parser, subparsers), config = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        path = config.parse_known_args(argv)[0].config
-        if path and argv[0] in subparsers:
+        found = config.parse_known_args(argv)[0]
+        if "config" in found and argv[0] in subparsers:
             # the file's flags come first, so that the command line's win
-            argv = argv[:1] + _config_flags(path, subparsers[argv[0]]) + argv[1:]
+            argv = argv[:1] + _config_flags(found.config, subparsers[argv[0]]) + argv[1:]
         args = parser.parse_args(argv)
         text = args.handler(args)
         _write_output(text, args.out)
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc), 1)
     except EstimationError as exc:
         return _fail(str(exc), 2)

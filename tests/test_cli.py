@@ -11,6 +11,17 @@ import pytest
 from resilient_sse import LtiSystem, build_horizon, cli, detect, estimation, gen_random_system
 from resilient_sse.cli import parse_and_dispatch
 
+SURROGATE = Path(cli.__file__).parent / "data" / "surrogate.json"
+
+
+@pytest.fixture
+def zero_window(tmp_path):
+    """Files of the surrogate's zero window at T 1 (10 rows) and of its zero state (5)."""
+    y, x = tmp_path / "zeros.json", tmp_path / "zero_state.json"
+    y.write_text("[0,0,0,0,0,0,0,0,0,0]")
+    x.write_text("[0,0,0,0,0]")
+    return y, x
+
 
 @pytest.fixture
 def system_file(tmp_path):
@@ -78,7 +89,7 @@ def test_prune_subcommand_sampled_prior(tmp_path, capsys):
     assert json.loads(out)["l_eta"] is not None
 
 
-def test_estimate_subcommand(tmp_path, system_file, capsys):
+def test_estimate_subcommand(tmp_path, system_file, zero_window, capsys):
     path, sys_ = system_file
     model = build_horizon(sys_, 1)
     x = np.array([0.5, 2.0])
@@ -104,6 +115,13 @@ def test_estimate_subcommand(tmp_path, system_file, capsys):
     doc = json.loads(out)
     assert doc["detector_flag"] is False
     assert doc["residual_l1"] <= 1e-9
+
+    # a zero window fits the zero state, so it is not flagged and its error is exactly 0
+    y_zero, x_zero = zero_window
+    code, out, _ = run_cli(["estimate", "--system", SURROGATE, "--y", y_zero, "--safe", "0,1,2",
+                            "--epsilon", 1, "--x-true", x_zero], capsys)
+    assert code == 0
+    assert '"detector_flag":false,' in out and '"error_l2":0.0,' in out
 
 
 def test_detector_flag_is_detect_on_the_solves_own_residual(tmp_path, system_file, capsys,
@@ -383,6 +401,13 @@ def test_estimate_rejects_non_finite_window(tmp_path, system_file, capsys):
     assert out == ""
     assert "finite" in err
 
+    y_path.write_text("[NaN, 0, 0, 0, 0, 0, 0, 0, 0, 0]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["estimate", "--system", SURROGATE, "--y", y_path], capsys)
+    assert (code, out) == (1, "")
+    assert "--y" in err
+
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # unobservable system: building the window model fails numerically
@@ -394,6 +419,28 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     code, out, err = run_cli(["estimate", "--system", path, "--y", y_path], capsys)
     assert code == 2
     assert out == ""
+
+    # a full-rank H (sigma_min 0.5) whose cold start is a Kahan-type block: L unit
+    # lower-triangular with -1e3 below the diagonal, whose inverse is not finite;
+    # the solve names the start, and neither calls H rank deficient nor pivots on nan
+    n = 120
+    L = np.eye(n) + np.tril(np.full((n, n), -1e3), -1)
+    k = np.arange(1.0, n + 1)
+    path.write_text(json.dumps({"A": (0.5 * np.eye(n)).tolist(),
+                                "C": np.vstack([L, 0.5 * np.eye(n)]).tolist()}))
+    y_path.write_text(json.dumps(np.concatenate([k, -2 * L.T @ k]).tolist()))
+    code, out, err = run_cli(["estimate", "--system", path, "--y", y_path, "--T", 1], capsys)
+    assert (code, out) == (2, "")
+    assert "the cold start's 120 rows of a full-rank A have no finite inverse" in err
+    assert "rank deficient" not in err
+    # an H with sigma_min / sigma_max about 4e-12 is no model, not a model that no
+    # solve of it accepts
+    path.write_text(json.dumps({"A": [[0, 1], [-1, 0]],
+                                "C": [[1, 1.000000000008], [1, 0.999999999992],
+                                      [1, 1.000000000008], [1, 0.999999999992]]}))
+    code, out, _ = run_cli(["attack", "--system", path, "--epsilon", 0.5, "--support", "0"],
+                           capsys)
+    assert (code, out) == (2, "")
 
 
 def test_an_uncertified_solve_exits_2(tmp_path, system_file, capsys, monkeypatch):
@@ -565,7 +612,8 @@ def test_estimate_in_subnormal_units(tmp_path, capsys):
     (["scenario", "--steps", 8, "--seed", "-1"], "attack seed"),
     (["rip", "--S", 1, "--seed", "-1"], "--seed"),
     (["attack", "--epsilon", 0.5, "--fraction", 0.3, "--seed", "-1"], "--seed"),
-], ids=["sweep", "scenario-prior", "scenario-attack", "rip", "attack"])
+    (["sweep", "--seed", "-1", "--trials", 2, "--grid", "0.3"], "master seed"),
+], ids=["sweep", "scenario-prior", "scenario-attack", "rip", "attack", "sweep-2-trials"])
 def test_a_negative_seed_names_its_flag(system_file, capsys, command, named):
     # numpy's own "expected non-negative integer" names no flag
     if command[0] in ("rip", "attack"):
@@ -586,7 +634,7 @@ def test_estimate_names_y_and_t_for_a_window_of_the_wrong_length(tmp_path, syste
     assert "shape mismatch" not in err
 
 
-def test_estimate_rejects_x_true_of_the_wrong_length(tmp_path, system_file, capsys):
+def test_estimate_rejects_x_true_of_the_wrong_length(tmp_path, system_file, zero_window, capsys):
     path, sys_ = system_file
     x = np.array([0.5, 2.0])
     y_path, x_path = tmp_path / "y.json", tmp_path / "x.json"
@@ -598,6 +646,11 @@ def test_estimate_rejects_x_true_of_the_wrong_length(tmp_path, system_file, caps
     assert code == 1
     assert out == ""
     assert "x_true" in err
+
+    x_path.write_text("[0,0]")
+    code, out, err = run_cli(["estimate", "--system", SURROGATE, "--y", zero_window[0],
+                              "--x-true", x_path], capsys)
+    assert (code, out) == (1, "") and "x_true" in err
 
 
 @pytest.mark.parametrize("epsilon", ["inf", "nan"])
@@ -698,8 +751,15 @@ def test_sweep_rejects_omega_0_with_a_weighted_strategy_up_front(capsys, monkeyp
     (["scenario", "--steps", 8, "--jitter", "-1"], "jitter"),
     (["sweep", "--jitter", "1e308", "--trials", 1], "jitter"),
     (["scenario", "--steps", 8, "--jitter", "1e308"], "jitter"),
+    (["sweep", "--jitter", "1e308", "--trials", 2, "--grid", "0.3"], "jitter"),
+    # n below 1 is checked with the m > n rule, up front and without numpy's message
+    pytest.param(["sweep", "--n", "0", "--trials", 2, "--grid", "0.3"], "n=0",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param(["sweep", "--n", "-1", "--trials", 2, "--grid", "0.3"], "n=-1",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ], ids=["sweep-true-rate", "sweep-jitter", "scenario-true-rate", "scenario-jitter",
-        "sweep-jitter-too-wide", "scenario-jitter-too-wide"])
+        "sweep-jitter-too-wide", "scenario-jitter-too-wide", "sweep-jitter-too-wide-2-trials",
+        "sweep-n-0", "sweep-n-negative"])
 def test_a_confidence_model_out_of_range_is_rejected_up_front(capsys, monkeypatch, argv, message):
     from resilient_sse import experiments
 
@@ -842,7 +902,9 @@ def test_scenario_rejects_half_a_csv_pair(tmp_path, capsys, flag):
 def test_half_a_csv_pair_exits_1(tmp_path, capsys, command, flag):
     half = tmp_path / "half.csv"
     half.write_text("1,0\n0,1\n")
-    code, out, err = run_cli(command + [flag, half], capsys)
+    (tmp_path / "y.json").write_text("[0.0]")  # a file flag's file is read as it is parsed
+    argv = [tmp_path / arg if arg == "y.json" else arg for arg in command]
+    code, out, err = run_cli(argv + [flag, half], capsys)
     assert code == 1 and out == ""
     assert err == "error: provide --system (JSON) or both --system-a and --system-c (CSV)\n"
 
@@ -930,7 +992,7 @@ def test_prune_reports_a_null_ppv_when_no_row_is_estimated_safe(tmp_path, capsys
     assert doc["ppv"] is None and doc["pruned_set"] == [] and '"ppv":null' in out
 
 
-def test_estimate_with_omega_0_needs_n_distinct_safe_rows(tmp_path, capsys):
+def test_estimate_with_omega_0_needs_n_distinct_safe_rows(tmp_path, zero_window, capsys):
     # rows 0 and 1 of C coincide: two distinct rows, yet rank deficient
     path = tmp_path / "sys.json"
     path.write_text(json.dumps({"A": [[0.5, 0.0], [0.0, 0.4]],
@@ -946,6 +1008,18 @@ def test_estimate_with_omega_0_needs_n_distinct_safe_rows(tmp_path, capsys):
     assert code == 2 and out == ""
     code, out, _ = run_cli(base + ["1,2"], capsys)
     assert code == 0 and np.allclose(json.loads(out)["x_hat"], [1.0, 2.0])
+
+    # the surrogate has 5 states: six trusted rows solve, two are too few
+    base = ["estimate", "--system", SURROGATE, "--y", zero_window[0], "--omega", "0", "--safe"]
+    assert run_cli(base + ["0,1,2,3,4,5"], capsys)[0] == 0
+    assert run_cli(base + ["0,1"], capsys)[:2] == (1, "")
+    # three trusted rows for two states, all multiples of one row: the cold start
+    # finds no two independent rows, and the solve rejects the rank
+    path.write_text(json.dumps({"A": [[0, 1], [-1, 0]], "C": [[1, 0], [2, 0], [-1, 0], [0, 1]]}))
+    y_path.write_text("[1, 2, 3, 5]")
+    code, out, err = run_cli(["estimate", "--system", path, "--y", y_path, "--omega", "0",
+                              "--safe", "0,1,2"], capsys)
+    assert (code, out) == (2, "") and "rank deficient" in err
 
 
 @pytest.mark.parametrize("omega", ["2", "-0.5", "nan"])
@@ -987,7 +1061,7 @@ def test_sweep_rejects_T_0_at_its_first_draw(capsys, monkeypatch, workers):
     assert err == "error: window length T must be >= 1, got 0\n"
 
 
-def test_sweep_rejects_a_window_that_overflows(capsys):
+def test_sweep_rejects_a_window_that_overflows(tmp_path, capsys):
     # A^39 at spectral radius 1e10 passes the largest float: exit 1 naming T,
     # where numpy's overflow warnings and a failed SVD came before
     with warnings.catch_warnings():
@@ -996,6 +1070,16 @@ def test_sweep_rejects_a_window_that_overflows(capsys):
                                   "--spectral-radius", "1e10"], capsys)
     assert code == 1 and out == ""
     assert err == "error: H is not finite for T=40: the window's powers of A overflow\n"
+    # so do powers of A that overflow the observability matrix, asked for as H = C
+    # is rank deficient
+    system, y = tmp_path / "power.json", tmp_path / "y.json"
+    system.write_text('{"A": [[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e200]], "C": [[1, 0, 0]]}')
+    y.write_text("[1]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["estimate", "--system", system, "--y", y, "--T", 1], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: the observability matrix is not finite: A's powers overflow\n"
 
 
 def test_no_solve_path_imports_numpy_ma(tmp_path, system_file):
@@ -1046,13 +1130,34 @@ def test_no_subcommand_forms_the_full_U_of_H(tmp_path, system_file, capsys, full
     y_path = tmp_path / "y.json"
     y_path.write_text(json.dumps(list(build_horizon(sys_, 1).H @ np.array([0.5, 2.0]))))
     surrogate, _ = load_surrogate()
+    window = (3 * surrogate.m, surrogate.n)
+    # the solve does not depend on the units of the system: entries around 1e-12
+    # certify, and so do entries around 1e200, whose squares would overflow
+    units = {}
+    for name, e in (("tiny", "e-12"), ("huge", "e200")):
+        units[name] = tmp_path / f"{name}.json"
+        units[name].write_text(f'{{"A": [[1{e}, 0], [0, 2{e}]], '
+                               f'"C": [[1{e}, 0], [0, 1{e}], [1{e}, 1{e}], [2{e}, -1{e}]]}}')
+    units_y = tmp_path / "units_y.json"
+    units_y.write_text("[1, 2, 3, 5]")
     runs = [  # each command line with the shape of its H
         (["estimate", "--system", path, "--y", y_path, "--epsilon", 0.1], (6, 2)),
         (["estimate", "--system", path, "--y", y_path, "--safe", "1,2,3"], (6, 2)),
         (["attack", "--system", path, "--epsilon", 0.4, "--support", "2,0"], (6, 2)),
         (["attack", "--system", path, "--epsilon", 0.4, "--fraction", 0.3], (6, 2)),
         (["sweep", "--m", 6, "--n", 2, "--grid", "0.0,0.3", "--trials", 3], (6, 2)),
-        (["scenario", "--steps", 8], (3 * surrogate.m, surrogate.n)),
+        (["scenario", "--steps", 8], window),
+        (["scenario", "--steps", 8, "--prior-mode", "per_window"], window),
+        (["scenario", "--steps", 8, "--system", SURROGATE], window),
+        # LO alone poses no l1 problem and runs no search
+        (["scenario", "--steps", 8, "--observers", "LO"], window),
+        (["scenario", "--steps", 8, "--observers", "WL1P", "--prior-mode", "per_window"], window),
+        # at omega 1 WL1P weighs every row alike and shares L1O's solve
+        (["scenario", "--steps", 8, "--omega", 1], window),
+        (["sweep", "--trials", 2, "--grid", "0.3"], (20, 10)),
+        (["sweep", "--trials", 2, "--grid", "0.3", "--format", "json"], (20, 10)),
+        (["estimate", "--system", units["tiny"], "--y", units_y], (4, 2)),
+        (["estimate", "--system", units["huge"], "--y", units_y], (4, 2)),
         (["rip", "--system", path, "--S", 2, "--budget", 100], (6, 2)),
         (["rip", "--system", path, "--S", 3, "--budget", 5, "--seed", 1], (6, 2)),
     ]

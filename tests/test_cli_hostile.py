@@ -3,7 +3,10 @@
 Whatever the flags hold, the CLI exits 0, 1 or 2 without a traceback, and a
 result on stdout is strict JSON or a CSV whose numeric fields are finite.
 Each hostile value alone is a result or a validation error (exit 0 or 1)
-whose message names the flag, except one listed numerical failure.
+whose message names the flag, except one listed numerical failure.  Every
+file flag, --config included, is also given a missing path, a directory and
+malformed JSON, each CSV flag a cell that is not a number, and --out a path
+in a missing directory and a directory.
 Sizes stay small, so no example builds a large H or runs a long sweep, and
 `--workers` never asks for a process pool.
 """
@@ -73,27 +76,35 @@ def files(tmp_path_factory):
         out[name] = str(root / f"{name}.json")
         with open(out[name], "w") as fh:
             json.dump(doc, fh)
+    # broken files, named so that no path holds a flag's name
+    (root / "folder").mkdir()
+    (root / "garbled.json").write_text("{'a': 1}")
+    (root / "cells.csv").write_text("1,x\n0,1\n")
+    out.update({k: str(root / k) for k in ("absent.json", "folder", "garbled.json", "cells.csv")})
+    out["gone"] = str(root / "gone" / "result.json")  # in a directory that does not exist
     return out
 
 
 def tables(files):
     """(subcommand, valid options, hostile values per flag) for all six."""
     system = files["system"]
-    systems = [system] + [files[k] for k in BAD_SYSTEMS]
-    windows = [files[k] for k in ("y1", "y2", "ynan", "ybig", "yshort")]
-    return [
+    broken = [files[k] for k in ("absent.json", "folder", "garbled.json")]
+    cells = broken + [files["cells.csv"]]
+    systems = [system] + [files[k] for k in BAD_SYSTEMS] + broken
+    windows = [files[k] for k in ("y1", "y2", "ynan", "ybig", "yshort")] + cells
+    table = [
         ("attack", dict(system=system, T=1, epsilon=0.5, support="0"), dict(
-            system=systems, T=SIZES, epsilon=FLOATS, support=ROWS, fraction=FLOATS,
-            seed=["0", "-1", "x"], cap_factor=FLOATS)),
+            system=systems, system_a=cells, system_c=cells, T=SIZES, epsilon=FLOATS,
+            support=ROWS, fraction=FLOATS, seed=["0", "-1", "x"], cap_factor=FLOATS)),
         ("estimate", dict(system=system, T=1, y=files["y1"]), dict(
-            system=systems, T=SIZES, y=windows, omega=FLOATS, safe=ROWS, epsilon=FLOATS,
-            x_true=[files["x"]])),
+            system=systems, system_a=cells, system_c=cells, T=SIZES, y=windows, omega=FLOATS,
+            safe=ROWS, epsilon=FLOATS, x_true=[files["x"]] + cells)),
         ("prune", dict(input=files["prior"], eta=0.9), dict(
-            input=[files[k] for k in ["sampled"] + BAD_PRUNE_INPUTS], eta=FLOATS,
+            input=[files[k] for k in ["sampled"] + BAD_PRUNE_INPUTS] + broken, eta=FLOATS,
             strategy=["product", "quantile", "bogus"])),
         ("rip", dict(system=system, T=1, S=2), dict(
-            system=systems, T=SIZES, S=SIZES + ["3", "99"], budget=SIZES + ["5", "100"],
-            seed=["0", "-1"])),
+            system=systems, system_a=cells, system_c=cells, T=SIZES, S=SIZES + ["3", "99"],
+            budget=SIZES + ["5", "100"], seed=["0", "-1"])),
         ("sweep", dict(m=6, n=2, trials=2, grid="0.0,0.3"), dict(
             m=SIZES + ["3", "6"], n=SIZES, T=SIZES, trials=SIZES,
             grid=["0.0", "0.3", "0.2,0.5", "nan", "1", "-0.1", "", "x"],
@@ -110,6 +121,9 @@ def tables(files):
             eta=FLOATS, omega=FLOATS, prior_mode=["static", "per_window", "bogus"],
             observers=["LO,L1O,WL1P", "LO", "L1O", "WL1P", "bogus", ""])),
     ]
+    for _, _, hostile in table:
+        hostile.update(config=broken, out=[files["gone"], files["folder"]])
+    return table
 
 
 def command_lines(files):
@@ -194,4 +208,8 @@ def test_each_hostile_value_alone_exits_cleanly(files):
                 else:
                     assert out.getvalue() == "", line
                 if code == 1:
-                    assert names_any(err.getvalue(), names), (line, err.getvalue())
+                    # a path such as .../system.json would name --system by itself
+                    message = err.getvalue()
+                    for path in set(files.values()) & {arg.partition("=")[2] for arg in line}:
+                        message = message.replace(path, "")
+                    assert names_any(message, names), (line, err.getvalue())

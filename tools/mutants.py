@@ -121,6 +121,9 @@ MUTANTS = [
     (CLI, "_require(x0 is not None,", "_require(True,",
      "tests/test_cli.py::test_a_malformed_system_file_exits_1[no-x0]",
      "scenario runs a system file without x0"),
+    (CLI, "except (OSError, ValueError) as exc:", "except ValueError as exc:",
+     "tests/test_cli_hostile.py::test_each_hostile_value_alone_exits_cleanly",
+     "a file flag's missing file or directory is an error that names no flag"),
     (EXPERIMENTS, SWEEP_ETA, SWEEP_ETA.replace("if not 0.0 < self.eta < 1.0:", "if False:"),
      "tests/test_experiments.py::test_config_validation",
      "a sweep of the plain decoder takes an eta outside (0, 1)"),
