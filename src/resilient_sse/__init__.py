@@ -55,7 +55,6 @@ from .lti import (
     Trajectory,
     build_horizon,
     check_observability,
-    load_system_csv,
     load_system_json,
     simulate,
     stack_window,

@@ -122,6 +122,12 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _in_a_directory(path):
+    """`path`, once its directory is found to exist (the trailing separator fails on a file)."""
+    os.stat(os.path.join(os.path.dirname(os.path.abspath(path)), ""))
+    return path
+
+
 def _read_vector(path) -> np.ndarray:
     """A flat JSON list of finite numbers, or a numeric CSV read row by row."""
     if path.endswith(".json"):
@@ -133,7 +139,10 @@ def _load_system(args):
     if args.system:
         return args.system
     if args.system_a is not None and args.system_c is not None:
-        return LtiSystem(A=args.system_a, C=args.system_c), None
+        try:
+            return LtiSystem(A=args.system_a, C=args.system_c), None
+        except ValueError as exc:  # each matrix is fine alone: the pair does not fit
+            raise ValueError(f"argument --system-a/--system-c: {exc}") from None
     raise ValueError("provide --system (JSON) or both --system-a and --system-c (CSV)")
 
 
@@ -210,7 +219,6 @@ def _cmd_estimate(args) -> str:
 
 
 def _cmd_prune(args) -> str:
-    _require(0 < args.eta < 1, "eta must lie in (0,1)")
     doc = args.input
     _require(isinstance(doc, dict), "prune input must hold a JSON object")
     _require("p" in doc, "prune input needs a confidence vector 'p'")
@@ -378,7 +386,8 @@ def build_parser():
 
     for p in subparsers.values():
         p.add_argument("--config", help="JSON file of option defaults; flags win")
-        p.add_argument("--out", help="write the result here instead of stdout")
+        p.add_argument("--out", type=_file(_in_a_directory),
+                       help="write the result here instead of stdout")
     return parser, subparsers
 
 

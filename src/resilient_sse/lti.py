@@ -308,8 +308,3 @@ def read_matrix_csv(path) -> np.ndarray:
                 continue
             rows.append([float(c) for c in rec])
     return numeric_array(rows, str(path), 2)
-
-
-def load_system_csv(a_path, c_path) -> LtiSystem:
-    """Build a system from two CSV files, one matrix per file."""
-    return LtiSystem(A=read_matrix_csv(a_path), C=read_matrix_csv(c_path))

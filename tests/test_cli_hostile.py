@@ -1,4 +1,4 @@
-"""Hostile command lines for all six subcommands.
+"""Hostile command lines for all six subcommands, and a table of rejected ones.
 
 Whatever the flags hold, the CLI exits 0, 1 or 2 without a traceback, and a
 result on stdout is strict JSON or a CSV whose numeric fields are finite.
@@ -9,6 +9,10 @@ malformed JSON, each CSV flag a cell that is not a number, and --out a path
 in a missing directory and a directory.
 Sizes stay small, so no example builds a large H or runs a long sweep, and
 `--workers` never asks for a process pool.
+
+`test_each_rejection` runs one row per command line that the CLI must
+reject: its exit code, its message, and where the rejection must come before
+any run, the function that must not be called.  A new rule is one more row.
 """
 
 import contextlib
@@ -17,13 +21,16 @@ import io
 import json
 import math
 import re
+import shlex
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilient_sse import build_horizon, gen_random_system
+from resilient_sse import build_horizon, cli, gen_random_system
 from resilient_sse.cli import build_parser, parse_and_dispatch
 
 FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e308", "-1e-300", "x", "", "0.5", "0.9", "0.01", "2"]
@@ -60,14 +67,45 @@ def files(tmp_path_factory):
             "yshort": [1.0], "prior": {"p": [0.9, 0.8, 0.99], "q_hat": [1, 0, 1]},
             "sampled": {"p": [0.9, 0.8, 0.99], "q": [1, 0, 1], "seed": 3},
             "pnan": {"p": [float("nan"), 0.8], "q_hat": [1, 1]}, "empty": {}}
-    good = docs["system"]
+    good, nan = docs["system"], float("nan")
+    small = {"A": [[0.5, 0.0], [0.0, 0.4]], "C": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+             "x0": [1.0, -1.0]}
+    # a full-rank H whose cold start is a Kahan-type block: L unit lower-triangular
+    # with -1e3 below the diagonal, whose inverse is not finite
+    L = np.eye(120) + np.tril(np.full((120, 120), -1e3), -1)
+    k = np.arange(1.0, 121)
     docs.update({
         "sys_object_entry": {**good, "A": [[{}]]}, "sys_string": "A C",
         "sys_object_x0": {**good, "x0": {"a": 1}},
         "sys_bool_entry": {**good, "A": [[True, False], [False, True]]},
+        "sys_numeric_string": {**small, "C": [[1, "0.5"], [0, 1], [1, 1]]},
+        "sys_int_beyond_float": {**small, "A": [[10**400, 0], [0, 0.4]]},
+        "sys_x0_length": {**small, "x0": [1.0, -1.0, 0.0]}, "sys_empty_A": {**small, "A": []},
+        "sys_no_x0": {"A": small["A"], "C": small["C"]},
+        "sys_nan_A": {**small, "A": [[0.5, nan], [0.0, 0.4]]},
+        "sys_nan_C": {**small, "C": [[1.0, nan], [0.0, 1.0], [1.0, 1.0]]},
+        "sys_nan_x0": {**small, "x0": [1.0, nan]},
+        "sys_unobservable": {"A": np.eye(3).tolist(), "C": [[1, 0, 0], [2, 0, 0], [0, 1, 0],
+                                                            [0, 2, 0]]},
+        "sys_kahan": {"A": (0.5 * np.eye(120)).tolist(),
+                      "C": np.vstack([L, 0.5 * np.eye(120)]).tolist()},
+        "y_kahan": np.concatenate([k, -2 * L.T @ k]).tolist(),
+        # sigma_min / sigma_max of H about 4e-12: no model
+        "sys_band": {"A": [[0, 1], [-1, 0]], "C": [[1, 1.000000000008], [1, 0.999999999992]] * 2},
+        # A's 1e30 mode passes the largest float within 20 steps whatever the attack
+        "sys_unstable": {"A": [[1e30, 0], [0, 0.5]], "C": [[1, 0], [0, 1], [1, 1]], "x0": [1, 1]},
+        "sys_power": {"A": (1e200 * np.eye(3)).tolist(), "C": [[1, 0, 0]]},
+        "y_object": {"y": [1.0, 2.0]}, "y_nested": [[1.0], [2.0]], "y_bool": [1.0, True],
+        "y_null": [1.0, None], "y_string": "1.0", "y_zeros4": [0.0] * 4,
+        "y_zeros10": [0.0] * 10, "y_nan10": [nan] + [0.0] * 9, "x_short": [0.5],
         "p_object": {"p": {"a": 1}, "q_hat": [1]}, "prune_array": ["p"],
         "seed_null": {**docs["sampled"], "seed": None},
         "seed_float": {**docs["sampled"], "seed": 1.7},
+        "half_label": {"p": [0.9, 0.8], "q_hat": [0.5, 1]},
+        "q_hat_p_lengths": {"p": [0.9, 0.8, 0.7], "q_hat": [1, 0]},
+        "q_p_lengths": {"p": [0.9, 0.8, 0.7], "q": [1, 0], "seed": 1},
+        "q_q_hat_lengths": {"p": [0.9, 0.8], "q_hat": [1, 0], "q": [1, 0, 1]},
+        "empty_q_hat": {"p": [], "q_hat": []}, "empty_sampled": {"p": [], "q": [], "seed": 1},
     })
     for T in (1, 2):
         docs[f"y{T}"] = (build_horizon(sys_, T).H @ x).tolist()
@@ -76,12 +114,22 @@ def files(tmp_path_factory):
         out[name] = str(root / f"{name}.json")
         with open(out[name], "w") as fh:
             json.dump(doc, fh)
+    # the system as a CSV pair, and pairs whose halves are fine alone but do not fit
+    csvs = {"sys_A.csv": sys_.A, "sys_C.csv": sys_.C, "wide_A.csv": np.eye(2, 3),
+            "wide_C.csv": np.eye(6, 3), "nan_A.csv": docs["sys_nan_A"]["A"],
+            "nan_C.csv": docs["sys_nan_C"]["C"]}
+    for name, rows in csvs.items():
+        (root / name).write_text("".join(",".join(map(repr, row)) + "\n"
+                                         for row in np.asarray(rows).tolist()))
     # broken files, named so that no path holds a flag's name
     (root / "folder").mkdir()
     (root / "garbled.json").write_text("{'a': 1}")
     (root / "cells.csv").write_text("1,x\n0,1\n")
-    out.update({k: str(root / k) for k in ("absent.json", "folder", "garbled.json", "cells.csv")})
+    out.update({k: str(root / k) for k in ("absent.json", "folder", "garbled.json", "cells.csv",
+                                           *csvs)})
     out["gone"] = str(root / "gone" / "result.json")  # in a directory that does not exist
+    out["under_a_file"] = str(root / "x.json" / "result.json")  # x.json is a file
+    out["surrogate"] = str(Path(cli.__file__).parent / "data" / "surrogate.json")
     return out
 
 
@@ -91,19 +139,21 @@ def tables(files):
     broken = [files[k] for k in ("absent.json", "folder", "garbled.json")]
     cells = broken + [files["cells.csv"]]
     systems = [system] + [files[k] for k in BAD_SYSTEMS] + broken
+    system_a, system_c = cells + [files["wide_A.csv"]], cells + [files["wide_C.csv"]]
     windows = [files[k] for k in ("y1", "y2", "ynan", "ybig", "yshort")] + cells
     table = [
         ("attack", dict(system=system, T=1, epsilon=0.5, support="0"), dict(
-            system=systems, system_a=cells, system_c=cells, T=SIZES, epsilon=FLOATS,
+            system=systems, system_a=system_a, system_c=system_c, T=SIZES, epsilon=FLOATS,
             support=ROWS, fraction=FLOATS, seed=["0", "-1", "x"], cap_factor=FLOATS)),
         ("estimate", dict(system=system, T=1, y=files["y1"]), dict(
-            system=systems, system_a=cells, system_c=cells, T=SIZES, y=windows, omega=FLOATS,
-            safe=ROWS, epsilon=FLOATS, x_true=[files["x"]] + cells)),
+            system=systems, system_a=system_a, system_c=system_c, T=SIZES, y=windows,
+            omega=FLOATS, safe=ROWS, epsilon=FLOATS, x_true=[files["x"]] + cells)),
         ("prune", dict(input=files["prior"], eta=0.9), dict(
             input=[files[k] for k in ["sampled"] + BAD_PRUNE_INPUTS] + broken, eta=FLOATS,
             strategy=["product", "quantile", "bogus"])),
-        ("rip", dict(system=system, T=1, S=2), dict(
-            system=systems, system_a=cells, system_c=cells, T=SIZES, S=SIZES + ["3", "99"],
+        # rip reads its system as a CSV pair, so that each half can be one that does not fit
+        ("rip", dict(system_a=files["sys_A.csv"], system_c=files["sys_C.csv"], T=1, S=2), dict(
+            system=systems, system_a=system_a, system_c=system_c, T=SIZES, S=SIZES + ["3", "99"],
             budget=SIZES + ["5", "100"], seed=["0", "-1"])),
         ("sweep", dict(m=6, n=2, trials=2, grid="0.0,0.3"), dict(
             m=SIZES + ["3", "6"], n=SIZES, T=SIZES, trials=SIZES,
@@ -213,3 +263,203 @@ def test_each_hostile_value_alone_exits_cleanly(files):
                     for path in set(files.values()) & {arg.partition("=")[2] for arg in line}:
                         message = message.replace(path, "")
                     assert names_any(message, names), (line, err.getvalue())
+
+
+def row(name, line, code, message, absent=None, never=None):
+    """A command line that the CLI rejects: its exit code, its message and text it must not
+    hold, and the function (module.name) that must not run before the rejection.
+
+    A message that begins with 'error: ' begins stderr (with its newline, it is all of
+    it); any other is found in it.  A word of the line that is a key of `files` is that
+    file, and the message names the file by its key."""
+    return pytest.param(shlex.split(line), code, message, absent, never, id=name)
+
+
+ESTIMATE, RIP = "estimate --system system", "rip --system system"
+ATTACK = "attack --system system --epsilon"
+SCENARIO_SYSTEM, SWEEP = "scenario --steps 5 --T 1 --system", "sweep --m 6 --n 2 --trials 2 --grid"
+PAIR = "error: provide --system (JSON) or both --system-a and --system-c (CSV)\n"
+T_0 = "error: window length T must be >= 1, got 0\n"
+DRAW, CERTIFY = "experiments.draw_instance", "experiments._certify_all"
+SIMULATE, SCENARIO = "experiments.simulate", "cli.run_scenario"
+
+REJECTIONS = [
+    row("prune-eta-1.5", "prune --input prior --eta 1.5", 1,
+        "error: eta must lie in (0, 1), got 1.5\n"),
+    row("prune-nan-confidence", "prune --input pnan --eta 0.5", 1, "(0, 1]"),
+    *(row(f"prune-{name}", f"prune --input {key} --eta 0.5", 1, message) for name, key, message in [
+        ("object-p", "p_object", "'p' in (0, 1] must be a flat JSON list"),
+        ("array", "prune_array", "must hold a JSON object"),
+        ("null-seed", "seed_null", "integer 'seed'"),
+        ("float-seed", "seed_float", "integer 'seed'"),
+        ("half-label", "half_label", "0 or 1"),
+        ("q_hat-p-lengths", "q_hat_p_lengths", "must be equal-length vectors"),
+        ("q-p-lengths", "q_p_lengths", "confidence vector has length 3, expected 2"),
+        ("q-q_hat-lengths", "q_q_hat_lengths", "estimate has length 2, expected 3")]),
+    *(row(f"prune-empty-{prior}-{strategy}",
+          f"prune --input empty_{prior} --eta 0.5 --strategy {strategy}", 1,
+          "error: a prior needs at least one row\n")
+      for prior in ("q_hat", "sampled") for strategy in ("product", "quantile")),
+    row("sweep-unknown-flag", "sweep --frobnicate 3", 1,
+        "error: unrecognized arguments: --frobnicate 3\n"),
+    # system files
+    *(row(f"system-json-nan-{field}", f"{SCENARIO_SYSTEM} sys_nan_{field}", 1,
+          f"{field} must be finite") for field in ("A", "C", "x0")),
+    row("system-csv-nan-A", "rip --S 1 --T 1 --system-a nan_A.csv --system-c sys_C.csv", 1,
+        "A.csv must be finite"),
+    row("system-csv-nan-C", "rip --S 1 --T 1 --system-a sys_A.csv --system-c nan_C.csv", 1,
+        "C.csv must be finite"),
+    *(row(f"system-{name}", f"{SCENARIO_SYSTEM} {key}", 1, message) for name, key, message in [
+        ("object-entry", "sys_object_entry", "A must be a list of rows of numbers"),
+        ("string", "sys_string", "must hold a JSON object"),
+        ("object-x0", "sys_object_x0", "x0 must be a flat JSON list"),
+        ("bool-entry", "sys_bool_entry", "A must be a list of rows of numbers"),
+        ("numeric-string", "sys_numeric_string", "C must be a list of rows of numbers"),
+        ("int-beyond-float", "sys_int_beyond_float", "A must be finite"),
+        ("x0-length", "sys_x0_length", "x0 has length 3, expected 2"),
+        ("empty-A", "sys_empty_A", "A: empty matrix"),
+        ("no-x0", "sys_no_x0", "scenario needs an x0 entry in the system file")]),
+    row("rip-pair-C-too-wide", "rip --system-a sys_A.csv --system-c wide_C.csv --S 1", 1,
+        "error: argument --system-a/--system-c: C has 3 columns but the state dimension is 2\n"),
+    row("rip-pair-A-not-square", "rip --system-a wide_A.csv --system-c sys_C.csv --S 1", 1,
+        "error: argument --system-a/--system-c: A must be square, got shape (2, 3)\n"),
+    *(row(f"scenario-half-pair-{flag[2:]}", f"scenario --steps 8 {flag} sys_A.csv", 1,
+          f"error: unrecognized arguments: {flag}") for flag in ("--system-a", "--system-c")),
+    *(row(f"half-pair-{flag[2:]}-{command.split()[0]}", f"{command} {flag} sys_A.csv", 1, PAIR)
+      for flag in ("--system-a", "--system-c")
+      for command in ("rip --S 1", "estimate --y yshort", "attack --epsilon 0.5 --fraction 0.3")),
+    # estimate
+    row("estimate-nan-window", f"{ESTIMATE} --y ynan", 1, "finite"),
+    row("estimate-nan-window-surrogate", "estimate --system surrogate --y y_nan10", 1, "--y"),
+    *(row(f"estimate-window-{kind}", f"{ESTIMATE} --y y_{kind}", 1, "flat JSON list")
+      for kind in ("object", "nested", "bool", "null", "string")),
+    row("estimate-window-too-large", f"{ESTIMATE} --y ybig", 1, "too large"),
+    row("estimate-y-length", f"{ESTIMATE} --T 2 --y y1", 1,
+        "--y holds 6 entries, but --T 2 asks for T*m = 12 rows", absent="shape mismatch"),
+    row("estimate-x-true-length", f"{ESTIMATE} --y y1 --x-true x_short", 1, "x_true"),
+    row("estimate-x-true-length-surrogate",
+        "estimate --system surrogate --y y_zeros10 --x-true x", 1, "x_true"),
+    *(row(f"estimate-omega-{omega}", f"{ESTIMATE} --y y1 --omega {omega}", 1,
+          "omega must lie in [0, 1]") for omega in ("2", "-0.5", "nan")),
+    row("estimate-unobservable", "estimate --system sys_unobservable --y y_zeros4", 2,
+        "error: observability rank 2 < n = 3\n"),
+    row("estimate-kahan-start", "estimate --system sys_kahan --y y_kahan --T 1", 2,
+        "the cold start's 120 rows of a full-rank A have no finite inverse",
+        absent="rank deficient"),
+    row("attack-near-singular-H", "attack --system sys_band --epsilon 0.5 --support 0", 2,
+        "H is rank deficient for T=1"),
+    row("estimate-observability-overflows", "estimate --system sys_power --y yshort --T 1", 1,
+        "error: the observability matrix is not finite: A's powers overflow\n"),
+    # a window shorter than one step would otherwise be read as the T 1 one
+    row("estimate-T-0", f"{ESTIMATE} --y y1 --T 0", 1, T_0),
+    row("attack-T-0", f"{ATTACK} 0.5 --support 0 --T 0", 1, T_0),
+    row("rip-T-0", f"{RIP} --S 2 --T 0", 1, T_0),
+    # attack
+    *(row(f"attack-epsilon-{eps}", f"{ATTACK} {eps} --support 0", 1, "epsilon")
+      for eps in ("inf", "nan")),
+    # support 0..4 leaves one row for two states: the attack is unbounded and
+    # would be scaled to cap_factor * epsilon
+    *(row(f"attack-cap-factor-{cap}", f"{ATTACK} 1.0 --support 0,1,2,3,4 --cap-factor {cap}", 1,
+          "cap-factor") for cap in ("inf", "nan", "0", "-1")),
+    # seeds: numpy's own "expected non-negative integer" names no flag
+    *(row(f"seed-{name}", f"{line} --seed -1", 1, f"{named} must be >= 0, got -1",
+          absent="non-negative") for name, line, named in [
+        ("sweep", "sweep --trials 1 --grid 0.3", "master seed"),
+        ("sweep-2-trials", "sweep --trials 2 --grid 0.3", "master seed"),
+        ("scenario-attack", "scenario --steps 8", "attack seed"),
+        ("rip", f"{RIP} --S 1", "--seed"),
+        ("attack", f"{ATTACK} 0.5 --fraction 0.3", "--seed")]),
+    row("seed-scenario-prior", "scenario --steps 8 --prior-seed -1", 1,
+        "prior seed must be >= 0, got -1", absent="non-negative"),
+    # sweep
+    *(row(f"sweep-jitter-{jitter}", f"{SWEEP} 0.2 --jitter {jitter}", 1, "jitter")
+      for jitter in ("nan", "inf")),
+    *(row(f"sweep-{flag[2:]}-{value}", f"{SWEEP} 0.0 {flag} {value}", 1,
+          flag[2:].replace("-", " "), never=DRAW)  # grid 0.0 draws no attack
+      for flag, value in [("--epsilon-policy", "rel:nan"), ("--epsilon-policy", "abs:inf"),
+                          ("--spectral-radius", "nan"), ("--spectral-radius", "inf"),
+                          ("--workers", "0")]),
+    row("sweep-omega-0-weighted",
+        "sweep --omega 0 --trials 3 --grid 0.3 --strategies none,pruned_product", 1,
+        "omega must be positive", never=DRAW),
+    *(row(f"sweep-{name}", f"sweep {line}", 1, message, never=DRAW) for name, line, message in [
+        ("true-rate-0", "--true-rate 0 --trials 2 --grid 0.3", "true rate"),
+        ("jitter-negative", "--jitter -1 --trials 2 --grid 0.3", "jitter"),
+        ("jitter-too-wide", "--jitter 1e308 --trials 1", "jitter"),
+        ("jitter-too-wide-2-trials", "--jitter 1e308 --trials 2 --grid 0.3", "jitter"),
+        # n below 1 is checked with the m > n rule, without numpy's message
+        ("n-0", "--n 0 --trials 2 --grid 0.3", "n=0"),
+        ("n-negative", "--n -1 --trials 2 --grid 0.3", "n=-1")]),
+    *(row(f"sweep-T-0-workers-{workers}", f"{SWEEP} 0.3 --T 0 --workers {workers}", 1, T_0,
+          never=CERTIFY) for workers in (1, 2)),  # build_horizon checks T at every draw
+    # A^39 at spectral radius 1e10 passes the largest float
+    row("sweep-window-overflows", "sweep --trials 2 --grid 0.3 --T 40 --spectral-radius 1e10", 1,
+        "error: H is not finite for T=40: the window's powers of A overflow\n"),
+    row("sweep-out-missing-directory", "sweep --trials 300 --grid 0.3 --out gone", 1,
+        "error: argument --out: gone: No such file or directory\n", never=DRAW),
+    row("sweep-out-under-a-file", "sweep --trials 300 --grid 0.3 --out under_a_file", 1,
+        "error: argument --out: under_a_file: Not a directory\n", never=DRAW),
+    # scenario
+    *(row(f"scenario-{name}", f"scenario --steps 8 {line}", 1, message, never=SCENARIO)
+      for name, line, message in [("true-rate-1.5", "--true-rate 1.5", "true rate"),
+                                ("jitter-negative", "--jitter -1", "jitter"),
+                                ("jitter-too-wide", "--jitter 1e308", "jitter")]),
+    row("scenario-magnitude-nan", "scenario --steps 12 --T 2 --attack-magnitude nan", 1,
+        "magnitude", never=SCENARIO),
+    row("scenario-T-0", "scenario --T 0 --steps 8", 1, "error: T must be >= 1, got 0\n",
+        never=SIMULATE),
+    # the attacked measurements or the squared errors overflow, whichever observers run
+    *(row(f"scenario-overflow-{magnitude}-{observers or 'default'}",
+          f"scenario --steps 8 --attack-magnitude {magnitude}"
+          + (f" --observers {observers}" if observers else ""), 2, "overflow")
+      for magnitude, observers in [("1e308", "LO"), ("1e200", "LO"), ("1e200", "L1O"),
+                                   ("1e308", "L1O"), ("1e308", "WL1P"), ("1e308", None)]),
+    row("scenario-plant-overflows",
+        "scenario --steps 20 --T 2 --attack-magnitude 0.001 --system sys_unstable", 1,
+        "error: the plant's trajectory overflows within --steps 20\n"),
+    row("scenario-attack-overflows", "scenario --steps 20 --T 2 --attack-magnitude 1e308", 2,
+        "error: attacked measurements overflow at attack magnitude 1e+308\n"),
+    # list flags
+    *(row(f"list-{name}", line, 1, f"error: argument {line.split()[-2]}: must be comma-separated")
+      for name, line in [("attack-support", f"{ATTACK} 0.4 --support 0,,1"),
+                       ("estimate-safe", f"{ESTIMATE} --y y1 --safe 1,x"),
+                       ("scenario-attack-support", "scenario --steps 8 --attack-support 0,,1"),
+                       ("sweep-grid", "sweep --grid 0.3,x"),
+                       ("sweep-grid-blank", "sweep --grid 0.1,,0.3"),
+                       ("estimate-safe-blank", f"{ESTIMATE} --y y1 --safe 1,,2"),
+                       ("sweep-strategies-blank", "sweep --strategies none,,prior"),
+                       ("scenario-observers-blank", "scenario --steps 8 --observers LO,")]),
+    row("empty-list-sweep-grid", "sweep --grid ''", 1,
+        "attack grid and strategies must each hold at least one entry"),
+    row("empty-list-sweep-strategies", "sweep --strategies ' '", 1,
+        "attack grid and strategies must each hold at least one"),
+    row("empty-list-scenario-observers", "scenario --steps 8 --observers ''", 1,
+        "observers must hold at least one"),
+    row("repeated-sweep-grid", "sweep --grid 0.3,0.30", 1,
+        "error: attack fraction 0.3 is listed twice\n", never=DRAW),
+    row("repeated-sweep-strategies", "sweep --strategies none,prior,none", 1,
+        "error: strategy 'none' is listed twice\n", never=DRAW),
+    row("repeated-scenario-observers", "scenario --steps 8 --observers LO,WL1P,LO", 1,
+        "error: observer 'LO' is listed twice\n", never=SIMULATE),
+]
+
+
+@pytest.mark.parametrize("line, code, message, absent, never", REJECTIONS)
+def test_each_rejection(files, monkeypatch, line, code, message, absent, never):
+    # one line on stderr and nothing on stdout, with every warning an error
+    if never:
+        def no_call(*args, **kwargs):
+            raise AssertionError(f"{never} ran before the command line was rejected")
+
+        monkeypatch.setattr(f"resilient_sse.{never}", no_call)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        got = parse_and_dispatch([files.get(word, word) for word in line])
+    err = err.getvalue()
+    for word in set(line) & set(files):
+        err = err.replace(files[word], word)
+    assert (got, out.getvalue()) == (code, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith(message) if message.startswith("error: ") else message in err, err
+    assert absent is None or absent not in err, err

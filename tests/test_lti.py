@@ -17,13 +17,12 @@ from resilient_sse import (
     WindowOutOfRange,
     build_horizon,
     check_observability,
-    load_system_csv,
     load_system_json,
     simulate,
     stack_window,
     weighted_l1_regression,
 )
-from resilient_sse.lti import row_indices
+from resilient_sse.lti import read_matrix_csv, row_indices
 from conftest import make_system
 
 
@@ -291,12 +290,12 @@ def test_csv_roundtrip_and_ragged(tmp_path):
     a_path, c_path = tmp_path / "a.csv", tmp_path / "c.csv"
     a_path.write_text("0.5,0.1\n0.0,0.2\n")
     c_path.write_text("1,0\n0,1\n1,1\n")
-    sys_ = load_system_csv(a_path, c_path)
+    sys_ = LtiSystem(A=read_matrix_csv(a_path), C=read_matrix_csv(c_path))
     assert sys_.n == 2 and sys_.m == 3
 
     c_path.write_text("1,0\n0\n")
     with pytest.raises(ValueError, match="inconsistent"):
-        load_system_csv(a_path, c_path)
+        read_matrix_csv(c_path)
 
 
 def test_build_horizon_checks_observability_only_when_H_fails(monkeypatch):

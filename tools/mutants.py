@@ -99,7 +99,7 @@ MUTANTS = [
      "tests/test_lti.py::test_system_shape_validation",
      "a system with a tall A whose rows match C's columns constructs"),
     (LTI, "if T < 1:", "if False:",
-     "tests/test_cli.py::test_a_window_shorter_than_one_step_exits_1[estimate]",
+     "tests/test_cli_hostile.py::test_each_rejection[estimate-T-0]",
      "a window of T 0 builds the T 1 model"),
     (LTI, "if not np.isfinite(H).all():", "if False:",
      "tests/test_lti.py::test_build_horizon_rejects_a_window_that_overflows",
@@ -113,17 +113,23 @@ MUTANTS = [
      "an observability matrix that overflows reaches the SVD, which warns and fails"),
     (EXPERIMENTS, "if not math.isfinite(T * m * float(np.abs(traj.clean_measurements).max())):",
      "if False:",
-     "tests/test_cli.py::test_scenario_tells_a_plant_that_overflows_from_an_attack_that_does",
+     "tests/test_cli_hostile.py::test_each_rejection[scenario-plant-overflows]",
      "a plant whose own trajectory overflows is blamed on the attack (exit 2)"),
     (CLI, "_require(0 <= args.omega <= 1,", "_require(True,",
-     "tests/test_cli.py::test_estimate_checks_omega_without_safe_rows",
+     "tests/test_cli_hostile.py::test_each_rejection[estimate-omega-2]",
      "estimate takes an omega outside [0, 1] when no row is trusted"),
     (CLI, "_require(x0 is not None,", "_require(True,",
-     "tests/test_cli.py::test_a_malformed_system_file_exits_1[no-x0]",
+     "tests/test_cli_hostile.py::test_each_rejection[system-no-x0]",
      "scenario runs a system file without x0"),
     (CLI, "except (OSError, ValueError) as exc:", "except ValueError as exc:",
      "tests/test_cli_hostile.py::test_each_hostile_value_alone_exits_cleanly",
      "a file flag's missing file or directory is an error that names no flag"),
+    (CLI, 'raise ValueError(f"argument --system-a/--system-c: {exc}")', "raise ValueError(str(exc))",
+     "tests/test_cli_hostile.py::test_each_hostile_value_alone_exits_cleanly",
+     "a CSV pair that does not fit is an error that names neither flag"),
+    (CLI, 'p.add_argument("--out", type=_file(_in_a_directory),', 'p.add_argument("--out",',
+     "tests/test_cli_hostile.py::test_each_rejection[sweep-out-missing-directory]",
+     "an --out in a missing directory is found only after the whole run"),
     (EXPERIMENTS, SWEEP_ETA, SWEEP_ETA.replace("if not 0.0 < self.eta < 1.0:", "if False:"),
      "tests/test_experiments.py::test_config_validation",
      "a sweep of the plain decoder takes an eta outside (0, 1)"),
