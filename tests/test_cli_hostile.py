@@ -10,9 +10,10 @@ in a missing directory and a directory.
 Sizes stay small, so no example builds a large H or runs a long sweep, and
 `--workers` never asks for a process pool.
 
-`test_each_rejection` runs one row per command line that the CLI must
-reject: its exit code, its message, and where the rejection must come before
-any run, the function that must not be called.  A new rule is one more row.
+`REJECTIONS` holds one row per command line that the CLI must reject: its
+exit code, its message, and where the rejection must come before any run, the
+function that must not be called.  A new rule is one more row, which
+`test_each_rejection` runs; some older rows keep their tests' names in tests/test_cli.py.
 """
 
 import contextlib
@@ -265,14 +266,24 @@ def test_each_hostile_value_alone_exits_cleanly(files):
                     assert names_any(message, names), (line, err.getvalue())
 
 
-def row(name, line, code, message, absent=None, never=None):
-    """A command line that the CLI rejects: its exit code, its message and text it must not
-    hold, and the function (module.name) that must not run before the rejection.
+# the tests of tests/test_cli.py that run rows of REJECTIONS under their old names
+KEPT_NAMES = {"non_finite_system_file_is_rejected", "a_malformed_system_file_exits_1",
+              "a_malformed_prune_input_exits_1", "a_negative_seed_names_its_flag",
+              "sweep_rejects_a_non_finite_policy_or_radius_up_front",
+              "a_malformed_list_names_its_flag",
+              "a_confidence_model_out_of_range_is_rejected_up_front",
+              "scenario_metrics_that_overflow_are_a_numerical_failure"}
+
+
+def row(name, line, code, message, absent=None, never=None, test="each_rejection"):
+    """A command line that the CLI rejects, run by test_<test>: its exit code, its message,
+    text it must not hold, and the function (module.name) that must not run before it.
 
     A message that begins with 'error: ' begins stderr (with its newline, it is all of
     it); any other is found in it.  A word of the line that is a key of `files` is that
     file, and the message names the file by its key."""
-    return pytest.param(shlex.split(line), code, message, absent, never, id=name)
+    assert test == "each_rejection" or test in KEPT_NAMES, test
+    return test, pytest.param((shlex.split(line), code, message, absent, never), id=name)
 
 
 ESTIMATE, RIP = "estimate --system system", "rip --system system"
@@ -287,7 +298,8 @@ REJECTIONS = [
     row("prune-eta-1.5", "prune --input prior --eta 1.5", 1,
         "error: eta must lie in (0, 1), got 1.5\n"),
     row("prune-nan-confidence", "prune --input pnan --eta 0.5", 1, "(0, 1]"),
-    *(row(f"prune-{name}", f"prune --input {key} --eta 0.5", 1, message) for name, key, message in [
+    *(row(name, f"prune --input {key} --eta 0.5", 1, message,
+          test="a_malformed_prune_input_exits_1") for name, key, message in [
         ("object-p", "p_object", "'p' in (0, 1] must be a flat JSON list"),
         ("array", "prune_array", "must hold a JSON object"),
         ("null-seed", "seed_null", "integer 'seed'"),
@@ -303,13 +315,14 @@ REJECTIONS = [
     row("sweep-unknown-flag", "sweep --frobnicate 3", 1,
         "error: unrecognized arguments: --frobnicate 3\n"),
     # system files
-    *(row(f"system-json-nan-{field}", f"{SCENARIO_SYSTEM} sys_nan_{field}", 1,
-          f"{field} must be finite") for field in ("A", "C", "x0")),
-    row("system-csv-nan-A", "rip --S 1 --T 1 --system-a nan_A.csv --system-c sys_C.csv", 1,
-        "A.csv must be finite"),
-    row("system-csv-nan-C", "rip --S 1 --T 1 --system-a sys_A.csv --system-c nan_C.csv", 1,
-        "C.csv must be finite"),
-    *(row(f"system-{name}", f"{SCENARIO_SYSTEM} {key}", 1, message) for name, key, message in [
+    *(row(f"json-{field}", f"{SCENARIO_SYSTEM} sys_nan_{field}", 1, f"{field} must be finite",
+          test="non_finite_system_file_is_rejected") for field in ("A", "C", "x0")),
+    row("csv-A", "rip --S 1 --T 1 --system-a nan_A.csv --system-c sys_C.csv", 1,
+        "A.csv must be finite", test="non_finite_system_file_is_rejected"),
+    row("csv-C", "rip --S 1 --T 1 --system-a sys_A.csv --system-c nan_C.csv", 1,
+        "C.csv must be finite", test="non_finite_system_file_is_rejected"),
+    *(row(name, f"{SCENARIO_SYSTEM} {key}", 1, message, test="a_malformed_system_file_exits_1")
+      for name, key, message in [
         ("object-entry", "sys_object_entry", "A must be a list of rows of numbers"),
         ("string", "sys_string", "must hold a JSON object"),
         ("object-x0", "sys_object_x0", "x0 must be a flat JSON list"),
@@ -362,29 +375,33 @@ REJECTIONS = [
     *(row(f"attack-cap-factor-{cap}", f"{ATTACK} 1.0 --support 0,1,2,3,4 --cap-factor {cap}", 1,
           "cap-factor") for cap in ("inf", "nan", "0", "-1")),
     # seeds: numpy's own "expected non-negative integer" names no flag
-    *(row(f"seed-{name}", f"{line} --seed -1", 1, f"{named} must be >= 0, got -1",
-          absent="non-negative") for name, line, named in [
+    *(row(name, f"{line} --seed -1", 1, f"{named} must be >= 0, got -1", absent="non-negative",
+          test="a_negative_seed_names_its_flag") for name, line, named in [
         ("sweep", "sweep --trials 1 --grid 0.3", "master seed"),
         ("sweep-2-trials", "sweep --trials 2 --grid 0.3", "master seed"),
         ("scenario-attack", "scenario --steps 8", "attack seed"),
         ("rip", f"{RIP} --S 1", "--seed"),
         ("attack", f"{ATTACK} 0.5 --fraction 0.3", "--seed")]),
-    row("seed-scenario-prior", "scenario --steps 8 --prior-seed -1", 1,
-        "prior seed must be >= 0, got -1", absent="non-negative"),
+    row("scenario-prior", "scenario --steps 8 --prior-seed -1", 1,
+        "prior seed must be >= 0, got -1", absent="non-negative",
+        test="a_negative_seed_names_its_flag"),
     # sweep
     *(row(f"sweep-jitter-{jitter}", f"{SWEEP} 0.2 --jitter {jitter}", 1, "jitter")
       for jitter in ("nan", "inf")),
-    *(row(f"sweep-{flag[2:]}-{value}", f"{SWEEP} 0.0 {flag} {value}", 1,
-          flag[2:].replace("-", " "), never=DRAW)  # grid 0.0 draws no attack
+    *(row(f"{flag}-{value}", f"{SWEEP} 0.0 {flag} {value}", 1, flag[2:].replace("-", " "),
+          never=DRAW,  # grid 0.0 draws no attack
+          test="sweep_rejects_a_non_finite_policy_or_radius_up_front")
       for flag, value in [("--epsilon-policy", "rel:nan"), ("--epsilon-policy", "abs:inf"),
                           ("--spectral-radius", "nan"), ("--spectral-radius", "inf"),
                           ("--workers", "0")]),
     row("sweep-omega-0-weighted",
         "sweep --omega 0 --trials 3 --grid 0.3 --strategies none,pruned_product", 1,
         "omega must be positive", never=DRAW),
-    *(row(f"sweep-{name}", f"sweep {line}", 1, message, never=DRAW) for name, line, message in [
-        ("true-rate-0", "--true-rate 0 --trials 2 --grid 0.3", "true rate"),
-        ("jitter-negative", "--jitter -1 --trials 2 --grid 0.3", "jitter"),
+    *(row(f"sweep-{name}", f"sweep {line}", 1, message, never=DRAW,
+          test="a_confidence_model_out_of_range_is_rejected_up_front")
+      for name, line, message in [
+        ("true-rate", "--true-rate 0 --trials 2 --grid 0.3", "true rate"),
+        ("jitter", "--jitter -1 --trials 2 --grid 0.3", "jitter"),
         ("jitter-too-wide", "--jitter 1e308 --trials 1", "jitter"),
         ("jitter-too-wide-2-trials", "--jitter 1e308 --trials 2 --grid 0.3", "jitter"),
         # n below 1 is checked with the m > n rule, without numpy's message
@@ -400,18 +417,19 @@ REJECTIONS = [
     row("sweep-out-under-a-file", "sweep --trials 300 --grid 0.3 --out under_a_file", 1,
         "error: argument --out: under_a_file: Not a directory\n", never=DRAW),
     # scenario
-    *(row(f"scenario-{name}", f"scenario --steps 8 {line}", 1, message, never=SCENARIO)
-      for name, line, message in [("true-rate-1.5", "--true-rate 1.5", "true rate"),
-                                ("jitter-negative", "--jitter -1", "jitter"),
+    *(row(f"scenario-{name}", f"scenario --steps 8 {line}", 1, message, never=SCENARIO,
+          test="a_confidence_model_out_of_range_is_rejected_up_front")
+      for name, line, message in [("true-rate", "--true-rate 1.5", "true rate"),
+                                ("jitter", "--jitter -1", "jitter"),
                                 ("jitter-too-wide", "--jitter 1e308", "jitter")]),
     row("scenario-magnitude-nan", "scenario --steps 12 --T 2 --attack-magnitude nan", 1,
         "magnitude", never=SCENARIO),
     row("scenario-T-0", "scenario --T 0 --steps 8", 1, "error: T must be >= 1, got 0\n",
         never=SIMULATE),
     # the attacked measurements or the squared errors overflow, whichever observers run
-    *(row(f"scenario-overflow-{magnitude}-{observers or 'default'}",
-          f"scenario --steps 8 --attack-magnitude {magnitude}"
-          + (f" --observers {observers}" if observers else ""), 2, "overflow")
+    *(row(f"{magnitude}-{observers}", f"scenario --steps 8 --attack-magnitude {magnitude}"
+          + (f" --observers {observers}" if observers else ""), 2, "overflow",
+          test="scenario_metrics_that_overflow_are_a_numerical_failure")
       for magnitude, observers in [("1e308", "LO"), ("1e200", "LO"), ("1e200", "L1O"),
                                    ("1e308", "L1O"), ("1e308", "WL1P"), ("1e308", None)]),
     row("scenario-plant-overflows",
@@ -420,15 +438,16 @@ REJECTIONS = [
     row("scenario-attack-overflows", "scenario --steps 20 --T 2 --attack-magnitude 1e308", 2,
         "error: attacked measurements overflow at attack magnitude 1e+308\n"),
     # list flags
-    *(row(f"list-{name}", line, 1, f"error: argument {line.split()[-2]}: must be comma-separated")
+    *(row(name, line, 1, f"error: argument {line.split()[-2]}: must be comma-separated",
+          test="a_malformed_list_names_its_flag")
       for name, line in [("attack-support", f"{ATTACK} 0.4 --support 0,,1"),
-                       ("estimate-safe", f"{ESTIMATE} --y y1 --safe 1,x"),
-                       ("scenario-attack-support", "scenario --steps 8 --attack-support 0,,1"),
-                       ("sweep-grid", "sweep --grid 0.3,x"),
-                       ("sweep-grid-blank", "sweep --grid 0.1,,0.3"),
-                       ("estimate-safe-blank", f"{ESTIMATE} --y y1 --safe 1,,2"),
-                       ("sweep-strategies-blank", "sweep --strategies none,,prior"),
-                       ("scenario-observers-blank", "scenario --steps 8 --observers LO,")]),
+                         ("estimate-safe", f"{ESTIMATE} --y y1 --safe 1,x"),
+                         ("scenario-attack-support", "scenario --steps 8 --attack-support 0,,1"),
+                         ("sweep-grid", "sweep --grid 0.3,x"),
+                         ("sweep-grid-blank", "sweep --grid 0.1,,0.3"),
+                         ("estimate-safe-blank", f"{ESTIMATE} --y y1 --safe 1,,2"),
+                         ("sweep-strategies-blank", "sweep --strategies none,,prior"),
+                         ("scenario-observers-blank", "scenario --steps 8 --observers LO,")]),
     row("empty-list-sweep-grid", "sweep --grid ''", 1,
         "attack grid and strategies must each hold at least one entry"),
     row("empty-list-sweep-strategies", "sweep --strategies ' '", 1,
@@ -444,9 +463,19 @@ REJECTIONS = [
 ]
 
 
-@pytest.mark.parametrize("line, code, message, absent, never", REJECTIONS)
-def test_each_rejection(files, monkeypatch, line, code, message, absent, never):
-    # one line on stderr and nothing on stdout, with every warning an error
+def rejections(test):
+    """test_<test> parametrized with its rows of REJECTIONS."""
+    return pytest.mark.parametrize("row", [param for owner, param in REJECTIONS if owner == test])
+
+
+@rejections("each_rejection")
+def test_each_rejection(files, monkeypatch, row):
+    reject(files, monkeypatch, row)
+
+
+def reject(files, monkeypatch, row):
+    """Run a row: one line on stderr and nothing on stdout, with every warning an error."""
+    line, code, message, absent, never = row
     if never:
         def no_call(*args, **kwargs):
             raise AssertionError(f"{never} ran before the command line was rejected")

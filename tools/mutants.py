@@ -119,7 +119,7 @@ MUTANTS = [
      "tests/test_cli_hostile.py::test_each_rejection[estimate-omega-2]",
      "estimate takes an omega outside [0, 1] when no row is trusted"),
     (CLI, "_require(x0 is not None,", "_require(True,",
-     "tests/test_cli_hostile.py::test_each_rejection[system-no-x0]",
+     "tests/test_cli.py::test_a_malformed_system_file_exits_1[no-x0]",
      "scenario runs a system file without x0"),
     (CLI, "except (OSError, ValueError) as exc:", "except ValueError as exc:",
      "tests/test_cli_hostile.py::test_each_hostile_value_alone_exits_cleanly",
