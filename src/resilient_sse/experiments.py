@@ -148,6 +148,8 @@ class SweepConfig:
     def __post_init__(self):
         if not 1 <= self.n < self.m:
             raise ValueError(f"need m > n >= 1, got m={self.m}, n={self.n}")
+        if self.T < 1:
+            raise ValueError(f"window length T must be >= 1, got {self.T}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
@@ -514,9 +516,9 @@ def run_scenario(
 
     rng_attack = np.random.default_rng(attack.seed)
     schedule = np.zeros((scenario.steps, m))
-    # an unstable plant or a magnitude near the largest float overflows here,
-    # as the checks below find; a run that passes them may still overflow in
-    # the Luenberger recursion or in the squared errors, checked at the end
+    # simulate rejects a plant that overflows; a magnitude near the largest float
+    # overflows here, as the checks below find; a run that passes them may still
+    # overflow in the Luenberger recursion or in the squared errors, checked at the end
     with np.errstate(over="ignore", invalid="ignore"):
         schedule[:, sup] = attack.magnitude * rng_attack.standard_normal((scenario.steps, sup.size))
         traj = simulate(system, x0, scenario.steps, schedule)

@@ -188,7 +188,8 @@ def simulate(
     """Run the exact dynamics for `steps` steps starting at x0.
 
     attack_schedule is None (no attack) or an array of shape (steps, m)
-    added to the clean measurements.
+    added to the clean measurements.  States or clean measurements that
+    overflow are a ValueError; the attacked sum is the caller's to check.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n:
@@ -204,10 +205,13 @@ def simulate(
     states = np.zeros((steps, sys.n))
     clean = np.zeros((steps, sys.m))
     x = x0
-    for i in range(steps):
-        states[i] = x
-        clean[i] = sys.C @ x
-        x = sys.A @ x
+    with np.errstate(over="ignore", invalid="ignore"):  # an unstable plant: checked below
+        for i in range(steps):
+            states[i] = x
+            clean[i] = sys.C @ x
+            x = sys.A @ x
+    if not (np.isfinite(states).all() and np.isfinite(clean).all()):
+        raise ValueError(f"the plant's trajectory overflows within {steps} steps")
     attacked = clean + attacks
     for arr in (states, clean, attacked):
         arr.flags.writeable = False

@@ -95,11 +95,14 @@ def files(tmp_path_factory):
         "sys_band": {"A": [[0, 1], [-1, 0]], "C": [[1, 1.000000000008], [1, 0.999999999992]] * 2},
         # A's 1e30 mode passes the largest float within 20 steps whatever the attack
         "sys_unstable": {"A": [[1e30, 0], [0, 0.5]], "C": [[1, 0], [0, 1], [1, 1]], "x0": [1, 1]},
+        # a finite trajectory whose rows * max|y| bound passes the largest float
+        "sys_huge_x0": {**small, "x0": [1e308, 0.0]},
         "sys_power": {"A": (1e200 * np.eye(3)).tolist(), "C": [[1, 0, 0]]},
         "y_object": {"y": [1.0, 2.0]}, "y_nested": [[1.0], [2.0]], "y_bool": [1.0, True],
         "y_null": [1.0, None], "y_string": "1.0", "y_zeros4": [0.0] * 4,
         "y_zeros10": [0.0] * 10, "y_nan10": [nan] + [0.0] * 9, "x_short": [0.5],
-        "p_object": {"p": {"a": 1}, "q_hat": [1]}, "prune_array": ["p"],
+        "p_object": {"p": {"a": 1}, "q_hat": [1]}, "prune_array": ["p"], "p_missing": {"q_hat": [1]},
+        "cfg_list": [1], "cfg_bogus": {"bogus": 1}, "cfg_bool": {"trials": True},
         "seed_null": {**docs["sampled"], "seed": None},
         "seed_float": {**docs["sampled"], "seed": 1.7},
         "half_label": {"p": [0.9, 0.8], "q_hat": [0.5, 1]},
@@ -298,6 +301,8 @@ REJECTIONS = [
     row("prune-eta-1.5", "prune --input prior --eta 1.5", 1,
         "error: eta must lie in (0, 1), got 1.5\n"),
     row("prune-nan-confidence", "prune --input pnan --eta 0.5", 1, "(0, 1]"),
+    row("prune-no-p", "prune --input p_missing --eta 0.5", 1,
+        "error: prune input needs a confidence vector 'p'\n", never="cli.prune_product"),
     *(row(name, f"prune --input {key} --eta 0.5", 1, message,
           test="a_malformed_prune_input_exits_1") for name, key, message in [
         ("object-p", "p_object", "'p' in (0, 1] must be a flat JSON list"),
@@ -314,6 +319,11 @@ REJECTIONS = [
       for prior in ("q_hat", "sampled") for strategy in ("product", "quantile")),
     row("sweep-unknown-flag", "sweep --frobnicate 3", 1,
         "error: unrecognized arguments: --frobnicate 3\n"),
+    *(row(f"sweep-config-{name}", f"sweep --config {key}", 1, message, never=DRAW)
+      for name, key, message in [
+        ("list", "cfg_list", "error: config file must hold a JSON object\n"),
+        ("bogus-key", "cfg_bogus", "error: config key 'bogus' is not an option of this subcommand\n"),
+        ("bool-value", "cfg_bool", "error: config key 'trials': expected a string or a number, got True\n")]),
     # system files
     *(row(f"json-{field}", f"{SCENARIO_SYSTEM} sys_nan_{field}", 1, f"{field} must be finite",
           test="non_finite_system_file_is_rejected") for field in ("A", "C", "x0")),
@@ -354,6 +364,13 @@ REJECTIONS = [
         "estimate --system surrogate --y y_zeros10 --x-true x", 1, "x_true"),
     *(row(f"estimate-omega-{omega}", f"{ESTIMATE} --y y1 --omega {omega}", 1,
           "omega must lie in [0, 1]") for omega in ("2", "-0.5", "nan")),
+    row("estimate-omega-0-too-few-safe",
+        "estimate --system surrogate --y y_zeros10 --omega 0 --safe 0", 1,
+        "error: --omega 0 needs at least 5 distinct --safe rows, got 1\n",
+        never="cli.weighted_observer"),
+    # detect checks epsilon too, after the solve: the up-front check runs no solve
+    row("estimate-epsilon-0", f"{ESTIMATE} --y y1 --epsilon 0", 1,
+        "error: epsilon must be positive, got 0.0\n", never="cli.decode"),
     row("estimate-unobservable", "estimate --system sys_unobservable --y y_zeros4", 2,
         "error: observability rank 2 < n = 3\n"),
     row("estimate-kahan-start", "estimate --system sys_kahan --y y_kahan --T 1", 2,
@@ -368,6 +385,8 @@ REJECTIONS = [
     row("attack-T-0", f"{ATTACK} 0.5 --support 0 --T 0", 1, T_0),
     row("rip-T-0", f"{RIP} --S 2 --T 0", 1, T_0),
     # attack
+    row("attack-no-support", f"{ATTACK} 0.5", 1, "error: provide --support or --fraction\n",
+        never="cli.synthesize_fdia"),
     *(row(f"attack-epsilon-{eps}", f"{ATTACK} {eps} --support 0", 1, "epsilon")
       for eps in ("inf", "nan")),
     # support 0..4 leaves one row for two states: the attack is unbounded and
@@ -407,8 +426,9 @@ REJECTIONS = [
         # n below 1 is checked with the m > n rule, without numpy's message
         ("n-0", "--n 0 --trials 2 --grid 0.3", "n=0"),
         ("n-negative", "--n -1 --trials 2 --grid 0.3", "n=-1")]),
+    # SweepConfig checks T, so no pool is forked and no instance drawn
     *(row(f"sweep-T-0-workers-{workers}", f"{SWEEP} 0.3 --T 0 --workers {workers}", 1, T_0,
-          never=CERTIFY) for workers in (1, 2)),  # build_horizon checks T at every draw
+          never=DRAW) for workers in (1, 2)),
     # A^39 at spectral radius 1e10 passes the largest float
     row("sweep-window-overflows", "sweep --trials 2 --grid 0.3 --T 40 --spectral-radius 1e10", 1,
         "error: H is not finite for T=40: the window's powers of A overflow\n"),
@@ -426,6 +446,8 @@ REJECTIONS = [
         "magnitude", never=SCENARIO),
     row("scenario-T-0", "scenario --T 0 --steps 8", 1, "error: T must be >= 1, got 0\n",
         never=SIMULATE),
+    row("scenario-steps-below-T", "scenario --steps 2 --T 3", 1,
+        "error: need steps >= T, got steps=2, T=3\n", never=SIMULATE),
     # the attacked measurements or the squared errors overflow, whichever observers run
     *(row(f"{magnitude}-{observers}", f"scenario --steps 8 --attack-magnitude {magnitude}"
           + (f" --observers {observers}" if observers else ""), 2, "overflow",
@@ -434,7 +456,9 @@ REJECTIONS = [
                                    ("1e308", "L1O"), ("1e308", "WL1P"), ("1e308", None)]),
     row("scenario-plant-overflows",
         "scenario --steps 20 --T 2 --attack-magnitude 0.001 --system sys_unstable", 1,
-        "error: the plant's trajectory overflows within --steps 20\n"),
+        "error: the plant's trajectory overflows within 20 steps\n"),
+    row("scenario-plant-too-large", "scenario --steps 8 --T 2 --system sys_huge_x0", 1,
+        "error: the plant's trajectory overflows within --steps 8\n", never=CERTIFY),
     row("scenario-attack-overflows", "scenario --steps 20 --T 2 --attack-magnitude 1e308", 2,
         "error: attacked measurements overflow at attack magnitude 1e+308\n"),
     # list flags

@@ -174,6 +174,17 @@ def test_simulate_attack_is_additive():
     assert np.allclose(traj.attacked_measurements - traj.clean_measurements, np.tile(e, (4, 1)))
 
 
+def test_simulate_rejects_a_plant_that_overflows():
+    # A's 1e30 mode passes the largest float within 20 steps: the recursion's
+    # overflow is ignored and the trajectory rejected, naming the steps
+    sys_ = LtiSystem(A=[[1e30, 0.0], [0.0, 0.5]], C=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(simulate(sys_, [1.0, 1.0], 10).clean_measurements).all()
+        with pytest.raises(ValueError, match="overflows within 20 steps"):
+            simulate(sys_, [1.0, 1.0], 20)
+
+
 def test_simulate_shape_errors():
     sys_ = make_system(1)
     with pytest.raises(DimensionMismatch):

@@ -1,25 +1,37 @@
-"""Mutation gate: every listed mutant of the package must fail the tier-1 tests.
+"""Mutation gate: every listed mutant and every guard's no-op must fail the tier-1 tests.
 
     python tools/mutants.py
 
-Each mutant is one exact text replacement in one source file, with the test
-that kills it.  The script copies the checkout once to a temporary directory
-(without .git, caches and bench output), and for each mutant writes the
-mutated file there and runs, in the copy with the copy's ``src/`` first on
-the import path, first ``python -m pytest -x -q`` on the mutant's killer,
-then, only if the mutant survives its killer, the same command on all of
-tier-1; it restores the file after.  A mutant survives when all of tier-1
-passes, so running the killer first changes the time, not the verdict; a
-mutant that its killer misses but tier-1 kills is reported, with the test
-that killed it, so that the list can be corrected.  The exit status is 1 if
-any mutant survives, if a mutant's old text does not occur exactly once in
-its file, or if the listed killers, run once on the unmutated copy, do not
-all pass (the list has gone stale: a missing test, or one that fails
-alone, would kill every mutant), and 0 when every mutant is killed.  The
-rest of the unmutated suite is not run here: the tier-1 step runs it.
+A listed mutant is one exact text replacement in one source file, with the
+test that kills it.  A guard is an ``if`` whose body is a single ``raise``
+(its no-op tests ``False``) or a ``_require(cond, ...)`` call (its no-op
+requires ``True``), found by parsing each module of ``src/resilient_sse``;
+the listed mutants are the semantic ones, which no guard's no-op makes.
+The killers of a guard of ``src/resilient_sse/<m>.py`` follow one rule:
+first the test functions of ``tests/test_<m>.py`` that hold a
+``pytest.raises``, then every test that runs rows of the rejection table
+(each test function decorated with ``rejections(...)``).
+
+The script copies the checkout once to a temporary directory (without .git,
+caches and bench output), and for each mutant, the listed ones first, writes
+the mutated file there and runs, in the copy with the copy's ``src/`` first
+on the import path, ``python -m pytest -x -q`` on its killers, then, only if
+the mutant survives them, the same command on all of tier-1; it restores the
+file after.  A mutant survives when all of tier-1 passes, so the killers
+change the time, not the verdict.  Each line printed names the test that
+killed the mutant, and a mutant that its killers miss but tier-1 kills is
+flagged, so that the list or the rule's tests can be corrected.  The exit
+status is 1 if any mutant survives, if a listed mutant is stale (its old
+text does not occur exactly once in its file, or it is a guard's no-op), or
+if the killers, run once on the unmutated copy, do not all pass (a missing
+test, or one that fails alone, would kill every mutant it runs against),
+and 0 when every mutant is killed.  The rest of the unmutated suite is not
+run here: the tier-1 step runs it.
 """
 
+import ast
 import contextlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -29,17 +41,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LP, EXPERIMENTS = "src/resilient_sse/lp.py", "src/resilient_sse/experiments.py"
-ESTIMATION, PRUNING = "src/resilient_sse/estimation.py", "src/resilient_sse/pruning.py"
-LTI, CLI, ANALYSIS = "src/resilient_sse/lti.py", "src/resilient_sse/cli.py", "src/resilient_sse/analysis.py"
+PACKAGE = "src/resilient_sse"
+LP, EXPERIMENTS = f"{PACKAGE}/lp.py", f"{PACKAGE}/experiments.py"
+ESTIMATION, LTI, CLI = f"{PACKAGE}/estimation.py", f"{PACKAGE}/lti.py", f"{PACKAGE}/cli.py"
 PRUNED = "return prune_product(instance.prior, eta).safe_set"
-# SweepConfig's checks of eta and omega, told apart from ScenarioConfig's by their neighbours
-SWEEP_ETA = ('                raise ValueError(f"attack grid fractions must lie in [0, 1), got {p_a}")\n'
-             "        if not 0.0 < self.eta < 1.0:")
-SWEEP_OMEGA = ("if not 0.0 <= self.omega <= 1.0:\n"
-               '            raise ValueError(f"omega must lie in [0, 1], got {self.omega}")\n'
-               "        check_confidence_model(self.true_rate, self.jitter)\n"
-               "        if not 0.0 < self.spectral_radius")
 
 # (file, old text, new text, the test that kills it, what the mutant breaks)
 MUTANTS = [
@@ -72,12 +77,6 @@ MUTANTS = [
      "inv, keep = _start_inverse(A, basis, big)[0], slice(None)",
      "tests/test_lp.py::test_search_gives_up_where_the_single_solve_leaves_the_pivots",
      "the search keeps every start, whatever its inverse's bound"),
-    (LP, "if not np.isfinite(inv).all():", "if False:",
-     "tests/test_lp.py::test_a_cold_start_that_does_not_invert_is_a_solver_failure[104]",
-     "the single solve pivots on a cold start whose inverse is not finite"),
-    (LP, "if stop == cand.size:", "if False:",
-     "tests/test_lp.py::test_a_tableau_that_is_not_finite_is_a_solver_failure",
-     "the single solve indexes past its candidates on a tableau that is not finite"),
     (EXPERIMENTS, "if (g, key) not in index:", "if True:",
      "tests/test_experiments.py::test_an_empty_or_full_trusted_set_shares_the_decoders_solve",
      "each trusted set of a group is solved on its own, not shared by its problem"),
@@ -92,35 +91,10 @@ MUTANTS = [
      "return bool(np.abs(y_T - model.H @ x_hat).sum() >= epsilon)",
      "tests/test_cli.py::test_detector_flag_is_detect_on_the_solves_own_residual",
      "the detector flags a residual equal to epsilon"),
-    (PRUNING, "if not drift <= 1e-9:", "if False:",
-     "tests/test_pruning.py::test_pmf_mass_drift_is_a_numerical_instability",
-     "the Poisson-binomial pmf's drifted mass goes unchecked"),
-    (LTI, "if self.A.shape[0] != self.A.shape[1]:", "if False:",
-     "tests/test_lti.py::test_system_shape_validation",
-     "a system with a tall A whose rows match C's columns constructs"),
-    (LTI, "if T < 1:", "if False:",
-     "tests/test_cli_hostile.py::test_each_rejection[estimate-T-0]",
-     "a window of T 0 builds the T 1 model"),
-    (LTI, "if not np.isfinite(H).all():", "if False:",
-     "tests/test_lti.py::test_build_horizon_rejects_a_window_that_overflows",
-     "a window that overflows reaches the SVD, which names no T"),
     (LTI, 'with np.errstate(over="ignore", invalid="ignore"):\n        for _ in range(k - 1):',
      "with np.errstate():\n        for _ in range(k - 1):",
      "tests/test_lti.py::test_build_horizon_rejects_a_window_that_overflows",
      "a window that overflows warns before it is rejected"),
-    (LTI, "if not np.isfinite(obs).all():", "if False:",
-     "tests/test_lti.py::test_check_observability_rejects_powers_that_overflow",
-     "an observability matrix that overflows reaches the SVD, which warns and fails"),
-    (EXPERIMENTS, "if not math.isfinite(T * m * float(np.abs(traj.clean_measurements).max())):",
-     "if False:",
-     "tests/test_cli_hostile.py::test_each_rejection[scenario-plant-overflows]",
-     "a plant whose own trajectory overflows is blamed on the attack (exit 2)"),
-    (CLI, "_require(0 <= args.omega <= 1,", "_require(True,",
-     "tests/test_cli_hostile.py::test_each_rejection[estimate-omega-2]",
-     "estimate takes an omega outside [0, 1] when no row is trusted"),
-    (CLI, "_require(x0 is not None,", "_require(True,",
-     "tests/test_cli.py::test_a_malformed_system_file_exits_1[no-x0]",
-     "scenario runs a system file without x0"),
     (CLI, "except (OSError, ValueError) as exc:", "except ValueError as exc:",
      "tests/test_cli_hostile.py::test_each_hostile_value_alone_exits_cleanly",
      "a file flag's missing file or directory is an error that names no flag"),
@@ -130,15 +104,6 @@ MUTANTS = [
     (CLI, 'p.add_argument("--out", type=_file(_in_a_directory),', 'p.add_argument("--out",',
      "tests/test_cli_hostile.py::test_each_rejection[sweep-out-missing-directory]",
      "an --out in a missing directory is found only after the whole run"),
-    (EXPERIMENTS, SWEEP_ETA, SWEEP_ETA.replace("if not 0.0 < self.eta < 1.0:", "if False:"),
-     "tests/test_experiments.py::test_config_validation",
-     "a sweep of the plain decoder takes an eta outside (0, 1)"),
-    (EXPERIMENTS, SWEEP_OMEGA, SWEEP_OMEGA.replace("if not 0.0 <= self.omega <= 1.0:", "if False:"),
-     "tests/test_experiments.py::test_config_validation",
-     "a sweep of the plain decoder takes an omega outside [0, 1]"),
-    (ANALYSIS, "if not bound_condition(inputs):", "if False:",
-     "tests/test_analysis.py::test_recovery_bound_condition_violated",
-     "the recovery bound is returned where its isometry condition fails"),
 ]
 # Left out: dropping the certificate's ``nu /= max(1.0, float(ratio[k]))``.
 # The pivot loop stops only at ratio[k] <= 1 + _DUAL_RTOL, so the rescale
@@ -149,6 +114,45 @@ MUTANTS = [
 
 IGNORE = shutil.ignore_patterns(".git", ".bench_work", ".benchmarks", ".hypothesis",
                                 ".pytest_cache", "__pycache__", "*.egg-info", "build")
+
+
+def guards(source: str) -> list:
+    """(line, guard text, the module with that guard a no-op) for every guard of `source`."""
+    data = source.encode()
+    # ast columns count UTF-8 bytes, so the offsets are into the bytes
+    starts = [0, *itertools.accumulate(map(len, data.splitlines(keepends=True)))]
+    found = []
+    for node in ast.walk(ast.parse(data)):
+        if isinstance(node, ast.If) and len(node.body) == 1 and isinstance(node.body[0], ast.Raise):
+            cond, noop = node.test, b"False"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_require" and node.args):
+            cond, noop = node.args[0], b"True"
+        else:
+            continue
+        start = starts[cond.lineno - 1] + cond.col_offset
+        end = starts[cond.end_lineno - 1] + cond.end_col_offset
+        text = " ".join(data[start:end].decode().split())  # one line, however the guard wraps
+        found.append((node.lineno, text, (data[:start] + noop + data[end:]).decode()))
+    return sorted(found)
+
+
+def test_functions(path: Path, chosen) -> list:
+    """The node ids of the test functions of the file `path` (if any) for which `chosen` holds."""
+    if not path.exists():
+        return []
+    return [f"{path.relative_to(ROOT)}::{node.name}" for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_") and chosen(node)]
+
+
+def holds_raises(function) -> bool:
+    return any(isinstance(node, ast.Attribute) and node.attr == "raises"
+               and getattr(node.value, "id", None) == "pytest" for node in ast.walk(function))
+
+
+def runs_rejections(function) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "rejections"
+               for d in function.decorator_list)
 
 
 @contextlib.contextmanager
@@ -167,11 +171,11 @@ def checkout_copy():
 
 
 @contextlib.contextmanager
-def mutated(copy: Path, path: str, old: str, new: str):
-    """The file `path` of `copy` with `old` replaced by `new`, restored on exit."""
+def mutated(copy: Path, path: str, source: str):
+    """The file `path` of `copy` holding `source`, restored on exit."""
     target = copy / path
     original = target.read_text()
-    target.write_text(original.replace(old, new))
+    target.write_text(source)
     try:
         yield
     finally:
@@ -182,60 +186,59 @@ def run_tests(copy: Path, env: dict, tests=(), timeout: float = 900):
     """('passed', 'failed' or 'timeout', the first failed test or None) for `tests` of
     `copy`, or for all of its tier-1 suite when `tests` is empty."""
     try:
-        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-rf",
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
                                "-p", "no:cacheprovider", *tests],
                               cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout", None
-    failed = [line[len("FAILED "):].split(" - ")[0] for line in done.stdout.splitlines()
-              if line.startswith("FAILED ")]
+    failed = [line.split(" ", 1)[1].split(" - ")[0] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
     return ("passed" if done.returncode == 0 else "failed"), (failed[0] if failed else None)
 
 
-def killer_first(copy: Path, env: dict, killers):
-    """(verdict, the test that killed the mutant or None, whether `killers` did).
-
-    The mutant in `copy` runs against `killers` first and against all of
-    tier-1 only if it survives them; it survives when tier-1 passes."""
-    if killers:
-        result, killer = run_tests(copy, env, killers)
-        if result != "passed":
-            return result, killer, True
-    result, killer = run_tests(copy, env)
-    return result, killer, False
-
-
-def killers_fail(copy: Path, env: dict) -> bool:
-    """Whether the listed killers, run on the unmutated `copy`, fail (and say so)."""
-    result, failed = run_tests(copy, env, sorted({killer for _, _, _, killer, _ in MUTANTS}))
-    if result != "passed":
-        print(f"stale mutant: the listed killers do not all pass unmutated ({failed or result})")
-    return result != "passed"
-
-
 def main() -> int:
-    stale = [(path, old) for path, old, _, _, _ in MUTANTS
-             if (ROOT / path).read_text().count(old) != 1]
-    for path, old in stale:
-        print(f"stale mutant: {old!r} does not occur exactly once in {path}")
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / PACKAGE).glob("*.py"))}
+    rejections = [test for path in sorted((ROOT / "tests").glob("test_*.py"))
+                  for test in test_functions(path, runs_rejections)]
+    generated = []  # (file, mutated source, killers, label)
+    for path, source in sources.items():
+        own = test_functions(ROOT / "tests" / f"test_{Path(path).stem}.py", holds_raises)
+        killers = list(dict.fromkeys(own + rejections))
+        generated += [(path, noop, killers, f"{path}:{line}: {text}")
+                      for line, text, noop in guards(source)]
+    noops = {(path, noop) for path, noop, _, _ in generated}
+    listed, stale = [], False
+    for path, old, new, killer, reason in MUTANTS:
+        source = sources[path].replace(old, new)
+        why = ("does not occur exactly once" if sources[path].count(old) != 1
+               else "is a guard's no-op" if (path, source) in noops else None)
+        if why:
+            print(f"stale mutant: {old!r} in {path} {why}")
+        stale = stale or bool(why)
+        listed.append((path, source, [killer], f"{path}: {reason}"))
     if stale:
         return 1
+    begin, survivors, mutants = time.perf_counter(), 0, listed + generated
     with checkout_copy() as (copy, env):
-        if killers_fail(copy, env):
+        result, failed = run_tests(copy, env, sorted({t for _, _, killers, _ in mutants for t in killers}))
+        if result != "passed":
+            print(f"stale killer: the killers do not all pass unmutated ({failed or result})")
             return 1
-        survivors = 0
-        for path, old, new, killer, reason in MUTANTS:
+        for path, source, killers, label in mutants:
             start = time.perf_counter()
-            with mutated(copy, path, old, new):
-                result, by, first = killer_first(copy, env, [killer])
-            killed = result != "passed"
-            survivors += not killed
-            verdict = "killed" if killed else "SURVIVED"
-            note = ("" if first or not killed
-                    else f" (missed by its killer; tier-1 killed it{' at ' + by if by else ''})")
-            print(f"{verdict:8} {time.perf_counter() - start:6.1f} s  {path}: {reason}"
-                  + (" (timeout)" if result == "timeout" else "") + note, flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+            with mutated(copy, path, source):
+                result, by = run_tests(copy, env, killers)
+                missed = result == "passed"
+                if missed:  # the verdict is all of tier-1's
+                    result, by = run_tests(copy, env)
+            survivors += result == "passed"
+            verdict = "SURVIVED" if result == "passed" else "killed"
+            note = (" (timeout)" if result == "timeout" else f" by {by}" if by else "") + (
+                " (missed by its killers; tier-1 killed it)" if missed and result != "passed" else "")
+            print(f"{verdict:8} {time.perf_counter() - start:6.1f} s  {label}{note}", flush=True)
+    minutes = (time.perf_counter() - begin) / 60
+    print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed ({len(listed)} listed, "
+          f"{len(generated)} guards) in {minutes:.1f} min")
     return 1 if survivors else 0
 
 
