@@ -119,11 +119,12 @@ def epsilon_from_policy(policy: str, y_star) -> float:
         raise ValueError(f"epsilon policy must look like 'rel:0.01' or 'abs:2.0', got {policy!r}")
     if not 0 <= value < math.inf:
         raise ValueError(f"epsilon policy value must be finite and nonnegative, got {value}")
-    if mode == "rel":
-        return value * float(np.abs(np.asarray(y_star)).sum())
-    if mode == "abs":
-        return value
-    raise ValueError(f"unknown epsilon policy mode {mode!r}")
+    if mode not in ("rel", "abs"):
+        raise ValueError(f"unknown epsilon policy mode {mode!r}")
+    budget = value * float(np.abs(np.asarray(y_star)).sum()) if mode == "rel" else value
+    if not math.isfinite(budget):
+        raise ValueError(f"epsilon policy {policy} gives a budget beyond the largest float")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,9 @@ def draw_instance(cfg: SweepConfig, p_a: float, trial_index: int) -> TrialInstan
     if support.size:
         plan = synthesize_fdia(model, support, epsilon)
         y_T = y_star + plan.e_T
+        if not math.isfinite(model.rows * float(np.abs(y_T).max())):  # bounds sum(w) * max|y|
+            raise ValueError(f"the attacked measurements are too large to certify at epsilon "
+                             f"policy {cfg.epsilon_policy}")
     else:
         y_T = y_star
     q = indicator_from_support(support, model.rows)
@@ -311,10 +315,11 @@ def _grade(instance: TrialInstance, ests) -> list:
     """The outcome of each estimate."""
     x_star, outcomes = instance.x_star, []
     bound = SUCCESS_RTOL * math.sqrt(x_star.dot(x_star))  # the 2-norm as np.linalg.norm takes it
-    for est in ests:
-        d = est.z - x_star
-        err = math.sqrt(d.dot(d))
-        outcomes.append(TrialOutcome(success=err <= bound, error_l2=err))
+    with np.errstate(over="ignore"):  # an error beyond the largest float is inf: sweep checks it
+        for est in ests:
+            d = est.z - x_star
+            err = math.sqrt(d.dot(d))
+            outcomes.append(TrialOutcome(success=err <= bound, error_l2=err))
     return outcomes
 
 
@@ -408,6 +413,9 @@ def sweep(cfg: SweepConfig) -> SweepResult:
             rate = successes / cfg.trials
             stderr = float(np.sqrt(rate * (1.0 - rate) / cfg.trials))
             mean_error = float(np.mean([o.error_l2 for o in outs]))
+            if not math.isfinite(mean_error):
+                raise NumericalInstability(
+                    f"the mean error overflows at epsilon policy {cfg.epsilon_policy}")
             rows.append(
                 SweepRow(
                     attack_fraction=p_a, strategy=strategy, trials=cfg.trials,
@@ -525,7 +533,8 @@ def run_scenario(
     # every observer fails alike on a window the l1 solves cannot certify:
     # weights are at most 1, so rows * max|y| bounds their sum(w) * max|y|
     if not math.isfinite(T * m * float(np.abs(traj.clean_measurements).max())):
-        raise ValueError(f"the plant's trajectory overflows within --steps {scenario.steps}")
+        raise ValueError(f"the clean measurements are too large to certify within --steps "
+                         f"{scenario.steps}")
     if not math.isfinite(T * m * float(np.abs(traj.attacked_measurements).max())):
         raise NumericalInstability(
             f"attacked measurements overflow at attack magnitude {attack.magnitude}")

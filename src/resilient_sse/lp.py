@@ -33,15 +33,15 @@ The problem is positively homogeneous in (y, z), so the pivots run on y
 scaled to unit max-norm, and the gap is certified in those units, where it
 is at most 1e-8 (1 + |objective|): a zero optimum, whose gap is roundoff of
 order eps max|y|, certifies at any scale.  It is homogeneous in A too, and
-every test of A is relative: rows are independent when each |R_ii| of one QR
-of them exceeds 1e-10 max|A| (no squares), so a solve of 2^k A takes the
-pivots of A's and returns its z / 2^k bit for bit.  An A with max|A| < 0.5
-is scaled up by the power of two that brings max|A| into [0.5, 1), and z
-with it, so entries near 1e-308 do not overflow the inverse (a z beyond the
-largest float is a ValueError).  w is divided by the power of two that
-brings sum(w) into [0.5, 1), and the dual multiplied back, so D^T nu stays
-within max|D| for weights of any size.  Both are exact unless a weight or
-the dual turns subnormal.
+every test of A is relative: a row is independent of the rows before it when
+its part orthogonal to them exceeds 1e-10 in A / max|A| (no squares), so a
+solve of 2^k A takes the pivots of A's and returns its z / 2^k bit for bit.
+An A with max|A| < 0.5 is scaled up by the power of two that brings max|A|
+into [0.5, 1), and z with it, so entries near 1e-308 do not overflow the
+inverse (a z beyond the largest float is a ValueError).  w is divided by the
+power of two that brings sum(w) into [0.5, 1), and the dual multiplied back,
+so D^T nu stays within max|D| for weights of any size.  Both are exact
+unless a weight or the dual turns subnormal.
 
 Between pivots a tableau is updated instead of refactored: one (n+1) x N
 array whose first n rows hold D^T, the transpose of D = A A_B^-1, and whose
@@ -70,9 +70,10 @@ differ only on a perturbed residual within roundoff of zero).  So a warm and
 a cold solve that end at the same rows agree bit for bit, and the returned
 ``basis`` is ascending.
 
-Every start, the caller's ``start`` or the cold one (the first n independent
+Every start is sorted and judged once, by the inverse the pivots start
+from: the caller's ``start``, else the cold start, the search's (the first n
 rows in the order of how well the least-squares fit from one thin QR matches
-them), is sorted and judged once, by the inverse the pivots start from.
+them), else the rescue, the rows one Gram-Schmidt pass keeps along that order.
 With A_B that n x n block of the positive-weight rows A_act, big = max|A_act|,
 
     sigma_min(A_act) >= 1 / ||A_B^-1||_F >= 1 / (n max|A_B^-1|),
@@ -83,11 +84,11 @@ sigma_min(A_act) > 1e-10 sigma_max(A_act), which is ``lti.build_horizon``'s
 too.  No square is taken, and big max|A_B^-1| >= 1 / n (as A_B A_B^-1 = I)
 does not depend on the units of A.  A start is usable only where that
 inverse is finite (a singular block's is nan) and passes the bound, and the
-first certificate uses it, so the proof changes no result.  A caller's
-start that is not usable gives way to the cold start.  A cold start without
-n independent rows raises RankDeficient at once; for one that is not usable
-the singular values of A_act decide the rank, and where the rank passes but
-the inverse is not finite, SolverFailure names the start.
+first certificate uses it, so the proof changes no result.  A start that
+is not usable gives way to the next.  An order without n independent rows
+raises RankDeficient at once; for a rescue that is not usable the singular
+values of A_act decide the rank, and where the rank passes but the inverse
+is not finite, SolverFailure names the start.
 Data with sum(w) max|y| beyond the largest float are rejected up front:
 that product bounds |y^T nu|, so below it the certificate cannot overflow.
 
@@ -96,7 +97,7 @@ one shape at once.  It starts each at the first n rows of the cold start's
 order, all fits from one stacked thin QR (one QR of the model when every
 problem shares it, as a scenario's do), and judges all starts by the single
 solve's rule from one stacked inverse; a problem whose start is not usable
-leaves, for the single solve's cold start.  The others pivot in lockstep
+leaves, for the single solve's rescue.  The others pivot in lockstep
 with the single solve's rule on each problem's own tableau, and a problem
 leaves the stacks as soon as it reports optimality.  Both pivot loops take
 nu_N as copysign(w, r), which is the sign rule above with r >= 0 counted
@@ -151,20 +152,16 @@ def _perturbation(rows):
     return pattern
 
 
-def _independent(first, big):
-    """Whether the rows of `first` are independent: every |R_ii| of one QR of
-    them exceeds _RANK_RTOL * big, the largest |entry| of their A."""
-    return np.abs(np.diag(np.linalg.qr(first.T, mode="r"))).min() > _RANK_RTOL * big
-
-
 def _greedy_basis(A_act, order, n, big):
-    """First n rows along `order` independent relative to `big` = max|A_act|, else RankDeficient."""
-    if _independent(A_act[order[:n]], big):  # one QR decides the common case
-        return order[:n].copy()
-    basis = []
-    for j in order:  # else the basis grows one row at a time
-        if _independent(A_act[basis + [j]], big):
-            basis.append(j)
+    """First n rows along `order` whose part orthogonal to the rows kept before exceeds
+    _RANK_RTOL, in one Gram-Schmidt pass on A_act / big (big = max|A_act|), else RankDeficient."""
+    basis, Q = [], np.empty((0, A_act.shape[1]))  # Q: the kept rows' orthonormal parts
+    for j in order:
+        part = A_act[j] / (big or 1.0)  # an A of zeros keeps no row
+        part -= (Q @ part) @ Q
+        norm = math.sqrt(part @ part)
+        if norm > _RANK_RTOL:
+            basis, Q = basis + [j], np.vstack([Q, part / norm])
             if len(basis) == n:
                 return np.array(basis)
     raise RankDeficient(_DEFICIENT)
@@ -259,14 +256,17 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     y_act = y_act / scale
     y_piv = y_act + _perturbation(rows)
 
-    # The caller's start, else the cold one; its inverse or the singular values test the rank
-    usable = False
+    usable = False  # the caller's start, else the search's, else the rescue, each judged by its inverse
     if start is not None and (every_row or active[start].all()):
         basis = start.astype(np.intp) if every_row else (np.cumsum(active) - 1)[start]
         basis.sort()
         inv, usable = _start_inverse(A_act, basis, big)
     if not usable:
-        basis = np.sort(_greedy_basis(A_act, _fit_order(A_act, y_piv), n, big))
+        order = _fit_order(A_act, y_piv)
+        basis = np.sort(order[:n])
+        inv, usable = _start_inverse(A_act, basis, big)
+    if not usable:
+        basis = np.sort(_greedy_basis(A_act, order, n, big))
         inv, usable = _start_inverse(A_act, basis, big)
         if not usable:
             sv = np.linalg.svd(A_act, compute_uv=False)

@@ -3,7 +3,7 @@
 Whatever the flags hold, the CLI exits 0, 1 or 2 without a traceback, and a
 result on stdout is strict JSON or a CSV whose numeric fields are finite.
 Each hostile value alone is a result or a validation error (exit 0 or 1)
-whose message names the flag, except one listed numerical failure.  Every
+whose message names the flag, except the listed numerical failures.  Every
 file flag, --config included, is also given a missing path, a directory and
 malformed JSON, each CSV flag a cell that is not a number, and --out a path
 in a missing directory and a directory.
@@ -164,7 +164,7 @@ def tables(files):
             grid=["0.0", "0.3", "0.2,0.5", "nan", "1", "-0.1", "", "x"],
             true_rate=FLOATS, jitter=FLOATS, eta=FLOATS, omega=FLOATS,
             epsilon_policy=["rel:0.01", "abs:1", "rel:nan", "abs:inf", "rel:-1", "pct:1", "rel",
-                            ""],
+                            "", "abs:1e200", "rel:1e308", "abs:1e308"],
             strategies=["none", "prior,pruned_quantile", "pruned_product", "bogus", ""],
             seed=["0", "-1", "x"], spectral_radius=FLOATS, workers=["-1", "0", "1"],
             format=["csv", "json", "xml"])),
@@ -218,10 +218,12 @@ def test_hostile_command_lines_exit_cleanly(files, data):
         assert out.getvalue() == "", argv
 
 
-# The one value that alone fails numerically, not as a validation error: a
+# The values that alone fail numerically, not as validation errors: a
 # magnitude of 1e308 lets the attacked measurements overflow, which shows
-# only once the run is simulated.
-NUMERICAL_FAILURES = {("scenario", "attack_magnitude", "1e308")}
+# only once the run is simulated, and a budget of 1e200 lets the attacked
+# estimates' errors overflow, which shows only once they are graded.
+NUMERICAL_FAILURES = {("scenario", "attack_magnitude", "1e308"),
+                      ("sweep", "epsilon_policy", "abs:1e200")}
 
 # A data file's validation error may name the field it rejects, not the flag.
 FILE_FIELDS = {"system": ("A", "C", "x0"), "input": ("'p'", "q_hat", "'q'", "'seed'")}
@@ -243,7 +245,7 @@ def names_any(message, names):
 
 def test_each_hostile_value_alone_exits_cleanly(files):
     # every value of the tables above, one flag at a time: a result or a
-    # validation error that names the flag, except the numerical failure
+    # validation error that names the flag, except the numerical failures
     # listed above
     subparsers = build_parser()[1]
     for name, base, hostile in tables(files):
@@ -458,7 +460,8 @@ REJECTIONS = [
         "scenario --steps 20 --T 2 --attack-magnitude 0.001 --system sys_unstable", 1,
         "error: the plant's trajectory overflows within 20 steps\n"),
     row("scenario-plant-too-large", "scenario --steps 8 --T 2 --system sys_huge_x0", 1,
-        "error: the plant's trajectory overflows within --steps 8\n", never=CERTIFY),
+        "error: the clean measurements are too large to certify within --steps 8\n",
+        never=CERTIFY),
     row("scenario-attack-overflows", "scenario --steps 20 --T 2 --attack-magnitude 1e308", 2,
         "error: attacked measurements overflow at attack magnitude 1e+308\n"),
     # list flags

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from resilient_sse import (
     sweep,
     weighted_observer,
 )
+from resilient_sse.errors import NumericalInstability
 from resilient_sse.experiments import TrialOutcome, canonical_json, epsilon_from_policy, trusted_rows
 from resilient_sse.fdia import random_support, synthesize_fdia
 from resilient_sse.pruning import (
@@ -779,3 +781,32 @@ def test_gen_random_system_rejects_a_radius_that_overflows_a():
 def test_epsilon_policy_rejects_non_finite_values(policy):
     with pytest.raises(ValueError, match="finite"):
         epsilon_from_policy(policy, [1.0])
+
+
+def test_sweep_errors_that_overflow_are_a_numerical_failure():
+    # a budget of 1e200 lets the attacked estimates' errors pass the largest
+    # float: the sweep names the policy instead of writing inf, and no overflow warns
+    cfg = SweepConfig(m=6, n=2, trials=2, attack_grid=(0.0, 0.3), epsilon_policy="abs:1e200")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalInstability,
+                           match="^the mean error overflows at epsilon policy abs:1e200$"):
+            sweep(cfg)
+
+
+def test_a_budget_too_large_to_certify_names_the_epsilon_policy(monkeypatch):
+    # a budget beyond the largest float, and an attacked window whose T m max|y|
+    # bound passes it, are rejected before any solve, naming the policy
+    with pytest.raises(ValueError, match="^epsilon policy rel:1e308 gives a budget beyond"):
+        epsilon_from_policy("rel:1e308", [1.0, -2.0])
+    cfg = SweepConfig(m=6, n=2, trials=2, attack_grid=(0.3,), epsilon_policy="abs:1e308")
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("a solve ran before the draw was rejected")
+
+    monkeypatch.setattr("resilient_sse.experiments.search_bases", no_call)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the attacked measurements are too large to "
+                                             "certify at epsilon policy abs:1e308$"):
+            sweep(cfg)

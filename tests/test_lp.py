@@ -171,6 +171,10 @@ def test_zero_weights_need_rank():
         weighted_l1_regression(A, y, w)
     with pytest.raises(RankDeficient):
         weighted_l1_regression(A, y, np.zeros(8))
+    with warnings.catch_warnings():  # an A of zeros keeps no row, and divides no 0 by 0
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficient):
+            weighted_l1_regression(np.zeros((8, 4)), y, np.ones(8))
 
 
 def test_zero_weight_rows_are_ignored():
@@ -373,22 +377,36 @@ def test_certified_warm_start_skips_both_rank_tests(monkeypatch):
     near = weighted_l1_regression(A, y, w, start=[0, 18, 1, 2, 3])
     assert calls == []
     assert 0 not in near.basis or 18 not in near.basis
-    # two nearly equal columns: the cold start's proof fails, and the singular
-    # values pass A at 40 rows and reject it at 18; at 40 rows the pivots go on
-    # from the start's one inverse, and the other is the refactor at optimality
+    # two nearly equal columns: the cold start's proof fails, and so does the
+    # proof of the rescue, which keeps the same rows; the singular values pass A
+    # at 40 rows and reject it at 18; at 40 rows the pivots go on from the
+    # rescue's inverse, after the cold start's, and the third is the refactor at
+    # optimality
     rng = np.random.default_rng(0)
     A = rng.standard_normal((40, 5))
     A[:, 4] = A[:, 3] + 1e-9 * rng.standard_normal(40)
     inverses = count_rank_tests(monkeypatch, ("inv",))
     sol = weighted_l1_regression(A, rng.standard_normal(40), np.ones(40))
     assert calls == ["svd"]
-    assert len(inverses) == 2 and sol.iterations > 0
+    assert len(inverses) == 3 and sol.iterations > 0
     assert sol.gap <= 1e-8 * (1 + abs(sol.objective))
     A = rng.standard_normal((18, 5))
     A[:, 4] = A[:, 3] + 3e-10 * rng.standard_normal(18)
     with pytest.raises(RankDeficient):
         weighted_l1_regression(A, A @ rng.standard_normal(5), np.ones(18))
     assert calls == ["svd", "svd"]
+
+
+def test_a_usable_cold_start_is_the_search_start_proved_by_its_inverse(monkeypatch):
+    # the cold start is the first n rows along the fit order, judged only by
+    # the inverse the pivots start from: one QR (the fit order's) and one
+    # inverse before the first pivot; the other inverse is the refactor at
+    # optimality
+    model, y = estimate_window(0)  # 240 x 12
+    calls = count_rank_tests(monkeypatch, ("qr", "inv", "svd", "lstsq"))
+    sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
+    assert calls == ["qr", "inv", "inv"] and sol.iterations > 0
+    assert sol.gap <= 1e-8 * (np.abs(y).max() + abs(sol.objective))
 
 
 @pytest.mark.parametrize("k", [-600, 530])
@@ -535,7 +553,7 @@ def test_greedy_basis_matches_gram_schmidt(family):
         order = np.random.default_rng(seed).permutation(A.shape[0])
         got = _greedy_basis(A, order, A.shape[1], np.abs(A).max())
         assert got.tolist() == gram_schmidt_basis(A, order, A.shape[1])
-    A = np.vstack([A[:1], A])  # a duplicated leading row leaves the one-QR test
+    A = np.vstack([A[:1], A])  # a duplicated leading row: dependent first rows
     assert _greedy_basis(A, np.arange(A.shape[0]), A.shape[1],
                          np.abs(A).max()).tolist() == gram_schmidt_basis(
         A, np.arange(A.shape[0]), A.shape[1])
@@ -791,7 +809,7 @@ def test_search_on_one_shared_model_equals_the_search_on_its_copies():
     assert all(c is None if s is None else np.array_equal(s, c) for s, c in zip(shared, copies))
     for i in (0, 5, 7):  # dependent first rows, not a rank deficient problem
         first = lp._fit_order(A, y[i] / np.abs(y[i]).max() + lp._perturbation(N))[:n]
-        assert not lp._independent(A[first], np.abs(A).max())
+        assert gram_schmidt_basis(A, first, n) is None
         assert weighted_l1_regression(A, y[i], w[i]).gap <= 1e-8 * (1 + np.abs(y[i]).max())
     for i in (2, 4, 6):
         assert weighted_l1_regression(A, y[i], w[i], start=shared[i]).iterations == 0
@@ -855,7 +873,8 @@ def test_search_proves_each_start_by_its_inverse():
                        for i in range(K)])
     first = np.take_along_axis(A, starts[..., None], axis=1)
     big = np.abs(A).max(axis=(1, 2))
-    assert [lp._independent(f, b) for f, b in zip(first, big)] == [True, True, False, True, False]
+    assert [gram_schmidt_basis(A[i], starts[i], n) is not None for i in range(K)] == [
+        True, True, False, True, False]
     assert 1e8 < np.linalg.cond(first[1]) < 1e10
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(first)

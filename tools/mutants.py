@@ -73,6 +73,12 @@ MUTANTS = [
     (LP, "_RANK_RTOL = 1e-10", "_RANK_RTOL = 1e-6",
      "tests/test_lp.py::test_matches_scipy_linprog[near_rank-0]",
      "the rank tolerance loosened ten-thousand-fold"),
+    (LP, "basis = np.sort(_greedy_basis(A_act, order, n, big))", "basis = np.sort(order[:n])",
+     "tests/test_lp.py::test_search_on_one_shared_model_equals_the_search_on_its_copies",
+     "the cold start never rescues a start that is not usable"),
+    (LP, "if norm > _RANK_RTOL:", "if norm > 0:",
+     "tests/test_lp.py::test_greedy_basis_matches_gram_schmidt[near_rank]",
+     "the rescue keeps every row with a nonzero orthogonal part"),
     (LP, "inv, keep = _start_inverse(A, basis, big)",
      "inv, keep = _start_inverse(A, basis, big)[0], slice(None)",
      "tests/test_lp.py::test_search_gives_up_where_the_single_solve_leaves_the_pivots",
