@@ -8,20 +8,14 @@ bound, and a deterministic Monte Carlo experiment harness with a CLI.
 
 from .analysis import BoundInputs, RipEstimate, bound_condition, recovery_bound, rip_constant
 from .errors import (
-    BudgetZero,
     ConditionViolated,
     DegenerateSvd,
-    DimensionMismatch,
-    EmptyEstimate,
-    EmptySupport,
     EstimationError,
     NotObservable,
     NumericalInstability,
     RankDeficient,
     RiccatiDivergence,
     SolverFailure,
-    SupportTooLarge,
-    WindowOutOfRange,
 )
 from .estimation import (
     best_k_sparse_error,

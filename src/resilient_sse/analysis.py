@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetZero, ConditionViolated
+from .errors import ConditionViolated
 from .lti import HorizonModel
 
 # rows of U1 gathered per batch of supports, so that a batch's memory does
@@ -89,7 +89,7 @@ def rip_constant(
     if not 1 <= S <= rows:
         raise ValueError(f"S must lie in [1, {rows}], got {S}")
     if budget < 1:
-        raise BudgetZero(f"support budget must be >= 1, got {budget}")
+        raise ValueError(f"support budget must be >= 1, got {budget}")
 
     total = math.comb(rows, S)
     exact = total <= budget

@@ -36,7 +36,7 @@ from dataclasses import fields
 import numpy as np
 
 from .analysis import rip_constant
-from .errors import EmptyEstimate, EstimationError
+from .errors import EstimationError
 from .estimation import decode, detect, weighted_observer
 from .experiments import (
     OBSERVERS,
@@ -237,10 +237,7 @@ def _cmd_prune(args) -> str:
         pruned = prune_quantile(prior, args.eta)
     precision, precision_pruned = None, None
     if q is not None:
-        try:
-            precision = ppv(q, prior.q_hat)
-        except EmptyEstimate:
-            precision = None
+        precision = ppv(q, prior.q_hat)
         if pruned.safe_set.size:
             precision_pruned = float(np.mean(q.q[pruned.safe_set] == 1))
     return canonical_json(

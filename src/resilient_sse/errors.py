@@ -1,8 +1,10 @@
 """Exception types raised by the library.
 
-Validation problems (bad shapes, out-of-range parameters) raise plain
-ValueError; everything that can only be discovered numerically derives
-from EstimationError so callers can map it to a distinct failure path.
+There are two kinds of error, matching the CLI's exit codes.  Validation
+problems (bad shapes, out-of-range parameters, input the package cannot
+represent) raise plain ValueError: exit 1.  Everything that can only be
+discovered numerically derives from EstimationError, one subclass per
+failure, so callers can map it to a distinct failure path: exit 2.
 """
 
 
@@ -18,14 +20,6 @@ class DegenerateSvd(EstimationError):
     """The stacked observation matrix is numerically rank deficient."""
 
 
-class DimensionMismatch(ValueError):
-    """Inconsistent array shapes."""
-
-
-class WindowOutOfRange(ValueError):
-    """Requested window does not lie inside the trajectory."""
-
-
 class RankDeficient(EstimationError):
     """Effective observation matrix (positive-weight rows) loses rank."""
 
@@ -38,25 +32,9 @@ class RiccatiDivergence(EstimationError):
     """Fixed-point Riccati iteration did not converge."""
 
 
-class SupportTooLarge(ValueError):
-    """Attack support must leave at least one row untouched."""
-
-
-class EmptySupport(ValueError):
-    """Attack support must contain at least one row."""
-
-
-class EmptyEstimate(ValueError):
-    """Estimated safe set is empty where a nonempty one is required."""
-
-
 class NumericalInstability(EstimationError):
     """Computation drifted beyond its accuracy contract."""
 
 
 class ConditionViolated(EstimationError):
     """Recovery-bound condition fails; the bound is undefined."""
-
-
-class BudgetZero(ValueError):
-    """Support-enumeration budget must be positive."""

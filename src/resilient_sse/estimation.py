@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, RiccatiDivergence
+from .errors import RiccatiDivergence
 from .lp import LpSolution, weighted_l1_regression
 from .lti import HorizonModel, LtiSystem, row_indices
 
@@ -26,8 +26,8 @@ _RICCATI_MAX_ITER = 10**5
 def solve_weighted_l1(model: HorizonModel, y_T, weights, start=None) -> LpSolution:
     """Exact minimizer of the weighted l1 measurement residual.
 
-    ``y_T`` and ``weights`` hold one entry per row of H (DimensionMismatch
-    from the LP otherwise).  Weight entries of zero are allowed only while
+    ``y_T`` and ``weights`` hold one entry per row of H (ValueError from
+    the LP otherwise).  Weight entries of zero are allowed only while
     the remaining rows keep full column rank (RankDeficient otherwise).
     ``start`` is an optional warm-start basis, see ``lp.weighted_l1_regression``.
     """
@@ -102,7 +102,7 @@ def luenberger_baseline(sys: LtiSystem, measurements) -> np.ndarray:
     """
     Y = np.asarray(measurements, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != sys.m:
-        raise DimensionMismatch(f"measurements have shape {Y.shape}, expected (*, {sys.m})")
+        raise ValueError(f"measurements have shape {Y.shape}, expected (*, {sys.m})")
     L = riccati_gain(sys)
     x_hat = np.zeros(sys.n)
     out = np.zeros((Y.shape[0], sys.n))

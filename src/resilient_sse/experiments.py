@@ -36,7 +36,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import EmptyEstimate, NumericalInstability
+from .errors import NumericalInstability
 from .estimation import decode, luenberger_baseline, observer_weights, weighted_observer
 from .fdia import random_support, synthesize_fdia
 from .lp import search_bases
@@ -256,10 +256,7 @@ def trusted_rows(instance: TrialInstance, strategy: str, eta: float):
     if strategy == "pruned_product":
         return prune_product(instance.prior, eta).safe_set
     if strategy == "pruned_quantile":
-        try:
-            return prune_quantile(instance.prior, eta).safe_set
-        except EmptyEstimate:
-            return np.array([], dtype=int)
+        return prune_quantile(instance.prior, eta).safe_set
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

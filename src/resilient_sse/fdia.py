@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySupport, SupportTooLarge
 from .estimation import decode, detect
 from .lp import _RANK_RTOL
 from .lti import HorizonModel, row_indices
@@ -56,9 +55,9 @@ class SuccessVerdict:
 def _normalize_support(support, rows: int) -> np.ndarray:
     sup = row_indices(support, rows, "support indices")
     if sup.size == 0:
-        raise EmptySupport("attack support is empty")
+        raise ValueError("attack support is empty")
     if sup.size >= rows:
-        raise SupportTooLarge(f"support of size {sup.size} covers every one of {rows} rows")
+        raise ValueError(f"support of size {sup.size} covers every one of {rows} rows")
     return sup
 
 

@@ -119,7 +119,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient, SolverFailure
+from .errors import RankDeficient, SolverFailure
 
 _RANK_RTOL = 1e-10
 _GAP_RTOL = 1e-8
@@ -198,7 +198,8 @@ def _start_inverse(A, basis, big):
 def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     """Minimize sum_j w_j |y_j - (A z)_j| with a certified duality gap.
 
-    y and w hold one entry per row of A (DimensionMismatch otherwise).
+    A is a 2-D matrix with at least one column, and y and w hold one entry
+    per row of A (ValueError otherwise).
     Entries must be finite, weights nonnegative and sum(w) * max|y| a finite
     float (ValueError otherwise); rows with w_j = 0 are ignored by the
     objective and are legal only while the remaining rows keep full column
@@ -216,9 +217,9 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     w = np.asarray(w, dtype=float).reshape(-1)
+    if A.ndim != 2 or A.shape[1] == 0 or y.shape[0] != A.shape[0] or w.shape[0] != A.shape[0]:
+        raise ValueError(f"shape mismatch: A {A.shape}, y {y.shape}, w {w.shape}")
     N, n = A.shape
-    if y.shape[0] != N or w.shape[0] != N:
-        raise DimensionMismatch(f"shape mismatch: A {A.shape}, y {y.shape}, w {w.shape}")
     # finite maxima and sums prove every entry finite; w is summed only if free of -inf and nan
     big, y_max = float(np.abs(A).max(initial=0.0)), float(np.abs(y).max(initial=0.0))
     w_min = float(w.min(initial=math.inf))

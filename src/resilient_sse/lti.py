@@ -22,14 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSvd, DimensionMismatch, NotObservable, WindowOutOfRange
+from .errors import DegenerateSvd, NotObservable
 from .lp import _RANK_RTOL  # the rank rule of the l1 solve, for O and H alike
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a 2-D matrix, got shape {arr.shape}")
+        raise ValueError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
     out = arr.copy()
     out.flags.writeable = False
     return out
@@ -51,9 +51,9 @@ class LtiSystem:
         object.__setattr__(self, "A", _as_matrix(self.A, "A"))
         object.__setattr__(self, "C", _as_matrix(self.C, "C"))
         if self.A.shape[0] != self.A.shape[1]:
-            raise DimensionMismatch(f"A must be square, got shape {self.A.shape}")
+            raise ValueError(f"A must be square, got shape {self.A.shape}")
         if self.C.shape[1] != self.A.shape[0]:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"C has {self.C.shape[1]} columns but the state dimension is {self.A.shape[0]}"
             )
 
@@ -158,7 +158,8 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     passes its rank test.  A full-column-rank H implies an observable
     (A, C), so observability is checked only when H fails: NotObservable
     when the pair is not observable, else DegenerateSvd (possible for short
-    windows even on observable systems).  T < 1, or powers of A that overflow, is a ValueError.
+    windows even on observable systems).  T < 1, or powers of A that overflow
+    in H or in its singular values, is a ValueError.
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
@@ -167,6 +168,8 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
         raise ValueError(f"H is not finite for T={T}: the window's powers of A overflow")
 
     U, s, _ = np.linalg.svd(H, full_matrices=False)
+    if not np.isfinite(s).all():
+        raise ValueError(f"H's singular values overflow for T={T}: A's powers are too large")
     if s.size < sys.n or not s[-1] > _RANK_RTOL * s[0]:
         report = check_observability(sys)
         if not report.observable:
@@ -193,14 +196,14 @@ def simulate(
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n:
-        raise DimensionMismatch(f"x0 has length {x0.shape[0]}, expected {sys.n}")
+        raise ValueError(f"x0 has length {x0.shape[0]}, expected {sys.n}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
 
     attacks = np.zeros((steps, sys.m)) if attack_schedule is None else np.asarray(
         attack_schedule, dtype=float)
     if attacks.shape != (steps, sys.m):
-        raise DimensionMismatch(f"attack schedule has shape {attacks.shape}, expected {(steps, sys.m)}")
+        raise ValueError(f"attack schedule has shape {attacks.shape}, expected {(steps, sys.m)}")
 
     states = np.zeros((steps, sys.n))
     clean = np.zeros((steps, sys.m))
@@ -226,7 +229,7 @@ def stack_window(traj: Trajectory, end_index: int, T: int):
     """
     start = end_index - T + 1
     if T < 1 or start < 0 or end_index >= traj.steps:
-        raise WindowOutOfRange(
+        raise ValueError(
             f"window [{start}, {end_index}] does not fit a trajectory of {traj.steps} steps"
         )
     y_T = traj.attacked_measurements[start:end_index + 1][::-1].flatten()

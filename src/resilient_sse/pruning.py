@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyEstimate, NumericalInstability
+from .errors import NumericalInstability
 from .lti import row_indices
 
 
@@ -128,15 +128,14 @@ def gen_confidences(
     return np.minimum(np.maximum(p, 1e-12), 1.0)  # np.clip, without its wrapper
 
 
-def ppv(q: SupportIndicator, q_hat) -> float:
-    """Precision of the estimated-safe set: fraction that is truly safe."""
+def ppv(q: SupportIndicator, q_hat) -> float | None:
+    """Precision of the estimated-safe set: fraction that is truly safe,
+    None when no row is estimated safe."""
     q_hat = np.asarray(q_hat, dtype=int)
     if q_hat.shape[0] != q.size:
         raise ValueError(f"estimate has length {q_hat.shape[0]}, expected {q.size}")
     flagged = int(q_hat.sum())
-    if flagged == 0:
-        raise EmptyEstimate("estimated-safe set is empty")
-    return float((q.q * q_hat).sum() / flagged)
+    return float((q.q * q_hat).sum() / flagged) if flagged else None
 
 
 def poisson_binomial_pmf(p) -> np.ndarray:
@@ -197,13 +196,10 @@ def prune_product(prior: SupportPrior, eta: float) -> PrunedPrior:
 
 def trust_count(prior: SupportPrior, eta: float) -> int:
     """Largest k such that at least k estimated-safe labels are correct
-    with probability eta or better."""
+    with probability eta or better: 0 when no row is estimated safe."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    safe = prior.estimated_safe
-    if safe.size == 0:
-        raise EmptyEstimate("estimated-safe set is empty")
-    r = poisson_binomial_pmf(prior.p[safe])
+    r = poisson_binomial_pmf(prior.p[prior.estimated_safe])
     tail = np.cumsum(r[::-1])[::-1]  # tail[k] = Pr{count >= k}
     ks = np.flatnonzero(tail >= eta)
     return int(ks.max()) if ks.size else 0

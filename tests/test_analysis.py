@@ -6,7 +6,6 @@ import pytest
 
 from resilient_sse import (
     BoundInputs,
-    BudgetZero,
     ConditionViolated,
     HorizonModel,
     LtiSystem,
@@ -127,7 +126,7 @@ def test_rip_sampled_is_lower_bound():
 def test_rip_budget_validation():
     sys_ = make_system(44, m=6, n=2)
     model = build_horizon(sys_, 1)
-    with pytest.raises(BudgetZero):
+    with pytest.raises(ValueError, match="^support budget must be >= 1, got 0$"):
         rip_constant(model, 2, budget=0)
     with pytest.raises(ValueError):
         rip_constant(model, 0, budget=10)

@@ -524,10 +524,14 @@ def test_a_config_file_can_supply_a_required_option(tmp_path, capsys, required_r
 def test_prune_reports_a_null_ppv_when_no_row_is_estimated_safe(tmp_path, capsys):
     payload = tmp_path / "prior.json"
     payload.write_text(json.dumps({"p": [0.9, 0.8], "q_hat": [0, 0], "q": [1, 0]}))
-    code, out, _ = run_cli(["prune", "--input", payload, "--eta", 0.5], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["ppv"] is None and doc["pruned_set"] == [] and '"ppv":null' in out
+    # no label to trust: both strategies prune to the empty set, quantile with l_eta 0
+    for strategy, l_eta in [("product", None), ("quantile", 0)]:
+        code, out, _ = run_cli(["prune", "--input", payload, "--eta", 0.5, "--strategy", strategy],
+                               capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ppv"] is None and doc["pruned_set"] == [] and doc["l_eta"] == l_eta
+        assert '"ppv":null' in out and '"pruned_set":[]' in out
 
 
 def test_estimate_with_omega_0_needs_n_distinct_safe_rows(tmp_path, zero_window, capsys):

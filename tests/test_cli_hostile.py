@@ -434,6 +434,9 @@ REJECTIONS = [
     # A^39 at spectral radius 1e10 passes the largest float
     row("sweep-window-overflows", "sweep --trials 2 --grid 0.3 --T 40 --spectral-radius 1e10", 1,
         "error: H is not finite for T=40: the window's powers of A overflow\n"),
+    # H's entries at spectral radius 1e154 are finite, but its singular values overflow
+    row("sweep-singular-values-overflow", f"{SWEEP} 0.3 --T 3 --spectral-radius 1e154", 1,
+        "error: H's singular values overflow for T=3: A's powers are too large\n"),
     row("sweep-out-missing-directory", "sweep --trials 300 --grid 0.3 --out gone", 1,
         "error: argument --out: gone: No such file or directory\n", never=DRAW),
     row("sweep-out-under-a-file", "sweep --trials 300 --grid 0.3 --out under_a_file", 1,

@@ -722,6 +722,23 @@ def test_paired_sweep_matches_cold_trials():
                 assert paired[strategy] == run_trial(cfg, p_a, strategy, t)
 
 
+def test_a_draw_with_no_safe_label_trusts_no_row_in_the_sweep_as_alone():
+    # at true rate 0.5 a draw can label every row attacked: quantile pruning
+    # then trusts no row, and the paired sweep gives the cold trial's outcome
+    import resilient_sse.experiments as experiments
+
+    cfg = SweepConfig(m=3, n=1, T=1, attack_grid=(0.67,), trials=20, true_rate=0.5,
+                      jitter=0.0, master_seed=5)
+    instances = [draw_instance(cfg, 0.67, t) for t in range(cfg.trials)]
+    empty = [t for t, inst in enumerate(instances) if inst.prior.estimated_safe.size == 0]
+    assert empty  # trials 2, 4, 9, 11, 13 and 18
+    for t in empty:
+        assert trusted_rows(instances[t], "pruned_quantile", cfg.eta).size == 0
+    chunk = experiments._paired_chunk((cfg, range(cfg.trials)))
+    for t in range(cfg.trials):
+        assert chunk[t]["pruned_quantile"] == run_trial(cfg, 0.67, "pruned_quantile", t)
+
+
 def single_solve_outcomes(cfg, trials):
     """The paired trials of `trials` as cold lone solves, one per strategy,
     task by task."""

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from resilient_sse import (
-    DimensionMismatch, RankDeficient, SolverFailure, SweepConfig, build_horizon, draw_instance,
+    RankDeficient, SolverFailure, SweepConfig, build_horizon, draw_instance,
     gen_random_system, synthesize_fdia,
 )
 from resilient_sse import lp
@@ -244,8 +245,11 @@ def test_the_solve_is_homogeneous_in_a(family, k):
 
 def test_shape_and_weight_validation():
     A = np.ones((4, 2))
-    with pytest.raises(DimensionMismatch):
-        weighted_l1_regression(A, np.ones(3), np.ones(4))
+    # y too short, an A with no column, and an A that is not 2-D: each names A's shape
+    for A_bad, y, shape in [(A, np.ones(3), "(4, 2)"), (np.ones((3, 0)), np.ones(3), "(3, 0)"),
+                            (np.ones(3), np.ones(3), "(3,)")]:
+        with pytest.raises(ValueError, match=rf"^shape mismatch: A {re.escape(shape)}, "):
+            weighted_l1_regression(A_bad, y, np.ones(y.size))
     with pytest.raises(ValueError, match=r"^weights must be nonnegative$"):
         weighted_l1_regression(A, np.ones(4), -np.ones(4))
 

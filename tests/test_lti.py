@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from resilient_sse import (
     DegenerateSvd,
-    DimensionMismatch,
     HorizonModel,
     LtiSystem,
     NotObservable,
     RankDeficient,
-    WindowOutOfRange,
     build_horizon,
     check_observability,
     load_system_json,
@@ -64,6 +62,21 @@ def test_build_horizon_rejects_a_window_that_overflows():
         warnings.simplefilter("error")
         assert build_horizon(sys_, 2).sigma_max == pytest.approx(1e200)
         with pytest.raises(ValueError, match="H is not finite for T=3"):
+            build_horizon(sys_, 3)
+
+
+def test_build_horizon_rejects_singular_values_that_overflow():
+    # every entry of H is finite at T 3, 1.44e308 at most, but its largest
+    # singular value, sqrt(2) * 1.44e308, is not: a ValueError naming T, not a
+    # rank-deficient H; at 1e154 that singular value is finite and H passes
+    C = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        passes = build_horizon(LtiSystem(A=1e154 * np.eye(2), C=C), 3)
+        assert passes.sigma_max == pytest.approx(2**0.5 * 1e308)
+        sys_ = LtiSystem(A=1.2e154 * np.eye(2), C=C)
+        assert np.isfinite(sys_.C @ sys_.A @ sys_.A).all()
+        with pytest.raises(ValueError, match="^H's singular values overflow for T=3: "):
             build_horizon(sys_, 3)
 
 
@@ -187,9 +200,9 @@ def test_simulate_rejects_a_plant_that_overflows():
 
 def test_simulate_shape_errors():
     sys_ = make_system(1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="x0 has length"):
         simulate(sys_, np.ones(sys_.n + 1), 3)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="attack schedule has shape"):
         simulate(sys_, np.ones(sys_.n), 3, np.zeros((3, sys_.m + 1)))
     with pytest.raises(ValueError, match="steps must be >= 1"):
         simulate(sys_, np.ones(sys_.n), 0)
@@ -248,9 +261,9 @@ def test_stack_window_equals_the_rows_stacked_one_by_one():
 def test_stack_window_range_errors():
     sys_ = make_system(3)
     traj = simulate(sys_, np.ones(sys_.n), 4)
-    with pytest.raises(WindowOutOfRange):
+    with pytest.raises(ValueError, match=r"window \[-1, 1\] does not fit"):
         stack_window(traj, 1, 3)
-    with pytest.raises(WindowOutOfRange):
+    with pytest.raises(ValueError, match=r"window \[4, 4\] does not fit"):
         stack_window(traj, 4, 1)
 
 
@@ -270,14 +283,14 @@ def test_check_observability_reports():
 
 
 def test_system_shape_validation():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="A must be square"):
         LtiSystem(A=np.ones((2, 3)), C=np.ones((4, 3)))
     # a tall A whose row count matches C's columns passes every other check
-    with pytest.raises(DimensionMismatch, match="A must be square"):
+    with pytest.raises(ValueError, match="A must be square"):
         LtiSystem(A=np.ones((3, 2)), C=np.ones((4, 3)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="C has 3 columns but the state dimension is 2"):
         LtiSystem(A=np.eye(2), C=np.ones((4, 3)))
-    with pytest.raises(DimensionMismatch, match="2-D matrix"):
+    with pytest.raises(ValueError, match="2-D matrix"):
         LtiSystem(A=np.ones(2), C=np.ones((4, 2)))
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from resilient_sse import (
-    EmptyEstimate,
     NumericalInstability,
     SupportIndicator,
     SupportPrior,
@@ -109,8 +108,7 @@ def test_ppv_counts():
     assert ppv(q, np.array([1, 0, 1, 1])) == 1.0
     ones = SupportIndicator(q=[1, 1, 1])
     assert ppv(ones, np.array([0, 1, 1])) == 1.0
-    with pytest.raises(EmptyEstimate):
-        ppv(q, np.zeros(4, dtype=int))
+    assert ppv(q, np.zeros(4, dtype=int)) is None  # no row estimated safe
 
 
 def test_pmf_small_cases():
@@ -213,8 +211,12 @@ def test_trust_count_and_quantile_examples():
     shaky = SupportPrior(q_hat=np.ones(3, dtype=int), p=np.full(3, 0.9))
     assert prune_quantile(shaky, 0.9995).safe_set.size == 0
 
-    with pytest.raises(EmptyEstimate):
-        prune_quantile(SupportPrior(q_hat=np.zeros(2, dtype=int), p=np.full(2, 0.9)), 0.5)
+    # no row estimated safe: no label to trust, so l_eta is 0 and the set empty
+    no_safe = SupportPrior(q_hat=np.zeros(2, dtype=int), p=np.full(2, 0.9))
+    for eta in (0.01, 0.5, 0.99):
+        assert trust_count(no_safe, eta) == 0
+        pruned = prune_quantile(no_safe, eta)
+        assert pruned.safe_set.size == 0 and pruned.l_eta == 0
     for eta in (0.0, 1.0):
         with pytest.raises(ValueError, match="eta must lie in"):
             trust_count(prior, eta)
