@@ -7,16 +7,7 @@ bound, and a deterministic Monte Carlo experiment harness with a CLI.
 """
 
 from .analysis import BoundInputs, RipEstimate, bound_condition, recovery_bound, rip_constant
-from .errors import (
-    ConditionViolated,
-    DegenerateSvd,
-    EstimationError,
-    NotObservable,
-    NumericalInstability,
-    RankDeficient,
-    RiccatiDivergence,
-    SolverFailure,
-)
+from .errors import EstimationError
 from .estimation import (
     best_k_sparse_error,
     decode,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionViolated
+from .errors import EstimationError
 from .lti import HorizonModel
 
 # rows of U1 gathered per batch of supports, so that a batch's memory does
@@ -132,18 +132,18 @@ def bound_condition(inputs: BoundInputs) -> bool:
 def recovery_bound(inputs: BoundInputs) -> float:
     """Upper bound on the estimation error of the weighted l1 observer.
 
-    Valid only under bound_condition; raises ConditionViolated otherwise
-    (including a vanishing denominator in the leading constant).
+    Valid only under bound_condition; otherwise, or where the leading
+    constant's denominator vanishes, an EstimationError's message says which.
     """
     if not bound_condition(inputs):
-        raise ConditionViolated("isometry condition fails; the bound does not apply")
+        raise EstimationError("isometry condition fails; the bound does not apply")
     C = weighting_constant(inputs.a, inputs.omega, inputs.rho)
     inv_C = 0.0 if math.isinf(C) else 1.0 / C
     lo = math.sqrt(1.0 - inputs.delta_a1k)
     hi = math.sqrt(1.0 + inputs.delta_ak)
     denom = lo - inv_C * hi
     if denom <= 1e-12:
-        raise ConditionViolated(f"bound denominator {denom:.3e} is not positive")
+        raise EstimationError(f"bound denominator {denom:.3e} is not positive")
     C1 = 2.0 / math.sqrt(inputs.a) * (lo + hi) / denom
     mix = inputs.omega * inputs.sigma_k_e + (1.0 - inputs.omega) * inputs.e_pruned_l1
     return C1 / (inputs.sigma_min_H * math.sqrt(inputs.sparsity)) * mix

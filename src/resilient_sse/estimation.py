@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RiccatiDivergence
+from .errors import EstimationError
 from .lp import LpSolution, weighted_l1_regression
 from .lti import HorizonModel, LtiSystem, row_indices
 
@@ -27,8 +27,8 @@ def solve_weighted_l1(model: HorizonModel, y_T, weights, start=None) -> LpSoluti
     """Exact minimizer of the weighted l1 measurement residual.
 
     ``y_T`` and ``weights`` hold one entry per row of H (ValueError from
-    the LP otherwise).  Weight entries of zero are allowed only while
-    the remaining rows keep full column rank (RankDeficient otherwise).
+    the LP otherwise).  Zero weights are allowed only while the remaining
+    rows keep full column rank (else an EstimationError names the deficiency).
     ``start`` is an optional warm-start basis, see ``lp.weighted_l1_regression``.
     """
     return weighted_l1_regression(model.H, y_T, weights, start=start)
@@ -72,8 +72,8 @@ def riccati_gain(sys: LtiSystem) -> np.ndarray:
     """Steady-state Kalman gain with unit process/measurement covariances.
 
     Fixed-point iteration of the Riccati recursion until successive gains
-    change by at most 1e-10 (RiccatiDivergence after 10^5 iterations); the
-    closed-loop matrix A - L C must end up strictly stable.
+    change by at most 1e-10; an EstimationError names the failure when that
+    takes over 10^5 iterations or A - L C is not strictly stable.
     """
     n, m = sys.n, sys.m
     I_n, I_m = np.eye(n), np.eye(m)
@@ -87,10 +87,10 @@ def riccati_gain(sys: LtiSystem) -> np.ndarray:
             L = L_new
             radius = np.max(np.abs(np.linalg.eigvals(sys.A - L @ sys.C)))
             if radius >= 1.0:
-                raise RiccatiDivergence(f"closed-loop spectral radius {radius:.6f} >= 1")
+                raise EstimationError(f"closed-loop spectral radius {radius:.6f} >= 1")
             return L
         L = L_new
-    raise RiccatiDivergence(f"gain did not settle within {_RICCATI_MAX_ITER} iterations")
+    raise EstimationError(f"gain did not settle within {_RICCATI_MAX_ITER} iterations")
 
 
 def luenberger_baseline(sys: LtiSystem, measurements) -> np.ndarray:

@@ -36,7 +36,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import NumericalInstability
+from .errors import EstimationError
 from .estimation import decode, luenberger_baseline, observer_weights, weighted_observer
 from .fdia import random_support, synthesize_fdia
 from .lp import search_bases
@@ -411,7 +411,7 @@ def sweep(cfg: SweepConfig) -> SweepResult:
             stderr = float(np.sqrt(rate * (1.0 - rate) / cfg.trials))
             mean_error = float(np.mean([o.error_l2 for o in outs]))
             if not math.isfinite(mean_error):
-                raise NumericalInstability(
+                raise EstimationError(
                     f"the mean error overflows at epsilon policy {cfg.epsilon_policy}")
             rows.append(
                 SweepRow(
@@ -533,7 +533,7 @@ def run_scenario(
         raise ValueError(f"the clean measurements are too large to certify within --steps "
                          f"{scenario.steps}")
     if not math.isfinite(T * m * float(np.abs(traj.attacked_measurements).max())):
-        raise NumericalInstability(
+        raise EstimationError(
             f"attacked measurements overflow at attack magnitude {attack.magnitude}")
     model = build_horizon(system, T)
     windows = scenario.steps - T + 1
@@ -568,7 +568,7 @@ def run_scenario(
             rms[obs] = tuple(float(v) for v in np.sqrt((E**2).mean(axis=0)))
         max_abs[obs] = tuple(float(v) for v in np.abs(E).max(axis=0))
         if not np.isfinite(rms[obs] + max_abs[obs]).all():
-            raise NumericalInstability(
+            raise EstimationError(
                 f"{obs} error metrics overflow at attack magnitude {attack.magnitude}")
     return ScenarioMetrics(observers=tuple(observers), windows=windows, rms=rms, max_abs=max_abs)
 

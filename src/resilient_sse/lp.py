@@ -28,7 +28,8 @@ certifies that point.  The residual is computed afresh only at the start
 basis and then carried by the tableau, also across the refactor below: a
 perturbed residual that is zero up to roundoff would otherwise flip sign at
 each refactor and send the pivots around a cycle.  A solve that takes more
-than 10 pivots per row raises SolverFailure.
+than 10 pivots per row fails: every failure here is an EstimationError,
+whose message names it.
 The problem is positively homogeneous in (y, z), so the pivots run on y
 scaled to unit max-norm, and the gap is certified in those units, where it
 is at most 1e-8 (1 + |objective|): a zero optimum, whose gap is roundoff of
@@ -59,7 +60,7 @@ Tab[k], |nu_k| = sum_j nu_j h_j, so the rises nu_j h_j > 0 sum to P >=
 |nu_k|, and the line search stops where they reach (|nu_k| - w_k) / 2, short
 of P by at least P / 2 + w_k / 2, which rounding of order N eps times these
 sums cannot close.  Where the tableau is not finite that is nan: the single
-solve raises SolverFailure, and the search pivots on to its cap.
+solve raises EstimationError, and the search pivots on to its cap.
 
 Every fresh factorization, of the start, the cold start or the basis at
 reported optimality, is of the basis rows in ascending order.  The vertex is
@@ -86,9 +87,9 @@ does not depend on the units of A.  A start is usable only where that
 inverse is finite (a singular block's is nan) and passes the bound, and the
 first certificate uses it, so the proof changes no result.  A start that
 is not usable gives way to the next.  An order without n independent rows
-raises RankDeficient at once; for a rescue that is not usable the singular
-values of A_act decide the rank, and where the rank passes but the inverse
-is not finite, SolverFailure names the start.
+raises EstimationError (rank deficiency) at once; for a rescue that is not
+usable the singular values of A_act decide the rank, and where the rank
+passes but the inverse is not finite, the EstimationError names the start.
 Data with sum(w) max|y| beyond the largest float are rejected up front:
 that product bounds |y^T nu|, so below it the certificate cannot overflow.
 
@@ -119,7 +120,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, SolverFailure
+from .errors import EstimationError
 
 _RANK_RTOL = 1e-10
 _GAP_RTOL = 1e-8
@@ -154,7 +155,7 @@ def _perturbation(rows):
 
 def _greedy_basis(A_act, order, n, big):
     """First n rows along `order` whose part orthogonal to the rows kept before exceeds
-    _RANK_RTOL, in one Gram-Schmidt pass on A_act / big (big = max|A_act|), else RankDeficient."""
+    _RANK_RTOL, in one Gram-Schmidt pass on A_act / big (big = max|A_act|), else EstimationError."""
     basis, Q = [], np.empty((0, A_act.shape[1]))  # Q: the kept rows' orthonormal parts
     for j in order:
         part = A_act[j] / (big or 1.0)  # an A of zeros keeps no row
@@ -164,7 +165,7 @@ def _greedy_basis(A_act, order, n, big):
             basis, Q = basis + [j], np.vstack([Q, part / norm])
             if len(basis) == n:
                 return np.array(basis)
-    raise RankDeficient(_DEFICIENT)
+    raise EstimationError(_DEFICIENT)
 
 
 def _fit_order(A, y_piv):
@@ -203,8 +204,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     Entries must be finite, weights nonnegative and sum(w) * max|y| a finite
     float (ValueError otherwise); rows with w_j = 0 are ignored by the
     objective and are legal only while the remaining rows keep full column
-    rank (checked, RankDeficient otherwise), and a minimizer beyond the
-    largest float is a ValueError too.  The returned gap is at most
+    rank (else an EstimationError names the deficiency), and a minimizer
+    beyond the largest float is a ValueError too.  The returned gap is at most
     1e-8 * (max|y| + |objective|), max|y| over the positive-weight rows (1
     when they are all zero): 1e-8 * (1 + |objective|) for max|y| = 1.
 
@@ -245,7 +246,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         big, y_max = (float(np.abs(v).max(initial=0.0)) for v in (A_act, y_act))
     rows = A_act.shape[0]
     if rows < n:
-        raise RankDeficient(f"{rows} positive-weight rows cannot determine {n} unknowns")
+        raise EstimationError(f"{rows} positive-weight rows cannot determine {n} unknowns")
     scale = y_max or 1.0
     if not math.isfinite(scale * w_sum):
         # the bound on |dual|; below it the certificate cannot overflow
@@ -272,9 +273,9 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         if not usable:
             sv = np.linalg.svd(A_act, compute_uv=False)
             if sv[-1] <= _RANK_RTOL * sv[0]:
-                raise RankDeficient(_DEFICIENT)
+                raise EstimationError(_DEFICIENT)
             if not np.isfinite(inv).all():
-                raise SolverFailure(f"the cold start's {n} rows of a full-rank A have no finite inverse")
+                raise EstimationError(f"the cold start's {n} rows of a full-rank A have no finite inverse")
 
     # `inv` holds a fresh factorization of the basis, None while the tableau
     # Tab = [D^T; r] is updated; g = -nu_B, and w_B = w_act[basis]
@@ -295,7 +296,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
             inv = np.linalg.inv(A_act[basis])
             continue
         if pivots >= _PIVOTS_PER_ROW * rows:
-            raise SolverFailure(f"no optimal basis after {pivots} pivots")
+            raise EstimationError(f"no optimal basis after {pivots} pivots")
         if fresh:
             Tab = np.empty((n + 1, rows))
             Tab[:n] = (A_act @ inv).T
@@ -315,7 +316,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         rise = nu_h[cand].cumsum()
         stop = int(rise.searchsorted(0.5 * (abs(g_k) - w_B[k])))
         if stop == cand.size:
-            raise SolverFailure(f"the tableau is not finite after {pivots} pivots")
+            raise EstimationError(f"the tableau is not finite after {pivots} pivots")
         j = cand[stop]
         col = Tab[:, j].copy()
         col[k] -= 1.0
@@ -337,7 +338,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     dual = math.ldexp(scale * float(y_act @ nu), e_w)
     gap = objective - dual
     if not gap <= _GAP_RTOL * (scale + abs(objective)):
-        raise SolverFailure(
+        raise EstimationError(
             f"basis not certified on the data: gap {gap:.3e}, objective {objective:.3e}"
         )
     return LpSolution(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSvd, NotObservable
+from .errors import EstimationError
 from .lp import _RANK_RTOL  # the rank rule of the l1 solve, for O and H alike
 
 
@@ -156,10 +156,11 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     1e-10 * sigma_max, on the singular values of one thin SVD, whose U1 and
     sigma_max then make the model: every solve that weighs all rows of H
     passes its rank test.  A full-column-rank H implies an observable
-    (A, C), so observability is checked only when H fails: NotObservable
-    when the pair is not observable, else DegenerateSvd (possible for short
-    windows even on observable systems).  T < 1, or powers of A that overflow
-    in H or in its singular values, is a ValueError.
+    (A, C), so observability is checked only when H fails, and the
+    EstimationError's message names the observability rank when the pair is
+    not observable, else H's singular values (short windows can fail so even
+    on observable systems).  T < 1, or powers of A that overflow in H or in
+    its singular values, is a ValueError.
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
@@ -173,8 +174,8 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     if s.size < sys.n or not s[-1] > _RANK_RTOL * s[0]:
         report = check_observability(sys)
         if not report.observable:
-            raise NotObservable(f"observability rank {report.rank} < n = {sys.n}")
-        raise DegenerateSvd(
+            raise EstimationError(f"observability rank {report.rank} < n = {sys.n}")
+        raise EstimationError(
             f"H is rank deficient for T={T}: singular values {np.array2string(s, precision=3)}"
         )
     for arr in (H, U):

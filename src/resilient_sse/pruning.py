@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalInstability
+from .errors import EstimationError
 from .lti import row_indices
 
 
@@ -155,7 +155,7 @@ def poisson_binomial_pmf(p) -> np.ndarray:
         r = np.convolve(r, [1.0 - pi, pi])
     drift = abs(r.sum() - 1.0)
     if not drift <= 1e-9:
-        raise NumericalInstability(f"pmf mass drifted by {drift:.3e}")
+        raise EstimationError(f"pmf mass drifted by {drift:.3e}")
     r = r / r.sum()
     r.flags.writeable = False
     return r

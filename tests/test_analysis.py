@@ -6,7 +6,7 @@ import pytest
 
 from resilient_sse import (
     BoundInputs,
-    ConditionViolated,
+    EstimationError,
     HorizonModel,
     LtiSystem,
     bound_condition,
@@ -203,7 +203,7 @@ def test_recovery_bound_condition_violated():
         a=3, rho=3.5, omega=0.0, sparsity=1, delta_ak=0.5, delta_a1k=0.2,
         sigma_min_H=1.0, sigma_k_e=0.0, e_pruned_l1=0.0,
     )
-    with pytest.raises(ConditionViolated):
+    with pytest.raises(EstimationError, match="^isometry condition fails; the bound does not apply$"):
         recovery_bound(bad)
     # C = 2: 0.5 + 2 * 0.5 > 2 - 1 fails the condition, while the leading
     # constant's denominator sqrt(0.5) - sqrt(1.5) / 2 = 0.095 is positive
@@ -212,7 +212,7 @@ def test_recovery_bound_condition_violated():
         sigma_min_H=1.0, sigma_k_e=1.0, e_pruned_l1=1.0,
     )
     assert not bound_condition(failing)
-    with pytest.raises(ConditionViolated, match="isometry condition fails"):
+    with pytest.raises(EstimationError, match="isometry condition fails"):
         recovery_bound(failing)
     # C = 1 meets the condition on its boundary, but the leading constant's
     # denominator 1 - 1/C vanishes
@@ -221,7 +221,7 @@ def test_recovery_bound_condition_violated():
         sigma_min_H=1.0, sigma_k_e=0.0, e_pruned_l1=0.0,
     )
     assert bound_condition(boundary)
-    with pytest.raises(ConditionViolated, match="denominator"):
+    with pytest.raises(EstimationError, match="denominator"):
         recovery_bound(boundary)
 
 

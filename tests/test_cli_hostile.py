@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilient_sse import build_horizon, cli, gen_random_system
+from resilient_sse import EstimationError, build_horizon, cli, errors, gen_random_system
 from resilient_sse.cli import build_parser, parse_and_dispatch
 
 FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e308", "-1e-300", "x", "", "0.5", "0.9", "0.01", "2"]
@@ -221,9 +221,10 @@ def test_hostile_command_lines_exit_cleanly(files, data):
 # The values that alone fail numerically, not as validation errors: a
 # magnitude of 1e308 lets the attacked measurements overflow, which shows
 # only once the run is simulated, and a budget of 1e200 lets the attacked
-# estimates' errors overflow, which shows only once they are graded.
-NUMERICAL_FAILURES = {("scenario", "attack_magnitude", "1e308"),
-                      ("sweep", "epsilon_policy", "abs:1e200")}
+# estimates' errors overflow, which shows only once they are graded.  Each
+# maps to what its stderr must hold: the message is all that names a failure.
+NUMERICAL_FAILURES = {("scenario", "attack_magnitude", "1e308"): "attacked measurements overflow",
+                      ("sweep", "epsilon_policy", "abs:1e200"): "mean error overflows"}
 
 # A data file's validation error may name the field it rejects, not the flag.
 FILE_FIELDS = {"system": ("A", "C", "x0"), "input": ("'p'", "q_hat", "'q'", "'seed'")}
@@ -259,6 +260,8 @@ def test_each_hostile_value_alone_exits_cleanly(files):
                 expected = (2,) if (name, flag, value) in NUMERICAL_FAILURES else (0, 1)
                 assert code in expected, (line, code, err.getvalue())
                 assert "Traceback" not in err.getvalue()
+                if code == 2:
+                    assert NUMERICAL_FAILURES[name, flag, value] in err.getvalue(), line
                 if code == 0:
                     check_output(line, out.getvalue())
                 else:
@@ -269,6 +272,12 @@ def test_each_hostile_value_alone_exits_cleanly(files):
                     for path in set(files.values()) & {arg.partition("=")[2] for arg in line}:
                         message = message.replace(path, "")
                     assert names_any(message, names), (line, err.getvalue())
+
+
+def test_a_numerical_failure_is_one_class_named_by_its_message():
+    # exit 2 is an EstimationError, and no subclass tells failures apart: only the message does
+    assert EstimationError.__subclasses__() == []
+    assert [v for v in vars(errors).values() if isinstance(v, type)] == [EstimationError]
 
 
 # the tests of tests/test_cli.py that run rows of REJECTIONS under their old names

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from resilient_sse import (
+    EstimationError,
     LpSolution,
     LtiSystem,
-    RiccatiDivergence,
     best_k_sparse_error,
     build_horizon,
     decode,
@@ -269,10 +269,10 @@ def test_riccati_gain_scalar_oracle(monkeypatch):
     assert abs(L[0, 0] - a * p / (1.0 + p)) <= 1e-8
     assert abs(a - L[0, 0]) < 1.0
     # an unobserved unstable state: the gain settles at 0 and leaves radius 2
-    with pytest.raises(RiccatiDivergence, match="spectral radius"):
+    with pytest.raises(EstimationError, match="spectral radius"):
         riccati_gain(LtiSystem(A=[[2.0]], C=[[0.0]]))
     monkeypatch.setattr(estimation, "_RICCATI_MAX_ITER", 2)
-    with pytest.raises(RiccatiDivergence, match="did not settle within 2 iterations"):
+    with pytest.raises(EstimationError, match="did not settle within 2 iterations"):
         riccati_gain(sys_)
 
 

@@ -25,7 +25,7 @@ from resilient_sse import (
     sweep,
     weighted_observer,
 )
-from resilient_sse.errors import NumericalInstability
+from resilient_sse.errors import EstimationError
 from resilient_sse.experiments import TrialOutcome, canonical_json, epsilon_from_policy, trusted_rows
 from resilient_sse.fdia import random_support, synthesize_fdia
 from resilient_sse.pruning import (
@@ -806,7 +806,7 @@ def test_sweep_errors_that_overflow_are_a_numerical_failure():
     cfg = SweepConfig(m=6, n=2, trials=2, attack_grid=(0.0, 0.3), epsilon_policy="abs:1e200")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalInstability,
+        with pytest.raises(EstimationError,
                            match="^the mean error overflows at epsilon policy abs:1e200$"):
             sweep(cfg)
 

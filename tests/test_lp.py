@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from resilient_sse import (
-    RankDeficient, SolverFailure, SweepConfig, build_horizon, draw_instance,
+    EstimationError, SweepConfig, build_horizon, draw_instance,
     gen_random_system, synthesize_fdia,
 )
 from resilient_sse import lp
 from resilient_sse.lp import _greedy_basis, weighted_l1_regression
+
+DEFICIENT = "^positive-weight rows of A are numerically rank deficient$"  # the rank test's message
 
 
 def line_search_oracle(column, y, w):
@@ -168,13 +170,13 @@ def test_zero_weights_need_rank():
     y = rng.standard_normal(8)
     w = np.ones(8)
     w[:5] = 0.0  # only 3 active rows for 4 unknowns
-    with pytest.raises(RankDeficient):
+    with pytest.raises(EstimationError, match="^3 positive-weight rows cannot determine 4 unknowns$"):
         weighted_l1_regression(A, y, w)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(EstimationError, match="^0 positive-weight rows cannot determine 4 unknowns$"):
         weighted_l1_regression(A, y, np.zeros(8))
     with warnings.catch_warnings():  # an A of zeros keeps no row, and divides no 0 by 0
         warnings.simplefilter("error")
-        with pytest.raises(RankDeficient):
+        with pytest.raises(EstimationError, match=DEFICIENT):
             weighted_l1_regression(np.zeros((8, 4)), y, np.ones(8))
 
 
@@ -339,9 +341,11 @@ def test_warm_and_cold_starts_certify_against_highs(case):
     A, y, w, starts = case
     try:
         cold = weighted_l1_regression(A, y, w)
-    except RankDeficient:
+    except EstimationError as err:
+        if "positive-weight rows" not in str(err):
+            raise
         for start in starts.values():
-            with pytest.raises(RankDeficient):
+            with pytest.raises(EstimationError, match=f"^{re.escape(str(err))}$"):
                 weighted_l1_regression(A, y, w, start=start)
         return
     best = scipy_oracle(A, y, w)
@@ -396,7 +400,7 @@ def test_certified_warm_start_skips_both_rank_tests(monkeypatch):
     assert sol.gap <= 1e-8 * (1 + abs(sol.objective))
     A = rng.standard_normal((18, 5))
     A[:, 4] = A[:, 3] + 3e-10 * rng.standard_normal(18)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(EstimationError, match=DEFICIENT):
         weighted_l1_regression(A, A @ rng.standard_normal(5), np.ones(18))
     assert calls == ["svd", "svd"]
 
@@ -440,10 +444,10 @@ def test_rank_deficient_a_rejects_every_warm_start(monkeypatch):
     y = A @ rng.standard_normal(4) + rng.standard_normal(20)
     w = rng.uniform(0.1, 1.0, 20)
     calls = count_rank_tests(monkeypatch)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(EstimationError, match=DEFICIENT):
         weighted_l1_regression(A, y, w)
     for _ in range(20):
-        with pytest.raises(RankDeficient):
+        with pytest.raises(EstimationError, match=DEFICIENT):
             weighted_l1_regression(A, y, w, start=rng.choice(20, size=4, replace=False))
     # the cold start finds no four independent rows, which decides the rank:
     # no singular values are computed
@@ -470,7 +474,7 @@ def test_a_cold_start_that_does_not_invert_is_a_solver_failure(n):
     message = f"^the cold start's {n} rows of a full-rank A have no finite inverse$"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(SolverFailure, match=message):
+        with pytest.raises(EstimationError, match=message):
             weighted_l1_regression(A, y, np.ones(2 * n))
 
 
@@ -483,7 +487,7 @@ def test_a_tableau_that_is_not_finite_is_a_solver_failure(monkeypatch):
     monkeypatch.setattr(lp, "_start_inverse", lambda A, basis, big: (np.full((5, 5), np.nan), True))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(SolverFailure, match="^the tableau is not finite after 0 pivots$"):
+        with pytest.raises(EstimationError, match="^the tableau is not finite after 0 pivots$"):
             weighted_l1_regression(A, y, np.ones(18))
 
 
@@ -587,7 +591,9 @@ def _invariance_property(case):
     A, y, w, c, perm = case
     try:
         base = weighted_l1_regression(A, y, w)
-    except RankDeficient:
+    except EstimationError as err:
+        if "positive-weight rows" not in str(err):
+            raise
         return
     best = scipy_oracle(A, y, w)
     # the reported gap is never below the true one
@@ -668,7 +674,7 @@ def test_a_solve_that_cannot_certify_raises_solver_failure(monkeypatch, constant
     assert weighted_l1_regression(model.H, y, np.ones(model.rows)).iterations > 0
     for name, value in constants.items():
         monkeypatch.setattr(lp, name, value)
-    with pytest.raises(SolverFailure, match=message):
+    with pytest.raises(EstimationError, match=message):
         weighted_l1_regression(model.H, y, np.ones(model.rows))
 
 
@@ -681,7 +687,7 @@ def test_a_loop_that_stops_short_of_optimal_fails_the_certificate(monkeypatch):
     A, y, w = inst.model.H, inst.y_T, np.ones(inst.model.rows)
     assert weighted_l1_regression(A, y, w).gap <= 1e-13
     monkeypatch.setattr(lp, "_DUAL_RTOL", 1e-2)
-    with pytest.raises(SolverFailure, match="basis not certified on the data"):
+    with pytest.raises(EstimationError, match="basis not certified on the data"):
         weighted_l1_regression(A, y, w)
 
 
@@ -759,7 +765,9 @@ def test_search_follows_the_single_solve_on_exact_integer_data():
     for i, basis in enumerate(lp.search_bases(A, y, w)):
         try:
             cold = weighted_l1_regression(A[i], y[i], w[i])
-        except RankDeficient:
+        except EstimationError as err:
+            if "positive-weight rows" not in str(err):
+                raise
             assert basis is None
             continue
         if basis is not None:

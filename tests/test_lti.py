@@ -8,11 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resilient_sse import (
-    DegenerateSvd,
+    EstimationError,
     HorizonModel,
     LtiSystem,
-    NotObservable,
-    RankDeficient,
     build_horizon,
     check_observability,
     load_system_json,
@@ -43,14 +41,14 @@ def test_build_horizon_hand_example_newest_first():
 
 def test_build_horizon_rejects_unobservable():
     sys_ = LtiSystem(A=np.eye(3), C=[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 2.0, 0.0]])
-    with pytest.raises(NotObservable):
+    with pytest.raises(EstimationError, match="^observability rank 2 < n = 3$"):
         build_horizon(sys_, 2)
 
 
 def test_build_horizon_short_window_degenerate():
     # observable pair, but a single step does not pin the state
     sys_ = LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], C=[[1.0, 0.0]])
-    with pytest.raises(DegenerateSvd):
+    with pytest.raises(EstimationError, match="^H is rank deficient for T=1: singular values "):
         build_horizon(sys_, 1)
 
 
@@ -334,13 +332,13 @@ def test_build_horizon_checks_observability_only_when_H_fails(monkeypatch):
     monkeypatch.setattr(lti, "check_observability", spy)
     build_horizon(make_system(0, m=8, n=3), 2)
     assert checked == []  # a full-column-rank H implies observability
-    with pytest.raises(DegenerateSvd):
+    with pytest.raises(EstimationError, match="^H is rank deficient for T=1: singular values "):
         build_horizon(LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], C=[[1.0, 0.0]]), 1)
     assert checked == [1]
 
 
 def test_build_horizon_rejects_a_zero_output_matrix():
-    with pytest.raises(NotObservable):
+    with pytest.raises(EstimationError, match="^observability rank 0 < n = 2$"):
         build_horizon(LtiSystem(A=np.eye(2), C=np.zeros((3, 2))), 2)
 
 
@@ -367,9 +365,9 @@ def test_build_horizon_rejects_exactly_what_a_unit_weight_solve_rejects():
     # solve: an H in (1e-12, 1e-10] is not a model whose first solve raises
     sys_ = system_of_ratio(1e-11)
     assert check_observability(sys_).observable
-    with pytest.raises(DegenerateSvd):
+    with pytest.raises(EstimationError, match="^H is rank deficient for T=1: singular values "):
         build_horizon(sys_, 1)
-    # the grid stays away from 1.3e-10, where exact data ends in SolverFailure
+    # the grid stays away from 1.3e-10, where exact data ends in a solver failure
     for ratio, accepted in ((3e-11, False), (3e-9, True)):
         sys_ = system_of_ratio(ratio)
         y = sys_.C @ np.array([1.0, -2.0])
@@ -377,9 +375,9 @@ def test_build_horizon_rejects_exactly_what_a_unit_weight_solve_rejects():
             assert np.array_equal(build_horizon(sys_, 1).H, sys_.C)
             assert weighted_l1_regression(sys_.C, y, np.ones(4)).gap <= 1e-8 * (1 + np.abs(y).max())
         else:
-            with pytest.raises(DegenerateSvd):
+            with pytest.raises(EstimationError, match="^H is rank deficient for T=1: singular values "):
                 build_horizon(sys_, 1)
-            with pytest.raises(RankDeficient):
+            with pytest.raises(EstimationError, match="^positive-weight rows of A are numerically rank deficient$"):
                 weighted_l1_regression(sys_.C, y, np.ones(4))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from resilient_sse import (
-    NumericalInstability,
+    EstimationError,
     SupportIndicator,
     SupportPrior,
     gen_confidences,
@@ -130,7 +130,8 @@ def test_pmf_matches_enumeration():
 
 def test_pmf_rejects_tiny_confidences():
     # factors (1-p)/p explode and the normalization drifts
-    with pytest.raises((NumericalInstability, ValueError)):
+    with pytest.raises((EstimationError, ValueError),
+                       match=r"^pmf mass drifted by |^confidences of 2\*\*-54 or less are lost in 1 - p$"):
         poisson_binomial_pmf([1e-300] * 20)
 
 
@@ -138,7 +139,7 @@ def test_pmf_mass_drift_is_a_numerical_instability(monkeypatch):
     # a convolution that loses 1e-8 of the mass per factor drifts past 1e-9
     convolve = np.convolve
     monkeypatch.setattr(np, "convolve", lambda a, v: convolve(a, v) * (1.0 - 1e-8))
-    with pytest.raises(NumericalInstability, match="^pmf mass drifted by "):
+    with pytest.raises(EstimationError, match="^pmf mass drifted by "):
         poisson_binomial_pmf([0.9] * 20)
 
 
