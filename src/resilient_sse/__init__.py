@@ -36,10 +36,8 @@ from .lp import LpSolution, weighted_l1_regression
 from .lti import (
     HorizonModel,
     LtiSystem,
-    ObservabilityReport,
     Trajectory,
     build_horizon,
-    check_observability,
     load_system_json,
     simulate,
     stack_window,

@@ -537,7 +537,7 @@ def run_scenario(
             f"attacked measurements overflow at attack magnitude {attack.magnitude}")
     model = build_horizon(system, T)
     windows = scenario.steps - T + 1
-    ys, targets, _ = zip(*(stack_window(traj, end, T) for end in range(T - 1, scenario.steps)))
+    ys, targets = zip(*(stack_window(traj, end, T) for end in range(T - 1, scenario.steps)))
 
     errors = {obs: [] for obs in observers}
     if "LO" in observers:

@@ -8,6 +8,8 @@ matrix is
     H = [C A^(T-1); ...; C A; C]
 
 so that y_T = H x_{i-T+1} + e_T holds exactly for noiseless dynamics.
+Observability is not a check of its own: ``build_horizon`` ranks the
+observability matrix only to say why an H is rank deficient.
 
 Two checked readers live here: ``numeric_array`` for the numbers of a data
 file, and ``row_indices`` for every set of 0-based row indices the package
@@ -105,20 +107,6 @@ class Trajectory:
         return self.states.shape[0]
 
 
-@dataclass(frozen=True)
-class ObservabilityReport:
-    """Numerical rank report of the full observability matrix."""
-
-    rank: int
-    n: int
-    sigma_min_nonzero: float
-    sigma_max: float
-
-    @property
-    def observable(self) -> bool:
-        return self.rank == self.n
-
-
 def _output_maps(sys: LtiSystem, k: int) -> list:
     """The k output maps [C, CA, ..., C A^(k-1)], overflowing silently: callers check them."""
     blocks, M = [sys.C], np.eye(sys.n)
@@ -129,26 +117,6 @@ def _output_maps(sys: LtiSystem, k: int) -> list:
     return blocks
 
 
-def check_observability(sys: LtiSystem) -> ObservabilityReport:
-    """Rank of the observability matrix [C; CA; ...; C A^(n-1)] via singular values.
-
-    Singular values at or below 1e-10 * sigma_max (the l1 solve's rank rule)
-    are zero.  The report carries the verdict; powers of A that overflow are a ValueError.
-    """
-    obs = np.vstack(_output_maps(sys, sys.n))
-    if not np.isfinite(obs).all():
-        raise ValueError("the observability matrix is not finite: A's powers overflow")
-    s = np.linalg.svd(obs, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    nonzero = s[s > _RANK_RTOL * smax]
-    return ObservabilityReport(
-        rank=int(nonzero.size),
-        n=sys.n,
-        sigma_min_nonzero=float(nonzero[-1]) if nonzero.size else 0.0,
-        sigma_max=smax,
-    )
-
-
 def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     """Build the stacked observation matrix for a T-step window.
 
@@ -156,11 +124,12 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     1e-10 * sigma_max, on the singular values of one thin SVD, whose U1 and
     sigma_max then make the model: every solve that weighs all rows of H
     passes its rank test.  A full-column-rank H implies an observable
-    (A, C), so observability is checked only when H fails, and the
-    EstimationError's message names the observability rank when the pair is
-    not observable, else H's singular values (short windows can fail so even
-    on observable systems).  T < 1, or powers of A that overflow in H or in
-    its singular values, is a ValueError.
+    (A, C), so only an H that fails is followed by the rank of the
+    observability matrix O = [C; CA; ...; C A^(n-1)]: its singular values
+    above 1e-10 times its largest, by one more SVD.  The EstimationError
+    names that rank when it is below n, else H's singular values (short
+    windows can fail so even on observable systems).  T < 1, or powers of A
+    that overflow in H, in its singular values or in O, is a ValueError.
     """
     if T < 1:
         raise ValueError(f"window length T must be >= 1, got {T}")
@@ -172,9 +141,13 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
     if not np.isfinite(s).all():
         raise ValueError(f"H's singular values overflow for T={T}: A's powers are too large")
     if s.size < sys.n or not s[-1] > _RANK_RTOL * s[0]:
-        report = check_observability(sys)
-        if not report.observable:
-            raise EstimationError(f"observability rank {report.rank} < n = {sys.n}")
+        obs = np.vstack(_output_maps(sys, sys.n))  # [C; CA; ...; C A^(n-1)]
+        if not np.isfinite(obs).all():
+            raise ValueError("the observability matrix is not finite: A's powers overflow")
+        s_obs = np.linalg.svd(obs, compute_uv=False)
+        rank = np.count_nonzero(s_obs > _RANK_RTOL * s_obs.max(initial=0.0))
+        if rank < sys.n:
+            raise EstimationError(f"observability rank {rank} < n = {sys.n}")
         raise EstimationError(
             f"H is rank deficient for T={T}: singular values {np.array2string(s, precision=3)}"
         )
@@ -225,8 +198,8 @@ def simulate(
 def stack_window(traj: Trajectory, end_index: int, T: int):
     """Stack the window [end_index-T+1, end_index], newest measurement first.
 
-    Returns (y_T, x_window_start, e_T) satisfying y_T = H x_start + e_T for
-    the matching build_horizon(..., T) model.
+    Returns (y_T, x_window_start): y_T = H x_start + e_T for the matching
+    build_horizon(..., T) model, e_T being the window's attacks stacked alike.
     """
     start = end_index - T + 1
     if T < 1 or start < 0 or end_index >= traj.steps:
@@ -234,8 +207,7 @@ def stack_window(traj: Trajectory, end_index: int, T: int):
             f"window [{start}, {end_index}] does not fit a trajectory of {traj.steps} steps"
         )
     y_T = traj.attacked_measurements[start:end_index + 1][::-1].flatten()
-    e_T = y_T - traj.clean_measurements[start:end_index + 1][::-1].reshape(-1)
-    return y_T, traj.states[start].copy(), e_T
+    return y_T, traj.states[start].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ correctness holds with a required reliability:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class SupportPrior:
 
     q_hat: np.ndarray
     p: np.ndarray
-    true_rate: float = field(init=False)  # mean confidence of p
 
     def __post_init__(self):
         q_hat = np.asarray(self.q_hat)
@@ -65,7 +64,6 @@ class SupportPrior:
         p.flags.writeable = False
         object.__setattr__(self, "q_hat", q_hat)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "true_rate", float(p.sum()) / p.size)  # p.mean(), bit for bit
 
     @property
     def estimated_safe(self) -> np.ndarray:

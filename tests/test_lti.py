@@ -12,7 +12,6 @@ from resilient_sse import (
     HorizonModel,
     LtiSystem,
     build_horizon,
-    check_observability,
     load_system_json,
     simulate,
     stack_window,
@@ -78,17 +77,16 @@ def test_build_horizon_rejects_singular_values_that_overflow():
             build_horizon(sys_, 3)
 
 
-def test_check_observability_rejects_powers_that_overflow():
-    # H = C at T 1 is rank deficient, so build_horizon asks for the observability
+def test_build_horizon_rejects_an_observability_matrix_that_overflows():
+    # H = C at T 1 is rank deficient, so build_horizon ranks the observability
     # matrix, whose A^2 overflows to inf and 0 * inf to nan: rejected before its
     # SVD, where numpy's warnings and "SVD did not converge" came before
     sys_ = LtiSystem(A=1e200 * np.eye(3), C=[[1.0, 0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for check in (check_observability, lambda s: build_horizon(s, 1)):
-            with pytest.raises(ValueError, match="^the observability matrix is not finite: "
-                                                 "A's powers overflow$"):
-                check(sys_)
+        with pytest.raises(ValueError, match="^the observability matrix is not finite: "
+                                             "A's powers overflow$"):
+            build_horizon(sys_, 1)
 
 
 def test_svd_factors_consistency():
@@ -209,10 +207,10 @@ def test_simulate_shape_errors():
 def test_stack_window_single_step_and_exactness():
     sys_ = make_system(2)
     traj = simulate(sys_, np.arange(1.0, sys_.n + 1), 5)
-    y_T, x0, e_T = stack_window(traj, 3, 1)
+    y_T, x0 = stack_window(traj, 3, 1)
     assert np.allclose(y_T, traj.attacked_measurements[3])
     assert np.allclose(x0, traj.states[3])
-    assert np.allclose(e_T, 0.0)
+    assert np.allclose(y_T - traj.clean_measurements[3], 0.0)
 
 
 def test_stack_window_matches_horizon_model():
@@ -227,14 +225,15 @@ def test_stack_window_matches_horizon_model():
         traj = simulate(sys_, rng.standard_normal(n), steps, attack)
         model = build_horizon(sys_, T)
         for end in range(T - 1, steps):
-            y_T, x_start, e_T = stack_window(traj, end, T)
-            assert np.max(np.abs(y_T - model.H @ x_start - e_T)) <= 1e-9
+            y_T, x_start = stack_window(traj, end, T)
+            e_T = (traj.attacked_measurements - traj.clean_measurements)[end - T + 1:end + 1][::-1]
+            assert np.max(np.abs(y_T - model.H @ x_start - e_T.reshape(-1))) <= 1e-9
 
 
 def test_stack_window_hand_stack():
     sys_ = LtiSystem(A=[[2.0]], C=[[1.0], [3.0]])
     traj = simulate(sys_, [1.0], 3)
-    y_T, x0, _ = stack_window(traj, 1, 2)
+    y_T, x0 = stack_window(traj, 1, 2)
     # newest first: measurements of x=2 on top, x=1 below
     assert np.allclose(y_T, [2.0, 6.0, 1.0, 3.0])
     assert np.allclose(x0, [1.0])
@@ -242,17 +241,19 @@ def test_stack_window_hand_stack():
 
 def test_stack_window_equals_the_rows_stacked_one_by_one():
     # the window is one reversed slice of the trajectory: the same values as
-    # concatenating its rows newest first, in fresh writable arrays
+    # concatenating its rows newest first, in fresh writable arrays, and
+    # y_T minus the clean rows so stacked is the attack, row for row
     rng = np.random.default_rng(5)
     sys_ = make_system(4)
     traj = simulate(sys_, rng.standard_normal(sys_.n), 7, rng.standard_normal((7, sys_.m)))
     for T in (1, 3, 7):
         for end in range(T - 1, 7):
-            y_T, _, e_T = stack_window(traj, end, T)
+            y_T, _ = stack_window(traj, end, T)
             steps = range(end, end - T, -1)
             assert np.array_equal(y_T, np.concatenate([traj.attacked_measurements[i] for i in steps]))
-            assert np.array_equal(e_T, np.concatenate(
-                [traj.attacked_measurements[i] - traj.clean_measurements[i] for i in steps]))
+            assert np.array_equal(y_T - np.concatenate([traj.clean_measurements[i] for i in steps]),
+                                  np.concatenate([traj.attacked_measurements[i] - traj.clean_measurements[i]
+                                                  for i in steps]))
             assert y_T.flags.writeable and not np.shares_memory(y_T, traj.attacked_measurements)
 
 
@@ -263,21 +264,6 @@ def test_stack_window_range_errors():
         stack_window(traj, 1, 3)
     with pytest.raises(ValueError, match=r"window \[4, 4\] does not fit"):
         stack_window(traj, 4, 1)
-
-
-def test_check_observability_reports():
-    n = 3
-    full = LtiSystem(A=np.eye(n), C=np.vstack([np.eye(n), np.ones(n)]))
-    report = check_observability(full)
-    assert report.rank == n and report.observable
-
-    blind = LtiSystem(A=np.eye(n), C=np.zeros((n + 1, n)))
-    report = check_observability(blind)
-    assert report.rank == 0 and not report.observable
-    assert report.sigma_min_nonzero == 0.0
-
-    chain = LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], C=[[1.0, 0.0]])
-    assert check_observability(chain).rank == 2
 
 
 def test_system_shape_validation():
@@ -323,18 +309,19 @@ def test_csv_roundtrip_and_ragged(tmp_path):
 def test_build_horizon_checks_observability_only_when_H_fails(monkeypatch):
     import resilient_sse.lti as lti
 
-    checked, real = [], lti.check_observability
+    svds, real = [], np.linalg.svd
 
-    def spy(sys_, **kw):
-        checked.append(1)
-        return real(sys_, **kw)
+    def spy(a, *args, **kw):
+        svds.append(1)
+        return real(a, *args, **kw)
 
-    monkeypatch.setattr(lti, "check_observability", spy)
+    monkeypatch.setattr(lti.np.linalg, "svd", spy)
     build_horizon(make_system(0, m=8, n=3), 2)
-    assert checked == []  # a full-column-rank H implies observability
+    assert len(svds) == 1  # a full-column-rank H implies observability: H's SVD alone
+    svds.clear()
     with pytest.raises(EstimationError, match="^H is rank deficient for T=1: singular values "):
         build_horizon(LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], C=[[1.0, 0.0]]), 1)
-    assert checked == [1]
+    assert len(svds) == 2  # the observable chain: H's SVD, then the observability matrix's
 
 
 def test_build_horizon_rejects_a_zero_output_matrix():
@@ -344,9 +331,11 @@ def test_build_horizon_rejects_a_zero_output_matrix():
 
 def test_build_horizon_accepts_a_full_rank_H_whose_observability_matrix_is_badly_scaled():
     # O = [C; CA] has singular values ~1e11 and ~1.4, below the 1e-10 rank
-    # test, while H = C passes the same 1e-10 test on H: the window is decodable
+    # test, while H = C passes the same 1e-10 test on H: the window is decodable;
+    # at T 2, H is O, and its rank is named by that same test
     sys_ = LtiSystem(A=np.diag([1e11, 1.0]), C=np.eye(2))
-    assert not check_observability(sys_).observable
+    with pytest.raises(EstimationError, match="^observability rank 1 < n = 2$"):
+        build_horizon(sys_, 2)
     model = build_horizon(sys_, 1)
     assert np.array_equal(model.H, np.eye(2))
 
@@ -364,7 +353,7 @@ def test_build_horizon_rejects_exactly_what_a_unit_weight_solve_rejects():
     # one rank rule, sigma_min > 1e-10 sigma_max, for the model and the l1
     # solve: an H in (1e-12, 1e-10] is not a model whose first solve raises
     sys_ = system_of_ratio(1e-11)
-    assert check_observability(sys_).observable
+    assert build_horizon(sys_, 2).H.shape == (8, 2)  # observable: a longer window builds
     with pytest.raises(EstimationError, match="^H is rank deficient for T=1: singular values "):
         build_horizon(sys_, 1)
     # the grid stays away from 1.3e-10, where exact data ends in a solver failure

@@ -70,14 +70,6 @@ def test_sample_prior_no_flips_and_determinism():
     a = sample_prior(q, np.full(5, 0.7), np.random.default_rng(9))
     b = sample_prior(q, np.full(5, 0.7), np.random.default_rng(9))
     assert np.array_equal(a.q_hat, b.q_hat)
-    assert a.true_rate == pytest.approx(0.7)
-
-
-def test_true_rate_is_derived_not_passed():
-    prior = SupportPrior(q_hat=np.array([1, 0, 1]), p=np.array([0.5, 0.7, 0.9]))
-    assert prior.true_rate == pytest.approx(0.7)
-    with pytest.raises(TypeError):
-        SupportPrior(q_hat=np.array([1, 0, 1]), p=np.array([0.5, 0.7, 0.9]), true_rate=0.9)
 
 
 def test_sample_prior_law_of_large_numbers():
@@ -129,9 +121,8 @@ def test_pmf_matches_enumeration():
 
 
 def test_pmf_rejects_tiny_confidences():
-    # factors (1-p)/p explode and the normalization drifts
-    with pytest.raises((EstimationError, ValueError),
-                       match=r"^pmf mass drifted by |^confidences of 2\*\*-54 or less are lost in 1 - p$"):
+    # 1 - p rounds to 1, so the input is rejected before any convolution
+    with pytest.raises(ValueError, match=r"^confidences of 2\*\*-54 or less are lost in 1 - p$"):
         poisson_binomial_pmf([1e-300] * 20)
 
 

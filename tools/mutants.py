@@ -101,6 +101,9 @@ MUTANTS = [
      "with np.errstate():\n        for _ in range(k - 1):",
      "tests/test_lti.py::test_build_horizon_rejects_a_window_that_overflows",
      "a window that overflows warns before it is rejected"),
+    (LTI, "s_obs > _RANK_RTOL * s_obs.max(initial=0.0)", "s_obs > 0",
+     "tests/test_lti.py::test_build_horizon_accepts_a_full_rank_H_whose_observability_matrix_is_badly_scaled",
+     "the observability rank counts every nonzero singular value"),
     (CLI, "except (OSError, ValueError) as exc:", "except ValueError as exc:",
      "tests/test_cli_hostile.py::test_each_hostile_value_alone_exits_cleanly",
      "a file flag's missing file or directory is an error that names no flag"),
