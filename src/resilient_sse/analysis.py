@@ -31,7 +31,7 @@ class RipEstimate:
 
     S: int
     delta_S: float
-    n_supports_checked: int
+    supports_checked: int
     exact: bool
 
 
@@ -110,7 +110,7 @@ def rip_constant(
         Bt = B.transpose(0, 2, 1)
         gram = B @ Bt if S <= model.n else Bt @ B
         delta = float(np.linalg.eigvalsh(gram).max(initial=delta))
-    return RipEstimate(S=S, delta_S=delta, n_supports_checked=checked, exact=exact)
+    return RipEstimate(S=S, delta_S=delta, supports_checked=checked, exact=exact)
 
 
 def weighting_constant(a: int, omega: float, rho: float) -> float:

@@ -65,8 +65,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 1."""
 
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise SystemExit(_fail(message, 1))
 
 
 def _fail(message: str, code: int) -> int:
@@ -135,15 +134,15 @@ def _read_vector(path) -> np.ndarray:
     return read_matrix_csv(path).reshape(-1)
 
 
-def _load_system(args):
-    if args.system:
-        return args.system
-    if args.system_a is not None and args.system_c is not None:
-        try:
-            return LtiSystem(A=args.system_a, C=args.system_c), None
-        except ValueError as exc:  # each matrix is fine alone: the pair does not fit
-            raise ValueError(f"argument --system-a/--system-c: {exc}") from None
-    raise ValueError("provide --system (JSON) or both --system-a and --system-c (CSV)")
+def _load_model(args):
+    """The --T window model of the --system plant, or of the --system-a/--system-c pair."""
+    _require(args.system or args.system_a is not None and args.system_c is not None,
+             "provide --system (JSON) or both --system-a and --system-c (CSV)")
+    try:
+        system = args.system[0] if args.system else LtiSystem(A=args.system_a, C=args.system_c)
+    except ValueError as exc:  # each matrix is fine alone: the pair does not fit
+        raise ValueError(f"argument --system-a/--system-c: {exc}") from None
+    return build_horizon(system, args.T)
 
 
 def _config_flags(doc, parser):
@@ -177,8 +176,7 @@ def _from_flags(cls, args):
 def _cmd_attack(args) -> str:
     _require(0 < args.cap_factor < math.inf, "cap-factor must be finite and positive")
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    sys_, _ = _load_system(args)
-    model = build_horizon(sys_, args.T)
+    model = _load_model(args)
     support = args.support
     if support is None:
         _require(args.fraction is not None, "provide --support or --fraction")
@@ -190,8 +188,7 @@ def _cmd_attack(args) -> str:
 
 def _cmd_estimate(args) -> str:
     _require(0 <= args.omega <= 1, "omega must lie in [0, 1]")
-    sys_, _ = _load_system(args)
-    model = build_horizon(sys_, args.T)
+    model = _load_model(args)
     y_T, x_true = args.y, args.x_true
     _require(y_T.size == model.rows, f"--y holds {y_T.size} entries, but --T {args.T} "
              f"asks for T*m = {model.rows} rows")
@@ -254,17 +251,8 @@ def _cmd_prune(args) -> str:
 
 def _cmd_rip(args) -> str:
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    sys_, _ = _load_system(args)
-    model = build_horizon(sys_, args.T)
-    est = rip_constant(model, args.S, args.budget, rng=np.random.default_rng(args.seed))
-    return canonical_json(
-        {
-            "S": est.S,
-            "delta_S": est.delta_S,
-            "exact": est.exact,
-            "supports_checked": est.n_supports_checked,
-        }
-    )
+    return canonical_json(rip_constant(_load_model(args), args.S, args.budget,
+                                       rng=np.random.default_rng(args.seed)))
 
 
 def _cmd_sweep(args) -> str:
@@ -292,6 +280,7 @@ def _add_system_flags(p):
                    help="system JSON file with A, C and optional x0")
     p.add_argument("--system-a", type=_file(read_matrix_csv), help="CSV file of A, with --system-c")
     p.add_argument("--system-c", type=_file(read_matrix_csv), help="CSV file of C, with --system-a")
+    p.add_argument("--T", type=int, default=1)
 
 
 def build_parser():
@@ -301,7 +290,6 @@ def build_parser():
 
     p = subparsers["attack"] = sub.add_parser("attack", help="synthesize a stealth attack")
     _add_system_flags(p)
-    p.add_argument("--T", type=int, default=1)
     p.add_argument("--epsilon", type=float, required=True, help="stealth budget")
     p.add_argument("--support", type=_list_of(int),
                    help="comma-separated 0-based attacked row indices")
@@ -312,7 +300,6 @@ def build_parser():
 
     p = subparsers["estimate"] = sub.add_parser("estimate", help="decode a stacked measurement window")
     _add_system_flags(p)
-    p.add_argument("--T", type=int, default=1)
     p.add_argument("--y", type=_file(_read_vector), required=True,
                    help="stacked window (JSON list or CSV)")
     p.add_argument("--omega", type=float, default=0.01)
@@ -330,7 +317,6 @@ def build_parser():
 
     p = subparsers["rip"] = sub.add_parser("rip", help="isometry constant of the null-space basis")
     _add_system_flags(p)
-    p.add_argument("--T", type=int, default=1)
     p.add_argument("--S", type=int, required=True, help="support size")
     p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)

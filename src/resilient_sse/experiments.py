@@ -186,10 +186,8 @@ class SweepConfig:
 class TrialInstance:
     """Everything one trial draws before any strategy-specific step."""
 
-    system: LtiSystem
     model: HorizonModel
     x_star: np.ndarray
-    epsilon: float
     support: np.ndarray
     y_T: np.ndarray
     prior: SupportPrior
@@ -203,17 +201,16 @@ class TrialOutcome:
 
 @functools.lru_cache(maxsize=1)
 def _shared_draw(cfg: SweepConfig, trial_index: int):
-    """The draws of a trial index that no attack fraction changes: system,
-    model, read-only x* and y*, epsilon, and the trial's one generator with
-    its saved state after them."""
+    """The draws of a trial index that no attack fraction changes: the model
+    of its system, read-only x* and y*, epsilon, and the trial's one
+    generator with its saved state after them."""
     rng = np.random.default_rng([cfg.master_seed, trial_index])
-    sys = gen_random_system(cfg.m, cfg.n, rng, cfg.spectral_radius)
-    model = build_horizon(sys, cfg.T)
+    model = build_horizon(gen_random_system(cfg.m, cfg.n, rng, cfg.spectral_radius), cfg.T)
     x_star = rng.standard_normal(cfg.n)
     y_star = model.H @ x_star
     x_star.flags.writeable = y_star.flags.writeable = False
     epsilon = epsilon_from_policy(cfg.epsilon_policy, y_star)
-    return sys, model, x_star, y_star, epsilon, rng, rng.bit_generator.state
+    return model, x_star, y_star, epsilon, rng, rng.bit_generator.state
 
 
 def draw_instance(cfg: SweepConfig, p_a: float, trial_index: int) -> TrialInstance:
@@ -227,7 +224,7 @@ def draw_instance(cfg: SweepConfig, p_a: float, trial_index: int) -> TrialInstan
     one generator, so the result equals a draw from scratch in any order of
     grid points.
     """
-    sys, model, x_star, y_star, epsilon, rng, state = _shared_draw(cfg, trial_index)
+    model, x_star, y_star, epsilon, rng, state = _shared_draw(cfg, trial_index)
     rng.bit_generator.state = state  # past the shared draws
     support = random_support(model.rows, p_a, rng)
     if support.size:
@@ -241,10 +238,7 @@ def draw_instance(cfg: SweepConfig, p_a: float, trial_index: int) -> TrialInstan
     q = indicator_from_support(support, model.rows)
     p = gen_confidences(model.rows, cfg.true_rate, cfg.jitter, rng)
     prior = sample_prior(q, p, rng)
-    return TrialInstance(
-        system=sys, model=model, x_star=x_star, epsilon=epsilon,
-        support=support, y_T=y_T, prior=prior,
-    )
+    return TrialInstance(model=model, x_star=x_star, support=support, y_T=y_T, prior=prior)
 
 
 def trusted_rows(instance: TrialInstance, strategy: str, eta: float):

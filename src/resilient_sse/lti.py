@@ -54,6 +54,8 @@ class LtiSystem:
         object.__setattr__(self, "C", _as_matrix(self.C, "C"))
         if self.A.shape[0] != self.A.shape[1]:
             raise ValueError(f"A must be square, got shape {self.A.shape}")
+        if self.n < 1:
+            raise ValueError(f"the plant needs at least one state, got n = {self.n}")
         if self.C.shape[1] != self.A.shape[0]:
             raise ValueError(
                 f"C has {self.C.shape[1]} columns but the state dimension is {self.A.shape[0]}"
@@ -74,12 +76,12 @@ class HorizonModel:
 
     U1 is the left factor of the thin SVD of H, spanning its range, and
     sigma_max is its largest singular value.  ``build_horizon`` fills them
-    from its one thin SVD; a model built directly is given them.
+    from its one thin SVD; a model built directly is given them.  T is not
+    kept: H has T*m rows, and each caller holds the T it built the model for.
     The model is immutable, compares by identity, and the arrays
     ``build_horizon`` makes are read-only.
     """
 
-    T: int
     H: np.ndarray
     U1: np.ndarray
     sigma_max: float
@@ -153,7 +155,7 @@ def build_horizon(sys: LtiSystem, T: int) -> HorizonModel:
         )
     for arr in (H, U):
         arr.flags.writeable = False
-    return HorizonModel(T=T, H=H, U1=U, sigma_max=float(s[0]))
+    return HorizonModel(H=H, U1=U, sigma_max=float(s[0]))
 
 
 def simulate(
@@ -245,14 +247,17 @@ def row_indices(values, rows: int, name: str) -> np.ndarray:
 
     Any iterable of integers, of any shape, is accepted; floats only when
     every entry is whole (2.0).  A fractional entry, a boolean mask or an
-    index outside [0, rows) raises ValueError naming `name`.  An intp vector
-    that is already strictly increasing and in range is copied after one pass.
+    index outside [0, rows), an integer beyond int64 included, raises
+    ValueError naming `name`.  An intp vector that is already strictly
+    increasing and in range is copied after one pass.
     """
     if (isinstance(values, np.ndarray) and values.dtype == np.intp and values.ndim == 1
             and (not values.size or 0 <= values[0] and values[-1] < rows
                  and not np.count_nonzero(values[1:] <= values[:-1]))):
         return values.copy()
     arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if arr.dtype.kind == "O" and all(type(v) is int for v in arr.flat):  # Python ints beyond int64
+        arr = np.array([min(max(v, -1), rows) for v in arr.flat])  # clipped, as out of range as before
     if arr.dtype.kind not in "iu" and not (arr.dtype.kind == "f" and (arr == np.floor(arr)).all()):
         raise ValueError(f"{name} must be integers, not fractions or a boolean mask")
     arr = np.sort(arr, axis=None)

@@ -38,7 +38,6 @@ def oracle_delta(model, supports):
 def square_orthonormal_model(rows):
     """Edge case with an empty range block: U2 = I, square orthonormal."""
     return HorizonModel(
-        T=1,
         H=np.zeros((rows, 0)),
         U1=np.zeros((rows, 0)),
         sigma_max=0.0,
@@ -66,7 +65,7 @@ def test_rip_exact_matches_oracle():
     sys_ = make_system(41, m=10, n=4)
     model = build_horizon(sys_, 1)
     est = rip_constant(model, 2, budget=45)
-    assert est.exact and est.n_supports_checked == 45
+    assert est.exact and est.supports_checked == 45
     supports = itertools.combinations(range(model.rows), 2)
     assert est.delta_S == pytest.approx(oracle_delta(model, supports), abs=1e-10)
 
@@ -88,7 +87,7 @@ def test_rip_exact_spans_several_batches():
     model = build_horizon(make_system(46, m=40, n=5), 1)
     assert math.comb(40, 3) > 2 * (analysis._RIP_BATCH_ROWS // 3)
     est = rip_constant(model, 3, budget=10**4)
-    assert est.exact and est.n_supports_checked == 9880
+    assert est.exact and est.supports_checked == 9880
     supports = itertools.combinations(range(40), 3)
     assert est.delta_S == pytest.approx(oracle_delta(model, supports), abs=1e-12)
 
@@ -99,7 +98,7 @@ def test_rip_sampled_replays_its_support_stream():
     assert math.comb(30, S) > budget > analysis._RIP_BATCH_ROWS // S
     rng = np.random.default_rng(7)
     est = rip_constant(model, S, budget=budget, rng=rng)
-    assert not est.exact and est.n_supports_checked == budget
+    assert not est.exact and est.supports_checked == budget
     replay = np.random.default_rng(7)
     supports = [np.sort(replay.choice(30, S, replace=False)) for _ in range(budget)]
     assert est.delta_S == pytest.approx(oracle_delta(model, supports), abs=1e-12)
@@ -119,7 +118,7 @@ def test_rip_sampled_is_lower_bound():
     exact = rip_constant(model, 3, budget=10**6)
     sampled = rip_constant(model, 3, budget=20, rng=np.random.default_rng(0))
     assert exact.exact and not sampled.exact
-    assert sampled.n_supports_checked == 20
+    assert sampled.supports_checked == 20
     assert sampled.delta_S <= exact.delta_S + 1e-12
 
 

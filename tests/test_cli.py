@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resilient_sse import build_horizon, cli, detect, estimation, gen_random_system
+from resilient_sse import build_horizon, cli, detect, estimation, gen_random_system, rip_constant
 from resilient_sse.cli import parse_and_dispatch
 from test_cli_hostile import files, reject, rejections  # noqa: F401 (files is a fixture)
 
@@ -177,11 +178,18 @@ def test_attack_subcommand_schema(system_file, capsys):
 
 
 def test_rip_subcommand(system_file, capsys):
-    path, _ = system_file
+    path, sys_ = system_file
     code, out, _ = run_cli(["rip", "--system", path, "--S", 2, "--budget", 100], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["exact"] is True and doc["supports_checked"] == 15
+    # the document is the RipEstimate, field for field, exact or sampled
+    model = build_horizon(sys_, 1)
+    for S, budget, seed in [(2, 100, 0), (3, 5, 4)]:
+        code, out, _ = run_cli(["rip", "--system", path, "--S", S, "--budget", budget,
+                                "--seed", seed], capsys)
+        est = rip_constant(model, S, budget, rng=np.random.default_rng(seed))
+        assert code == 0 and json.loads(out) == dataclasses.asdict(est)
 
 
 def test_scenario_subcommand_uses_bundled_system(capsys):

@@ -398,6 +398,9 @@ REJECTIONS = [
     # attack
     row("attack-no-support", f"{ATTACK} 0.5", 1, "error: provide --support or --fraction\n",
         never="cli.synthesize_fdia"),
+    # an index beyond int64 is an integer out of range, not a fraction
+    row("attack-support-beyond-int64", f"{ATTACK} 0.5 --support 0,99999999999999999999", 1,
+        "error: support indices must lie in [0, 6)\n"),
     *(row(f"attack-epsilon-{eps}", f"{ATTACK} {eps} --support 0", 1, "epsilon")
       for eps in ("inf", "nan")),
     # support 0..4 leaves one row for two states: the attack is unbounded and

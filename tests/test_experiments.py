@@ -66,7 +66,7 @@ def test_draw_instance_is_strategy_independent_and_deterministic():
     cfg = small_cfg()
     a = draw_instance(cfg, 0.25, 3)
     b = draw_instance(cfg, 0.25, 3)
-    assert np.array_equal(a.system.A, b.system.A)
+    assert np.array_equal(a.model.H, b.model.H)
     assert np.array_equal(a.x_star, b.x_star)
     assert np.array_equal(a.support, b.support)
     assert np.array_equal(a.prior.q_hat, b.prior.q_hat)
@@ -634,8 +634,7 @@ def test_sweep_rejects_omega_0_with_a_weighted_strategy():
 def fresh_draw(cfg, p_a, t):
     """draw_instance written out from scratch: one generator, every call in order."""
     rng = np.random.default_rng([cfg.master_seed, t])
-    system = gen_random_system(cfg.m, cfg.n, rng, cfg.spectral_radius)
-    model = build_horizon(system, cfg.T)
+    model = build_horizon(gen_random_system(cfg.m, cfg.n, rng, cfg.spectral_radius), cfg.T)
     x_star = rng.standard_normal(cfg.n)
     y_star = model.H @ x_star
     epsilon = epsilon_from_policy(cfg.epsilon_policy, y_star)
@@ -643,15 +642,13 @@ def fresh_draw(cfg, p_a, t):
     y_T = y_star + synthesize_fdia(model, support, epsilon).e_T if support.size else y_star
     p = gen_confidences(model.rows, cfg.true_rate, cfg.jitter, rng)
     prior = sample_prior(indicator_from_support(support, model.rows), p, rng)
-    return system, model, x_star, epsilon, support, y_T, prior
+    return model, x_star, support, y_T, prior
 
 
 def assert_is_fresh_draw(inst, cfg, p_a, t):
-    system, model, x_star, epsilon, support, y_T, prior = fresh_draw(cfg, p_a, t)
-    assert np.array_equal(inst.system.A, system.A)
-    assert np.array_equal(inst.system.C, system.C)
-    assert inst.model.T == cfg.T and np.array_equal(inst.model.H, model.H)
-    assert np.array_equal(inst.x_star, x_star) and inst.epsilon == epsilon
+    model, x_star, support, y_T, prior = fresh_draw(cfg, p_a, t)
+    assert np.array_equal(inst.model.H, model.H)
+    assert np.array_equal(inst.x_star, x_star)
     assert np.array_equal(inst.support, support)
     assert np.array_equal(inst.y_T, y_T)
     assert np.array_equal(inst.prior.q_hat, prior.q_hat)

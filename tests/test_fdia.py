@@ -16,7 +16,7 @@ from conftest import make_system
 def model_from_U1(U1):
     """Wrap an orthonormal-column matrix as a horizon model with H = U1."""
     U1 = np.asarray(U1, dtype=float)
-    return HorizonModel(T=1, H=U1, U1=U1, sigma_max=1.0)
+    return HorizonModel(H=U1, U1=U1, sigma_max=1.0)
 
 
 def weak_safe_row_system(seed, n=None, c_size=None):

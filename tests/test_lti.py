@@ -151,17 +151,17 @@ def test_build_horizon_defers_the_full_svd(monkeypatch):
 
 def test_horizon_model_is_frozen_and_honours_given_factors():
     model = build_horizon(make_system(2, m=7, n=3), 1)
-    for name in ("T", "H") + FACTORS:
+    for name in ("H",) + FACTORS:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(model, name)
     given = dict(U1=np.eye(7, 3), sigma_max=2.0)
-    explicit = HorizonModel(T=1, H=model.H, **given)
+    explicit = HorizonModel(H=model.H, **given)
     for name, value in given.items():
         assert getattr(explicit, name) is value
     # equality and hashing stay by identity, as for a plain object
-    assert explicit != HorizonModel(T=1, H=model.H, **given)
+    assert explicit != HorizonModel(H=model.H, **given)
     assert len({model, explicit, model}) == 2
 
 
@@ -276,6 +276,12 @@ def test_system_shape_validation():
         LtiSystem(A=np.eye(2), C=np.ones((4, 3)))
     with pytest.raises(ValueError, match="2-D matrix"):
         LtiSystem(A=np.ones(2), C=np.ones((4, 2)))
+
+
+def test_a_plant_with_no_states_is_rejected():
+    # a 0x0 A is square and fits a C without columns: only the state count rejects it
+    with pytest.raises(ValueError, match="^the plant needs at least one state, got n = 0$"):
+        LtiSystem(A=np.zeros((0, 0)), C=np.zeros((3, 0)))
 
 
 def test_json_roundtrip(tmp_path):
