@@ -145,6 +145,12 @@ def _load_model(args):
     return build_horizon(system, args.T)
 
 
+def _norm(d) -> float:
+    """np.linalg.norm(d) taken on d scaled by a power of two, so that no square overflows."""
+    e = math.frexp(float(np.abs(d).max()))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(d, -e)), e))
+
+
 def _config_flags(doc, parser):
     """The config file's contents `doc` as --flag=value arguments of the subcommand's `parser`."""
     _require(isinstance(doc, dict), "config file must hold a JSON object")
@@ -174,7 +180,6 @@ def _from_flags(cls, args):
 # ---------------------------------------------------------------------------
 
 def _cmd_attack(args) -> str:
-    _require(0 < args.cap_factor < math.inf, "cap-factor must be finite and positive")
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     model = _load_model(args)
     support = args.support
@@ -182,8 +187,7 @@ def _cmd_attack(args) -> str:
         _require(args.fraction is not None, "provide --support or --fraction")
         rng = np.random.default_rng(args.seed)
         support = random_support(model.rows, args.fraction, rng)
-    return canonical_json(synthesize_fdia(model, support, args.epsilon,
-                                          magnitude_cap_factor=args.cap_factor))
+    return canonical_json(synthesize_fdia(model, support, args.epsilon))
 
 
 def _cmd_estimate(args) -> str:
@@ -204,15 +208,19 @@ def _cmd_estimate(args) -> str:
     sol = (decode(model, y_T) if args.safe is None
            else weighted_observer(model, y_T, trusted, args.omega))
     # the basis is a warm start for a library caller's next solve, not a result
-    return canonical_json({
-        "x_hat": sol.z,
-        "objective": sol.objective,
-        "residual_l1": float(np.abs(sol.residual).sum()),
-        "detector_flag": None if args.epsilon is None else detect(model, y_T, sol.z, args.epsilon),
-        "error_l2": None if x_true is None else float(np.linalg.norm(sol.z - x_true)),
-        "iterations": sol.iterations,
-        "gap": sol.gap,
-    })
+    with np.errstate(over="ignore"):  # a sum beyond the largest float is rejected below
+        doc = {
+            "x_hat": sol.z,
+            "objective": sol.objective,
+            "residual_l1": float(np.abs(sol.residual).sum()),
+            "detector_flag": None if args.epsilon is None else detect(model, y_T, sol.z, args.epsilon),
+            "error_l2": None if x_true is None else _norm(sol.z - x_true),
+            "iterations": sol.iterations,
+            "gap": sol.gap,
+        }
+    for name in ("residual_l1", "error_l2"):
+        _require(doc[name] is None or math.isfinite(doc[name]), f"{name} is beyond the largest float")
+    return canonical_json(doc)
 
 
 def _cmd_prune(args) -> str:
@@ -295,7 +303,6 @@ def build_parser():
                    help="comma-separated 0-based attacked row indices")
     p.add_argument("--fraction", type=float, help="random support of this fraction")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap-factor", type=float, default=1e3)
     p.set_defaults(handler=_cmd_attack)
 
     p = subparsers["estimate"] = sub.add_parser("estimate", help="decode a stacked measurement window")
@@ -351,19 +358,15 @@ def build_parser():
     cfg, attack = ScenarioConfig, ScenarioAttack
     p.add_argument("--steps", type=int, default=cfg.steps, help="trajectory length")
     p.add_argument("--T", type=int, default=cfg.T, help="moving-window length")
-    p.add_argument("--attack-fraction", dest="fraction", type=float, default=attack.fraction,
-                   help="fraction of sensors under persistent attack")
     p.add_argument("--attack-magnitude", dest="magnitude", type=float, default=attack.magnitude)
     p.add_argument("--attack-support", dest="support", type=_list_of(int),
-                   help="explicit attacked sensors (else: highest-gain)")
+                   help="explicit attacked sensors (else: the 30%% highest-gain)")
     p.add_argument("--seed", type=int, default=attack.seed, help="attack value seed")
     p.add_argument("--prior-seed", type=int, default=cfg.prior_seed, help="localization prior seed")
     p.add_argument("--true-rate", type=float, default=cfg.true_rate, help="oracle confidence level")
     p.add_argument("--jitter", type=float, default=cfg.jitter)
     p.add_argument("--eta", type=float, default=cfg.eta, help="pruning reliability level")
     p.add_argument("--omega", type=float, default=cfg.omega, help="weight on untrusted rows")
-    p.add_argument("--prior-mode", default=cfg.prior_mode, choices=("static", "per_window"),
-                   help="sample the prior once, or afresh per window")
     p.add_argument("--observers", type=_list_of(str), default=OBSERVERS)
     p.set_defaults(handler=_cmd_scenario)
 

@@ -75,8 +75,10 @@ def _json_value(obj):
 
 
 def canonical_json(doc) -> str:
-    """The one serialization of every JSON result: sorted keys, no spaces, a newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_value) + "\n"
+    """The one serialization of every JSON result: sorted keys, no spaces, a newline;
+    a NaN or an infinity is a ValueError, as strict JSON holds neither."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_value,
+                      allow_nan=False) + "\n"
 
 
 def _reject_repeats(values, what: str) -> None:
@@ -228,7 +230,10 @@ def draw_instance(cfg: SweepConfig, p_a: float, trial_index: int) -> TrialInstan
     rng.bit_generator.state = state  # past the shared draws
     support = random_support(model.rows, p_a, rng)
     if support.size:
-        plan = synthesize_fdia(model, support, epsilon)
+        try:
+            plan = synthesize_fdia(model, support, epsilon)
+        except ValueError as exc:  # an attack beyond the largest float
+            raise ValueError(f"epsilon policy {cfg.epsilon_policy}: {exc}") from None
         y_T = y_star + plan.e_T
         if not math.isfinite(model.rows * float(np.abs(y_T).max())):  # bounds sum(w) * max|y|
             raise ValueError(f"the attacked measurements are too large to certify at epsilon "
@@ -425,14 +430,11 @@ def sweep(cfg: SweepConfig) -> SweepResult:
 class ScenarioAttack:
     """Persistent sensor attack: fixed support, per-step Gaussian values."""
 
-    fraction: float = 0.3
     magnitude: float = 3.0
-    support: tuple | None = None  # default: the highest-gain sensors
+    support: tuple | None = None  # default: the 30 % highest-gain sensors
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.fraction < 1.0:
-            raise ValueError(f"attack fraction must lie in [0, 1), got {self.fraction}")
         if not math.isfinite(self.magnitude):
             raise ValueError(f"attack magnitude must be finite, got {self.magnitude}")
         if self.seed < 0:
@@ -441,7 +443,7 @@ class ScenarioAttack:
     def resolve_support(self, C: np.ndarray) -> np.ndarray:
         if self.support is not None:
             return row_indices(self.support, C.shape[0], "attack support")
-        k = int(np.floor(self.fraction * C.shape[0]))
+        k = int(np.floor(0.3 * C.shape[0]))
         norms = np.linalg.norm(C, axis=1)
         return np.sort(np.argsort(-norms, kind="stable")[:k])
 
@@ -454,12 +456,9 @@ class ScenarioConfig:
     jitter: float = 0.04
     eta: float = 0.7
     omega: float = 0.01
-    prior_mode: str = "static"  # one localization of the persistent attack
     prior_seed: int = 1
 
     def __post_init__(self):
-        if self.prior_mode not in ("static", "per_window"):
-            raise ValueError(f"prior_mode must be 'static' or 'per_window', got {self.prior_mode!r}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if self.prior_seed < 0:
@@ -540,17 +539,12 @@ def run_scenario(
         errors["LO"] = [lo_est[i] - target for i, target in enumerate(targets)]
 
     l1 = [obs for obs in observers if obs != "LO"]
-    if "WL1P" in observers:
+    if "WL1P" in observers:  # one localization of the persistent attack serves every window
         q = indicator_from_support(np.concatenate([r * m + sup for r in range(T)]), model.rows)
         rng_prior = np.random.default_rng(scenario.prior_seed)
-        trusted = []
-        for i in range(windows):  # static: the first window's draw serves every window
-            if i == 0 or scenario.prior_mode == "per_window":
-                p = gen_confidences(model.rows, scenario.true_rate, scenario.jitter, rng_prior)
-                safe = prune_product(sample_prior(q, p, rng_prior), scenario.eta).safe_set
-            trusted.append(safe)
-    groups = [(model, ys[i], [None if obs == "L1O" else trusted[i] for obs in l1])
-              for i in range(windows)]
+        p = gen_confidences(model.rows, scenario.true_rate, scenario.jitter, rng_prior)
+        safe = prune_product(sample_prior(q, p, rng_prior), scenario.eta).safe_set
+    groups = [(model, y, [None if obs == "L1O" else safe for obs in l1]) for y in ys]
     for i, ests in enumerate(_certify_all(groups, scenario.omega)):
         for obs, est in zip(l1, ests):
             errors[obs].append(est.z - targets[i])

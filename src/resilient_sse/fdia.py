@@ -9,7 +9,7 @@ leaks onto the untouched rows:
 whose closed-form optimum is the right singular direction of the
 complement block for its smallest singular value.  When the complement
 block loses column rank the program is unbounded; the attack then follows
-a null-space direction with a configurable magnitude cap.  The same SVD
+a null-space direction of magnitude _CAP_FACTOR * epsilon.  The same SVD
 decides the guarantee (the block's spectral norm below 1 / (2 sqrt(#complement)))
 and its bias bound alpha, the plan's ``feasible`` and ``alpha_guarantee``; the
 bound scales linearly with epsilon and is None when the guarantee fails.
@@ -26,6 +26,8 @@ import numpy as np
 from .estimation import decode, detect
 from .lp import _RANK_RTOL
 from .lti import HorizonModel, row_indices
+
+_CAP_FACTOR = 1e3  # an unbounded attack's magnitude, in units of epsilon
 
 
 @dataclass(frozen=True)
@@ -68,24 +70,17 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if big[first] and v[first] < 0 else v
 
 
-def synthesize_fdia(
-    model: HorizonModel,
-    support,
-    epsilon: float,
-    magnitude_cap_factor: float = 1e3,
-) -> AttackPlan:
+def synthesize_fdia(model: HorizonModel, support, epsilon: float) -> AttackPlan:
     """Closed-form attack seed and vector for the given support.
 
     The attack vector vanishes off the support and equals U1[support] z_e
     on it.  Where the complement block fails the l1 solve's rank rule,
     sigma_min <= 1e-10 sigma_max(U1) = 1e-10, the attack is unbounded and
-    the seed is a null-space direction scaled to magnitude_cap_factor * epsilon.
+    the seed is a null-space direction scaled to _CAP_FACTOR * epsilon.  An
+    epsilon whose seed or bias bound passes the largest float is a ValueError.
     """
     if not 0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    if not 0 < magnitude_cap_factor < np.inf:
-        raise ValueError(f"magnitude_cap_factor must be finite and positive, "
-                         f"got {magnitude_cap_factor}")
     sup = _normalize_support(support, model.rows)
     complement = np.ones(model.rows, dtype=bool)
     complement[sup] = False
@@ -96,20 +91,20 @@ def synthesize_fdia(
     _, s, Vt = np.linalg.svd(Uc, full_matrices=Uc.shape[0] < model.n)
     sigma_min = float(s[-1]) if Uc.shape[0] >= model.n else 0.0
     v = _canonical_sign(Vt[-1, :])
-    if sigma_min <= _RANK_RTOL:  # relative to sigma_max(U1) = 1
-        z_e = v * (magnitude_cap_factor * epsilon)
-        unbounded = True
-    else:
-        z_e = (epsilon / root / sigma_min) * v
-        unbounded = False
-
-    e_T = np.zeros(model.rows)
-    e_T[sup] = model.U1[sup, :] @ z_e
-    # s[0] is the complement block's spectral norm, which decides the guarantee
+    unbounded = sigma_min <= _RANK_RTOL  # relative to sigma_max(U1) = 1
+    magnitude = _CAP_FACTOR * epsilon if unbounded else epsilon / root / sigma_min
+    # s[0], the complement block's spectral norm, decides the guarantee (0: an unbounded bias)
     sbar = float(s[0])
     holds = bool(sbar < 1.0 / (2.0 * root))
     alpha = float(epsilon / (2.0 * math.sqrt(model.rows) * model.sigma_max)
-                  * (1.0 / (sbar * root) - 2.0)) if holds else None
+                  * (1.0 / (sbar * root) - 2.0 if sbar else math.inf)) if holds else None
+    # |e_T_i| <= ||z_e|| = magnitude, as U1 has orthonormal columns
+    if not math.isfinite(magnitude + (alpha or 0.0)):
+        raise ValueError(f"epsilon {epsilon} gives no finite attack on this support: "
+                         "its magnitude or its bias bound alpha is not finite")
+    z_e = magnitude * v
+    e_T = np.zeros(model.rows)
+    e_T[sup] = model.U1[sup, :] @ z_e
     return AttackPlan(
         support=sup,
         epsilon=float(epsilon),

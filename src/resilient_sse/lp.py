@@ -39,10 +39,10 @@ its part orthogonal to them exceeds 1e-10 in A / max|A| (no squares), so a
 solve of 2^k A takes the pivots of A's and returns its z / 2^k bit for bit.
 An A with max|A| < 0.5 is scaled up by the power of two that brings max|A|
 into [0.5, 1), and z with it, so entries near 1e-308 do not overflow the
-inverse (a z beyond the largest float is a ValueError).  w is divided by the
-power of two that brings sum(w) into [0.5, 1), and the dual multiplied back,
-so D^T nu stays within max|D| for weights of any size.  Both are exact
-unless a weight or the dual turns subnormal.
+inverse (a z or an objective beyond the largest float is a ValueError).
+w is divided by the power of two that brings sum(w) into [0.5, 1), and the
+dual multiplied back, so D^T nu stays within max|D| for weights of any size.
+Both are exact unless a weight or the dual turns subnormal.
 
 Between pivots a tableau is updated instead of refactored: one (n+1) x N
 array whose first n rows hold D^T, the transpose of D = A A_B^-1, and whose
@@ -92,6 +92,7 @@ usable the singular values of A_act decide the rank, and where the rank
 passes but the inverse is not finite, the EstimationError names the start.
 Data with sum(w) max|y| beyond the largest float are rejected up front:
 that product bounds |y^T nu|, so below it the certificate cannot overflow.
+So are data whose max|y| is subnormal, too coarse for the gap's tolerance.
 
 ``search_bases`` finds the optimal rows of many positive-weight problems of
 one shape at once.  It starts each at the first n rows of the cold start's
@@ -116,6 +117,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,8 +206,9 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     Entries must be finite, weights nonnegative and sum(w) * max|y| a finite
     float (ValueError otherwise); rows with w_j = 0 are ignored by the
     objective and are legal only while the remaining rows keep full column
-    rank (else an EstimationError names the deficiency), and a minimizer
-    beyond the largest float is a ValueError too.  The returned gap is at most
+    rank (else an EstimationError names the deficiency).  A minimizer or an
+    objective beyond the largest float is a ValueError too, and so is a
+    nonzero max|y| below the smallest normal float.  The returned gap is at most
     1e-8 * (max|y| + |objective|), max|y| over the positive-weight rows (1
     when they are all zero): 1e-8 * (1 + |objective|) for max|y| = 1.
 
@@ -251,6 +254,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     if not math.isfinite(scale * w_sum):
         # the bound on |dual|; below it the certificate cannot overflow
         raise ValueError("y and w are too large to certify: sum(w) * max|y| overflows")
+    if 0 < y_max < sys.float_info.min:  # too few bits for the gap's relative tolerance
+        raise ValueError(f"y is too small to certify: max|y| {y_max:.3e} is subnormal")
     e_A, e_w = min(math.frexp(big)[1], 0), math.frexp(w_sum)[1]  # A is scaled up only
     if e_A:
         A_act, big = np.ldexp(A_act, -e_A), math.ldexp(big, -e_A)
@@ -327,14 +332,15 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     # Certify on the unperturbed data; the dual is feasible for any y.
     nu[basis] = -g
     nu /= max(1.0, float(ratio[k]))
-    z = scale * (inv @ y_act[basis])
-    if e_A:
-        if math.frexp(float(np.abs(z).max()))[1] - e_A > 1024:  # z 2^-e_A overflows
-            raise ValueError(f"y is too large for the scale of A (max|A| {math.ldexp(big, e_A):.3e}): "
-                             "the solution overflows")
-        z = np.ldexp(z, -e_A)
-    residual = y - A @ z
-    objective = float(w @ np.abs(residual))
+    with np.errstate(over="ignore", invalid="ignore"):  # a result beyond the largest float: below
+        z = scale * (inv @ y_act[basis])
+        z = np.ldexp(z, -e_A) if e_A else z
+        residual = y - A @ z
+        objective = float(w @ np.abs(residual))
+    # each column of A is nonzero on a positive-weight row, so a finite objective has a finite z
+    if not math.isfinite(objective):
+        raise ValueError(f"y is too large for the scale of A (max|A| {math.ldexp(big, e_A):.3e}): "
+                         "the solution or its objective overflows")
     dual = math.ldexp(scale * float(y_act @ nu), e_w)
     gap = objective - dual
     if not gap <= _GAP_RTOL * (scale + abs(objective)):

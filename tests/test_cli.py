@@ -102,6 +102,17 @@ def test_estimate_subcommand(tmp_path, system_file, zero_window, capsys):
     assert doc["detector_flag"] is False
     assert doc["residual_l1"] <= 1e-9
 
+    # error_l2 is np.linalg.norm's, also where the squares of the error would overflow
+    for x_true, scale in (([1.5, -2.0], 1.0), ([1e308, -1e308], 2.0**1000)):
+        x_path = tmp_path / "x_true.json"
+        x_path.write_text(json.dumps(x_true))
+        code, out, err = run_cli(["estimate", "--system", path, "--y", clean_path,
+                                  "--x-true", x_path], capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        d = np.array(doc["x_hat"]) - x_true
+        assert doc["error_l2"] == float(np.linalg.norm(d / scale)) * scale
+
     # a zero window fits the zero state, so it is not flagged and its error is exactly 0
     y_zero, x_zero = zero_window
     code, out, _ = run_cli(["estimate", "--system", SURROGATE, "--y", y_zero, "--safe", "0,1,2",
@@ -583,7 +594,7 @@ def test_no_solve_path_imports_numpy_ma(tmp_path, system_file):
     prior.write_text(json.dumps({"p": [0.9, 0.8, 0.95, 0.99], "q": [1, 0, 1, 1], "seed": 5}))
     argvs = [
         ["scenario", "--steps", "8"],
-        ["scenario", "--steps", "8", "--attack-support", "3,1,3", "--prior-mode", "per_window"],
+        ["scenario", "--steps", "8", "--attack-support", "3,1,3"],
         ["sweep", "--m", "6", "--n", "2", "--grid", "0.3", "--trials", "2"],
         ["attack", "--system", str(path), "--epsilon", "0.4", "--support", "2,0,2"],
         ["prune", "--input", str(prior), "--eta", "0.75"],
@@ -637,11 +648,10 @@ def test_no_subcommand_forms_the_full_U_of_H(tmp_path, system_file, capsys, full
         (["attack", "--system", path, "--epsilon", 0.4, "--fraction", 0.3], (6, 2)),
         (["sweep", "--m", 6, "--n", 2, "--grid", "0.0,0.3", "--trials", 3], (6, 2)),
         (["scenario", "--steps", 8], window),
-        (["scenario", "--steps", 8, "--prior-mode", "per_window"], window),
         (["scenario", "--steps", 8, "--system", SURROGATE], window),
         # LO alone poses no l1 problem and runs no search
         (["scenario", "--steps", 8, "--observers", "LO"], window),
-        (["scenario", "--steps", 8, "--observers", "WL1P", "--prior-mode", "per_window"], window),
+        (["scenario", "--steps", 8, "--observers", "WL1P"], window),
         # at omega 1 WL1P weighs every row alike and shares L1O's solve
         (["scenario", "--steps", 8, "--omega", 1], window),
         (["sweep", "--trials", 2, "--grid", "0.3"], (20, 10)),

@@ -98,6 +98,12 @@ def files(tmp_path_factory):
         # a finite trajectory whose rows * max|y| bound passes the largest float
         "sys_huge_x0": {**small, "x0": [1e308, 0.0]},
         "sys_power": {"A": (1e200 * np.eye(3)).tolist(), "C": [[1, 0, 0]]},
+        # an unbounded attack on rows 0 and 2, and plants whose estimates overflow
+        "sys_tilted": {"A": small["A"], "C": [[1, 0], [1e-12, 1], [1, 1e-12], [1e-300, 1e-300]]},
+        "sys_gain3": {"A": small["A"], "C": [[1, 0], [0, 1], [3, 3]]},
+        "sys_scalar": {"A": [[0.5]], "C": [[1], [1], [1], [1]]},
+        "y_8e307": [8e307] * 3, "y_opposed": [1e308, -1e308, -1e308], "y_subnormal": [5e-324, 0, 0],
+        "y_huge_tail": [0, 1e308, 1e308, 1e308], "y_123": [1, 2, 3], "x_far": [-1.7e308, 1.7e308],
         "y_object": {"y": [1.0, 2.0]}, "y_nested": [[1.0], [2.0]], "y_bool": [1.0, True],
         "y_null": [1.0, None], "y_string": "1.0", "y_zeros4": [0.0] * 4,
         "y_zeros10": [0.0] * 10, "y_nan10": [nan] + [0.0] * 9, "x_short": [0.5],
@@ -148,7 +154,7 @@ def tables(files):
     table = [
         ("attack", dict(system=system, T=1, epsilon=0.5, support="0"), dict(
             system=systems, system_a=system_a, system_c=system_c, T=SIZES, epsilon=FLOATS,
-            support=ROWS, fraction=FLOATS, seed=["0", "-1", "x"], cap_factor=FLOATS)),
+            support=ROWS, fraction=FLOATS, seed=["0", "-1", "x"])),
         ("estimate", dict(system=system, T=1, y=files["y1"]), dict(
             system=systems, system_a=system_a, system_c=system_c, T=SIZES, y=windows,
             omega=FLOATS, safe=ROWS, epsilon=FLOATS, x_true=[files["x"]] + cells)),
@@ -170,10 +176,9 @@ def tables(files):
             format=["csv", "json", "xml"])),
         ("scenario", dict(steps=8, T=2), dict(
             system=systems, steps=SIZES + ["3", "8"], T=SIZES + ["3"],
-            attack_fraction=FLOATS, attack_magnitude=FLOATS, attack_support=ROWS,
+            attack_magnitude=FLOATS, attack_support=ROWS,
             seed=["0", "-1"], prior_seed=["1", "-1"], true_rate=FLOATS, jitter=FLOATS,
-            eta=FLOATS, omega=FLOATS, prior_mode=["static", "per_window", "bogus"],
-            observers=["LO,L1O,WL1P", "LO", "L1O", "WL1P", "bogus", ""])),
+            eta=FLOATS, omega=FLOATS, observers=["LO,L1O,WL1P", "LO", "L1O", "WL1P", "bogus", ""])),
     ]
     for _, _, hostile in table:
         hostile.update(config=broken, out=[files["gone"], files["folder"]])
@@ -368,6 +373,22 @@ REJECTIONS = [
     *(row(f"estimate-window-{kind}", f"{ESTIMATE} --y y_{kind}", 1, "flat JSON list")
       for kind in ("object", "nested", "bool", "null", "string")),
     row("estimate-window-too-large", f"{ESTIMATE} --y ybig", 1, "too large"),
+    # sum(w) max|y| is finite, but the objective, or the minimizer itself, is not
+    row("estimate-objective-overflows",
+        "estimate --system sys_gain3 --safe 0,1 --omega 1e-3 --y y_8e307", 1,
+        "error: y is too large for the scale of A (max|A| 3.000e+00): the solution or its "
+        "objective overflows\n"),
+    row("estimate-minimizer-overflows", "estimate --system sys_no_x0 --safe 0 --y y_opposed", 1,
+        "error: y is too large for the scale of A (max|A| 1.000e+00): the solution or its "
+        "objective overflows\n"),
+    row("estimate-subnormal-window", "estimate --system sys_no_x0 --y y_subnormal", 1,
+        "error: y is too small to certify: max|y| 4.941e-324 is subnormal\n"),
+    # the weighted objective is finite, the unweighted fields are not
+    row("estimate-residual-l1-overflows",
+        "estimate --system sys_scalar --safe 0 --omega 1e-3 --y y_huge_tail", 1,
+        "error: residual_l1 is beyond the largest float\n"),
+    row("estimate-error-l2-overflows", "estimate --system sys_no_x0 --y y_123 --x-true x_far", 1,
+        "error: error_l2 is beyond the largest float\n"),
     row("estimate-y-length", f"{ESTIMATE} --T 2 --y y1", 1,
         "--y holds 6 entries, but --T 2 asks for T*m = 12 rows", absent="shape mismatch"),
     row("estimate-x-true-length", f"{ESTIMATE} --y y1 --x-true x_short", 1, "x_true"),
@@ -403,10 +424,13 @@ REJECTIONS = [
         "error: support indices must lie in [0, 6)\n"),
     *(row(f"attack-epsilon-{eps}", f"{ATTACK} {eps} --support 0", 1, "epsilon")
       for eps in ("inf", "nan")),
-    # support 0..4 leaves one row for two states: the attack is unbounded and
-    # would be scaled to cap_factor * epsilon
+    # the unbounded attack's magnitude cap is a constant: no value of --cap-factor is a flag
     *(row(f"attack-cap-factor-{cap}", f"{ATTACK} 1.0 --support 0,1,2,3,4 --cap-factor {cap}", 1,
-          "cap-factor") for cap in ("inf", "nan", "0", "-1")),
+          f"error: unrecognized arguments: --cap-factor {cap}\n") for cap in ("inf", "nan", "0", "-1")),
+    # 1e3 epsilon overflows; each row of e_T is at most the seed's magnitude
+    row("attack-epsilon-overflows", "attack --system sys_tilted --epsilon 1e306 --support 0,2", 1,
+        "error: epsilon 1e+306 gives no finite attack on this support: its magnitude or its bias "
+        "bound alpha is not finite\n"),
     # seeds: numpy's own "expected non-negative integer" names no flag
     *(row(name, f"{line} --seed -1", 1, f"{named} must be >= 0, got -1", absent="non-negative",
           test="a_negative_seed_names_its_flag") for name, line, named in [
@@ -449,6 +473,9 @@ REJECTIONS = [
     # H's entries at spectral radius 1e154 are finite, but its singular values overflow
     row("sweep-singular-values-overflow", f"{SWEEP} 0.3 --T 3 --spectral-radius 1e154", 1,
         "error: H's singular values overflow for T=3: A's powers are too large\n"),
+    # an attack beyond the largest float names the policy too
+    row("sweep-attack-overflows", "sweep --m 6 --n 2 --trials 20 --grid 0.6 --epsilon-policy abs:1.7e308",
+        1, "error: epsilon policy abs:1.7e308: epsilon 1.7e+308 gives no finite attack", never=CERTIFY),
     row("sweep-out-missing-directory", "sweep --trials 300 --grid 0.3 --out gone", 1,
         "error: argument --out: gone: No such file or directory\n", never=DRAW),
     row("sweep-out-under-a-file", "sweep --trials 300 --grid 0.3 --out under_a_file", 1,
@@ -465,6 +492,10 @@ REJECTIONS = [
         never=SIMULATE),
     row("scenario-steps-below-T", "scenario --steps 2 --T 3", 1,
         "error: need steps >= T, got steps=2, T=3\n", never=SIMULATE),
+    # the default attack and the one localization prior are fixed: --attack-support sets any other
+    *(row(f"scenario-{flag}", f"scenario --steps 8 --{flag} {value}", 1,
+          f"error: unrecognized arguments: --{flag} {value}\n", never=SIMULATE)
+      for flag, value in [("attack-fraction", "0.3"), ("prior-mode", "static")]),
     # the attacked measurements or the squared errors overflow, whichever observers run
     *(row(f"{magnitude}-{observers}", f"scenario --steps 8 --attack-magnitude {magnitude}"
           + (f" --observers {observers}" if observers else ""), 2, "overflow",

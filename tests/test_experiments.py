@@ -239,7 +239,7 @@ def test_scenario_no_attack_everything_converges():
     sys_, x0 = load_surrogate()
     metrics = run_scenario(
         sys_, x0,
-        attack=ScenarioAttack(fraction=0.0, support=()),
+        attack=ScenarioAttack(support=()),
         scenario=ScenarioConfig(steps=40, T=2),
     )
     assert max(metrics.max_abs["L1O"]) <= 1e-8
@@ -299,8 +299,7 @@ def _spy_solves(monkeypatch, experiments):
     return calls, searches
 
 
-@pytest.mark.parametrize("prior_mode", ["static", "per_window"])
-def test_scenario_windows_start_at_their_searched_bases(monkeypatch, prior_mode):
+def test_scenario_windows_start_at_their_searched_bases(monkeypatch):
     # one search covers every l1 problem of the run, window-major (L1O then
     # WL1P per window), and each solve certifies its searched basis without a
     # pivot; a result depends only on its optimal rows, so cold solves of
@@ -308,7 +307,7 @@ def test_scenario_windows_start_at_their_searched_bases(monkeypatch, prior_mode)
     import resilient_sse.experiments as experiments
 
     sys_, x0 = load_surrogate()
-    scenario = ScenarioConfig(steps=30, T=3, prior_mode=prior_mode)
+    scenario = ScenarioConfig(steps=30, T=3)
     calls, searches = _spy_solves(monkeypatch, experiments)
     searched = run_scenario(sys_, x0, scenario=scenario)
     assert len(searches) == 1 and len(searches[0]) == 2 * searched.windows == len(calls)
@@ -337,38 +336,32 @@ def test_an_empty_or_full_trusted_set_shares_the_decoders_solve(monkeypatch):
     assert len(searches) == 1 and len(searches[0]) == 2
 
 
-@pytest.mark.parametrize("prior_mode", ["static", "per_window"])
-def test_scenario_prior_draws_follow_the_window_order(monkeypatch, prior_mode):
-    # WL1P's trusted sets come from default_rng(prior_seed): one draw for
-    # every window in static mode, one per window in window order otherwise
+def test_scenario_prior_is_drawn_once_for_every_window(monkeypatch):
+    # WL1P's trusted set comes from default_rng(prior_seed): one draw, which
+    # serves every window
     import resilient_sse.experiments as experiments
 
     sys_, x0 = load_surrogate()
-    scenario = ScenarioConfig(steps=12, T=3, prior_mode=prior_mode)
+    scenario = ScenarioConfig(steps=12, T=3)
     model = build_horizon(sys_, scenario.T)
     sup = ScenarioAttack().resolve_support(sys_.C)
     q = indicator_from_support(np.concatenate([r * sys_.m + sup for r in range(scenario.T)]),
                                model.rows)
     rng = np.random.default_rng(scenario.prior_seed)
-
-    def draw():
-        p = gen_confidences(model.rows, scenario.true_rate, scenario.jitter, rng)
-        return prune_product(sample_prior(q, p, rng), scenario.eta).safe_set
-
-    windows = scenario.steps - scenario.T + 1
-    expected = [draw()] * windows if prior_mode == "static" else [draw() for _ in range(windows)]
+    p = gen_confidences(model.rows, scenario.true_rate, scenario.jitter, rng)
+    expected = prune_product(sample_prior(q, p, rng), scenario.eta).safe_set
     calls, _ = _spy_solves(monkeypatch, experiments)
     run_scenario(sys_, x0, scenario=scenario)
     trusted = [tr for name, _, tr, _ in calls if name == "weighted_observer"]
-    assert len(trusted) == windows
-    assert all(np.array_equal(t, e) for t, e in zip(trusted, expected))
+    assert len(trusted) == scenario.steps - scenario.T + 1
+    assert all(np.array_equal(t, expected) for t in trusted)
 
 
 def test_scenario_solves_cold_where_the_search_gives_up(monkeypatch):
     import resilient_sse.experiments as experiments
 
     sys_, x0 = load_surrogate()
-    scenario = ScenarioConfig(steps=20, T=3, prior_mode="per_window")
+    scenario = ScenarioConfig(steps=20, T=3)
     full = run_scenario(sys_, x0, scenario=scenario)
     search = experiments.search_bases
     monkeypatch.setattr(experiments, "search_bases",
@@ -406,10 +399,9 @@ def test_scenario_wl1p_shares_l1os_solve_where_its_weights_are_uniform(monkeypat
 
 
 @pytest.mark.parametrize("observers", [("L1O",), ("WL1P",), ("WL1P", "L1O")])
-@pytest.mark.parametrize("prior_mode", ["static", "per_window"])
-def test_scenario_l1_observers_alone_match_a_full_run(observers, prior_mode):
+def test_scenario_l1_observers_alone_match_a_full_run(observers):
     sys_, x0 = load_surrogate()
-    scenario = ScenarioConfig(steps=20, T=3, prior_mode=prior_mode)
+    scenario = ScenarioConfig(steps=20, T=3)
     full = run_scenario(sys_, x0, scenario=scenario)
     part = run_scenario(sys_, x0, scenario=scenario, observers=observers)
     for obs in observers:
@@ -426,8 +418,6 @@ def test_scenario_validation():
         run_scenario(sys_, x0, observers=())
     with pytest.raises(ValueError, match="observer 'LO' is listed twice"):
         run_scenario(sys_, x0, observers=("LO", "WL1P", "LO"))
-    with pytest.raises(ValueError):
-        ScenarioConfig(prior_mode="sometimes")
     with pytest.raises(ValueError, match="T must be >= 1"):
         ScenarioConfig(T=0)
 
@@ -468,12 +458,6 @@ def test_wl1p_recovers_the_state_where_l1o_does_not(seed):
                            scenario=ScenarioConfig(steps=20), observers=("L1O", "WL1P"))
     assert max(metrics.rms["WL1P"]) <= 1e-9
     assert max(metrics.rms["L1O"]) >= 0.1
-
-
-@pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5, np.nan])
-def test_scenario_attack_rejects_a_fraction_outside_0_1(fraction):
-    with pytest.raises(ValueError, match="attack fraction"):
-        ScenarioAttack(fraction=fraction)
 
 
 @pytest.mark.parametrize("field,value", [("eta", 0.0), ("eta", 1.0), ("eta", np.nan),
@@ -610,11 +594,7 @@ def test_weights_are_built_once_per_distinct_problem(monkeypatch):
     monkeypatch.setattr(experiments, "observer_weights", spy)
     sys_, x0 = load_surrogate()
     run_scenario(sys_, x0, scenario=ScenarioConfig(steps=20, T=3))
-    assert len(built) == 1  # static: one trusted set serves every window
-    built.clear()
-    per_window = run_scenario(sys_, x0, scenario=ScenarioConfig(steps=20, T=3,
-                                                                prior_mode="per_window"))
-    assert 1 <= len(built) <= per_window.windows
+    assert len(built) == 1  # one trusted set serves every window
 
     built.clear()  # a sweep chunk: each weighted problem is certified by one weighted_observer
     calls, _ = _spy_solves(monkeypatch, experiments)

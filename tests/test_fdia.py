@@ -209,11 +209,20 @@ def test_synthesize_rejects_a_non_finite_or_negative_budget(epsilon):
         synthesize_fdia(model, [0], epsilon)
 
 
-@pytest.mark.parametrize("cap", [np.inf, np.nan, 0.0, -1.0])
-def test_synthesize_rejects_a_cap_factor_that_is_not_finite_and_positive(cap):
-    model = build_horizon(make_system(1, m=8, n=3), 1)
-    with pytest.raises(ValueError, match="magnitude_cap_factor"):
-        synthesize_fdia(model, list(range(6)), 1.0, magnitude_cap_factor=cap)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("C,support,epsilon", [
+    # the unbounded seed's 1e3 epsilon, and the bounded one's epsilon / (sqrt(c) sigma_min)
+    ([[1, 0], [1e-12, 1], [1, 1e-12], [1e-300, 1e-300]], [0, 2], 1e306),
+    ([[1, 0], [0, 1], [1, 1]], [0], 1.7e308),
+    # a finite seed whose bias bound alpha, of order epsilon / sigma_max(H), overflows
+    (1e-300 * np.array([[1, 0], [0, 1], [1e-3, 0], [0, 1e-3]]), [0, 1], 1e10),
+    # no row off the support sees the attack: the bias bound has no finite value
+    ([[1, 0], [0, 1], [0, 0]], [0, 1], 1.0),
+], ids=["unbounded", "bounded", "alpha", "unseen"])
+def test_synthesize_rejects_an_attack_beyond_the_largest_float(C, support, epsilon):
+    model = build_horizon(LtiSystem(A=0.5 * np.eye(2), C=np.asarray(C, dtype=float)), 1)
+    with pytest.raises(ValueError, match=r"^epsilon \S+ gives no finite attack on this support"):
+        synthesize_fdia(model, support, epsilon)
 
 
 @pytest.mark.parametrize("indices", [[], [4], [3, 1, 3, 0, 1], (7, 2, 2), {5, 1, 9}, [2.0, 1.0, 2.0],

@@ -523,6 +523,32 @@ def test_a_solution_beyond_the_largest_float_is_rejected():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("A,y,w", [
+    # the minimizer 8e307 (1, 1) is finite, but the objective is not
+    ([[1, 0], [0, 1], [3, 3]], [8e307] * 3, [1, 1, 1e-3]),
+    # the minimizer 1e308 (1, -2) is beyond the largest float, at A's own scale
+    ([[1, 0], [0, 1], [1, 1]], [1e308, -1e308, -1e308], [1, 0.01, 0.01]),
+], ids=["objective", "minimizer"])
+def test_a_result_beyond_the_largest_float_is_rejected_without_a_warning(A, y, w):
+    # sum(w) max|y| passes the up-front screen, so the result is checked: an
+    # infinite objective would certify against its infinite tolerance
+    with pytest.raises(ValueError, match=r"^y is too large for the scale of A \(max\|A\| "):
+        weighted_l1_regression(np.array(A, dtype=float), y, w)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("y_max", [5e-324, 1e-310, np.nextafter(2.0**-1022, 0)])
+def test_a_subnormal_window_is_rejected_before_pivoting(y_max):
+    # a subnormal max|y| over the positive-weight rows has too few bits for the
+    # gap's relative tolerance; a subnormal entry on a zero-weight row is ignored
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"^y is too small to certify: max\|y\| \S+ is subnormal$"):
+        weighted_l1_regression(A, [y_max, 0.0, 0.0, 0.0], np.ones(4))
+    sol = weighted_l1_regression(A, [0.0, 2.0**-1022, 0.0, y_max], [1.0, 1.0, 1.0, 0.0])
+    assert sol.gap <= 1e-8 * (2.0**-1022 + sol.objective)
+
+
+@pytest.mark.filterwarnings("error")
 def test_weights_near_the_largest_float_pivot_as_unit_weights():
     # sum(w) max|y| = 14 * 2^1020 passes the screen, but D^T nu would
     # overflow: the pivots run on w / 2^1024, as unit weights on w / 2^4

@@ -65,7 +65,7 @@ MUTANTS = [
      "the pivots stop at a box violation of 1e-2"),
     (LP, "            basis.sort()\n            w_B = w_act[basis]\n",
      "            w_B = w_act[basis]\n",
-     "tests/test_experiments.py::test_scenario_windows_start_at_their_searched_bases[static]",
+     "tests/test_experiments.py::test_scenario_windows_start_at_their_searched_bases",
      "the basis at reported optimality is factored in pivot order"),
     (LP, "scale * float(y_act @ nu)", "scale * float(y_piv @ nu)",
      "tests/test_cli.py::test_estimate_reports_solve_diagnostics",
