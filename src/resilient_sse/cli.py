@@ -347,7 +347,6 @@ def build_parser():
                    help=f"comma-separated subset of {','.join(cfg.strategies)}")
     p.add_argument("--seed", dest="master_seed", type=int, default=cfg.master_seed,
                    help="master seed")
-    p.add_argument("--spectral-radius", type=float, default=cfg.spectral_radius)
     p.add_argument("--workers", type=int, default=cfg.workers, help="parallel trial workers")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.set_defaults(handler=_cmd_sweep)
@@ -362,11 +361,6 @@ def build_parser():
     p.add_argument("--attack-support", dest="support", type=_list_of(int),
                    help="explicit attacked sensors (else: the 30%% highest-gain)")
     p.add_argument("--seed", type=int, default=attack.seed, help="attack value seed")
-    p.add_argument("--prior-seed", type=int, default=cfg.prior_seed, help="localization prior seed")
-    p.add_argument("--true-rate", type=float, default=cfg.true_rate, help="oracle confidence level")
-    p.add_argument("--jitter", type=float, default=cfg.jitter)
-    p.add_argument("--eta", type=float, default=cfg.eta, help="pruning reliability level")
-    p.add_argument("--omega", type=float, default=cfg.omega, help="weight on untrusted rows")
     p.add_argument("--observers", type=_list_of(str), default=OBSERVERS)
     p.set_defaults(handler=_cmd_scenario)
 

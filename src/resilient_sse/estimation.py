@@ -45,7 +45,8 @@ def detect(model: HorizonModel, y_T, x_hat, epsilon: float) -> bool:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     y_T = np.asarray(y_T, dtype=float).reshape(-1)
     x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
-    return bool(np.abs(y_T - model.H @ x_hat).sum() > epsilon)
+    with np.errstate(over="ignore"):  # a residual beyond the largest float flags, as inf
+        return bool(np.abs(y_T - model.H @ x_hat).sum() > epsilon)
 
 
 def weighted_observer(model: HorizonModel, y_T, pruned_safe_set, omega: float,

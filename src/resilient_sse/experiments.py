@@ -63,6 +63,9 @@ STRATEGIES = ("none", "prior", "pruned_product", "pruned_quantile")
 OBSERVERS = ("LO", "L1O", "WL1P")
 SUCCESS_RTOL = 1e-3  # a trial succeeds when ||x_hat - x*|| <= SUCCESS_RTOL * ||x*||
 _CHUNK_TASKS = 256   # paired trials per stacked search, at most (whole trial indices)
+_SPECTRAL_RADIUS = 0.95  # of every random system's A
+# the scenario's localization prior: its seed, true rate, jitter, eta and omega
+_PRIOR_SEED, _TRUE_RATE, _JITTER, _ETA, _OMEGA = 1, 0.95, 0.04, 0.7, 0.01
 
 
 def _json_value(obj):
@@ -87,13 +90,8 @@ def _reject_repeats(values, what: str) -> None:
             raise ValueError(f"{what} {v!r} is listed twice")
 
 
-def gen_random_system(
-    m: int,
-    n: int,
-    rng: np.random.Generator,
-    spectral_radius_target: float = 0.95,
-) -> LtiSystem:
-    """Random Gaussian (A, C) with A rescaled to the target spectral radius.
+def gen_random_system(m: int, n: int, rng: np.random.Generator) -> LtiSystem:
+    """Random Gaussian (A, C) with A rescaled to spectral radius ``_SPECTRAL_RADIUS``.
 
     A and C are drawn once and not checked for observability: a Gaussian
     pair is observable with probability one, and ``build_horizon``, which
@@ -101,14 +99,8 @@ def gen_random_system(
     """
     if not 1 <= n < m:
         raise ValueError(f"need more sensors than states, and n >= 1, got m={m}, n={n}")
-    if not 0 < spectral_radius_target < math.inf:
-        raise ValueError(f"spectral radius target must be finite and positive, "
-                         f"got {spectral_radius_target}")
     A = rng.standard_normal((n, n))
-    with np.errstate(over="ignore"):  # a target near the largest float: checked below
-        A = A * (spectral_radius_target / np.max(np.abs(np.linalg.eigvals(A))))
-    if not np.isfinite(A).all():
-        raise ValueError(f"spectral radius target {spectral_radius_target} overflows A")
+    A = A * (_SPECTRAL_RADIUS / np.max(np.abs(np.linalg.eigvals(A))))
     return LtiSystem(A=A, C=rng.standard_normal((m, n)))
 
 
@@ -145,7 +137,6 @@ class SweepConfig:
     epsilon_policy: str = "rel:0.01"
     strategies: tuple = STRATEGIES
     master_seed: int = 0
-    spectral_radius: float = 0.95
     workers: int = 1
 
     def __post_init__(self):
@@ -167,8 +158,6 @@ class SweepConfig:
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
         check_confidence_model(self.true_rate, self.jitter)
-        if not 0.0 < self.spectral_radius < math.inf:
-            raise ValueError(f"spectral radius must be finite and positive, got {self.spectral_radius}")
         epsilon_from_policy(self.epsilon_policy, ())  # parses and checks the policy
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
@@ -207,7 +196,7 @@ def _shared_draw(cfg: SweepConfig, trial_index: int):
     of its system, read-only x* and y*, epsilon, and the trial's one
     generator with its saved state after them."""
     rng = np.random.default_rng([cfg.master_seed, trial_index])
-    model = build_horizon(gen_random_system(cfg.m, cfg.n, rng, cfg.spectral_radius), cfg.T)
+    model = build_horizon(gen_random_system(cfg.m, cfg.n, rng), cfg.T)
     x_star = rng.standard_normal(cfg.n)
     y_star = model.H @ x_star
     x_star.flags.writeable = y_star.flags.writeable = False
@@ -262,8 +251,8 @@ def trusted_rows(instance: TrialInstance, strategy: str, eta: float):
 def _problem_key(trusted, rows: int, omega: float) -> frozenset:
     """Equal for trusted sets whose weights are positive multiples of each
     other, and so pose one problem; empty for uniform weights.  Needs
-    omega > 0, which SweepConfig requires of every weighted strategy and
-    run_scenario of WL1P."""
+    omega > 0, which SweepConfig requires of every weighted strategy and the
+    scenario's ``_OMEGA`` is."""
     if trusted is None or omega == 1.0:
         return frozenset()
     key = frozenset(trusted.tolist())
@@ -450,26 +439,16 @@ class ScenarioAttack:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """Trajectory and moving-window lengths; the prior's settings are module constants."""
+
     steps: int = 60
     T: int = 3
-    true_rate: float = 0.95
-    jitter: float = 0.04
-    eta: float = 0.7
-    omega: float = 0.01
-    prior_seed: int = 1
 
     def __post_init__(self):
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.prior_seed < 0:
-            raise ValueError(f"prior seed must be >= 0, got {self.prior_seed}")
         if self.steps < self.T:
             raise ValueError(f"need steps >= T, got steps={self.steps}, T={self.T}")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
-        check_confidence_model(self.true_rate, self.jitter)
 
 
 @dataclass(frozen=True)
@@ -496,8 +475,10 @@ def run_scenario(
 
     Window estimates target the window-start state; the Luenberger estimate
     is aligned to the same time index.  WL1P trusts the product-pruned rows
-    of a simulated localization prior, and shares L1O's solve where its
-    weights are uniform (module docstring).
+    of one simulated localization prior, drawn with the fixed ``_PRIOR_SEED``,
+    ``_TRUE_RATE``, ``_JITTER`` and ``_ETA`` and weighted with ``_OMEGA``, so
+    the attack's seed alone decides the run; WL1P shares L1O's solve where
+    its weights are uniform (module docstring).
     """
     if not observers:
         raise ValueError(f"observers must hold at least one of {', '.join(OBSERVERS)}")
@@ -505,9 +486,6 @@ def run_scenario(
         if obs not in OBSERVERS:
             raise ValueError(f"observers must be among {', '.join(OBSERVERS)}, got {obs!r}")
     _reject_repeats(observers, "observer")
-    if scenario.omega == 0 and "WL1P" in observers:
-        raise ValueError("omega must be positive for WL1P: omega 0 leaves weight only on "
-                         "the pruned rows, and pruning may trust too few")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     m, T = system.m, scenario.T
     sup = attack.resolve_support(system.C)
@@ -541,11 +519,11 @@ def run_scenario(
     l1 = [obs for obs in observers if obs != "LO"]
     if "WL1P" in observers:  # one localization of the persistent attack serves every window
         q = indicator_from_support(np.concatenate([r * m + sup for r in range(T)]), model.rows)
-        rng_prior = np.random.default_rng(scenario.prior_seed)
-        p = gen_confidences(model.rows, scenario.true_rate, scenario.jitter, rng_prior)
-        safe = prune_product(sample_prior(q, p, rng_prior), scenario.eta).safe_set
+        rng_prior = np.random.default_rng(_PRIOR_SEED)
+        p = gen_confidences(model.rows, _TRUE_RATE, _JITTER, rng_prior)
+        safe = prune_product(sample_prior(q, p, rng_prior), _ETA).safe_set
     groups = [(model, y, [None if obs == "L1O" else safe for obs in l1]) for y in ys]
-    for i, ests in enumerate(_certify_all(groups, scenario.omega)):
+    for i, ests in enumerate(_certify_all(groups, _OMEGA)):
         for obs, est in zip(l1, ests):
             errors[obs].append(est.z - targets[i])
 

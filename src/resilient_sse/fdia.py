@@ -79,6 +79,7 @@ def synthesize_fdia(model: HorizonModel, support, epsilon: float) -> AttackPlan:
     the seed is a null-space direction scaled to _CAP_FACTOR * epsilon.  An
     epsilon whose seed or bias bound passes the largest float is a ValueError.
     """
+    epsilon = float(epsilon)  # a numpy scalar would warn where the checks below see an overflow
     if not 0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     sup = _normalize_support(support, model.rows)
@@ -107,7 +108,7 @@ def synthesize_fdia(model: HorizonModel, support, epsilon: float) -> AttackPlan:
     e_T[sup] = model.U1[sup, :] @ z_e
     return AttackPlan(
         support=sup,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         z_e=z_e,
         e_T=e_T,
         alpha_guarantee=alpha,

@@ -456,16 +456,6 @@ def test_estimate_in_subnormal_units(tmp_path, capsys):
     assert "too large for the scale of A" in big_err
 
 
-def test_scenario_rejects_omega_0_with_wl1p_up_front(capsys):
-    # the static pruned set is empty here, so WL1P would have no weighted row
-    base = ["scenario", "--omega", "0", "--steps", 8, "--true-rate", 0.5, "--eta", 0.99]
-    code, out, err = run_cli(base, capsys)
-    assert code == 1 and out == ""
-    assert "omega must be positive for WL1P" in err
-    code, out, err = run_cli(base + ["--observers", "LO,L1O"], capsys)
-    assert code == 0 and json.loads(out)["observers"] == ["LO", "L1O"]
-
-
 SWEEP_ROW_KEYS = ("attack_fraction", "strategy", "trials", "successes", "success_rate", "stderr",
                   "mean_error")
 
@@ -500,8 +490,7 @@ def test_every_output_has_exactly_the_keys_readme_lists(tmp_path, system_file, c
         assert set(json.loads(out)) == keys, argv[0]
     doc = json.loads(out)
     assert set(doc["config"]) == {"m", "n", "T", "attack_grid", "trials", "true_rate", "jitter",
-                                  "eta", "omega", "epsilon_policy", "strategies", "master_seed",
-                                  "spectral_radius"}
+                                  "eta", "omega", "epsilon_policy", "strategies", "master_seed"}
     assert doc["rows"] and all(set(row) == set(SWEEP_ROW_KEYS) for row in doc["rows"])
     code, out, _ = run_cli(sweep, capsys)
     assert code == 0 and out.splitlines()[0] == ",".join(SWEEP_ROW_KEYS)
@@ -652,8 +641,6 @@ def test_no_subcommand_forms_the_full_U_of_H(tmp_path, system_file, capsys, full
         # LO alone poses no l1 problem and runs no search
         (["scenario", "--steps", 8, "--observers", "LO"], window),
         (["scenario", "--steps", 8, "--observers", "WL1P"], window),
-        # at omega 1 WL1P weighs every row alike and shares L1O's solve
-        (["scenario", "--steps", 8, "--omega", 1], window),
         (["sweep", "--trials", 2, "--grid", "0.3"], (20, 10)),
         (["sweep", "--trials", 2, "--grid", "0.3", "--format", "json"], (20, 10)),
         (["estimate", "--system", units["tiny"], "--y", units_y], (4, 2)),

@@ -98,6 +98,8 @@ def files(tmp_path_factory):
         # a finite trajectory whose rows * max|y| bound passes the largest float
         "sys_huge_x0": {**small, "x0": [1e308, 0.0]},
         "sys_power": {"A": (1e200 * np.eye(3)).tolist(), "C": [[1, 0, 0]]},
+        # H's entries are finite for T=3, but its singular values are not
+        "sys_big_modes": {"A": [[1.2e154, 0], [0, 1.2e154]], "C": [[1, 1], [1, -1], [1, 0]]},
         # an unbounded attack on rows 0 and 2, and plants whose estimates overflow
         "sys_tilted": {"A": small["A"], "C": [[1, 0], [1e-12, 1], [1, 1e-12], [1e-300, 1e-300]]},
         "sys_gain3": {"A": small["A"], "C": [[1, 0], [0, 1], [3, 3]]},
@@ -172,13 +174,12 @@ def tables(files):
             epsilon_policy=["rel:0.01", "abs:1", "rel:nan", "abs:inf", "rel:-1", "pct:1", "rel",
                             "", "abs:1e200", "rel:1e308", "abs:1e308"],
             strategies=["none", "prior,pruned_quantile", "pruned_product", "bogus", ""],
-            seed=["0", "-1", "x"], spectral_radius=FLOATS, workers=["-1", "0", "1"],
+            seed=["0", "-1", "x"], workers=["-1", "0", "1"],
             format=["csv", "json", "xml"])),
         ("scenario", dict(steps=8, T=2), dict(
             system=systems, steps=SIZES + ["3", "8"], T=SIZES + ["3"],
             attack_magnitude=FLOATS, attack_support=ROWS,
-            seed=["0", "-1"], prior_seed=["1", "-1"], true_rate=FLOATS, jitter=FLOATS,
-            eta=FLOATS, omega=FLOATS, observers=["LO,L1O,WL1P", "LO", "L1O", "WL1P", "bogus", ""])),
+            seed=["0", "-1"], observers=["LO,L1O,WL1P", "LO", "L1O", "WL1P", "bogus", ""])),
     ]
     for _, _, hostile in table:
         hostile.update(config=broken, out=[files["gone"], files["folder"]])
@@ -244,7 +245,7 @@ def names_of(subparser, flag):
 
 def names_any(message, names):
     """Whether `message` holds one of `names` as a whole token, dashes and all:
-    'n' is not found in 'dimensions', nor 'seed' in '--prior-seed'."""
+    'n' is not found in 'dimensions', nor 'support' in '--attack-support'."""
     return any(re.search(rf"(?<![\w-])(?:--)?{re.escape(name)}(?![\w-])", message)
                for name in names)
 
@@ -412,6 +413,10 @@ REJECTIONS = [
         "H is rank deficient for T=1"),
     row("estimate-observability-overflows", "estimate --system sys_power --y yshort --T 1", 1,
         "error: the observability matrix is not finite: A's powers overflow\n"),
+    row("estimate-window-overflows", "estimate --system sys_power --y yshort --T 3", 1,
+        "error: H is not finite for T=3: the window's powers of A overflow\n"),
+    row("estimate-singular-values-overflow", "estimate --system sys_big_modes --y yshort --T 3", 1,
+        "error: H's singular values overflow for T=3: A's powers are too large\n"),
     # a window shorter than one step would otherwise be read as the T 1 one
     row("estimate-T-0", f"{ESTIMATE} --y y1 --T 0", 1, T_0),
     row("attack-T-0", f"{ATTACK} 0.5 --support 0 --T 0", 1, T_0),
@@ -439,8 +444,9 @@ REJECTIONS = [
         ("scenario-attack", "scenario --steps 8", "attack seed"),
         ("rip", f"{RIP} --S 1", "--seed"),
         ("attack", f"{ATTACK} 0.5 --fraction 0.3", "--seed")]),
+    # the localization prior's seed is a constant: no value of --prior-seed is a flag
     row("scenario-prior", "scenario --steps 8 --prior-seed -1", 1,
-        "prior seed must be >= 0, got -1", absent="non-negative",
+        "error: unrecognized arguments: --prior-seed -1\n", absent="non-negative",
         test="a_negative_seed_names_its_flag"),
     # sweep
     *(row(f"sweep-jitter-{jitter}", f"{SWEEP} 0.2 --jitter {jitter}", 1, "jitter")
@@ -449,8 +455,11 @@ REJECTIONS = [
           never=DRAW,  # grid 0.0 draws no attack
           test="sweep_rejects_a_non_finite_policy_or_radius_up_front")
       for flag, value in [("--epsilon-policy", "rel:nan"), ("--epsilon-policy", "abs:inf"),
-                          ("--spectral-radius", "nan"), ("--spectral-radius", "inf"),
                           ("--workers", "0")]),
+    # the random systems' spectral radius is a constant: no value of it is a flag
+    *(row(f"--spectral-radius-{value}", f"{SWEEP} 0.0 --spectral-radius {value}", 1,
+          f"error: unrecognized arguments: --spectral-radius {value}\n", never=DRAW,
+          test="sweep_rejects_a_non_finite_policy_or_radius_up_front") for value in ("nan", "inf")),
     row("sweep-omega-0-weighted",
         "sweep --omega 0 --trials 3 --grid 0.3 --strategies none,pruned_product", 1,
         "omega must be positive", never=DRAW),
@@ -467,12 +476,12 @@ REJECTIONS = [
     # SweepConfig checks T, so no pool is forked and no instance drawn
     *(row(f"sweep-T-0-workers-{workers}", f"{SWEEP} 0.3 --T 0 --workers {workers}", 1, T_0,
           never=DRAW) for workers in (1, 2)),
-    # A^39 at spectral radius 1e10 passes the largest float
+    # so neither is a radius that made H or its singular values overflow: the estimate rows
+    # estimate-window-overflows and estimate-singular-values-overflow reach those messages
     row("sweep-window-overflows", "sweep --trials 2 --grid 0.3 --T 40 --spectral-radius 1e10", 1,
-        "error: H is not finite for T=40: the window's powers of A overflow\n"),
-    # H's entries at spectral radius 1e154 are finite, but its singular values overflow
+        "error: unrecognized arguments: --spectral-radius 1e10\n", never=DRAW),
     row("sweep-singular-values-overflow", f"{SWEEP} 0.3 --T 3 --spectral-radius 1e154", 1,
-        "error: H's singular values overflow for T=3: A's powers are too large\n"),
+        "error: unrecognized arguments: --spectral-radius 1e154\n", never=DRAW),
     # an attack beyond the largest float names the policy too
     row("sweep-attack-overflows", "sweep --m 6 --n 2 --trials 20 --grid 0.6 --epsilon-policy abs:1.7e308",
         1, "error: epsilon policy abs:1.7e308: epsilon 1.7e+308 gives no finite attack", never=CERTIFY),
@@ -481,11 +490,12 @@ REJECTIONS = [
     row("sweep-out-under-a-file", "sweep --trials 300 --grid 0.3 --out under_a_file", 1,
         "error: argument --out: under_a_file: Not a directory\n", never=DRAW),
     # scenario
-    *(row(f"scenario-{name}", f"scenario --steps 8 {line}", 1, message, never=SCENARIO,
+    # the scenario's confidence model is a constant: no value of it is a flag
+    *(row(f"scenario-{name}", f"scenario --steps 8 {line}", 1,
+          f"error: unrecognized arguments: {line}\n", never=SCENARIO,
           test="a_confidence_model_out_of_range_is_rejected_up_front")
-      for name, line, message in [("true-rate", "--true-rate 1.5", "true rate"),
-                                ("jitter", "--jitter -1", "jitter"),
-                                ("jitter-too-wide", "--jitter 1e308", "jitter")]),
+      for name, line in [("true-rate", "--true-rate 1.5"), ("jitter", "--jitter -1"),
+                         ("jitter-too-wide", "--jitter 1e308")]),
     row("scenario-magnitude-nan", "scenario --steps 12 --T 2 --attack-magnitude nan", 1,
         "magnitude", never=SCENARIO),
     row("scenario-T-0", "scenario --T 0 --steps 8", 1, "error: T must be >= 1, got 0\n",
@@ -495,7 +505,8 @@ REJECTIONS = [
     # the default attack and the one localization prior are fixed: --attack-support sets any other
     *(row(f"scenario-{flag}", f"scenario --steps 8 --{flag} {value}", 1,
           f"error: unrecognized arguments: --{flag} {value}\n", never=SIMULATE)
-      for flag, value in [("attack-fraction", "0.3"), ("prior-mode", "static")]),
+      for flag, value in [("attack-fraction", "0.3"), ("prior-mode", "static"), ("eta", "0.5"),
+                          ("omega", "0")]),
     # the attacked measurements or the squared errors overflow, whichever observers run
     *(row(f"{magnitude}-{observers}", f"scenario --steps 8 --attack-magnitude {magnitude}"
           + (f" --observers {observers}" if observers else ""), 2, "overflow",

@@ -85,8 +85,9 @@ def test_estimate_result_carries_solve_diagnostics_and_warm_start():
     cold = weighted_observer(model, y + 1e-3, [0, 2, 3, 4, 5, 7, 8, 9], 0.1)
     assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + cold.objective)
     assert decode(model, y, start=est.basis).basis.shape == (3,)
-    with pytest.raises(ValueError, match="start"):
-        decode(model, y, start=[0, 0, 1])
+    for start in ([0, 0, 1], [0, 1, model.rows]):  # a repeated row, and row N
+        with pytest.raises(ValueError, match=r"^start must be 3 distinct row indices in \[0, 16\)$"):
+            decode(model, y, start=start)
 
 
 def test_decoders_return_the_lp_solution_unchanged(monkeypatch):
@@ -191,6 +192,12 @@ def test_detect_strict_threshold():
     for epsilon in (0.0, np.nan):  # NaN fails every comparison, `epsilon <= 0` too
         with pytest.raises(ValueError, match="epsilon"):
             detect(model, y, x_hat, epsilon)
+
+
+@pytest.mark.filterwarnings("error")
+def test_detect_flags_a_residual_beyond_the_largest_float_without_a_warning():
+    model = build_horizon(LtiSystem(A=[[0.5]], C=[[1.0]] * 4), 1)
+    assert detect(model, [0, 1e308, 1e308, 1e308], [0.0], 1.0) is True
 
 
 def test_weighted_observer_degenerate_weights():

@@ -214,11 +214,13 @@ def test_synthesize_rejects_a_non_finite_or_negative_budget(epsilon):
     # the unbounded seed's 1e3 epsilon, and the bounded one's epsilon / (sqrt(c) sigma_min)
     ([[1, 0], [1e-12, 1], [1, 1e-12], [1e-300, 1e-300]], [0, 2], 1e306),
     ([[1, 0], [0, 1], [1, 1]], [0], 1.7e308),
+    # a numpy scalar budget overflows as a Python float does: no warning comes first
+    ([[1, 0], [1e-12, 1], [1, 1e-12], [1e-300, 1e-300]], [0, 2], np.float64(1e306)),
     # a finite seed whose bias bound alpha, of order epsilon / sigma_max(H), overflows
     (1e-300 * np.array([[1, 0], [0, 1], [1e-3, 0], [0, 1e-3]]), [0, 1], 1e10),
     # no row off the support sees the attack: the bias bound has no finite value
     ([[1, 0], [0, 1], [0, 0]], [0, 1], 1.0),
-], ids=["unbounded", "bounded", "alpha", "unseen"])
+], ids=["unbounded", "bounded", "numpy-unbounded", "alpha", "unseen"])
 def test_synthesize_rejects_an_attack_beyond_the_largest_float(C, support, epsilon):
     model = build_horizon(LtiSystem(A=0.5 * np.eye(2), C=np.asarray(C, dtype=float)), 1)
     with pytest.raises(ValueError, match=r"^epsilon \S+ gives no finite attack on this support"):

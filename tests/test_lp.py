@@ -298,6 +298,13 @@ def test_malformed_start_is_rejected(start):
         weighted_l1_regression(A, y, w, start=start)
 
 
+def test_the_pivoting_perturbation_is_read_only_and_within_half_its_size():
+    # uniform in +-_PERTURBATION / 2 = +-5e-10, relative to max|y|
+    pattern = lp._perturbation(1000)
+    assert not pattern.flags.writeable
+    assert np.any(pattern != 0) and np.abs(pattern).max() <= 5e-10
+
+
 @st.composite
 def warm_start_cases(draw):
     """A weighted instance with four starts: valid, zero-weight, singular and
