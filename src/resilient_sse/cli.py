@@ -128,8 +128,8 @@ def _in_a_directory(path):
 
 
 def _read_vector(path) -> np.ndarray:
-    """A flat JSON list of finite numbers, or a numeric CSV read row by row."""
-    if path.endswith(".json"):
+    """A flat JSON list of finite numbers (a path ending in .json, any case), else a numeric CSV."""
+    if path.lower().endswith(".json"):
         return numeric_array(_read_json(path), path, 1)
     return read_matrix_csv(path).reshape(-1)
 

@@ -44,6 +44,16 @@ w is divided by the power of two that brings sum(w) into [0.5, 1), and the
 dual multiplied back, so D^T nu stays within max|D| for weights of any size.
 Both are exact unless a weight or the dual turns subnormal.
 
+On exact data the perturbed pivots walk across the optimal face, the rows
+the optimum fits exactly, to one particular vertex.  So a solve with at least
+12 unknowns and 12 positive-weight rows per unknown (below, the try costs
+more than the pivots it saves) tries once, at the first vertex whose
+unperturbed fit r - u + D u_B (u the perturbation) is exact on more than n
+rows, to certify that face: at most 8 damped Newton steps on its Huber-
+smoothed dual, with D from the sorted basis factored afresh, each completed
+exactly on the basis, nu_B = -(sum of nu_i D_i off it), and accepted only
+where |nu_B| <= w_B (1 + 1e-10).  A rejected dual pivots on, with no second try.
+
 Between pivots a tableau is updated instead of refactored: one (n+1) x N
 array whose first n rows hold D^T, the transpose of D = A A_B^-1, and whose
 last row holds the residual r = y - D y_B.  Then nu_B = -D^T nu_N, the edge
@@ -101,7 +111,8 @@ problem shares it, as a scenario's do), and judges all starts by the single
 solve's rule from one stacked inverse; a problem whose start is not usable
 leaves, for the single solve's rescue.  The others pivot in lockstep
 with the single solve's rule on each problem's own tableau, and a problem
-leaves the stacks as soon as it reports optimality.  Both pivot loops take
+leaves the stacks as soon as it reports optimality, or, above the size
+rule, at the vertex where the single solve tries to certify a face.  Both pivot loops take
 nu_N as copysign(w, r), which is the sign rule above with r >= 0 counted
 positive: the carried residual is never -0.0, as y_piv - D y_B and each
 update r - t are -0.0 only if the left operand is.  The search certifies
@@ -129,6 +140,9 @@ _GAP_RTOL = 1e-8
 _DUAL_RTOL = 1e-10     # box violation |nu_B| / w_B - 1 accepted as optimal
 _PERTURBATION = 1e-9   # size of the pivoting perturbation, relative to max |y|
 _PIVOTS_PER_ROW = 10   # pivots per row before the solve gives up
+_FACE_SIZE = 12        # unknowns, and positive-weight rows per unknown, from which a face is tried
+_FACE_ATOL = 1e-11     # |unperturbed residual| of a row fitted exactly, y in units of max|y|
+_FACE_STEPS = 8        # damped Newton steps of that one try
 _DEFICIENT = "positive-weight rows of A are numerically rank deficient"
 
 
@@ -198,6 +212,54 @@ def _start_inverse(A, basis, big):
         return inv, 1.0 > _RANK_RTOL * (math.sqrt(N * n) * n * (big * np.abs(inv).max(axis=(1, 2))))
 
 
+def _on_face(Tab, u, basis):
+    """Whether the unperturbed fit of the tableau [D^T; r] (or of each of a stack) is exact on more
+    than n rows; only where more than n of r are within the perturbation of zero is it multiplied out."""
+    n = basis.shape[-1]
+    near = (np.abs(Tab[..., n, :]) <= _PERTURBATION).sum(axis=-1) > n
+    if not near.any():
+        return near
+    r0 = Tab[..., n, :] - u + (u[basis][..., None, :] @ Tab[..., :n, :])[..., 0, :]
+    return near & ((np.abs(r0) <= _FACE_ATOL).sum(axis=-1) > n)
+
+
+def _face_dual(D, basis, y_act, w_act):
+    """(nu, g) of the vertex at the sorted `basis`: nu_F = w_F sign(r_F) off the face Z, zero on the
+    basis, and |g| <= w_B (1 + _DUAL_RTOL) for its completion -g there; or None.  Newton minimizes
+    sum_Z w_i rho(s_i) + b^T v, s = D_Z v, rho Huber's of unit knee, where nu_Z = w_Z clip(s)."""
+    r0 = y_act - D @ y_act[basis]
+    face = np.abs(r0) <= _FACE_ATOL
+    face[basis] = True
+    nu = np.copysign(w_act, r0)
+    nu[face] = 0.0
+    D_Z, w_Z, b = D[face], w_act[face], D.T @ nu
+    WDT, bound = D_Z.T * w_Z, w_act[basis] * (1.0 + _DUAL_RTOL)
+    s, psi, phi = np.zeros(w_Z.size), np.zeros(w_Z.size), 0.0  # psi = clip(s), phi = smoothed(s)
+    def smoothed(x):  # sum_Z w_i rho(x_i)
+        m = np.minimum(np.abs(x), 1.0)
+        return float(w_Z @ (m * (np.abs(x) - 0.5 * m)))
+    with np.errstate(all="ignore"):
+        for _ in range(_FACE_STEPS):
+            grad, quad = WDT @ psi + b, np.abs(s) < 1.0
+            if np.count_nonzero(quad) < basis.size:  # no curvature left in some direction
+                return None
+            try:
+                p = np.linalg.solve((WDT * quad) @ D_Z, grad)
+            except np.linalg.LinAlgError:
+                return None
+            q, t, fall = D_Z @ p, 1.0, float(b @ p) - 1e-4 * float(grad @ p)
+            while (phi_t := smoothed(s - t * q)) > phi + t * fall and t > 1e-6:
+                t *= 0.5  # damped: the step halves until phi(v) + b^T v falls enough
+            s = s - t * q
+            phi, psi = phi_t, s.clip(-1.0, 1.0)
+            nu[face] = w_Z * psi
+            nu[basis] = 0.0
+            g = D.T @ nu  # the completion: nu_B = -g, the sum of nu_i D_i off the basis
+            if (np.abs(g) <= bound).all():
+                return nu, g
+    return None
+
+
 def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     """Minimize sum_j w_j |y_j - (A z)_j| with a certified duality gap.
 
@@ -261,7 +323,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         A_act, big = np.ldexp(A_act, -e_A), math.ldexp(big, -e_A)
     w_act = np.ldexp(w_act, -e_w)
     y_act = y_act / scale
-    y_piv = y_act + _perturbation(rows)
+    u = _perturbation(rows)
+    y_piv = y_act + u
 
     usable = False  # the caller's start, else the search's, else the rescue, each judged by its inverse
     if start is not None and (every_row or active[start].all()):
@@ -286,6 +349,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     # Tab = [D^T; r] is updated; g = -nu_B, and w_B = w_act[basis]
     w_B = w_act[basis]
     pivots, r = 0, y_piv - A_act @ (inv @ y_piv[basis])
+    face = n >= _FACE_SIZE and rows >= _FACE_SIZE * n  # the size rule of one try at a face
     while True:
         fresh = inv is not None
         nu = np.copysign(w_act, r)
@@ -293,7 +357,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         g = inv.T @ (A_act.T @ nu) if fresh else Tab[:n] @ nu
         ratio = np.abs(g) / w_B
         k = int(ratio.argmax())
-        if ratio[k] <= 1.0 + _DUAL_RTOL:
+        # the basis is factored afresh, sorted, at reported optimality and before a face try
+        if ratio[k] <= 1.0 + _DUAL_RTOL or face and not fresh and _on_face(Tab, u, basis):
             if fresh:
                 break
             basis.sort()
@@ -303,9 +368,18 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         if pivots >= _PIVOTS_PER_ROW * rows:
             raise EstimationError(f"no optimal basis after {pivots} pivots")
         if fresh:
+            D = A_act @ inv
             Tab = np.empty((n + 1, rows))
-            Tab[:n] = (A_act @ inv).T
+            Tab[:n] = D.T
             Tab[n] = r
+            if face and _on_face(Tab, u, basis):
+                face = False  # a rejected dual pivots on, with no second try
+                found = _face_dual(D, basis, y_act, w_act)
+                if found is not None:
+                    nu, g = found
+                    ratio = np.abs(g) / w_B
+                    k = int(ratio.argmax())
+                    break
             r, inv = Tab[n], None
         # Release basis row k: along h the other basis rows stay interpolated
         # and the objective falls at rate |nu_k| - w_k until the breakpoints
@@ -364,8 +438,9 @@ def search_bases(A, y, w) -> list:
     y and w are (K, N); A is (K, N, n), or one (N, n) model shared by every
     problem, then checked and factored once.  Each problem starts at the
     first n rows of the single solve's cold-start order and pivots by its
-    rule until its tableau reports optimality (module docstring).  Entry i
-    is that basis, or None where the search gives up: a zero or non-finite
+    rule until its tableau reports optimality, or, above the size rule, fits
+    more than n rows exactly (module docstring).  Entry i is that basis, or
+    None where the search gives up: a zero or non-finite
     weight, non-finite data, a start that is not usable, or the pivot cap
     (where a non-finite tableau ends).  The single solve certifies a basis.
     """
@@ -378,7 +453,8 @@ def search_bases(A, y, w) -> list:
         ok = (w > 0).all(axis=1) & np.isfinite(scale * w.sum(axis=1)) & np.isfinite(big)
     live = ok.nonzero()[0]  # problem index of each row of the stacks below
     A, y, w, scale, big = A if shared else A[live], y[live], w[live], scale[live], big[live]
-    y_piv = y / np.where(scale > 0, scale, 1.0)[:, None] + _perturbation(N)
+    u, face = _perturbation(N), n >= _FACE_SIZE and N >= _FACE_SIZE * n  # the single solve's rule
+    y_piv = y / np.where(scale > 0, scale, 1.0)[:, None] + u
     basis = _fit_order(A, y_piv)[:, :n]
     inv, keep = _start_inverse(A, basis, big)
     live, w, y_piv, basis, inv = (v[keep] for v in (live, w, y_piv, basis, inv))
@@ -397,13 +473,14 @@ def search_bases(A, y, w) -> list:
         g = (Tab[:, :n] @ nu[..., None])[..., 0]
         ratio = np.abs(g) / w_B
         k = ratio.argmax(axis=1)
-        optimal, g_k = ratio[rows, k] <= 1.0 + _DUAL_RTOL, g[rows, k]
-        for i, b in zip(live[optimal], basis[optimal]):
+        found_now, g_k = ratio[rows, k] <= 1.0 + _DUAL_RTOL, g[rows, k]
+        found_now |= face and _on_face(Tab, u, basis)  # where the single solve tries a face
+        for i, b in zip(live[found_now], basis[found_now]):
             found[i] = b
-        if optimal.all() or pivots >= _PIVOTS_PER_ROW * N:
+        if found_now.all() or pivots >= _PIVOTS_PER_ROW * N:
             return found
-        if optimal.any():  # the found problems leave, in one copy of the stacks
-            stay = ~optimal
+        if found_now.any():  # the found problems leave, in one copy of the stacks
+            stay = ~found_now
             live, w, Tab, basis, w_B, nu, k, g_k = (
                 v[stay] for v in (live, w, Tab, basis, w_B, nu, k, g_k))
             rows = rows[:live.size]

@@ -175,6 +175,21 @@ def test_estimate_reads_a_csv_window_as_a_row_or_a_column(tmp_path, system_file,
     assert len(set(outputs)) == 1
 
 
+def test_estimate_reads_a_json_window_by_its_suffix_in_any_case(tmp_path, zero_window, capsys):
+    # y.JSON holding [0,0,...] was read as CSV and failed on the cell '[0'
+    y, x = zero_window
+    outputs = []
+    for suffix in (".json", ".JSON", ".Json"):
+        y_path, x_path = tmp_path / f"y{suffix}", tmp_path / f"x{suffix}"
+        y_path.write_text(y.read_text())
+        x_path.write_text(x.read_text())
+        code, out, err = run_cli(["estimate", "--system", SURROGATE, "--y", y_path,
+                                  "--x-true", x_path], capsys)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert len(set(outputs)) == 1
+
+
 def test_attack_subcommand_schema(system_file, capsys):
     path, _ = system_file
     code, out, _ = run_cli(

@@ -415,12 +415,12 @@ def test_certified_warm_start_skips_both_rank_tests(monkeypatch):
 def test_a_usable_cold_start_is_the_search_start_proved_by_its_inverse(monkeypatch):
     # the cold start is the first n rows along the fit order, judged only by
     # the inverse the pivots start from: one QR (the fit order's) and one
-    # inverse before the first pivot; the other inverse is the refactor at
-    # optimality
+    # inverse; window 0's start fits more than n rows exactly, and its face
+    # is certified from that same inverse, without a pivot or a refactor
     model, y = estimate_window(0)  # 240 x 12
     calls = count_rank_tests(monkeypatch, ("qr", "inv", "svd", "lstsq"))
     sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
-    assert calls == ["qr", "inv", "inv"] and sol.iterations > 0
+    assert calls == ["qr", "inv"] and sol.iterations == 0
     assert sol.gap <= 1e-8 * (np.abs(y).max() + abs(sol.objective))
 
 
@@ -429,7 +429,9 @@ def test_the_rank_proof_takes_no_square_of_a(monkeypatch, k):
     # the proof bounds ||A||_F by max|A| and ||A_B^-1||_F by max|A_B^-1| and
     # multiplies those two first, so a bench window in units of 2^k, whose
     # squared entries under- or overflow, is proved without its singular
-    # values, cold and warm, and returns z in units of 2^-k bit for bit
+    # values, cold and warm, and returns z in units of 2^-k bit for bit; the
+    # warm solve may end at another vertex of the optimal face than the cold
+    # one, so each is compared with its own solve of A
     model, y = estimate_window(0)
     w = np.ones(model.rows)
     start = weighted_l1_regression(model.H, estimate_window(1)[1], w).basis  # the next request's
@@ -441,7 +443,7 @@ def test_the_rank_proof_takes_no_square_of_a(monkeypatch, k):
     assert calls == []
     for sol, base in ((cold, ref), (warm, ref_warm)):  # the warm start is taken, not replaced
         assert sol.iterations == base.iterations
-        assert np.array_equal(sol.z * 2.0**k, ref.z)
+        assert np.array_equal(sol.z * 2.0**k, base.z)
 
 
 def test_rank_deficient_a_rejects_every_warm_start(monkeypatch):
@@ -698,12 +700,147 @@ def test_a_formerly_cycling_window_certifies_within_the_pivot_cap():
     assert sol.gap <= 1e-8 * (1.0 + abs(sol.objective))
 
 
+def face_tries(monkeypatch):
+    """Record each face try of the single solve as (rows its unperturbed fit interpolates, n,
+    the dual it returns or None, w_act, basis)."""
+    tries, face_dual = [], lp._face_dual
+
+    def spy(D, basis, y_act, w_act):
+        found = face_dual(D, basis, y_act, w_act)
+        exact = np.count_nonzero(np.abs(y_act - D @ y_act[basis]) <= lp._FACE_ATOL)
+        tries.append((exact, basis.size, found and (found[0].copy(), found[1].copy()), w_act, basis))
+        return found
+
+    monkeypatch.setattr(lp, "_face_dual", spy)
+    return tries
+
+
+def assert_face_duals_in_their_box(tries):
+    """Each dual a face try returns lies in the box |nu| <= w, completed on the basis."""
+    for _, _, found, w_act, basis in tries:
+        if found is not None:
+            nu, g = found
+            assert np.all(np.abs(nu) <= w_act) and np.all(nu[basis] == 0.0)
+            assert np.all(np.abs(g) <= w_act[basis] * (1.0 + lp._DUAL_RTOL))
+
+
+def test_the_face_certificate_ends_a_window_in_far_fewer_pivots(monkeypatch):
+    # window 1 (30 % attacked): the vertex walk took 52 pivots, most of them
+    # across the optimal face; the solve stops at the first vertex of that
+    # face, after 6 pivots, certified by a dual from 7 damped Newton steps
+    model, y = estimate_window(1)
+    tries = face_tries(monkeypatch)
+    sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
+    assert sol.iterations == 6
+    assert len(tries) == 1 and tries[0][2] is not None
+    assert_face_duals_in_their_box(tries)
+    opt = scipy_oracle(model.H, y, np.ones(model.rows))
+    assert abs(sol.objective - opt) <= 1e-7 * (1.0 + abs(opt))
+    assert sol.gap <= 1e-8 * (np.abs(y).max() + abs(sol.objective))
+
+
+def test_a_face_is_tried_once_where_more_than_n_rows_fit_exactly(monkeypatch):
+    # the try runs only at a vertex whose unperturbed fit interpolates more
+    # than n rows, and at most once; a rejected dual pivots on as the vertex
+    # walk does: window 5's face is not optimal, and window 281's dual needs
+    # more than the 8 Newton steps a try takes
+    tries = face_tries(monkeypatch)
+    for request, certified in [(0, True), (3, True), (4, True), (5, False), (281, False)]:
+        model, y = estimate_window(request)
+        del tries[:]
+        sol = weighted_l1_regression(model.H, y, np.ones(model.rows))
+        assert len(tries) == 1 and (tries[0][2] is not None) == certified, request
+        exact, n = tries[0][:2]
+        assert exact > n
+        opt = scipy_oracle(model.H, y, np.ones(model.rows))
+        assert abs(sol.objective - opt) <= 1e-7 * (1.0 + abs(opt))
+        assert sol.gap <= 1e-8 * (np.abs(y).max() + abs(sol.objective))
+
+
+def test_a_face_needs_more_than_n_rows_that_fit_without_the_perturbation():
+    # the trigger reads the unperturbed fit off the tableau as r - u + u_B^T D^T:
+    # a row whose perturbed residual is near zero only by the perturbation
+    # does not make a face, however many of them there are
+    u, basis = lp._perturbation(5), np.array([0, 1])
+    DT = np.array([[1.0, 0.0, 0.0, 0.5, 2.0], [0.0, 1.0, 0.0, -1.0, 1.0]])
+    for r0_2, on_face in [(0.0, True), (1e-10, False)]:
+        r0 = np.array([0.0, 0.0, r0_2, 0.3, -0.2])
+        Tab = np.vstack([DT, r0 + u - u[basis] @ DT])
+        assert abs(Tab[2, 2]) <= lp._PERTURBATION  # row 2 is within the perturbation of zero
+        assert bool(lp._on_face(Tab, u, basis)) == on_face
+        assert lp._on_face(np.stack([Tab, Tab]), u, np.stack([basis, basis])).tolist() == [on_face] * 2
+
+
+def size_rule_problem(m, n, T, seed=0):
+    """A window of exact data with a stealth attack on 30 % of its rows."""
+    from resilient_sse import random_support
+
+    rng = np.random.default_rng(seed)
+    model = build_horizon(gen_random_system(m, n, rng), T)
+    y = model.H @ rng.standard_normal(n)
+    support = random_support(model.rows, 0.3, rng)
+    return model.H, y + synthesize_fdia(model, support, 0.01 * np.abs(y).sum()).e_T
+
+
+@pytest.mark.parametrize("m, n, T, zeros, tried", [
+    (60, 12, 4, 0, True), (60, 12, 4, 100, False), (30, 12, 4, 0, False), (60, 6, 4, 0, False),
+], ids=["240x12", "140-positive-of-240x12", "120x12", "240x6"])
+def test_the_size_rule_decides_which_solves_try_a_face(monkeypatch, m, n, T, zeros, tried):
+    # a face is tried, by the single solve and by the search's hand-off, only
+    # with at least 12 unknowns and 12 positive-weight rows per unknown
+    A, y = size_rule_problem(m, n, T)
+    w = np.ones(A.shape[0])
+    w[:zeros] = 0.0
+    stacks, on_face = [], lp._on_face
+    monkeypatch.setattr(lp, "_on_face", lambda Tab, u, basis: stacks.append(Tab.ndim) or on_face(Tab, u, basis))
+    weighted_l1_regression(A, y, w)
+    assert (2 in stacks) == tried
+    if not zeros:
+        lp.search_bases(A, y[None], w[None])
+        assert (3 in stacks) == tried
+
+
+@st.composite
+def face_cases(draw):
+    """Exact-data windows with at least 12 unknowns and 12 positive-weight rows per unknown,
+    10-40 % of the rows attacked by a stealth attack, and unit, two-level or zero weights."""
+    from resilient_sse import random_support
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(12, 13))
+    model = build_horizon(gen_random_system(draw(st.integers(3 * n + 3, 3 * n + 9)), n, rng), 4)
+    y = model.H @ rng.standard_normal(n)
+    support = random_support(model.rows, draw(st.sampled_from([0.1, 0.2, 0.3, 0.4])), rng)
+    y = y + synthesize_fdia(model, support, 0.01 * np.abs(y).sum()).e_T
+    w = np.ones(model.rows)
+    weights = draw(st.sampled_from(["unit", "two-level", "zero"]))
+    if weights == "two-level":
+        w = np.where(rng.random(model.rows) < 0.5, 1.0, 0.01)
+    elif weights == "zero":
+        w[rng.choice(model.rows, size=model.rows - 12 * n, replace=False)] = 0.0
+    return model.H, y, w
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(face_cases())
+def test_face_certificates_agree_with_highs(case):
+    A, y, w = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        tries = face_tries(monkeypatch)
+        sol = weighted_l1_regression(A, y, w)
+    assert_face_duals_in_their_box(tries)
+    best = scipy_oracle(A, y, w)
+    assert abs(sol.objective - best) <= 1e-7 * (1 + abs(best))
+    assert sol.gap <= 1e-8 * (np.abs(y[w > 0]).max() + abs(sol.objective))
+    assert sol.dual_objective <= best + 1e-9 * (1 + abs(best))
+
+
 @pytest.mark.parametrize("constants, message", [
     ({"_GAP_RTOL": -1}, "basis not certified"),
     ({"_PIVOTS_PER_ROW": 0}, "no optimal basis after 0 pivots"),
 ], ids=["certificate-gate", "pivot-budget"])
 def test_a_solve_that_cannot_certify_raises_solver_failure(monkeypatch, constants, message):
-    model, y = estimate_window(0)
+    model, y = estimate_window(1)  # window 0 certifies its face at the cold start
     assert weighted_l1_regression(model.H, y, np.ones(model.rows)).iterations > 0
     for name, value in constants.items():
         monkeypatch.setattr(lp, name, value)

@@ -83,6 +83,39 @@ MUTANTS = [
      "inv, keep = _start_inverse(A, basis, big)[0], slice(None)",
      "tests/test_lp.py::test_search_gives_up_where_the_single_solve_leaves_the_pivots",
      "the search keeps every start, whatever its inverse's bound"),
+    (LP, "face = n >= _FACE_SIZE and rows >= _FACE_SIZE * n", "face = rows >= _FACE_SIZE * n",
+     "tests/test_lp.py::test_the_size_rule_decides_which_solves_try_a_face[240x6]",
+     "the single solve tries a face with fewer than 12 unknowns"),
+    (LP, "face = n >= _FACE_SIZE and rows >= _FACE_SIZE * n", "face = n >= _FACE_SIZE",
+     "tests/test_lp.py::test_the_size_rule_decides_which_solves_try_a_face[120x12]",
+     "the single solve tries a face with fewer than 12 positive-weight rows per unknown"),
+    (LP, "face = _perturbation(N), n >= _FACE_SIZE and N >= _FACE_SIZE * n",
+     "face = _perturbation(N), N >= _FACE_SIZE * n",
+     "tests/test_lp.py::test_the_size_rule_decides_which_solves_try_a_face[240x6]",
+     "the search hands over at a face with fewer than 12 unknowns"),
+    (LP, "face = _perturbation(N), n >= _FACE_SIZE and N >= _FACE_SIZE * n",
+     "face = _perturbation(N), n >= _FACE_SIZE",
+     "tests/test_lp.py::test_the_size_rule_decides_which_solves_try_a_face[120x12]",
+     "the search hands over at a face with fewer than 12 rows per unknown"),
+    (LP, "return near & ((np.abs(r0) <= _FACE_ATOL).sum(axis=-1) > n)",
+     "return near & ((np.abs(r0) <= _FACE_ATOL).sum(axis=-1) >= n)",
+     "tests/test_lp.py::test_a_face_needs_more_than_n_rows_that_fit_without_the_perturbation",
+     "a face is tried at a vertex that fits only its n basis rows exactly"),
+    (LP, "if (np.abs(g) <= bound).all():", "if (np.abs(g) <= bound).any():",
+     "tests/test_lp.py::test_the_face_certificate_ends_a_window_in_far_fewer_pivots",
+     "a face dual is accepted with its completion outside the box on some basis rows"),
+    (LP, "_FACE_STEPS = 8", "_FACE_STEPS = 4",
+     "tests/test_lp.py::test_the_face_certificate_ends_a_window_in_far_fewer_pivots",
+     "a face try gives up after 4 Newton steps"),
+    (LP, "_FACE_STEPS = 8", "_FACE_STEPS = 40",
+     "tests/test_lp.py::test_a_face_is_tried_once_where_more_than_n_rows_fit_exactly",
+     "a face try takes up to 40 Newton steps"),
+    (LP, "                face = False  # a rejected dual pivots on, with no second try\n", "",
+     "tests/test_lp.py::test_a_face_is_tried_once_where_more_than_n_rows_fit_exactly",
+     "a rejected face dual is tried again at every later vertex on a face"),
+    (LP, "found_now |= face and _on_face(Tab, u, basis)", "found_now |= False",
+     "tests/test_experiments.py::test_a_sweep_above_the_face_size_rule_matches_single_solves",
+     "the search pivots past the vertex where the single solve certifies a face"),
     (EXPERIMENTS, "if (g, key) not in index:", "if True:",
      "tests/test_experiments.py::test_an_empty_or_full_trusted_set_shares_the_decoders_solve",
      "each trusted set of a group is solved on its own, not shared by its problem"),
@@ -114,6 +147,10 @@ MUTANTS = [
      "tests/test_cli_hostile.py::test_each_rejection[sweep-out-missing-directory]",
      "an --out in a missing directory is found only after the whole run"),
 ]
+# Left out: the screen of ``_on_face`` (``near = ... > n`` made ``>= n``).  The
+# mutant forms the product at every vertex, whose own count still decides; it
+# changes a result only where every exactly fitted row off the basis lies
+# farther than the perturbation from zero, which no drawn window does.
 # Left out: dropping the certificate's ``nu /= max(1.0, float(ratio[k]))``.
 # The pivot loop stops only at ratio[k] <= 1 + _DUAL_RTOL, so the rescale
 # divides nu by at most 1 + 1e-10 and moves the dual objective by at most
