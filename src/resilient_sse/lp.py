@@ -47,12 +47,13 @@ Both are exact unless a weight or the dual turns subnormal.
 On exact data the perturbed pivots walk across the optimal face, the rows
 the optimum fits exactly, to one particular vertex.  So a solve with at least
 12 unknowns and 12 positive-weight rows per unknown (below, the try costs
-more than the pivots it saves) tries once, at the first vertex whose
-unperturbed fit r - u + D u_B (u the perturbation) is exact on more than n
-rows, to certify that face: at most 8 damped Newton steps on its Huber-
-smoothed dual, with D from the sorted basis factored afresh, each completed
-exactly on the basis, nu_B = -(sum of nu_i D_i off it), and accepted only
-where |nu_B| <= w_B (1 + 1e-10).  A rejected dual pivots on, with no second try.
+more than the pivots it saves) tries once, at the first vertex where more
+than n perturbed residuals r are within the perturbation u of zero and more
+than n unperturbed ones, r - u + D u_B, within 1e-11, to certify that face:
+at most 8 semismooth Newton steps on its piecewise-linear dual equation,
+with D from the sorted basis factored afresh, each completed exactly on the
+basis, nu_B = -(sum of nu_i D_i off it), and accepted only where |nu_B| <=
+w_B (1 + 1e-10).  A rejected dual pivots on, with no second try.
 
 Between pivots a tableau is updated instead of refactored: one (n+1) x N
 array whose first n rows hold D^T, the transpose of D = A A_B^-1, and whose
@@ -142,7 +143,7 @@ _PERTURBATION = 1e-9   # size of the pivoting perturbation, relative to max |y|
 _PIVOTS_PER_ROW = 10   # pivots per row before the solve gives up
 _FACE_SIZE = 12        # unknowns, and positive-weight rows per unknown, from which a face is tried
 _FACE_ATOL = 1e-11     # |unperturbed residual| of a row fitted exactly, y in units of max|y|
-_FACE_STEPS = 8        # damped Newton steps of that one try
+_FACE_STEPS = 8        # Newton steps of that one try
 _DEFICIENT = "positive-weight rows of A are numerically rank deficient"
 
 
@@ -213,8 +214,9 @@ def _start_inverse(A, basis, big):
 
 
 def _on_face(Tab, u, basis):
-    """Whether the unperturbed fit of the tableau [D^T; r] (or of each of a stack) is exact on more
-    than n rows; only where more than n of r are within the perturbation of zero is it multiplied out."""
+    """Whether the tableau [D^T; r] (or each of a stack) has more than n of r within the perturbation
+    of zero and an unperturbed fit exact on more than n rows; the first count keeps the try off
+    vertices where large entries of D amplify the perturbation, whose duals certify loosely."""
     n = basis.shape[-1]
     near = (np.abs(Tab[..., n, :]) <= _PERTURBATION).sum(axis=-1) > n
     if not near.any():
@@ -225,34 +227,25 @@ def _on_face(Tab, u, basis):
 
 def _face_dual(D, basis, y_act, w_act):
     """(nu, g) of the vertex at the sorted `basis`: nu_F = w_F sign(r_F) off the face Z, zero on the
-    basis, and |g| <= w_B (1 + _DUAL_RTOL) for its completion -g there; or None.  Newton minimizes
-    sum_Z w_i rho(s_i) + b^T v, s = D_Z v, rho Huber's of unit knee, where nu_Z = w_Z clip(s)."""
+    basis, and |g| <= w_B (1 + _DUAL_RTOL) for its completion -g there; or None.  Each step is
+    semismooth Newton on D_Z^T (w_Z clip(s)) + b = 0, s = D_Z v, where nu_Z = w_Z clip(s)."""
     r0 = y_act - D @ y_act[basis]
     face = np.abs(r0) <= _FACE_ATOL
     face[basis] = True
     nu = np.copysign(w_act, r0)
     nu[face] = 0.0
     D_Z, w_Z, b = D[face], w_act[face], D.T @ nu
-    WDT, bound = D_Z.T * w_Z, w_act[basis] * (1.0 + _DUAL_RTOL)
-    s, psi, phi = np.zeros(w_Z.size), np.zeros(w_Z.size), 0.0  # psi = clip(s), phi = smoothed(s)
-    def smoothed(x):  # sum_Z w_i rho(x_i)
-        m = np.minimum(np.abs(x), 1.0)
-        return float(w_Z @ (m * (np.abs(x) - 0.5 * m)))
+    WDT, bound, s = D_Z.T * w_Z, w_act[basis] * (1.0 + _DUAL_RTOL), np.zeros(w_Z.size)
     with np.errstate(all="ignore"):
         for _ in range(_FACE_STEPS):
-            grad, quad = WDT @ psi + b, np.abs(s) < 1.0
+            quad = np.abs(s) < 1.0
             if np.count_nonzero(quad) < basis.size:  # no curvature left in some direction
                 return None
             try:
-                p = np.linalg.solve((WDT * quad) @ D_Z, grad)
+                s = s - D_Z @ np.linalg.solve((WDT * quad) @ D_Z, WDT @ s.clip(-1.0, 1.0) + b)
             except np.linalg.LinAlgError:
                 return None
-            q, t, fall = D_Z @ p, 1.0, float(b @ p) - 1e-4 * float(grad @ p)
-            while (phi_t := smoothed(s - t * q)) > phi + t * fall and t > 1e-6:
-                t *= 0.5  # damped: the step halves until phi(v) + b^T v falls enough
-            s = s - t * q
-            phi, psi = phi_t, s.clip(-1.0, 1.0)
-            nu[face] = w_Z * psi
+            nu[face] = w_Z * s.clip(-1.0, 1.0)
             nu[basis] = 0.0
             g = D.T @ nu  # the completion: nu_B = -g, the sum of nu_i D_i off the basis
             if (np.abs(g) <= bound).all():

@@ -101,6 +101,14 @@ MUTANTS = [
      "return near & ((np.abs(r0) <= _FACE_ATOL).sum(axis=-1) >= n)",
      "tests/test_lp.py::test_a_face_needs_more_than_n_rows_that_fit_without_the_perturbation",
      "a face is tried at a vertex that fits only its n basis rows exactly"),
+    (LP, "near = (np.abs(Tab[..., n, :]) <= _PERTURBATION).sum(axis=-1) > n",
+     "near = (np.abs(Tab[..., n, :]) <= np.inf).sum(axis=-1) > n",
+     "tests/test_lp.py::test_a_face_needs_more_than_n_rows_within_the_perturbation_of_zero",
+     "the face screen counts every row as near zero, however far D moves its residual"),
+    (LP, "near = (np.abs(Tab[..., n, :]) <= _PERTURBATION).sum(axis=-1) > n",
+     "near = (np.abs(Tab[..., n, :]) <= _PERTURBATION).sum(axis=-1) >= n",
+     "tests/test_lp.py::test_a_face_needs_more_than_n_rows_within_the_perturbation_of_zero",
+     "the face screen passes a vertex whose only rows near zero are its n basis rows"),
     (LP, "if (np.abs(g) <= bound).all():", "if (np.abs(g) <= bound).any():",
      "tests/test_lp.py::test_the_face_certificate_ends_a_window_in_far_fewer_pivots",
      "a face dual is accepted with its completion outside the box on some basis rows"),
@@ -147,10 +155,6 @@ MUTANTS = [
      "tests/test_cli_hostile.py::test_each_rejection[sweep-out-missing-directory]",
      "an --out in a missing directory is found only after the whole run"),
 ]
-# Left out: the screen of ``_on_face`` (``near = ... > n`` made ``>= n``).  The
-# mutant forms the product at every vertex, whose own count still decides; it
-# changes a result only where every exactly fitted row off the basis lies
-# farther than the perturbation from zero, which no drawn window does.
 # Left out: dropping the certificate's ``nu /= max(1.0, float(ratio[k]))``.
 # The pivot loop stops only at ratio[k] <= 1 + _DUAL_RTOL, so the rescale
 # divides nu by at most 1 + 1e-10 and moves the dual objective by at most
