@@ -73,19 +73,20 @@ of P by at least P / 2 + w_k / 2, which rounding of order N eps times these
 sums cannot close.  Where the tableau is not finite that is nan: the single
 solve raises EstimationError, and the search pivots on to its cap.
 
-Every fresh factorization, of the start, the cold start or the basis at
-reported optimality, is of the basis rows in ascending order.  The vertex is
-fixed by its set of rows, but z = A_B^-1 y_B is rounded in the order of the
-rows, so sorting first makes z, the residual, the objective, the dual and
-the gap functions of the final row set (the carried signs of nu_N could
-differ only on a perturbed residual within roundoff of zero).  So a warm and
-a cold solve that end at the same rows agree bit for bit, and the returned
-``basis`` is ascending.
+One routine, ``_factor``, factors every basis (the caller's start, the cold
+start, the rescue, the search's starts, and the basis at reported optimality
+or at a face): it sorts the rows, inverts that block and judges the inverse.
+The vertex is fixed by its set of rows, but z = A_B^-1 y_B is rounded in the
+order of the rows, so sorting first makes z, the residual, the objective,
+the dual and the gap functions of the final row set (the carried signs of
+nu_N could differ only on a perturbed residual within roundoff of zero).  So
+a warm and a cold solve that end at the same rows agree bit for bit, and the
+returned ``basis`` is ascending.
 
-Every start is sorted and judged once, by the inverse the pivots start
-from: the caller's ``start``, else the cold start, the search's (the first n
-rows in the order of how well the least-squares fit from one thin QR matches
-them), else the rescue, the rows one Gram-Schmidt pass keeps along that order.
+Every start is judged once, by the inverse the pivots start from: the
+caller's ``start``, else the cold start, the search's (the first n rows in
+the order of how well the least-squares fit from one thin QR matches them),
+else the rescue, the rows one Gram-Schmidt pass keeps along that order.
 With A_B that n x n block of the positive-weight rows A_act, big = max|A_act|,
 
     sigma_min(A_act) >= 1 / ||A_B^-1||_F >= 1 / (n max|A_B^-1|),
@@ -106,22 +107,22 @@ that product bounds |y^T nu|, so below it the certificate cannot overflow.
 So are data whose max|y| is subnormal, too coarse for the gap's tolerance.
 
 ``search_bases`` finds the optimal rows of many positive-weight problems of
-one shape at once.  It starts each at the first n rows of the cold start's
-order, all fits from one stacked thin QR (one QR of the model when every
-problem shares it, as a scenario's do), and judges all starts by the single
-solve's rule from one stacked inverse; a problem whose start is not usable
-leaves, for the single solve's rescue.  The others pivot in lockstep
-with the single solve's rule on each problem's own tableau, and a problem
-leaves the stacks as soon as it reports optimality, or, above the size
-rule, at the vertex where the single solve tries to certify a face.  Both pivot loops take
-nu_N as copysign(w, r), which is the sign rule above with r >= 0 counted
-positive: the carried residual is never -0.0, as y_piv - D y_B and each
-update r - t are -0.0 only if the left operand is.  The search certifies
-nothing: a result depends only on its final rows, so the single solve from
-a found basis gives what a cold solve ending at the same rows gives, and
-certifies the basis from its own factorization (pivoting on if its check
-disagrees).  The sweep runs one search per chunk, the scenario one per run;
-on one problem the search is slower than the single solve.
+one shape at once.  It starts each where the cold start does (the first n
+rows of the fit order, sorted), all fits from one stacked thin QR (one QR of
+the model when every problem shares it, as a scenario's do), and judges all
+starts by the single solve's rule from one stacked inverse; a problem whose
+start is not usable leaves, for the single solve's rescue.  The others pivot
+in lockstep with the single solve's rule on each problem's own tableau, and
+a problem leaves the stacks as soon as it reports optimality, or, above the
+size rule, at the vertex where the single solve tries to certify a face.
+Both pivot loops take nu_N as copysign(w, r), which is the sign rule above
+with r >= 0 counted positive: the carried residual is never -0.0, as
+y_piv - D y_B and each update r - t are -0.0 only if the left operand is.
+The search certifies nothing: a result depends only on its final rows, so the
+single solve from a found basis gives what a cold solve ending at the same
+rows gives, and certifies the basis from its own factorization (pivoting on
+if its check disagrees).  The sweep runs one search per chunk, the scenario
+one per run; on one problem the search is slower than the single solve.
 """
 
 from __future__ import annotations
@@ -193,11 +194,12 @@ def _fit_order(A, y_piv):
     return np.abs(fit).argsort(axis=-1, kind="stable")
 
 
-def _start_inverse(A, basis, big):
-    """Invert the start `basis` of A, or each of a stack ((K, N, n) A or (K, n) `basis`), and
-    judge it: usable only where that inverse is finite and proves full column rank of A, with
-    `big` = max|A| (module docstring).  A stack whose inverse raises is inverted block by block,
-    an exactly singular block to nan."""
+def _factor(A, basis, big):
+    """(`basis` sorted, the inverse of A at those rows, the verdict) for a basis of A, or for each
+    of a stack ((K, N, n) A or (K, n) `basis`): usable only where the inverse is finite and proves
+    full column rank of A, with `big` = max|A| (module docstring).  A stack whose inverse raises
+    is inverted block by block, an exactly singular block to nan."""
+    basis = np.sort(basis, axis=-1)
     A_B = A[basis] if A.ndim == 2 else np.take_along_axis(A, basis[..., None], axis=-2)
     try:
         inv = np.linalg.inv(A_B)
@@ -206,11 +208,11 @@ def _start_inverse(A, basis, big):
         for i in np.ndindex(A_B.shape[:-2]):
             with contextlib.suppress(np.linalg.LinAlgError):
                 inv[i] = np.linalg.inv(A_B[i])
-    if inv.ndim == 2:  # Python floats: a bound that is nan or inf (inv not finite) fails, silently
-        return inv, 1.0 > _RANK_RTOL * (math.sqrt(A.size) * len(inv) * (big * float(np.abs(inv).max())))
     N, n = A.shape[-2:]
+    if inv.ndim == 2:  # Python floats: a bound that is nan or inf (inv not finite) fails, silently
+        return basis, inv, 1.0 > _RANK_RTOL * (math.sqrt(N * n) * n * (big * float(np.abs(inv).max())))
     with np.errstate(over="ignore"):
-        return inv, 1.0 > _RANK_RTOL * (math.sqrt(N * n) * n * (big * np.abs(inv).max(axis=(1, 2))))
+        return basis, inv, 1.0 > _RANK_RTOL * (math.sqrt(N * n) * n * (big * np.abs(inv).max(axis=(1, 2))))
 
 
 def _on_face(Tab, u, basis):
@@ -322,15 +324,12 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     usable = False  # the caller's start, else the search's, else the rescue, each judged by its inverse
     if start is not None and (every_row or active[start].all()):
         basis = start.astype(np.intp) if every_row else (np.cumsum(active) - 1)[start]
-        basis.sort()
-        inv, usable = _start_inverse(A_act, basis, big)
+        basis, inv, usable = _factor(A_act, basis, big)
     if not usable:
         order = _fit_order(A_act, y_piv)
-        basis = np.sort(order[:n])
-        inv, usable = _start_inverse(A_act, basis, big)
+        basis, inv, usable = _factor(A_act, order[:n], big)
     if not usable:
-        basis = np.sort(_greedy_basis(A_act, order, n, big))
-        inv, usable = _start_inverse(A_act, basis, big)
+        basis, inv, usable = _factor(A_act, _greedy_basis(A_act, order, n, big), big)
         if not usable:
             sv = np.linalg.svd(A_act, compute_uv=False)
             if sv[-1] <= _RANK_RTOL * sv[0]:
@@ -354,9 +353,8 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
         if ratio[k] <= 1.0 + _DUAL_RTOL or face and not fresh and _on_face(Tab, u, basis):
             if fresh:
                 break
-            basis.sort()
+            basis, inv, _ = _factor(A_act, basis, big)
             w_B = w_act[basis]
-            inv = np.linalg.inv(A_act[basis])
             continue
         if pivots >= _PIVOTS_PER_ROW * rows:
             raise EstimationError(f"no optimal basis after {pivots} pivots")
@@ -370,8 +368,6 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
                 found = _face_dual(D, basis, y_act, w_act)
                 if found is not None:
                     nu, g = found
-                    ratio = np.abs(g) / w_B
-                    k = int(ratio.argmax())
                     break
             r, inv = Tab[n], None
         # Release basis row k: along h the other basis rows stay interpolated
@@ -398,7 +394,7 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
 
     # Certify on the unperturbed data; the dual is feasible for any y.
     nu[basis] = -g
-    nu /= max(1.0, float(ratio[k]))
+    nu /= max(1.0, float((np.abs(g) / w_B).max()))
     with np.errstate(over="ignore", invalid="ignore"):  # a result beyond the largest float: below
         z = scale * (inv @ y_act[basis])
         z = np.ldexp(z, -e_A) if e_A else z
@@ -430,10 +426,10 @@ def search_bases(A, y, w) -> list:
 
     y and w are (K, N); A is (K, N, n), or one (N, n) model shared by every
     problem, then checked and factored once.  Each problem starts at the
-    first n rows of the single solve's cold-start order and pivots by its
-    rule until its tableau reports optimality, or, above the size rule, fits
-    more than n rows exactly (module docstring).  Entry i is that basis, or
-    None where the search gives up: a zero or non-finite
+    single solve's cold start (the first n rows of its fit order, sorted) and
+    pivots by its rule until its tableau reports optimality, or, above the
+    size rule, fits more than n rows exactly (module docstring).  Entry i is
+    that basis, or None where the search gives up: a zero or non-finite
     weight, non-finite data, a start that is not usable, or the pivot cap
     (where a non-finite tableau ends).  The single solve certifies a basis.
     """
@@ -448,8 +444,7 @@ def search_bases(A, y, w) -> list:
     A, y, w, scale, big = A if shared else A[live], y[live], w[live], scale[live], big[live]
     u, face = _perturbation(N), n >= _FACE_SIZE and N >= _FACE_SIZE * n  # the single solve's rule
     y_piv = y / np.where(scale > 0, scale, 1.0)[:, None] + u
-    basis = _fit_order(A, y_piv)[:, :n]
-    inv, keep = _start_inverse(A, basis, big)
+    basis, inv, keep = _factor(A, _fit_order(A, y_piv)[:, :n], big)
     live, w, y_piv, basis, inv = (v[keep] for v in (live, w, y_piv, basis, inv))
     A = A if shared else A[keep]
 

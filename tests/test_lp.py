@@ -493,7 +493,7 @@ def test_a_tableau_that_is_not_finite_is_a_solver_failure(monkeypatch):
     # and the solve names it instead of indexing past its candidates
     rng = np.random.default_rng(0)
     A, y = rng.standard_normal((18, 5)), rng.standard_normal(18)
-    monkeypatch.setattr(lp, "_start_inverse", lambda A, basis, big: (np.full((5, 5), np.nan), True))
+    monkeypatch.setattr(lp, "_factor", lambda A, basis, big: (np.sort(basis), np.full((5, 5), np.nan), True))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(EstimationError, match="^the tableau is not finite after 0 pivots$"):
@@ -952,30 +952,22 @@ def test_search_follows_the_single_solve_on_every_family(family):
 def test_search_follows_the_single_solve_on_exact_integer_data():
     # integer rows and states fit many rows exactly, so the optimum may have
     # more than one basis, ratios may meet the dual tolerance and breakpoint
-    # sums the rate exactly; a found basis certifies at the optimum
-    rng = np.random.default_rng(7)
-    A = rng.integers(-2, 3, (64, 14, 4)).astype(float)
-    y = (A @ rng.integers(-3, 4, (64, 4, 1)).astype(float))[..., 0]
-    attacked = rng.random(y.shape) < 0.2
-    y[attacked] += rng.integers(-5, 6, attacked.sum())
-    w = rng.integers(1, 4, (64, 14)).astype(float)
-    w[::2] = 1.0
-    certified = 0
-    for i, basis in enumerate(lp.search_bases(A, y, w)):
-        try:
-            cold = weighted_l1_regression(A[i], y[i], w[i])
-        except EstimationError as err:
-            if "positive-weight rows" not in str(err):
-                raise
-            assert basis is None
-            continue
-        if basis is not None:
-            warm = weighted_l1_regression(A[i], y[i], w[i], start=basis)
-            assert warm.iterations == 0
-            gap = max(warm.gap, cold.gap, 0.0) + 1e-12 * (1.0 + abs(cold.objective))
-            assert abs(warm.objective - cold.objective) <= gap
-            certified += 1
-    assert certified >= 32
+    # sums the rate exactly; the search starts at the cold start's sorted rows
+    # and pivots by its rule, so each basis it finds is the cold solve's.  On
+    # the unit-weight draw the summed rises meet half the rate exactly: both
+    # solvers step to that breakpoint, not past it
+    for seed, (K, N, n), share, weighted in ((7, (64, 14, 4), 0.2, True), (0, (32, 10, 3), 0.3, False)):
+        rng = np.random.default_rng(seed)
+        A = rng.integers(-2, 3, (K, N, n)).astype(float)
+        y = (A @ rng.integers(-3, 4, (K, n, 1)).astype(float))[..., 0]
+        attacked = rng.random(y.shape) < share
+        y[attacked] += rng.integers(-5, 6, attacked.sum())
+        w = rng.integers(1, 4, (K, N)).astype(float) if weighted else np.ones((K, N))
+        w[::2] = 1.0
+        found = lp.search_bases(A, y, w)
+        usable = [i for i, basis in enumerate(found) if basis is not None]
+        assert len(usable) >= K // 2
+        assert_found_bases_certify_as_cold_solves(A[usable], y[usable], w[usable], [found[i] for i in usable])
 
 
 def test_search_gives_up_where_the_single_solve_leaves_the_pivots(monkeypatch):
@@ -1082,14 +1074,15 @@ def test_search_proves_each_start_by_its_inverse():
     K, N, n = A.shape
     starts = np.array([lp._fit_order(A[i], y[i] / np.abs(y[i]).max() + lp._perturbation(N))[:n]
                        for i in range(K)])
-    first = np.take_along_axis(A, starts[..., None], axis=1)
+    first = np.take_along_axis(A, np.sort(starts)[..., None], axis=1)
     big = np.abs(A).max(axis=(1, 2))
     assert [gram_schmidt_basis(A[i], starts[i], n) is not None for i in range(K)] == [
         True, True, False, True, False]
     assert 1e8 < np.linalg.cond(first[1]) < 1e10
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(first)
-    inv, usable = lp._start_inverse(A, starts, big)
+    basis, inv, usable = lp._factor(A, starts, big)
+    assert np.array_equal(basis, np.sort(starts))
     assert usable.tolist() == [True, False, False, True, False]
     assert all(np.array_equal(inv[i], np.linalg.inv(first[i])) for i in range(4))
     assert np.isnan(inv[4]).all()
@@ -1135,7 +1128,7 @@ def test_search_gives_up_where_its_tableau_is_not_finite(monkeypatch):
     A = np.array([[[3e-309], [4e-309], [-5e-309]], [[1.0], [2.0], [3.0]]])
     y = np.array([[1.0, 2.0, 7.0], [1.0, 2.0, 7.0]])
     w = np.ones((2, 3))
-    assert not lp._start_inverse(A[0], np.array([0]), 5e-309)[1]
+    assert not lp._factor(A[0], np.array([0]), 5e-309)[2]
     found = lp.search_bases(A, y, w)
     assert found[0] is None
     monkeypatch.setattr(lp, "_RANK_RTOL", -1.0)

@@ -63,24 +63,23 @@ MUTANTS = [
     (LP, "_DUAL_RTOL = 1e-10", "_DUAL_RTOL = 1e-2",
      "tests/test_acceptance.py::test_criterion_03_strategy_ordering",
      "the pivots stop at a box violation of 1e-2"),
-    (LP, "            basis.sort()\n            w_B = w_act[basis]\n",
-     "            w_B = w_act[basis]\n",
-     "tests/test_experiments.py::test_scenario_windows_start_at_their_searched_bases",
-     "the basis at reported optimality is factored in pivot order"),
+    (LP, "basis = np.sort(basis, axis=-1)", "basis = np.array(basis)",
+     "tests/test_lp.py::test_search_finds_the_bases_of_the_single_solves[unit-two-level-20x10]",
+     "every basis is factored in the order its rows came, not ascending"),
     (LP, "scale * float(y_act @ nu)", "scale * float(y_piv @ nu)",
      "tests/test_cli.py::test_estimate_reports_solve_diagnostics",
      "the dual objective is taken on the perturbed y"),
     (LP, "_RANK_RTOL = 1e-10", "_RANK_RTOL = 1e-6",
      "tests/test_lp.py::test_matches_scipy_linprog[near_rank-0]",
      "the rank tolerance loosened ten-thousand-fold"),
-    (LP, "basis = np.sort(_greedy_basis(A_act, order, n, big))", "basis = np.sort(order[:n])",
+    (LP, "_factor(A_act, _greedy_basis(A_act, order, n, big), big)", "_factor(A_act, order[:n], big)",
      "tests/test_lp.py::test_search_on_one_shared_model_equals_the_search_on_its_copies",
      "the cold start never rescues a start that is not usable"),
     (LP, "if norm > _RANK_RTOL:", "if norm > 0:",
      "tests/test_lp.py::test_greedy_basis_matches_gram_schmidt[near_rank]",
      "the rescue keeps every row with a nonzero orthogonal part"),
-    (LP, "inv, keep = _start_inverse(A, basis, big)",
-     "inv, keep = _start_inverse(A, basis, big)[0], slice(None)",
+    (LP, "basis, inv, keep = _factor(A, _fit_order(A, y_piv)[:, :n], big)",
+     "basis, inv, keep = *_factor(A, _fit_order(A, y_piv)[:, :n], big)[:2], slice(None)",
      "tests/test_lp.py::test_search_gives_up_where_the_single_solve_leaves_the_pivots",
      "the search keeps every start, whatever its inverse's bound"),
     (LP, "face = n >= _FACE_SIZE and rows >= _FACE_SIZE * n", "face = rows >= _FACE_SIZE * n",
@@ -121,6 +120,10 @@ MUTANTS = [
     (LP, "                face = False  # a rejected dual pivots on, with no second try\n", "",
      "tests/test_lp.py::test_a_face_is_tried_once_where_more_than_n_rows_fit_exactly",
      "a rejected face dual is tried again at every later vertex on a face"),
+    (LP, "j = order[rows, (rise < half[:, None]).sum(axis=1)]",
+     "j = order[rows, (rise <= half[:, None]).sum(axis=1)]",
+     "tests/test_lp.py::test_search_follows_the_single_solve_on_exact_integer_data",
+     "the search steps past a breakpoint whose summed rise meets half the rate exactly"),
     (LP, "found_now |= face and _on_face(Tab, u, basis)", "found_now |= False",
      "tests/test_experiments.py::test_a_sweep_above_the_face_size_rule_matches_single_solves",
      "the search pivots past the vertex where the single solve certifies a face"),
@@ -155,9 +158,9 @@ MUTANTS = [
      "tests/test_cli_hostile.py::test_each_rejection[sweep-out-missing-directory]",
      "an --out in a missing directory is found only after the whole run"),
 ]
-# Left out: dropping the certificate's ``nu /= max(1.0, float(ratio[k]))``.
-# The pivot loop stops only at ratio[k] <= 1 + _DUAL_RTOL, so the rescale
-# divides nu by at most 1 + 1e-10 and moves the dual objective by at most
+# Left out: dropping the certificate's ``nu /= max(1.0, float((np.abs(g) / w_B).max()))``.
+# The pivot loop and the face try end only where |g| <= w_B (1 + _DUAL_RTOL), so the
+# rescale divides nu by at most 1 + 1e-10 and moves the dual objective by at most
 # 1e-10 of sum(w) max|y|, a hundredth of the gap tolerance: the mutant is
 # near-equivalent, and no test can tell it apart without a dual that is
 # infeasible by more than the loop accepts.
