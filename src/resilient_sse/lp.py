@@ -12,13 +12,14 @@ z = A_B^-1 y_B.  The dual of the regression problem is
     max  y^T nu   s.t.  A^T nu = 0,  |nu_j| <= w_j,
 
 and complementary slackness completes the dual of a vertex uniquely:
-nu_N = w_N sign(r_N) off the basis and nu_B = -A_B^-T A_N^T nu_N on it.  The
-vertex is optimal iff |nu_B| <= w_B, and then y^T nu is a lower bound that
-certifies it.  Otherwise the basis row with the worst violation is released
-and the exact line search along that edge, a weighted median of the
-breakpoints where residuals change sign, picks the row that enters.  The
-rows whose residual changes sign along the edge h are those off the basis
-with nu_j h_j > 0, since nu_j = +-w_j carries the sign of r_j and nu_B = 0.
+nu_N = w_N sign(r_N) off the basis and nu_B = -A_B^-T A_N^T nu_N on it
+(priced from the tableau below).  The vertex is optimal iff |nu_B| <= w_B,
+and then y^T nu is a lower bound that certifies it.  Otherwise the basis row
+with the worst violation is released and the exact line search along that
+edge, a weighted median of the breakpoints where residuals change sign,
+picks the row that enters.  The rows whose residual changes sign along the
+edge h are those off the basis with nu_j h_j > 0, since nu_j = +-w_j carries
+the sign of r_j and nu_B = 0.
 
 Exact data makes the optimum degenerate (more than n rows fit with zero
 residual), and plain pivoting cycles there.  The pivots therefore run on y
@@ -51,27 +52,29 @@ more than the pivots it saves) tries once, at the first vertex where more
 than n perturbed residuals r are within the perturbation u of zero and more
 than n unperturbed ones, r - u + D u_B, within 1e-11, to certify that face:
 at most 8 semismooth Newton steps on its piecewise-linear dual equation,
-with D from the sorted basis factored afresh, each completed exactly on the
-basis, nu_B = -(sum of nu_i D_i off it), and accepted only where |nu_B| <=
-w_B (1 + 1e-10).  A rejected dual pivots on, with no second try.
+with D from the tableau of the sorted basis factored afresh, each completed
+exactly on the basis, nu_B = -(sum of nu_i D_i off it), and accepted only
+where |nu_B| <= w_B (1 + 1e-10).  A rejected dual pivots on, no second try.
 
-Between pivots a tableau is updated instead of refactored: one (n+1) x N
-array whose first n rows hold D^T, the transpose of D = A A_B^-1, and whose
-last row holds the residual r = y - D y_B.  Then nu_B = -D^T nu_N, the edge
-h is +-row k, and row j replacing basis row k is the rank-one update
-Tab -= (Tab[:, j] - e_k) h^T / h_j: on the D^T rows the update
-D -= D[:, k] (D[j] - e_k) / D[j, k] transposed, on the last row the step
-r - (r_j / h_j) h along the edge to the breakpoint of row j.  When the
-tableau reports optimality the basis is factored afresh and nu_B re-checked
-with the formulas above, so the dual's feasibility never rests on updated
-quantities (the carried signs of nu_N only decide how tight it is).  When
-every weight is positive the rows are used in place, without copies or index
-maps.  A finite tableau always has a row to enter: with h = -sign(nu_k)
-Tab[k], |nu_k| = sum_j nu_j h_j, so the rises nu_j h_j > 0 sum to P >=
-|nu_k|, and the line search stops where they reach (|nu_k| - w_k) / 2, short
-of P by at least P / 2 + w_k / 2, which rounding of order N eps times these
-sums cannot close.  Where the tableau is not finite that is nan: the single
-solve raises EstimationError, and the search pivots on to its cap.
+Every vertex, the certified one included, is priced from one tableau: an
+(n+1) x N array whose first n rows hold D^T, the transpose of D = A A_B^-1,
+and whose last row holds the residual r = y - y_B D^T.  Then nu_B = -g with
+g = D^T nu (nu zero on the basis), the edge h is +-row k, and between pivots
+the tableau is updated instead of refactored: row j replacing basis row k is
+the rank-one update Tab -= (Tab[:, j] - e_k) h^T / h_j, on the D^T rows the
+update D -= D[:, k] (D[j] - e_k) / D[j, k] transposed, on the last row the
+step r - (r_j / h_j) h along the edge to the breakpoint of row j.  When the
+tableau reports optimality the basis is factored afresh, D^T rebuilt from
+the new inverse with r carried, and g re-checked, so the dual's feasibility
+never rests on updated quantities (the carried signs of nu_N only decide how
+tight it is).  When every weight is positive the rows are used in place,
+without copies or index maps.  A finite tableau always has a row to enter:
+with h = -sign(nu_k) Tab[k], |nu_k| = sum_j nu_j h_j, so the rises
+nu_j h_j > 0 sum to P >= |nu_k|, and the line search stops where they reach
+(|nu_k| - w_k) / 2, short of P by at least P / 2 + w_k / 2, which rounding
+of order N eps times these sums cannot close.  Where the tableau is not
+finite that is nan: the single solve raises EstimationError, and the search
+pivots on to its cap.
 
 One routine, ``_factor``, factors every basis (the caller's start, the cold
 start, the rescue, the search's starts, and the basis at reported optimality
@@ -112,8 +115,9 @@ rows of the fit order, sorted), all fits from one stacked thin QR (one QR of
 the model when every problem shares it, as a scenario's do), and judges all
 starts by the single solve's rule from one stacked inverse; a problem whose
 start is not usable leaves, for the single solve's rescue.  The others pivot
-in lockstep with the single solve's rule on each problem's own tableau, and
-a problem leaves the stacks as soon as it reports optimality, or, above the
+in lockstep with the single solve's rule, each on a tableau built and priced
+(g = D^T nu) as the single solve's, so a ulp of g sends both to one row; a
+problem leaves the stacks as soon as it reports optimality, or, above the
 size rule, at the vertex where the single solve tries to certify a face.
 Both pivot loops take nu_N as copysign(w, r), which is the sign rule above
 with r >= 0 counted positive: the carried residual is never -0.0, as
@@ -337,16 +341,17 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
             if not np.isfinite(inv).all():
                 raise EstimationError(f"the cold start's {n} rows of a full-rank A have no finite inverse")
 
-    # `inv` holds a fresh factorization of the basis, None while the tableau
-    # Tab = [D^T; r] is updated; g = -nu_B, and w_B = w_act[basis]
-    w_B = w_act[basis]
-    pivots, r = 0, y_piv - A_act @ (inv @ y_piv[basis])
+    # the tableau Tab = [D^T; r] prices every vertex, g = D^T nu = -nu_B; D^T is rebuilt
+    # at each factorization (`fresh` until the next pivot), r carried; w_B = w_act[basis]
+    Tab = np.empty((n + 1, rows))
+    Tab[:n] = (A_act @ inv).T
+    Tab[n] = y_piv - y_piv[basis] @ Tab[:n]
+    r, w_B, pivots, fresh = Tab[n], w_act[basis], 0, True
     face = n >= _FACE_SIZE and rows >= _FACE_SIZE * n  # the size rule of one try at a face
     while True:
-        fresh = inv is not None
         nu = np.copysign(w_act, r)
         nu[basis] = 0.0
-        g = inv.T @ (A_act.T @ nu) if fresh else Tab[:n] @ nu
+        g = Tab[:n] @ nu
         ratio = np.abs(g) / w_B
         k = int(ratio.argmax())
         # the basis is factored afresh, sorted, at reported optimality and before a face try
@@ -354,22 +359,17 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
             if fresh:
                 break
             basis, inv, _ = _factor(A_act, basis, big)
-            w_B = w_act[basis]
+            Tab[:n], w_B, fresh = (A_act @ inv).T, w_act[basis], True
             continue
         if pivots >= _PIVOTS_PER_ROW * rows:
             raise EstimationError(f"no optimal basis after {pivots} pivots")
-        if fresh:
-            D = A_act @ inv
-            Tab = np.empty((n + 1, rows))
-            Tab[:n] = D.T
-            Tab[n] = r
-            if face and _on_face(Tab, u, basis):
-                face = False  # a rejected dual pivots on, with no second try
-                found = _face_dual(D, basis, y_act, w_act)
-                if found is not None:
-                    nu, g = found
-                    break
-            r, inv = Tab[n], None
+        if fresh and face and _on_face(Tab, u, basis):
+            face = False  # a rejected dual pivots on, with no second try
+            found = _face_dual(Tab[:n].T, basis, y_act, w_act)
+            if found is not None:
+                nu, g = found
+                break
+        fresh = False
         # Release basis row k: along h the other basis rows stay interpolated
         # and the objective falls at rate |nu_k| - w_k until the breakpoints
         # passed (residuals changing sign) have raised the slope to zero.

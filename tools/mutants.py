@@ -117,9 +117,12 @@ MUTANTS = [
     (LP, "_FACE_STEPS = 8", "_FACE_STEPS = 40",
      "tests/test_lp.py::test_a_face_is_tried_once_where_more_than_n_rows_fit_exactly",
      "a face try takes up to 40 Newton steps"),
-    (LP, "                face = False  # a rejected dual pivots on, with no second try\n", "",
+    (LP, "            face = False  # a rejected dual pivots on, with no second try\n", "",
      "tests/test_lp.py::test_a_face_is_tried_once_where_more_than_n_rows_fit_exactly",
      "a rejected face dual is tried again at every later vertex on a face"),
+    (LP, "g = Tab[:n] @ nu", "g = inv.T @ (A_act.T @ nu) if fresh else Tab[:n] @ nu",
+     "tests/test_lp.py::test_search_follows_the_single_solve_on_exact_integer_data",
+     "the single solve prices a fresh vertex from its inverse"),
     (LP, "j = order[rows, (rise < half[:, None]).sum(axis=1)]",
      "j = order[rows, (rise <= half[:, None]).sum(axis=1)]",
      "tests/test_lp.py::test_search_follows_the_single_solve_on_exact_integer_data",
