@@ -116,9 +116,10 @@ the model when every problem shares it, as a scenario's do), and judges all
 starts by the single solve's rule from one stacked inverse; a problem whose
 start is not usable leaves, for the single solve's rescue.  The others pivot
 in lockstep with the single solve's rule, each on a tableau built and priced
-(g = D^T nu) as the single solve's, so a ulp of g sends both to one row; a
-problem leaves the stacks as soon as it reports optimality, or, above the
-size rule, at the vertex where the single solve tries to certify a face.
+(g = D^T nu) with the single solve's formulas, though by batched products
+whose last bits may differ from the single solve's; a problem leaves the
+stacks as soon as it reports optimality, or, above the size rule, at the
+vertex where the single solve tries to certify a face.
 Both pivot loops take nu_N as copysign(w, r), which is the sign rule above
 with r >= 0 counted positive: the carried residual is never -0.0, as
 y_piv - D y_B and each update r - t are -0.0 only if the left operand is.

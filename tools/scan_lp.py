@@ -1,34 +1,28 @@
 """Standing scan of the l1 core: ``lp`` checked against itself and against HiGHS on fixed families.
 
-    python tools/scan_lp.py [--budget SECONDS]
+    python tools/scan_lp.py
 
-Each family runs its seeds in order and prints one JSON line; the last line
-lists every exception met (a check that failed on one problem), and the exit
-status is 1 if any of them is not in ``KNOWN``.  A family stops after the
-seed that reaches its share of the budget (default 300 s): family i of F
-ends by ``budget (i + 1) / F`` from the start, so a fast family leaves its
-time to the next, and the line says how many seeds ran.  The scan imports
-the package from the checkout's ``src/``.
+Each family runs every one of its seeds and prints one JSON line; the last
+line lists every exception met (a check that failed on one problem, or on a
+seed's windows), and the exit status is 1 if any of them is not in
+``KNOWN``.  The scan imports the package from the checkout's ``src/``, the
+integer problems from ``tests/test_lp.py`` and the ``estimate`` windows, their
+HiGHS objectives and their gate from ``bench/workloads.py``, so it draws the
+same problems as those do; it needs the test extras (pytest, hypothesis).
 
-- ``integer-weighted`` (seeds 7-206, 64 problems of 14 x 4 each, weights
-  1-3) and ``integer-unit`` (seeds 0-199, 32 problems of 10 x 3): integer
-  rows, states and attacks, so the optimum fits many rows exactly and may
-  have several bases.  ``search_bases`` runs on each seed's stack; every
-  basis it finds is compared with the cold single solve, by rows
-  (``other_rows``: the search ended on other rows) and, on the same rows,
-  by the bits of every field of the single solve started there
-  (``other_bits``), which must take no pivot.
+- ``integer-weighted`` (seeds 7-206) and ``integer-unit`` (seeds 0-199): the
+  exact integer stacks of ``integer_problems``, whose optimum fits many rows
+  exactly and may have several bases.  ``search_bases`` runs on each seed's
+  stack; every basis it finds is compared with the cold single solve, by rows
+  (``other_rows``: the search ended on other rows) and, on the same rows, by
+  the bits of every field of the single solve started there (``other_bits``),
+  which must take no pivot.
 - ``estimate`` (seeds 1-10, 34 windows each): the windows of the bench's
-  ``estimate`` workload (60 sensors, 12 states, T = 4, 20-40 % of the rows
-  under a stealth attack), solved as the CLI solves them, with unit weights.
-  It reports the pivots, the worst relative gap and the worst distance from
-  HiGHS's objective (``scipy.optimize.linprog``), relative to 1 + |objective|;
-  a distance beyond 1e-6, the bench's gate, is an exception.  The sha256 of
-  the final bases and of the gaps' bits tell two commits' solves apart.
-- ``scaled``: every ``estimate`` window with A times 2^k, k = -37 and 20.
-  The solve is homogeneous in A (``lp``'s module docstring), so each copy
-  must take the same pivots and return z / 2^k, with the same residual,
-  objective, dual objective and gap, bit for bit.
+  ``estimate`` workload at ``--seconds 2``, solved as the CLI solves them,
+  with unit weights.  It reports the pivots, the worst relative gap and the
+  worst distance from HiGHS's objective, relative to 1 + |objective|; the
+  bench's gate on that distance counts the windows that miss it.  The sha256
+  of the final bases and of the gaps' bits tell two commits' solves apart.
 
 Reference: McKeeman, "Differential testing for software", Digital Technical
 Journal 10(1), 1998.
@@ -39,6 +33,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,54 +41,18 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # before numpy loads: the matrices are small
 
 import numpy as np
-from scipy.optimize import linprog
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from resilient_sse import EstimationError, build_horizon, experiments, lp  # noqa: E402
-from resilient_sse import random_support, synthesize_fdia  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
+import workloads  # noqa: E402
+from resilient_sse import EstimationError, lp  # noqa: E402
+from test_lp import integer_problems  # noqa: E402
 
 # (family, seed, problem index, check): why that problem fails the check, with the
 # CHANGES.md line that names it.  Empty: every check holds on every family.
 KNOWN = {}
 
-FIELDS = ("z", "residual", "objective", "dual_objective", "gap", "iterations", "basis")
-SCALES = (-37, 20)
-HIGHS_RTOL = 1e-6
-
-
-def integer_problems(seed, K, N, n, share, weighted):
-    """The exact integer stack of one seed: (A, y, w) of K problems of N rows and n states."""
-    rng = np.random.default_rng(seed)
-    A = rng.integers(-2, 3, (K, N, n)).astype(float)
-    y = (A @ rng.integers(-3, 4, (K, n, 1)).astype(float))[..., 0]
-    attacked = rng.random(y.shape) < share
-    y[attacked] += rng.integers(-5, 6, attacked.sum())
-    w = rng.integers(1, 4, (K, N)).astype(float) if weighted else np.ones((K, N))
-    w[::2] = 1.0
-    return A, y, w
-
-
-def estimate_windows(seed, count=34, m=60, n=12, T=4, fractions=(0.2, 0.3, 0.4)):
-    """(H, the first `count` windows) of the bench's ``estimate`` workload at `seed`."""
-    rng = np.random.default_rng(seed)
-    model = build_horizon(experiments.gen_random_system(m, n, rng), T)
-    windows = []
-    for i in range(count):
-        y_star = model.H @ rng.standard_normal(n)
-        epsilon = experiments.epsilon_from_policy("rel:0.01", y_star)
-        support = random_support(model.rows, fractions[i % 3], rng)
-        windows.append(y_star + synthesize_fdia(model, support, epsilon).e_T)
-    return model.H, windows
-
-
-def highs_objective(A, y):
-    """The unit-weight l1 optimum of (A, y) from scipy's HiGHS, or nan."""
-    N, n = A.shape
-    eye = np.eye(N)
-    res = linprog(np.concatenate([np.zeros(n), np.ones(N)]),
-                  A_ub=np.block([[A, -eye], [-A, -eye]]), b_ub=np.concatenate([y, -y]),
-                  bounds=[(None, None)] * n + [(0, None)] * N, method="highs")
-    return res.fun if res.status == 0 else float("nan")
+FIELDS = ("z", "residual", "objective", "dual_objective", "gap", "basis")
 
 
 def solve(A, y, w, start=None):
@@ -104,8 +63,8 @@ def solve(A, y, w, start=None):
         return type(exc).__name__
 
 
-def scan_integer(seed, report, fail, K, N, n, share, weighted):
-    A, y, w = integer_problems(seed, K, N, n, share, weighted)
+def scan_integer(seed, report, fail, weighted):
+    A, y, w = integer_problems(seed, weighted)
     for i, basis in enumerate(lp.search_bases(A, y, w)):
         report["problems"] += 1
         if basis is None:
@@ -119,46 +78,34 @@ def scan_integer(seed, report, fail, K, N, n, share, weighted):
             report["other_rows"] += 1
             fail(i, "other rows")
         elif warm.iterations or not all(np.array_equal(getattr(warm, f), getattr(cold, f))
-                                        for f in FIELDS if f != "iterations"):
+                                        for f in FIELDS):
             report["other_bits"] += 1
             fail(i, "other bits")
 
 
 def scan_estimate(seed, report, fail):
-    H, windows = estimate_windows(seed)
-    for i, y in enumerate(windows):
+    with tempfile.TemporaryDirectory() as workdir:
+        bench = workloads.Estimate(seed, 2, Path(workdir))
+    out = []
+    for i, y in enumerate(bench.windows):
         report["windows"] += 1
-        sol = solve(H, y, np.ones(y.size))
+        sol = solve(bench.H, y, np.ones(y.size))
         if isinstance(sol, str):
             fail(i, f"raised {sol}")
+            out.append(None)
             continue
-        ref = highs_objective(H, y)
-        off = abs(sol.objective - ref) / (1.0 + abs(ref))
+        ref = bench.oracle(i)
+        out.append(json.dumps({"objective": sol.objective}))
         report["pivots"] += sol.iterations
         report["max_pivots"] = max(report["max_pivots"], sol.iterations)
         report["worst_rel_gap"] = max(report["worst_rel_gap"], sol.gap / (1.0 + abs(sol.objective)))
-        report["worst_highs_off"] = max(report["worst_highs_off"], off)
+        report["worst_highs_off"] = max(report["worst_highs_off"],
+                                        abs(sol.objective - ref) / (1.0 + abs(ref)))
         report["bases_sha256"].update(sol.basis.tobytes())
         report["gaps_sha256"].update(np.float64(sol.gap).tobytes())
-        if not off <= HIGHS_RTOL:
-            fail(i, "HiGHS objective")
-
-
-def scan_scaled(seed, report, fail):
-    H, windows = estimate_windows(seed)
-    for i, y in enumerate(windows):
-        base = solve(H, y, np.ones(y.size))
-        for k in SCALES:
-            report["copies"] += 1
-            copy = solve(np.ldexp(H, k), y, np.ones(y.size))
-            if isinstance(base, str) or isinstance(copy, str):
-                if base != copy:
-                    fail(i, f"2^{k}: raised {copy if isinstance(copy, str) else base}")
-                continue
-            if not (np.array_equal(copy.z, np.ldexp(base.z, -k))
-                    and all(np.array_equal(getattr(copy, f), getattr(base, f)) for f in FIELDS if f != "z")):
-                report["other_bits"] += 1
-                fail(i, f"2^{k}: other bits")
+    missed = bench.failures(out)  # names each window it counts on stderr
+    if missed:
+        fail(None, f"{missed} windows fail the bench's gate")
 
 
 def integer_report():
@@ -167,32 +114,23 @@ def integer_report():
 
 # (family, seeds, scan, its report's counters)
 FAMILIES = [
-    ("integer-weighted", range(7, 207), lambda s, r, f: scan_integer(s, r, f, 64, 14, 4, 0.2, True),
-     integer_report),
-    ("integer-unit", range(0, 200), lambda s, r, f: scan_integer(s, r, f, 32, 10, 3, 0.3, False),
-     integer_report),
+    ("integer-weighted", range(7, 207), lambda s, r, f: scan_integer(s, r, f, True), integer_report),
+    ("integer-unit", range(0, 200), lambda s, r, f: scan_integer(s, r, f, False), integer_report),
     ("estimate", range(1, 11), scan_estimate,
      lambda: {"windows": 0, "pivots": 0, "max_pivots": 0, "worst_rel_gap": 0.0, "worst_highs_off": 0.0,
               "bases_sha256": hashlib.sha256(), "gaps_sha256": hashlib.sha256()}),
-    ("scaled", range(1, 11), scan_scaled, lambda: {"copies": 0, "other_bits": 0}),
 ]
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--budget", type=float, default=300.0, help="seconds for the whole scan")
-    budget = p.parse_args(argv).budget
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     begin, exceptions = time.perf_counter(), []
-    for index, (family, seeds, scan, counters) in enumerate(FAMILIES):
-        start, deadline = time.perf_counter(), begin + budget * (index + 1) / len(FAMILIES)
-        report, done = counters(), 0
+    for family, seeds, scan, counters in FAMILIES:
+        start, report = time.perf_counter(), counters()
         for seed in seeds:
             scan(seed, report, lambda i, check: exceptions.append((family, seed, i, check)))
-            done += 1
-            if time.perf_counter() >= deadline:
-                break
         report = {key: v.hexdigest()[:16] if hasattr(v, "hexdigest") else v for key, v in report.items()}
-        print(json.dumps({"family": family, "seeds": done, "of": len(seeds), **report,
+        print(json.dumps({"family": family, "seeds": len(seeds), **report,
                           "seconds": round(time.perf_counter() - start, 1)}), flush=True)
     unlisted = [e for e in exceptions if e not in KNOWN]
     print(json.dumps({"exceptions": [list(e) for e in exceptions], "unlisted": len(unlisted),
