@@ -134,15 +134,14 @@ def _read_vector(path) -> np.ndarray:
     return read_matrix_csv(path).reshape(-1)
 
 
-def _load_model(args):
-    """The --T window model of the --system plant, or of the --system-a/--system-c pair."""
+def _load_system(args) -> LtiSystem:
+    """The --system plant, or the plant of the --system-a/--system-c pair."""
     _require(args.system or args.system_a is not None and args.system_c is not None,
              "provide --system (JSON) or both --system-a and --system-c (CSV)")
     try:
-        system = args.system[0] if args.system else LtiSystem(A=args.system_a, C=args.system_c)
+        return args.system[0] if args.system else LtiSystem(A=args.system_a, C=args.system_c)
     except ValueError as exc:  # each matrix is fine alone: the pair does not fit
         raise ValueError(f"argument --system-a/--system-c: {exc}") from None
-    return build_horizon(system, args.T)
 
 
 def _norm(d) -> float:
@@ -181,7 +180,7 @@ def _from_flags(cls, args):
 
 def _cmd_attack(args) -> str:
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    model = _load_model(args)
+    model = build_horizon(_load_system(args), args.T)
     support = args.support
     if support is None:
         _require(args.fraction is not None, "provide --support or --fraction")
@@ -192,10 +191,11 @@ def _cmd_attack(args) -> str:
 
 def _cmd_estimate(args) -> str:
     _require(0 <= args.omega <= 1, "omega must lie in [0, 1]")
-    model = _load_model(args)
-    y_T, x_true = args.y, args.x_true
-    _require(y_T.size == model.rows, f"--y holds {y_T.size} entries, but --T {args.T} "
-             f"asks for T*m = {model.rows} rows")
+    system, y_T, x_true = _load_system(args), args.y, args.x_true
+    # before the model: its H has T*m rows, however long --T makes it (T < 1 is build_horizon's)
+    _require(args.T < 1 or y_T.size == args.T * system.m, f"--y holds {y_T.size} entries, but --T "
+             f"{args.T} asks for T*m = {args.T * system.m} rows")
+    model = build_horizon(system, args.T)
     if args.safe is not None:
         trusted = row_indices(args.safe, model.rows, "--safe rows")
         # with omega 0 only the trusted rows carry weight: too few cannot
@@ -259,7 +259,7 @@ def _cmd_prune(args) -> str:
 
 def _cmd_rip(args) -> str:
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    return canonical_json(rip_constant(_load_model(args), args.S, args.budget,
+    return canonical_json(rip_constant(build_horizon(_load_system(args), args.T), args.S, args.budget,
                                        rng=np.random.default_rng(args.seed)))
 
 

@@ -108,7 +108,7 @@ def files(tmp_path_factory):
         "y_huge_tail": [0, 1e308, 1e308, 1e308], "y_123": [1, 2, 3], "x_far": [-1.7e308, 1.7e308],
         "y_object": {"y": [1.0, 2.0]}, "y_nested": [[1.0], [2.0]], "y_bool": [1.0, True],
         "y_null": [1.0, None], "y_string": "1.0", "y_zeros4": [0.0] * 4,
-        "y_zeros10": [0.0] * 10, "y_nan10": [nan] + [0.0] * 9, "x_short": [0.5],
+        "y_zeros9": [0.0] * 9, "y_zeros10": [0.0] * 10, "y_nan10": [nan] + [0.0] * 9, "x_short": [0.5],
         "p_object": {"p": {"a": 1}, "q_hat": [1]}, "prune_array": ["p"], "p_missing": {"q_hat": [1]},
         "cfg_list": [1], "cfg_bogus": {"bogus": 1}, "cfg_bool": {"trials": True},
         "seed_null": {**docs["sampled"], "seed": None},
@@ -392,6 +392,10 @@ REJECTIONS = [
         "error: error_l2 is beyond the largest float\n"),
     row("estimate-y-length", f"{ESTIMATE} --T 2 --y y1", 1,
         "--y holds 6 entries, but --T 2 asks for T*m = 12 rows", absent="shape mismatch"),
+    # checked before the model is built, whose H would hold 2,000,000 rows
+    row("estimate-y-length-before-the-model", "estimate --system surrogate --y y_zeros10 --T 200000", 1,
+        "error: --y holds 10 entries, but --T 200000 asks for T*m = 2000000 rows\n",
+        never="cli.build_horizon"),
     row("estimate-x-true-length", f"{ESTIMATE} --y y1 --x-true x_short", 1, "x_true"),
     row("estimate-x-true-length-surrogate",
         "estimate --system surrogate --y y_zeros10 --x-true x", 1, "x_true"),
@@ -413,9 +417,9 @@ REJECTIONS = [
         "H is rank deficient for T=1"),
     row("estimate-observability-overflows", "estimate --system sys_power --y yshort --T 1", 1,
         "error: the observability matrix is not finite: A's powers overflow\n"),
-    row("estimate-window-overflows", "estimate --system sys_power --y yshort --T 3", 1,
+    row("estimate-window-overflows", "estimate --system sys_power --y y_123 --T 3", 1,
         "error: H is not finite for T=3: the window's powers of A overflow\n"),
-    row("estimate-singular-values-overflow", "estimate --system sys_big_modes --y yshort --T 3", 1,
+    row("estimate-singular-values-overflow", "estimate --system sys_big_modes --y y_zeros9 --T 3", 1,
         "error: H's singular values overflow for T=3: A's powers are too large\n"),
     # a window shorter than one step would otherwise be read as the T 1 one
     row("estimate-T-0", f"{ESTIMATE} --y y1 --T 0", 1, T_0),

@@ -392,6 +392,49 @@ def test_scenario_prior_is_drawn_once_for_every_window(monkeypatch):
     assert all(np.array_equal(t, expected) for t in trusted)
 
 
+def guarantee_bound(model, w, attacked):
+    """sum over i in S of w_i / m_i, m_i the certified lower bound (dual objective) of
+    min{||W_{S^c} H_{S^c} d||_1 : h_i^T d = 1}, S the `attacked` rows: below 1, no attack on
+    S, of any size, moves the weighted l1 decoder (Juditsky & Nemirovski, Math. Program.
+    127(1), 2011), since |h_i^T d| <= ||W_{S^c} H_{S^c} d||_1 / m_i for every d."""
+    H, rest = model.H, np.setdiff1d(np.arange(model.rows), attacked)
+    B, total = H[rest], 0.0
+    for i in attacked:
+        h = H[i]
+        j = int(np.abs(h).argmax())  # h^T d = 1 fixes d_j, so B d = B_j / h_j + M d_{-j}
+        others = np.arange(model.n) != j
+        M = B[:, others] - np.outer(B[:, j], h[others]) / h[j]
+        total += w[i] / weighted_l1_regression(M, -B[:, j] / h[j], w[rest]).dual_objective
+    return total
+
+
+def test_the_scenarios_wl1p_is_proved_robust_to_any_attack_on_its_sensors():
+    # the bundled surrogate at the default T = 3, attacked on its default sensors 1, 4 and 7
+    # (9 rows): WL1P trusts 10 rows, none of them attacked, and its bound is below 1, so no
+    # attack on those sensors, of any size, moves it; L1O's bound is above 1, which proves
+    # nothing either way
+    from resilient_sse.estimation import observer_weights
+    from resilient_sse.experiments import _ETA, _JITTER, _OMEGA, _PRIOR_SEED, _TRUE_RATE
+
+    sys_, x0 = load_surrogate()
+    scenario = ScenarioConfig()
+    model = build_horizon(sys_, scenario.T)
+    sensors = ScenarioAttack().resolve_support(sys_.C)
+    attacked = np.concatenate([r * sys_.m + sensors for r in range(scenario.T)])
+    rng = np.random.default_rng(_PRIOR_SEED)
+    p = gen_confidences(model.rows, _TRUE_RATE, _JITTER, rng)
+    safe = prune_product(sample_prior(indicator_from_support(attacked, model.rows), p, rng), _ETA).safe_set
+    assert sensors.tolist() == [1, 4, 7] and safe.size == 10 and not np.isin(safe, attacked).any()
+    wl1p = guarantee_bound(model, observer_weights(model, safe, _OMEGA), attacked)
+    l1o = guarantee_bound(model, np.ones(model.rows), attacked)
+    assert wl1p == pytest.approx(0.170, abs=5e-4) and l1o == pytest.approx(6.85, abs=5e-3)
+    # so WL1P's error stays at roundoff however large the attack grows
+    states = np.abs(simulate(sys_, x0, scenario.steps).states).max()
+    for magnitude in (3.0, 3e6):
+        metrics = run_scenario(sys_, x0, ScenarioAttack(magnitude=magnitude), observers=("WL1P",))
+        assert max(metrics.max_abs["WL1P"]) <= 1e-9 * states
+
+
 def test_scenario_solves_cold_where_the_search_gives_up(monkeypatch):
     import resilient_sse.experiments as experiments
 

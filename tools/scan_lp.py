@@ -6,9 +6,10 @@ Each family runs every one of its seeds and prints one JSON line; the last
 line lists every exception met (a check that failed on one problem, or on a
 seed's windows), and the exit status is 1 if any of them is not in
 ``KNOWN``.  The scan imports the package from the checkout's ``src/``, the
-integer problems from ``tests/test_lp.py`` and the ``estimate`` windows, their
-HiGHS objectives and their gate from ``bench/workloads.py``, so it draws the
-same problems as those do; it needs the test extras (pytest, hypothesis).
+integer problems and the face windows from ``tests/test_lp.py`` and the
+``estimate`` windows, their HiGHS objectives and their gate from
+``bench/workloads.py``, so it draws the same problems as those do; it needs
+the test extras (pytest, hypothesis).
 
 - ``integer-weighted`` (seeds 7-206) and ``integer-unit`` (seeds 0-199): the
   exact integer stacks of ``integer_problems``, whose optimum fits many rows
@@ -23,6 +24,18 @@ same problems as those do; it needs the test extras (pytest, hypothesis).
   worst distance from HiGHS's objective, relative to 1 + |objective|; the
   bench's gate on that distance counts the windows that miss it.  The sha256
   of the final bases and of the gaps' bits tell two commits' solves apart.
+- ``face`` (seeds 1-600): one ``face_case`` window per seed, its parameters
+  drawn by ``default_rng([seed, 1])`` from the ranges of ``face_cases``
+  (n 12-16, T 4-6, 1-6 extra sensors, 10-40 % of the rows attacked, drawn or
+  integer data, unit, two-level or zero weights), all above the size rule of
+  the face try.  It counts the tries certified and rejected (``_face_dual``
+  wrapped as ``face_tries`` wraps it), the pivots, the worst gap relative to
+  max|y| + |objective| (the contract's measure) and the worst distance from
+  HiGHS's objective (``scipy_oracle``), relative to 1 + |objective|, with the
+  sha256 of the final bases and of the gaps' bits.  A window fails where the
+  objective misses HiGHS's by more than 1e-7 of that, the gap exceeds 1e-8 of
+  its measure, the dual objective exceeds HiGHS's optimum, or a face dual
+  leaves its box.
 
 Reference: McKeeman, "Differential testing for software", Digital Technical
 Journal 10(1), 1998.
@@ -41,12 +54,15 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # before numpy loads: the matrices are small
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 from resilient_sse import EstimationError, lp  # noqa: E402
-from test_lp import integer_problems  # noqa: E402
+from test_lp import (  # noqa: E402
+    assert_face_duals_in_their_box, face_case, face_tries, integer_problems, scipy_oracle,
+)
 
 # (family, seed, problem index, check): why that problem fails the check, with the
 # CHANGES.md line that names it.  Empty: every check holds on every family.
@@ -83,6 +99,22 @@ def scan_integer(seed, report, fail, weighted):
             fail(i, "other bits")
 
 
+def solve_report(**counts):
+    """The counters of a family of single solves judged against HiGHS, with `counts` after "windows"."""
+    return {"windows": 0, **counts, "pivots": 0, "max_pivots": 0, "worst_rel_gap": 0.0,
+            "worst_highs_off": 0.0, "bases_sha256": hashlib.sha256(), "gaps_sha256": hashlib.sha256()}
+
+
+def tally(report, sol, rel_gap, off):
+    """Add one certified solve, its relative gap and its distance `off` from HiGHS, to `report`."""
+    report["pivots"] += sol.iterations
+    report["max_pivots"] = max(report["max_pivots"], sol.iterations)
+    report["worst_rel_gap"] = max(report["worst_rel_gap"], rel_gap)
+    report["worst_highs_off"] = max(report["worst_highs_off"], off)
+    report["bases_sha256"].update(sol.basis.tobytes())
+    report["gaps_sha256"].update(np.float64(sol.gap).tobytes())
+
+
 def scan_estimate(seed, report, fail):
     with tempfile.TemporaryDirectory() as workdir:
         bench = workloads.Estimate(seed, 2, Path(workdir))
@@ -96,16 +128,43 @@ def scan_estimate(seed, report, fail):
             continue
         ref = bench.oracle(i)
         out.append(json.dumps({"objective": sol.objective}))
-        report["pivots"] += sol.iterations
-        report["max_pivots"] = max(report["max_pivots"], sol.iterations)
-        report["worst_rel_gap"] = max(report["worst_rel_gap"], sol.gap / (1.0 + abs(sol.objective)))
-        report["worst_highs_off"] = max(report["worst_highs_off"],
-                                        abs(sol.objective - ref) / (1.0 + abs(ref)))
-        report["bases_sha256"].update(sol.basis.tobytes())
-        report["gaps_sha256"].update(np.float64(sol.gap).tobytes())
+        tally(report, sol, sol.gap / (1.0 + abs(sol.objective)),
+              abs(sol.objective - ref) / (1.0 + abs(ref)))
     missed = bench.failures(out)  # names each window it counts on stderr
     if missed:
         fail(None, f"{missed} windows fail the bench's gate")
+
+
+def face_params(seed):
+    """The arguments of ``face_case`` for a seed, each from the range ``face_cases`` draws it from."""
+    rng = np.random.default_rng([seed, 1])  # a stream apart from the window's default_rng(seed)
+    return (seed, int(rng.integers(12, 17)), int(rng.integers(4, 7)), int(rng.integers(1, 7)),
+            float(rng.choice([0.1, 0.2, 0.3, 0.4])), bool(rng.integers(2)),
+            str(rng.choice(["unit", "two-level", "zero"])))
+
+
+def scan_face(seed, report, fail):
+    A, y, w = face_case(*face_params(seed))
+    report["windows"] += 1
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        tries = face_tries(monkeypatch)
+        sol = solve(A, y, w)
+    certified = sum(found is not None for _, _, found, _, _ in tries)
+    report["tries_certified"] += certified
+    report["tries_rejected"] += len(tries) - certified
+    if isinstance(sol, str):
+        fail(None, f"raised {sol}")
+        return
+    best = scipy_oracle(A, y, w)
+    rel_gap = sol.gap / (np.abs(y[w > 0]).max() + abs(sol.objective))
+    off = abs(sol.objective - best) / (1.0 + abs(best))
+    tally(report, sol, rel_gap, off)
+    try:
+        assert_face_duals_in_their_box(tries)
+    except AssertionError:
+        fail(None, "a face dual outside its box")
+    if not (off <= 1e-7 and rel_gap <= 1e-8 and sol.dual_objective <= best + 1e-9 * (1.0 + abs(best))):
+        fail(None, "misses HiGHS or the certificate")
 
 
 def integer_report():
@@ -116,9 +175,8 @@ def integer_report():
 FAMILIES = [
     ("integer-weighted", range(7, 207), lambda s, r, f: scan_integer(s, r, f, True), integer_report),
     ("integer-unit", range(0, 200), lambda s, r, f: scan_integer(s, r, f, False), integer_report),
-    ("estimate", range(1, 11), scan_estimate,
-     lambda: {"windows": 0, "pivots": 0, "max_pivots": 0, "worst_rel_gap": 0.0, "worst_highs_off": 0.0,
-              "bases_sha256": hashlib.sha256(), "gaps_sha256": hashlib.sha256()}),
+    ("estimate", range(1, 11), scan_estimate, solve_report),
+    ("face", range(1, 601), scan_face, lambda: solve_report(tries_certified=0, tries_rejected=0)),
 ]
 
 
