@@ -180,13 +180,14 @@ def _from_flags(cls, args):
 
 def _cmd_attack(args) -> str:
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    model = build_horizon(_load_system(args), args.T)
-    support = args.support
-    if support is None:
+    system, support = _load_system(args), args.support
+    # before the model, whose H has T*m rows however long --T makes it (T < 1 is build_horizon's)
+    if args.T >= 1 and support is None:
         _require(args.fraction is not None, "provide --support or --fraction")
-        rng = np.random.default_rng(args.seed)
-        support = random_support(model.rows, args.fraction, rng)
-    return canonical_json(synthesize_fdia(model, support, args.epsilon))
+        support = random_support(args.T * system.m, args.fraction, np.random.default_rng(args.seed))
+    elif args.T >= 1:
+        row_indices(support, args.T * system.m, "support indices")
+    return canonical_json(synthesize_fdia(build_horizon(system, args.T), support, args.epsilon))
 
 
 def _cmd_estimate(args) -> str:
@@ -236,10 +237,7 @@ def _cmd_prune(args) -> str:
                  "prune input needs 'q_hat', or 'q' and an integer 'seed'")
         prior = sample_prior(q, p, np.random.default_rng(doc["seed"]))
 
-    if args.strategy == "product":
-        pruned = prune_product(prior, args.eta)
-    else:
-        pruned = prune_quantile(prior, args.eta)
+    pruned = (prune_product if args.strategy == "product" else prune_quantile)(prior, args.eta)
     precision, precision_pruned = None, None
     if q is not None:
         precision = ppv(q, prior.q_hat)
@@ -259,7 +257,11 @@ def _cmd_prune(args) -> str:
 
 def _cmd_rip(args) -> str:
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    return canonical_json(rip_constant(build_horizon(_load_system(args), args.T), args.S, args.budget,
+    system = _load_system(args)
+    # S before the model, as in attack
+    _require(args.T < 1 or 1 <= args.S <= args.T * system.m,
+             f"S must lie in [1, {args.T * system.m}], got {args.S}")
+    return canonical_json(rip_constant(build_horizon(system, args.T), args.S, args.budget,
                                        rng=np.random.default_rng(args.seed)))
 
 

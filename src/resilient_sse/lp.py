@@ -468,11 +468,10 @@ def search_bases(A, y, w) -> list:
             found[i] = b
         if found_now.all() or pivots >= _PIVOTS_PER_ROW * N:
             return found
-        if found_now.any():  # the found problems leave, in one copy of the stacks
-            stay = ~found_now
-            live, w, Tab, basis, w_B, nu, k, g_k = (
-                v[stay] for v in (live, w, Tab, basis, w_B, nu, k, g_k))
-            rows = rows[:live.size]
+        stay = ~found_now  # the found problems leave, in one copy of the stacks
+        live, w, Tab, basis, w_B, nu, k, g_k = (
+            v[stay] for v in (live, w, Tab, basis, w_B, nu, k, g_k))
+        rows = rows[:live.size]
 
         # The single solve's pivot on every problem: the breakpoints along
         # each edge h sorted by r / h, the non-candidates last, and the first

@@ -123,7 +123,7 @@ def gen_confidences(
     """Confidence vector true_rate +/- uniform jitter, clipped into (0, 1]."""
     check_confidence_model(true_rate, jitter)
     p = true_rate + rng.uniform(-jitter, jitter, size=rows)
-    return np.minimum(np.maximum(p, 1e-12), 1.0)  # np.clip, without its wrapper
+    return np.clip(p, 1e-12, 1.0)
 
 
 def ppv(q: SupportIndicator, q_hat) -> float | None:

@@ -425,12 +425,19 @@ REJECTIONS = [
     row("estimate-T-0", f"{ESTIMATE} --y y1 --T 0", 1, T_0),
     row("attack-T-0", f"{ATTACK} 0.5 --support 0 --T 0", 1, T_0),
     row("rip-T-0", f"{RIP} --S 2 --T 0", 1, T_0),
+    row("rip-S-before-the-model", "rip --system surrogate --S 0 --T 200000", 1,
+        "error: S must lie in [1, 2000000], got 0\n", never="cli.build_horizon"),
     # attack
     row("attack-no-support", f"{ATTACK} 0.5", 1, "error: provide --support or --fraction\n",
         never="cli.synthesize_fdia"),
     # an index beyond int64 is an integer out of range, not a fraction
     row("attack-support-beyond-int64", f"{ATTACK} 0.5 --support 0,99999999999999999999", 1,
         "error: support indices must lie in [0, 6)\n"),
+    # checked before the model, whose H would hold 2,000,000 rows
+    *(row(f"attack-{name}-before-the-model", f"attack --system surrogate --epsilon 0.5 {flag} --T 200000",
+          1, message, never="cli.build_horizon") for name, flag, message in [
+        ("support", "--support 99999999", "error: support indices must lie in [0, 2000000)\n"),
+        ("fraction", "--fraction 2", "error: attack fraction must lie in [0, 1), got 2.0\n")]),
     *(row(f"attack-epsilon-{eps}", f"{ATTACK} {eps} --support 0", 1, "epsilon")
       for eps in ("inf", "nan")),
     # the unbounded attack's magnitude cap is a constant: no value of --cap-factor is a flag

@@ -370,21 +370,27 @@ def test_an_empty_or_full_trusted_set_shares_the_decoders_solve(monkeypatch):
     assert len(searches) == 1 and len(searches[0]) == 2
 
 
+def scenario_safe_set(sys_, T):
+    """WL1P's trusted rows in a scenario on `sys_` with windows of T steps and the default
+    attacked sensors, drawn as run_scenario draws them, and the rows of those sensors."""
+    from resilient_sse.experiments import _ETA, _JITTER, _PRIOR_SEED, _TRUE_RATE
+
+    sensors = ScenarioAttack().resolve_support(sys_.C)
+    attacked = np.concatenate([r * sys_.m + sensors for r in range(T)])
+    rng = np.random.default_rng(_PRIOR_SEED)
+    p = gen_confidences(T * sys_.m, _TRUE_RATE, _JITTER, rng)
+    q = indicator_from_support(attacked, T * sys_.m)
+    return prune_product(sample_prior(q, p, rng), _ETA).safe_set, attacked
+
+
 def test_scenario_prior_is_drawn_once_for_every_window(monkeypatch):
     # WL1P's trusted set comes from default_rng(_PRIOR_SEED): one draw, which
     # serves every window
     import resilient_sse.experiments as experiments
-    from resilient_sse.experiments import _ETA, _JITTER, _PRIOR_SEED, _TRUE_RATE
 
     sys_, x0 = load_surrogate()
     scenario = ScenarioConfig(steps=12, T=3)
-    model = build_horizon(sys_, scenario.T)
-    sup = ScenarioAttack().resolve_support(sys_.C)
-    q = indicator_from_support(np.concatenate([r * sys_.m + sup for r in range(scenario.T)]),
-                               model.rows)
-    rng = np.random.default_rng(_PRIOR_SEED)
-    p = gen_confidences(model.rows, _TRUE_RATE, _JITTER, rng)
-    expected = prune_product(sample_prior(q, p, rng), _ETA).safe_set
+    expected, _ = scenario_safe_set(sys_, scenario.T)
     calls, _ = _spy_solves(monkeypatch, experiments)
     run_scenario(sys_, x0, scenario=scenario)
     trusted = [tr for name, _, tr, _ in calls if name == "weighted_observer"]
@@ -414,17 +420,14 @@ def test_the_scenarios_wl1p_is_proved_robust_to_any_attack_on_its_sensors():
     # attack on those sensors, of any size, moves it; L1O's bound is above 1, which proves
     # nothing either way
     from resilient_sse.estimation import observer_weights
-    from resilient_sse.experiments import _ETA, _JITTER, _OMEGA, _PRIOR_SEED, _TRUE_RATE
+    from resilient_sse.experiments import _OMEGA
 
     sys_, x0 = load_surrogate()
     scenario = ScenarioConfig()
     model = build_horizon(sys_, scenario.T)
-    sensors = ScenarioAttack().resolve_support(sys_.C)
-    attacked = np.concatenate([r * sys_.m + sensors for r in range(scenario.T)])
-    rng = np.random.default_rng(_PRIOR_SEED)
-    p = gen_confidences(model.rows, _TRUE_RATE, _JITTER, rng)
-    safe = prune_product(sample_prior(indicator_from_support(attacked, model.rows), p, rng), _ETA).safe_set
-    assert sensors.tolist() == [1, 4, 7] and safe.size == 10 and not np.isin(safe, attacked).any()
+    safe, attacked = scenario_safe_set(sys_, scenario.T)
+    assert attacked.tolist() == [1, 4, 7, 11, 14, 17, 21, 24, 27]
+    assert safe.size == 10 and not np.isin(safe, attacked).any()
     wl1p = guarantee_bound(model, observer_weights(model, safe, _OMEGA), attacked)
     l1o = guarantee_bound(model, np.ones(model.rows), attacked)
     assert wl1p == pytest.approx(0.170, abs=5e-4) and l1o == pytest.approx(6.85, abs=5e-3)

@@ -157,6 +157,9 @@ MUTANTS = [
     (CLI, 'raise ValueError(f"argument --system-a/--system-c: {exc}")', "raise ValueError(str(exc))",
      "tests/test_cli_hostile.py::test_each_hostile_value_alone_exits_cleanly",
      "a CSV pair that does not fit is an error that names neither flag"),
+    (CLI, 'row_indices(support, args.T * system.m, "support indices")', "pass",
+     "tests/test_cli_hostile.py::test_each_rejection[attack-support-before-the-model]",
+     "an attack's support is checked only after the whole window model is built"),
     (CLI, 'p.add_argument("--out", type=_file(_in_a_directory),', 'p.add_argument("--out",',
      "tests/test_cli_hostile.py::test_each_rejection[sweep-out-missing-directory]",
      "an --out in a missing directory is found only after the whole run"),

@@ -25,17 +25,16 @@ the test extras (pytest, hypothesis).
   bench's gate on that distance counts the windows that miss it.  The sha256
   of the final bases and of the gaps' bits tell two commits' solves apart.
 - ``face`` (seeds 1-600): one ``face_case`` window per seed, its parameters
-  drawn by ``default_rng([seed, 1])`` from the ranges of ``face_cases``
-  (n 12-16, T 4-6, 1-6 extra sensors, 10-40 % of the rows attacked, drawn or
-  integer data, unit, two-level or zero weights), all above the size rule of
-  the face try.  It counts the tries certified and rejected (``_face_dual``
-  wrapped as ``face_tries`` wraps it), the pivots, the worst gap relative to
-  max|y| + |objective| (the contract's measure) and the worst distance from
-  HiGHS's objective (``scipy_oracle``), relative to 1 + |objective|, with the
-  sha256 of the final bases and of the gaps' bits.  A window fails where the
-  objective misses HiGHS's by more than 1e-7 of that, the gap exceeds 1e-8 of
-  its measure, the dual objective exceeds HiGHS's optimum, or a face dual
-  leaves its box.
+  drawn by ``default_rng([seed, 1])`` from ``FACE_RANGES``, the values
+  ``face_cases`` draws them from (n 12-16, T 4-6, 1-6 extra sensors, 10-40 %
+  of the rows attacked, drawn or integer data, unit, two-level or zero
+  weights), all above the size rule of the face try.  It counts the tries
+  certified and rejected (``_face_dual`` wrapped as ``face_tries`` wraps it),
+  the pivots, and the worst gap and distance from HiGHS's objective that
+  ``highs_gate`` measures, with the sha256 of the final bases and of the
+  gaps' bits.  A window fails where ``highs_gate`` or
+  ``assert_face_duals_in_their_box``, the checks of
+  ``test_face_certificates_agree_with_highs``, fail.
 
 Reference: McKeeman, "Differential testing for software", Digital Technical
 Journal 10(1), 1998.
@@ -61,7 +60,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 from resilient_sse import EstimationError, lp  # noqa: E402
 from test_lp import (  # noqa: E402
-    assert_face_duals_in_their_box, face_case, face_tries, integer_problems, scipy_oracle,
+    FACE_RANGES, assert_face_duals_in_their_box, face_case, face_tries, highs_gate, integer_problems,
 )
 
 # (family, seed, problem index, check): why that problem fails the check, with the
@@ -136,11 +135,9 @@ def scan_estimate(seed, report, fail):
 
 
 def face_params(seed):
-    """The arguments of ``face_case`` for a seed, each from the range ``face_cases`` draws it from."""
+    """The arguments of ``face_case`` for a seed, each drawn from its values in ``FACE_RANGES``."""
     rng = np.random.default_rng([seed, 1])  # a stream apart from the window's default_rng(seed)
-    return (seed, int(rng.integers(12, 17)), int(rng.integers(4, 7)), int(rng.integers(1, 7)),
-            float(rng.choice([0.1, 0.2, 0.3, 0.4])), bool(rng.integers(2)),
-            str(rng.choice(["unit", "two-level", "zero"])))
+    return (seed, *(values[rng.integers(len(values))] for values in FACE_RANGES))
 
 
 def scan_face(seed, report, fail):
@@ -155,15 +152,13 @@ def scan_face(seed, report, fail):
     if isinstance(sol, str):
         fail(None, f"raised {sol}")
         return
-    best = scipy_oracle(A, y, w)
-    rel_gap = sol.gap / (np.abs(y[w > 0]).max() + abs(sol.objective))
-    off = abs(sol.objective - best) / (1.0 + abs(best))
+    off, rel_gap, holds = highs_gate(sol, A, y, w)
     tally(report, sol, rel_gap, off)
     try:
         assert_face_duals_in_their_box(tries)
     except AssertionError:
         fail(None, "a face dual outside its box")
-    if not (off <= 1e-7 and rel_gap <= 1e-8 and sol.dual_objective <= best + 1e-9 * (1.0 + abs(best))):
+    if not holds:
         fail(None, "misses HiGHS or the certificate")
 
 
