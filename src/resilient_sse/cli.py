@@ -135,9 +135,10 @@ def _read_vector(path) -> np.ndarray:
 
 
 def _load_system(args) -> LtiSystem:
-    """The --system plant, or the plant of the --system-a/--system-c pair."""
+    """The --system plant, or the plant of the --system-a/--system-c pair, once --T is checked."""
     _require(args.system or args.system_a is not None and args.system_c is not None,
              "provide --system (JSON) or both --system-a and --system-c (CSV)")
+    _require(args.T >= 1, f"window length T must be >= 1, got {args.T}")  # build_horizon's message
     try:
         return args.system[0] if args.system else LtiSystem(A=args.system_a, C=args.system_c)
     except ValueError as exc:  # each matrix is fine alone: the pair does not fit
@@ -180,32 +181,35 @@ def _from_flags(cls, args):
 
 def _cmd_attack(args) -> str:
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
+    _require(0 <= args.epsilon < math.inf,  # synthesize_fdia's message
+             f"epsilon must be finite and nonnegative, got {args.epsilon}")
     system, support = _load_system(args), args.support
-    # before the model, whose H has T*m rows however long --T makes it (T < 1 is build_horizon's)
-    if args.T >= 1 and support is None:
+    # before the model, whose H has T*m rows however long --T makes it
+    if support is None:
         _require(args.fraction is not None, "provide --support or --fraction")
         support = random_support(args.T * system.m, args.fraction, np.random.default_rng(args.seed))
-    elif args.T >= 1:
+    else:
         row_indices(support, args.T * system.m, "support indices")
     return canonical_json(synthesize_fdia(build_horizon(system, args.T), support, args.epsilon))
 
 
 def _cmd_estimate(args) -> str:
     _require(0 <= args.omega <= 1, "omega must lie in [0, 1]")
+    _require(args.epsilon is None or args.epsilon > 0, f"epsilon must be positive, got {args.epsilon}")
     system, y_T, x_true = _load_system(args), args.y, args.x_true
-    # before the model: its H has T*m rows, however long --T makes it (T < 1 is build_horizon's)
-    _require(args.T < 1 or y_T.size == args.T * system.m, f"--y holds {y_T.size} entries, but --T "
-             f"{args.T} asks for T*m = {args.T * system.m} rows")
-    model = build_horizon(system, args.T)
+    rows, n = args.T * system.m, system.n
+    # before the model, whose H has T*m rows however long --T makes it
     if args.safe is not None:
-        trusted = row_indices(args.safe, model.rows, "--safe rows")
+        trusted = row_indices(args.safe, rows, "--safe rows")
         # with omega 0 only the trusted rows carry weight: too few cannot
         # determine the state, whatever the window holds
-        _require(args.omega > 0 or trusted.size >= model.n,
-                 f"--omega 0 needs at least {model.n} distinct --safe rows, got {trusted.size}")
+        _require(args.omega > 0 or trusted.size >= n,
+                 f"--omega 0 needs at least {n} distinct --safe rows, got {trusted.size}")
     if x_true is not None:
-        _require(x_true.shape == (model.n,), f"x_true has shape {x_true.shape}, expected ({model.n},)")
-    _require(args.epsilon is None or args.epsilon > 0, f"epsilon must be positive, got {args.epsilon}")
+        _require(x_true.shape == (n,), f"x_true has shape {x_true.shape}, expected ({n},)")
+    _require(y_T.size == rows,
+             f"--y holds {y_T.size} entries, but --T {args.T} asks for T*m = {rows} rows")
+    model = build_horizon(system, args.T)
     sol = (decode(model, y_T) if args.safe is None
            else weighted_observer(model, y_T, trusted, args.omega))
     # the basis is a warm start for a library caller's next solve, not a result
@@ -257,10 +261,10 @@ def _cmd_prune(args) -> str:
 
 def _cmd_rip(args) -> str:
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
+    _require(args.budget >= 1, f"support budget must be >= 1, got {args.budget}")  # rip_constant's
     system = _load_system(args)
     # S before the model, as in attack
-    _require(args.T < 1 or 1 <= args.S <= args.T * system.m,
-             f"S must lie in [1, {args.T * system.m}], got {args.S}")
+    _require(1 <= args.S <= args.T * system.m, f"S must lie in [1, {args.T * system.m}], got {args.S}")
     return canonical_json(rip_constant(build_horizon(system, args.T), args.S, args.budget,
                                        rng=np.random.default_rng(args.seed)))
 

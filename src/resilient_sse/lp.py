@@ -34,7 +34,9 @@ whose message names it.
 The problem is positively homogeneous in (y, z), so the pivots run on y
 scaled to unit max-norm, and the gap is certified in those units, where it
 is at most 1e-8 (1 + |objective|): a zero optimum, whose gap is roundoff of
-order eps max|y|, certifies at any scale.  It is homogeneous in A too, and
+order eps max|y|, certifies at any scale.  So a certified objective may exceed
+the optimum by up to 1e-8 max|y|, far more than 1e-8 of itself where max|y|
+>> |objective|.  It is homogeneous in A too, and
 every test of A is relative: a row is independent of the rows before it when
 its part orthogonal to them exceeds 1e-10 in A / max|A| (no squares), so a
 solve of 2^k A takes the pivots of A's and returns its z / 2^k bit for bit.
@@ -349,54 +351,56 @@ def weighted_l1_regression(A, y, w, start=None) -> LpSolution:
     Tab[n] = y_piv - y_piv[basis] @ Tab[:n]
     r, w_B, pivots, fresh = Tab[n], w_act[basis], 0, True
     face = n >= _FACE_SIZE and rows >= _FACE_SIZE * n  # the size rule of one try at a face
-    while True:
-        nu = np.copysign(w_act, r)
-        nu[basis] = 0.0
-        g = Tab[:n] @ nu
-        ratio = np.abs(g) / w_B
-        k = int(ratio.argmax())
-        # the basis is factored afresh, sorted, at reported optimality and before a face try
-        if ratio[k] <= 1.0 + _DUAL_RTOL or face and not fresh and _on_face(Tab, u, basis):
-            if fresh:
-                break
-            basis, inv, _ = _factor(A_act, basis, big)
-            Tab[:n], w_B, fresh = (A_act @ inv).T, w_act[basis], True
-            continue
-        if pivots >= _PIVOTS_PER_ROW * rows:
-            raise EstimationError(f"no optimal basis after {pivots} pivots")
-        if fresh and face and _on_face(Tab, u, basis):
-            face = False  # a rejected dual pivots on, with no second try
-            found = _face_dual(Tab[:n].T, basis, y_act, w_act)
-            if found is not None:
-                nu, g = found
-                break
-        fresh = False
-        # Release basis row k: along h the other basis rows stay interpolated
-        # and the objective falls at rate |nu_k| - w_k until the breakpoints
-        # passed (residuals changing sign) have raised the slope to zero.
-        # Those are the rows with nu * h > 0 (module docstring); passing row i
-        # raises the slope by 2 w_i |h_i| = 2 nu_i h_i, so the rises are summed
-        # halved, against half the rate.
-        g_k = float(g[k])
-        h = Tab[k] if g_k > 0 else -Tab[k]
-        nu_h = nu * h
-        cand = (nu_h > 0).nonzero()[0]
-        cand = cand[(r[cand] / h[cand]).argsort(kind="stable")]
-        rise = nu_h[cand].cumsum()
-        stop = int(rise.searchsorted(0.5 * (abs(g_k) - w_B[k])))
-        if stop == cand.size:
-            raise EstimationError(f"the tableau is not finite after {pivots} pivots")
-        j = cand[stop]
-        col = Tab[:, j].copy()
-        col[k] -= 1.0
-        Tab -= col[:, None] * (h / h[j])
-        basis[k], w_B[k] = j, w_act[j]
-        pivots += 1
+    # one errstate for the walk and the result: r / h is +inf where h is subnormal, so
+    # that row sorts last, and a result beyond the largest float is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            nu = np.copysign(w_act, r)
+            nu[basis] = 0.0
+            g = Tab[:n] @ nu
+            ratio = np.abs(g) / w_B
+            k = int(ratio.argmax())
+            # the basis is factored afresh, sorted, at reported optimality and before a face try
+            if ratio[k] <= 1.0 + _DUAL_RTOL or face and not fresh and _on_face(Tab, u, basis):
+                if fresh:
+                    break
+                basis, inv, _ = _factor(A_act, basis, big)
+                Tab[:n], w_B, fresh = (A_act @ inv).T, w_act[basis], True
+                continue
+            if pivots >= _PIVOTS_PER_ROW * rows:
+                raise EstimationError(f"no optimal basis after {pivots} pivots")
+            if fresh and face and _on_face(Tab, u, basis):
+                face = False  # a rejected dual pivots on, with no second try
+                found = _face_dual(Tab[:n].T, basis, y_act, w_act)
+                if found is not None:
+                    nu, g = found
+                    break
+            fresh = False
+            # Release basis row k: along h the other basis rows stay interpolated
+            # and the objective falls at rate |nu_k| - w_k until the breakpoints
+            # passed (residuals changing sign) have raised the slope to zero.
+            # Those are the rows with nu * h > 0 (module docstring); passing row i
+            # raises the slope by 2 w_i |h_i| = 2 nu_i h_i, so the rises are summed
+            # halved, against half the rate.
+            g_k = float(g[k])
+            h = Tab[k] if g_k > 0 else -Tab[k]
+            nu_h = nu * h
+            cand = (nu_h > 0).nonzero()[0]
+            cand = cand[(r[cand] / h[cand]).argsort(kind="stable")]
+            rise = nu_h[cand].cumsum()
+            stop = int(rise.searchsorted(0.5 * (abs(g_k) - w_B[k])))
+            if stop == cand.size:
+                raise EstimationError(f"the tableau is not finite after {pivots} pivots")
+            j = cand[stop]
+            col = Tab[:, j].copy()
+            col[k] -= 1.0
+            Tab -= col[:, None] * (h / h[j])
+            basis[k], w_B[k] = j, w_act[j]
+            pivots += 1
 
-    # Certify on the unperturbed data; the dual is feasible for any y.
-    nu[basis] = -g
-    nu /= max(1.0, float((np.abs(g) / w_B).max()))
-    with np.errstate(over="ignore", invalid="ignore"):  # a result beyond the largest float: below
+        # Certify on the unperturbed data; the dual is feasible for any y.
+        nu[basis] = -g
+        nu /= max(1.0, float((np.abs(g) / w_B).max()))
         z = scale * (inv @ y_act[basis])
         z = np.ldexp(z, -e_A) if e_A else z
         residual = y - A @ z
@@ -456,35 +460,36 @@ def search_bases(A, y, w) -> list:
     Tab[:, n] = y_piv - (y_piv[rows[:, None], basis][:, None, :] @ Tab[:, :n])[:, 0]
     w_B = w[rows[:, None], basis]
     pivots = 0
-    while True:
-        nu = np.copysign(w, Tab[:, n])
-        nu[rows[:, None], basis] = 0.0
-        g = (Tab[:, :n] @ nu[..., None])[..., 0]
-        ratio = np.abs(g) / w_B
-        k = ratio.argmax(axis=1)
-        found_now, g_k = ratio[rows, k] <= 1.0 + _DUAL_RTOL, g[rows, k]
-        found_now |= face and _on_face(Tab, u, basis)  # where the single solve tries a face
-        for i, b in zip(live[found_now], basis[found_now]):
-            found[i] = b
-        if found_now.all() or pivots >= _PIVOTS_PER_ROW * N:
-            return found
-        stay = ~found_now  # the found problems leave, in one copy of the stacks
-        live, w, Tab, basis, w_B, nu, k, g_k = (
-            v[stay] for v in (live, w, Tab, basis, w_B, nu, k, g_k))
-        rows = rows[:live.size]
+    with np.errstate(over="ignore"):  # as in the single solve, r / h is +inf where h is subnormal
+        while True:
+            nu = np.copysign(w, Tab[:, n])
+            nu[rows[:, None], basis] = 0.0
+            g = (Tab[:, :n] @ nu[..., None])[..., 0]
+            ratio = np.abs(g) / w_B
+            k = ratio.argmax(axis=1)
+            found_now, g_k = ratio[rows, k] <= 1.0 + _DUAL_RTOL, g[rows, k]
+            found_now |= face and _on_face(Tab, u, basis)  # where the single solve tries a face
+            for i, b in zip(live[found_now], basis[found_now]):
+                found[i] = b
+            if found_now.all() or pivots >= _PIVOTS_PER_ROW * N:
+                return found
+            stay = ~found_now  # the found problems leave, in one copy of the stacks
+            live, w, Tab, basis, w_B, nu, k, g_k = (
+                v[stay] for v in (live, w, Tab, basis, w_B, nu, k, g_k))
+            rows = rows[:live.size]
 
-        # The single solve's pivot on every problem: the breakpoints along
-        # each edge h sorted by r / h, the non-candidates last, and the first
-        # whose summed rise reaches half the rate.
-        h = Tab[rows, k] * np.sign(g_k)[:, None]
-        nu_h = nu * h
-        cand = nu_h > 0
-        order = (np.where(cand, Tab[:, n], np.nan) / h).argsort(axis=1, kind="stable")
-        rise = np.where(cand, nu_h, 0.0)[rows[:, None], order].cumsum(axis=1)
-        half = 0.5 * (np.abs(g_k) - w_B[rows, k])
-        j = order[rows, (rise < half[:, None]).sum(axis=1)]
-        col = Tab[rows, :, j]
-        col[rows, k] -= 1.0
-        Tab -= col[:, :, None] * (h / h[rows, j][:, None])[:, None, :]
-        basis[rows, k], w_B[rows, k] = j, w[rows, j]
-        pivots += 1
+            # The single solve's pivot on every problem: the breakpoints along
+            # each edge h sorted by r / h, the non-candidates last, and the first
+            # whose summed rise reaches half the rate.
+            h = Tab[rows, k] * np.sign(g_k)[:, None]
+            nu_h = nu * h
+            cand = nu_h > 0
+            order = (np.where(cand, Tab[:, n], np.nan) / h).argsort(axis=1, kind="stable")
+            rise = np.where(cand, nu_h, 0.0)[rows[:, None], order].cumsum(axis=1)
+            half = 0.5 * (np.abs(g_k) - w_B[rows, k])
+            j = order[rows, (rise < half[:, None]).sum(axis=1)]
+            col = Tab[rows, :, j]
+            col[rows, k] -= 1.0
+            Tab -= col[:, :, None] * (h / h[rows, j][:, None])[:, None, :]
+            basis[rows, k], w_B[rows, k] = j, w[rows, j]
+            pivots += 1

@@ -10,7 +10,6 @@ import pytest
 
 from resilient_sse import build_horizon, cli, detect, estimation, gen_random_system, rip_constant
 from resilient_sse.cli import parse_and_dispatch
-from test_cli_hostile import files, reject, rejections  # noqa: F401 (files is a fixture)
 
 SURROGATE = Path(cli.__file__).parent / "data" / "surrogate.json"
 
@@ -667,46 +666,3 @@ def test_no_subcommand_forms_the_full_U_of_H(tmp_path, system_file, capsys, full
         code, _, err = run_cli(argv, capsys)
         assert code == 0, err
         assert H_shape not in full_svd_shapes, argv
-
-
-# rows of REJECTIONS in tests/test_cli_hostile.py, under the names their tests had here
-
-
-@rejections("non_finite_system_file_is_rejected")
-def test_non_finite_system_file_is_rejected(files, monkeypatch, row):
-    reject(files, monkeypatch, row)
-
-
-@rejections("a_malformed_system_file_exits_1")
-def test_a_malformed_system_file_exits_1(files, monkeypatch, row):
-    reject(files, monkeypatch, row)
-
-
-@rejections("a_malformed_prune_input_exits_1")
-def test_a_malformed_prune_input_exits_1(files, monkeypatch, row):
-    reject(files, monkeypatch, row)
-
-
-@rejections("a_negative_seed_names_its_flag")
-def test_a_negative_seed_names_its_flag(files, monkeypatch, row):
-    reject(files, monkeypatch, row)
-
-
-@rejections("sweep_rejects_a_non_finite_policy_or_radius_up_front")
-def test_sweep_rejects_a_non_finite_policy_or_radius_up_front(files, monkeypatch, row):
-    reject(files, monkeypatch, row)
-
-
-@rejections("a_confidence_model_out_of_range_is_rejected_up_front")
-def test_a_confidence_model_out_of_range_is_rejected_up_front(files, monkeypatch, row):
-    reject(files, monkeypatch, row)
-
-
-@rejections("scenario_metrics_that_overflow_are_a_numerical_failure")
-def test_scenario_metrics_that_overflow_are_a_numerical_failure(files, monkeypatch, row):
-    reject(files, monkeypatch, row)
-
-
-@rejections("a_malformed_list_names_its_flag")
-def test_a_malformed_list_names_its_flag(files, monkeypatch, row):
-    reject(files, monkeypatch, row)

@@ -13,7 +13,7 @@ Sizes stay small, so no example builds a large H or runs a long sweep, and
 `REJECTIONS` holds one row per command line that the CLI must reject: its
 exit code, its message, and where the rejection must come before any run, the
 function that must not be called.  A new rule is one more row, which
-`test_each_rejection` runs; some older rows keep their tests' names in tests/test_cli.py.
+`test_each_rejection` runs under the row's id.
 """
 
 import contextlib
@@ -286,24 +286,14 @@ def test_a_numerical_failure_is_one_class_named_by_its_message():
     assert [v for v in vars(errors).values() if isinstance(v, type)] == [EstimationError]
 
 
-# the tests of tests/test_cli.py that run rows of REJECTIONS under their old names
-KEPT_NAMES = {"non_finite_system_file_is_rejected", "a_malformed_system_file_exits_1",
-              "a_malformed_prune_input_exits_1", "a_negative_seed_names_its_flag",
-              "sweep_rejects_a_non_finite_policy_or_radius_up_front",
-              "a_malformed_list_names_its_flag",
-              "a_confidence_model_out_of_range_is_rejected_up_front",
-              "scenario_metrics_that_overflow_are_a_numerical_failure"}
-
-
-def row(name, line, code, message, absent=None, never=None, test="each_rejection"):
-    """A command line that the CLI rejects, run by test_<test>: its exit code, its message,
-    text it must not hold, and the function (module.name) that must not run before it.
+def row(name, line, code, message, absent=None, never=None):
+    """A command line that the CLI rejects, run by test_each_rejection: its exit code, its
+    message, text it must not hold, and the function (module.name) that must not run before it.
 
     A message that begins with 'error: ' begins stderr (with its newline, it is all of
     it); any other is found in it.  A word of the line that is a key of `files` is that
     file, and the message names the file by its key."""
-    assert test == "each_rejection" or test in KEPT_NAMES, test
-    return test, pytest.param((shlex.split(line), code, message, absent, never), id=name)
+    return pytest.param((shlex.split(line), code, message, absent, never), id=name)
 
 
 ESTIMATE, RIP = "estimate --system system", "rip --system system"
@@ -320,8 +310,7 @@ REJECTIONS = [
     row("prune-nan-confidence", "prune --input pnan --eta 0.5", 1, "(0, 1]"),
     row("prune-no-p", "prune --input p_missing --eta 0.5", 1,
         "error: prune input needs a confidence vector 'p'\n", never="cli.prune_product"),
-    *(row(name, f"prune --input {key} --eta 0.5", 1, message,
-          test="a_malformed_prune_input_exits_1") for name, key, message in [
+    *(row(name, f"prune --input {key} --eta 0.5", 1, message) for name, key, message in [
         ("object-p", "p_object", "'p' in (0, 1] must be a flat JSON list"),
         ("array", "prune_array", "must hold a JSON object"),
         ("null-seed", "seed_null", "integer 'seed'"),
@@ -342,14 +331,13 @@ REJECTIONS = [
         ("bogus-key", "cfg_bogus", "error: config key 'bogus' is not an option of this subcommand\n"),
         ("bool-value", "cfg_bool", "error: config key 'trials': expected a string or a number, got True\n")]),
     # system files
-    *(row(f"json-{field}", f"{SCENARIO_SYSTEM} sys_nan_{field}", 1, f"{field} must be finite",
-          test="non_finite_system_file_is_rejected") for field in ("A", "C", "x0")),
+    *(row(f"json-{field}", f"{SCENARIO_SYSTEM} sys_nan_{field}", 1, f"{field} must be finite")
+      for field in ("A", "C", "x0")),
     row("csv-A", "rip --S 1 --T 1 --system-a nan_A.csv --system-c sys_C.csv", 1,
-        "A.csv must be finite", test="non_finite_system_file_is_rejected"),
+        "A.csv must be finite"),
     row("csv-C", "rip --S 1 --T 1 --system-a sys_A.csv --system-c nan_C.csv", 1,
-        "C.csv must be finite", test="non_finite_system_file_is_rejected"),
-    *(row(name, f"{SCENARIO_SYSTEM} {key}", 1, message, test="a_malformed_system_file_exits_1")
-      for name, key, message in [
+        "C.csv must be finite"),
+    *(row(name, f"{SCENARIO_SYSTEM} {key}", 1, message) for name, key, message in [
         ("object-entry", "sys_object_entry", "A must be a list of rows of numbers"),
         ("string", "sys_string", "must hold a JSON object"),
         ("object-x0", "sys_object_x0", "x0 must be a flat JSON list"),
@@ -396,6 +384,14 @@ REJECTIONS = [
     row("estimate-y-length-before-the-model", "estimate --system surrogate --y y_zeros10 --T 200000", 1,
         "error: --y holds 10 entries, but --T 200000 asks for T*m = 2000000 rows\n",
         never="cli.build_horizon"),
+    # so is each flag that depends only on its own value, n or T*m, before --y's length
+    *(row(f"estimate-{name}-before-the-model",
+          f"estimate --system surrogate --y y_zeros10 {flags} --T 200000", 1, message,
+          never="cli.build_horizon") for name, flags, message in [
+        ("epsilon", "--epsilon -1", "error: epsilon must be positive, got -1.0\n"),
+        ("safe", "--safe 2000005", "error: --safe rows must lie in [0, 2000000)\n"),
+        ("omega-0", "--omega 0 --safe 0", "error: --omega 0 needs at least 5 distinct --safe rows, got 1\n"),
+        ("x-true", "--x-true x", "error: x_true has shape (2,), expected (5,)\n")]),
     row("estimate-x-true-length", f"{ESTIMATE} --y y1 --x-true x_short", 1, "x_true"),
     row("estimate-x-true-length-surrogate",
         "estimate --system surrogate --y y_zeros10 --x-true x", 1, "x_true"),
@@ -427,6 +423,8 @@ REJECTIONS = [
     row("rip-T-0", f"{RIP} --S 2 --T 0", 1, T_0),
     row("rip-S-before-the-model", "rip --system surrogate --S 0 --T 200000", 1,
         "error: S must lie in [1, 2000000], got 0\n", never="cli.build_horizon"),
+    row("rip-budget-before-the-model", "rip --system surrogate --S 1 --budget 0 --T 200000", 1,
+        "error: support budget must be >= 1, got 0\n", never="cli.build_horizon"),
     # attack
     row("attack-no-support", f"{ATTACK} 0.5", 1, "error: provide --support or --fraction\n",
         never="cli.synthesize_fdia"),
@@ -438,6 +436,10 @@ REJECTIONS = [
           1, message, never="cli.build_horizon") for name, flag, message in [
         ("support", "--support 99999999", "error: support indices must lie in [0, 2000000)\n"),
         ("fraction", "--fraction 2", "error: attack fraction must lie in [0, 1), got 2.0\n")]),
+    *(row(f"attack-epsilon-{name}-before-the-model",
+          f"attack --system surrogate --epsilon {eps} --support 0 --T 200000", 1,
+          f"error: epsilon must be finite and nonnegative, got {eps}\n", never="cli.build_horizon")
+      for name, eps in [("negative", "-1.0"), ("nan", "nan")]),
     *(row(f"attack-epsilon-{eps}", f"{ATTACK} {eps} --support 0", 1, "epsilon")
       for eps in ("inf", "nan")),
     # the unbounded attack's magnitude cap is a constant: no value of --cap-factor is a flag
@@ -448,8 +450,8 @@ REJECTIONS = [
         "error: epsilon 1e+306 gives no finite attack on this support: its magnitude or its bias "
         "bound alpha is not finite\n"),
     # seeds: numpy's own "expected non-negative integer" names no flag
-    *(row(name, f"{line} --seed -1", 1, f"{named} must be >= 0, got -1", absent="non-negative",
-          test="a_negative_seed_names_its_flag") for name, line, named in [
+    *(row(name, f"{line} --seed -1", 1, f"{named} must be >= 0, got -1", absent="non-negative")
+      for name, line, named in [
         ("sweep", "sweep --trials 1 --grid 0.3", "master seed"),
         ("sweep-2-trials", "sweep --trials 2 --grid 0.3", "master seed"),
         ("scenario-attack", "scenario --steps 8", "attack seed"),
@@ -457,25 +459,22 @@ REJECTIONS = [
         ("attack", f"{ATTACK} 0.5 --fraction 0.3", "--seed")]),
     # the localization prior's seed is a constant: no value of --prior-seed is a flag
     row("scenario-prior", "scenario --steps 8 --prior-seed -1", 1,
-        "error: unrecognized arguments: --prior-seed -1\n", absent="non-negative",
-        test="a_negative_seed_names_its_flag"),
+        "error: unrecognized arguments: --prior-seed -1\n", absent="non-negative"),
     # sweep
     *(row(f"sweep-jitter-{jitter}", f"{SWEEP} 0.2 --jitter {jitter}", 1, "jitter")
       for jitter in ("nan", "inf")),
     *(row(f"{flag}-{value}", f"{SWEEP} 0.0 {flag} {value}", 1, flag[2:].replace("-", " "),
-          never=DRAW,  # grid 0.0 draws no attack
-          test="sweep_rejects_a_non_finite_policy_or_radius_up_front")
+          never=DRAW)  # grid 0.0 draws no attack
       for flag, value in [("--epsilon-policy", "rel:nan"), ("--epsilon-policy", "abs:inf"),
                           ("--workers", "0")]),
     # the random systems' spectral radius is a constant: no value of it is a flag
     *(row(f"--spectral-radius-{value}", f"{SWEEP} 0.0 --spectral-radius {value}", 1,
-          f"error: unrecognized arguments: --spectral-radius {value}\n", never=DRAW,
-          test="sweep_rejects_a_non_finite_policy_or_radius_up_front") for value in ("nan", "inf")),
+          f"error: unrecognized arguments: --spectral-radius {value}\n", never=DRAW)
+      for value in ("nan", "inf")),
     row("sweep-omega-0-weighted",
         "sweep --omega 0 --trials 3 --grid 0.3 --strategies none,pruned_product", 1,
         "omega must be positive", never=DRAW),
-    *(row(f"sweep-{name}", f"sweep {line}", 1, message, never=DRAW,
-          test="a_confidence_model_out_of_range_is_rejected_up_front")
+    *(row(f"sweep-{name}", f"sweep {line}", 1, message, never=DRAW)
       for name, line, message in [
         ("true-rate", "--true-rate 0 --trials 2 --grid 0.3", "true rate"),
         ("jitter", "--jitter -1 --trials 2 --grid 0.3", "jitter"),
@@ -503,8 +502,7 @@ REJECTIONS = [
     # scenario
     # the scenario's confidence model is a constant: no value of it is a flag
     *(row(f"scenario-{name}", f"scenario --steps 8 {line}", 1,
-          f"error: unrecognized arguments: {line}\n", never=SCENARIO,
-          test="a_confidence_model_out_of_range_is_rejected_up_front")
+          f"error: unrecognized arguments: {line}\n", never=SCENARIO)
       for name, line in [("true-rate", "--true-rate 1.5"), ("jitter", "--jitter -1"),
                          ("jitter-too-wide", "--jitter 1e308")]),
     row("scenario-magnitude-nan", "scenario --steps 12 --T 2 --attack-magnitude nan", 1,
@@ -520,8 +518,7 @@ REJECTIONS = [
                           ("omega", "0")]),
     # the attacked measurements or the squared errors overflow, whichever observers run
     *(row(f"{magnitude}-{observers}", f"scenario --steps 8 --attack-magnitude {magnitude}"
-          + (f" --observers {observers}" if observers else ""), 2, "overflow",
-          test="scenario_metrics_that_overflow_are_a_numerical_failure")
+          + (f" --observers {observers}" if observers else ""), 2, "overflow")
       for magnitude, observers in [("1e308", "LO"), ("1e200", "LO"), ("1e200", "L1O"),
                                    ("1e308", "L1O"), ("1e308", "WL1P"), ("1e308", None)]),
     row("scenario-plant-overflows",
@@ -533,8 +530,7 @@ REJECTIONS = [
     row("scenario-attack-overflows", "scenario --steps 20 --T 2 --attack-magnitude 1e308", 2,
         "error: attacked measurements overflow at attack magnitude 1e+308\n"),
     # list flags
-    *(row(name, line, 1, f"error: argument {line.split()[-2]}: must be comma-separated",
-          test="a_malformed_list_names_its_flag")
+    *(row(name, line, 1, f"error: argument {line.split()[-2]}: must be comma-separated")
       for name, line in [("attack-support", f"{ATTACK} 0.4 --support 0,,1"),
                          ("estimate-safe", f"{ESTIMATE} --y y1 --safe 1,x"),
                          ("scenario-attack-support", "scenario --steps 8 --attack-support 0,,1"),
@@ -556,19 +552,13 @@ REJECTIONS = [
     row("repeated-scenario-observers", "scenario --steps 8 --observers LO,WL1P,LO", 1,
         "error: observer 'LO' is listed twice\n", never=SIMULATE),
 ]
+# pytest would run a repeated id as <id>0, <id>1, ..., and a mutant's killer named by it would not run
+IDS = [param.id for param in REJECTIONS]
+assert len(set(IDS)) == len(IDS), sorted({i for i in IDS if IDS.count(i) > 1})
 
 
-def rejections(test):
-    """test_<test> parametrized with its rows of REJECTIONS."""
-    return pytest.mark.parametrize("row", [param for owner, param in REJECTIONS if owner == test])
-
-
-@rejections("each_rejection")
+@pytest.mark.parametrize("row", REJECTIONS)
 def test_each_rejection(files, monkeypatch, row):
-    reject(files, monkeypatch, row)
-
-
-def reject(files, monkeypatch, row):
     """Run a row: one line on stderr and nothing on stdout, with every warning an error."""
     line, code, message, absent, never = row
     if never:

@@ -1001,6 +1001,23 @@ def test_search_follows_the_single_solve_on_exact_integer_data():
                                                       [found[i] for i in usable])
 
 
+def test_both_walks_sort_a_ratio_that_overflows_last_without_a_warning():
+    # rows scaled to 1e-310 give edges h with subnormal entries, where a ratio
+    # r / h passes the largest float: +inf, so that breakpoint sorts last.  The
+    # package's RuntimeWarnings are errors here (pyproject's filterwarnings)
+    A = np.random.default_rng(0).standard_normal((24, 3))
+    A[12:] *= 1e-310
+    y = np.empty((5, 24))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        y[seed] = A @ rng.standard_normal(3)
+        y[seed, 12:] += rng.standard_normal(12)  # the tiny rows attacked
+    w = np.ones_like(y)
+    found = lp.search_bases(A, y, w)
+    assert all(basis is not None for basis in found)
+    assert_found_bases_certify_as_cold_solves(np.broadcast_to(A, (5, 24, 3)), y, w, found)
+
+
 def test_search_gives_up_where_the_single_solve_leaves_the_pivots(monkeypatch):
     A, y, w = stacked_problems(20, 10, 1, 12, seed=5)
     w = w["unit"]

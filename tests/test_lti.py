@@ -38,6 +38,12 @@ def test_build_horizon_hand_example_newest_first():
     assert np.allclose(np.linalg.svd(model.H, compute_uv=False), [1.0, 1.0])
 
 
+def test_build_horizon_rejects_a_window_shorter_than_one_step():
+    # the CLI checks --T itself, with this message, before it builds a model
+    with pytest.raises(ValueError, match="^window length T must be >= 1, got 0$"):
+        build_horizon(make_system(1, m=4, n=2), 0)
+
+
 def test_build_horizon_rejects_unobservable():
     sys_ = LtiSystem(A=np.eye(3), C=[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 2.0, 0.0]])
     with pytest.raises(EstimationError, match="^observability rank 2 < n = 3$"):

@@ -9,8 +9,8 @@ requires ``True``), found by parsing each module of ``src/resilient_sse``;
 the listed mutants are the semantic ones, which no guard's no-op makes.
 The killers of a guard of ``src/resilient_sse/<m>.py`` follow one rule:
 first the test functions of ``tests/test_<m>.py`` that hold a
-``pytest.raises``, then every test that runs rows of the rejection table
-(each test function decorated with ``rejections(...)``).
+``pytest.raises``, then ``test_each_rejection``, which runs every row of
+the rejection table.
 
 The script copies the checkout once to a temporary directory (without .git,
 caches and bench output), and for each mutant, the listed ones first, writes
@@ -45,6 +45,7 @@ PACKAGE = "src/resilient_sse"
 LP, EXPERIMENTS = f"{PACKAGE}/lp.py", f"{PACKAGE}/experiments.py"
 ESTIMATION, LTI, CLI = f"{PACKAGE}/estimation.py", f"{PACKAGE}/lti.py", f"{PACKAGE}/cli.py"
 PRUNED = "return prune_product(instance.prior, eta).safe_set"
+EACH_REJECTION = "tests/test_cli_hostile.py::test_each_rejection"
 
 # (file, old text, new text, the test that kills it, what the mutant breaks)
 MUTANTS = [
@@ -117,7 +118,7 @@ MUTANTS = [
     (LP, "_FACE_STEPS = 8", "_FACE_STEPS = 40",
      "tests/test_lp.py::test_a_face_is_tried_once_where_more_than_n_rows_fit_exactly",
      "a face try takes up to 40 Newton steps"),
-    (LP, "            face = False  # a rejected dual pivots on, with no second try\n", "",
+    (LP, "                face = False  # a rejected dual pivots on, with no second try\n", "",
      "tests/test_lp.py::test_a_face_is_tried_once_where_more_than_n_rows_fit_exactly",
      "a rejected face dual is tried again at every later vertex on a face"),
     (LP, "g = Tab[:n] @ nu", "g = inv.T @ (A_act.T @ nu) if fresh else Tab[:n] @ nu",
@@ -130,6 +131,14 @@ MUTANTS = [
     (LP, "found_now |= face and _on_face(Tab, u, basis)", "found_now |= False",
      "tests/test_experiments.py::test_a_sweep_above_the_face_size_rule_matches_single_solves",
      "the search pivots past the vertex where the single solve certifies a face"),
+    (LP, 'rejected below\n    with np.errstate(over="ignore", invalid="ignore"):',
+     'rejected below\n    with np.errstate(invalid="ignore"):',
+     "tests/test_lp.py::test_both_walks_sort_a_ratio_that_overflows_last_without_a_warning",
+     "the single solve warns where a line-search ratio overflows to +inf"),
+    (LP, 'with np.errstate(over="ignore"):  # as in the single solve, r / h is +inf where h is subnormal',
+     "with np.errstate():",
+     "tests/test_lp.py::test_both_walks_sort_a_ratio_that_overflows_last_without_a_warning",
+     "the search warns where a line-search ratio overflows to +inf"),
     (EXPERIMENTS, "if (g, key) not in index:", "if True:",
      "tests/test_experiments.py::test_an_empty_or_full_trusted_set_shares_the_decoders_solve",
      "each trusted set of a group is solved on its own, not shared by its problem"),
@@ -196,22 +205,17 @@ def guards(source: str) -> list:
     return sorted(found)
 
 
-def test_functions(path: Path, chosen) -> list:
-    """The node ids of the test functions of the file `path` (if any) for which `chosen` holds."""
+def raises_tests(path: Path) -> list:
+    """The node ids of the test functions of the file `path` (if any) that hold a ``pytest.raises``."""
     if not path.exists():
         return []
     return [f"{path.relative_to(ROOT)}::{node.name}" for node in ast.parse(path.read_text()).body
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_") and chosen(node)]
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_") and holds_raises(node)]
 
 
 def holds_raises(function) -> bool:
     return any(isinstance(node, ast.Attribute) and node.attr == "raises"
                and getattr(node.value, "id", None) == "pytest" for node in ast.walk(function))
-
-
-def runs_rejections(function) -> bool:
-    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "rejections"
-               for d in function.decorator_list)
 
 
 @contextlib.contextmanager
@@ -257,12 +261,9 @@ def run_tests(copy: Path, env: dict, tests=(), timeout: float = 900):
 
 def main() -> int:
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / PACKAGE).glob("*.py"))}
-    rejections = [test for path in sorted((ROOT / "tests").glob("test_*.py"))
-                  for test in test_functions(path, runs_rejections)]
     generated = []  # (file, mutated source, killers, label)
     for path, source in sources.items():
-        own = test_functions(ROOT / "tests" / f"test_{Path(path).stem}.py", holds_raises)
-        killers = list(dict.fromkeys(own + rejections))
+        killers = raises_tests(ROOT / "tests" / f"test_{Path(path).stem}.py") + [EACH_REJECTION]
         generated += [(path, noop, killers, f"{path}:{line}: {text}")
                       for line, text, noop in guards(source)]
     noops = {(path, noop) for path, noop, _, _ in generated}
