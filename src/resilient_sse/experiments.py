@@ -249,11 +249,12 @@ def trusted_rows(instance: TrialInstance, strategy: str, eta: float):
 
 
 def _problem_key(trusted, rows: int, omega: float) -> frozenset:
-    """Equal for trusted sets whose weights are positive multiples of each
-    other, and so pose one problem; empty for uniform weights.  Needs
-    omega > 0, which SweepConfig requires of every weighted strategy and the
-    scenario's ``_OMEGA`` is."""
-    if trusted is None or omega == 1.0:
+    """Equal keys pose one problem: equal trusted sets, or any of an empty
+    set, a full set and the decoder's None, whose weights are positive
+    multiples of unit weights (the empty key).  Needs omega > 0, which
+    SweepConfig requires of every weighted strategy and the scenario's
+    ``_OMEGA`` is."""
+    if trusted is None:
         return frozenset()
     key = frozenset(trusted.tolist())
     return frozenset() if len(key) in (0, rows) else key
@@ -318,9 +319,9 @@ def run_trial(cfg: SweepConfig, p_a: float, strategy: str, trial_index: int) -> 
 def _paired_chunk(args):
     """Every strategy on the instances of a run of trial indices, outcomes in
     task order.  Strategies that pose one problem (``_problem_key``: equal
-    trusted sets, an empty or full set, which poses the problem of ``none``,
-    and any set at omega 1) share one solve, whose outcome equals the cold
-    solve of ``run_trial`` bit for bit."""
+    trusted sets, or an empty or full set, which poses the problem of
+    ``none``) share one solve, whose outcome equals the cold solve of
+    ``run_trial`` bit for bit."""
     cfg, trials = args
     instances = [draw_instance(cfg, p_a, t) for t in trials for p_a in cfg.attack_grid]
     groups = [(inst.model, inst.y_T, [trusted_rows(inst, s, cfg.eta) for s in cfg.strategies])

@@ -301,7 +301,7 @@ def test_explicit_flag_beats_config_either_way(tmp_path, capsys):
         assert code == 0 and out == outputs[file_value]
 
 
-def test_parser_is_built_once_and_reused(tmp_path, system_file, capsys, monkeypatch):
+def test_parser_is_built_once_and_reused(tmp_path, system_file, capsys, watch):
     path, sys_ = system_file
     y_path = tmp_path / "y.json"
     y_path.write_text(json.dumps(list(build_horizon(sys_, 1).H @ np.array([0.5, 2.0]) + 1.0)))
@@ -314,8 +314,7 @@ def test_parser_is_built_once_and_reused(tmp_path, system_file, capsys, monkeypa
         "sweep": sweep + ["--trials", 3],
         "sweep_defaults": sweep,
     }
-    built, build_parser = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    built = watch(cli, "build_parser")
     for fn in vars(cli).values():  # every parser cached so far is built again
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
@@ -614,17 +613,13 @@ def test_no_solve_path_imports_numpy_ma(tmp_path, system_file):
 
 
 @pytest.fixture
-def full_svd_shapes(monkeypatch):
-    """Shapes of the matrices whose full U an SVD call forms."""
-    svd, shapes = np.linalg.svd, []
+def full_svd_shapes(watch):
+    """Shapes of the matrices whose full U an SVD call forms (None for the other calls)."""
+    def full_u(args, kwargs, result):
+        full = kwargs.get("full_matrices", True) and kwargs.get("compute_uv", True)
+        return np.shape(args[0]) if full else None
 
-    def recording_svd(a, full_matrices=True, compute_uv=True, **kwargs):
-        if full_matrices and compute_uv:
-            shapes.append(np.shape(a))
-        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    return shapes
+    return watch(np.linalg, "svd", full_u)
 
 
 def test_no_subcommand_forms_the_full_U_of_H(tmp_path, system_file, capsys, full_svd_shapes):

@@ -308,32 +308,16 @@ def test_scenario_three_observer_ordering():
         assert wl <= l1
 
 
-def _spy_solves(monkeypatch, experiments):
-    """Record (solver, start, trusted set or None, pivots) of every certifying
+def _spy_solves(watch, experiments):
+    """Record (solver, start, trusted set or None, solution) of every certifying
     solve of experiments, and the result of every search."""
-    calls, searches = [], []
-
-    def spy(solve):
-        def wrapped(model, y_T, *args, start=None, **kw):
-            est = solve(model, y_T, *args, start=start, **kw)
-            trusted = args[0] if solve.__name__ == "weighted_observer" else None
-            calls.append((solve.__name__, start, trusted, est.iterations))
-            return est
-        return wrapped
-
-    search = experiments.search_bases
-
-    def spy_search(A, y, w):
-        searches.append(search(A, y, w))
-        return searches[-1]
-
-    monkeypatch.setattr(experiments, "decode", spy(experiments.decode))
-    monkeypatch.setattr(experiments, "weighted_observer", spy(experiments.weighted_observer))
-    monkeypatch.setattr(experiments, "search_bases", spy_search)
-    return calls, searches
+    calls = watch(experiments, "decode", lambda args, kw, est: ("decode", kw["start"], None, est))
+    watch(experiments, "weighted_observer",
+          lambda args, kw, est: ("weighted_observer", kw["start"], args[2], est), calls)
+    return calls, watch(experiments, "search_bases", lambda args, kw, found: found)
 
 
-def test_scenario_windows_start_at_their_searched_bases(monkeypatch):
+def test_scenario_windows_start_at_their_searched_bases(monkeypatch, watch):
     # one search covers every l1 problem of the run, window-major (L1O then
     # WL1P per window), and each solve certifies its searched basis without a
     # pivot; a result depends only on its optimal rows, so cold solves of
@@ -342,19 +326,19 @@ def test_scenario_windows_start_at_their_searched_bases(monkeypatch):
 
     sys_, x0 = load_surrogate()
     scenario = ScenarioConfig(steps=30, T=3)
-    calls, searches = _spy_solves(monkeypatch, experiments)
+    calls, searches = _spy_solves(watch, experiments)
     searched = run_scenario(sys_, x0, scenario=scenario)
     assert len(searches) == 1 and len(searches[0]) == 2 * searched.windows == len(calls)
     assert [name for name, *_ in calls] == ["decode", "weighted_observer"] * searched.windows
     assert any(found is not None for found in searches[0])
-    for found, (_, start, _, pivots) in zip(searches[0], calls):
-        assert start is found and (found is None or pivots == 0)
+    for found, (_, start, _, est) in zip(searches[0], calls):
+        assert start is found and (found is None or est.iterations == 0)
 
     monkeypatch.setattr(experiments, "search_bases", lambda A, y, w: [None] * len(y))
     assert run_scenario(sys_, x0, scenario=scenario) == searched
 
 
-def test_an_empty_or_full_trusted_set_shares_the_decoders_solve(monkeypatch):
+def test_an_empty_or_full_trusted_set_shares_the_decoders_solve(watch):
     # weights omega on every row, or 1 on every row, are positive multiples
     # of the decoder's unit weights: one problem, one search entry, one solve
     import resilient_sse.experiments as experiments
@@ -362,7 +346,7 @@ def test_an_empty_or_full_trusted_set_shares_the_decoders_solve(monkeypatch):
     model = build_horizon(gen_random_system(8, 2, np.random.default_rng(3)), 1)
     y = model.H @ np.array([1.0, -2.0])
     y[0] += 5.0
-    calls, searches = _spy_solves(monkeypatch, experiments)
+    calls, searches = _spy_solves(watch, experiments)
     sets = [None, np.arange(model.rows), np.array([], dtype=int), np.array([0, 1, 2])]
     (ests,) = experiments._certify_all([(model, y, sets)], 0.3)
     assert ests[0] is ests[1] is ests[2] and ests[3] is not ests[0]
@@ -383,7 +367,7 @@ def scenario_safe_set(sys_, T):
     return prune_product(sample_prior(q, p, rng), _ETA).safe_set, attacked
 
 
-def test_scenario_prior_is_drawn_once_for_every_window(monkeypatch):
+def test_scenario_prior_is_drawn_once_for_every_window(watch):
     # WL1P's trusted set comes from default_rng(_PRIOR_SEED): one draw, which
     # serves every window
     import resilient_sse.experiments as experiments
@@ -391,7 +375,7 @@ def test_scenario_prior_is_drawn_once_for_every_window(monkeypatch):
     sys_, x0 = load_surrogate()
     scenario = ScenarioConfig(steps=12, T=3)
     expected, _ = scenario_safe_set(sys_, scenario.T)
-    calls, _ = _spy_solves(monkeypatch, experiments)
+    calls, _ = _spy_solves(watch, experiments)
     run_scenario(sys_, x0, scenario=scenario)
     trusted = [tr for name, _, tr, _ in calls if name == "weighted_observer"]
     assert len(trusted) == scenario.steps - scenario.T + 1
@@ -465,7 +449,7 @@ def test_scenario_with_only_lo_runs_no_search(monkeypatch):
     assert lo.rms == {"LO": full.rms["LO"]} and lo.max_abs == {"LO": full.max_abs["LO"]}
 
 
-def test_scenario_wl1p_shares_l1os_solve_where_its_weights_are_uniform(monkeypatch):
+def test_scenario_wl1p_shares_l1os_solve_where_its_weights_are_uniform(monkeypatch, watch):
     # where pruning trusts no row WL1P weighs every row alike, so in every
     # window it poses L1O's problem: one search entry and one solve per window
     import resilient_sse.experiments as experiments
@@ -474,7 +458,7 @@ def test_scenario_wl1p_shares_l1os_solve_where_its_weights_are_uniform(monkeypat
     prune, none = experiments.prune_product, np.array([], dtype=int)
     monkeypatch.setattr(experiments, "prune_product",
                         lambda prior, eta: replace(prune(prior, eta), safe_set=none))
-    calls, searches = _spy_solves(monkeypatch, experiments)
+    calls, searches = _spy_solves(watch, experiments)
     metrics = run_scenario(sys_, x0, scenario=ScenarioConfig(steps=20, T=3))
     assert len(searches) == 1 and len(searches[0]) == metrics.windows
     assert [name for name, *_ in calls] == ["decode"] * metrics.windows
@@ -587,7 +571,7 @@ ACCEPTANCE_03 = dict(m=20, n=10, T=1, attack_grid=(0.3, 0.4, 0.5, 0.6, 0.7),
                      true_rate=0.6, eta=0.9, omega=0.01, master_seed=0)
 
 
-def test_paired_strategies_certify_their_searched_bases(monkeypatch):
+def test_paired_strategies_certify_their_searched_bases(watch):
     # one solve per distinct problem: pruned_product trusts no row here, so
     # its weights are omega times those of none, and it shares none's solve.
     # One search covers every distinct problem, and each solve certifies its
@@ -596,68 +580,33 @@ def test_paired_strategies_certify_their_searched_bases(monkeypatch):
 
     cfg = SweepConfig(**{**ACCEPTANCE_03, "attack_grid": (0.3,), "trials": 1})
     assert len(cfg.strategies) == 4
-    calls, searches = [], []  # (start, returned basis, pivots) per solve; result per search
-
-    def spy(solve):
-        def wrapped(*args, start=None, **kw):
-            est = solve(*args, start=start, **kw)
-            calls.append((start, est.basis, est.iterations))
-            return est
-        return wrapped
-
-    search = experiments.search_bases
-
-    def spy_search(A, y, w):
-        searches.append(search(A, y, w))
-        return searches[-1]
-
-    monkeypatch.setattr(experiments, "decode", spy(experiments.decode))
-    monkeypatch.setattr(experiments, "weighted_observer", spy(experiments.weighted_observer))
-    monkeypatch.setattr(experiments, "search_bases", spy_search)
+    calls, searches = _spy_solves(watch, experiments)
     outcomes = experiments._paired_chunk((cfg, range(1)))[0]
     assert len(calls) == 3 and len(searches) == 1 and len(searches[0]) == 3
-    for found, (start, basis, pivots) in zip(searches[0], calls):
-        assert start is found and np.array_equal(np.sort(start), basis) and pivots == 0
+    for found, (_, start, _, est) in zip(searches[0], calls):
+        assert start is found and np.array_equal(np.sort(start), est.basis) and est.iterations == 0
     assert outcomes["pruned_product"] == outcomes["none"]
 
 
-def test_paired_trial_at_omega_1_solves_once(monkeypatch):
-    # at omega 1 every trusted set weighs every row alike: one problem
+def test_paired_trial_at_omega_1_gives_every_strategy_the_decoders_outcome():
+    # at omega 1 every trusted set weighs every row alike, as the decoder does
     import resilient_sse.experiments as experiments
 
     cfg = SweepConfig(**{**ACCEPTANCE_03, "attack_grid": (0.3,), "trials": 1, "omega": 1.0})
-    solves = []
-
-    def spy(solve):
-        def wrapped(*args, **kw):
-            solves.append(solve)
-            return solve(*args, **kw)
-        return wrapped
-
-    monkeypatch.setattr(experiments, "decode", spy(experiments.decode))
-    monkeypatch.setattr(experiments, "weighted_observer", spy(experiments.weighted_observer))
     outcomes = experiments._paired_chunk((cfg, range(1)))[0]
-    assert len(solves) == 1
     assert all(o == outcomes["none"] for o in outcomes.values())
 
 
-def test_weights_are_built_once_per_distinct_problem(monkeypatch):
+def test_weights_are_built_once_per_distinct_problem(watch):
     import resilient_sse.experiments as experiments
 
-    built = []
-    observer_weights = experiments.observer_weights
-
-    def spy(model, trusted, omega):
-        built.append(trusted)
-        return observer_weights(model, trusted, omega)
-
-    monkeypatch.setattr(experiments, "observer_weights", spy)
+    built = watch(experiments, "observer_weights")
     sys_, x0 = load_surrogate()
     run_scenario(sys_, x0, scenario=ScenarioConfig(steps=20, T=3))
     assert len(built) == 1  # one trusted set serves every window
 
     built.clear()  # a sweep chunk: each weighted problem is certified by one weighted_observer
-    calls, _ = _spy_solves(monkeypatch, experiments)
+    calls, _ = _spy_solves(watch, experiments)
     experiments._paired_chunk((SweepConfig(**ACCEPTANCE_03, trials=4), range(4)))
     assert 1 <= len(built) <= sum(name == "weighted_observer" for name, *_ in calls)
 
@@ -721,16 +670,10 @@ def test_a_draw_never_advances_the_trials_cached_generator():
     assert experiments._shared_draw.cache_info().hits == 2  # one generator served all three
 
 
-def test_sweep_builds_one_horizon_per_trial_index(monkeypatch):
+def test_sweep_builds_one_horizon_per_trial_index(watch):
     import resilient_sse.experiments as experiments
 
-    built = []
-
-    def spy(*args):
-        built.append(args)
-        return build_horizon(*args)
-
-    monkeypatch.setattr(experiments, "build_horizon", spy)
+    built = watch(experiments, "build_horizon")
     cfg = small_cfg(attack_grid=(0.0, 0.25, 0.5), trials=4, master_seed=13)
     sweep(cfg)
     assert len(built) == cfg.trials
@@ -803,7 +746,7 @@ def test_chunked_sweep_matches_single_solves():
                 assert row.mean_error == float(np.mean([o[s].error_l2 for o in outs]))
 
 
-def test_a_sweep_above_the_face_size_rule_matches_single_solves(monkeypatch):
+def test_a_sweep_above_the_face_size_rule_matches_single_solves(watch):
     # 240 x 12 windows: the search hands each problem over at the vertex where
     # the single solve tries to certify a face, so the certified solves from
     # the handed-over bases give the cold trials' outcomes bit for bit
@@ -814,8 +757,7 @@ def test_a_sweep_above_the_face_size_rule_matches_single_solves(monkeypatch):
                       strategies=("none", "prior", "pruned_product"), master_seed=7)
     grid = len(cfg.attack_grid)
     reference = single_solve_outcomes(cfg, range(cfg.trials))
-    tried, face_dual = [], lp._face_dual
-    monkeypatch.setattr(lp, "_face_dual", lambda *args: tried.append(1) or face_dual(*args))
+    tried = watch(lp, "_face_dual")
     assert experiments._paired_chunk((cfg, range(cfg.trials))) == reference
     assert tried  # the hand-off happened
     for workers in (1, 2):

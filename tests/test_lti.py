@@ -136,15 +136,9 @@ def test_factors_are_the_thin_svd_and_U2_the_full_svds_complement():
     assert np.max(np.abs(U2.T @ model.H)) <= 1e-9
 
 
-def test_build_horizon_defers_the_full_svd(monkeypatch):
+def test_build_horizon_defers_the_full_svd(watch):
     # deferred for good: building makes one thin SVD, and no read makes another
-    svd, calls = np.linalg.svd, []
-
-    def counting_svd(a, *args, **kwargs):
-        calls.append((a.shape, kwargs))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = watch(np.linalg, "svd", lambda args, kwargs, result: (args[0].shape, kwargs))
     model = build_horizon(make_system(5, m=7, n=3), 3)
     assert calls == [((21, 3), {"full_matrices": False})]
     assert not model.H.flags.writeable
@@ -318,16 +312,10 @@ def test_csv_roundtrip_and_ragged(tmp_path):
         read_matrix_csv(c_path)
 
 
-def test_build_horizon_checks_observability_only_when_H_fails(monkeypatch):
+def test_build_horizon_checks_observability_only_when_H_fails(watch):
     import resilient_sse.lti as lti
 
-    svds, real = [], np.linalg.svd
-
-    def spy(a, *args, **kw):
-        svds.append(1)
-        return real(a, *args, **kw)
-
-    monkeypatch.setattr(lti.np.linalg, "svd", spy)
+    svds = watch(lti.np.linalg, "svd")
     build_horizon(make_system(0, m=8, n=3), 2)
     assert len(svds) == 1  # a full-column-rank H implies observability: H's SVD alone
     svds.clear()

@@ -325,16 +325,14 @@ def test_gen_confidences_draws_the_widest_jitter():
     assert ((p > 0) & (p <= 1)).all()
 
 
-def test_prune_product_checks_the_confidences_of_its_prior_once(monkeypatch):
+def test_prune_product_checks_the_confidences_of_its_prior_once(watch):
     # SupportPrior checked p; prune_product does not check it again, while
     # the public prune_offline still checks whatever it is given
     import resilient_sse.pruning as pruning
 
     prior = SupportPrior(q_hat=[1, 0, 1, 1], p=[0.9, 0.8, 0.95, 0.99])
     expected = prune_product(prior, 0.8)
-    checked = []
-    confidences = pruning._confidences
-    monkeypatch.setattr(pruning, "_confidences", lambda p: checked.append(p) or confidences(p))
+    checked = watch(pruning, "_confidences")
     pruned = prune_product(prior, 0.8)
     assert checked == []
     assert np.array_equal(pruned.offline_set, expected.offline_set)

@@ -34,6 +34,7 @@ import contextlib
 import itertools
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -121,6 +122,10 @@ MUTANTS = [
     (LP, "                face = False  # a rejected dual pivots on, with no second try\n", "",
      "tests/test_lp.py::test_a_face_is_tried_once_where_more_than_n_rows_fit_exactly",
      "a rejected face dual is tried again at every later vertex on a face"),
+    (LP, "            except np.linalg.LinAlgError:\n                return None",
+     "            except ZeroDivisionError:\n                return None",
+     "tests/test_lp.py::test_a_face_try_whose_newton_system_is_singular_pivots_on",
+     "a face try whose Newton system is singular fails the solve instead of pivoting on"),
     (LP, "g = Tab[:n] @ nu", "g = inv.T @ (A_act.T @ nu) if fresh else Tab[:n] @ nu",
      "tests/test_lp.py::test_search_follows_the_single_solve_on_exact_integer_data",
      "the single solve prices a fresh vertex from its inverse"),
@@ -220,17 +225,26 @@ def holds_raises(function) -> bool:
 
 @contextlib.contextmanager
 def checkout_copy():
-    """(copy, env): a temporary copy of the checkout, and an environment that imports its src/."""
-    with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp) / "checkout"
-        shutil.copytree(ROOT, copy, ignore=IGNORE)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(copy / "src"), env.get("PYTHONPATH")]))
-        where = subprocess.run([sys.executable, "-c", "import resilient_sse; print(resilient_sse.__file__)"],
-                               cwd=copy, env=env, capture_output=True, text=True, check=True)
-        if not Path(where.stdout.strip()).resolve().is_relative_to(copy.resolve()):
-            raise SystemExit(f"the copy imports the package from {where.stdout.strip()}, not from {copy}")
-        yield copy, env
+    """(copy, env): a temporary copy of the checkout, and an environment that imports its src/.
+
+    While the copy exists, SIGTERM exits through ``SystemExit``, so that a
+    running ``subprocess.run`` kills its test run and the copy is removed
+    (the default action ends the process without either); the previous
+    handler is restored after."""
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = Path(tmp) / "checkout"
+            shutil.copytree(ROOT, copy, ignore=IGNORE)
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(copy / "src"), env.get("PYTHONPATH")]))
+            where = subprocess.run([sys.executable, "-c", "import resilient_sse; print(resilient_sse.__file__)"],
+                                   cwd=copy, env=env, capture_output=True, text=True, check=True)
+            if not Path(where.stdout.strip()).resolve().is_relative_to(copy.resolve()):
+                raise SystemExit(f"the copy imports the package from {where.stdout.strip()}, not from {copy}")
+            yield copy, env
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 @contextlib.contextmanager
